@@ -3,14 +3,18 @@
 //! PSN decode) — the operations whose cost Table I models in cycles —
 //! plus the simulator-throughput suite: event-queue churn (timer wheel
 //! vs reference heap) and end-to-end DES events/sec on the 188-node
-//! testbed and the 512-node fat-tree (`BENCH_simcore.json` scenarios).
+//! testbed and the 512-node fat-tree (`BENCH_simcore.json` scenarios),
+//! and the queue's two extreme regimes — a whole 4-host fabric built,
+//! drained and dropped per iteration (the open-loop runtime's batch),
+//! and a queue held 300 k events deep (the 512-rank FSDP pair).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcag_bench::simcore::{allgather_run, queue_churn_events_per_sec};
-use mcag_core::{ChunkBitmap, Sequencer, StagingRing};
-use mcag_simnet::{QueueBackend, Topology};
+use mcag_bench::simcore::{allgather_run, churn_delay_ns, queue_churn_events_per_sec};
+use mcag_core::{des, ChunkBitmap, CollectiveKind, ProtocolConfig, Sequencer, StagingRing};
+use mcag_simnet::{EventQueue, FabricConfig, QueueBackend, Topology};
 use mcag_verbs::{Chunker, CollectiveId, ImmLayout, LinkRate, Mtu};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol_hotpath");
@@ -108,6 +112,99 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// The open-loop runtime's regime: a fresh fabric per batch of a few
+/// hundred events, so queue construction, first-touch growth and
+/// teardown weigh as much as the event loop. One iteration builds the
+/// fabric over a shared topology, runs a 16 KiB Allgather to
+/// quiescence and drops everything.
+fn bench_batch_fabric(c: &mut Criterion) {
+    let mut g = c.benchmark_group("batch_fabric");
+    g.sample_size(2_000);
+    let topo = Arc::new(Topology::single_switch(4, LinkRate::CX3_56G, 100));
+    for (name, backend) in [
+        ("construct_drain_drop_4_hosts_wheel", QueueBackend::Wheel),
+        ("construct_drain_drop_4_hosts_heap", QueueBackend::Heap),
+    ] {
+        let mut cfg = FabricConfig::ucc_default();
+        cfg.event_queue = backend;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let out = des::run_collective(
+                    Arc::clone(&topo),
+                    cfg.clone(),
+                    ProtocolConfig::default(),
+                    CollectiveKind::Allgather,
+                    16 << 10,
+                );
+                black_box(out.stats.events)
+            })
+        });
+    }
+    // The queue alone: construct, schedule and drain 326 events (the
+    // mean batch of the `load_ladder` benchmark workload), drop.
+    for (name, backend) in [
+        ("queue_construct_drain_drop_326_wheel", QueueBackend::Wheel),
+        ("queue_construct_drain_drop_326_heap", QueueBackend::Heap),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+                for i in 0..326u64 {
+                    q.schedule_in((i * 2_654_435_761) % 40_000, i);
+                }
+                let mut sum = 0u64;
+                while let Some((_, e)) = q.pop() {
+                    sum = sum.wrapping_add(e);
+                }
+                black_box(sum)
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The opposite regime: a queue held 300 k events deep (the 512-rank
+/// FSDP AG+RS pair peaks at 329 k pending) under the `event_queue`
+/// delay mix, where memory behaviour per pop decides the rate and
+/// construction is noise. At this depth the standing population sits in
+/// the far level, so this is the arena's worst case: a far slot's list
+/// threads nodes scattered over the whole arena and the cascade chases
+/// them one cache miss at a time, where per-slot vectors read
+/// sequentially.
+fn bench_deep_queue(c: &mut Criterion) {
+    let mut g = c.benchmark_group("deep_queue");
+    const DEPTH: u64 = 300_000;
+    const OPS: u64 = 1 << 18;
+    g.throughput(Throughput::Elements(OPS));
+    g.sample_size(5);
+    for (name, backend) in [
+        ("wheel_churn_300k_pending", QueueBackend::Wheel),
+        ("heap_churn_300k_pending", QueueBackend::Heap),
+    ] {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut delay = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            churn_delay_ns(state)
+        };
+        let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+        for i in 0..DEPTH {
+            q.schedule_in(delay(), i);
+        }
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..OPS {
+                    let (_, e) = q.pop().expect("steady-state queue drained");
+                    q.schedule_in(delay(), e);
+                }
+                black_box(q.len())
+            })
+        });
+    }
+    g.finish();
+}
+
 /// End-to-end simulator throughput: whole Allgather runs per iteration.
 /// The wheel-vs-heap pair on the 188-node testbed is the acceptance
 /// metric; the 512-node fat-tree is the post-optimization scale target.
@@ -141,6 +238,8 @@ criterion_group!(
     benches,
     bench,
     bench_event_queue,
+    bench_batch_fabric,
+    bench_deep_queue,
     bench_simulator_throughput
 );
 criterion_main!(benches);

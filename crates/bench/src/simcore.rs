@@ -89,11 +89,20 @@ fn backend_name(b: QueueBackend) -> &'static str {
     }
 }
 
+/// The churn scenarios' delay mix, drawn from a random word: it mirrors
+/// a collective run — mostly NIC-serialization-scale delays (near
+/// wheel), some in the millisecond range (far wheel), a few cutoff-scale
+/// timers (overflow).
+pub fn churn_delay_ns(r: u64) -> u64 {
+    match r % 100 {
+        0..=84 => r % 4096,              // NIC/switch hop scale
+        85..=97 => 4096 + r % (1 << 22), // cross-level cascades
+        _ => (1 << 24) + r % (1 << 28),  // cutoff-timer scale
+    }
+}
+
 /// Pure event-queue churn: hold a steady window of pending events and
-/// measure schedule+pop pairs per second. The delay mix mirrors a
-/// collective run: mostly NIC-serialization-scale delays (near wheel),
-/// some in the millisecond range (far wheel), a few cutoff-scale timers
-/// (overflow).
+/// measure schedule+pop pairs per second under [`churn_delay_ns`].
 pub fn queue_churn_events_per_sec(backend: QueueBackend, ops: u64) -> f64 {
     let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -109,13 +118,7 @@ pub fn queue_churn_events_per_sec(backend: QueueBackend, ops: u64) -> f64 {
     let t0 = Instant::now();
     for _ in 0..ops {
         let popped = q.pop().expect("steady-state queue drained");
-        let r = next();
-        let delay = match r % 100 {
-            0..=84 => r % 4096,              // NIC/switch hop scale
-            85..=97 => 4096 + r % (1 << 22), // cross-level cascades
-            _ => (1 << 24) + r % (1 << 28),  // cutoff-timer scale
-        };
-        q.schedule_in(delay, popped.1);
+        q.schedule_in(churn_delay_ns(next()), popped.1);
     }
     let wall = t0.elapsed().as_nanos().max(1) as f64;
     // One op = one pop + one schedule, i.e. one event through the queue.

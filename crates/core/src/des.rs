@@ -179,9 +179,10 @@ pub fn cutoff_ns(
     drain_ns + proto.cutoff_alpha_ns + proto.cutoff_per_step_ns * steps
 }
 
-/// Run one multicast collective on `topo` with default [`RunBounds`].
+/// Run one multicast collective on `topo` (owned, or an `Arc` shared
+/// across runs) with default [`RunBounds`].
 pub fn run_collective(
-    topo: Topology,
+    topo: impl Into<Arc<Topology>>,
     fabric_cfg: FabricConfig,
     proto: ProtocolConfig,
     kind: CollectiveKind,
@@ -204,13 +205,14 @@ pub fn run_collective(
 /// watchdog converts an unrecoverable fabric into a clean timeout
 /// ([`CollectiveOutcome::timed_out`]) instead of a panic.
 pub fn run_collective_bounded(
-    topo: Topology,
+    topo: impl Into<Arc<Topology>>,
     fabric_cfg: FabricConfig,
     proto: ProtocolConfig,
     kind: CollectiveKind,
     send_len: usize,
     bounds: RunBounds,
 ) -> CollectiveOutcome {
+    let topo: Arc<Topology> = topo.into();
     let p = topo.num_hosts() as u32;
     let plan = Arc::new(CollectivePlan::new(
         kind,

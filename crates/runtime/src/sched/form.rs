@@ -187,7 +187,7 @@ impl Runtime {
             .map(|job| matches!(job.spec.kind, JobKind::AgRs))
             .collect();
         let sim = BatchSim {
-            topo: self.topo.clone(),
+            topo: Arc::clone(&self.topo),
             fabric,
             proto,
             plans,

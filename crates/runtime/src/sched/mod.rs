@@ -62,7 +62,8 @@ use mcag_offload::BackendKind;
 use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
 use mcag_trace::{Marker, RuntimeTrace, TraceSpec};
 use sim::{simulate_batch, BatchOutcome};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 #[allow(unused_imports)] // doc links
 use mcag_simnet::Fabric;
@@ -221,7 +222,8 @@ struct InflightBatch {
 
 /// The long-lived multi-tenant collective runtime.
 pub struct Runtime {
-    topo: Topology,
+    /// Shared with every batch's `BatchSim` and fabric, never copied.
+    topo: Arc<Topology>,
     cfg: RuntimeConfig,
     pool: McastGroupPool,
     queue: JobQueue,
@@ -242,6 +244,8 @@ pub struct Runtime {
     arrival_cursor: usize,
     /// Batches overlapping on the virtual clock (open-loop engine only).
     inflight: Vec<InflightBatch>,
+    /// Per partition: occupied by an in-flight or just-formed batch.
+    partition_busy: Vec<bool>,
     /// Per-partition occupancy aggregates, indexed by partition.
     partition_stats: Vec<PartitionStats>,
     /// EWMA (α = ¼) of completed-job sojourn time, feeding the
@@ -254,7 +258,7 @@ pub struct Runtime {
     /// eligibility time (ties keep insertion = commit order). Their
     /// tenant lanes stay busy until re-queued, preserving communicator
     /// order.
-    retry_queue: Vec<(u64, PendingJob)>,
+    retry_queue: VecDeque<(u64, PendingJob)>,
     /// Per-partition damage score: static subnet-manager telemetry from
     /// `cfg.partition_faults` plus dynamic observations folded in at
     /// commit. The reactive scheduler steers batches toward the minimum.
@@ -303,6 +307,7 @@ impl Runtime {
             .collect();
         let pool = McastGroupPool::new(cfg.pool);
         let partition_stats = vec![PartitionStats::default(); cfg.partitions];
+        let partition_busy = vec![false; cfg.partitions];
         // Static SM telemetry: the subnet manager knows its own fault
         // schedules, so each partition starts with a damage score
         // summarizing the outages it will replay (one point per ms of
@@ -324,7 +329,7 @@ impl Runtime {
         }
         let trace = cfg.trace.as_ref().map(|_| RuntimeTrace::default());
         Runtime {
-            topo,
+            topo: Arc::new(topo),
             cfg,
             pool,
             queue: JobQueue::new(),
@@ -339,11 +344,12 @@ impl Runtime {
             arrivals: Vec::new(),
             arrival_cursor: 0,
             inflight: Vec::new(),
+            partition_busy,
             partition_stats,
             sojourn_ewma_ns: 0,
             offered: 0,
             rejects: RejectCounts::default(),
-            retry_queue: Vec::new(),
+            retry_queue: VecDeque::new(),
             health_decayed_at: vec![0; partition_health.len()],
             partition_health,
             partition_hosts,
@@ -570,7 +576,7 @@ impl Runtime {
             while self.run_next_batch().is_some() {}
             // Reactive runs may have parked timed-out jobs behind a
             // backoff deadline; jump the clock there and keep draining.
-            match self.retry_queue.first() {
+            match self.retry_queue.front() {
                 Some(&(ready_ns, _)) => self.now_ns = self.now_ns.max(ready_ns),
                 None => break,
             }
@@ -593,7 +599,7 @@ impl Runtime {
             }
             if formed.is_empty() {
                 // Only parked retries can remain; release the earliest.
-                match self.retry_queue.first() {
+                match self.retry_queue.front() {
                     Some(&(ready_ns, _)) => {
                         self.now_ns = self.now_ns.max(ready_ns);
                         self.admit_due_retries();
@@ -643,7 +649,7 @@ impl Runtime {
             self.launch_ready(jobs);
             let next_done = self.inflight.iter().map(|b| b.done_ns).min();
             let next_arrival = self.arrivals.get(self.arrival_cursor).map(|a| a.arrival_ns);
-            let next_retry = self.retry_queue.first().map(|&(ready_ns, _)| ready_ns);
+            let next_retry = self.retry_queue.front().map(|&(ready_ns, _)| ready_ns);
             let t = [next_done, next_arrival, next_retry]
                 .into_iter()
                 .flatten()
@@ -676,11 +682,11 @@ impl Runtime {
     /// the *head* of its tenant's lane (communicator order), and wake
     /// the lane.
     fn admit_due_retries(&mut self) {
-        while let Some(&(ready_ns, job)) = self.retry_queue.first() {
+        while let Some(&(ready_ns, job)) = self.retry_queue.front() {
             if ready_ns > self.now_ns {
                 break;
             }
-            self.retry_queue.remove(0);
+            self.retry_queue.pop_front();
             self.queue.push_front(job);
             self.queue.mark_idle(job.spec.tenant);
         }
@@ -738,9 +744,12 @@ impl Runtime {
     fn launch_ready(&mut self, jobs: usize) {
         self.decay_partition_health();
         let mut newly: Vec<FormedBatch> = Vec::new();
-        while let Some(partition) = self.free_partition(&newly) {
+        while let Some(partition) = self.free_partition() {
             match self.form_batch(FormMode::Pipelined { partition }) {
-                Some(fb) => newly.push(fb),
+                Some(fb) => {
+                    self.partition_busy[partition as usize] = true;
+                    newly.push(fb);
+                }
                 None => break,
             }
         }
@@ -774,22 +783,16 @@ impl Runtime {
     /// nothing at all in flight the best partition is used regardless of
     /// score: the engine must make progress even on an all-damaged
     /// fabric.
-    fn free_partition(&self, pending: &[FormedBatch]) -> Option<u32> {
-        let used: BTreeSet<u32> = self
-            .inflight
-            .iter()
-            .map(|b| b.formed.partition)
-            .chain(pending.iter().map(|fb| fb.partition))
-            .collect();
+    fn free_partition(&self) -> Option<u32> {
+        let mut free =
+            (0..self.cfg.partitions as u32).filter(|&p| !self.partition_busy[p as usize]);
         let reactive = match &self.cfg.reactive {
             Some(r) => r,
-            None => return (0..self.cfg.partitions as u32).find(|p| !used.contains(p)),
+            None => return free.next(),
         };
-        let best = (0..self.cfg.partitions as u32)
-            .filter(|p| !used.contains(p))
-            .min_by_key(|&p| (self.partition_health[p as usize], p))?;
+        let best = free.min_by_key(|&p| (self.partition_health[p as usize], p))?;
         let score = self.partition_health[best as usize];
-        if score > reactive.quarantine_score && !used.is_empty() {
+        if score > reactive.quarantine_score && self.partition_busy.contains(&true) {
             return None;
         }
         Some(best)
@@ -817,6 +820,7 @@ impl Runtime {
                 .flat_map(|job| self.group_keys(job))
                 .collect();
             self.pool.unpin(&keys);
+            self.partition_busy[infl.formed.partition as usize] = false;
             // Tenant lanes are released per job inside the merge: a
             // completed (or given-up) job idles its lane, a job headed
             // for the retry queue keeps it busy so communicator order

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// so formed batches can run on the fork-join executor; everything the
 /// run needs (topology, seeded fabric config, plans) is owned here.
 pub(super) struct BatchSim {
-    pub(super) topo: Topology,
+    pub(super) topo: Arc<Topology>,
     pub(super) fabric: FabricConfig,
     pub(super) proto: ProtocolConfig,
     /// One collective plan per batch slot (collective id `2i + 1`).
@@ -82,7 +82,7 @@ pub(super) struct BatchOutcome {
 pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     let p = sim.topo.num_hosts() as u32;
     let n_workers = sim.fabric.host.rx_workers.max(1);
-    let mut fab: Fabric<ControlMsg> = Fabric::new(sim.topo.clone(), sim.fabric.clone());
+    let mut fab: Fabric<ControlMsg> = Fabric::new(Arc::clone(&sim.topo), sim.fabric.clone());
     let members: Vec<Rank> = (0..p).map(Rank).collect();
     let headroom = sim.plans.len() as u64 + 1;
 

@@ -268,9 +268,11 @@ pub struct Fabric<M> {
 
 impl<M: Clone + 'static> Fabric<M> {
     /// Create a fabric over `topo` with the given configuration. Apps and
-    /// QPs must be registered before [`Fabric::run`].
-    pub fn new(topo: Topology, cfg: FabricConfig) -> Fabric<M> {
-        let topo = Arc::new(topo);
+    /// QPs must be registered before [`Fabric::run`]. `topo` is an owned
+    /// [`Topology`] or an `Arc` of one — callers that build many fabrics
+    /// over one topology (the runtime, one per batch) share it.
+    pub fn new(topo: impl Into<Arc<Topology>>, cfg: FabricConfig) -> Fabric<M> {
+        let topo: Arc<Topology> = topo.into();
         let n = topo.num_hosts();
         let nics = (0..n)
             .map(|r| {

@@ -32,6 +32,7 @@
 
 use crate::topology::LinkId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One scheduled transition of one directed link's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,8 +95,16 @@ impl LinkStateEvent {
 /// A validated, time-sorted schedule of link-state transitions, consumed
 /// by `Fabric::new` (via `FabricConfig::faults`) as ordinary queue
 /// events. The compiled form of a `mcag-faults` `FaultPlan`.
+///
+/// Immutable once built and shared behind one `Arc`: cloning a schedule
+/// (the runtime clones a `FabricConfig` per batch) copies no transition.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinkSchedule {
+    compiled: Arc<Compiled>,
+}
+
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+struct Compiled {
     events: Vec<LinkStateEvent>,
     /// For event `i`: the earliest `at_ns >= events[i].at_ns` at which
     /// `events[i].link` is up again (`u64::MAX` if it never recovers).
@@ -144,28 +153,30 @@ impl LinkSchedule {
                 next_up[i] = latest_up.get(&e.link.0).copied().unwrap_or(u64::MAX);
             }
         }
-        LinkSchedule { events, next_up }
+        LinkSchedule {
+            compiled: Arc::new(Compiled { events, next_up }),
+        }
     }
 
     /// The sorted transitions.
     pub fn events(&self) -> &[LinkStateEvent] {
-        &self.events
+        &self.compiled.events
     }
 
     /// Number of transitions.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.compiled.events.len()
     }
 
     /// True when the schedule has no transitions.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.compiled.events.is_empty()
     }
 
     /// When `events()[idx]`'s link is next up at or after that event
     /// (`u64::MAX` when it never recovers).
     pub fn next_up_ns(&self, idx: usize) -> u64 {
-        self.next_up[idx]
+        self.compiled.next_up[idx]
     }
 }
 

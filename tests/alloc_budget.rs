@@ -1,0 +1,227 @@
+//! Allocation budgets: the regression gate behind the arena-backed
+//! timer wheel. A counting `#[global_allocator]` holds three numbers to
+//! a ceiling so that a per-slot container, a per-batch deep copy or a
+//! capacity that is never given back cannot return unnoticed:
+//!
+//! 1. constant-depth schedule/pop churn on the wheel allocates nothing
+//!    once the arena has reached the queue's depth;
+//! 2. an open-loop runtime on a 4-host switch stays under a per-batch
+//!    allocation budget (count and bytes);
+//! 3. the paper's 188-node Allgather stays under a peak-live-heap cap.
+//!
+//! The counters are per thread (the harness runs tests on parallel
+//! threads, and every path measured here is single-threaded), so the
+//! three tests cannot see each other's allocations.
+
+use mcast_allgather::core::{des, CollectiveKind, ProtocolConfig};
+use mcast_allgather::runtime::{
+    OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
+};
+use mcast_allgather::simnet::{EventQueue, FabricConfig, SimTime, Topology};
+use mcast_allgather::verbs::LinkRate;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// What the current thread has asked of the allocator so far.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// `alloc`, `alloc_zeroed` and `realloc` calls.
+    allocs: u64,
+    /// Bytes requested by them.
+    bytes: u64,
+    /// Bytes currently held (may dip below zero when a thread frees
+    /// what another allocated; these tests never do).
+    live: i64,
+    /// Highest `live` since the last [`reset_peak`].
+    peak: i64,
+}
+
+thread_local! {
+    // `const` initialisation and no destructor: touching this from
+    // inside the allocator can neither allocate nor recurse.
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { allocs: 0, bytes: 0, live: 0, peak: 0 })
+    };
+}
+
+fn record(grew: usize, shrank: usize) {
+    // `try_with`: a thread being torn down may free after its
+    // thread-locals are gone; those calls are simply not counted.
+    let _ = TALLY.try_with(|t| {
+        let mut v = t.get();
+        if grew > 0 {
+            v.allocs += 1;
+            v.bytes += grew as u64;
+        }
+        v.live += grew as i64 - shrank as i64;
+        v.peak = v.peak.max(v.live);
+        t.set(v);
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the tally never touches the
+// returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` obligations pass through.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            record(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as in `alloc`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            record(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        record(0, layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller guarantees `ptr`/`layout` describe a live
+        // block of this allocator and `new_size` is a valid size for it.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            record(new_size, layout.size());
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn tally() -> Tally {
+    TALLY.with(Cell::get)
+}
+
+/// Forget the peak so far; returns the live heap the next peak rises from.
+fn reset_peak() -> i64 {
+    TALLY.with(|t| {
+        let mut v = t.get();
+        v.peak = v.live;
+        t.set(v);
+        v.live
+    })
+}
+
+#[test]
+fn constant_depth_churn_allocates_nothing_after_warm_up() {
+    const DEPTH: u64 = 512;
+    // Delays span the near level (< 2^12 ns) and the far level; the run
+    // stays inside the first 2^24 ns super-chunk, because the sorted
+    // overflow beyond it is a `BTreeMap` of buckets and allocates by
+    // design (one bucket per 16.8 ms of far-future timers).
+    let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+    let mut delay = move || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 33) % (1 << 16)
+    };
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..DEPTH {
+        q.schedule_in(delay(), i);
+    }
+    // One pop per schedule keeps the depth constant, so after the fill
+    // the arena is already as long as it will ever need to be.
+    let mut churn = |n: u64| {
+        for _ in 0..n {
+            let (_, e) = q.pop().expect("constant depth");
+            q.schedule_in(delay(), e);
+        }
+    };
+    churn(4 * DEPTH); // warm-up
+    let before = tally();
+    churn(60_000);
+    let after = tally();
+    assert!(
+        q.now() < SimTime(1 << 24),
+        "the churn left the first super-chunk"
+    );
+    assert_eq!(q.len() as u64, DEPTH);
+    assert_eq!(
+        (after.allocs - before.allocs, after.bytes - before.bytes),
+        (0, 0),
+        "steady-state schedule/pop churn allocated"
+    );
+}
+
+#[test]
+fn open_loop_runtime_stays_inside_its_per_batch_budget() {
+    // The benchmark's `load_ladder` x2 cell: 16 tenants, 2 partitions,
+    // pool 32, a mixed AG / Bcast / AG+RS stream on a 4-host switch —
+    // one fresh fabric of a few hundred events per batch.
+    let arrivals = ArrivalSpec {
+        tenants: 16,
+        horizon_ns: 20_000 * 1_000,
+        rate: RateProcess::Poisson {
+            mean_interarrival_ns: 20_000,
+        },
+        mix: OpMix {
+            allgather_weight: 2,
+            broadcast_weight: 1,
+            agrs_weight: 1,
+            min_send_len: 8 << 10,
+            max_send_len: 32 << 10,
+            ranks: 4,
+        },
+        seed: 7,
+    }
+    .generate();
+    let mut rt = Runtime::new(
+        Topology::single_switch(4, LinkRate::CX3_56G, 100),
+        RuntimeConfig {
+            pool: PoolConfig::with_capacity(32),
+            max_inflight: 8,
+            partitions: 2,
+            ..RuntimeConfig::default()
+        },
+    );
+    for i in 0..16 {
+        rt.register_tenant(&format!("t{i}"));
+    }
+    rt.load_arrivals(&arrivals);
+    let before = tally();
+    let report = rt.run_open_loop();
+    let after = tally();
+    assert!(report.batches > 300, "only {} batches", report.batches);
+    let per_batch = |n: u64| n as f64 / report.batches as f64;
+    let allocs = per_batch(after.allocs - before.allocs);
+    let kib = per_batch(after.bytes - before.bytes) / 1024.0;
+    // Measured 223 allocations and 67 KiB a batch (393 and 263 KiB with
+    // per-slot wheel containers and per-batch topology copies); the
+    // ceilings are 1.25 x the measured values.
+    assert!(allocs <= 280.0, "{allocs:.0} allocations per batch");
+    assert!(kib <= 84.0, "{kib:.0} KiB allocated per batch");
+}
+
+#[test]
+fn allgather_188_peak_live_heap_stays_small() {
+    let floor = reset_peak();
+    let run = des::run_collective(
+        Topology::ucc_testbed(),
+        FabricConfig::ucc_default(),
+        ProtocolConfig::default(),
+        CollectiveKind::Allgather,
+        256 << 10,
+    );
+    assert!(run.stats.all_done());
+    let peak_mib = (tally().peak - floor) as f64 / (1u64 << 20) as f64;
+    // Measured 0.9 MiB; 52 MiB when every wheel slot kept the capacity
+    // of its busiest instant.
+    assert!(peak_mib < 8.0, "peak live heap {peak_mib:.1} MiB");
+}
