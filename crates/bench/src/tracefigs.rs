@@ -466,6 +466,23 @@ pub fn tracefigs_smoke() -> FigData {
 mod tests {
     use super::*;
 
+    /// The exporter's bytes are pinned: the reference trace must digest
+    /// to what the checked-in full-mode baseline recorded (both modes
+    /// export the same trace), so a renderer change that moves one byte
+    /// fails here rather than at the next `tracefigs` regeneration.
+    #[test]
+    fn reference_trace_matches_the_checked_in_baseline() {
+        let baseline = include_str!("../../../BENCH_trace.json");
+        let cell = &baseline[baseline.find("\"chrome_export\"").expect("cell present")..];
+        let field = |key: &str| {
+            let rest = &cell[cell.find(key).expect("field present") + key.len()..];
+            rest[..rest.find(['\n', ',']).expect("field ends")].trim_matches([' ', '"'])
+        };
+        let doc = reference_chrome_trace();
+        assert_eq!(doc.len().to_string(), field("\"bytes\":"));
+        assert_eq!(format!("{:016x}", fnv(&doc)), field("\"digest\":"));
+    }
+
     #[test]
     fn traced_cell_is_deterministic() {
         let topo = || Topology::single_switch(8, LinkRate::CX3_56G, 100);

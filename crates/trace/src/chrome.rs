@@ -18,6 +18,22 @@
 //! Timestamps are simulated nanoseconds rendered as microseconds with
 //! integer math (`ns/1000 . ns%1000`), so the export is byte-identical
 //! across hosts.
+//!
+//! ## One pass, one buffer
+//!
+//! A traced run exports hundreds of thousands of elements, so the
+//! renderer allocates exactly once. `render` is one forward pass over
+//! the trace that hands literal fragments, integers, timestamps and
+//! names to an `Out`; no element is ever materialised on its own.
+//! [`export_chrome`] drives it twice: first into a `Len`, which only
+//! adds up what each piece *would* occupy (a literal's length, a
+//! number's digit count, a name's escaped length), then into a byte
+//! buffer reserved to that sum, which becomes the returned `String`
+//! without a copy. Because both walks are the same code the capacity is
+//! not an estimate but the document's exact length — a worst-case bound
+//! per element kind would over-reserve by half (a `u64` timestamp may
+//! take 21 bytes, a real one takes 10) — so the buffer never
+//! reallocates and peak memory is the document itself.
 
 use crate::event::TraceEvent;
 use crate::span::RuntimeTrace;
@@ -32,60 +48,153 @@ pub struct ChromeOptions {
     pub tenant_names: Vec<String>,
 }
 
-/// Simulated nanoseconds as a Chrome `ts`/`dur` microsecond value,
-/// integer math only (`123456` ns → `"123.456"`).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Where the renderer's pieces go: a byte count ([`Len`], the sizing
+/// pass) or the document buffer (`Vec<u8>`).
+trait Out {
+    /// A fragment that is already valid JSON text.
+    fn lit(&mut self, s: &str);
+
+    /// An unsigned integer in decimal.
+    fn num(&mut self, v: u64);
+
+    /// Simulated nanoseconds as a Chrome `ts`/`dur` microsecond value,
+    /// integer math only (`123456` ns → `123.456`).
+    fn us(&mut self, ns: u64);
+
+    /// The body of a JSON string literal: `s`, escaped in place.
+    fn esc(&mut self, s: &str) {
+        let mut from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if let Some(escape) = escape_of(b) {
+                // Escaped bytes are ASCII, so `from..i` lies on
+                // character boundaries.
+                self.lit(&s[from..i]);
+                self.lit(escape);
+                from = i + 1;
+            }
+        }
+        self.lit(&s[from..]);
+    }
+
+    /// Start the next array element: separator, then its leading
+    /// fragment. The first element belongs to [`HEADER`], so every
+    /// element written through here has a predecessor.
+    fn open(&mut self, head: &str) {
+        self.lit(",\n");
+        self.lit(head);
+    }
 }
 
-/// Escape a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The JSON escape of `b` inside a string literal; `None` when the byte
+/// stands for itself (every byte of a multi-byte character does).
+fn escape_of(b: u8) -> Option<&'static str> {
+    const CONTROL: [&str; 0x20] = [
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+        "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+        "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+        "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+    ];
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        0..=0x1f => Some(CONTROL[usize::from(b)]),
+        _ => None,
+    }
+}
+
+/// The sizing pass: the number of bytes the same calls append to the
+/// document buffer.
+struct Len(usize);
+
+fn decimal_digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+impl Out for Len {
+    fn lit(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn num(&mut self, v: u64) {
+        self.0 += decimal_digits(v);
+    }
+
+    fn us(&mut self, ns: u64) {
+        self.0 += decimal_digits(ns / 1000) + ".000".len();
+    }
+}
+
+/// Write `v` in decimal into `tmp`, ending just before `end`; returns
+/// where the digits start.
+fn decimal_before(tmp: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut at = end;
+    loop {
+        at -= 1;
+        tmp[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return at;
         }
     }
-    out
 }
 
-const PID_FABRIC: u32 = 1;
-const PID_ENGINE: u32 = 2;
-const PID_SCHED: u32 = 3;
-const PID_TENANTS: u32 = 4;
+/// The document buffer. Every piece appended is a whole `&str` or
+/// ASCII digits, so the bytes are UTF-8 — checked once, at the end,
+/// when [`export_chrome`] turns the buffer into the `String`.
+impl Out for Vec<u8> {
+    fn lit(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    fn num(&mut self, v: u64) {
+        let mut tmp = [0u8; 20];
+        let at = decimal_before(&mut tmp, 20, v);
+        self.extend_from_slice(&tmp[at..]);
+    }
+
+    fn us(&mut self, ns: u64) {
+        // Up to 17 integer digits, the point, three fraction digits.
+        let mut tmp = [b'0'; 21];
+        decimal_before(&mut tmp, 21, ns % 1000);
+        tmp[17] = b'.';
+        let at = decimal_before(&mut tmp, 17, ns / 1000);
+        self.extend_from_slice(&tmp[at..]);
+    }
+}
+
+/// Everything before the first data element: the document opening and
+/// the four process-name records (pids as in the module docs).
+const HEADER: &str = r#"{"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"fabric links"}},
+{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"engine"}},
+{"ph":"M","pid":3,"tid":0,"name":"process_name","args":{"name":"scheduler"}},
+{"ph":"M","pid":4,"tid":0,"name":"process_name","args":{"name":"tenants"}}"#;
 
 /// Render a [`RuntimeTrace`] as a Chrome trace-event JSON document.
 /// Open the result in [Perfetto](https://ui.perfetto.dev) or
 /// `chrome://tracing`.
 pub fn export_chrome(trace: &RuntimeTrace, opts: &ChromeOptions) -> String {
-    let mut evs: Vec<String> = Vec::new();
-    for (pid, name) in [
-        (PID_FABRIC, "fabric links"),
-        (PID_ENGINE, "engine"),
-        (PID_SCHED, "scheduler"),
-        (PID_TENANTS, "tenants"),
-    ] {
-        evs.push(format!(
-            r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{name}"}}}}"#
-        ));
-    }
-    for (link, name) in opts.link_names.iter().enumerate() {
-        evs.push(format!(
-            r#"{{"ph":"M","pid":{PID_FABRIC},"tid":{link},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            esc(name)
-        ));
-    }
-    for (tenant, name) in opts.tenant_names.iter().enumerate() {
-        evs.push(format!(
-            r#"{{"ph":"M","pid":{PID_TENANTS},"tid":{tenant},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            esc(name)
-        ));
+    let mut len = Len(0);
+    render(&mut len, trace, opts);
+    let mut doc = Vec::with_capacity(len.0);
+    render(&mut doc, trace, opts);
+    debug_assert_eq!(doc.len(), len.0, "sizing and writing passes disagree");
+    String::from_utf8(doc).expect("the renderer appends only `&str`s and ASCII digits")
+}
+
+/// The document, front to back, as a sequence of [`Out`] calls.
+fn render<O: Out>(o: &mut O, trace: &RuntimeTrace, opts: &ChromeOptions) {
+    o.lit(HEADER);
+    for (pid, names) in [(1, &opts.link_names), (4, &opts.tenant_names)] {
+        for (tid, name) in names.iter().enumerate() {
+            o.open(r#"{"ph":"M","pid":"#);
+            o.num(pid);
+            o.lit(r#","tid":"#);
+            o.num(tid as u64);
+            o.lit(r#","name":"thread_name","args":{"name":""#);
+            o.esc(name);
+            o.lit(r#""}}"#);
+        }
     }
 
     for ev in &trace.fabric {
@@ -96,125 +205,175 @@ pub fn export_chrome(trace: &RuntimeTrace, opts: &ChromeOptions) -> String {
                 link,
                 src,
                 bytes,
-            } => evs.push(format!(
-                r#"{{"ph":"X","pid":{PID_FABRIC},"tid":{link},"ts":{},"dur":{},"name":"inject r{src}","args":{{"bytes":{bytes}}}}}"#,
-                us(start_ns),
-                us(ser_ns)
-            )),
+            } => {
+                o.open(r#"{"ph":"X","pid":1,"tid":"#);
+                o.num(link.into());
+                o.lit(r#","ts":"#);
+                o.us(start_ns);
+                o.lit(r#","dur":"#);
+                o.us(ser_ns);
+                o.lit(r#","name":"inject r"#);
+                o.num(src.into());
+                o.lit(r#"","args":{"bytes":"#);
+                o.num(bytes.into());
+                o.lit("}}");
+            }
             TraceEvent::Egress {
                 start_ns,
                 ser_ns,
                 link,
                 bytes,
-            } => evs.push(format!(
-                r#"{{"ph":"X","pid":{PID_FABRIC},"tid":{link},"ts":{},"dur":{},"name":"tx","args":{{"bytes":{bytes}}}}}"#,
-                us(start_ns),
-                us(ser_ns)
-            )),
+            } => {
+                o.open(r#"{"ph":"X","pid":1,"tid":"#);
+                o.num(link.into());
+                o.lit(r#","ts":"#);
+                o.us(start_ns);
+                o.lit(r#","dur":"#);
+                o.us(ser_ns);
+                o.lit(r#","name":"tx","args":{"bytes":"#);
+                o.num(bytes.into());
+                o.lit("}}");
+            }
             TraceEvent::Deliver {
                 at_ns,
                 rank,
                 qp,
                 bytes,
-            } => evs.push(format!(
-                r#"{{"ph":"i","pid":{PID_ENGINE},"tid":{rank},"ts":{},"s":"t","name":"deliver","args":{{"qp":{qp},"bytes":{bytes}}}}}"#,
-                us(at_ns)
-            )),
-            TraceEvent::Drop { at_ns, link, cause } => evs.push(format!(
-                r#"{{"ph":"i","pid":{PID_FABRIC},"tid":{link},"ts":{},"s":"t","name":"drop:{}"}}"#,
-                us(at_ns),
-                cause.label()
-            )),
-            TraceEvent::Fault { at_ns, link, up } => evs.push(format!(
-                r#"{{"ph":"i","pid":{PID_FABRIC},"tid":{link},"ts":{},"s":"t","name":"{}"}}"#,
-                us(at_ns),
-                if up { "fault-up" } else { "fault-down" }
-            )),
-            TraceEvent::QueueDepth { at_ns, depth } => evs.push(format!(
-                r#"{{"ph":"C","pid":{PID_ENGINE},"tid":0,"ts":{},"name":"queue-depth","args":{{"depth":{depth}}}}}"#,
-                us(at_ns)
-            )),
+            } => {
+                o.open(r#"{"ph":"i","pid":2,"tid":"#);
+                o.num(rank.into());
+                o.lit(r#","ts":"#);
+                o.us(at_ns);
+                o.lit(r#","s":"t","name":"deliver","args":{"qp":"#);
+                o.num(qp.into());
+                o.lit(r#","bytes":"#);
+                o.num(bytes.into());
+                o.lit("}}");
+            }
+            TraceEvent::Drop { at_ns, link, cause } => {
+                o.open(r#"{"ph":"i","pid":1,"tid":"#);
+                o.num(link.into());
+                o.lit(r#","ts":"#);
+                o.us(at_ns);
+                o.lit(r#","s":"t","name":"drop:"#);
+                o.lit(cause.label());
+                o.lit(r#""}"#);
+            }
+            TraceEvent::Fault { at_ns, link, up } => {
+                o.open(r#"{"ph":"i","pid":1,"tid":"#);
+                o.num(link.into());
+                o.lit(r#","ts":"#);
+                o.us(at_ns);
+                o.lit(if up {
+                    r#","s":"t","name":"fault-up"}"#
+                } else {
+                    r#","s":"t","name":"fault-down"}"#
+                });
+            }
+            TraceEvent::QueueDepth { at_ns, depth } => {
+                o.open(r#"{"ph":"C","pid":2,"tid":0,"ts":"#);
+                o.us(at_ns);
+                o.lit(r#","name":"queue-depth","args":{"depth":"#);
+                o.num(depth.into());
+                o.lit("}}");
+            }
         }
     }
 
     for b in &trace.batches {
-        evs.push(format!(
-            r#"{{"ph":"X","pid":{PID_SCHED},"tid":{},"ts":{},"dur":{},"name":"batch {}","args":{{"jobs":{},"setup_ns":{}}}}}"#,
-            b.partition,
-            us(b.start_ns),
-            us(b.end_ns.saturating_sub(b.start_ns)),
-            b.batch,
-            b.jobs,
-            b.setup_ns
-        ));
+        o.open(r#"{"ph":"X","pid":3,"tid":"#);
+        o.num(b.partition.into());
+        o.lit(r#","ts":"#);
+        o.us(b.start_ns);
+        o.lit(r#","dur":"#);
+        o.us(b.end_ns.saturating_sub(b.start_ns));
+        o.lit(r#","name":"batch "#);
+        o.num(b.batch);
+        o.lit(r#"","args":{"jobs":"#);
+        o.num(b.jobs.into());
+        o.lit(r#","setup_ns":"#);
+        o.num(b.setup_ns);
+        o.lit("}}");
     }
 
     for j in &trace.jobs {
-        evs.push(format!(
-            r#"{{"ph":"X","pid":{PID_TENANTS},"tid":{},"ts":{},"dur":{},"name":"job {}","args":{{"batch":{},"partition":{},"pool_hits":{},"pool_builds":{},"pool_rebuilds":{}}}}}"#,
-            j.tenant,
-            us(j.started_ns),
-            us(j.finished_ns.saturating_sub(j.started_ns)),
-            j.job,
-            j.batch,
-            j.partition,
-            j.pool_hits,
-            j.pool_builds,
-            j.pool_rebuilds
-        ));
+        o.open(r#"{"ph":"X","pid":4,"tid":"#);
+        o.num(j.tenant.into());
+        o.lit(r#","ts":"#);
+        o.us(j.started_ns);
+        o.lit(r#","dur":"#);
+        o.us(j.finished_ns.saturating_sub(j.started_ns));
+        o.lit(r#","name":"job "#);
+        o.num(j.job);
+        o.lit(r#"","args":{"batch":"#);
+        o.num(j.batch);
+        o.lit(r#","partition":"#);
+        o.num(j.partition.into());
+        o.lit(r#","pool_hits":"#);
+        o.num(j.pool_hits.into());
+        o.lit(r#","pool_builds":"#);
+        o.num(j.pool_builds.into());
+        o.lit(r#","pool_rebuilds":"#);
+        o.num(j.pool_rebuilds.into());
+        o.lit("}}");
         // Flow arrow submit → dispatch: queueing made visible.
-        evs.push(format!(
-            r#"{{"ph":"s","pid":{PID_TENANTS},"tid":{},"ts":{},"cat":"job","id":{},"name":"sojourn"}}"#,
-            j.tenant,
-            us(j.submitted_ns),
-            j.job
-        ));
-        evs.push(format!(
-            r#"{{"ph":"f","bp":"e","pid":{PID_TENANTS},"tid":{},"ts":{},"cat":"job","id":{},"name":"sojourn"}}"#,
-            j.tenant,
-            us(j.started_ns),
-            j.job
-        ));
+        for (head, at_ns) in [
+            (r#"{"ph":"s","pid":4,"tid":"#, j.submitted_ns),
+            (r#"{"ph":"f","bp":"e","pid":4,"tid":"#, j.started_ns),
+        ] {
+            o.open(head);
+            o.num(j.tenant.into());
+            o.lit(r#","ts":"#);
+            o.us(at_ns);
+            o.lit(r#","cat":"job","id":"#);
+            o.num(j.job);
+            o.lit(r#","name":"sojourn"}"#);
+        }
     }
 
     for m in &trace.markers {
-        let tid = if m.tenant == u32::MAX { 0 } else { m.tenant };
+        o.open(r#"{"ph":"i","pid":4,"tid":"#);
+        o.num(if m.tenant == u32::MAX { 0 } else { m.tenant }.into());
+        o.lit(r#","ts":"#);
+        o.us(m.at_ns);
         // Retry markers are recovery actions, not admission decisions.
-        let name = if m.reason == "job-retry" {
-            "job-retry".to_string()
+        if m.reason == "job-retry" {
+            o.lit(r#","s":"t","name":"job-retry"}"#);
         } else {
-            format!("reject:{}", esc(m.reason))
-        };
-        evs.push(format!(
-            r#"{{"ph":"i","pid":{PID_TENANTS},"tid":{tid},"ts":{},"s":"t","name":"{name}"}}"#,
-            us(m.at_ns)
-        ));
+            o.lit(r#","s":"t","name":"reject:"#);
+            o.esc(m.reason);
+            o.lit(r#""}"#);
+        }
     }
 
     for r in &trace.rebuilds {
-        evs.push(format!(
-            r#"{{"ph":"i","pid":{PID_SCHED},"tid":{},"ts":{},"s":"p","name":"sm-rebuild","args":{{"batch":{},"groups":{}}}}}"#,
-            r.partition,
-            us(r.at_ns),
-            r.batch,
-            r.groups
-        ));
+        o.open(r#"{"ph":"i","pid":3,"tid":"#);
+        o.num(r.partition.into());
+        o.lit(r#","ts":"#);
+        o.us(r.at_ns);
+        o.lit(r#","s":"p","name":"sm-rebuild","args":{"batch":"#);
+        o.num(r.batch);
+        o.lit(r#","groups":"#);
+        o.num(r.groups.into());
+        o.lit("}}");
     }
 
-    let mut out = String::with_capacity(evs.iter().map(|e| e.len() + 2).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    out.push_str(&evs.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    o.lit("\n]}\n");
 }
 
+/// Containers may nest this deep (the Chrome document is 4 deep). The
+/// validator recurses once per level, so without a cap a long run of
+/// `[` would overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 /// Validate that `s` is one well-formed JSON value (the whole string,
-/// modulo surrounding whitespace). Dependency-free recursive-descent
-/// check used by the round-trip tests and the smoke generator.
+/// modulo surrounding whitespace) nested at most [`MAX_DEPTH`] deep.
+/// Dependency-free recursive-descent check used by the round-trip tests
+/// and the smoke generator.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut pos = skip_ws(b, 0);
-    pos = value(b, pos)?;
+    pos = value(b, pos, 0)?;
     pos = skip_ws(b, pos);
     if pos != b.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -229,10 +388,14 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn value(b: &[u8], pos: usize) -> Result<usize, String> {
+/// `depth` is the number of containers already open around `pos`.
+fn value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
     match b.get(pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
+        Some(b'{') => object(b, pos, depth + 1),
+        Some(b'[') => array(b, pos, depth + 1),
         Some(b'"') => string(b, pos),
         Some(b't') => literal(b, pos, b"true"),
         Some(b'f') => literal(b, pos, b"false"),
@@ -251,6 +414,8 @@ fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
     }
 }
 
+/// `-? (0 | [1-9][0-9]*) frac? exp?` — a leading zero ends the integer
+/// part, so `01` stops after `0` and the caller rejects the `1`.
 fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
     let start = pos;
     if b.get(pos) == Some(&b'-') {
@@ -263,11 +428,11 @@ fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
         }
         (p, p > s)
     };
-    let (p, ok) = digits(b, pos);
-    if !ok {
-        return Err(format!("bad number at offset {start}"));
-    }
-    pos = p;
+    pos = match b.get(pos) {
+        Some(b'0') => pos + 1,
+        Some(b'1'..=b'9') => digits(b, pos).0,
+        _ => return Err(format!("bad number at offset {start}")),
+    };
     if b.get(pos) == Some(&b'.') {
         let (p, ok) = digits(b, pos + 1);
         if !ok {
@@ -317,7 +482,7 @@ fn string(b: &[u8], mut pos: usize) -> Result<usize, String> {
     Err("unterminated string".into())
 }
 
-fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
+fn object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
     debug_assert_eq!(b[pos], b'{');
     pos = skip_ws(b, pos + 1);
     if b.get(pos) == Some(&b'}') {
@@ -333,7 +498,7 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
             return Err(format!("expected ':' at offset {pos}"));
         }
         pos = skip_ws(b, pos + 1);
-        pos = value(b, pos)?;
+        pos = value(b, pos, depth)?;
         pos = skip_ws(b, pos);
         match b.get(pos) {
             Some(b',') => pos = skip_ws(b, pos + 1),
@@ -343,14 +508,14 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
     }
 }
 
-fn array(b: &[u8], mut pos: usize) -> Result<usize, String> {
+fn array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
     debug_assert_eq!(b[pos], b'[');
     pos = skip_ws(b, pos + 1);
     if b.get(pos) == Some(&b']') {
         return Ok(pos + 1);
     }
     loop {
-        pos = value(b, pos)?;
+        pos = value(b, pos, depth)?;
         pos = skip_ws(b, pos);
         match b.get(pos) {
             Some(b',') => pos = skip_ws(b, pos + 1),
@@ -365,6 +530,185 @@ mod tests {
     use super::*;
     use crate::event::DropCause;
     use crate::span::{BatchSpan, JobSpan, Marker, RebuildSpan};
+    use proptest::prelude::*;
+
+    /// The `format!`-per-element renderer the one-pass writer replaced,
+    /// kept as the byte-for-byte reference (the role `QueueBackend::Heap`
+    /// plays for the timer wheel).
+    mod oracle {
+        use super::super::{ChromeOptions, RuntimeTrace, TraceEvent};
+
+        fn us(ns: u64) -> String {
+            format!("{}.{:03}", ns / 1000, ns % 1000)
+        }
+
+        fn esc(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        const PID_FABRIC: u32 = 1;
+        const PID_ENGINE: u32 = 2;
+        const PID_SCHED: u32 = 3;
+        const PID_TENANTS: u32 = 4;
+
+        pub fn export_chrome(trace: &RuntimeTrace, opts: &ChromeOptions) -> String {
+            let mut evs: Vec<String> = Vec::new();
+            for (pid, name) in [
+                (PID_FABRIC, "fabric links"),
+                (PID_ENGINE, "engine"),
+                (PID_SCHED, "scheduler"),
+                (PID_TENANTS, "tenants"),
+            ] {
+                evs.push(format!(
+                    r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{name}"}}}}"#
+                ));
+            }
+            for (link, name) in opts.link_names.iter().enumerate() {
+                evs.push(format!(
+                    r#"{{"ph":"M","pid":{PID_FABRIC},"tid":{link},"name":"thread_name","args":{{"name":"{}"}}}}"#,
+                    esc(name)
+                ));
+            }
+            for (tenant, name) in opts.tenant_names.iter().enumerate() {
+                evs.push(format!(
+                    r#"{{"ph":"M","pid":{PID_TENANTS},"tid":{tenant},"name":"thread_name","args":{{"name":"{}"}}}}"#,
+                    esc(name)
+                ));
+            }
+
+            for ev in &trace.fabric {
+                match *ev {
+                    TraceEvent::Inject {
+                        start_ns,
+                        ser_ns,
+                        link,
+                        src,
+                        bytes,
+                    } => evs.push(format!(
+                        r#"{{"ph":"X","pid":{PID_FABRIC},"tid":{link},"ts":{},"dur":{},"name":"inject r{src}","args":{{"bytes":{bytes}}}}}"#,
+                        us(start_ns),
+                        us(ser_ns)
+                    )),
+                    TraceEvent::Egress {
+                        start_ns,
+                        ser_ns,
+                        link,
+                        bytes,
+                    } => evs.push(format!(
+                        r#"{{"ph":"X","pid":{PID_FABRIC},"tid":{link},"ts":{},"dur":{},"name":"tx","args":{{"bytes":{bytes}}}}}"#,
+                        us(start_ns),
+                        us(ser_ns)
+                    )),
+                    TraceEvent::Deliver {
+                        at_ns,
+                        rank,
+                        qp,
+                        bytes,
+                    } => evs.push(format!(
+                        r#"{{"ph":"i","pid":{PID_ENGINE},"tid":{rank},"ts":{},"s":"t","name":"deliver","args":{{"qp":{qp},"bytes":{bytes}}}}}"#,
+                        us(at_ns)
+                    )),
+                    TraceEvent::Drop { at_ns, link, cause } => evs.push(format!(
+                        r#"{{"ph":"i","pid":{PID_FABRIC},"tid":{link},"ts":{},"s":"t","name":"drop:{}"}}"#,
+                        us(at_ns),
+                        cause.label()
+                    )),
+                    TraceEvent::Fault { at_ns, link, up } => evs.push(format!(
+                        r#"{{"ph":"i","pid":{PID_FABRIC},"tid":{link},"ts":{},"s":"t","name":"{}"}}"#,
+                        us(at_ns),
+                        if up { "fault-up" } else { "fault-down" }
+                    )),
+                    TraceEvent::QueueDepth { at_ns, depth } => evs.push(format!(
+                        r#"{{"ph":"C","pid":{PID_ENGINE},"tid":0,"ts":{},"name":"queue-depth","args":{{"depth":{depth}}}}}"#,
+                        us(at_ns)
+                    )),
+                }
+            }
+
+            for b in &trace.batches {
+                evs.push(format!(
+                    r#"{{"ph":"X","pid":{PID_SCHED},"tid":{},"ts":{},"dur":{},"name":"batch {}","args":{{"jobs":{},"setup_ns":{}}}}}"#,
+                    b.partition,
+                    us(b.start_ns),
+                    us(b.end_ns.saturating_sub(b.start_ns)),
+                    b.batch,
+                    b.jobs,
+                    b.setup_ns
+                ));
+            }
+
+            for j in &trace.jobs {
+                evs.push(format!(
+                    r#"{{"ph":"X","pid":{PID_TENANTS},"tid":{},"ts":{},"dur":{},"name":"job {}","args":{{"batch":{},"partition":{},"pool_hits":{},"pool_builds":{},"pool_rebuilds":{}}}}}"#,
+                    j.tenant,
+                    us(j.started_ns),
+                    us(j.finished_ns.saturating_sub(j.started_ns)),
+                    j.job,
+                    j.batch,
+                    j.partition,
+                    j.pool_hits,
+                    j.pool_builds,
+                    j.pool_rebuilds
+                ));
+                // Flow arrow submit → dispatch: queueing made visible.
+                evs.push(format!(
+                    r#"{{"ph":"s","pid":{PID_TENANTS},"tid":{},"ts":{},"cat":"job","id":{},"name":"sojourn"}}"#,
+                    j.tenant,
+                    us(j.submitted_ns),
+                    j.job
+                ));
+                evs.push(format!(
+                    r#"{{"ph":"f","bp":"e","pid":{PID_TENANTS},"tid":{},"ts":{},"cat":"job","id":{},"name":"sojourn"}}"#,
+                    j.tenant,
+                    us(j.started_ns),
+                    j.job
+                ));
+            }
+
+            for m in &trace.markers {
+                let tid = if m.tenant == u32::MAX { 0 } else { m.tenant };
+                // Retry markers are recovery actions, not admission decisions.
+                let name = if m.reason == "job-retry" {
+                    "job-retry".to_string()
+                } else {
+                    format!("reject:{}", esc(m.reason))
+                };
+                evs.push(format!(
+                    r#"{{"ph":"i","pid":{PID_TENANTS},"tid":{tid},"ts":{},"s":"t","name":"{name}"}}"#,
+                    us(m.at_ns)
+                ));
+            }
+
+            for r in &trace.rebuilds {
+                evs.push(format!(
+                    r#"{{"ph":"i","pid":{PID_SCHED},"tid":{},"ts":{},"s":"p","name":"sm-rebuild","args":{{"batch":{},"groups":{}}}}}"#,
+                    r.partition,
+                    us(r.at_ns),
+                    r.batch,
+                    r.groups
+                ));
+            }
+
+            let mut out =
+                String::with_capacity(evs.iter().map(|e| e.len() + 2).sum::<usize>() + 64);
+            out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+            out.push_str(&evs.join(",\n"));
+            out.push_str("\n]}\n");
+            out
+        }
+    }
 
     fn sample_trace() -> RuntimeTrace {
         let mut tr = RuntimeTrace::from_fabric(
@@ -473,10 +817,166 @@ mod tests {
 
     #[test]
     fn microsecond_formatting_is_integer_math() {
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(123_456), "123.456");
-        assert_eq!(us(1_000_000_007), "1000000.007");
+        for (ns, text) in [
+            (0, "0.000"),
+            (999, "0.999"),
+            (1000, "1.000"),
+            (123_456, "123.456"),
+            (1_000_000_007, "1000000.007"),
+            (u64::MAX, "18446744073709551.615"),
+        ] {
+            let (mut doc, mut len) = (Vec::new(), Len(0));
+            doc.us(ns);
+            len.us(ns);
+            assert_eq!(doc, text.as_bytes());
+            assert_eq!(len.0, text.len());
+        }
+    }
+
+    #[test]
+    fn empty_trace_matches_the_oracle() {
+        let (trace, opts) = (RuntimeTrace::default(), ChromeOptions::default());
+        let doc = export_chrome(&trace, &opts);
+        assert_eq!(doc, oracle::export_chrome(&trace, &opts));
+        validate_json(&doc).expect("export must be valid JSON");
+    }
+
+    /// Timestamps at the formatting edges, then anywhere.
+    fn ts() -> impl Strategy<Value = u64> {
+        (0u8..6, any::<u64>()).prop_map(|(pick, raw)| match pick {
+            0 => 0,
+            1 => 999,
+            2 => 1000,
+            3 => u64::MAX,
+            4 => raw % 100_000_000,
+            _ => raw,
+        })
+    }
+
+    /// Ids at the edges (`u32::MAX` is also the unknown-tenant marker).
+    fn id() -> impl Strategy<Value = u32> {
+        (0u8..4, any::<u32>()).prop_map(|(pick, raw)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            2 => raw % 64,
+            _ => raw,
+        })
+    }
+
+    /// Track names built from everything `esc` treats specially plus
+    /// plain, multi-byte and DEL characters; may be empty.
+    fn name() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 12] = [
+            "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "h0.up", "é→", " ", "t",
+        ];
+        prop::collection::vec(0usize..PIECES.len(), 0..6)
+            .prop_map(|picks| picks.into_iter().map(|p| PIECES[p]).collect())
+    }
+
+    fn fabric_event() -> impl Strategy<Value = TraceEvent> {
+        (0u8..9, ts(), ts(), id(), id(), id()).prop_map(|(kind, t, ser_ns, a, b, c)| match kind {
+            0 => TraceEvent::Inject {
+                start_ns: t,
+                ser_ns,
+                link: a,
+                src: b,
+                bytes: c,
+            },
+            1 => TraceEvent::Egress {
+                start_ns: t,
+                ser_ns,
+                link: a,
+                bytes: c,
+            },
+            2 => TraceEvent::Deliver {
+                at_ns: t,
+                rank: a,
+                qp: b,
+                bytes: c,
+            },
+            3 => TraceEvent::Fault {
+                at_ns: t,
+                link: a,
+                up: b % 2 == 0,
+            },
+            4 => TraceEvent::QueueDepth { at_ns: t, depth: a },
+            cause => TraceEvent::Drop {
+                at_ns: t,
+                link: a,
+                cause: [
+                    DropCause::Corruption,
+                    DropCause::FaultDown,
+                    DropCause::Rnr,
+                    DropCause::Forced,
+                ][usize::from(cause - 5)],
+            },
+        })
+    }
+
+    proptest! {
+        /// The one-pass writer reproduces the `format!` renderer byte
+        /// for byte, sizes its buffer exactly, and emits valid JSON —
+        /// over every element kind, the formatting edges and names
+        /// that need escaping.
+        #[test]
+        fn writer_matches_the_oracle(
+            fabric in prop::collection::vec(fabric_event(), 0..24),
+            batches in prop::collection::vec((ts(), ts(), ts(), id(), id()), 0..4),
+            jobs in prop::collection::vec((ts(), ts(), ts(), id(), id(), id()), 0..4),
+            markers in prop::collection::vec((ts(), id(), 0usize..4), 0..6),
+            rebuilds in prop::collection::vec((ts(), ts(), id(), id()), 0..3),
+            link_names in prop::collection::vec(name(), 0..4),
+            tenant_names in prop::collection::vec(name(), 0..4),
+        ) {
+            let mut trace = RuntimeTrace::from_fabric(fabric, 0);
+            // Independent start/end draws: `end < start` (a censored
+            // span) must saturate to a zero duration, not wrap.
+            trace.batches.extend(batches.into_iter().map(
+                |(start_ns, end_ns, batch, partition, jobs)| BatchSpan {
+                    batch,
+                    partition,
+                    jobs,
+                    start_ns,
+                    setup_ns: end_ns / 3,
+                    end_ns,
+                },
+            ));
+            trace.jobs.extend(jobs.into_iter().map(
+                |(submitted_ns, started_ns, finished_ns, tenant, partition, pool)| JobSpan {
+                    job: submitted_ns ^ finished_ns,
+                    tenant,
+                    partition,
+                    batch: started_ns / 7,
+                    submitted_ns,
+                    started_ns,
+                    finished_ns,
+                    pool_hits: pool,
+                    pool_builds: partition,
+                    pool_rebuilds: tenant,
+                },
+            ));
+            trace.markers.extend(markers.into_iter().map(|(at_ns, tenant, reason)| Marker {
+                at_ns,
+                tenant,
+                reason: ["throttled", "queue-full", "job-retry", "odd \"reason\"\\\n\u{2}"][reason],
+            }));
+            trace.rebuilds.extend(rebuilds.into_iter().map(
+                |(at_ns, batch, partition, groups)| RebuildSpan {
+                    at_ns,
+                    partition,
+                    batch,
+                    groups,
+                },
+            ));
+            let opts = ChromeOptions {
+                link_names,
+                tenant_names,
+            };
+            let doc = export_chrome(&trace, &opts);
+            prop_assert_eq!(&doc, &oracle::export_chrome(&trace, &opts));
+            prop_assert_eq!(doc.capacity(), doc.len(), "buffer sized exactly, never regrown");
+            validate_json(&doc).expect("export must be valid JSON");
+        }
     }
 
     #[test]
@@ -486,6 +986,11 @@ mod tests {
             "[]",
             r#"{"a":[1,2.5,-3e4,true,false,null,"s\"xA"]}"#,
             " { \"k\" : { } } ",
+            "0",
+            "-0",
+            "0.5",
+            "10",
+            "[0,-0.0e+1,100]",
         ] {
             validate_json(ok).unwrap_or_else(|e| panic!("{ok:?} should parse: {e}"));
         }
@@ -501,9 +1006,25 @@ mod tests {
             "{\"a\":1} extra",
             "{'a':1}",
             "[01x]",
+            "[01]",
+            "-012",
+            "00",
+            "-",
+            "1.",
             "\"unterminated",
         ] {
             assert!(validate_json(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn validator_bounds_nesting_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        validate_json(&nested(MAX_DEPTH)).expect("the cap itself is allowed");
+        let err = validate_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A million brackets on the default test-thread stack.
+        assert!(validate_json(&nested(1_000_000)).is_err());
+        assert!(validate_json(&"{\"k\":".repeat(1_000_000)).is_err());
     }
 }

@@ -63,9 +63,11 @@ impl TraceSink {
     pub fn new(spec: TraceSpec) -> TraceSink {
         assert!(spec.capacity >= 1, "trace ring needs at least one slot");
         // The ring grows lazily up to capacity: short runs never touch
-        // most of a large allocation, long runs amortize it away.
+        // most of a large allocation, long runs amortize it away. The
+        // first reservation is 8 KiB — a runtime batch builds one sink
+        // per fabric and records a couple of hundred events into it.
         TraceSink {
-            ring: Vec::with_capacity(spec.capacity.min(1024)),
+            ring: Vec::with_capacity(spec.capacity.min(256)),
             spec,
             head: 0,
             offered: 0,

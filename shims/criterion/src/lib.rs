@@ -1,8 +1,9 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Provides the API surface the workspace's `harness = false` bench targets
-//! use — `Criterion`, `benchmark_group`, `Bencher::iter`, `Throughput`,
-//! `black_box`, `criterion_group!`, `criterion_main!` — backed by a simple
+//! use — `Criterion`, `benchmark_group`, `Bencher::iter`,
+//! `Bencher::iter_batched`, `Throughput`, `black_box`, `criterion_group!`,
+//! `criterion_main!` — backed by a simple
 //! wall-clock timer instead of criterion's statistical machinery. Each
 //! `bench_function` runs a short warm-up plus a fixed number of timed
 //! iterations and prints the mean per-iteration time, so `cargo bench` gives
@@ -98,6 +99,15 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
+/// How many inputs `iter_batched` sets up ahead of timing; only the
+/// variant the workspace uses (the shim builds one input per timed call
+/// regardless).
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// One input per iteration.
+    PerIteration,
+}
+
 /// Passed to the benchmark closure; call [`Bencher::iter`] with the code
 /// under test.
 pub struct Bencher {
@@ -115,6 +125,25 @@ impl Bencher {
             black_box(f());
         }
         self.total += start.elapsed();
+        self.iters += self.samples as u64;
+    }
+
+    /// Time `routine` on a fresh input from `setup` per call; `setup`
+    /// and dropping the output are not timed.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        black_box(routine(setup())); // warm-up, untimed
+        for _ in 0..self.samples {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            self.total += start.elapsed();
+            drop(output);
+        }
         self.iters += self.samples as u64;
     }
 }

@@ -1,23 +1,29 @@
 //! Allocation budgets: the regression gate behind the arena-backed
-//! timer wheel. A counting `#[global_allocator]` holds three numbers to
-//! a ceiling so that a per-slot container, a per-batch deep copy or a
-//! capacity that is never given back cannot return unnoticed:
+//! timer wheel and the one-buffer Chrome exporter. A counting
+//! `#[global_allocator]` holds five numbers to a ceiling so that a
+//! per-slot container, a per-batch deep copy, a per-element `String` or
+//! a capacity that is never given back cannot return unnoticed:
 //!
 //! 1. constant-depth schedule/pop churn on the wheel allocates nothing
 //!    once the arena has reached the queue's depth;
 //! 2. an open-loop runtime on a 4-host switch stays under a per-batch
 //!    allocation budget (count and bytes);
-//! 3. the paper's 188-node Allgather stays under a peak-live-heap cap.
+//! 3. the same run with the flight recorder on adds at most 16 KiB a
+//!    batch to that budget;
+//! 4. `export_chrome` makes the same handful of allocations for a
+//!    10 k-event and a 100 k-event trace, and peaks at the document;
+//! 5. the paper's 188-node Allgather stays under a peak-live-heap cap.
 //!
 //! The counters are per thread (the harness runs tests on parallel
 //! threads, and every path measured here is single-threaded), so the
-//! three tests cannot see each other's allocations.
+//! tests cannot see each other's allocations.
 
 use mcast_allgather::core::{des, CollectiveKind, ProtocolConfig};
 use mcast_allgather::runtime::{
     OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
 use mcast_allgather::simnet::{EventQueue, FabricConfig, SimTime, Topology};
+use mcast_allgather::trace::{export_chrome, ChromeOptions, TraceSpec};
 use mcast_allgather::verbs::LinkRate;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -160,14 +166,13 @@ fn constant_depth_churn_allocates_nothing_after_warm_up() {
     );
 }
 
-#[test]
-fn open_loop_runtime_stays_inside_its_per_batch_budget() {
-    // The benchmark's `load_ladder` x2 cell: 16 tenants, 2 partitions,
-    // pool 32, a mixed AG / Bcast / AG+RS stream on a 4-host switch —
-    // one fresh fabric of a few hundred events per batch.
+/// The benchmark's `load_ladder` x2 cell, loaded and ready to run: 16
+/// tenants, 2 partitions, pool 32, a mixed AG / Bcast / AG+RS stream on
+/// a 4-host switch — one fresh fabric of a few hundred events per batch.
+fn open_loop_runtime(arrivals: u64, trace: Option<TraceSpec>) -> Runtime {
     let arrivals = ArrivalSpec {
         tenants: 16,
-        horizon_ns: 20_000 * 1_000,
+        horizon_ns: 20_000 * arrivals,
         rate: RateProcess::Poisson {
             mean_interarrival_ns: 20_000,
         },
@@ -188,6 +193,7 @@ fn open_loop_runtime_stays_inside_its_per_batch_budget() {
             pool: PoolConfig::with_capacity(32),
             max_inflight: 8,
             partitions: 2,
+            trace,
             ..RuntimeConfig::default()
         },
     );
@@ -195,18 +201,86 @@ fn open_loop_runtime_stays_inside_its_per_batch_budget() {
         rt.register_tenant(&format!("t{i}"));
     }
     rt.load_arrivals(&arrivals);
+    rt
+}
+
+/// Allocation count and KiB per batch of draining `rt`.
+fn per_batch_cost(mut rt: Runtime) -> (f64, f64) {
     let before = tally();
     let report = rt.run_open_loop();
     let after = tally();
     assert!(report.batches > 300, "only {} batches", report.batches);
     let per_batch = |n: u64| n as f64 / report.batches as f64;
-    let allocs = per_batch(after.allocs - before.allocs);
-    let kib = per_batch(after.bytes - before.bytes) / 1024.0;
+    (
+        per_batch(after.allocs - before.allocs),
+        per_batch(after.bytes - before.bytes) / 1024.0,
+    )
+}
+
+/// Ceiling on the bytes an untraced batch allocates: 1.25 x the
+/// measured 67 KiB.
+const BATCH_KIB: f64 = 84.0;
+
+#[test]
+fn open_loop_runtime_stays_inside_its_per_batch_budget() {
+    let (allocs, kib) = per_batch_cost(open_loop_runtime(1_000, None));
     // Measured 223 allocations and 67 KiB a batch (393 and 263 KiB with
     // per-slot wheel containers and per-batch topology copies); the
     // ceilings are 1.25 x the measured values.
     assert!(allocs <= 280.0, "{allocs:.0} allocations per batch");
-    assert!(kib <= 84.0, "{kib:.0} KiB allocated per batch");
+    assert!(kib <= BATCH_KIB, "{kib:.0} KiB allocated per batch");
+}
+
+#[test]
+fn flight_recorder_adds_at_most_16_kib_a_batch() {
+    // A batch records about 200 events (6 KiB); on top of the ring that
+    // holds them the run pays for the merged trace's amortised growth.
+    // Measured 98 KiB a batch against 67 untraced (115 KiB when every
+    // batch's ring reserved 1,024 slots up front).
+    let (_, kib) = per_batch_cost(open_loop_runtime(1_000, Some(TraceSpec::default())));
+    assert!(kib <= BATCH_KIB + 16.0, "{kib:.0} KiB allocated per batch");
+}
+
+#[test]
+fn chrome_export_allocates_once_whatever_the_trace_size() {
+    // (allocations, peak live heap above the inputs / document length)
+    // of exporting a drained runtime's trace of about `events` events.
+    let export_cost = |arrivals: u64, events: std::ops::Range<usize>| {
+        let mut rt = open_loop_runtime(arrivals, Some(TraceSpec::default()));
+        rt.run_open_loop();
+        let trace = rt.take_trace().expect("tracing was on");
+        assert!(
+            events.contains(&trace.fabric.len()),
+            "{} fabric events",
+            trace.fabric.len()
+        );
+        let opts = ChromeOptions {
+            link_names: (0..8).map(|l| format!("link{l}")).collect(),
+            tenant_names: (0..16).map(|t| format!("t{t}")).collect(),
+        };
+        let floor = reset_peak();
+        let before = tally();
+        let doc = export_chrome(&trace, &opts);
+        let after = tally();
+        (
+            after.allocs - before.allocs,
+            (after.peak - floor) as f64 / doc.len() as f64,
+        )
+    };
+    let (small_allocs, small_peak) = export_cost(60, 8_000..12_000);
+    let (large_allocs, large_peak) = export_cost(600, 80_000..120_000);
+    // Measured 1 allocation and a peak of 1.00 x the document at both
+    // sizes: one buffer, sized before it is written. The renderer that
+    // built a `String` per element made 25,308 and 281,677 allocations
+    // and peaked at 4.0 x and 3.9 x.
+    assert_eq!(
+        small_allocs, large_allocs,
+        "allocations grow with the trace"
+    );
+    assert!(large_allocs <= 8, "{large_allocs} allocations");
+    for peak in [small_peak, large_peak] {
+        assert!(peak <= 1.15, "peak live heap {peak:.2} x the document");
+    }
 }
 
 #[test]
