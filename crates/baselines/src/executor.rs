@@ -13,8 +13,10 @@
 
 use crate::schedule::Schedule;
 use mcag_simnet::fabric::RunStats;
-use mcag_simnet::{Ctx, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology, TrafficReport};
-use mcag_verbs::{Cqe, CqeOpcode, ImmData, QpNum, Rank, Transport};
+use mcag_simnet::{
+    Ctx, Fabric, FabricConfig, MsgSegments, Payload, RankApp, SimTime, Topology, TrafficReport,
+};
+use mcag_verbs::{CollectiveId, Cqe, CqeOpcode, ImmLayout, Mtu, QpNum, Rank, Transport};
 
 /// Default segmentation for unicast messages (64 KiB keeps event counts
 /// tractable while preserving pipelining; pass a custom value for
@@ -22,6 +24,10 @@ use mcag_verbs::{Cqe, CqeOpcode, ImmData, QpNum, Rank, Transport};
 pub const DEFAULT_SEG_BYTES: usize = 64 << 10;
 
 const TX_ALL_DONE: u64 = 10;
+
+/// Immediate layout of a baseline segment: the flow index rides in the
+/// collective-id bits, the (wrapping) per-rank segment counter in the PSN.
+const FLOW_TAG: ImmLayout = ImmLayout::DEFAULT;
 
 /// One flow = one schedule in execution.
 struct FlowState {
@@ -107,7 +113,6 @@ impl ScheduleApp {
     }
 
     fn post_step_sends(&mut self, ctx: &mut Ctx<'_, ()>, flow_idx: usize) {
-        let me = ctx.rank();
         let cursor = self.flows[flow_idx].cursor;
         let sends: Vec<(Rank, usize)> = self.flows[flow_idx].sched.steps[cursor]
             .sends
@@ -118,16 +123,21 @@ impl ScheduleApp {
             let mut left = bytes;
             while left > 0 {
                 let this = left.min(self.seg);
-                ctx.post_unicast_chunk(
+                // One single-segment RC message per simulation chunk, so
+                // each resolves its own route as it always has.
+                ctx.post_unicast_message(
                     dst,
                     self.qp,
-                    Some(ImmData(flow_idx as u32)),
-                    me,
-                    self.next_psn,
-                    this,
-                    true, // RC: reliable
+                    MsgSegments {
+                        first_psn: self.next_psn,
+                        chunks: 1,
+                        buf_len: this,
+                        mtu: Mtu::new(self.seg),
+                        imm: FLOW_TAG,
+                        coll: CollectiveId(flow_idx as u32),
+                    },
                 );
-                self.next_psn += 1;
+                self.next_psn = (self.next_psn + 1) & FLOW_TAG.max_psn();
                 left -= this;
             }
         }
@@ -177,9 +187,9 @@ impl RankApp<()> for ScheduleApp {
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ()>, cqe: Cqe, _payload: Payload<()>) {
         assert_eq!(cqe.opcode, CqeOpcode::Recv);
-        let flow = cqe.imm.expect("baseline chunk without flow tag").0 as usize;
+        let (flow, _) = FLOW_TAG.unpack(cqe.imm.expect("baseline chunk without flow tag"));
         let src = cqe.src.expect("chunk without source");
-        self.flows[flow].recvd_from[src.idx()] += cqe.byte_len as u64;
+        self.flows[flow.0 as usize].recvd_from[src.idx()] += cqe.byte_len as u64;
         self.progress(ctx);
     }
 

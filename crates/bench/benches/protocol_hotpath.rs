@@ -6,13 +6,18 @@
 //! testbed and the 512-node fat-tree (`BENCH_simcore.json` scenarios),
 //! and the queue's two extreme regimes — a whole 4-host fabric built,
 //! drained and dropped per iteration (the open-loop runtime's batch),
-//! and a queue held 300 k events deep (the 512-rank FSDP pair).
+//! and a queue held 300 k events deep (the 512-rank FSDP pair) — and
+//! that pair's own rows: the post phase of its in-switch Reduce-Scatter
+//! and both `{AG, RS}` pairs end to end on the 128-rank fat-tree.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mcag_bench::simcore::{allgather_run, churn_delay_ns, queue_churn_events_per_sec};
-use mcag_core::{des, ChunkBitmap, CollectiveKind, ProtocolConfig, Sequencer, StagingRing};
-use mcag_simnet::{EventQueue, FabricConfig, QueueBackend, Topology};
-use mcag_verbs::{Chunker, CollectiveId, ImmLayout, LinkRate, Mtu};
+use mcag_core::{
+    des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, ChunkBitmap, CollectiveKind,
+    ControlMsg, IncRsApp, ProtocolConfig, Sequencer, StagingRing,
+};
+use mcag_simnet::{EventQueue, Fabric, FabricConfig, QueueBackend, SimTime, Topology};
+use mcag_verbs::{Chunker, CollectiveId, ImmLayout, LinkRate, Mtu, Rank, Transport};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -205,6 +210,69 @@ fn bench_deep_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// The FSDP pair's send side. `inc_512` times only the post phase of the
+/// benchmark's in-switch cell: 512 `IncRsApp`s on the 512-node fat-tree
+/// each queue their 511 foreign shards of 16 KiB (1,046,528 chunk
+/// contributions) and every NIC injects its first packet; the fabric is
+/// built outside the timer and the run stops at t = 0. The `agrs_*_128`
+/// rows run the whole pair, in-switch and on the endpoints, on the
+/// benchmark's 128-rank two-level fat-tree with every chain running.
+fn bench_post_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("post_path");
+    g.sample_size(5);
+    const SHARD: usize = 16 << 10;
+    let inc_fabric = || {
+        let topo = Topology::fat_tree_512(LinkRate::NDR_400G);
+        let p = topo.num_hosts() as u32;
+        let mut fab: Fabric<ControlMsg> = Fabric::new(topo, FabricConfig::ucc_default());
+        let members: Vec<Rank> = (0..p).map(Rank).collect();
+        let group = fab.create_group(&members);
+        for &r in &members {
+            let qp = fab.add_qp(r, Transport::Rc, 0);
+            let (mtu, imm, coll) = (Mtu::IB_4K, ImmLayout::DEFAULT, CollectiveId(3));
+            let app = IncRsApp::new(p, r, SHARD, mtu, imm, coll, qp, group);
+            fab.set_app(r, Box::new(app));
+        }
+        fab
+    };
+    g.throughput(Throughput::Elements(512 * 511 * 4));
+    g.bench_function("inc_512", |b| {
+        b.iter_batched(
+            inc_fabric,
+            |mut fab| {
+                let stats = fab.run_until(SimTime::ZERO);
+                assert_eq!(stats.events, 512, "one first injection per NIC");
+                fab
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    let fat_tree_128 = || Topology::fat_tree_two_level(128, 8, 4, 2, LinkRate::NDR_400G, 300);
+    let proto = ProtocolConfig {
+        chains: 128,
+        ..ProtocolConfig::default()
+    };
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("agrs_inswitch_128", |b| {
+        b.iter(|| {
+            let cfg = FabricConfig::ucc_default();
+            black_box(
+                run_concurrent_ag_rs(fat_tree_128(), cfg, proto, 64 << 10)
+                    .stats
+                    .events,
+            )
+        })
+    });
+    g.bench_function("agrs_endpoint_128", |b| {
+        b.iter(|| {
+            let cfg = FabricConfig::ucc_default();
+            let out = run_concurrent_ag_rs_endpoint(fat_tree_128(), cfg, proto, 64 << 10);
+            black_box(out.stats.events)
+        })
+    });
+    g.finish();
+}
+
 /// End-to-end simulator throughput: whole Allgather runs per iteration.
 /// The wheel-vs-heap pair on the 188-node testbed is the acceptance
 /// metric; the 512-node fat-tree is the post-optimization scale target.
@@ -240,6 +308,7 @@ criterion_group!(
     bench_event_queue,
     bench_batch_fabric,
     bench_deep_queue,
+    bench_post_path,
     bench_simulator_throughput
 );
 criterion_main!(benches);

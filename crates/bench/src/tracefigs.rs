@@ -466,19 +466,22 @@ pub fn tracefigs_smoke() -> FigData {
 mod tests {
     use super::*;
 
+    /// `key`'s value inside `block` of the checked-in full-mode baseline.
+    fn baseline_field(block: &str, key: &str) -> &'static str {
+        let baseline = include_str!("../../../BENCH_trace.json");
+        let cell = &baseline[baseline.find(block).expect("block present")..];
+        let rest = &cell[cell.find(key).expect("field present") + key.len()..];
+        rest[..rest.find(['\n', ',']).expect("field ends")].trim_matches([' ', '"'])
+    }
+
     /// The exporter's bytes are pinned: the reference trace must digest
     /// to what the checked-in full-mode baseline recorded (both modes
     /// export the same trace), so a renderer change that moves one byte
     /// fails here rather than at the next `tracefigs` regeneration.
     #[test]
     fn reference_trace_matches_the_checked_in_baseline() {
-        let baseline = include_str!("../../../BENCH_trace.json");
-        let cell = &baseline[baseline.find("\"chrome_export\"").expect("cell present")..];
-        let field = |key: &str| {
-            let rest = &cell[cell.find(key).expect("field present") + key.len()..];
-            rest[..rest.find(['\n', ',']).expect("field ends")].trim_matches([' ', '"'])
-        };
         let doc = reference_chrome_trace();
+        let field = |key| baseline_field("\"chrome_export\"", key);
         assert_eq!(doc.len().to_string(), field("\"bytes\":"));
         assert_eq!(format!("{:016x}", fnv(&doc)), field("\"digest\":"));
     }
@@ -521,12 +524,24 @@ mod tests {
         assert_eq!(traced.traffic.rnr_per_rank(), plain.traffic.rnr_per_rank());
     }
 
+    /// Both modes trace the same open-loop run, so its two digests are
+    /// pinned to the checked-in baseline as well — they went stale
+    /// unnoticed once, when nothing compared them.
     #[test]
-    fn runtime_cell_matches_across_workers() {
+    fn runtime_cell_matches_across_workers_and_the_baseline() {
         let rt = runtime_cell();
         assert!(rt.fabric_events > 0);
         assert_eq!(rt.job_spans, 6);
         assert!(rt.batch_spans >= 1);
+        let field = |key| baseline_field("\"runtime_jobs\"", key);
+        assert_eq!(
+            format!("{:016x}", rt.report_digest),
+            field("\"report_digest\":")
+        );
+        assert_eq!(
+            format!("{:016x}", rt.trace_digest),
+            field("\"trace_digest\":")
+        );
     }
 
     #[test]

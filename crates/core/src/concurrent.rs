@@ -15,10 +15,12 @@
 
 use crate::msg::ControlMsg;
 use crate::plan::{CollectiveKind, CollectivePlan};
-use crate::protocol::{McastRankApp, QpLayout, RankTiming};
+use crate::protocol::{McastRankApp, QpLayout, RankTiming, TOKEN_STRIDE};
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
-use mcag_simnet::{Ctx, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology, TrafficReport};
+use mcag_simnet::{
+    Ctx, Fabric, FabricConfig, MsgSegments, Payload, RankApp, SimTime, Topology, TrafficReport,
+};
 use mcag_verbs::{CollectiveId, Cqe, CqeOpcode, ImmLayout, McastGroupId, Mtu, QpNum, Rank};
 use std::sync::Arc;
 
@@ -128,23 +130,17 @@ impl RankApp<ControlMsg> for IncRsApp {
         // Contribute every shard except our own: N(P−1) bytes up the
         // reduction tree (eq. 2's RS send volume). Our own shard's local
         // contribution is folded in at delivery, as SHARP endpoints do.
-        for shard in 0..self.p {
-            if shard == self.me.0 {
-                continue;
-            }
-            for c in 0..self.chunks_per_shard {
-                let psn = shard * self.chunks_per_shard + c;
-                let len = self.mtu.chunk_range(c, self.shard_len).len();
-                ctx.post_inc_chunk(
-                    self.qp,
-                    self.group,
-                    self.imm.pack(self.coll, psn),
-                    Rank(shard),
-                    self.qp,
-                    psn,
-                    len,
-                );
-            }
+        // One message per shard; the NIC cuts it into MTU segments.
+        for shard in (0..self.p).filter(|&s| s != self.me.0) {
+            let seg = MsgSegments {
+                first_psn: shard * self.chunks_per_shard,
+                chunks: self.chunks_per_shard,
+                buf_len: self.shard_len,
+                mtu: self.mtu,
+                imm: self.imm,
+                coll: self.coll,
+            };
+            ctx.post_inc_message(self.qp, self.group, Rank(shard), self.qp, seg);
         }
         ctx.notify_tx_drained(self.qp, self.token_base + RS_TX_TOKEN);
     }
@@ -270,23 +266,17 @@ impl RankApp<ControlMsg> for EndpointRsApp {
         // Send every foreign shard's chunks straight to the owner:
         // the same N(P−1) injection as the INC path, but the operands
         // all converge on the owner's NIC instead of merging in-tree.
-        for shard in 0..self.p {
-            if shard == self.me.0 {
-                continue;
-            }
-            for c in 0..self.chunks_per_shard {
-                let psn = shard * self.chunks_per_shard + c;
-                let len = self.mtu.chunk_range(c, self.shard_len).len();
-                ctx.post_unicast_chunk(
-                    Rank(shard),
-                    self.qp,
-                    Some(self.imm.pack(self.coll, psn)),
-                    self.me,
-                    psn,
-                    len,
-                    true,
-                );
-            }
+        // One RC message per shard.
+        for shard in (0..self.p).filter(|&s| s != self.me.0) {
+            let seg = MsgSegments {
+                first_psn: shard * self.chunks_per_shard,
+                chunks: self.chunks_per_shard,
+                buf_len: self.shard_len,
+                mtu: self.mtu,
+                imm: self.imm,
+                coll: self.coll,
+            };
+            ctx.post_unicast_message(Rank(shard), self.qp, seg);
         }
         ctx.notify_tx_drained(self.qp, self.token_base + RS_TX_TOKEN);
     }
@@ -312,21 +302,67 @@ impl RankApp<ControlMsg> for EndpointRsApp {
     }
 }
 
-/// Composite endpoint: multicast Allgather and INC Reduce-Scatter running
-/// concurrently on one rank, dispatched by QP.
-pub struct AgRsDuplexApp {
+/// What a duplex endpoint needs of its Reduce-Scatter half beyond the
+/// [`RankApp`] callbacks; [`IncRsApp`] and [`EndpointRsApp`] provide it.
+pub trait RsHalf: RankApp<ControlMsg> {
+    /// Disable automatic `mark_done` (the duplex marks for both halves).
+    fn set_auto_mark_done(&mut self, auto: bool);
+    /// Finished?
+    fn is_released(&self) -> bool;
+    /// `(start, end)` completion record (`None` until released).
+    fn times(&self) -> Option<(SimTime, SimTime)>;
+}
+
+impl RsHalf for IncRsApp {
+    fn set_auto_mark_done(&mut self, auto: bool) {
+        IncRsApp::set_auto_mark_done(self, auto);
+    }
+    fn is_released(&self) -> bool {
+        IncRsApp::is_released(self)
+    }
+    fn times(&self) -> Option<(SimTime, SimTime)> {
+        IncRsApp::times(self)
+    }
+}
+
+impl RsHalf for EndpointRsApp {
+    fn set_auto_mark_done(&mut self, auto: bool) {
+        EndpointRsApp::set_auto_mark_done(self, auto);
+    }
+    fn is_released(&self) -> bool {
+        EndpointRsApp::is_released(self)
+    }
+    fn times(&self) -> Option<(SimTime, SimTime)> {
+        EndpointRsApp::times(self)
+    }
+}
+
+/// Composite endpoint: multicast Allgather and a Reduce-Scatter running
+/// concurrently on one rank — completions dispatched by QP, drain
+/// notifications by token namespace (`token % TOKEN_STRIDE ==
+/// RS_TX_TOKEN` is the Reduce-Scatter's, whatever the halves' token
+/// base), timers to the Allgather (the Reduce-Scatter arms none).
+pub struct DuplexApp<R> {
     ag: McastRankApp,
-    rs: IncRsApp,
+    rs: R,
     rs_qp: QpNum,
     marked: bool,
 }
 
-impl AgRsDuplexApp {
-    /// Compose the two endpoints (both must have auto-mark-done off).
-    pub fn new(mut ag: McastRankApp, mut rs: IncRsApp, rs_qp: QpNum) -> AgRsDuplexApp {
+/// Multicast Allgather beside the in-network (SHARP-style) Reduce-Scatter.
+pub type AgRsDuplexApp = DuplexApp<IncRsApp>;
+
+/// Multicast Allgather beside the *endpoint-reduction* Reduce-Scatter
+/// (the no-offload twin of [`AgRsDuplexApp`], for the `mcag-offload`
+/// backend comparison).
+pub type AgRsEndpointDuplexApp = DuplexApp<EndpointRsApp>;
+
+impl<R: RsHalf> DuplexApp<R> {
+    /// Compose the two endpoints (turns auto-mark-done off on both).
+    pub fn new(mut ag: McastRankApp, mut rs: R, rs_qp: QpNum) -> DuplexApp<R> {
         ag.set_auto_mark_done(false);
         rs.set_auto_mark_done(false);
-        AgRsDuplexApp {
+        DuplexApp {
             ag,
             rs,
             rs_qp,
@@ -342,12 +378,12 @@ impl AgRsDuplexApp {
     }
 
     /// Decompose into the two endpoints (harvest path).
-    pub fn into_parts(self) -> (McastRankApp, IncRsApp) {
+    pub fn into_parts(self) -> (McastRankApp, R) {
         (self.ag, self.rs)
     }
 }
 
-impl RankApp<ControlMsg> for AgRsDuplexApp {
+impl<R: RsHalf> RankApp<ControlMsg> for DuplexApp<R> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
         self.ag.on_start(ctx);
         self.rs.on_start(ctx);
@@ -368,7 +404,7 @@ impl RankApp<ControlMsg> for AgRsDuplexApp {
     }
 
     fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        if token == RS_TX_TOKEN {
+        if token % TOKEN_STRIDE == RS_TX_TOKEN {
             self.rs.on_tx_drained(ctx, token);
         } else {
             self.ag.on_tx_drained(ctx, token);
@@ -410,14 +446,19 @@ impl ConcurrentOutcome {
     }
 }
 
-/// Run `{AG_mc, RS_inc}` concurrently: every rank allgathers `send_len`
-/// bytes while reduce-scattering an `send_len·P` vector, sharing NICs
-/// and links.
-pub fn run_concurrent_ag_rs(
+/// Wire and run the pair on a fresh fabric: the multicast Allgather of
+/// `send_len` bytes beside the Reduce-Scatter `mk_rs(rank, rs_qp,
+/// rs_group)` builds, sharing NICs and links. `rs_group` is a
+/// full-membership reduction group when `in_switch`, else `None`; both
+/// halves take `token_base`.
+fn run_pair<R: RsHalf>(
     topo: Topology,
     fabric_cfg: FabricConfig,
     proto: ProtocolConfig,
     send_len: usize,
+    token_base: u64,
+    in_switch: bool,
+    mk_rs: impl Fn(Rank, QpNum, Option<McastGroupId>) -> R,
 ) -> ConcurrentOutcome {
     let p = topo.num_hosts() as u32;
     let plan = Arc::new(CollectivePlan::new(
@@ -441,7 +482,7 @@ pub fn run_concurrent_ag_rs(
     let ag_groups: Vec<_> = (0..plan.num_subgroups())
         .map(|_| fab.create_group(&members))
         .collect();
-    let rs_group = fab.create_group(&members);
+    let rs_group = in_switch.then(|| fab.create_group(&members));
 
     for &r in &members {
         let ctrl = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
@@ -451,10 +492,12 @@ pub fn run_concurrent_ag_rs(
             fab.attach(r, qp, g);
             subgroup_qps.push(qp);
         }
-        // No attach for the RS QP: contributions enter the reduction
-        // tree by membership and results return as routed unicast.
+        // No attach for the RS QP: in-switch contributions enter the
+        // reduction tree by membership and results return as routed
+        // unicast; endpoint operands target the owner's twin QP (SPMD
+        // wiring gives it the same number on every rank).
         let rs_qp = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let ag = McastRankApp::new(
+        let mut ag = McastRankApp::new(
             Arc::clone(&plan),
             r,
             QpLayout {
@@ -464,17 +507,9 @@ pub fn run_concurrent_ag_rs(
             },
             cutoff,
         );
-        let rs = IncRsApp::new(
-            p,
-            r,
-            send_len,
-            proto.mtu,
-            proto.imm,
-            CollectiveId(3),
-            rs_qp,
-            rs_group,
-        );
-        fab.set_app(r, Box::new(AgRsDuplexApp::new(ag, rs, rs_qp)));
+        ag.set_token_base(token_base);
+        let rs = mk_rs(r, rs_qp, rs_group);
+        fab.set_app(r, Box::new(DuplexApp::new(ag, rs, rs_qp)));
     }
 
     let stats = fab.run();
@@ -482,7 +517,7 @@ pub fn run_concurrent_ag_rs(
     let mut ag_timings = Vec::with_capacity(p as usize);
     let mut rs_times = Vec::with_capacity(p as usize);
     for &r in &members {
-        let (ag, rs) = fab.take_app_as::<AgRsDuplexApp>(r).into_parts();
+        let (ag, rs) = fab.take_app_as::<DuplexApp<R>>(r).into_parts();
         ag_timings.push(ag.timing());
         rs_times.push(rs.times());
     }
@@ -492,6 +527,56 @@ pub fn run_concurrent_ag_rs(
         stats,
         traffic,
     }
+}
+
+/// [`run_concurrent_ag_rs`] with both halves in `token_base`'s namespace.
+fn run_pair_in_switch(
+    topo: Topology,
+    fabric_cfg: FabricConfig,
+    proto: ProtocolConfig,
+    send_len: usize,
+    token_base: u64,
+) -> ConcurrentOutcome {
+    let p = topo.num_hosts() as u32;
+    let mk_rs = |r, rs_qp, group: Option<McastGroupId>| {
+        let group = group.expect("in-switch pair has a reduction group");
+        let coll = CollectiveId(3);
+        let mut rs = IncRsApp::new(p, r, send_len, proto.mtu, proto.imm, coll, rs_qp, group);
+        rs.set_token_base(token_base);
+        rs
+    };
+    run_pair(topo, fabric_cfg, proto, send_len, token_base, true, mk_rs)
+}
+
+/// [`run_concurrent_ag_rs_endpoint`] with both halves in `token_base`'s
+/// namespace.
+fn run_pair_endpoint(
+    topo: Topology,
+    fabric_cfg: FabricConfig,
+    proto: ProtocolConfig,
+    send_len: usize,
+    token_base: u64,
+) -> ConcurrentOutcome {
+    let p = topo.num_hosts() as u32;
+    let mk_rs = |r, rs_qp, _| {
+        let coll = CollectiveId(3);
+        let mut rs = EndpointRsApp::new(p, r, send_len, proto.mtu, proto.imm, coll, rs_qp);
+        rs.set_token_base(token_base);
+        rs
+    };
+    run_pair(topo, fabric_cfg, proto, send_len, token_base, false, mk_rs)
+}
+
+/// Run `{AG_mc, RS_inc}` concurrently: every rank allgathers `send_len`
+/// bytes while reduce-scattering an `send_len·P` vector, sharing NICs
+/// and links.
+pub fn run_concurrent_ag_rs(
+    topo: Topology,
+    fabric_cfg: FabricConfig,
+    proto: ProtocolConfig,
+    send_len: usize,
+) -> ConcurrentOutcome {
+    run_pair_in_switch(topo, fabric_cfg, proto, send_len, 0)
 }
 
 /// Run the INC Reduce-Scatter alone (for the Fig. 3 decomposition).
@@ -532,72 +617,6 @@ pub fn run_inc_reduce_scatter(
         rs_times,
         stats,
         traffic,
-    }
-}
-
-/// Composite endpoint: multicast Allgather and *endpoint-reduction*
-/// Reduce-Scatter concurrently on one rank (the no-offload twin of
-/// [`AgRsDuplexApp`], for the `mcag-offload` backend comparison).
-pub struct AgRsEndpointDuplexApp {
-    ag: McastRankApp,
-    rs: EndpointRsApp,
-    rs_qp: QpNum,
-    marked: bool,
-}
-
-impl AgRsEndpointDuplexApp {
-    /// Compose the two endpoints (both must have auto-mark-done off).
-    pub fn new(mut ag: McastRankApp, mut rs: EndpointRsApp, rs_qp: QpNum) -> AgRsEndpointDuplexApp {
-        ag.set_auto_mark_done(false);
-        rs.set_auto_mark_done(false);
-        AgRsEndpointDuplexApp {
-            ag,
-            rs,
-            rs_qp,
-            marked: false,
-        }
-    }
-
-    fn maybe_mark(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        if !self.marked && self.ag.is_released() && self.rs.is_released() {
-            self.marked = true;
-            ctx.mark_done();
-        }
-    }
-
-    /// Decompose into the two endpoints (harvest path).
-    pub fn into_parts(self) -> (McastRankApp, EndpointRsApp) {
-        (self.ag, self.rs)
-    }
-}
-
-impl RankApp<ControlMsg> for AgRsEndpointDuplexApp {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        self.ag.on_start(ctx);
-        self.rs.on_start(ctx);
-    }
-
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        if cqe.qp == self.rs_qp {
-            self.rs.on_cqe(ctx, cqe, payload);
-        } else {
-            self.ag.on_cqe(ctx, cqe, payload);
-        }
-        self.maybe_mark(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        self.ag.on_timer(ctx, token);
-        self.maybe_mark(ctx);
-    }
-
-    fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        if token == RS_TX_TOKEN {
-            self.rs.on_tx_drained(ctx, token);
-        } else {
-            self.ag.on_tx_drained(ctx, token);
-        }
-        self.maybe_mark(ctx);
     }
 }
 
@@ -654,66 +673,7 @@ pub fn run_concurrent_ag_rs_endpoint(
     proto: ProtocolConfig,
     send_len: usize,
 ) -> ConcurrentOutcome {
-    let p = topo.num_hosts() as u32;
-    let plan = Arc::new(CollectivePlan::new(
-        CollectiveKind::Allgather,
-        p,
-        send_len,
-        proto.mtu,
-        proto.imm,
-        CollectiveId(1),
-        proto.subgroups,
-        proto.chains,
-    ));
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg.clone());
-    let cutoff = crate::des::cutoff_ns(fab.topology(), &plan, &proto, 3);
-
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let n_workers = fabric_cfg.host.rx_workers.max(1);
-    let ag_groups: Vec<_> = (0..plan.num_subgroups())
-        .map(|_| fab.create_group(&members))
-        .collect();
-
-    for &r in &members {
-        let ctrl = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let mut subgroup_qps = Vec::new();
-        for (j, &g) in ag_groups.iter().enumerate() {
-            let qp = fab.add_qp(r, mcag_verbs::Transport::Ud, j % n_workers);
-            fab.attach(r, qp, g);
-            subgroup_qps.push(qp);
-        }
-        // SPMD wiring gives the RS QP the same number on every rank,
-        // so contributions can target the owner's twin QP directly.
-        let rs_qp = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let ag = McastRankApp::new(
-            Arc::clone(&plan),
-            r,
-            QpLayout {
-                ctrl,
-                subgroup_qps,
-                groups: ag_groups.clone(),
-            },
-            cutoff,
-        );
-        let rs = EndpointRsApp::new(p, r, send_len, proto.mtu, proto.imm, CollectiveId(3), rs_qp);
-        fab.set_app(r, Box::new(AgRsEndpointDuplexApp::new(ag, rs, rs_qp)));
-    }
-
-    let stats = fab.run();
-    let traffic = fab.traffic();
-    let mut ag_timings = Vec::with_capacity(p as usize);
-    let mut rs_times = Vec::with_capacity(p as usize);
-    for &r in &members {
-        let (ag, rs) = fab.take_app_as::<AgRsEndpointDuplexApp>(r).into_parts();
-        ag_timings.push(ag.timing());
-        rs_times.push(rs.times());
-    }
-    ConcurrentOutcome {
-        ag_timings,
-        rs_times,
-        stats,
-        traffic,
-    }
+    run_pair_endpoint(topo, fabric_cfg, proto, send_len, 0)
 }
 
 #[cfg(test)]
@@ -804,6 +764,24 @@ mod tests {
         );
         assert!(out.stats.all_done(), "{:?}", out.stats);
         assert!(out.pair_completion_ns() > 0);
+    }
+
+    #[test]
+    fn duplex_routes_the_rs_drain_by_token_namespace() {
+        // Both halves live in communicator slot 1's token range: the RS
+        // drain arrives as `TOKEN_STRIDE + RS_TX_TOKEN` and must still
+        // reach the RS half, not the Allgather's drain handler.
+        for run in [run_pair_in_switch, run_pair_endpoint] {
+            let out = run(
+                star(4),
+                FabricConfig::ucc_default(),
+                ProtocolConfig::default(),
+                32 << 10,
+                TOKEN_STRIDE,
+            );
+            assert!(out.stats.all_done(), "{:?}", out.stats);
+            assert!(out.rs_times.iter().all(Option::is_some));
+        }
     }
 
     #[test]

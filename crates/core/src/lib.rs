@@ -56,8 +56,8 @@ pub mod staging;
 pub use bitmap::ChunkBitmap;
 pub use concurrent::{
     run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_endpoint_reduce_scatter,
-    run_inc_reduce_scatter, AgRsDuplexApp, AgRsEndpointDuplexApp, EndpointRsApp, IncRsApp,
-    RS_TX_TOKEN,
+    run_inc_reduce_scatter, AgRsDuplexApp, AgRsEndpointDuplexApp, DuplexApp, EndpointRsApp,
+    IncRsApp, RsHalf, RS_TX_TOKEN,
 };
 pub use config::ProtocolConfig;
 pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};

@@ -11,7 +11,7 @@
 
 use crate::fabric::Inner;
 use crate::time::SimTime;
-use mcag_verbs::{Cqe, ImmData, McastGroupId, QpNum, Rank};
+use mcag_verbs::{CollectiveId, Cqe, ImmData, ImmLayout, McastGroupId, Mtu, QpNum, Rank};
 
 /// What a delivered packet carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +29,40 @@ pub enum Payload<M> {
     Msg(M),
     /// No payload (e.g. RDMA read completions identified by `wr_id`).
     Empty,
+}
+
+/// How a reliable message is cut into packets: `chunks` consecutive PSNs
+/// of one `buf_len`-byte buffer, one MTU segment each — the unit an RC
+/// queue pair takes as a single work request. The NIC segments it when it
+/// injects, so a posted message costs one send-queue entry however long
+/// it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsgSegments {
+    /// PSN of the buffer's first chunk.
+    pub first_psn: u32,
+    /// Chunks to send (≥ 1, at most `mtu.chunks_for(buf_len)`).
+    pub chunks: u32,
+    /// Length of the buffer the chunks are cut from; only its last chunk
+    /// may be short.
+    pub buf_len: usize,
+    /// Segment size.
+    pub mtu: Mtu,
+    /// Immediate-data layout every segment's `(coll, psn)` is packed with.
+    pub imm: ImmLayout,
+    /// Collective the message belongs to.
+    pub coll: CollectiveId,
+}
+
+impl MsgSegments {
+    /// `(psn, imm, payload_len)` of segment `k < chunks` — what a
+    /// per-chunk posting loop over the buffer would have computed.
+    #[inline]
+    pub fn segment(&self, k: u32) -> (u32, ImmData, usize) {
+        debug_assert!(k < self.chunks);
+        let psn = self.first_psn + k;
+        let len = self.mtu.chunk_range(k, self.buf_len).len();
+        (psn, self.imm.pack(self.coll, psn), len)
+    }
 }
 
 /// A per-rank protocol endpoint driven by the fabric.
@@ -100,22 +134,11 @@ impl<M: Clone + 'static> Ctx<'_, M> {
         self.inner.post_msg(self.rank, dst, dst_qp, msg, len);
     }
 
-    /// Post a unicast data chunk to `dst` (two-sided). Reliable chunks
-    /// model RC/UC-connected traffic; unreliable ones can suffer fabric
-    /// drops like multicast datagrams.
-    #[allow(clippy::too_many_arguments)]
-    pub fn post_unicast_chunk(
-        &mut self,
-        dst: Rank,
-        dst_qp: QpNum,
-        imm: Option<ImmData>,
-        origin: Rank,
-        psn: u32,
-        len: usize,
-        reliable: bool,
-    ) {
-        self.inner
-            .post_unicast_chunk(self.rank, dst, dst_qp, imm, origin, psn, len, reliable);
+    /// Post one reliable (RC) two-sided message of this rank's data to
+    /// `dst`: `seg.chunks` packets on one route, injected a segment per
+    /// arbitration turn of the send queue.
+    pub fn post_unicast_message(&mut self, dst: Rank, dst_qp: QpNum, seg: MsgSegments) {
+        self.inner.post_unicast(self.rank, dst, dst_qp, seg);
     }
 
     /// Issue a one-sided RDMA Read of `len` bytes from `dst` over `qp`
@@ -125,23 +148,21 @@ impl<M: Clone + 'static> Ctx<'_, M> {
         self.inner.post_rdma_read(self.rank, qp, dst, len, tag);
     }
 
-    /// Contribute chunk `psn` (shard owned by `owner`) to an in-network
-    /// reduction over `group`: switches merge contributions up the tree
-    /// and `owner` receives one reduced chunk on `owner_qp` — the
-    /// SHARP-style Reduce-Scatter substrate of Section II.
-    #[allow(clippy::too_many_arguments)]
-    pub fn post_inc_chunk(
+    /// Contribute one shard (owned by `owner`) to an in-network reduction
+    /// over `group` as a single message: switches merge each chunk's
+    /// contributions up the tree and `owner` receives one reduced chunk
+    /// per PSN on `owner_qp` — the SHARP-style Reduce-Scatter substrate of
+    /// Section II.
+    pub fn post_inc_message(
         &mut self,
         qp: QpNum,
         group: McastGroupId,
-        imm: ImmData,
         owner: Rank,
         owner_qp: QpNum,
-        psn: u32,
-        len: usize,
+        seg: MsgSegments,
     ) {
         self.inner
-            .post_inc(self.rank, qp, group, imm, owner, owner_qp, psn, len);
+            .post_inc(self.rank, qp, group, owner, owner_qp, seg);
     }
 
     /// Arm a one-shot timer `delay_ns` from now; fires `on_timer(token)`.

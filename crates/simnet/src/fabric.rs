@@ -18,15 +18,25 @@
 //!
 //! ## Hot-path memory model
 //!
-//! In-flight packets live in a slab with an embedded free list; events
-//! carry a 4-byte [`PktRef`] handle instead of a boxed packet. Multicast
+//! A NIC send queue holds *work requests* ([`Wqe`], ≤ 64 B), not
+//! packets: a post is a `VecDeque` push, and the packet is built when the
+//! arbiter injects it. A reliable message ([`MsgSegments`]) is one
+//! request however many chunks it carries — it stays at the head of its
+//! queue and is segmented an MTU per arbitration turn, as an RC queue
+//! pair does in hardware. A queue whose drain notification fires gives
+//! its buffer back, so a rank that has finished sending holds none.
+//!
+//! Packets live in a slab with an embedded LIFO free list from injection
+//! to their last delivery, so the slab is as large as the most packets
+//! ever on the wire at once, not as the most ever posted; events carry a
+//! 4-byte [`PktRef`] handle instead of a boxed packet. Multicast
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
 //! payload [`Ev`] is a small `Copy`-able struct, so the steady state of a
 //! run performs no per-packet heap allocation at all. Unicast routes are
 //! interned behind `Arc<[LinkId]>` in a per-pair cache.
 
-use crate::app::{Ctx, Payload, RankApp};
+use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
 use crate::counters::{LinkCounters, TrafficReport};
 use crate::event::EventQueue;
@@ -96,6 +106,58 @@ struct PktRef(u32);
 struct SlabEntry<M> {
     refs: u32,
     pkt: PacketInst<M>,
+}
+
+/// One send-queue entry: a work request, not a packet. The NIC turns the
+/// head entry of the queue it arbitrates to into a [`PacketInst`] at the
+/// moment it injects, so queued data costs a few words per request and
+/// the slab holds only what is on the wire.
+enum Wqe {
+    /// A packet built at post time: control messages and RDMA-read
+    /// requests/responses, whose payload or semantics do not fit a
+    /// `Copy` descriptor.
+    Ready(PktRef),
+    /// One multicast datagram.
+    Mcast {
+        group: McastGroupId,
+        imm: ImmData,
+        origin: Rank,
+        psn: u32,
+        len: usize,
+    },
+    /// A reliable unicast message on a route resolved at post time; stays
+    /// at the head of its queue and yields segment `next` per turn.
+    Unicast {
+        path: Arc<[LinkId]>,
+        dst: Rank,
+        dst_qp: QpNum,
+        seg: MsgSegments,
+        next: u32,
+    },
+    /// An in-network-reduction contribution message (see
+    /// [`RouteState::IncUp`]), segmented like [`Wqe::Unicast`].
+    Inc {
+        group: McastGroupId,
+        owner: Rank,
+        owner_qp: QpNum,
+        seg: MsgSegments,
+        next: u32,
+    },
+}
+
+/// Reject a malformed message request where it is posted, not when its
+/// last segment is injected.
+fn check_segments(seg: &MsgSegments) {
+    assert!(seg.chunks >= 1, "a message has at least one segment");
+    assert!(
+        seg.chunks as usize <= seg.mtu.chunks_for(seg.buf_len),
+        "{} chunks requested of a {}-byte buffer at {} MTU",
+        seg.chunks,
+        seg.buf_len,
+        seg.mtu
+    );
+    // Panics if the last PSN or the collective id overflow the layout.
+    seg.imm.pack(seg.coll, seg.first_psn + (seg.chunks - 1));
 }
 
 /// The event payload. Deliberately small and payload-free: packet state
@@ -169,7 +231,7 @@ struct NicState {
     uplink: LinkId,
     /// One send queue per QP; the NIC arbiter serves them round-robin,
     /// which is how concurrent collectives share injection bandwidth.
-    tx_queues: Vec<VecDeque<PktRef>>,
+    tx_queues: Vec<VecDeque<Wqe>>,
     tx_rr: usize,
     tx_free_at: SimTime,
     kick_scheduled: bool,
@@ -871,39 +933,31 @@ impl<M: Clone + 'static> Inner<M> {
     ) {
         let tree = &self.trees[group.0 as usize];
         assert!(tree.is_member(src), "{src} multicasts to foreign group");
-        let pkt = PacketInst {
-            header: PacketHeader {
-                src,
-                src_qp: qp,
-                dst: Destination::Multicast(group),
-                kind: PacketKind::McastData,
-                imm: Some(imm),
-                payload_len: len,
+        self.enqueue_tx(
+            src,
+            qp,
+            Wqe::Mcast {
+                group,
+                imm,
+                origin,
+                psn,
+                len,
             },
-            payload: Payload::Chunk { origin, psn },
-            route: RouteState::Mcast { group },
-            sem: ArrivalSem::TwoSided,
-            reliable: false,
-            dst_qp: QpNum(0),
-        };
-        let r = self.alloc_pkt(pkt);
-        self.enqueue_tx(src, qp, r);
+        );
     }
 
-    /// Post an in-network-reduction contribution for shard chunk `psn`
-    /// owned by `owner`; the fabric's switches merge contributions up the
-    /// group's tree and deliver one result to `owner`'s `owner_qp`.
-    #[allow(clippy::too_many_arguments)] // mirrors the verbs post signature
+    /// Post one in-network-reduction contribution message: the chunks
+    /// `seg` describes of the shard owned by `owner`; the fabric's
+    /// switches merge contributions up the group's tree and deliver one
+    /// result per PSN to `owner`'s `owner_qp`.
     pub(crate) fn post_inc(
         &mut self,
         src: Rank,
         qp: QpNum,
         group: McastGroupId,
-        imm: ImmData,
         owner: Rank,
         owner_qp: QpNum,
-        psn: u32,
-        len: usize,
+        seg: MsgSegments,
     ) {
         assert!(
             self.topo.top_level() > 0,
@@ -916,27 +970,18 @@ impl<M: Clone + 'static> Inner<M> {
             self.num_ranks(),
             "in-network reduction requires full-membership groups"
         );
-        let pkt = PacketInst {
-            header: PacketHeader {
-                src,
-                src_qp: qp,
-                dst: Destination::Multicast(group),
-                kind: PacketKind::McastData,
-                imm: Some(imm),
-                payload_len: len,
-            },
-            payload: Payload::Chunk { origin: src, psn },
-            route: RouteState::IncUp {
+        check_segments(&seg);
+        self.enqueue_tx(
+            src,
+            qp,
+            Wqe::Inc {
                 group,
                 owner,
                 owner_qp,
+                seg,
+                next: 0,
             },
-            sem: ArrivalSem::TwoSided,
-            reliable: true, // SHARP runs over reliable transport
-            dst_qp: owner_qp,
-        };
-        let r = self.alloc_pkt(pkt);
-        self.enqueue_tx(src, qp, r);
+        );
     }
 
     pub(crate) fn post_msg(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, msg: M, len: usize) {
@@ -957,39 +1002,26 @@ impl<M: Clone + 'static> Inner<M> {
             dst_qp,
         };
         let r = self.alloc_pkt(pkt);
-        self.enqueue_tx(src, dst_qp, r);
+        self.enqueue_tx(src, dst_qp, Wqe::Ready(r));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn post_unicast_chunk(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        dst_qp: QpNum,
-        imm: Option<ImmData>,
-        origin: Rank,
-        psn: u32,
-        len: usize,
-        reliable: bool,
-    ) {
+    /// Post one reliable unicast message of `src`'s data. The route is
+    /// resolved here, once per message, so adaptive routing draws from
+    /// the RNG in post order.
+    pub(crate) fn post_unicast(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, seg: MsgSegments) {
+        check_segments(&seg);
         let path = self.unicast_path(src, dst);
-        let pkt = PacketInst {
-            header: PacketHeader {
-                src,
-                src_qp: QpNum(0),
-                dst: Destination::Unicast(dst, dst_qp),
-                kind: PacketKind::UnicastData,
-                imm,
-                payload_len: len,
-            },
-            payload: Payload::Chunk { origin, psn },
-            route: RouteState::Unicast { path, hop: 0 },
-            sem: ArrivalSem::TwoSided,
-            reliable,
+        self.enqueue_tx(
+            src,
             dst_qp,
-        };
-        let r = self.alloc_pkt(pkt);
-        self.enqueue_tx(src, dst_qp, r);
+            Wqe::Unicast {
+                path,
+                dst,
+                dst_qp,
+                seg,
+                next: 0,
+            },
+        );
     }
 
     pub(crate) fn post_rdma_read(&mut self, src: Rank, qp: QpNum, dst: Rank, len: usize, tag: u64) {
@@ -1014,7 +1046,7 @@ impl<M: Clone + 'static> Inner<M> {
             dst_qp: qp,
         };
         let r = self.alloc_pkt(pkt);
-        self.enqueue_tx(src, qp, r);
+        self.enqueue_tx(src, qp, Wqe::Ready(r));
     }
 
     fn unicast_path(&mut self, src: Rank, dst: Rank) -> Arc<[LinkId]> {
@@ -1038,9 +1070,9 @@ impl<M: Clone + 'static> Inner<M> {
         p
     }
 
-    fn enqueue_tx(&mut self, src: Rank, qp: QpNum, pkt: PktRef) {
+    fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
         let nic = &mut self.nics[src.idx()];
-        nic.tx_queues[qp.0 as usize].push_back(pkt);
+        nic.tx_queues[qp.0 as usize].push_back(wqe);
         if !nic.kick_scheduled {
             nic.kick_scheduled = true;
             let at = nic.tx_free_at.max(self.q.now());
@@ -1049,16 +1081,118 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     /// Round-robin QP arbitration: pick the next non-empty send queue.
-    fn tx_pick(nic: &mut NicState) -> Option<(usize, PktRef)> {
+    fn tx_pick(nic: &mut NicState) -> Option<usize> {
         let n = nic.tx_queues.len();
         for i in 0..n {
             let qi = (nic.tx_rr + i) % n;
-            if let Some(pkt) = nic.tx_queues[qi].pop_front() {
+            if !nic.tx_queues[qi].is_empty() {
                 nic.tx_rr = (qi + 1) % n;
-                return Some((qi, pkt));
+                return Some(qi);
             }
         }
         None
+    }
+
+    /// Take the next packet off send queue `qi` of `src` and put it on
+    /// the slab: a ready packet as posted, a datagram built now, or the
+    /// next MTU segment of the message at the head — which leaves the
+    /// queue only with its last segment, so a message holds its place
+    /// (FIFO within the QP) while the arbiter interleaves other QPs.
+    fn tx_next_packet(&mut self, src: Rank, qi: usize) -> PktRef {
+        let queue = &mut self.nics[src.idx()].tx_queues[qi];
+        let qp = QpNum(qi as u32);
+        let mut pop = true;
+        let pkt = match queue.front_mut().expect("arbiter picked an empty queue") {
+            Wqe::Ready(pr) => {
+                let pr = *pr;
+                queue.pop_front();
+                return pr;
+            }
+            &mut Wqe::Mcast {
+                group,
+                imm,
+                origin,
+                psn,
+                len,
+            } => PacketInst {
+                header: PacketHeader {
+                    src,
+                    src_qp: qp,
+                    dst: Destination::Multicast(group),
+                    kind: PacketKind::McastData,
+                    imm: Some(imm),
+                    payload_len: len,
+                },
+                payload: Payload::Chunk { origin, psn },
+                route: RouteState::Mcast { group },
+                sem: ArrivalSem::TwoSided,
+                reliable: false,
+                dst_qp: QpNum(0),
+            },
+            Wqe::Unicast {
+                path,
+                dst,
+                dst_qp,
+                seg,
+                next,
+            } => {
+                let (psn, imm, len) = seg.segment(*next);
+                *next += 1;
+                pop = *next == seg.chunks;
+                PacketInst {
+                    header: PacketHeader {
+                        src,
+                        src_qp: QpNum(0),
+                        dst: Destination::Unicast(*dst, *dst_qp),
+                        kind: PacketKind::UnicastData,
+                        imm: Some(imm),
+                        payload_len: len,
+                    },
+                    payload: Payload::Chunk { origin: src, psn },
+                    route: RouteState::Unicast {
+                        path: Arc::clone(path),
+                        hop: 0,
+                    },
+                    sem: ArrivalSem::TwoSided,
+                    reliable: true,
+                    dst_qp: *dst_qp,
+                }
+            }
+            Wqe::Inc {
+                group,
+                owner,
+                owner_qp,
+                seg,
+                next,
+            } => {
+                let (psn, imm, len) = seg.segment(*next);
+                *next += 1;
+                pop = *next == seg.chunks;
+                PacketInst {
+                    header: PacketHeader {
+                        src,
+                        src_qp: qp,
+                        dst: Destination::Multicast(*group),
+                        kind: PacketKind::McastData,
+                        imm: Some(imm),
+                        payload_len: len,
+                    },
+                    payload: Payload::Chunk { origin: src, psn },
+                    route: RouteState::IncUp {
+                        group: *group,
+                        owner: *owner,
+                        owner_qp: *owner_qp,
+                    },
+                    sem: ArrivalSem::TwoSided,
+                    reliable: true, // SHARP runs over reliable transport
+                    dst_qp: *owner_qp,
+                }
+            }
+        };
+        if pop {
+            queue.pop_front();
+        }
+        self.alloc_pkt(pkt)
     }
 
     fn handle_tx_kick(&mut self, rank: Rank) {
@@ -1068,7 +1202,7 @@ impl<M: Clone + 'static> Inner<M> {
             let st = self.link_fault[uplink.idx()];
             if !st.up {
                 // Port down: the whole injection pipeline stalls
-                // (link-level backpressure) with packets parked in their
+                // (link-level backpressure) with requests parked in their
                 // send queues; resume when the schedule restores the
                 // port. `kick_scheduled` stays true so enqueue_tx does
                 // not double-arm; a port that never recovers wedges the
@@ -1083,10 +1217,11 @@ impl<M: Clone + 'static> Inner<M> {
         }
         let nic = &mut self.nics[rank.idx()];
         nic.kick_scheduled = false;
-        let Some((qi, pr)) = Self::tx_pick(nic) else {
+        let Some(qi) = Self::tx_pick(nic) else {
             return;
         };
         let uplink = nic.uplink;
+        let pr = self.tx_next_packet(rank, qi);
         let link = *self.topo.link(uplink);
         // One slab access: first-hop bookkeeping + the header fields the
         // wire model and counters need.
@@ -1127,7 +1262,11 @@ impl<M: Clone + 'static> Inner<M> {
             self.release_pkt(pr);
         }
         let nic = &mut self.nics[rank.idx()];
-        if nic.tx_queues[qi].is_empty() {
+        if nic.tx_queues[qi].is_empty() && !nic.drain_tokens[qi].is_empty() {
+            // The app was told this QP is done sending: give the queue's
+            // buffer back instead of keeping its busiest instant's
+            // capacity for the rest of the run.
+            nic.tx_queues[qi].shrink_to_fit();
             for token in std::mem::take(&mut nic.drain_tokens[qi]) {
                 self.q.schedule_at(free_at, Ev::TxDrained { rank, token });
             }
@@ -1401,7 +1540,7 @@ impl<M: Clone + 'static> Inner<M> {
                     dst_qp: req_qp,
                 };
                 let r = self.alloc_pkt(resp);
-                self.enqueue_tx(rank, req_qp, r);
+                self.enqueue_tx(rank, req_qp, Wqe::Ready(r));
             }
             ArrivalSem::ReadResp { req_qp, .. } => {
                 self.schedule_cqe(rank, req_qp.0 as usize, pr, false);
@@ -2097,6 +2236,331 @@ mod tests {
         assert_eq!(s1.per_rank_done, s2.per_rank_done);
         assert_eq!(s1.events, s2.events);
         assert_eq!(base.traffic().per_link(), faulted.traffic().per_link());
+    }
+
+    // ---------------------- send-queue work requests --------------------- //
+
+    #[test]
+    fn work_request_stays_small() {
+        // 512 ranks each queue 511 of these at once; the largest variant
+        // is the unicast message (route handle + segmentation).
+        let size = std::mem::size_of::<Wqe>();
+        assert!(size <= 64, "Wqe grew to {size} bytes");
+    }
+
+    const ARB_MTU: usize = 1024;
+
+    fn arb_message(first_psn: u32, buf_len: usize, coll: u32) -> MsgSegments {
+        let mtu = mcag_verbs::Mtu::new(ARB_MTU);
+        MsgSegments {
+            first_psn,
+            chunks: mtu.chunks_for(buf_len) as u32,
+            buf_len,
+            mtu,
+            imm: mcag_verbs::ImmLayout::DEFAULT,
+            coll: mcag_verbs::CollectiveId(coll),
+        }
+    }
+
+    /// Rank 0 posts an interleaved mix over three QPs; everyone else is a
+    /// passive receiver. Drain notifications are recorded as
+    /// `(time, token)`; the first drain of the multicast QP posts a second
+    /// wave onto a drained queue and a busy one.
+    struct ArbApp {
+        group: McastGroupId,
+        drained: Vec<(u64, u64)>,
+    }
+
+    const ARB_CTRL: QpNum = QpNum(0);
+    const ARB_UD: QpNum = QpNum(1);
+    const ARB_INC: QpNum = QpNum(2);
+
+    impl RankApp<Msg> for ArbApp {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            if ctx.rank() != Rank(0) {
+                return;
+            }
+            let g = self.group;
+            ctx.post_mcast_chunk(ARB_UD, g, ImmData(0), Rank(0), 0, 1000);
+            ctx.notify_tx_drained(ARB_UD, 7);
+            ctx.post_msg(Rank(1), ARB_CTRL, 11, 64);
+            ctx.post_inc_message(ARB_INC, g, Rank(1), ARB_INC, arb_message(4, 1500, 3));
+            ctx.post_mcast_chunk(ARB_UD, g, ImmData(1), Rank(0), 1, 1001);
+            ctx.post_unicast_message(Rank(2), ARB_CTRL, arb_message(0, 2500, 2));
+            ctx.post_rdma_read(ARB_CTRL, Rank(3), 3000, 0xbeef);
+            ctx.post_inc_message(ARB_INC, g, Rank(2), ARB_INC, arb_message(8, 2048, 3));
+            ctx.post_mcast_chunk(ARB_UD, g, ImmData(2), Rank(0), 2, 1002);
+            ctx.post_unicast_message(Rank(1), ARB_CTRL, arb_message(3, 700, 2));
+            ctx.notify_tx_drained(ARB_CTRL, 100);
+            ctx.notify_tx_drained(ARB_UD, 101);
+            ctx.notify_tx_drained(ARB_INC, 102);
+        }
+
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {}
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+
+        fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+            self.drained.push((ctx.now().as_ns(), token));
+            if token == 7 {
+                ctx.post_mcast_chunk(ARB_UD, self.group, ImmData(3), Rank(0), 3, 1003);
+                ctx.post_inc_message(
+                    ARB_INC,
+                    self.group,
+                    Rank(3),
+                    ARB_INC,
+                    arb_message(12, 1025, 3),
+                );
+                ctx.notify_tx_drained(ARB_UD, 201);
+                ctx.notify_tx_drained(ARB_INC, 202);
+            }
+        }
+    }
+
+    #[test]
+    fn send_queue_arbitration_golden() {
+        // Recorded on the per-packet send queues (one pre-built packet
+        // per chunk, posted by per-chunk loops) before they became
+        // work-request queues: round-robin across QPs, FIFO within one,
+        // a message holding its place while it is segmented, and drain
+        // tokens firing with the queue's last packet.
+        let topo = Topology::fat_tree_two_level(4, 2, 2, 1, LinkRate::CX3_56G, 100);
+        let mut cfg = FabricConfig::ucc_default();
+        cfg.trace = Some(mcag_trace::TraceSpec::default());
+        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
+        let members: Vec<Rank> = (0..4).map(Rank).collect();
+        let group = fab.create_group(&members);
+        for &r in &members {
+            assert_eq!(fab.add_qp(r, Transport::Rc, 0), ARB_CTRL);
+            assert_eq!(fab.add_qp(r, Transport::Ud, 0), ARB_UD);
+            assert_eq!(fab.add_qp(r, Transport::Rc, 0), ARB_INC);
+            fab.attach(r, ARB_UD, group);
+            fab.set_app(
+                r,
+                Box::new(ArbApp {
+                    group,
+                    drained: Vec::new(),
+                }),
+            );
+        }
+        let stats = fab.run();
+        assert!(
+            !stats.all_done(),
+            "nobody marks done; the queue just drains"
+        );
+        assert_eq!(stats.events, 97);
+        let injects: Vec<(u64, u32, u32)> = fab
+            .trace()
+            .unwrap()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Inject {
+                    start_ns,
+                    src,
+                    bytes,
+                    ..
+                } => Some((start_ns, src, bytes)),
+                _ => None,
+            })
+            .collect();
+        // (start_ns, src, wire bytes): payload + 64 B of headers.
+        assert_eq!(
+            injects,
+            [
+                (0, 0, 128),     // ctrl: control message
+                (150, 0, 1064),  // ud:   mcast 0
+                (302, 0, 1088),  // inc:  shard 1, segment 0
+                (458, 0, 1088),  // ctrl: unicast to 2, segment 0
+                (614, 0, 1065),  // ud:   mcast 1
+                (767, 0, 540),   // inc:  shard 1, segment 1 (short)
+                (917, 0, 1088),  // ctrl: unicast to 2, segment 1
+                (1073, 0, 1066), // ud:   mcast 2 — drains the UD queue
+                (1226, 0, 1088), // inc:  shard 2, segment 0
+                (1382, 0, 516),  // ctrl: unicast to 2, segment 2 (short)
+                (1532, 0, 1067), // ud:   second-wave mcast 3
+                (1685, 0, 1088), // inc:  shard 2, segment 1
+                (1841, 0, 64),   // ctrl: RDMA read request
+                (1991, 0, 1088), // inc:  shard 3, segment 0
+                (2147, 0, 764),  // ctrl: unicast to 1
+                (2297, 0, 65),   // inc:  shard 3, segment 1 (1 byte)
+                (3154, 3, 3064), // rank 3's NIC answers the read
+            ]
+        );
+        let drained = fab.take_app_as::<ArbApp>(Rank(0)).drained;
+        assert_eq!(
+            drained,
+            [
+                (1226, 7),
+                (1226, 101),
+                (1685, 201),
+                (2297, 100),
+                (2447, 102),
+                (2447, 202)
+            ]
+        );
+    }
+
+    /// Records every completion as `(psn, imm, byte_len)`.
+    #[derive(Default)]
+    struct RecvLog {
+        got: Vec<(u32, u32, usize)>,
+    }
+
+    impl RankApp<Msg> for RecvLog {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, cqe: Cqe, payload: Payload<Msg>) {
+            let Payload::Chunk { psn, .. } = payload else {
+                panic!("expected a data chunk");
+            };
+            self.got
+                .push((psn, cqe.imm.expect("data without imm").0, cqe.byte_len));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+    }
+
+    /// Posts one message to rank 1, over unicast or into the reduction
+    /// tree of `group`.
+    struct OneMessage {
+        seg: MsgSegments,
+        group: Option<McastGroupId>,
+    }
+
+    impl RankApp<Msg> for OneMessage {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            match self.group {
+                Some(g) => ctx.post_inc_message(QpNum(0), g, Rank(1), QpNum(0), self.seg),
+                None => ctx.post_unicast_message(Rank(1), QpNum(0), self.seg),
+            }
+        }
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+    }
+
+    /// What rank 1 receives when rank 0 posts `seg` as one message: the
+    /// route is FIFO, so arrival order is injection order. On the star a
+    /// two-rank reduction has rank 0 as its only contributor.
+    fn deliver_message(seg: MsgSegments, inc: bool) -> Vec<(u32, u32, usize)> {
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        let group = inc.then(|| fab.create_group(&[Rank(0), Rank(1)]));
+        for r in [Rank(0), Rank(1)] {
+            fab.add_qp(r, Transport::Rc, 0);
+        }
+        fab.set_app(Rank(0), Box::new(OneMessage { seg, group }));
+        fab.set_app(Rank(1), Box::new(RecvLog::default()));
+        fab.run();
+        assert_eq!(fab.inner.live_pkts(), 0);
+        fab.take_app_as::<RecvLog>(Rank(1)).got
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn message_injects_what_the_per_chunk_loop_computed(
+            mtu in 2usize..300,
+            full in 0usize..6,
+            tail in 0usize..300,
+            first_psn in 0u32..1000,
+            coll in 0u32..200,
+            inc: bool,
+        ) {
+            use mcag_verbs::{CollectiveId, ImmLayout, Mtu};
+            // A buffer that is never a whole number of MTUs.
+            let buf_len = full * mtu + 1 + tail % (mtu - 1);
+            let mtu = Mtu::new(mtu);
+            let chunks = mtu.chunks_for(buf_len) as u32;
+            let layout = ImmLayout::DEFAULT;
+            let coll = CollectiveId(coll);
+            // The loop every caller used to run, one post per chunk.
+            let expect: Vec<(u32, u32, usize)> = (0..chunks)
+                .map(|c| {
+                    let psn = first_psn + c;
+                    (psn, layout.pack(coll, psn).0, mtu.chunk_range(c, buf_len).len())
+                })
+                .collect();
+            let seg = MsgSegments { first_psn, chunks, buf_len, mtu, imm: layout, coll };
+            proptest::prop_assert_eq!(deliver_message(seg, inc), expect);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunks requested")]
+    fn message_longer_than_its_buffer_is_rejected_at_post() {
+        let mut seg = arb_message(0, 2500, 2);
+        seg.chunks += 1;
+        deliver_message(seg, false);
+    }
+
+    #[test]
+    fn inc_reduce_scatter_leaves_nothing_behind() {
+        // Every rank contributes every foreign shard as one message and
+        // waits for its own reduced shard; afterwards the slab, the send
+        // queues (buffers included) and the aggregation state are empty.
+        struct Rs {
+            group: McastGroupId,
+            got: u32,
+            tx_done: bool,
+        }
+        const SHARD: usize = 2500; // 3 segments, the last short
+        impl Rs {
+            fn maybe_done(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                if self.tx_done && self.got == 3 {
+                    ctx.mark_done();
+                }
+            }
+        }
+        impl RankApp<Msg> for Rs {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                let me = ctx.rank().0;
+                for shard in (0..ctx.num_ranks() as u32).filter(|&s| s != me) {
+                    let seg = arb_message(shard * 3, SHARD, 3);
+                    ctx.post_inc_message(QpNum(0), self.group, Rank(shard), QpNum(0), seg);
+                }
+                ctx.notify_tx_drained(QpNum(0), 5);
+            }
+            fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
+                assert!(cqe.is_recv_success());
+                self.got += 1;
+                self.maybe_done(ctx);
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+            fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, Msg>, _token: u64) {
+                self.tx_done = true;
+                self.maybe_done(ctx);
+            }
+        }
+        let topo = Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ucc_default());
+        let members: Vec<Rank> = (0..8).map(Rank).collect();
+        let group = fab.create_group(&members);
+        for &r in &members {
+            fab.add_qp(r, Transport::Rc, 0);
+            fab.set_app(
+                r,
+                Box::new(Rs {
+                    group,
+                    got: 0,
+                    tx_done: false,
+                }),
+            );
+        }
+        let stats = fab.run();
+        assert!(stats.all_done(), "{stats:?}");
+        assert_eq!(fab.inner.live_pkts(), 0, "slab entries leaked");
+        // In flight at once: at most one packet per NIC plus what the
+        // switches hold — far below the 8 · 7 · 3 = 168 posted.
+        assert!(
+            fab.inner.pkt_slab.len() < 64,
+            "{}",
+            fab.inner.pkt_slab.len()
+        );
+        for nic in &fab.inner.nics {
+            for q in &nic.tx_queues {
+                assert!(q.is_empty());
+                assert_eq!(q.capacity(), 0, "drained queue kept its buffer");
+            }
+        }
+        assert!(fab.inner.inc_arrivals.is_empty());
+        assert!(fab.inner.inc_live.values().all(|&live| live == 0));
     }
 
     #[test]

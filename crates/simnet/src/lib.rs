@@ -43,7 +43,7 @@ pub mod routing;
 pub mod time;
 pub mod topology;
 
-pub use app::{Ctx, Payload, RankApp};
+pub use app::{Ctx, MsgSegments, Payload, RankApp};
 pub use config::{DropModel, FabricConfig, HostModel};
 pub use counters::{LinkCounters, TrafficReport};
 pub use event::{EventQueue, QueueBackend};

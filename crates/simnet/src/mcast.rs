@@ -25,7 +25,9 @@ use std::collections::HashSet;
 pub struct McastTree {
     group: McastGroupId,
     members: Vec<Rank>,
-    member_set: HashSet<Rank>,
+    /// `is_member[rank]`, dense over the fabric's ranks — every post
+    /// checks membership, so it is a load, not a hash probe.
+    is_member: Vec<bool>,
     /// For every node, the directed links leaving it along tree edges
     /// (both "up" and "down" directions are present, since a packet
     /// entering mid-tree must also climb toward the root). Empty for
@@ -72,8 +74,13 @@ impl McastTree {
         avoid: &[NodeId],
     ) -> Option<McastTree> {
         assert!(members.len() >= 2, "multicast group needs ≥ 2 members");
-        let member_set: HashSet<Rank> = members.iter().copied().collect();
-        assert_eq!(member_set.len(), members.len(), "duplicate members");
+        let mut is_member = vec![false; topo.num_hosts()];
+        for m in members {
+            assert!(
+                !std::mem::replace(&mut is_member[m.idx()], true),
+                "duplicate members"
+            );
+        }
         let avoided = |n: NodeId| avoid.contains(&n);
 
         let mut adj: Vec<Vec<LinkId>> = vec![Vec::new(); topo.num_nodes()];
@@ -165,7 +172,7 @@ impl McastTree {
         Some(McastTree {
             group,
             members: members.to_vec(),
-            member_set,
+            is_member,
             adj,
             tree_nodes,
             edges,
@@ -185,8 +192,9 @@ impl McastTree {
     }
 
     /// Is `rank` attached?
+    #[inline]
     pub fn is_member(&self, rank: Rank) -> bool {
-        self.member_set.contains(&rank)
+        self.is_member.get(rank.idx()).is_some_and(|&m| m)
     }
 
     /// Number of undirected tree edges.

@@ -85,6 +85,8 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     links: Vec<Link>,
     host_of_rank: Vec<NodeId>,
+    /// Highest switch level present, fixed when the builder finishes.
+    top_level: u8,
 }
 
 impl Topology {
@@ -211,16 +213,10 @@ impl Topology {
             .collect()
     }
 
-    /// The highest switch level present.
+    /// The highest switch level present (0 for a switchless topology).
+    #[inline]
     pub fn top_level(&self) -> u8 {
-        self.nodes
-            .iter()
-            .map(|n| match n.kind {
-                NodeKind::Host(_) => 0,
-                NodeKind::Switch { level } => level,
-            })
-            .max()
-            .unwrap_or(0)
+        self.top_level
     }
 
     // ----------------------------------------------------------------- //
@@ -473,11 +469,21 @@ impl Builder {
         for (i, (r, _)) in host_of_rank.iter().enumerate() {
             assert_eq!(r.0 as usize, i, "ranks must be dense 0..P");
         }
+        let top_level = self
+            .nodes
+            .iter()
+            .map(|n| match n.kind {
+                NodeKind::Host(_) => 0,
+                NodeKind::Switch { level } => level,
+            })
+            .max()
+            .unwrap_or(0);
         Topology {
             name: self.name,
             nodes: self.nodes,
             links: self.links,
             host_of_rank: host_of_rank.into_iter().map(|(_, n)| n).collect(),
+            top_level,
         }
     }
 }
@@ -547,6 +553,15 @@ mod tests {
                 assert!(ports <= 32, "level-{lvl} switch uses {ports} ports");
             }
         }
+    }
+
+    #[test]
+    fn top_level_is_recorded_per_builder() {
+        let rate = LinkRate::CX3_56G;
+        assert_eq!(Topology::back_to_back(rate, 100).top_level(), 0);
+        assert_eq!(Topology::single_switch(4, rate, 100).top_level(), 1);
+        assert_eq!(Topology::ucc_testbed().top_level(), 2);
+        assert_eq!(Topology::fat_tree_512(rate).top_level(), 3);
     }
 
     #[test]
