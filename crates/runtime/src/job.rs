@@ -35,7 +35,7 @@ impl fmt::Display for JobId {
 }
 
 /// Which collective a job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum JobKind {
     /// One root multicasts `send_len` bytes to every rank.
     Broadcast {

@@ -60,5 +60,5 @@ pub use job::{AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, RejectReason, 
 pub use mcag_offload::BackendKind;
 pub use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace, TraceSpec};
 pub use pool::{AcquireOutcome, GroupKey, McastGroupPool, PoolConfig, PoolStats};
-pub use sched::{BatchReport, ReactivePolicy, Runtime, RuntimeConfig};
+pub use sched::{BatchReport, MemoStats, ReactivePolicy, Runtime, RuntimeConfig};
 pub use stats::{JobRecord, PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};

@@ -27,7 +27,10 @@
 //! [`JobRecord`](crate::stats::JobRecord)s). Formation never reads a
 //! simulation result, so simulations may run out of order or
 //! concurrently; merges commit in a fixed order, which makes every
-//! report a pure function of the submission stream.
+//! report a pure function of the submission stream. Between formation
+//! and simulation sits **replay** ([`memo`]): a batch shape this
+//! runtime has simulated before gets its stored outcome back, so the
+//! fabric runs once per recurring shape rather than once per batch.
 //!
 //! ## Closed loop vs open loop
 //!
@@ -46,6 +49,7 @@
 //! byte-identical for any worker count.
 
 mod form;
+mod memo;
 mod merge;
 mod sim;
 
@@ -57,11 +61,12 @@ use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
 use form::{FormMode, FormedBatch};
 use mcag_core::{des, ProtocolConfig};
-use mcag_exec::par_map;
 use mcag_offload::BackendKind;
 use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
 use mcag_trace::{Marker, RuntimeTrace, TraceSpec};
-use sim::{simulate_batch, BatchOutcome};
+use memo::BatchMemo;
+pub use memo::MemoStats;
+use sim::BatchOutcome;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -128,8 +133,12 @@ impl Default for ReactivePolicy {
 /// Everything the runtime needs to know up front.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Fabric model shared by every batch (per-batch seeds derive from
-    /// `fabric.seed`, so runs are deterministic end to end).
+    /// Fabric model shared by every batch. Batch `i` runs with seed
+    /// `fabric.seed + i`, so runs are deterministic end to end; the seed
+    /// changes a result only when [`FabricConfig::uses_rng`] (adaptive
+    /// routing or random corruption). Otherwise batches of one shape are
+    /// interchangeable and the runtime replays a recurring shape's
+    /// outcome instead of simulating it again ([`Runtime::memo_stats`]).
     pub fabric: FabricConfig,
     /// Protocol knobs applied to every job.
     pub proto: ProtocolConfig,
@@ -234,7 +243,8 @@ pub struct Runtime {
     batches: u64,
     /// Batches formed so far (equals `batches` between waves; runs ahead
     /// of it while formed batches await simulation + merge). Per-batch
-    /// fabric seeds derive from this index.
+    /// fabric seeds derive from this index — which is all the index
+    /// feeds, and a seed matters only when `cfg.fabric.uses_rng()`.
     formed: u64,
     delivered_bytes: u64,
     moved_bytes: u64,
@@ -276,6 +286,8 @@ pub struct Runtime {
     retry: RetryStats,
     /// Accumulating trace document (`Some` iff `cfg.trace` is).
     trace: Option<RuntimeTrace>,
+    /// Outcomes of recurring batch shapes ([`Runtime::simulate`]).
+    memo: BatchMemo,
 }
 
 impl Runtime {
@@ -284,6 +296,13 @@ impl Runtime {
         assert!(topo.num_hosts() >= 2, "runtime needs at least two ranks");
         assert!(cfg.max_inflight >= 1, "max_inflight must be positive");
         assert!(cfg.partitions >= 1, "need at least one fabric partition");
+        // A full batch gives slot `i` the collective ids 2i+1 and 2i+2.
+        assert!(
+            2 * cfg.max_inflight as u64 + 2 <= cfg.proto.imm.max_coll_id() as u64,
+            "max_inflight of {} exceeds the immediate-layout collective-id space ({} ids)",
+            cfg.max_inflight,
+            cfg.proto.imm.max_coll_id()
+        );
         assert!(
             cfg.partition_faults.is_empty() || cfg.partition_faults.len() == cfg.partitions,
             "partition_faults must name every partition ({} schedules for {} partitions)",
@@ -355,6 +374,7 @@ impl Runtime {
             partition_hosts,
             retry: RetryStats::default(),
             trace,
+            memo: BatchMemo::default(),
         }
     }
 
@@ -454,6 +474,10 @@ impl Runtime {
     /// open-loop run. Rows must not be in the past; they are merged,
     /// stably, with anything already scheduled.
     pub fn load_arrivals(&mut self, rows: &[Arrival]) {
+        // One record at most per arrival: size both vectors once rather
+        // than doubling past the stream's length.
+        self.arrivals.reserve(rows.len());
+        self.records.reserve(rows.len());
         for &row in rows {
             self.submit_at(row.arrival_ns, row.tenant, row.kind, row.send_len);
         }
@@ -561,7 +585,7 @@ impl Runtime {
     pub fn run_next_batch(&mut self) -> Option<BatchReport> {
         self.admit_due_retries();
         let formed = self.form_batch(FormMode::Sequential)?;
-        let outcome = simulate_batch(&formed.sim);
+        let outcome = self.simulate(1, std::slice::from_ref(&formed)).remove(0);
         let start = self.now_ns;
         Some(self.merge_batch(formed, outcome, start))
     }
@@ -608,7 +632,7 @@ impl Runtime {
                     None => break,
                 }
             }
-            let outcomes = par_map(jobs, &formed, |fb| simulate_batch(&fb.sim));
+            let outcomes = self.simulate(jobs, &formed);
             for (fb, outcome) in formed.into_iter().zip(outcomes) {
                 let start = self.now_ns;
                 self.merge_batch(fb, outcome, start);
@@ -644,38 +668,54 @@ impl Runtime {
     pub fn run_open_loop_jobs(&mut self, jobs: usize) -> RuntimeReport {
         assert!(jobs >= 1, "need at least one worker");
         loop {
-            self.admit_due_arrivals();
-            self.admit_due_retries();
-            self.launch_ready(jobs);
-            let next_done = self.inflight.iter().map(|b| b.done_ns).min();
-            let next_arrival = self.arrivals.get(self.arrival_cursor).map(|a| a.arrival_ns);
-            let next_retry = self.retry_queue.front().map(|&(ready_ns, _)| ready_ns);
-            let t = [next_done, next_arrival, next_retry]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(t) = t else {
-                // Nothing in flight, nothing to come, nothing parked.
-                // Admission caps group demand at the pool capacity and
-                // idle tenants at an empty engine are always ready, so
-                // an empty launch here means an empty queue — unless
-                // the reactive scheduler is quarantining every damaged
-                // partition; the progress guarantee in
-                // `free_partition` forbids that with nothing in flight.
-                assert!(
-                    self.queue.is_empty() && self.retry_queue.is_empty(),
-                    "open-loop engine stalled with {} pending and {} parked jobs",
-                    self.queue.len(),
-                    self.retry_queue.len()
-                );
+            self.launch_due(jobs);
+            if !self.advance_clock() {
                 break;
-            };
-            self.now_ns = self.now_ns.max(t);
-            if next_done == Some(t) {
-                self.commit_due(t);
             }
         }
         self.report()
+    }
+
+    /// First half of an open-loop turn: admit what is due at the current
+    /// virtual time and launch every batch that fits.
+    fn launch_due(&mut self, jobs: usize) {
+        self.admit_due_arrivals();
+        self.admit_due_retries();
+        self.launch_ready(jobs);
+    }
+
+    /// Second half: jump the clock to the next completion, arrival or
+    /// retry deadline and commit the batches completing there. `false`
+    /// when nothing is left to wait for.
+    fn advance_clock(&mut self) -> bool {
+        let next_done = self.inflight.iter().map(|b| b.done_ns).min();
+        let next_arrival = self.arrivals.get(self.arrival_cursor).map(|a| a.arrival_ns);
+        let next_retry = self.retry_queue.front().map(|&(ready_ns, _)| ready_ns);
+        let t = [next_done, next_arrival, next_retry]
+            .into_iter()
+            .flatten()
+            .min();
+        let Some(t) = t else {
+            // Nothing in flight, nothing to come, nothing parked.
+            // Admission caps group demand at the pool capacity and
+            // idle tenants at an empty engine are always ready, so
+            // an empty launch here means an empty queue — unless
+            // the reactive scheduler is quarantining every damaged
+            // partition; the progress guarantee in
+            // `free_partition` forbids that with nothing in flight.
+            assert!(
+                self.queue.is_empty() && self.retry_queue.is_empty(),
+                "open-loop engine stalled with {} pending and {} parked jobs",
+                self.queue.len(),
+                self.retry_queue.len()
+            );
+            return false;
+        };
+        self.now_ns = self.now_ns.max(t);
+        if next_done == Some(t) {
+            self.commit_due(t);
+        }
+        true
     }
 
     /// Re-queue every parked retry whose backoff deadline has passed, at
@@ -756,7 +796,7 @@ impl Runtime {
         if newly.is_empty() {
             return;
         }
-        let outcomes = par_map(jobs, &newly, |fb| simulate_batch(&fb.sim));
+        let outcomes = self.simulate(jobs, &newly);
         for (fb, outcome) in newly.into_iter().zip(outcomes) {
             // Mid-batch SM rebuilds extend the batch's occupancy (the
             // same detach + reprogram the pool bills for an eviction);
@@ -1452,6 +1492,18 @@ mod tests {
         let cfg = RuntimeConfig {
             partitions: 2,
             partition_backends: vec![BackendKind::DpaBf3],
+            ..RuntimeConfig::default()
+        };
+        Runtime::new(star(4), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the immediate-layout collective-id space")]
+    fn unaddressable_max_inflight_panics_at_construction() {
+        // 255 collective ids address 126 slots (ids 2i+1, 2i+2); the
+        // 127th is found here, not when a batch first fills.
+        let cfg = RuntimeConfig {
+            max_inflight: 127,
             ..RuntimeConfig::default()
         };
         Runtime::new(star(4), cfg);

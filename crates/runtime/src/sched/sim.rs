@@ -4,6 +4,17 @@
 //! function of a self-contained [`BatchSim`], which is what lets formed
 //! batches execute out of order (and concurrently, via `mcag-exec`)
 //! while the runtime commits their results in virtual-time order.
+//!
+//! That purity is **relied on**, not just enjoyed: the batch-outcome
+//! memo ([`super::memo`]) replays a stored [`BatchOutcome`] instead of
+//! calling [`simulate_batch`] when a batch's shape recurs. Anything
+//! `simulate_batch` reads must therefore be either part of the memo's
+//! `BatchKey` (the partition and each slot's kind, root and length — what
+//! `form_batch` varies) or constant for the lifetime of one `Runtime`
+//! (every other `BatchSim` field). The one per-batch input outside the
+//! key, `fabric.seed`, is read only when `FabricConfig::uses_rng()`, and
+//! then the memo is bypassed. Debug builds re-simulate every replayed
+//! batch and compare, so a field that breaks this rule fails tier-1.
 
 use crate::job::JobKind;
 use crate::mux::{SlotApp, TenantMuxApp};
@@ -48,6 +59,7 @@ pub(super) struct BatchSim {
 
 /// What one simulated batch produced (simulated-time results only; the
 /// merge phase threads them onto the virtual service timeline).
+#[derive(Debug, Clone, PartialEq)]
 pub(super) struct BatchOutcome {
     /// Fabric time from launch to quiescence — or to the recovery
     /// cutoff, when the batch timed out.

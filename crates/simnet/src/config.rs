@@ -100,7 +100,8 @@ pub struct FabricConfig {
     /// routing) — packets of one flow may arrive out of order, exercising
     /// the staging-based OOO tolerance of the receive path.
     pub adaptive_routing: bool,
-    /// RNG seed for drops and adaptive routing.
+    /// RNG seed for drops and adaptive routing; it changes nothing
+    /// unless [`uses_rng`](FabricConfig::uses_rng).
     pub seed: u64,
     /// Safety valve: abort if the event count explodes.
     pub max_events: u64,
@@ -158,6 +159,20 @@ impl FabricConfig {
             ..FabricConfig::ucc_default()
         }
     }
+
+    /// Whether a fabric built from this configuration ever draws from
+    /// its RNG, i.e. whether [`seed`](FabricConfig::seed) can change a
+    /// result. `fabric.rs` has two draw sites: `unicast_path` picks a
+    /// random up/down-link per packet under
+    /// [`adaptive_routing`](FabricConfig::adaptive_routing), and the
+    /// per-traversal corruption check in the link accounting draws when
+    /// [`drops`](FabricConfig::drops)`.fabric_drop_prob > 0`. Forced
+    /// drops, fault schedules and deterministic routing never draw. A
+    /// new draw site must be listed here: `mcag-runtime` replays the
+    /// outcome of a recurring batch only while this is false.
+    pub fn uses_rng(&self) -> bool {
+        self.adaptive_routing || self.drops.fabric_drop_prob > 0.0
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +186,23 @@ mod tests {
         assert_eq!(c.host.rq_depth, 8192);
         assert_eq!(c.drops.fabric_drop_prob, 0.0);
         assert!(!c.adaptive_routing);
+    }
+
+    #[test]
+    fn only_adaptive_routing_and_random_drops_use_the_rng() {
+        let mut c = FabricConfig::ucc_default();
+        assert!(!c.uses_rng());
+        c.drops.forced.insert((0, 0, 1));
+        c.seed = 7;
+        assert!(
+            !c.uses_rng(),
+            "forced drops and the seed itself draw nothing"
+        );
+        c.adaptive_routing = true;
+        assert!(c.uses_rng());
+        c.adaptive_routing = false;
+        c.drops = DropModel::uniform(1e-3);
+        assert!(c.uses_rng());
     }
 
     #[test]

@@ -1051,6 +1051,7 @@ impl<M: Clone + 'static> Inner<M> {
 
     fn unicast_path(&mut self, src: Rank, dst: Rank) -> Arc<[LinkId]> {
         if self.cfg.adaptive_routing {
+            // RNG draw site 1 of 2 (`FabricConfig::uses_rng`).
             let p = routing::route(&self.topo, src, dst, RouteMode::Adaptive, 0, &mut self.rng);
             return p.into();
         }
@@ -1297,6 +1298,7 @@ impl<M: Clone + 'static> Inner<M> {
         }
         if !reliable && self.cfg.drops.fabric_drop_prob > 0.0 {
             let p = self.cfg.drops.fabric_drop_prob;
+            // RNG draw site 2 of 2 (`FabricConfig::uses_rng`).
             if self.rng.random_bool(p) {
                 self.counters[link.idx()].drops += 1;
                 if let Some(t) = self.trace.as_mut() {

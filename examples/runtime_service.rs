@@ -25,8 +25,8 @@
 //! ```
 
 use mcast_allgather::runtime::{
-    JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport, RuntimeTrace,
-    Workload,
+    JobKind, MemoStats, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport,
+    RuntimeTrace, Workload,
 };
 use mcast_allgather::simnet::Topology;
 use mcast_allgather::trace::{
@@ -135,9 +135,10 @@ fn main() {
     // Act two: the same service under an open-loop Poisson arrival
     // stream — jobs land on the virtual clock instead of being
     // pre-queued, and batches pipeline across two fabric partitions.
-    let open = run_open_loop_service();
-    let open_again = run_open_loop_service();
+    let (open, memo) = run_open_loop_service();
+    let (open_again, memo_again) = run_open_loop_service();
     assert_eq!(open, open_again, "open-loop runtime must be deterministic");
+    assert_eq!(memo, memo_again);
     assert!(open.completed_jobs() > 0);
     assert!(
         open.partitions.iter().all(|p| p.batches > 0),
@@ -161,6 +162,12 @@ fn main() {
         open.partitions[0].batches,
         open.partitions[1].batches,
         open.utilization() * 100.0,
+    );
+    // Host-side only: a batch shape seen before is replayed, not
+    // simulated again (the report is the same either way).
+    println!(
+        "batch memo         : {} of {} batches replayed, {} simulated ({} shapes seen, {} recurred)",
+        memo.hits, open.batches, memo.misses, memo.seen, memo.cached,
     );
 
     // Act three: the same burst with the flight recorder attached.
@@ -246,7 +253,7 @@ fn run_traced_burst() -> (RuntimeReport, RuntimeTrace) {
     (report, trace)
 }
 
-fn run_open_loop_service() -> RuntimeReport {
+fn run_open_loop_service() -> (RuntimeReport, MemoStats) {
     let topo = Topology::single_switch(8, LinkRate::CX3_56G, 100);
     let cfg = RuntimeConfig {
         pool: PoolConfig::with_capacity(24),
@@ -271,5 +278,6 @@ fn run_open_loop_service() -> RuntimeReport {
         seed: 2024,
     };
     rt.load_arrivals(&workload.generate());
-    rt.run_open_loop()
+    let report = rt.run_open_loop();
+    (report, rt.memo_stats())
 }
