@@ -1,7 +1,7 @@
 //! Latency-vs-offered-load study of the open-loop multi-tenant runtime
 //! (`mcag-runtime`, beyond the paper's figures): the experiment the
-//! closed-loop `runtime_multitenant` sweep cannot run, because a
-//! pre-filled queue has no notion of *offered* load.
+//! `runtime_multitenant` sweep cannot run, because its pre-filled queue
+//! has no notion of *offered* load.
 //!
 //! Every cell is one open-loop run: a seeded Poisson (or bursty
 //! modulated) arrival stream over an NCCL-style op/size mix, driven

@@ -38,7 +38,7 @@ pub fn run_scenario(tenants: usize, capacity: usize) -> RuntimeReport {
                 .expect("admission");
         }
     }
-    rt.run_to_completion()
+    rt.run_open_loop()
 }
 
 /// Tenant-count × pool-capacity sweep. Each scenario is an independent
@@ -94,4 +94,40 @@ pub fn runtime_multitenant(jobs: usize) -> FigData {
     f.note("hit rate grows monotonically with capacity (LRU inclusion); once the table holds every tenant's trees, rebuild churn disappears and queueing is pure fabric contention");
     f.note("small pools also shrink batches (a batch pins at most `capacity` groups), so capacity starves parallelism twice: SM reprogramming time and fewer concurrent jobs");
     f
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tracefigs::fnv;
+
+    /// `(tenants, capacity, FNV-1a of format!("{report:?}"))` for the 12
+    /// cells of the sweep, recorded at the commit before the closed-loop
+    /// drivers were deleted.
+    const SCENARIO_DIGESTS: [(usize, usize, u64); 12] = [
+        (4, 2, 0xe108b5ddb8631509),
+        (4, 4, 0x072f87184017dd0f),
+        (4, 8, 0x072f87184017dd0f),
+        (4, 16, 0x072f87184017dd0f),
+        (8, 2, 0x39b31b881ffb7c98),
+        (8, 4, 0x3cebb0637ac7b79a),
+        (8, 8, 0x7caf4756f8aa6a13),
+        (8, 16, 0x7caf4756f8aa6a13),
+        (16, 2, 0x3484a136e48dabec),
+        (16, 4, 0x962a085f3998af9f),
+        (16, 8, 0xc1875f1aeb7ce19a),
+        (16, 16, 0x001d371247733471),
+    ];
+
+    #[test]
+    fn scenario_reports_match_recorded_digests() {
+        for (tenants, capacity, digest) in SCENARIO_DIGESTS {
+            let report = run_scenario(tenants, capacity);
+            assert_eq!(
+                fnv(&format!("{report:?}")),
+                digest,
+                "tenants={tenants} capacity={capacity}"
+            );
+        }
+    }
 }

@@ -64,7 +64,7 @@ pub fn pre_trace_anchor_eps() -> f64 {
 }
 
 /// FNV-1a over a string (digest cells for byte-stability checks).
-fn fnv(s: &str) -> u64 {
+pub(crate) fn fnv(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.as_bytes() {
         h ^= *b as u64;

@@ -95,8 +95,8 @@ impl IncRsApp {
     }
 
     /// Namespace this instance's drain token (communicator index times
-    /// [`TOKEN_STRIDE`](crate::protocol::TOKEN_STRIDE)) so several
-    /// protocol instances sharing one rank never collide.
+    /// [`TOKEN_STRIDE`]) so several protocol instances sharing one rank
+    /// never collide.
     pub fn set_token_base(&mut self, base: u64) {
         self.token_base = base;
     }

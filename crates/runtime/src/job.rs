@@ -218,12 +218,12 @@ impl Lane {
 ///
 /// Lanes live in a dense slab indexed by [`TenantId`], and a sorted
 /// **ready index** tracks exactly the tenants that are schedulable
-/// (non-empty lane, not marked busy by an in-flight batch). Wave
+/// (non-empty lane, not marked busy by an in-flight batch). Batch
 /// formation therefore walks `O(ready tenants)` — independent of how
 /// many tenants are registered — which is what lets the open-loop
-/// sweeps scale to thousands of mostly-idle tenants. [`queued_for`]
-/// (`JobQueue::queued_for`) is an `O(1)` lane-length lookup, never a
-/// queue scan.
+/// sweeps scale to thousands of mostly-idle tenants.
+/// [`queued_for`](JobQueue::queued_for) is an `O(1)` lane-length
+/// lookup, never a queue scan.
 #[derive(Debug, Clone, Default)]
 pub struct JobQueue {
     lanes: Vec<Lane>,

@@ -38,7 +38,7 @@
 //! let mut rt = Runtime::new(topo, RuntimeConfig::default());
 //! let tenant = rt.register_tenant("trainer-a");
 //! rt.submit(tenant, JobKind::Allgather, 32 << 10).unwrap();
-//! let report = rt.run_to_completion();
+//! let report = rt.run_open_loop();
 //! assert_eq!(report.completed_jobs(), 1);
 //! assert!(report.makespan_ns > 0);
 //! ```
@@ -60,5 +60,5 @@ pub use job::{AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, RejectReason, 
 pub use mcag_offload::BackendKind;
 pub use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace, TraceSpec};
 pub use pool::{AcquireOutcome, GroupKey, McastGroupPool, PoolConfig, PoolStats};
-pub use sched::{BatchReport, MemoStats, ReactivePolicy, Runtime, RuntimeConfig};
+pub use sched::{MemoStats, ReactivePolicy, Runtime, RuntimeConfig};
 pub use stats::{JobRecord, PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};

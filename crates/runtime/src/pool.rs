@@ -237,17 +237,9 @@ impl McastGroupPool {
         self.cfg.rebuild_ns * n as u64
     }
 
-    /// Unpin every group (batch finished); resident entries stay cached
-    /// for reuse by later batches.
-    pub fn unpin_all(&mut self) {
-        for slot in self.resident.values_mut() {
-            slot.pinned = false;
-        }
-        self.pinned = 0;
-    }
-
-    /// Unpin exactly the given keys (one overlapping batch finished);
-    /// other in-flight batches' groups stay pinned. Keys evict-raced
+    /// Unpin exactly the given keys (their batch finished): resident
+    /// entries stay cached for reuse by later batches, and other
+    /// in-flight batches' groups stay pinned. Keys evict-raced
     /// away cannot exist here: pinned entries are never eviction victims,
     /// so every key a batch acquired is still resident when it unpins.
     pub fn unpin(&mut self, keys: &[GroupKey]) {
@@ -281,7 +273,7 @@ mod tests {
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Built);
         assert_eq!(c, PoolConfig::default().build_ns);
-        pool.unpin_all();
+        pool.unpin(&[key(0, 0)]);
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Hit);
         assert_eq!(c, 0);
@@ -294,10 +286,10 @@ mod tests {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(2));
         pool.acquire(key(0, 0));
         pool.acquire(key(1, 0));
-        pool.unpin_all();
+        pool.unpin(&[key(0, 0), key(1, 0)]);
         // Touch tenant 0 so tenant 1 becomes LRU.
         pool.acquire(key(0, 0));
-        pool.unpin_all();
+        pool.unpin(&[key(0, 0)]);
         let (o, _) = pool.acquire(key(2, 0));
         assert_eq!(o, AcquireOutcome::Rebuilt);
         assert!(pool.is_resident(key(0, 0)), "MRU entry survived");
@@ -309,7 +301,7 @@ mod tests {
     fn pinned_groups_never_evicted() {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(2));
         pool.acquire(key(0, 0)); // pinned, oldest
-        pool.unpin_all();
+        pool.unpin(&[key(0, 0)]);
         pool.acquire(key(1, 0)); // pinned
         pool.acquire(key(2, 0)); // must evict the unpinned key(0,0)
         assert!(pool.is_resident(key(1, 0)));
@@ -344,21 +336,20 @@ mod tests {
         // Re-acquiring an already-pinned group must not double-count.
         pool.acquire(key(1, 0));
         assert_eq!(pool.pinned_groups(), 2);
-        pool.unpin_all();
+        pool.unpin(&[key(1, 0), key(2, 0)]);
         assert_eq!(pool.headroom(), 3);
     }
 
     #[test]
     fn hit_rate_counts() {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(4));
-        for t in 0..4 {
-            pool.acquire(key(t, 0));
+        let keys: Vec<GroupKey> = (0..4).map(|t| key(t, 0)).collect();
+        for _ in 0..2 {
+            for &k in &keys {
+                pool.acquire(k);
+            }
+            pool.unpin(&keys);
         }
-        pool.unpin_all();
-        for t in 0..4 {
-            pool.acquire(key(t, 0));
-        }
-        pool.unpin_all();
         let s = pool.stats();
         assert_eq!(s.acquisitions(), 8);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);

@@ -5,9 +5,12 @@
 //!
 //! Formation mutates only admission state — the indexed job queue and
 //! the group pool — never anything a simulation produces, which is what
-//! makes forming several batches ahead of their simulations legal (the
-//! closed-loop wave path) and what lets the open-loop engine hold
-//! multiple formed batches in flight on disjoint fabric partitions.
+//! lets the engine hold several formed batches in flight on disjoint
+//! fabric partitions. A formed batch owns its resources until it
+//! commits: its partition is occupied, its group budget is the pool's
+//! pinning headroom, its groups stay pinned, and its tenants' lanes are
+//! busy, so no later batch picks a communicator's next collective out of
+//! order.
 
 use super::sim::BatchSim;
 use super::Runtime;
@@ -21,26 +24,6 @@ use std::sync::Arc;
 /// (subgroup trees use `0..S`).
 pub(super) const RS_GROUP_INDEX: u32 = u32::MAX;
 
-/// How formation treats the shared admission state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum FormMode {
-    /// Closed-loop waves: batches run one at a time on partition 0, so
-    /// the whole pool capacity is the group budget, pins are released as
-    /// soon as the batch's residency is decided (the serial
-    /// acquire → run → unpin interleave), and tenants are not marked
-    /// busy — the next batch is formed knowing this one will have
-    /// committed first.
-    Sequential,
-    /// Open-loop pipelining: the batch overlaps others on the virtual
-    /// clock, so its group budget is the pool's *pinning headroom*, its
-    /// groups stay pinned until commit, and its tenants are marked busy
-    /// so no later batch picks their next job out of order.
-    Pipelined {
-        /// Fabric partition (SM domain) the batch will occupy.
-        partition: u32,
-    },
-}
-
 /// A batch that passed formation (jobs picked, groups pinned and paid
 /// for) and awaits simulation + merge.
 pub(super) struct FormedBatch {
@@ -50,10 +33,9 @@ pub(super) struct FormedBatch {
     pub(super) per_job_groups: Vec<(u32, u32, u32)>,
     /// Subnet-manager group programming time charged before launch.
     pub(super) setup_ns: u64,
-    /// Virtual time the batch was formed (= its dispatch start in the
-    /// open-loop engine; the closed-loop paths compute start at merge).
+    /// Virtual time the batch was formed, which is when it starts.
     pub(super) started_ns: u64,
-    /// Fabric partition the batch occupies (0 for closed-loop waves).
+    /// Fabric partition (SM domain) the batch occupies.
     pub(super) partition: u32,
     pub(super) sim: BatchSim,
 }
@@ -73,24 +55,25 @@ impl Runtime {
         keys
     }
 
-    /// Form the next batch under `mode`, or `None` if nothing
-    /// schedulable fits the mode's group budget.
-    pub(super) fn form_batch(&mut self, mode: FormMode) -> Option<FormedBatch> {
-        let budget = match mode {
-            FormMode::Sequential => self.pool.capacity(),
-            FormMode::Pipelined { .. } => self.pool.headroom(),
-        };
-        let picked = self.queue.pick_batch(self.cfg.max_inflight, budget);
+    /// Form the next batch and occupy `partition` with it, or `None` if
+    /// nothing schedulable fits the pool's pinning headroom.
+    pub(super) fn form_batch(&mut self, partition: u32) -> Option<FormedBatch> {
+        let picked = self
+            .queue
+            .pick_batch(self.cfg.max_inflight, self.pool.headroom());
         if picked.is_empty() {
             return None;
         }
         let index = self.formed;
         self.formed += 1;
+        self.partition_busy[partition as usize] = true;
         let proto = self.cfg.proto;
         let p = self.topo.num_hosts() as u32;
 
-        // Program the batch's groups (pinned from here on), charging
-        // subnet-manager time on the virtual clock.
+        // Program the batch's groups, charging subnet-manager time on
+        // the virtual clock. Groups stay pinned and lanes busy until
+        // commit: a tenant with a job in flight must not enter another
+        // batch (a communicator's collectives are ordered).
         let mut setup_ns = 0u64;
         let mut per_job_groups: Vec<(u32, u32, u32)> = Vec::with_capacity(picked.len());
         for job in &picked {
@@ -105,26 +88,8 @@ impl Runtime {
                 }
             }
             per_job_groups.push((hits, builds, rebuilds));
+            self.queue.mark_busy(job.spec.tenant);
         }
-        let partition = match mode {
-            FormMode::Sequential => {
-                // The batch's residency is decided; release the pins so
-                // the next formed batch sees the same LRU order the
-                // serial interleave (acquire → run → unpin → acquire …)
-                // would have produced.
-                self.pool.unpin_all();
-                0
-            }
-            FormMode::Pipelined { partition } => {
-                // Pins are held until commit; a tenant with a job in
-                // flight must not enter another batch (a communicator's
-                // collectives are ordered).
-                for job in &picked {
-                    self.queue.mark_busy(job.spec.tenant);
-                }
-                partition
-            }
-        };
 
         // Collective ids 2i+1 (AG/Bcast) and 2i+2 (RS) keep every stream
         // distinct in the immediate bits.
@@ -158,10 +123,6 @@ impl Runtime {
             fabric.host = *host;
             fabric.inc_table_capacity = *inc_cap;
         }
-        let (sm_rebuild, sm_check_cutoffs) = match &self.cfg.reactive {
-            Some(r) => (r.sm_rebuild, r.sm_check_cutoffs),
-            None => (false, 0),
-        };
         let plans = picked
             .iter()
             .enumerate()
@@ -193,8 +154,7 @@ impl Runtime {
             plans,
             with_rs,
             watchdog_cutoffs: self.cfg.watchdog_cutoffs,
-            sm_rebuild,
-            sm_check_cutoffs,
+            sm_check_cutoffs: self.cfg.reactive.map(|r| r.sm_check_cutoffs),
         };
         Some(FormedBatch {
             index,

@@ -78,12 +78,8 @@ impl BatchKey {
 }
 
 /// Host-side replay counters of one [`Runtime`] (see
-/// [`Runtime::memo_stats`]). Not part of
-/// [`RuntimeReport`](crate::stats::RuntimeReport) or any digest: the
-/// serial [`Runtime::run_to_completion`] consults the memo once a batch
-/// while the wave paths consult it once a wave, so the two reach the
-/// same report through different hit counts. Within one path the
-/// numbers are identical at any worker count.
+/// [`Runtime::memo_stats`]): identical at any worker count, but not
+/// part of [`RuntimeReport`](crate::stats::RuntimeReport) or any digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Batches answered from a stored outcome.
@@ -123,7 +119,7 @@ impl BatchMemo {
             .entry(key.fingerprint())
             .and_modify(|entry| {
                 // An entry that is already `Some` was filled earlier in
-                // this wave, or by a colliding shape: it stays.
+                // this launch, or by a colliding shape: it stays.
                 entry.get_or_insert_with(|| Box::new((key, outcome.clone())));
             })
             .or_insert(None);
@@ -197,9 +193,10 @@ mod tests {
     use crate::arrivals::{merge_arrivals, nccl_style_trace, OpMix, RateProcess, Workload};
     use crate::job::TenantId;
     use crate::pool::PoolConfig;
+    use crate::sched::tests::flapping;
     use crate::sched::RuntimeConfig;
     use crate::stats::RuntimeReport;
-    use mcag_simnet::{DropModel, LinkId, LinkSchedule, LinkStateEvent, Topology};
+    use mcag_simnet::{DropModel, LinkSchedule, Topology};
     use mcag_trace::TraceSpec;
     use mcag_verbs::{LinkRate, Rank};
 
@@ -207,22 +204,6 @@ mod tests {
 
     fn star() -> Topology {
         Topology::single_switch(4, LinkRate::CX3_56G, 100)
-    }
-
-    /// The switch port towards rank 0 goes down for 10 µs out of every
-    /// 30, for the first 3 ms of every batch: datagrams crossing it are
-    /// lost and fetched again.
-    fn flapping() -> LinkSchedule {
-        LinkSchedule::new(
-            (0..100u64)
-                .flat_map(|i| {
-                    [
-                        LinkStateEvent::down(5_000 + i * 30_000, LinkId(1)),
-                        LinkStateEvent::up(15_000 + i * 30_000, LinkId(1)),
-                    ]
-                })
-                .collect(),
-        )
     }
 
     fn runtime(cfg: RuntimeConfig, tenants: usize) -> (Runtime, Vec<TenantId>) {
@@ -317,13 +298,19 @@ mod tests {
                 rt.submit(tenant, kind, send_len).unwrap();
             }
             let (moved, jobs) = (rt.moved_bytes, rt.records.len());
-            let batch = rt.run_next_batch().expect("jobs were queued");
-            assert_eq!(batch.jobs.len(), shape.len(), "the shape is one batch");
+            rt.launch_due(1);
+            let [batch] = &rt.inflight[..] else {
+                panic!("the shape is one batch");
+            };
+            assert_eq!(batch.formed.picked.len(), shape.len());
+            let batch_ns = batch.outcome.batch_ns;
+            let dispatch_ns = batch.formed.started_ns + batch.formed.setup_ns;
+            assert!(rt.advance_clock(), "the batch commits");
             let offsets = rt.records[jobs..]
                 .iter()
-                .map(|rec| rec.finished_ns - batch.started_ns - batch.setup_ns)
+                .map(|rec| rec.finished_ns - dispatch_ns)
                 .collect();
-            last = Some((batch.batch_ns, rt.moved_bytes - moved, offsets));
+            last = Some((batch_ns, rt.moved_bytes - moved, offsets));
         }
         last.unwrap()
     }

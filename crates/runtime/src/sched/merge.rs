@@ -4,10 +4,9 @@
 //!
 //! The merge rule is what makes out-of-order simulation deterministic:
 //! batches may *simulate* in any order (or concurrently), but they
-//! *commit* here in a fixed order — batch order for the closed-loop wave
-//! paths, virtual completion-time order (ties broken by batch index) for
-//! the open-loop engine — so the clock, the EWMA throttle state, and
-//! every report field are pure functions of the submission stream.
+//! *commit* here in virtual completion-time order (ties broken by batch
+//! index), so the clock, the EWMA throttle state, and every report field
+//! are pure functions of the submission stream.
 //!
 //! This is also where the fault response is decided: a slot censored at
 //! the batch's recovery cutoff either re-enters the scheduler through
@@ -18,30 +17,23 @@
 
 use super::form::FormedBatch;
 use super::sim::{delivered_bytes, BatchOutcome};
-use super::{BatchReport, Runtime};
+use super::Runtime;
 use crate::job::PendingJob;
 use crate::stats::JobRecord;
 use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan};
 
 impl Runtime {
-    /// Commit one simulated batch at virtual time `batch_start`,
-    /// emitting its job records. The closed-loop paths pass the current
-    /// clock (batches run back to back); the open-loop engine passes the
-    /// batch's formation time (batches overlap).
-    pub(super) fn merge_batch(
-        &mut self,
-        formed: FormedBatch,
-        outcome: BatchOutcome,
-        batch_start: u64,
-    ) -> BatchReport {
+    /// Commit one simulated batch, emitting its job records. The batch
+    /// started when it was formed (batches overlap across partitions).
+    pub(super) fn merge_batch(&mut self, formed: FormedBatch, outcome: BatchOutcome) {
         let FormedBatch {
             index,
             picked,
             per_job_groups,
             setup_ns,
+            started_ns: batch_start,
             partition,
             sim,
-            ..
         } = formed;
         self.moved_bytes += outcome.moved_bytes;
         let reactive = self.cfg.reactive;
@@ -57,9 +49,7 @@ impl Runtime {
         // dispatch; group programming happens before data flies.
         let dispatch_ns = batch_start + setup_ns;
         let done_ns = dispatch_ns + outcome.batch_ns + recovery_ns;
-        let mut job_ids = Vec::with_capacity(picked.len());
         for (i, job) in picked.iter().enumerate() {
-            job_ids.push(job.id);
             let censored = outcome.slot_timed_out[i];
             if censored {
                 self.retry.timed_out_slots += 1;
@@ -169,7 +159,7 @@ impl Runtime {
             tr.batches.push(BatchSpan {
                 batch: index,
                 partition,
-                jobs: job_ids.len() as u32,
+                jobs: picked.len() as u32,
                 start_ns: batch_start,
                 setup_ns,
                 end_ns: done_ns,
@@ -206,12 +196,5 @@ impl Runtime {
         ps.fault_drops += outcome.fault_drops;
         ps.downtime_ns += outcome.downtime_ns;
         ps.timeouts += outcome.timed_out as u64;
-        BatchReport {
-            index,
-            started_ns: batch_start,
-            setup_ns,
-            batch_ns: outcome.batch_ns + recovery_ns,
-            jobs: job_ids,
-        }
     }
 }

@@ -20,33 +20,34 @@
 //! ## Phases: form / simulate / merge
 //!
 //! A batch's lifecycle is split across the submodules: **formation**
-//! ([`form`] — pick jobs, acquire/pin multicast groups, charge SM
+//! (`form` — pick jobs, acquire/pin multicast groups, charge SM
 //! programming time; order-sensitive and cheap), **simulation**
-//! ([`sim`] — the expensive fabric run, a self-contained [`Send`] job),
-//! and **merge** ([`merge`] — thread the virtual clock, emit
+//! (`sim` — the expensive fabric run, a self-contained [`Send`] job),
+//! and **merge** (`merge` — thread the virtual clock, emit
 //! [`JobRecord`](crate::stats::JobRecord)s). Formation never reads a
 //! simulation result, so simulations may run out of order or
 //! concurrently; merges commit in a fixed order, which makes every
 //! report a pure function of the submission stream. Between formation
-//! and simulation sits **replay** ([`memo`]): a batch shape this
+//! and simulation sits **replay** (`memo`): a batch shape this
 //! runtime has simulated before gets its stored outcome back, so the
 //! fabric runs once per recurring shape rather than once per batch.
 //!
-//! ## Closed loop vs open loop
+//! ## One engine
 //!
-//! The closed-loop drivers ([`Runtime::run_to_completion`],
-//! [`Runtime::run_to_completion_jobs`]) drain a pre-filled queue batch
-//! by batch — the replay-harness shape, kept bit-for-bit stable. The
-//! **open-loop engine** ([`Runtime::run_open_loop_jobs`]) instead pulls
-//! a seeded arrival stream ([`crate::arrivals`]) onto the virtual clock
-//! via [`Runtime::submit_at`], and starts batches *resource-driven*:
-//! whenever a fabric partition (an independent SM domain) is free and
-//! the group pool has pinning headroom, the next fair batch forms and
-//! launches immediately — so batches with disjoint group sets **overlap
-//! on the virtual clock** across partitions (cross-batch pipelining).
-//! Completions commit in virtual-time order (ties by batch index), and
-//! per-batch seeds derive from the batch index, so reports are
-//! byte-identical for any worker count.
+//! [`Runtime::run_open_loop_jobs`] is the only driver. Work reaches it
+//! two ways that differ in nothing but the arrival time:
+//! [`Runtime::submit`] admits a job *now*, [`Runtime::submit_at`]
+//! schedules an arrival (e.g. a seeded [`crate::arrivals`] stream) for
+//! *later* on the virtual clock — a pre-filled queue is the engine with
+//! every arrival already due. Batches start *resource-driven*: whenever
+//! a fabric partition (an independent SM domain) is free and the group
+//! pool has pinning headroom, the next fair batch forms and launches
+//! immediately — so batches with disjoint group sets **overlap on the
+//! virtual clock** across partitions (cross-batch pipelining), and on
+//! one partition they run back to back. Completions commit in
+//! virtual-time order (ties by batch index), and per-batch seeds derive
+//! from the batch index, so reports are byte-identical for any worker
+//! count.
 
 mod form;
 mod memo;
@@ -59,7 +60,7 @@ use crate::job::{
 };
 use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
-use form::{FormMode, FormedBatch};
+use form::FormedBatch;
 use mcag_core::{des, ProtocolConfig};
 use mcag_offload::BackendKind;
 use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
@@ -99,12 +100,10 @@ pub struct ReactivePolicy {
     /// known damage quarantines a partition while a healthier one is
     /// serving; see [`Runtime::partition_health_score`]).
     pub quarantine_score: u64,
-    /// Mid-batch subnet-manager recovery: periodically diagnose
-    /// fully-dead switches and re-route multicast trees around them
+    /// Period of the mid-batch subnet-manager sweep, in multiples of
+    /// the batch's summed per-job cutoffs: each sweep diagnoses
+    /// fully-dead switches and re-routes multicast trees around them
     /// (rebuild time billed at commit via the group pool).
-    pub sm_rebuild: bool,
-    /// SM diagnosis period, in multiples of the batch's summed per-job
-    /// cutoffs.
     pub sm_check_cutoffs: u64,
     /// Half-life of the partition damage score on the virtual clock:
     /// every `health_halflife_ns` without fresh damage halves a
@@ -123,7 +122,6 @@ impl Default for ReactivePolicy {
             backoff_cap_ns: 1_600_000,
             degrade_retry_backlog: None,
             quarantine_score: 0,
-            sm_rebuild: true,
             sm_check_cutoffs: 4,
             health_halflife_ns: None,
         }
@@ -148,9 +146,8 @@ pub struct RuntimeConfig {
     pub admission: AdmissionPolicy,
     /// Max jobs dispatched into one batch.
     pub max_inflight: usize,
-    /// Independent fabric partitions (SM domains) the open-loop engine
-    /// may run batches on concurrently — the cross-batch pipelining
-    /// width. The closed-loop drivers always run on partition 0.
+    /// Independent fabric partitions (SM domains) the engine may run
+    /// batches on concurrently — the cross-batch pipelining width.
     pub partitions: usize,
     /// Flight-recorder spec: `Some` records batch/job spans and
     /// admission markers in the runtime, and threads the same spec into
@@ -204,23 +201,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// What one dispatched batch did (returned by
-/// [`Runtime::run_next_batch`] for introspection; the per-job view lands
-/// in [`JobRecord`](crate::stats::JobRecord)s).
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Batch index.
-    pub index: u64,
-    /// Virtual time the batch was dispatched.
-    pub started_ns: u64,
-    /// Subnet-manager group programming time charged before launch.
-    pub setup_ns: u64,
-    /// Fabric time from launch to quiescence.
-    pub batch_ns: u64,
-    /// Jobs that ran.
-    pub jobs: Vec<JobId>,
-}
-
 /// A simulated batch waiting for its virtual completion time.
 struct InflightBatch {
     formed: FormedBatch,
@@ -241,10 +221,10 @@ pub struct Runtime {
     now_ns: u64,
     next_job: u64,
     batches: u64,
-    /// Batches formed so far (equals `batches` between waves; runs ahead
-    /// of it while formed batches await simulation + merge). Per-batch
-    /// fabric seeds derive from this index — which is all the index
-    /// feeds, and a seed matters only when `cfg.fabric.uses_rng()`.
+    /// Batches formed so far (runs ahead of `batches` while formed
+    /// batches are in flight). Per-batch fabric seeds derive from this
+    /// index — which is all the index feeds, and a seed matters only
+    /// when `cfg.fabric.uses_rng()`.
     formed: u64,
     delivered_bytes: u64,
     moved_bytes: u64,
@@ -252,7 +232,7 @@ pub struct Runtime {
     /// marks the first not-yet-due row.
     arrivals: Vec<Arrival>,
     arrival_cursor: usize,
-    /// Batches overlapping on the virtual clock (open-loop engine only).
+    /// Formed and simulated batches awaiting their virtual completion.
     inflight: Vec<InflightBatch>,
     /// Per partition: occupied by an in-flight or just-formed batch.
     partition_busy: Vec<bool>,
@@ -428,7 +408,8 @@ impl Runtime {
 
     /// Submit a collective at the current virtual time. Admission
     /// control runs here: the job is either queued (`Ok`) or refused
-    /// with a [`RejectReason`], counted against the tenant.
+    /// with a [`RejectReason`], counted against the tenant. Queued jobs
+    /// run on the next [`Runtime::run_open_loop_jobs`].
     pub fn submit(
         &mut self,
         tenant: TenantId,
@@ -446,8 +427,8 @@ impl Runtime {
 
     /// Schedule one arrival at `at_ns ≥ now` on the virtual clock; the
     /// admission decision is taken when virtual time reaches `at_ns`
-    /// during an open-loop run ([`Runtime::run_open_loop_jobs`]). This
-    /// is how the [`crate::arrivals`] generators feed the runtime.
+    /// during a run ([`Runtime::run_open_loop_jobs`]). This is how the
+    /// [`crate::arrivals`] generators feed the runtime.
     pub fn submit_at(&mut self, at_ns: u64, tenant: TenantId, kind: JobKind, send_len: usize) {
         assert!(
             at_ns >= self.now_ns,
@@ -580,84 +561,13 @@ impl Runtime {
         Ok(())
     }
 
-    /// Dispatch and run the next fair batch; `None` when the queue is
-    /// empty. Advances the virtual clock past the batch.
-    pub fn run_next_batch(&mut self) -> Option<BatchReport> {
-        self.admit_due_retries();
-        let formed = self.form_batch(FormMode::Sequential)?;
-        let outcome = self.simulate(1, std::slice::from_ref(&formed)).remove(0);
-        let start = self.now_ns;
-        Some(self.merge_batch(formed, outcome, start))
-    }
-
-    /// Drain the queue batch by batch and return the final report
-    /// (serial reference path — identical to
-    /// [`Runtime::run_to_completion_jobs`] with `jobs = 1` on
-    /// retry-free runs).
-    pub fn run_to_completion(&mut self) -> RuntimeReport {
-        self.assert_no_scheduled_arrivals();
-        loop {
-            while self.run_next_batch().is_some() {}
-            // Reactive runs may have parked timed-out jobs behind a
-            // backoff deadline; jump the clock there and keep draining.
-            match self.retry_queue.front() {
-                Some(&(ready_ns, _)) => self.now_ns = self.now_ns.max(ready_ns),
-                None => break,
-            }
-        }
-        self.report()
-    }
-
-    /// Drain the queue with up to `jobs` batch simulations in flight:
-    /// batch *formation* stays sequential (admission and the group pool
-    /// are order-sensitive and cheap), the expensive per-batch fabric
-    /// runs execute on the fork-join executor, and results merge in
-    /// batch order. Per-batch seeds derive from the batch index, so the
-    /// returned report is **byte-identical** for every `jobs` value.
-    pub fn run_to_completion_jobs(&mut self, jobs: usize) -> RuntimeReport {
-        self.assert_no_scheduled_arrivals();
-        loop {
-            let mut formed = Vec::new();
-            while let Some(fb) = self.form_batch(FormMode::Sequential) {
-                formed.push(fb);
-            }
-            if formed.is_empty() {
-                // Only parked retries can remain; release the earliest.
-                match self.retry_queue.front() {
-                    Some(&(ready_ns, _)) => {
-                        self.now_ns = self.now_ns.max(ready_ns);
-                        self.admit_due_retries();
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let outcomes = self.simulate(jobs, &formed);
-            for (fb, outcome) in formed.into_iter().zip(outcomes) {
-                let start = self.now_ns;
-                self.merge_batch(fb, outcome, start);
-            }
-            self.admit_due_retries();
-        }
-        self.report()
-    }
-
-    fn assert_no_scheduled_arrivals(&self) {
-        assert_eq!(
-            self.scheduled_arrivals(),
-            0,
-            "open-loop arrivals are scheduled: drive them with run_open_loop / run_open_loop_jobs"
-        );
-    }
-
-    /// Serial open-loop run (= [`Runtime::run_open_loop_jobs`] with one
-    /// worker).
+    /// Serial run (= [`Runtime::run_open_loop_jobs`] with one worker).
     pub fn run_open_loop(&mut self) -> RuntimeReport {
         self.run_open_loop_jobs(1)
     }
 
-    /// The open-loop event engine: consume the scheduled arrival stream
-    /// on the virtual clock, starting batches **resource-driven** — a
+    /// The engine: drain the queue and the scheduled arrival stream on
+    /// the virtual clock, starting batches **resource-driven** — a
     /// batch forms and launches the moment a fabric partition is free
     /// and the group pool has pinning headroom — so disjoint-group
     /// batches overlap on the virtual clock across
@@ -676,7 +586,7 @@ impl Runtime {
         self.report()
     }
 
-    /// First half of an open-loop turn: admit what is due at the current
+    /// First half of an engine turn: admit what is due at the current
     /// virtual time and launch every batch that fits.
     fn launch_due(&mut self, jobs: usize) {
         self.admit_due_arrivals();
@@ -785,11 +695,8 @@ impl Runtime {
         self.decay_partition_health();
         let mut newly: Vec<FormedBatch> = Vec::new();
         while let Some(partition) = self.free_partition() {
-            match self.form_batch(FormMode::Pipelined { partition }) {
-                Some(fb) => {
-                    self.partition_busy[partition as usize] = true;
-                    newly.push(fb);
-                }
+            match self.form_batch(partition) {
+                Some(fb) => newly.push(fb),
                 None => break,
             }
         }
@@ -865,8 +772,7 @@ impl Runtime {
             // completed (or given-up) job idles its lane, a job headed
             // for the retry queue keeps it busy so communicator order
             // holds across the retry.
-            let start = infl.formed.started_ns;
-            self.merge_batch(infl.formed, infl.outcome, start);
+            self.merge_batch(infl.formed, infl.outcome);
         }
     }
 
@@ -919,7 +825,7 @@ mod tests {
         let mut rt = Runtime::new(star(4), small_cfg());
         let t = rt.register_tenant("solo");
         rt.submit(t, JobKind::Allgather, 32 << 10).unwrap();
-        let report = rt.run_to_completion();
+        let report = rt.run_open_loop();
         assert_eq!(report.completed_jobs(), 1);
         assert_eq!(report.batches, 1);
         let rec = &report.jobs[0];
@@ -947,7 +853,7 @@ mod tests {
             .unwrap();
         rt.submit(b, JobKind::Allgather, 16 << 10).unwrap();
         rt.submit(c, JobKind::AgRs, 16 << 10).unwrap();
-        let report = rt.run_to_completion();
+        let report = rt.run_open_loop();
         assert_eq!(report.completed_jobs(), 3);
         assert_eq!(report.batches, 1, "4 groups demanded, 4 slots: one batch");
         for rec in &report.jobs {
@@ -962,7 +868,7 @@ mod tests {
         let t = rt.register_tenant("repeat");
         rt.submit(t, JobKind::Allgather, 16 << 10).unwrap();
         rt.submit(t, JobKind::Allgather, 16 << 10).unwrap();
-        let report = rt.run_to_completion();
+        let report = rt.run_open_loop();
         assert_eq!(report.batches, 2, "one job per tenant per batch");
         assert_eq!(report.pool.builds, 1);
         assert_eq!(report.pool.hits, 1, "second batch reuses the group");
@@ -979,22 +885,26 @@ mod tests {
             rt.submit(t, JobKind::Allgather, 16 << 10).unwrap();
             rt.submit(u, JobKind::Allgather, 16 << 10).unwrap();
         }
-        let b0 = rt.run_next_batch().unwrap();
-        assert_eq!(b0.started_ns, 0);
-        let b1 = rt.run_next_batch().unwrap();
-        assert_eq!(b1.started_ns, b0.setup_ns + b0.batch_ns);
-        let report = rt.run_to_completion();
-        // Second-batch jobs queued from t=0 until batch 1 dispatched.
-        let late: Vec<_> = report.jobs.iter().filter(|j| j.batch == 1).collect();
-        assert_eq!(late.len(), 2);
-        for j in late {
-            assert_eq!(j.queue_ns(), b1.started_ns);
+        let report = rt.run_open_loop();
+        let in_batch = |b: u64| report.jobs.iter().filter(move |j| j.batch == b);
+        assert!(in_batch(0).all(|j| j.started_ns == 0));
+        // One partition: batch 1 is dispatched the instant batch 0's
+        // last job finishes, and its jobs queued from t=0 until then.
+        let b0_done = in_batch(0).map(|j| j.finished_ns).max().unwrap();
+        assert_eq!(in_batch(1).count(), 2);
+        for j in in_batch(1) {
+            assert_eq!(j.started_ns, b0_done);
+            assert_eq!(j.queue_ns(), b0_done);
         }
     }
 
     #[test]
     fn wave_execution_matches_serial_bit_for_bit() {
-        let submit_all = |rt: &mut Runtime| {
+        // Once the serial drain loop against the wave loop; both are
+        // gone, so what is left to pin on this workload is the engine at
+        // one worker against the engine at several.
+        let run = |jobs: usize| {
+            let mut rt = Runtime::new(star(4), small_cfg());
             let a = rt.register_tenant("a");
             let b = rt.register_tenant("b");
             let c = rt.register_tenant("c");
@@ -1004,16 +914,11 @@ mod tests {
                     .unwrap();
                 rt.submit(c, JobKind::AgRs, 16 << 10).unwrap();
             }
+            rt.run_open_loop_jobs(jobs)
         };
-        let mut serial = Runtime::new(star(4), small_cfg());
-        submit_all(&mut serial);
-        let serial_report = serial.run_to_completion();
-        for jobs in [1usize, 3] {
-            let mut wave = Runtime::new(star(4), small_cfg());
-            submit_all(&mut wave);
-            let wave_report = wave.run_to_completion_jobs(jobs);
-            assert_eq!(wave_report, serial_report, "jobs={jobs}");
-        }
+        let serial_report = run(1);
+        assert_eq!(serial_report.completed_jobs(), 9);
+        assert_eq!(run(3), serial_report, "jobs=3");
     }
 
     #[test]
@@ -1056,7 +961,7 @@ mod tests {
             partitions: 2,
             ..RuntimeConfig::default()
         };
-        let mut rt = Runtime::new(star(4), cfg);
+        let mut rt = Runtime::new(star(4), cfg.clone());
         let a = rt.register_tenant("a");
         let b = rt.register_tenant("b");
         rt.submit_at(0, a, JobKind::Allgather, 64 << 10);
@@ -1064,6 +969,14 @@ mod tests {
         let report = rt.run_open_loop();
         assert_eq!(report.completed_jobs(), 2);
         assert_eq!(report.batches, 2);
+        // A pre-filled queue is the same run: `submit` now instead of
+        // `submit_at(0, …)` uses both partitions just the same.
+        let mut prefilled = Runtime::new(star(4), cfg);
+        for name in ["a", "b"] {
+            let t = prefilled.register_tenant(name);
+            prefilled.submit(t, JobKind::Allgather, 64 << 10).unwrap();
+        }
+        assert_eq!(prefilled.run_open_loop(), report);
         let (r0, r1) = (&report.jobs[0], &report.jobs[1]);
         assert_ne!(r0.partition, r1.partition, "disjoint SM domains");
         // Interval overlap on the virtual clock.
@@ -1120,6 +1033,94 @@ mod tests {
         )
     }
 
+    /// The switch port towards rank 0 goes down for 10 µs out of every
+    /// 30, for the first 3 ms of every batch: datagrams crossing it are
+    /// lost and fetched again.
+    pub(super) fn flapping() -> LinkSchedule {
+        use mcag_simnet::{LinkId, LinkStateEvent};
+        LinkSchedule::new(
+            (0..100u64)
+                .flat_map(|i| {
+                    [
+                        LinkStateEvent::down(5_000 + i * 30_000, LinkId(1)),
+                        LinkStateEvent::up(15_000 + i * 30_000, LinkId(1)),
+                    ]
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn communicator_order_holds_under_retry() {
+        // A backlog queued with `submit` behind jobs that time out and
+        // retry: while a retry waits out its backoff its lane stays
+        // busy, so nothing the tenant queued later may start before the
+        // retried job ends. Formation that does not mark lanes busy
+        // fails this: two to four overtakes on the dead partition, one
+        // on the flapping port.
+        let topo = star(4);
+        let dead = RuntimeConfig {
+            pool: PoolConfig::with_capacity(4),
+            max_inflight: 2,
+            partition_faults: vec![dead_fabric(&topo)],
+            reactive: Some(ReactivePolicy::default()),
+            watchdog_cutoffs: 4,
+            ..RuntimeConfig::default()
+        };
+        let flapping = RuntimeConfig {
+            pool: PoolConfig::with_capacity(6),
+            max_inflight: 3,
+            partition_faults: vec![flapping()],
+            watchdog_cutoffs: 1,
+            ..dead.clone()
+        };
+        for (cfg, backlog) in [(dead, &[4usize, 2, 2][..]), (flapping, &[5, 3, 3, 3])] {
+            let run = |jobs: usize| {
+                let mut rt = Runtime::new(topo.clone(), cfg.clone());
+                for (i, &n) in backlog.iter().enumerate() {
+                    let t = rt.register_tenant(&format!("t{i}"));
+                    for j in 0..n {
+                        let kind = match (i + j) % 3 {
+                            0 => JobKind::Allgather,
+                            1 => JobKind::Broadcast {
+                                root: Rank(i as u32),
+                            },
+                            _ => JobKind::AgRs,
+                        };
+                        rt.submit(t, kind, (16 << 10) << (j % 2)).unwrap();
+                    }
+                }
+                rt.run_open_loop_jobs(jobs)
+            };
+            let report = run(1);
+            assert_eq!(run(3), report);
+            assert!(report.retry.retried_jobs > 0, "nothing was retried");
+            // Every admitted job ends in exactly one record.
+            let mut ids: Vec<u64> = report.jobs.iter().map(|j| j.id.0).collect();
+            ids.sort_unstable();
+            let admitted = backlog.iter().sum::<usize>() as u64;
+            assert_eq!(ids, (0..admitted).collect::<Vec<_>>());
+            for tenant in 0..backlog.len() {
+                let mut recs: Vec<_> = report
+                    .jobs
+                    .iter()
+                    .filter(|j| j.tenant.idx() == tenant)
+                    .collect();
+                recs.sort_by_key(|j| j.id);
+                for pair in recs.windows(2) {
+                    assert!(
+                        pair[1].started_ns >= pair[0].finished_ns,
+                        "tenant {tenant}: {:?} started at {} ns, before {:?} ended at {} ns",
+                        pair[1].id,
+                        pair[1].started_ns,
+                        pair[0].id,
+                        pair[0].finished_ns
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn faulted_batch_is_censored_not_panicked() {
         // Oblivious runtime on a dead fabric: the batch hits its
@@ -1135,7 +1136,7 @@ mod tests {
         let mut rt = Runtime::new(topo, cfg);
         let t = rt.register_tenant("victim");
         rt.submit(t, JobKind::Allgather, 16 << 10).unwrap();
-        let report = rt.run_to_completion();
+        let report = rt.run_open_loop();
         assert_eq!(report.completed_jobs(), 0);
         assert_eq!(report.timed_out_jobs(), 1);
         let rec = &report.jobs[0];
@@ -1302,7 +1303,7 @@ mod tests {
         let mut rt = Runtime::new(topo, cfg);
         let t = rt.register_tenant("survivor");
         rt.submit(t, JobKind::Allgather, 16 << 10).unwrap();
-        let report = rt.run_to_completion();
+        let report = rt.run_open_loop();
         assert!(report.retry.sm_rebuilds >= 1, "SM re-routed the tree");
         assert_eq!(
             report.pool.rebuilds, report.retry.sm_rebuilds,
@@ -1466,7 +1467,7 @@ mod tests {
             let mut rt = Runtime::new(star(4), cfg);
             let t = rt.register_tenant("x");
             rt.submit(t, JobKind::AgRs, 64 << 10).unwrap();
-            rt.run_to_completion()
+            rt.run_open_loop()
         };
         let base = run(Vec::new());
         let dpa = run(vec![BackendKind::DpaBf3]);

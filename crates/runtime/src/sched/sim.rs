@@ -45,16 +45,13 @@ pub(super) struct BatchSim {
     ///     super::RuntimeConfig::watchdog_cutoffs
     pub(super) watchdog_cutoffs: u64,
     /// Reactive SM recovery: diagnose dead switches mid-run and re-route
-    /// multicast trees around them ([`ReactivePolicy::sm_rebuild`]).
-    ///
-    /// [`ReactivePolicy::sm_rebuild`]: super::ReactivePolicy::sm_rebuild
-    pub(super) sm_rebuild: bool,
-    /// Diagnosis period for the SM sweep, in summed-cutoff multiples
-    /// ([`ReactivePolicy::sm_check_cutoffs`]).
+    /// multicast trees around them, every this many summed cutoffs
+    /// ([`ReactivePolicy::sm_check_cutoffs`]). `None` on an oblivious
+    /// runtime, which never sweeps.
     ///
     /// [`ReactivePolicy::sm_check_cutoffs`]:
     ///     super::ReactivePolicy::sm_check_cutoffs
-    pub(super) sm_check_cutoffs: u64,
+    pub(super) sm_check_cutoffs: Option<u64>,
 }
 
 /// What one simulated batch produced (simulated-time results only; the
@@ -181,27 +178,28 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     let total_cutoff: u64 = slots.iter().map(|s| s.cutoff).sum();
     let watchdog = SimTime::from_ns(total_cutoff.saturating_mul(sim.watchdog_cutoffs.max(1)));
     let mut sm_rebuilds = 0u32;
-    let stats = if sim.sm_rebuild && !sim.fabric.faults.is_empty() {
+    let stats = match sim.sm_check_cutoffs {
         // Reactive SM sweep: run in slices; at each checkpoint diagnose
         // fully-dead switches from the health snapshot and re-route any
         // multicast tree that crosses one. Checkpoint times are pure
         // functions of the batch's cutoffs, so recovery is as
         // deterministic as the failure.
-        let step = total_cutoff.saturating_mul(sim.sm_check_cutoffs.max(1));
-        let mut deadline = step.min(watchdog.as_ns());
-        loop {
-            let stats = fab.run_until(SimTime::from_ns(deadline));
-            if stats.all_done() || deadline >= watchdog.as_ns() {
-                break stats;
+        Some(check_cutoffs) if !sim.fabric.faults.is_empty() => {
+            let step = total_cutoff.saturating_mul(check_cutoffs.max(1));
+            let mut deadline = step.min(watchdog.as_ns());
+            loop {
+                let stats = fab.run_until(SimTime::from_ns(deadline));
+                if stats.all_done() || deadline >= watchdog.as_ns() {
+                    break stats;
+                }
+                let dead = fab.dead_switches();
+                if !dead.is_empty() {
+                    sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
+                }
+                deadline = deadline.saturating_add(step).min(watchdog.as_ns());
             }
-            let dead = fab.dead_switches();
-            if !dead.is_empty() {
-                sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
-            }
-            deadline = deadline.saturating_add(step).min(watchdog.as_ns());
         }
-    } else {
-        fab.run_until(watchdog)
+        _ => fab.run_until(watchdog),
     };
     let timed_out = !stats.all_done();
     let traffic = fab.traffic();

@@ -4,8 +4,9 @@ use crate::job::{JobId, JobKind, RejectReason, TenantId};
 use crate::pool::PoolStats;
 use serde::{Deserialize, Serialize};
 
-/// Lifecycle record of one completed job (all times on the virtual
-/// runtime clock, ns).
+/// Lifecycle record of one job that reached a terminal state —
+/// completed, or censored ([`timed_out`](JobRecord::timed_out)) — with
+/// all times on the virtual runtime clock, ns.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Job id.
@@ -18,8 +19,7 @@ pub struct JobRecord {
     pub send_len: usize,
     /// Batch the job ran in.
     pub batch: u64,
-    /// Fabric partition (SM domain) the job's batch occupied (always 0
-    /// on the closed-loop paths).
+    /// Fabric partition (SM domain) the job's batch occupied.
     pub partition: u32,
     /// Submission time.
     pub submitted_ns: u64,
@@ -231,7 +231,10 @@ pub struct RetryStats {
 /// Snapshot of everything the runtime measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeReport {
-    /// One record per completed job, in completion order.
+    /// One record per admitted job that reached a terminal state, in
+    /// commit order: completed jobs and censored ones (`timed_out`,
+    /// `finished_ns` = the censoring instant). A job parked for a retry
+    /// has no record yet.
     pub jobs: Vec<JobRecord>,
     /// Per-tenant aggregates, indexed by [`TenantId`].
     pub tenants: Vec<TenantStats>,
@@ -279,7 +282,8 @@ impl RuntimeReport {
         mcag_models::algbw_gbps(self.delivered_bytes, self.makespan_ns) / 1e3
     }
 
-    /// Mean end-to-end latency across completed jobs (ns).
+    /// Mean end-to-end latency across every record (ns) — censored jobs
+    /// included, at their censoring instant.
     pub fn mean_latency_ns(&self) -> f64 {
         if self.jobs.is_empty() {
             return 0.0;
@@ -288,9 +292,10 @@ impl RuntimeReport {
         sum as f64 / self.jobs.len() as f64
     }
 
-    /// Nearest-rank sojourn-time percentile over completed jobs (ns):
-    /// `q` in `[0, 1]`, e.g. `0.99` for the p99 tail. Sojourn is the
-    /// full queue + service latency. Returns 0 with no completions.
+    /// Nearest-rank sojourn-time percentile over every record (ns) —
+    /// censored jobs included, at their censoring instant: `q` in
+    /// `[0, 1]`, e.g. `0.99` for the p99 tail. Sojourn is the full
+    /// queue + service latency. Returns 0 with no records.
     pub fn sojourn_percentile_ns(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of [0, 1]: {q}");
         if self.jobs.is_empty() {

@@ -18,7 +18,7 @@
 //!
 //! ## Hot-path memory model
 //!
-//! A NIC send queue holds *work requests* ([`Wqe`], ≤ 64 B), not
+//! A NIC send queue holds *work requests* (`Wqe`, ≤ 64 B), not
 //! packets: a post is a `VecDeque` push, and the packet is built when the
 //! arbiter injects it. A reliable message ([`MsgSegments`]) is one
 //! request however many chunks it carries — it stays at the head of its
@@ -29,10 +29,10 @@
 //! Packets live in a slab with an embedded LIFO free list from injection
 //! to their last delivery, so the slab is as large as the most packets
 //! ever on the wire at once, not as the most ever posted; events carry a
-//! 4-byte [`PktRef`] handle instead of a boxed packet. Multicast
+//! 4-byte `PktRef` handle instead of a boxed packet. Multicast
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
-//! payload [`Ev`] is a small `Copy`-able struct, so the steady state of a
+//! payload `Ev` is a small `Copy`-able struct, so the steady state of a
 //! run performs no per-packet heap allocation at all. Unicast routes are
 //! interned behind `Arc<[LinkId]>` in a per-pair cache.
 

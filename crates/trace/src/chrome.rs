@@ -367,7 +367,7 @@ fn render<O: Out>(o: &mut O, trace: &RuntimeTrace, opts: &ChromeOptions) {
 const MAX_DEPTH: usize = 128;
 
 /// Validate that `s` is one well-formed JSON value (the whole string,
-/// modulo surrounding whitespace) nested at most [`MAX_DEPTH`] deep.
+/// modulo surrounding whitespace) nested at most `MAX_DEPTH` deep.
 /// Dependency-free recursive-descent check used by the round-trip tests
 /// and the smoke generator.
 pub fn validate_json(s: &str) -> Result<(), String> {

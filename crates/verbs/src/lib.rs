@@ -11,8 +11,8 @@
 //! connection-less unreliable datagrams for UD, per-message-drop RDMA
 //! writes for UC, hardware-reliable one-sided operations for RC — is what
 //! lets the protocol crates above remain substrate-independent: the same
-//! state machines run on the discrete-event fabric ([`mcag-simnet`]) and on
-//! the threaded in-memory fabric ([`mcag-memfabric`]).
+//! state machines run on the discrete-event fabric (`mcag-simnet`) and on
+//! the threaded in-memory fabric (`mcag-memfabric`).
 //!
 //! Nothing in this crate performs I/O or simulation; it is a pure data
 //! model plus the PSN/immediate encoding and buffer-fragmentation math.

@@ -67,7 +67,7 @@ fn run_service() -> RuntimeReport {
                 .expect("workload fits the admission policy");
         }
     }
-    rt.run_to_completion()
+    rt.run_open_loop()
 }
 
 fn main() {

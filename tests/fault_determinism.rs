@@ -15,6 +15,8 @@ use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::{LinkRate, Rank};
 use proptest::prelude::*;
 
+mod common;
+
 fn sweep_topo() -> Topology {
     Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100)
 }
@@ -147,8 +149,12 @@ fn faulted_runtime_report(jobs: usize) -> RuntimeReport {
             rt.submit(t, kind, send_len).expect("admission");
         }
     }
-    rt.run_to_completion_jobs(jobs)
+    rt.run_open_loop_jobs(jobs)
 }
+
+/// FNV-1a of `format!("{report:?}")` for [`faulted_runtime_report`],
+/// recorded at the commit before the closed-loop drivers were deleted.
+const FAULTED_RUNTIME_DIGEST: u64 = 0xe2ee6e7c74ed293a;
 
 #[test]
 fn faulted_runtime_report_identical_across_worker_counts() {
@@ -156,6 +162,10 @@ fn faulted_runtime_report_identical_across_worker_counts() {
     let wave = faulted_runtime_report(4);
     assert_eq!(serial, wave);
     assert_eq!(format!("{serial:?}"), format!("{wave:?}"));
+    assert_eq!(
+        common::fnv64(&format!("{serial:?}")),
+        FAULTED_RUNTIME_DIGEST
+    );
     assert_eq!(serial.completed_jobs(), 8);
     // The degraded links actually slowed the service: a healthy run of
     // the same workload finishes strictly faster.
@@ -182,7 +192,7 @@ fn faulted_runtime_report_identical_across_worker_counts() {
                 rt.submit(t, kind, send_len).expect("admission");
             }
         }
-        rt.run_to_completion_jobs(1)
+        rt.run_open_loop_jobs(1)
     };
     assert!(
         serial.makespan_ns > healthy.makespan_ns,

@@ -12,6 +12,8 @@ use mcast_allgather::runtime::{
 use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::{LinkRate, Rank};
 
+mod common;
+
 /// The 188-node UCC-testbed Allgather sweep (the Fig. 10/11 shape) at
 /// `jobs` worker threads.
 fn sweep_188(jobs: usize) -> Vec<CollectiveOutcome> {
@@ -77,19 +79,29 @@ fn build_runtime() -> (Runtime, Vec<TenantId>) {
     (rt, tenants)
 }
 
+/// FNV-1a of `format!("{report:?}")` for [`build_runtime`]'s 12 jobs,
+/// recorded at the commit before the closed-loop drivers were deleted.
+const BUILD_RUNTIME_DIGEST: u64 = 0x993918df9ffd9794;
+
 fn run_runtime(jobs: Option<usize>) -> RuntimeReport {
     let (mut rt, _) = build_runtime();
     match jobs {
-        None => rt.run_to_completion(),
-        Some(j) => rt.run_to_completion_jobs(j),
+        None => rt.run_open_loop(),
+        Some(j) => rt.run_open_loop_jobs(j),
     }
 }
 
 #[test]
 fn runtime_report_identical_across_worker_counts() {
-    // The serial batch-by-batch path is the reference.
+    // Once the serial batch-by-batch drain loop against the wave loop;
+    // both are gone, so the reference is the engine at one worker and
+    // what is checked is that more workers change nothing.
     let reference = run_runtime(None);
     assert!(reference.completed_jobs() == 12 && reference.batches >= 3);
+    assert_eq!(
+        common::fnv64(&format!("{reference:?}")),
+        BUILD_RUNTIME_DIGEST
+    );
     for jobs in [1usize, 4] {
         let wave = run_runtime(Some(jobs));
         // Full structural equality: every JobRecord, TenantStats, pool

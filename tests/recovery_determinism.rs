@@ -165,7 +165,7 @@ fn retry_counters_reconcile_on_a_dead_fabric() {
     );
     let t = rt.register_tenant("doomed");
     rt.submit(t, JobKind::Allgather, 8 << 10).unwrap();
-    let report = rt.run_to_completion();
+    let report = rt.run_open_loop();
     assert_eq!(report.completed_jobs(), 0);
     assert_eq!(report.timed_out_jobs(), 1);
     assert_eq!(report.retry.gave_up_jobs, 1);

@@ -11,6 +11,8 @@ use mcast_allgather::simnet::Topology;
 use mcast_allgather::verbs::{LinkRate, Rank};
 use proptest::prelude::*;
 
+mod common;
+
 fn star(p: usize) -> Topology {
     Topology::single_switch(p, LinkRate::CX3_56G, 100)
 }
@@ -46,14 +48,19 @@ fn run_mixed(tenants: usize, capacity: usize) -> RuntimeReport {
         },
     );
     mixed_workload(&mut rt, tenants);
-    rt.run_to_completion()
+    rt.run_open_loop()
 }
+
+/// FNV-1a of `format!("{report:?}")` for `run_mixed(6, 4)`, recorded at
+/// the commit before the closed-loop drivers were deleted.
+const RUN_MIXED_6_4_DIGEST: u64 = 0xdf238c76d9116735;
 
 #[test]
 fn scheduled_completions_are_deterministic() {
     let a = run_mixed(6, 4);
     let b = run_mixed(6, 4);
     assert_eq!(a, b, "identical submissions must replay identically");
+    assert_eq!(common::fnv64(&format!("{a:?}")), RUN_MIXED_6_4_DIGEST);
     // And not trivially: timings, batches and pool churn all happened.
     assert!(a.batches > 1);
     assert!(a.jobs.iter().all(|j| j.finished_ns > 0));
@@ -155,7 +162,7 @@ fn admission_rejects_and_counts() {
         Err(RejectReason::QueueFull)
     );
 
-    let report = rt.run_to_completion();
+    let report = rt.run_open_loop();
     assert_eq!(report.completed_jobs(), 4, "admitted jobs still complete");
     assert_eq!(report.tenants[a.idx()].rejected, 4);
     assert_eq!(report.tenants[b.idx()].rejected, 1);
@@ -180,7 +187,7 @@ fn group_demand_rejected_when_pool_too_small() {
     );
     // The plain Allgather (4 groups) still fits exactly.
     rt.submit(t, JobKind::Allgather, 64 << 10).unwrap();
-    let report = rt.run_to_completion();
+    let report = rt.run_open_loop();
     assert_eq!(report.completed_jobs(), 1);
 }
 
@@ -215,7 +222,7 @@ proptest! {
                     rt.submit(t, JobKind::Allgather, 8 << 10).unwrap();
                 }
             }
-            rt.run_to_completion()
+            rt.run_open_loop()
         };
         let small = run(cap_small);
         let large = run(cap_small + cap_extra);

@@ -6,10 +6,11 @@
 
 use mcast_allgather::runtime::{
     merge_arrivals, nccl_style_trace, AdmissionPolicy, Arrival, JobId, JobKind, JobQueue, JobSpec,
-    OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport, TenantId, Workload,
+    OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport, TenantId, TraceSpec,
+    Workload,
 };
 use mcast_allgather::simnet::Topology;
-use mcast_allgather::verbs::LinkRate;
+use mcast_allgather::verbs::{LinkRate, Rank};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -105,6 +106,70 @@ fn throttled_rejections_are_attributed_distinctly() {
     assert_eq!(report.rejects.throttled, 4);
     assert_eq!(report.rejects.queue_full, 0, "throttle, not queue bound");
     assert_eq!(report.completed_jobs(), 1);
+}
+
+#[test]
+fn submit_now_equals_submit_at_zero() {
+    // "A pre-filled queue is the engine with every arrival already due":
+    // the same stream — mixed kinds, a zero-length job, a tenant over
+    // its quota — fed by `submit` and by `submit_at(0, …)` gives the
+    // same report and the same trace, on one partition and on two.
+    let run = |partitions: usize, scheduled: bool| {
+        let mut rt = Runtime::new(
+            Topology::single_switch(4, LinkRate::CX3_56G, 100),
+            RuntimeConfig {
+                pool: PoolConfig::with_capacity(6),
+                admission: AdmissionPolicy {
+                    max_queued_per_tenant: 3,
+                    ..AdmissionPolicy::default()
+                },
+                max_inflight: 2,
+                partitions,
+                trace: Some(TraceSpec::default()),
+                ..RuntimeConfig::default()
+            },
+        );
+        let tenants: Vec<TenantId> = (0..4)
+            .map(|i| rt.register_tenant(&format!("t{i}")))
+            .collect();
+        let mut stream = vec![(tenants[0], JobKind::Allgather, 0)];
+        for (i, &t) in tenants.iter().enumerate() {
+            // Tenant 0 submits four against a quota of three.
+            for j in 0..if i == 0 { 4 } else { 2 } {
+                let kind = match (i + j) % 3 {
+                    0 => JobKind::Allgather,
+                    1 => JobKind::Broadcast {
+                        root: Rank(i as u32),
+                    },
+                    _ => JobKind::AgRs,
+                };
+                stream.push((t, kind, (8 << 10) << (j % 2)));
+            }
+        }
+        for (tenant, kind, send_len) in stream {
+            if scheduled {
+                rt.submit_at(0, tenant, kind, send_len);
+            } else {
+                let _ = rt.submit(tenant, kind, send_len);
+            }
+        }
+        let report = rt.run_open_loop();
+        (report, rt.take_trace().expect("tracing is on"))
+    };
+    for partitions in [1, 2] {
+        let (report, trace) = run(partitions, false);
+        assert_eq!(report.rejects.empty, 1);
+        assert_eq!(report.rejects.tenant_quota, 1);
+        assert_eq!(report.completed_jobs(), 9);
+        assert!(!trace.fabric.is_empty());
+        let (scheduled_report, scheduled_trace) = run(partitions, true);
+        assert_eq!(report, scheduled_report, "partitions={partitions}");
+        assert_eq!(
+            format!("{trace:?}"),
+            format!("{scheduled_trace:?}"),
+            "partitions={partitions}"
+        );
+    }
 }
 
 /// The pre-refactor scheduler, reimplemented naively: per-tenant FIFOs
