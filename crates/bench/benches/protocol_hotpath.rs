@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use mcag_bench::simcore::{allgather_run, churn_delay_ns, queue_churn_events_per_sec};
 use mcag_core::{
     des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, ChunkBitmap, CollectiveKind,
-    ControlMsg, IncRsApp, ProtocolConfig, Sequencer, StagingRing,
+    ControlMsg, ProtocolConfig, RsApp, Sequencer, StagingRing,
 };
 use mcag_simnet::{EventQueue, Fabric, FabricConfig, QueueBackend, SimTime, Topology};
 use mcag_verbs::{Chunker, CollectiveId, ImmLayout, LinkRate, Mtu, Rank, Transport};
@@ -211,9 +211,9 @@ fn bench_deep_queue(c: &mut Criterion) {
 }
 
 /// The FSDP pair's send side. `inc_512` times only the post phase of the
-/// benchmark's in-switch cell: 512 `IncRsApp`s on the 512-node fat-tree
-/// each queue their 511 foreign shards of 16 KiB (1,046,528 chunk
-/// contributions) and every NIC injects its first packet; the fabric is
+/// benchmark's in-switch cell: 512 in-switch `RsApp`s on the 512-node
+/// fat-tree each queue their 511 foreign shards of 16 KiB (1,046,528
+/// chunk contributions) and every NIC injects its first packet; the fabric is
 /// built outside the timer and the run stops at t = 0. The `agrs_*_128`
 /// rows run the whole pair, in-switch and on the endpoints, on the
 /// benchmark's 128-rank two-level fat-tree with every chain running.
@@ -230,7 +230,7 @@ fn bench_post_path(c: &mut Criterion) {
         for &r in &members {
             let qp = fab.add_qp(r, Transport::Rc, 0);
             let (mtu, imm, coll) = (Mtu::IB_4K, ImmLayout::DEFAULT, CollectiveId(3));
-            let app = IncRsApp::new(p, r, SHARD, mtu, imm, coll, qp, group);
+            let app = RsApp::new(p, r, SHARD, mtu, imm, coll, qp, Some(group));
             fab.set_app(r, Box::new(app));
         }
         fab

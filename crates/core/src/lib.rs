@@ -19,8 +19,17 @@
 //! * [`msg`] — slow-path control messages (barrier, activation, final
 //!   handshake, fetch request/ACK).
 //! * [`protocol`] — the per-rank state machine tying it all together.
+//! * [`config`] — [`ProtocolConfig`], the protocol's parallelism and
+//!   reliability-timer knobs.
 //! * [`des`] — the discrete-event driver producing timings and traffic
 //!   reports for the paper's UCC-testbed experiments.
+//! * [`multicomm`] — several communicators per rank (Section V-C):
+//!   [`MultiCommApp`], the one composite rank app, hosting one
+//!   [`CommSlot`] per communicator, and the `k`-Allgather driver.
+//! * [`concurrent`] — the FSDP `{Allgather, Reduce-Scatter}` pair
+//!   (Section II, Appendix B): [`RsApp`], one Reduce-Scatter endpoint
+//!   reducing in the switches or on the endpoints, and the pair and
+//!   standalone drivers.
 //!
 //! ## Quick start
 //!
@@ -55,14 +64,12 @@ pub mod staging;
 
 pub use bitmap::ChunkBitmap;
 pub use concurrent::{
-    run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_endpoint_reduce_scatter,
-    run_inc_reduce_scatter, AgRsDuplexApp, AgRsEndpointDuplexApp, DuplexApp, EndpointRsApp,
-    IncRsApp, RsHalf, RS_TX_TOKEN,
+    run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_reduce_scatter, RsApp, RS_TX_TOKEN,
 };
 pub use config::ProtocolConfig;
 pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};
 pub use msg::ControlMsg;
-pub use multicomm::{run_concurrent_allgathers, MultiCommApp, MultiCommOutcome};
+pub use multicomm::{run_concurrent_allgathers, CommSlot, MultiCommApp, MultiCommOutcome};
 pub use plan::{CollectiveKind, CollectivePlan};
 pub use protocol::{McastRankApp, QpLayout, RankTiming};
 pub use sequencer::Sequencer;

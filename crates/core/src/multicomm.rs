@@ -8,80 +8,149 @@
 //! collective id in the immediate bits; they share the NIC's round-robin
 //! arbiter and the fabric.
 //!
-//! [`MultiCommApp`] hosts one [`McastRankApp`] per communicator on a
-//! rank, routing completions by QP and timers/drains by token namespace;
-//! [`run_concurrent_allgathers`] drives `k` simultaneous Allgathers and
-//! reports per-communicator timings.
+//! [`MultiCommApp`] is the one composite rank app: it hosts one
+//! [`CommSlot`] per communicator — a Broadcast/Allgather, or the FSDP
+//! pair of an Allgather beside a [`RsApp`] in either reduction
+//! placement — and owns the composition convention (slot `i`'s token
+//! base, auto-mark-done, QP ownership). Its three callers are
+//! [`run_concurrent_allgathers`] here (`k` simultaneous Allgathers,
+//! per-communicator timings), the FSDP pair drivers in
+//! [`crate::concurrent`], and `mcag-runtime`'s batch simulation, which
+//! puts every job of a batch in its own slot.
 
+use crate::concurrent::{RsApp, RS_TX_TOKEN};
 use crate::msg::ControlMsg;
 use crate::plan::{CollectiveKind, CollectivePlan};
 use crate::protocol::{McastRankApp, QpLayout, RankTiming, TOKEN_STRIDE};
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
 use mcag_simnet::{Ctx, Fabric, FabricConfig, Payload, RankApp, Topology, TrafficReport};
-use mcag_verbs::{CollectiveId, Cqe, Rank, Transport};
+use mcag_verbs::{CollectiveId, Cqe, QpNum, Rank, Transport};
 use std::sync::Arc;
 
-/// One rank's view of several concurrently progressing communicators.
+/// One communicator's endpoint(s) on a rank.
+pub enum CommSlot {
+    /// A Broadcast or Allgather.
+    Coll(McastRankApp),
+    /// The FSDP pair: a multicast Allgather beside a Reduce-Scatter.
+    AgRs {
+        /// The Allgather half.
+        ag: McastRankApp,
+        /// The Reduce-Scatter half (either placement).
+        rs: RsApp,
+    },
+}
+
+impl CommSlot {
+    /// The slot's multicast endpoint and, for the pair, its Reduce-Scatter.
+    fn parts(&mut self) -> (&mut McastRankApp, Option<&mut RsApp>) {
+        match self {
+            CommSlot::Coll(ag) => (ag, None),
+            CommSlot::AgRs { ag, rs } => (ag, Some(rs)),
+        }
+    }
+
+    fn released(&self) -> bool {
+        match self {
+            CommSlot::Coll(ag) => ag.is_released(),
+            CommSlot::AgRs { ag, rs } => ag.is_released() && rs.is_released(),
+        }
+    }
+}
+
+/// One rank's view of several concurrently progressing communicators:
+/// completions are routed by QP ownership, timers and TX-drain signals
+/// by token namespace (slot `i` owns tokens `[i·TOKEN_STRIDE,
+/// (i+1)·TOKEN_STRIDE)`; within a pair slot, `token % TOKEN_STRIDE ==
+/// RS_TX_TOKEN` is the Reduce-Scatter's drain and every timer is the
+/// Allgather's).
 pub struct MultiCommApp {
-    apps: Vec<McastRankApp>,
-    /// `qp_owner[qp]` = communicator index owning that QP.
+    slots: Vec<CommSlot>,
+    /// `qp_owner[qp]` = slot owning that rank-local QP.
     qp_owner: Vec<usize>,
     marked: bool,
 }
 
 impl MultiCommApp {
-    /// Compose `apps` (communicator `i` gets token base `i·TOKEN_STRIDE`;
-    /// `qp_owner` maps every rank-local QP index to its communicator).
-    pub fn new(mut apps: Vec<McastRankApp>, qp_owner: Vec<usize>) -> MultiCommApp {
-        assert!(!apps.is_empty());
-        for (i, a) in apps.iter_mut().enumerate() {
-            a.set_auto_mark_done(false);
-            a.set_token_base(i as u64 * TOKEN_STRIDE);
+    /// Compose `slots`: slot `i` gets token base `i·TOKEN_STRIDE` and
+    /// auto-mark-done off (the mux marks the rank done once every slot
+    /// has released), and owns the QPs its endpoints were built on.
+    pub fn new(mut slots: Vec<CommSlot>) -> MultiCommApp {
+        assert!(!slots.is_empty());
+        let mut qp_owner = Vec::new();
+        let mut own = |qp: QpNum, slot: usize| {
+            let qp = qp.0 as usize;
+            if qp_owner.len() <= qp {
+                qp_owner.resize(qp + 1, usize::MAX);
+            }
+            qp_owner[qp] = slot;
+        };
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let base = i as u64 * TOKEN_STRIDE;
+            let (ag, rs) = slot.parts();
+            ag.set_auto_mark_done(false);
+            ag.set_token_base(base);
+            ag.qps().for_each(|qp| own(qp, i));
+            if let Some(rs) = rs {
+                rs.set_auto_mark_done(false);
+                rs.set_token_base(base);
+                own(rs.qp(), i);
+            }
         }
         MultiCommApp {
-            apps,
+            slots,
             qp_owner,
             marked: false,
         }
     }
 
     fn maybe_mark(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        if !self.marked && self.apps.iter().all(|a| a.is_released()) {
+        if !self.marked && self.slots.iter().all(CommSlot::released) {
             self.marked = true;
             ctx.mark_done();
         }
     }
 
     /// Decompose into the per-communicator endpoints (harvest path):
-    /// entry `c` is communicator `c`'s protocol instance on this rank.
-    pub fn into_apps(self) -> Vec<McastRankApp> {
-        self.apps
+    /// entry `i` is slot `i`'s endpoint(s) on this rank.
+    pub fn into_slots(self) -> Vec<CommSlot> {
+        self.slots
     }
 }
 
 impl RankApp<ControlMsg> for MultiCommApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        for a in &mut self.apps {
-            a.on_start(ctx);
+        for slot in &mut self.slots {
+            let (ag, rs) = slot.parts();
+            ag.on_start(ctx);
+            if let Some(rs) = rs {
+                rs.on_start(ctx);
+            }
         }
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        let owner = self.qp_owner[cqe.qp.0 as usize];
-        self.apps[owner].on_cqe(ctx, cqe, payload);
+        let (ag, rs) = self.slots[self.qp_owner[cqe.qp.0 as usize]].parts();
+        match rs {
+            Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
+            _ => ag.on_cqe(ctx, cqe, payload),
+        }
         self.maybe_mark(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        let owner = (token / TOKEN_STRIDE) as usize;
-        self.apps[owner].on_timer(ctx, token);
+        // The Reduce-Scatter arms no timers.
+        let (ag, _) = self.slots[(token / TOKEN_STRIDE) as usize].parts();
+        ag.on_timer(ctx, token);
         self.maybe_mark(ctx);
     }
 
     fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        let owner = (token / TOKEN_STRIDE) as usize;
-        self.apps[owner].on_tx_drained(ctx, token);
+        let (ag, rs) = self.slots[(token / TOKEN_STRIDE) as usize].parts();
+        match rs {
+            Some(rs) if token % TOKEN_STRIDE == RS_TX_TOKEN => rs.on_tx_drained(ctx, token),
+            _ => ag.on_tx_drained(ctx, token),
+        }
         self.maybe_mark(ctx);
     }
 }
@@ -156,11 +225,9 @@ pub fn run_concurrent_allgathers(
     let cutoff = crate::des::cutoff_ns(fab.topology(), &plans[0], &proto, k as u64 + 1);
 
     for &r in &members {
-        let mut apps = Vec::with_capacity(k);
-        let mut qp_owner = Vec::new();
+        let mut slots = Vec::with_capacity(k);
         for c in 0..k {
             let ctrl = fab.add_qp(r, Transport::Rc, 0);
-            qp_owner.push(c);
             let mut subgroup_qps = Vec::new();
             for (j, &g) in groups_per_comm[c].iter().enumerate() {
                 // Communicators round-robin over the RX workers
@@ -168,9 +235,8 @@ pub fn run_concurrent_allgathers(
                 let qp = fab.add_qp(r, Transport::Ud, (c + j) % n_workers);
                 fab.attach(r, qp, g);
                 subgroup_qps.push(qp);
-                qp_owner.push(c);
             }
-            apps.push(McastRankApp::new(
+            slots.push(CommSlot::Coll(McastRankApp::new(
                 Arc::clone(&plans[c]),
                 r,
                 QpLayout {
@@ -179,17 +245,20 @@ pub fn run_concurrent_allgathers(
                     groups: groups_per_comm[c].clone(),
                 },
                 cutoff,
-            ));
+            )));
         }
-        fab.set_app(r, Box::new(MultiCommApp::new(apps, qp_owner)));
+        fab.set_app(r, Box::new(MultiCommApp::new(slots)));
     }
 
     let stats = fab.run();
     let traffic = fab.traffic();
     let mut per_comm = vec![vec![RankTiming::default(); p as usize]; k];
     for &r in &members {
-        let apps = fab.take_app_as::<MultiCommApp>(r).into_apps();
-        for (c, app) in apps.into_iter().enumerate() {
+        let slots = fab.take_app_as::<MultiCommApp>(r).into_slots();
+        for (c, slot) in slots.into_iter().enumerate() {
+            let CommSlot::Coll(app) = slot else {
+                unreachable!("every communicator is an Allgather")
+            };
             per_comm[c][r.idx()] = app.timing();
         }
     }
@@ -298,5 +367,104 @@ mod tests {
             3,
         );
         assert!(out.stats.all_done());
+    }
+
+    /// One mux per rank hosting every slot kind: an Allgather
+    /// (collective 1), an in-switch AG+RS pair (3 + 4) and an endpoint
+    /// AG+RS pair (5 + 6), each of `n` bytes. Returns the run's
+    /// statistics, payload bytes and every rank's harvested slots.
+    fn run_mixed_slots(
+        topo: Topology,
+        fabric_cfg: FabricConfig,
+        n: usize,
+    ) -> (RunStats, u64, Vec<Vec<CommSlot>>) {
+        use crate::concurrent::RsApp;
+        let proto = ProtocolConfig::default();
+        let p = topo.num_hosts() as u32;
+        let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
+        let members: Vec<Rank> = (0..p).map(Rank).collect();
+        // (Allgather collective id, Reduce-Scatter placement) per slot.
+        let spec = [(1, None), (3, Some(true)), (5, Some(false))];
+        let plans: Vec<_> = spec
+            .iter()
+            .map(|&(coll, _)| {
+                let kind = CollectiveKind::Allgather;
+                let (mtu, imm) = (proto.mtu, proto.imm);
+                let plan = CollectivePlan::new(kind, p, n, mtu, imm, CollectiveId(coll), 1, 1);
+                Arc::new(plan)
+            })
+            .collect();
+        let ag_groups: Vec<_> = plans.iter().map(|_| fab.create_group(&members)).collect();
+        let rs_group = fab.create_group(&members);
+        let cutoff = crate::des::cutoff_ns(fab.topology(), &plans[0], &proto, 4);
+        for &r in &members {
+            let mut slots = Vec::new();
+            for ((&(coll, placement), plan), &g) in spec.iter().zip(&plans).zip(&ag_groups) {
+                let ctrl = fab.add_qp(r, Transport::Rc, 0);
+                let qp = fab.add_qp(r, Transport::Ud, 0);
+                fab.attach(r, qp, g);
+                let layout = QpLayout {
+                    ctrl,
+                    subgroup_qps: vec![qp],
+                    groups: vec![g],
+                };
+                let ag = McastRankApp::new(Arc::clone(plan), r, layout, cutoff);
+                slots.push(match placement {
+                    None => CommSlot::Coll(ag),
+                    Some(in_switch) => {
+                        let rs_qp = fab.add_qp(r, Transport::Rc, 0);
+                        let (mtu, imm, rs_coll) = (proto.mtu, proto.imm, CollectiveId(coll + 1));
+                        let group = in_switch.then_some(rs_group);
+                        let rs = RsApp::new(p, r, n, mtu, imm, rs_coll, rs_qp, group);
+                        CommSlot::AgRs { ag, rs }
+                    }
+                });
+            }
+            fab.set_app(r, Box::new(MultiCommApp::new(slots)));
+        }
+        let stats = fab.run();
+        let bytes = fab.traffic().total_data_bytes();
+        let slots = members
+            .iter()
+            .map(|&r| fab.take_app_as::<MultiCommApp>(r).into_slots())
+            .collect();
+        (stats, bytes, slots)
+    }
+
+    #[test]
+    fn one_mux_hosts_every_slot_kind() {
+        // Slots 1 and 2 drain their Reduce-Scatters at token
+        // `i·TOKEN_STRIDE + RS_TX_TOKEN`, so this also checks drain
+        // routing outside token base 0, for both placements.
+        let n = 16 << 10;
+        let cells = [
+            (star(4), FabricConfig::ideal()),
+            (star(5), FabricConfig::ucc_default()),
+            (
+                Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100),
+                FabricConfig::ucc_default(),
+            ),
+        ];
+        for (topo, cfg) in cells {
+            let proto = ProtocolConfig::default();
+            let (stats, bytes, ranks) = run_mixed_slots(topo.clone(), cfg.clone(), n);
+            assert!(stats.all_done(), "{stats:?}");
+            for slot in ranks.iter().flatten() {
+                match slot {
+                    CommSlot::Coll(ag) => assert!(ag.timing().t_done.is_some()),
+                    CommSlot::AgRs { ag, rs } => {
+                        assert!(ag.timing().t_done.is_some());
+                        assert!(rs.times().is_some());
+                    }
+                }
+            }
+            let alone = [
+                run_concurrent_allgathers(topo.clone(), cfg.clone(), proto, n, 1).traffic,
+                crate::run_concurrent_ag_rs(topo.clone(), cfg.clone(), proto, n).traffic,
+                crate::run_concurrent_ag_rs_endpoint(topo, cfg, proto, n).traffic,
+            ];
+            let alone: u64 = alone.iter().map(TrafficReport::total_data_bytes).sum();
+            assert_eq!(bytes, alone, "the mux must add or lose no payload");
+        }
     }
 }

@@ -189,16 +189,23 @@ impl McastRankApp {
         }
     }
 
-    /// Disable the automatic `mark_done` on release (composite drivers).
-    pub fn set_auto_mark_done(&mut self, auto: bool) {
+    /// Disable the automatic `mark_done` on release
+    /// ([`crate::MultiCommApp`] marks for its slots).
+    pub(crate) fn set_auto_mark_done(&mut self, auto: bool) {
         self.auto_mark_done = auto;
     }
 
     /// Namespace this instance's timer/drain tokens (communicator index
-    /// times [`TOKEN_STRIDE`]); composite apps route events back by
-    /// `token / TOKEN_STRIDE`.
-    pub fn set_token_base(&mut self, base: u64) {
+    /// times [`TOKEN_STRIDE`]); [`crate::MultiCommApp`] routes events
+    /// back by `token / TOKEN_STRIDE`.
+    pub(crate) fn set_token_base(&mut self, base: u64) {
         self.token_base = base;
+    }
+
+    /// Every rank-local QP this endpoint receives on: the control QP,
+    /// then the subgroup QPs.
+    pub(crate) fn qps(&self) -> impl Iterator<Item = QpNum> + '_ {
+        std::iter::once(self.qps.ctrl).chain(self.qps.subgroup_qps.iter().copied())
     }
 
     /// Has this rank released its receive buffer (collective finished)?

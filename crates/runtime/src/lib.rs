@@ -47,7 +47,6 @@
 
 pub mod arrivals;
 pub mod job;
-mod mux;
 pub mod pool;
 pub mod sched;
 pub mod stats;

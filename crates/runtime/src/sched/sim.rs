@@ -17,10 +17,9 @@
 //! batch and compare, so a field that breaks this rule fails tier-1.
 
 use crate::job::JobKind;
-use crate::mux::{SlotApp, TenantMuxApp};
 use mcag_core::protocol::QpLayout;
 use mcag_core::ProtocolConfig;
-use mcag_core::{des, CollectivePlan, ControlMsg, IncRsApp, McastRankApp};
+use mcag_core::{des, CollectivePlan, CommSlot, ControlMsg, McastRankApp, MultiCommApp, RsApp};
 use mcag_simnet::{Fabric, FabricConfig, SimTime, Topology, TraceSink};
 use mcag_verbs::{CollectiveId, McastGroupId, Rank, Transport};
 use std::sync::Arc;
@@ -119,20 +118,17 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
         })
         .collect();
 
-    // SPMD app wiring: every rank hosts one endpoint per job, muxed by
-    // QP ownership and token namespace.
+    // SPMD app wiring: every rank hosts one slot per job in a
+    // `MultiCommApp`, which routes by QP ownership and token namespace.
     for &r in &members {
         let mut apps = Vec::with_capacity(slots.len());
-        let mut qp_owner = Vec::new();
         for (i, (plan, slot)) in sim.plans.iter().zip(&slots).enumerate() {
             let ctrl = fab.add_qp(r, Transport::Rc, 0);
-            qp_owner.push(i);
             let mut subgroup_qps = Vec::with_capacity(slot.groups.len());
             for (j, &g) in slot.groups.iter().enumerate() {
                 let qp = fab.add_qp(r, Transport::Ud, (i + j) % n_workers);
                 fab.attach(r, qp, g);
                 subgroup_qps.push(qp);
-                qp_owner.push(i);
             }
             let ag = McastRankApp::new(
                 Arc::clone(plan),
@@ -147,8 +143,7 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
             let app = match slot.rs_group {
                 Some(rsg) => {
                     let rs_qp = fab.add_qp(r, Transport::Rc, 0);
-                    qp_owner.push(i);
-                    let rs = IncRsApp::new(
+                    let rs = RsApp::new(
                         p,
                         r,
                         plan.send_len(),
@@ -156,15 +151,15 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
                         sim.proto.imm,
                         CollectiveId(2 * i as u32 + 2),
                         rs_qp,
-                        rsg,
+                        Some(rsg),
                     );
-                    SlotApp::AgRs { ag, rs, rs_qp }
+                    CommSlot::AgRs { ag, rs }
                 }
-                None => SlotApp::Coll(ag),
+                None => CommSlot::Coll(ag),
             };
             apps.push(app);
         }
-        fab.set_app(r, Box::new(TenantMuxApp::new(apps, qp_owner)));
+        fab.set_app(r, Box::new(MultiCommApp::new(apps)));
     }
 
     // Batch watchdog: every job's cutoff already upper-bounds its drain
@@ -216,11 +211,11 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     let mut slot_done_ns = vec![0u64; slots.len()];
     let mut slot_timed_out = vec![false; slots.len()];
     for &r in &members {
-        let rank_slots = fab.take_app_as::<TenantMuxApp>(r).into_slots();
+        let rank_slots = fab.take_app_as::<MultiCommApp>(r).into_slots();
         for (i, slot_app) in rank_slots.into_iter().enumerate() {
             let done = match slot_app {
-                SlotApp::Coll(ag) => ag.timing().t_done.map(SimTime::as_ns),
-                SlotApp::AgRs { ag, rs, .. } => {
+                CommSlot::Coll(ag) => ag.timing().t_done.map(SimTime::as_ns),
+                CommSlot::AgRs { ag, rs } => {
                     let ag_done = ag.timing().t_done.map(SimTime::as_ns);
                     let rs_done = rs.times().map(|(_, end)| end.as_ns());
                     match (ag_done, rs_done) {

@@ -11,7 +11,7 @@
 //!   Reduce-Scatter.
 
 use mcag_bench::backendfigs::sweep_digests;
-use mcast_allgather::core::{run_endpoint_reduce_scatter, run_inc_reduce_scatter};
+use mcast_allgather::core::run_reduce_scatter;
 use mcast_allgather::dpa::{run_datapath, ArrivalModel, DpaSpec, Kernel, KernelKind};
 use mcast_allgather::offload::{flat_reduce, tree_reduce, BackendKind, DatapathTransport};
 use mcast_allgather::simnet::{FabricConfig, Topology};
@@ -97,14 +97,10 @@ fn both_reduction_placements_complete_the_same_reduce_scatter() {
         Topology::fat_tree_two_level(12, 3, 2, 1, LinkRate::CX3_56G, 100),
     ] {
         let shard = 16 << 10;
-        let inc =
-            run_inc_reduce_scatter(topo.clone(), FabricConfig::ucc_default(), Mtu::IB_4K, shard);
-        let endpoint = run_endpoint_reduce_scatter(
-            topo.clone(),
-            FabricConfig::ucc_default(),
-            Mtu::IB_4K,
-            shard,
-        );
+        let [inc, endpoint] = [true, false].map(|in_switch| {
+            let cfg = FabricConfig::ucc_default();
+            run_reduce_scatter(topo.clone(), cfg, Mtu::IB_4K, shard, in_switch)
+        });
         for out in [&inc, &endpoint] {
             assert!(out.stats.all_done(), "RS did not complete on {topo:?}");
             assert!(out.rs_times.iter().all(|t| t.is_some()));

@@ -3,19 +3,146 @@
 
 use mcast_allgather::baselines::{ring_allgather, ring_reduce_scatter, run_p2p_concurrent};
 use mcast_allgather::core::{
-    concurrent::run_inc_reduce_scatter, run_concurrent_ag_rs, ProtocolConfig,
+    concurrent::run_reduce_scatter, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint,
+    run_concurrent_allgathers, ProtocolConfig,
 };
 use mcast_allgather::models::concurrent_speedup;
 use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::{LinkRate, Mtu};
 
+mod common;
+
 fn star(p: u32) -> Topology {
     Topology::single_switch(p as usize, LinkRate::CX3_56G, 100)
 }
 
+/// FNV-1a of `format!("{out:?}")` with every `wall_ns: <digits>` (host
+/// wall-clock time in `RunStats` and `TrafficReport`) pinned to 0, so
+/// the digest covers simulated results only.
+fn sim_digest(out: &impl std::fmt::Debug) -> u64 {
+    const KEY: &str = "wall_ns: ";
+    let text = format!("{out:?}");
+    let mut pinned = String::with_capacity(text.len());
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find(KEY) {
+        let (head, tail) = rest.split_at(at + KEY.len());
+        pinned.push_str(head);
+        pinned.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    pinned.push_str(rest);
+    common::fnv64(&pinned)
+}
+
+/// Topology × fabric × protocol: the twelve cells each driver digest
+/// covers, in the order of the digest tables below.
+fn digest_cells() -> Vec<(Topology, FabricConfig, ProtocolConfig)> {
+    let fat_tree = Topology::fat_tree_two_level(32, 4, 2, 2, LinkRate::NDR_400G, 300);
+    let mut cells = Vec::new();
+    for topo in [star(4), star(7), fat_tree] {
+        for fabric in [FabricConfig::ucc_default(), FabricConfig::ideal()] {
+            for proto in [ProtocolConfig::default(), ProtocolConfig::parallel(2, 2)] {
+                cells.push((topo.clone(), fabric.clone(), proto));
+            }
+        }
+    }
+    cells
+}
+
+/// [`sim_digest`]s recorded at the commit before the Reduce-Scatter
+/// apps and rank muxes were merged: per cell of [`digest_cells`], the
+/// in-switch pair, the endpoint pair (both 24 KiB) and three concurrent
+/// 16 KiB Allgathers.
+const PAIR_IN_SWITCH_DIGESTS: [u64; 12] = [
+    0xc8ceb40ca0676ab4,
+    0x9fbd5cc324c39008,
+    0xe427acd67b255273,
+    0x8c17141387b6459a,
+    0x4bc0c90767a61d13,
+    0x0f8a4dab5e0e0bed,
+    0x3bbddb3ed1f0dff3,
+    0xf5a2716d31c94b36,
+    0x8fe8fa5f3f08612c,
+    0xd26b9b2db77b43d7,
+    0x948b0e3e5046d90f,
+    0xa4406d45f11a513f,
+];
+const PAIR_ENDPOINT_DIGESTS: [u64; 12] = [
+    0x02551680cd2ac118,
+    0x20636fa812ad4a66,
+    0x3683ae15e2c857ca,
+    0x1a103c288f0b8a50,
+    0xd958675eb8d52de3,
+    0x3955428723c09dae,
+    0xeafb10fe7a4e975e,
+    0x96600c6a35b9860b,
+    0x562fdfbcd99dc7d5,
+    0x3176971e66f2dac7,
+    0x86b04fa16b222885,
+    0x0371381a144cddce,
+];
+const ALLGATHERS_K3_DIGESTS: [u64; 12] = [
+    0x902a7faad962dd90,
+    0xfeed7d061de6ce95,
+    0x1422d83924f1daaa,
+    0x6a682e1f6eb1e0e0,
+    0xb91f31a65678de43,
+    0x81d798a69c201015,
+    0xfce5c797f7830949,
+    0x52e347d2e7df5830,
+    0x66717dd3a135772b,
+    0xebfcb59fff23039f,
+    0xf0c4d78fa035c658,
+    0x2d9b9f134dc43e80,
+];
+/// The standalone in-switch and endpoint Reduce-Scatters, 40 KiB shards
+/// on a 7-host star, recorded at the same commit.
+const RS_DIGESTS: [u64; 2] = [0xbb532a56ad1077e5, 0x18a1f28d763e8209];
+
+#[test]
+fn drivers_reproduce_their_recorded_bytes() {
+    let mut pairs = [[0u64; 12]; 3];
+    for (i, (topo, fabric, proto)) in digest_cells().into_iter().enumerate() {
+        let in_switch = run_concurrent_ag_rs(topo.clone(), fabric.clone(), proto, 24 << 10);
+        let endpoint = run_concurrent_ag_rs_endpoint(topo.clone(), fabric.clone(), proto, 24 << 10);
+        let k3 = run_concurrent_allgathers(topo, fabric, proto, 16 << 10, 3);
+        pairs[0][i] = sim_digest(&in_switch);
+        pairs[1][i] = sim_digest(&endpoint);
+        pairs[2][i] = sim_digest(&k3);
+    }
+    let rs = [true, false].map(|in_switch| {
+        let cfg = FabricConfig::ucc_default();
+        sim_digest(&run_reduce_scatter(
+            star(7),
+            cfg,
+            Mtu::IB_4K,
+            40 << 10,
+            in_switch,
+        ))
+    });
+    assert_eq!(
+        (pairs, rs),
+        (
+            [
+                PAIR_IN_SWITCH_DIGESTS,
+                PAIR_ENDPOINT_DIGESTS,
+                ALLGATHERS_K3_DIGESTS
+            ],
+            RS_DIGESTS
+        ),
+        "a driver's simulated output moved"
+    );
+}
+
 #[test]
 fn inc_reduce_scatter_delivers_every_shard() {
-    let out = run_inc_reduce_scatter(star(8), FabricConfig::ucc_default(), Mtu::IB_4K, 128 << 10);
+    let out = run_reduce_scatter(
+        star(8),
+        FabricConfig::ucc_default(),
+        Mtu::IB_4K,
+        128 << 10,
+        true,
+    );
     assert!(out.stats.all_done());
     assert_eq!(out.rs_times.iter().flatten().count(), 8);
 }
@@ -25,11 +152,12 @@ fn inc_rs_send_bound_recv_light() {
     // Insight 2: INC RS injects N(P-1) but receives only N per rank.
     let n: u64 = 64 << 10;
     let p = 6u64;
-    let out = run_inc_reduce_scatter(
+    let out = run_reduce_scatter(
         star(p as u32),
         FabricConfig::ideal(),
         Mtu::IB_4K,
         n as usize,
+        true,
     );
     let topo = star(p as u32);
     assert_eq!(
@@ -51,11 +179,12 @@ fn inc_reduction_happens_in_the_switch() {
     // N per rank however many peers contribute.
     for p in [3u64, 6, 10] {
         let n: u64 = 32 << 10;
-        let out = run_inc_reduce_scatter(
+        let out = run_reduce_scatter(
             star(p as u32),
             FabricConfig::ideal(),
             Mtu::IB_4K,
             n as usize,
+            true,
         );
         let topo = star(p as u32);
         assert_eq!(out.traffic.host_delivery_bytes(&topo), p * n, "P = {p}");

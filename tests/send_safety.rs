@@ -10,8 +10,8 @@
 use mcag_bench::parallel::SweepJob;
 use mcast_allgather::baselines::{ring_allgather, run_p2p};
 use mcast_allgather::core::{
-    des, AgRsDuplexApp, CollectiveKind, CollectiveOutcome, ControlMsg, IncRsApp, McastRankApp,
-    MultiCommApp, ProtocolConfig,
+    des, CollectiveKind, CollectiveOutcome, CommSlot, ControlMsg, McastRankApp, MultiCommApp,
+    ProtocolConfig, RsApp,
 };
 use mcast_allgather::runtime::Runtime;
 use mcast_allgather::simnet::{Fabric, FabricConfig, RankApp, Topology};
@@ -34,10 +34,10 @@ fn fabric_is_send() {
 #[test]
 fn protocol_apps_are_send() {
     // Every endpoint the drivers install: the protocol state machine,
-    // the INC Reduce-Scatter half, and the composite muxes.
+    // the Reduce-Scatter, and the one composite mux with its slots.
     assert_send::<McastRankApp>();
-    assert_send::<IncRsApp>();
-    assert_send::<AgRsDuplexApp>();
+    assert_send::<RsApp>();
+    assert_send::<CommSlot>();
     assert_send::<MultiCommApp>();
 }
 
