@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(run_cell(&cell(BackendKind::SharpSwitch))))
     });
     g.bench_function("smoke_grid", |b| {
-        b.iter(|| black_box(sweep_digests("smoke", 1)))
+        b.iter(|| black_box(sweep_digests(true, 1)))
     });
     g.finish();
 }

@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
                 seed: 7,
             };
             g.bench_function(format!("{}_cutoff{}", kind.label(), cutoff_headroom), |b| {
-                b.iter(|| black_box(run_job("smoke", &job)))
+                b.iter(|| black_box(run_job(true, &job)))
             });
         }
     }

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mcag_bench::loadfigs::BASE_INTERARRIVAL_NS;
-use mcag_bench::tracefigs::{reference_chrome_trace, tracefigs_smoke, TIMELINE_WINDOW_NS};
+use mcag_bench::tracefigs::{reference_chrome_trace, tracefigs, TIMELINE_WINDOW_NS};
 use mcag_runtime::{OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload};
 use mcag_simnet::Topology;
 use mcag_trace::{export_chrome, ChromeOptions, LinkTimeline, TraceSpec};
@@ -22,9 +22,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("chrome_export", |b| {
         b.iter(|| black_box(reference_chrome_trace().len()))
     });
-    g.bench_function("tracefigs_smoke", |b| {
-        b.iter(|| black_box(tracefigs_smoke()))
-    });
+    g.bench_function("tracefigs_smoke", |b| b.iter(|| black_box(tracefigs(true))));
     g.finish();
 }
 

@@ -17,19 +17,20 @@
 //! ([`mcag_core::run_concurrent_ag_rs_endpoint`]) — the wire-traffic
 //! asymmetry that gives in-switch reduction its bus-bandwidth edge.
 //!
-//! The sweep runs twice, `jobs = 1` then `jobs = 4`, and **asserts the
-//! two passes' digests byte-identical** before writing anything. Two
-//! more gates run before the JSON is written: the DPA backend's
-//! Table-I datapath metrics must be **bit-for-bit identical** to the
-//! pre-refactor `mcag_dpa::run_datapath` (the re-homing contract), and
-//! the SHARP backend must show a **bus-bandwidth advantage** for AG+RS
-//! at the largest swept scale. All digest quantities are
-//! simulated-time integers, so the full-mode [`BENCH_JSON`] baseline
-//! reproduces byte-identically on any host; `backendfigs_smoke` is
-//! the bounded CI variant writing the gitignored [`BENCH_SMOKE_JSON`].
+//! The sweep runs twice, `jobs = 1` then `jobs = 4`, through
+//! [`study::sweep`], which **asserts the two passes' digests
+//! byte-identical**. Two more gates hold before the JSON is rendered:
+//! the DPA backend's Table-I datapath metrics must be **bit-for-bit
+//! identical** to the pre-refactor `mcag_dpa::run_datapath` (the
+//! re-homing contract), and the SHARP backend must show a
+//! **bus-bandwidth advantage** for AG+RS at the largest swept scale. All
+//! digest quantities are simulated-time integers, so the full study's
+//! `BENCH_backends.json` baseline reproduces byte-identically on any
+//! host; `backendfigs_smoke` is the bounded CI variant.
 
 use crate::data::{human_bytes, FigData};
 use crate::netfigs::sim_mtu_for;
+use crate::study::{self, Obj};
 use mcag_core::{
     des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, CollectiveKind, ProtocolConfig,
 };
@@ -39,16 +40,6 @@ use mcag_models::{algbw_gbps, busbw_gbps, CollectiveOp};
 use mcag_offload::{BackendKind, DatapathTransport, Placement};
 use mcag_simnet::{FabricConfig, Topology};
 use mcag_verbs::{LinkRate, Rank};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// File the full-mode generator writes its machine-readable backend
-/// baseline to (checked in).
-pub const BENCH_JSON: &str = "BENCH_backends.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_backends_smoke.json";
 
 /// Chunk count of the Table-I-style datapath section (the paper's
 /// steady-state measurement length, matching `dpafigs`).
@@ -134,12 +125,12 @@ impl SweepScale {
         }
     }
 
-    /// Per-rank send length for `coll` in `mode`. Event counts scale
-    /// with ranks × chunks, so the per-rank buffer shrinks as the
-    /// fabric grows (the AG+RS pair additionally multiplies by `P−1`
-    /// operand shards on the endpoint path).
-    pub fn send_len(self, coll: SweepCollective, mode: &str) -> usize {
-        if mode != "full" {
+    /// Per-rank send length for `coll` (16 KiB throughout in smoke
+    /// mode). Event counts scale with ranks × chunks, so the per-rank
+    /// buffer shrinks as the fabric grows (the AG+RS pair additionally
+    /// multiplies by `P−1` operand shards on the endpoint path).
+    pub fn send_len(self, coll: SweepCollective, smoke: bool) -> usize {
+        if smoke {
             return 16 << 10;
         }
         match (self, coll) {
@@ -199,33 +190,8 @@ pub fn run_cell(cell: &BackendCell) -> CellDigest {
         mtu,
         ..ProtocolConfig::default()
     };
-    match cell.coll {
-        SweepCollective::Broadcast | SweepCollective::Allgather => {
-            let kind = if cell.coll == SweepCollective::Broadcast {
-                CollectiveKind::Broadcast { root: Rank(0) }
-            } else {
-                CollectiveKind::Allgather
-            };
-            let data_bytes = match cell.coll {
-                SweepCollective::Broadcast => n as u64,
-                _ => n as u64 * p as u64,
-            };
-            let out = des::run_collective(topo, cfg, proto, kind, n);
-            assert!(
-                out.stats.all_done(),
-                "{} {} {} did not complete",
-                cell.backend.label(),
-                cell.coll.label(),
-                cell.scale.label()
-            );
-            CellDigest {
-                ranks: p,
-                completion_ns: out.completion_ns(),
-                data_bytes,
-                wire_bytes: out.traffic.total_data_bytes(),
-                events: out.stats.events,
-            }
-        }
+    let gathered = n as u64 * p as u64;
+    let (completion_ns, data_bytes, stats, traffic) = match cell.coll {
         SweepCollective::AgRs => {
             // Fully parallel chains (every root multicasts its own
             // subgroup), the Appendix-B configuration of the pair.
@@ -235,30 +201,41 @@ pub fn run_cell(cell: &BackendCell) -> CellDigest {
             } else {
                 run_concurrent_ag_rs_endpoint(topo, cfg, proto, n)
             };
-            assert!(
-                out.stats.all_done(),
-                "{} ag_rs {} did not complete",
-                cell.backend.label(),
-                cell.scale.label()
-            );
-            CellDigest {
-                ranks: p,
-                completion_ns: out.pair_completion_ns(),
-                data_bytes: n as u64 * p as u64,
-                wire_bytes: out.traffic.total_data_bytes(),
-                events: out.stats.events,
-            }
+            (out.pair_completion_ns(), gathered, out.stats, out.traffic)
         }
+        coll => {
+            let (kind, data_bytes) = if coll == SweepCollective::Broadcast {
+                (CollectiveKind::Broadcast { root: Rank(0) }, n as u64)
+            } else {
+                (CollectiveKind::Allgather, gathered)
+            };
+            let out = des::run_collective(topo, cfg, proto, kind, n);
+            (out.completion_ns(), data_bytes, out.stats, out.traffic)
+        }
+    };
+    assert!(
+        stats.all_done(),
+        "{} {} {} did not complete",
+        cell.backend.label(),
+        cell.coll.label(),
+        cell.scale.label()
+    );
+    CellDigest {
+        ranks: p,
+        completion_ns,
+        data_bytes,
+        wire_bytes: traffic.total_data_bytes(),
+        events: stats.events,
     }
 }
 
-/// The sweep grid for `mode`, backend-major then collective then
+/// The smoke or full sweep grid, backend-major then collective then
 /// scale (the table's row order). Smoke skips the 512-rank fabric.
-pub fn sweep_cells(mode: &str) -> Vec<BackendCell> {
-    let scales: &[SweepScale] = if mode == "full" {
-        &SweepScale::ALL
-    } else {
+pub fn sweep_cells(smoke: bool) -> Vec<BackendCell> {
+    let scales: &[SweepScale] = if smoke {
         &[SweepScale::Star16, SweepScale::FatTree128]
+    } else {
+        &SweepScale::ALL
     };
     let mut cells = Vec::new();
     for backend in BackendKind::ALL {
@@ -268,7 +245,7 @@ pub fn sweep_cells(mode: &str) -> Vec<BackendCell> {
                     backend,
                     coll,
                     scale,
-                    send_len: scale.send_len(coll, mode),
+                    send_len: scale.send_len(coll, smoke),
                 });
             }
         }
@@ -276,47 +253,37 @@ pub fn sweep_cells(mode: &str) -> Vec<BackendCell> {
     cells
 }
 
-/// Run the `mode` grid at `jobs` workers and return slot-ordered
+/// Run the smoke or full grid at `jobs` workers and return slot-ordered
 /// digests (the golden determinism test drives this directly).
-pub fn sweep_digests(mode: &str, jobs: usize) -> Vec<CellDigest> {
-    let cells = sweep_cells(mode);
-    par_map(jobs, &cells, run_cell)
+pub fn sweep_digests(smoke: bool, jobs: usize) -> Vec<CellDigest> {
+    par_map(jobs, &sweep_cells(smoke), run_cell)
 }
 
-/// One backend's Table-I-style datapath row: single context, 4 KiB
-/// chunks, saturated arrivals — the device-level half of the cost
-/// model, independent of any fabric.
-struct DatapathRow {
-    backend: BackendKind,
-    transport: DatapathTransport,
-    gib_per_s: f64,
-    ns_per_cqe: f64,
-    rx_proc_ns_per_cqe: u64,
-    setup_ns: u64,
-    contexts: u32,
-    placement: &'static str,
-}
-
-fn datapath_rows() -> Vec<DatapathRow> {
+/// One Table-I-style datapath row per backend and transport: single
+/// context, 4 KiB chunks, saturated arrivals — the device-level half of
+/// the cost model, independent of any fabric.
+fn datapath_rows() -> Vec<Obj> {
     let mut rows = Vec::new();
     for backend in BackendKind::ALL {
         let be = backend.instantiate();
+        let placement = match be.placement() {
+            Placement::EndpointNic => "endpoint NIC",
+            Placement::HostCore => "host core",
+            Placement::InSwitch => "in-switch",
+        };
         for transport in [DatapathTransport::Uc, DatapathTransport::Ud] {
             let m = be.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
-            rows.push(DatapathRow {
-                backend,
-                transport,
-                gib_per_s: m.gib_per_s,
-                ns_per_cqe: m.wall_ns / m.chunks as f64,
-                rx_proc_ns_per_cqe: be.host_model(4096).rx_proc_ns_per_cqe,
-                setup_ns: be.setup_ns(),
-                contexts: be.limits().contexts,
-                placement: match be.placement() {
-                    Placement::EndpointNic => "endpoint NIC",
-                    Placement::HostCore => "host core",
-                    Placement::InSwitch => "in-switch",
-                },
-            });
+            rows.push(
+                Obj::new()
+                    .str("backend", backend.label())
+                    .str("transport", &format!("{transport:?}"))
+                    .str("placement", placement)
+                    .float("gib_per_s", m.gib_per_s, 3)
+                    .float("ns_per_cqe", m.wall_ns / m.chunks as f64, 3)
+                    .int("rx_proc_ns_per_cqe", be.host_model(4096).rx_proc_ns_per_cqe)
+                    .int("setup_ns", be.setup_ns())
+                    .int("contexts", be.limits().contexts.into()),
+            );
         }
     }
     rows
@@ -325,13 +292,15 @@ fn datapath_rows() -> Vec<DatapathRow> {
 /// The re-homing contract: the DPA backend's datapath must be
 /// bit-for-bit the pre-refactor `run_datapath` at the Table-I
 /// operating point (single thread, 4 KiB chunks, saturated).
-fn assert_dpa_table1_identical() {
+fn dpa_table1_identical() -> bool {
     let be = BackendKind::DpaBf3.instantiate();
     let spec = DpaSpec::bf3();
-    for (transport, kind) in [
+    [
         (DatapathTransport::Uc, KernelKind::DpaUc),
         (DatapathTransport::Ud, KernelKind::DpaUd),
-    ] {
+    ]
+    .into_iter()
+    .all(|(transport, kind)| {
         let via_trait = be.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
         let direct = run_datapath(
             &spec,
@@ -341,79 +310,45 @@ fn assert_dpa_table1_identical() {
             DATAPATH_CHUNKS,
             ArrivalModel::Saturated,
         );
-        assert_eq!(
-            via_trait, direct,
-            "DPA backend must reproduce run_datapath bit-for-bit ({transport:?})"
-        );
-    }
+        via_trait == direct
+    })
 }
 
-fn backendfigs_with(mode: &str) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
-    } else {
-        BENCH_SMOKE_JSON
-    };
-    let cells = sweep_cells(mode);
+/// The backend study: 4 backends × 3 collectives × 3 scales up to the
+/// 512-rank fat-tree (the recorded baseline), or (smoke) the two smaller
+/// fabrics at 16 KiB.
+pub fn backendfigs(smoke: bool) -> FigData {
+    let mode = study::mode(smoke);
+    let cells = sweep_cells(smoke);
+    let sweep = study::sweep(study::PASSES, &cells, |_| 0, run_cell);
+    let digests = &sweep.digests;
 
-    // Gate 1: the re-homed DPA model is bit-identical to the original.
-    assert_dpa_table1_identical();
-
-    // Two passes, jobs = 1 then jobs = 4; digests must be
-    // byte-identical (the determinism half of the acceptance bar).
-    let mut passes: Vec<(usize, u64)> = Vec::new();
-    let mut reference: Option<Vec<CellDigest>> = None;
-    for workers in [1usize, 4] {
-        let t0 = Instant::now();
-        let digests = par_map(workers, &cells, run_cell);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        match &reference {
-            None => reference = Some(digests),
-            Some(base) => assert_eq!(
-                base, &digests,
-                "jobs=4 produced different backend-sweep results than jobs=1 — determinism broken"
-            ),
-        }
-        passes.push((workers, wall_ns));
-    }
-    let digests = reference.expect("at least one pass ran");
-
-    // Gate 2: in-switch reduction must out-busbw every endpoint
+    // NCCL-convention (algbw, busbw) of every cell, Gbit/s.
+    let bw: Vec<(f64, f64)> = cells
+        .iter()
+        .zip(digests)
+        .map(|(c, d)| {
+            let busbw = busbw_gbps(c.coll.op(), d.ranks, d.data_bytes, d.completion_ns);
+            (algbw_gbps(d.data_bytes, d.completion_ns), busbw)
+        })
+        .collect();
+    // The SHARP gate: in-switch reduction must out-busbw every endpoint
     // backend for AG+RS at the largest swept scale.
     let top = cells.last().expect("non-empty grid").scale;
-    let busbw_of = |backend: BackendKind| -> f64 {
-        cells
-            .iter()
-            .zip(&digests)
-            .find(|(c, _)| {
-                c.backend == backend && c.coll == SweepCollective::AgRs && c.scale == top
-            })
-            .map(|(_, d)| {
-                busbw_gbps(
-                    SweepCollective::AgRs.op(),
-                    d.ranks,
-                    d.data_bytes,
-                    d.completion_ns,
-                )
-            })
-            .expect("grid covers every backend at the top scale")
-    };
-    let sharp = busbw_of(BackendKind::SharpSwitch);
-    for backend in [
-        BackendKind::DpaBf3,
-        BackendKind::HostCpu,
-        BackendKind::FpgaSmartNic,
-    ] {
-        let endpoint = busbw_of(backend);
-        assert!(
-            sharp > endpoint,
-            "SHARP AG+RS busbw must beat {} at {}: {sharp:.1} vs {endpoint:.1} Gbit/s",
-            backend.label(),
-            top.label(),
-        );
-    }
-
-    let dp_rows = datapath_rows();
+    let top_agrs: Vec<(BackendKind, f64)> = cells
+        .iter()
+        .zip(&bw)
+        .filter(|(c, _)| c.coll == SweepCollective::AgRs && c.scale == top)
+        .map(|(c, &(_, busbw))| (c.backend, busbw))
+        .collect();
+    let is_sharp = |b: BackendKind| b == BackendKind::SharpSwitch;
+    let (_, sharp) = *top_agrs
+        .iter()
+        .find(|(b, _)| is_sharp(*b))
+        .expect("SHARP swept");
+    let sharp_wins = top_agrs
+        .iter()
+        .all(|&(b, busbw)| is_sharp(b) || sharp > busbw);
 
     let mut f = FigData::new(
         "backendfigs",
@@ -430,7 +365,7 @@ fn backendfigs_with(mode: &str) -> FigData {
             "wire bytes",
         ],
     );
-    for (c, d) in cells.iter().zip(&digests) {
+    for ((c, d), (algbw, busbw)) in cells.iter().zip(digests).zip(&bw) {
         f.row(vec![
             c.backend.label().to_string(),
             c.coll.label().to_string(),
@@ -438,11 +373,8 @@ fn backendfigs_with(mode: &str) -> FigData {
             d.ranks.to_string(),
             human_bytes(c.send_len as u64),
             format!("{:.1}", d.completion_ns as f64 / 1e3),
-            format!("{:.1}", algbw_gbps(d.data_bytes, d.completion_ns)),
-            format!(
-                "{:.1}",
-                busbw_gbps(c.coll.op(), d.ranks, d.data_bytes, d.completion_ns)
-            ),
+            format!("{algbw:.1}"),
+            format!("{busbw:.1}"),
             human_bytes(d.wire_bytes),
         ]);
     }
@@ -460,109 +392,50 @@ fn backendfigs_with(mode: &str) -> FigData {
          at the Table-I point; SHARP AG+RS busbw beats every endpoint backend at the largest \
          scale; jobs=1 and jobs=4 digests byte-identical",
     );
-    for (workers, wall_ns) in &passes {
-        f.note(format!(
-            "pass jobs={workers}: {:.1} ms wall (results asserted identical across passes)",
-            *wall_ns as f64 / 1e6
-        ));
-    }
-    f.note(format!(
-        "machine-readable backend baseline written to {json_path}"
-    ));
+    sweep.note_passes(&mut f);
 
-    let json = render_json(mode, &cells, &digests, &dp_rows);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    // Every digest quantity is a simulated-time integer and every float
+    // a pure function of them, so the file is byte-identical across hosts
+    // and repeated runs — CI diffs two smoke passes to enforce it.
+    let doc = Obj::new()
+        .str("generator", "figures backendfigs")
+        .str("mode", mode)
+        .str(
+            "interpretation",
+            "one row per (backend, collective, scale) cell; the backend compiles into the \
+             endpoint per-CQE cost model (and, in-switch only, the bounded aggregation table) of \
+             an otherwise identical fabric. algbw/busbw follow nccl-tests conventions; ag_rs runs \
+             the concurrent {AG_mc, RS} pair with in-switch reduction for sharp_switch and \
+             endpoint reduction for NIC-resident backends. Each cell ran at jobs=1 and jobs=4 and \
+             the digests were asserted byte-identical before this file was written.",
+        )
+        .gate("results_identical", sweep.cross_checked())
+        .gate("dpa_table1_identical", dpa_table1_identical())
+        .gate("sharp_agrs_busbw_advantage", sharp_wins)
+        .rows("datapath", datapath_rows())
+        .rows(
+            "cells",
+            cells
+                .iter()
+                .zip(digests)
+                .zip(&bw)
+                .map(|((c, d), &(algbw, busbw))| {
+                    Obj::new()
+                        .str("backend", c.backend.label())
+                        .str("collective", c.coll.label())
+                        .str("scale", c.scale.label())
+                        .int("ranks", d.ranks.into())
+                        .int("send_len", c.send_len as u64)
+                        .int("completion_ns", d.completion_ns)
+                        .int("data_bytes", d.data_bytes)
+                        .int("wire_bytes", d.wire_bytes)
+                        .int("events", d.events)
+                        .float("algbw_gbps", algbw, 3)
+                        .float("busbw_gbps", busbw, 3)
+                }),
+        );
+    study::attach(&mut f, "backends", smoke, &doc);
     f
-}
-
-/// Hand-rolled JSON (the offline serde shim has no serializer). Every
-/// digest quantity is a simulated-time integer and every float is a
-/// pure function of them, so the file is byte-identical across hosts
-/// and repeated runs — CI diffs two smoke passes to enforce it.
-fn render_json(
-    mode: &str,
-    cells: &[BackendCell],
-    digests: &[CellDigest],
-    dp_rows: &[DatapathRow],
-) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures backendfigs\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"interpretation\": \"one row per (backend, collective, scale) cell; the backend \
-         compiles into the endpoint per-CQE cost model (and, in-switch only, the bounded \
-         aggregation table) of an otherwise identical fabric. algbw/busbw follow nccl-tests \
-         conventions; ag_rs runs the concurrent {{AG_mc, RS}} pair with in-switch reduction for \
-         sharp_switch and endpoint reduction for NIC-resident backends. Each cell ran at jobs=1 \
-         and jobs=4 and the digests were asserted byte-identical before this file was \
-         written.\","
-    );
-    let _ = writeln!(s, "  \"results_identical\": true,");
-    let _ = writeln!(s, "  \"dpa_table1_identical\": true,");
-    let _ = writeln!(s, "  \"sharp_agrs_busbw_advantage\": true,");
-    let _ = writeln!(s, "  \"datapath\": [");
-    for (i, r) in dp_rows.iter().enumerate() {
-        let comma = if i + 1 < dp_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"backend\": \"{}\", \"transport\": \"{:?}\", \"placement\": \"{}\", \
-             \"gib_per_s\": {:.3}, \"ns_per_cqe\": {:.3}, \"rx_proc_ns_per_cqe\": {}, \
-             \"setup_ns\": {}, \"contexts\": {} }}{comma}",
-            r.backend.label(),
-            r.transport,
-            r.placement,
-            r.gib_per_s,
-            r.ns_per_cqe,
-            r.rx_proc_ns_per_cqe,
-            r.setup_ns,
-            r.contexts,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, (c, d)) in cells.iter().zip(digests).enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"backend\": \"{}\", \"collective\": \"{}\", \"scale\": \"{}\", \
-             \"ranks\": {}, \"send_len\": {}, \"completion_ns\": {}, \"data_bytes\": {}, \
-             \"wire_bytes\": {}, \"events\": {}, \"algbw_gbps\": {:.3}, \"busbw_gbps\": {:.3} \
-             }}{comma}",
-            c.backend.label(),
-            c.coll.label(),
-            c.scale.label(),
-            d.ranks,
-            c.send_len,
-            d.completion_ns,
-            d.data_bytes,
-            d.wire_bytes,
-            d.events,
-            algbw_gbps(d.data_bytes, d.completion_ns),
-            busbw_gbps(c.coll.op(), d.ranks, d.data_bytes, d.completion_ns),
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full backend study (the recorded baseline): 4 backends × 3
-/// collectives × 3 scales up to the 512-rank fat-tree, twice
-/// (jobs = 1 and 4).
-pub fn backendfigs() -> FigData {
-    backendfigs_with("full")
-}
-
-/// Bounded CI smoke: the same 4 backends × 3 collectives on the two
-/// smaller fabrics at 16 KiB; still asserts the DPA identity, the
-/// SHARP AG+RS win, and cross-jobs determinism, and writes
-/// [`BENCH_SMOKE_JSON`] (not the checked-in full baseline).
-pub fn backendfigs_smoke() -> FigData {
-    backendfigs_with("smoke")
 }
 
 #[cfg(test)]
@@ -571,30 +444,30 @@ mod tests {
 
     #[test]
     fn grids_cover_every_backend_collective_pair() {
-        for mode in ["full", "smoke"] {
-            let cells = sweep_cells(mode);
+        for smoke in [false, true] {
+            let cells = sweep_cells(smoke);
             for backend in BackendKind::ALL {
                 for coll in SweepCollective::ALL {
                     assert!(
                         cells.iter().any(|c| c.backend == backend && c.coll == coll),
-                        "{mode} grid misses {} × {}",
+                        "smoke={smoke} grid misses {} × {}",
                         backend.label(),
                         coll.label()
                     );
                 }
             }
         }
-        let full = sweep_cells("full");
+        let full = sweep_cells(false);
         assert_eq!(full.len(), 4 * 3 * 3);
         assert!(full
             .iter()
             .any(|c| c.scale == SweepScale::FatTree512 && c.coll == SweepCollective::AgRs));
-        assert!(sweep_cells("smoke").len() < full.len());
+        assert!(sweep_cells(true).len() < full.len());
     }
 
     #[test]
     fn dpa_backend_is_bit_identical_to_run_datapath() {
-        assert_dpa_table1_identical();
+        assert!(dpa_table1_identical());
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! per-job cost-skew detail share one format — see
 //! `mcag_bench::data::timing_row`). `--trace PATH` exports the reference
 //! traced fat-tree-512 Allgather as Chrome trace-event JSON, ready to
-//! open at <https://ui.perfetto.dev>. Every run ends with a wall-clock
+//! open at <https://ui.perfetto.dev>. Studies (`simcore`, `faultfigs`,
+//! …) return a machine-readable baseline with their table; this binary
+//! writes it to its `BENCH_*.json` path in the working directory — the
+//! only place the harness writes files. Every run ends with a wall-clock
 //! summary table so perf PRs can diff generator runtime, not just
 //! simulated-time results.
 
 use mcag_bench::data::{timing_row, TIMINGS_CSV_HEADER};
-use mcag_bench::{generate_with, tracefigs, ABLATIONS, ALL_FIGS, PERF};
+use mcag_bench::{generate_with, tracefigs, ABLATIONS, ALL_FIGS, STUDIES};
 use std::io::Write;
 
 fn main() {
@@ -48,11 +51,12 @@ fn main() {
                 ids.extend(ABLATIONS.iter().map(|s| s.to_string()));
             }
             "--help" | "-h" => {
+                let studies: Vec<&str> = STUDIES.iter().map(|(s, _)| *s).collect();
                 println!(
-                    "usage: figures [ids…] [--ablations] [--jobs N] [--csv DIR] [--trace PATH]\nids: {}\nablations: {}\nperf: {}",
+                    "usage: figures [ids…] [--ablations] [--jobs N] [--csv DIR] [--trace PATH]\nids: {}\nablations: {}\nstudies (append _smoke for the CI variant): {}",
                     ALL_FIGS.join(" "),
                     ABLATIONS.join(" "),
-                    PERF.join(" ")
+                    studies.join(" ")
                 );
                 return;
             }
@@ -60,7 +64,9 @@ fn main() {
         }
     }
     if let Some(path) = &trace_path {
-        let bytes = tracefigs::export_reference_trace(path).expect("write trace export");
+        let doc = tracefigs::reference_chrome_trace();
+        std::fs::write(path, &doc).expect("write trace export");
+        let bytes = doc.len();
         println!("wrote {bytes}-byte Chrome trace to {path} (open at https://ui.perfetto.dev)");
         if ids.is_empty() {
             return;
@@ -82,6 +88,9 @@ fn main() {
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         writeln!(out, "{}", fig.render()).unwrap();
         writeln!(out, "  [generated in {wall_ms:.1} ms]\n").unwrap();
+        if let Some(b) = &fig.baseline {
+            std::fs::write(&b.path, &b.json).unwrap_or_else(|e| panic!("write {}: {e}", b.path));
+        }
         if let Some(dir) = &csv_dir {
             let path = format!("{dir}/{id}.csv");
             std::fs::write(&path, fig.to_csv()).expect("write csv");

@@ -22,6 +22,19 @@ pub struct FigData {
     /// `<id>:<label>` rows; they never enter rendered tables or
     /// determinism digests.
     pub job_wall_ms: Vec<(String, f64)>,
+    /// The machine-readable baseline of a study generator, which the
+    /// `figures` binary writes next to the table it prints.
+    pub baseline: Option<Baseline>,
+}
+
+/// A study's machine-readable baseline: the JSON document and the path,
+/// relative to the working directory, it belongs at.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Baseline {
+    /// `BENCH_<stem>.json`, or `BENCH_<stem>_smoke.json` in smoke mode.
+    pub path: String,
+    /// The document.
+    pub json: String,
 }
 
 impl FigData {
@@ -34,6 +47,7 @@ impl FigData {
             rows: Vec::new(),
             notes: Vec::new(),
             job_wall_ms: Vec::new(),
+            baseline: None,
         }
     }
 

@@ -10,35 +10,25 @@
 //! watchdog deadline and counted separately.
 //!
 //! The sweep runs twice, at `jobs = 1` and `jobs = 4`, through
-//! [`mcag_exec::par_map_ordered`] (largest-first claim order: the
+//! [`study::sweep`] (largest-first claim order by [`job_weight`]: the
 //! expensive high-headroom / switch-failure seeds overlap the cheap
-//! bulk), and **asserts the two passes' digests are byte-identical**
-//! before writing anything — the tail table doubles as a determinism
-//! check of the whole fault stack. The full mode writes the checked-in
-//! [`BENCH_JSON`]; `faultfigs_smoke` is the bounded CI variant writing
-//! the gitignored [`BENCH_SMOKE_JSON`]. Both JSON files contain only
+//! bulk), which **asserts the two passes' digests byte-identical** — the
+//! tail table doubles as a determinism check of the whole fault stack.
+//! The full study's baseline is the checked-in `BENCH_faults.json`;
+//! `faultfigs_smoke` is the bounded CI variant. Both contain only
 //! simulated-time quantities, so repeated runs on any host produce
 //! byte-identical files (CI diffs two passes to enforce this); wall
 //! clocks go to the table notes and `timings.csv` instead.
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
+use crate::study::{self, Obj};
 use mcag_core::des::{self, RunBounds};
 use mcag_core::{CollectiveKind, ProtocolConfig};
-use mcag_exec::par_map_ordered;
 use mcag_faults::{FaultModel, FaultPlan};
+use mcag_models::nearest_rank;
 use mcag_simnet::{FabricConfig, Topology};
 use mcag_verbs::LinkRate;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// File the full-mode generator writes its machine-readable tail
-/// baseline to (checked in).
-pub const BENCH_JSON: &str = "BENCH_faults.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_faults_smoke.json";
 
 /// Watchdog grant for every sweep run, in cutoffs: long enough for
 /// multi-round ring recovery after an outage, short enough that a
@@ -134,28 +124,28 @@ pub fn sweep_plan(job: &FaultJob, topo: &Topology) -> FaultPlan {
     }
 }
 
-fn sweep_topology(mode: &str) -> Topology {
-    if mode == "full" {
-        Topology::fat_tree_two_level(16, 4, 2, 1, LinkRate::CX3_56G, 100)
-    } else {
+fn sweep_topology(smoke: bool) -> Topology {
+    if smoke {
         Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100)
-    }
-}
-
-fn sweep_send_len(mode: &str) -> usize {
-    if mode == "full" {
-        32 << 10
     } else {
-        16 << 10
+        Topology::fat_tree_two_level(16, 4, 2, 1, LinkRate::CX3_56G, 100)
     }
 }
 
-/// Run one sweep job to its digest.
-pub fn run_job(mode: &str, job: &FaultJob) -> FaultDigest {
-    let topo = sweep_topology(mode);
+fn sweep_send_len(smoke: bool) -> usize {
+    if smoke {
+        16 << 10
+    } else {
+        32 << 10
+    }
+}
+
+/// Run one sweep job of the smoke or full grid to its digest.
+pub fn run_job(smoke: bool, job: &FaultJob) -> FaultDigest {
+    let topo = sweep_topology(smoke);
     let mut cfg = FabricConfig::ucc_default();
     cfg.faults = sweep_plan(job, &topo).compile(&topo);
-    let send_len = sweep_send_len(mode);
+    let send_len = sweep_send_len(smoke);
     let proto = ProtocolConfig {
         mtu: sim_mtu_for(send_len),
         ..ProtocolConfig::default()
@@ -182,7 +172,7 @@ pub fn run_job(mode: &str, job: &FaultJob) -> FaultDigest {
 }
 
 /// Claim-order weight: a deterministic cost proxy (disruptive models
-/// and high headroom burn more simulated time), so `par_map_ordered`
+/// and high headroom burn more simulated time), so the sweep
 /// front-loads the likely-expensive seeds.
 pub fn job_weight(job: &FaultJob) -> u64 {
     let model = match job.kind {
@@ -193,12 +183,12 @@ pub fn job_weight(job: &FaultJob) -> u64 {
     model * 1_000 + job.cutoff_headroom * 10 + (job.rate * 100.0) as u64
 }
 
-/// The sweep grid for `mode`, in cell-major order (seeds innermost).
-pub fn sweep_jobs(mode: &str) -> Vec<FaultJob> {
-    let (rates, cutoffs, seeds): (&[f64], &[u64], u64) = if mode == "full" {
-        (&[0.05, 0.20], &[1, 4], 200)
-    } else {
+/// The smoke or full sweep grid, in cell-major order (seeds innermost).
+pub fn sweep_jobs(smoke: bool) -> Vec<FaultJob> {
+    let (rates, cutoffs, seeds): (&[f64], &[u64], u64) = if smoke {
         (&[0.20], &[1, 4], 24)
+    } else {
+        (&[0.05, 0.20], &[1, 4], 200)
     };
     let mut jobs = Vec::new();
     for kind in FaultKind::ALL {
@@ -218,105 +208,15 @@ pub fn sweep_jobs(mode: &str) -> Vec<FaultJob> {
     jobs
 }
 
-/// Nearest-rank quantile of an ascending-sorted slice.
-pub fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
-    assert!(!sorted.is_empty() && (0.0..=1.0).contains(&q));
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.max(1) - 1]
-}
+/// The failure-sweep study: 3 models × 2 rates × 2 cutoffs × 200 seeds
+/// (the recorded tail baseline), or (smoke) the same grid shape on a
+/// smaller fabric with 24 seeds per cell.
+pub fn faultfigs(smoke: bool) -> FigData {
+    let mode = study::mode(smoke);
+    let jobs = sweep_jobs(smoke);
+    let sweep = study::sweep(study::PASSES, &jobs, job_weight, |j| run_job(smoke, j));
 
-struct Cell {
-    kind: FaultKind,
-    rate: f64,
-    cutoff_headroom: u64,
-    seeds: usize,
-    timeouts: usize,
-    p50: u64,
-    p99: u64,
-    p999: u64,
-    mean: u64,
-    max: u64,
-    fault_drops: u64,
-    fetched: u64,
-}
-
-fn aggregate(jobs: &[FaultJob], digests: &[FaultDigest]) -> Vec<Cell> {
-    // Cells in first-appearance (sweep) order.
-    let mut cells: Vec<(FaultKind, f64, u64)> = Vec::new();
-    for j in jobs {
-        let key = (j.kind, j.rate, j.cutoff_headroom);
-        if !cells.contains(&key) {
-            cells.push(key);
-        }
-    }
-    cells
-        .into_iter()
-        .map(|(kind, rate, cutoff_headroom)| {
-            let picked: Vec<&FaultDigest> = jobs
-                .iter()
-                .zip(digests)
-                .filter(|(j, _)| {
-                    j.kind == kind && j.rate == rate && j.cutoff_headroom == cutoff_headroom
-                })
-                .map(|(_, d)| d)
-                .collect();
-            let mut comp: Vec<u64> = picked.iter().map(|d| d.completion_ns).collect();
-            comp.sort_unstable();
-            Cell {
-                kind,
-                rate,
-                cutoff_headroom,
-                seeds: picked.len(),
-                timeouts: picked.iter().filter(|d| d.timed_out).count(),
-                p50: quantile_ns(&comp, 0.50),
-                p99: quantile_ns(&comp, 0.99),
-                p999: quantile_ns(&comp, 0.999),
-                mean: comp.iter().sum::<u64>() / comp.len() as u64,
-                max: *comp.last().unwrap(),
-                fault_drops: picked.iter().map(|d| d.fault_drops).sum(),
-                fetched: picked.iter().map(|d| d.fetched).sum(),
-            }
-        })
-        .collect()
-}
-
-fn faultfigs_with(mode: &str) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
-    } else {
-        BENCH_SMOKE_JSON
-    };
-    let jobs = sweep_jobs(mode);
-
-    // Two passes, jobs = 1 then jobs = 4; digests must be
-    // byte-identical (the determinism half of the acceptance bar).
-    let mut passes: Vec<(usize, u64)> = Vec::new();
-    let mut reference: Option<Vec<FaultDigest>> = None;
-    let mut last_timed = Vec::new();
-    for workers in [1usize, 4] {
-        let t0 = Instant::now();
-        let timed = par_map_ordered(
-            workers,
-            &jobs,
-            |i, _| job_weight(&jobs[i]),
-            |j| run_job(mode, j),
-        );
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let digests: Vec<FaultDigest> = timed.iter().map(|t| t.value).collect();
-        match &reference {
-            None => reference = Some(digests),
-            Some(base) => assert_eq!(
-                base, &digests,
-                "jobs=4 produced different fault-sweep results than jobs=1 — determinism broken"
-            ),
-        }
-        passes.push((workers, wall_ns));
-        last_timed = timed;
-    }
-    let digests = reference.expect("at least one pass ran");
-    let cells = aggregate(&jobs, &digests);
-
-    let topo = sweep_topology(mode);
+    let topo = sweep_topology(smoke);
     let mut f = FigData::new(
         "faultfigs",
         "Failure sweep: completion-time tail vs fault model × rate × recovery cutoff",
@@ -331,37 +231,51 @@ fn faultfigs_with(mode: &str) -> FigData {
             "fault drops",
         ],
     );
-    for c in &cells {
+    let mut rows = Vec::new();
+    let cells = sweep.group_by(&jobs, |j| (j.kind, j.rate, j.cutoff_headroom));
+    for ((kind, rate, cutoff_headroom), picked) in cells {
+        let mut comp: Vec<u64> = picked.iter().map(|d| d.completion_ns).collect();
+        comp.sort_unstable();
+        let [p50, p99, p999] = [0.50, 0.99, 0.999].map(|q| nearest_rank(&comp, q));
+        let timeouts = picked.iter().filter(|d| d.timed_out).count();
+        let fault_drops: u64 = picked.iter().map(|d| d.fault_drops).sum();
         f.row(vec![
-            c.kind.label().to_string(),
-            format!("{:.2}", c.rate),
-            c.cutoff_headroom.to_string(),
-            format!("{:.1}", c.p50 as f64 / 1e3),
-            format!("{:.1}", c.p99 as f64 / 1e3),
-            format!("{:.1}", c.p999 as f64 / 1e3),
-            format!("{}/{}", c.timeouts, c.seeds),
-            c.fault_drops.to_string(),
+            kind.label().to_string(),
+            format!("{rate:.2}"),
+            cutoff_headroom.to_string(),
+            format!("{:.1}", p50 as f64 / 1e3),
+            format!("{:.1}", p99 as f64 / 1e3),
+            format!("{:.1}", p999 as f64 / 1e3),
+            format!("{timeouts}/{}", picked.len()),
+            fault_drops.to_string(),
         ]);
+        rows.push(
+            Obj::new()
+                .str("model", kind.label())
+                .float("rate", rate, 2)
+                .int("cutoff_headroom", cutoff_headroom)
+                .int("seeds", picked.len() as u64)
+                .int("timeouts", timeouts as u64)
+                .int("p50_ns", p50)
+                .int("p99_ns", p99)
+                .int("p999_ns", p999)
+                .int("mean_ns", comp.iter().sum::<u64>() / comp.len() as u64)
+                .int("max_ns", comp[comp.len() - 1])
+                .int("fault_drops", fault_drops)
+                .int("fetched_chunks", picked.iter().map(|d| d.fetched).sum()),
+        );
     }
     f.note(format!(
         "mode={mode}; {} Allgather of {} KiB per rank; {} jobs per pass; \
          timed-out seeds censored at the {SWEEP_WATCHDOG_CUTOFFS}-cutoff watchdog",
         topo.name(),
-        sweep_send_len(mode) >> 10,
+        sweep_send_len(smoke) >> 10,
         jobs.len(),
     ));
-    for (workers, wall_ns) in &passes {
-        f.note(format!(
-            "pass jobs={workers}: {:.1} ms wall (results asserted identical across passes)",
-            *wall_ns as f64 / 1e6
-        ));
-    }
-    f.note(format!(
-        "machine-readable tail baseline written to {json_path}"
-    ));
+    sweep.note_passes(&mut f);
     // Per-seed wall times (from the final, parallel pass) for cost-skew
     // analysis; the figures binary lands these in timings.csv.
-    for (j, t) in jobs.iter().zip(&last_timed) {
+    for (j, wall_ns) in jobs.iter().zip(&sweep.item_wall_ns) {
         f.job_timing(
             format!(
                 "{}_r{:.2}_c{}_s{}",
@@ -370,81 +284,34 @@ fn faultfigs_with(mode: &str) -> FigData {
                 j.cutoff_headroom,
                 j.seed
             ),
-            t.wall_ns as f64 / 1e6,
+            *wall_ns as f64 / 1e6,
         );
     }
 
-    let json = render_json(mode, &topo, jobs.len(), &cells);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    // Only simulated-time quantities, so the file is byte-identical
+    // across hosts and repeated runs — CI asserts exactly that.
+    let doc = Obj::new()
+        .str("generator", "figures faultfigs")
+        .str("mode", mode)
+        .str("topology", topo.name())
+        .str(
+            "collective",
+            &format!("Allgather, {} KiB per rank", sweep_send_len(smoke) >> 10),
+        )
+        .int("jobs_per_pass", jobs.len() as u64)
+        .int("watchdog_cutoffs", SWEEP_WATCHDOG_CUTOFFS)
+        .str(
+            "interpretation",
+            "one row per (model, failure rate, recovery-cutoff headroom) cell; quantiles are \
+             nearest-rank over that cell's seeds with timeouts censored at the watchdog deadline. \
+             The sweep ran at jobs=1 and jobs=4 and the per-seed digests were asserted \
+             byte-identical before this file was written; it contains only simulated-time \
+             quantities and reproduces byte-identically on any host.",
+        )
+        .gate("results_identical", sweep.cross_checked())
+        .rows("cells", rows);
+    study::attach(&mut f, "faults", smoke, &doc);
     f
-}
-
-/// Hand-rolled JSON (the offline serde shim has no serializer). Only
-/// simulated-time quantities appear, so the file is byte-identical
-/// across hosts and repeated runs — CI asserts exactly that.
-fn render_json(mode: &str, topo: &Topology, n_jobs: usize, cells: &[Cell]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures faultfigs\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"topology\": \"{}\",", topo.name());
-    let _ = writeln!(
-        s,
-        "  \"collective\": \"Allgather, {} KiB per rank\",",
-        sweep_send_len(mode) >> 10
-    );
-    let _ = writeln!(s, "  \"jobs_per_pass\": {n_jobs},");
-    let _ = writeln!(s, "  \"watchdog_cutoffs\": {SWEEP_WATCHDOG_CUTOFFS},");
-    let _ = writeln!(
-        s,
-        "  \"interpretation\": \"one row per (model, failure rate, recovery-cutoff headroom) \
-         cell; quantiles are nearest-rank over that cell's seeds with timeouts censored at \
-         the watchdog deadline. The sweep ran at jobs=1 and jobs=4 and the per-seed digests \
-         were asserted byte-identical before this file was written; it contains only \
-         simulated-time quantities and reproduces byte-identically on any host.\","
-    );
-    let _ = writeln!(s, "  \"results_identical\": true,");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"model\": \"{}\", \"rate\": {:.2}, \"cutoff_headroom\": {}, \
-             \"seeds\": {}, \"timeouts\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \"fault_drops\": {}, \
-             \"fetched_chunks\": {} }}{comma}",
-            c.kind.label(),
-            c.rate,
-            c.cutoff_headroom,
-            c.seeds,
-            c.timeouts,
-            c.p50,
-            c.p99,
-            c.p999,
-            c.mean,
-            c.max,
-            c.fault_drops,
-            c.fetched,
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full failure sweep (the recorded tail baseline): 3 models × 2 rates
-/// × 2 cutoffs × 200 seeds, twice (jobs = 1 and 4).
-pub fn faultfigs() -> FigData {
-    faultfigs_with("full")
-}
-
-/// Bounded CI smoke: same grid shape on a smaller fabric with 24 seeds
-/// per cell; still asserts cross-jobs determinism and writes
-/// [`BENCH_SMOKE_JSON`] (not the checked-in full baseline).
-pub fn faultfigs_smoke() -> FigData {
-    faultfigs_with("smoke")
 }
 
 #[cfg(test)]
@@ -452,62 +319,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_are_nearest_rank() {
-        let v: Vec<u64> = (1..=200).collect();
-        assert_eq!(quantile_ns(&v, 0.50), 100);
-        assert_eq!(quantile_ns(&v, 0.99), 198);
-        assert_eq!(quantile_ns(&v, 0.999), 200);
-        assert_eq!(quantile_ns(&[7], 0.5), 7);
-    }
-
-    #[test]
     fn sweep_grid_covers_all_models_and_axes() {
-        let jobs = sweep_jobs("full");
+        let jobs = sweep_jobs(false);
         assert_eq!(jobs.len(), 3 * 2 * 2 * 200);
         for kind in FaultKind::ALL {
             assert!(jobs.iter().any(|j| j.kind == kind));
         }
-        let smoke = sweep_jobs("smoke");
+        let smoke = sweep_jobs(true);
         assert_eq!(smoke.len(), 3 * 2 * 24);
     }
 
     #[test]
     fn fault_jobs_are_deterministic_across_worker_counts() {
         // A thin slice of the smoke grid, jobs=1 vs jobs=4.
-        let jobs: Vec<FaultJob> = sweep_jobs("smoke")
+        let jobs: Vec<FaultJob> = sweep_jobs(true)
             .into_iter()
             .filter(|j| j.seed < 3)
             .collect();
-        let one: Vec<FaultDigest> = par_map_ordered(
-            1,
-            &jobs,
-            |i, _| job_weight(&jobs[i]),
-            |j| run_job("smoke", j),
-        )
-        .into_iter()
-        .map(|t| t.value)
-        .collect();
-        let four: Vec<FaultDigest> = par_map_ordered(
-            4,
-            &jobs,
-            |i, _| job_weight(&jobs[i]),
-            |j| run_job("smoke", j),
-        )
-        .into_iter()
-        .map(|t| t.value)
-        .collect();
-        assert_eq!(one, four);
+        let sweep = study::sweep(study::PASSES, &jobs, job_weight, |j| run_job(true, j));
         // Faults actually bit: some seed lost a datagram or degraded a link.
-        assert!(one.iter().any(|d| d.fault_drops > 0 || d.downtime_ns > 0));
+        assert!(sweep
+            .digests
+            .iter()
+            .any(|d| d.fault_drops > 0 || d.downtime_ns > 0));
     }
 
     #[test]
     fn most_smoke_seeds_recover() {
-        let jobs: Vec<FaultJob> = sweep_jobs("smoke")
+        let jobs: Vec<FaultJob> = sweep_jobs(true)
             .into_iter()
             .filter(|j| j.seed < 4 && j.cutoff_headroom == 1)
             .collect();
-        let digests: Vec<FaultDigest> = jobs.iter().map(|j| run_job("smoke", j)).collect();
+        let digests: Vec<FaultDigest> = jobs.iter().map(|j| run_job(true, j)).collect();
         let done = digests.iter().filter(|d| !d.timed_out).count();
         assert!(
             done * 2 > digests.len(),

@@ -22,35 +22,33 @@
 //! | fig16  | 64 B chunk rate toward 1.6 Tbit/s                            |
 //! | appb   | measured {AG,RS} concurrent speedup vs `2 − 2/P`             |
 //!
-//! Beyond the paper, `simcore` / `simcore_smoke` measure the simulator
-//! engine itself (timer wheel vs reference heap, 188- and 512-node
-//! scenarios) and write the `BENCH_simcore.json` perf baseline,
-//! `parallel_scaling` / `parallel_scaling_smoke` measure the fork-join
-//! sweep executor (jobs = 1/2/4 over the same simulation sweep) and
-//! write `BENCH_parallel.json`, `faultfigs` / `faultfigs_smoke`
-//! sweep fault model × failure rate × recovery cutoff across hundreds
-//! of seeds and write the p50/p99/p999 completion-time tails to
-//! `BENCH_faults.json`, and `loadfigs` / `loadfigs_smoke` drive the
-//! open-loop multi-tenant runtime with seeded Poisson/bursty arrival
-//! streams (rate × tenants × pool capacity, to the saturation knee and
-//! past it) and write the sojourn/utilization baseline to
-//! `BENCH_load.json`, while `tracefigs` / `tracefigs_smoke` attach the
-//! flight recorder to the same scenarios — determinism digests of
-//! link-utilization timelines, a Perfetto-export round trip, and the
-//! zero-cost-when-off overhead cell — and write `BENCH_trace.json`,
-//! and `recoveryfigs` / `recoveryfigs_smoke` compare oblivious vs
-//! fault-aware scheduling on a damaged fabric partition (paired seeds,
-//! pooled sojourn tails) and write `BENCH_recovery.json`, and
-//! `backendfigs` / `backendfigs_smoke` sweep the in-network compute
-//! backends (DPA, host CPU, FPGA SmartNIC, SHARP in-switch) over
-//! backend × collective × scale with NCCL-convention algbw/busbw rows
-//! and write `BENCH_backends.json`.
+//! Beyond the paper, seven studies write machine-readable baselines
+//! through one harness ([`study`]): each is one `fn(smoke: bool) ->
+//! FigData`, the id with a `_smoke` suffix runs its bounded CI variant
+//! (baseline `BENCH_<stem>_smoke.json`, gitignored), and every named gate
+//! is asserted before the document is rendered.
 //!
-//! Every sweep-shaped generator takes a `jobs` worker count and fans its
-//! independent simulations out through [`mcag_exec::par_map`]; outputs
-//! are slot-ordered, so tables are byte-identical for every `jobs`
-//! value. [`generate`] runs serially; the `figures` binary passes
-//! `--jobs` through [`generate_with`].
+//! | study id         | baseline              | gates                                    |
+//! |------------------|-----------------------|------------------------------------------|
+//! | simcore          | `BENCH_simcore.json`  | nonzero events/sec on every engine row   |
+//! | parallel_scaling | `BENCH_parallel.json` | `results_identical` (jobs = 1, 2, 4)     |
+//! | faultfigs        | `BENCH_faults.json`   | `results_identical`                      |
+//! | loadfigs         | `BENCH_load.json`     | `results_identical`; knee, pipe, shed    |
+//! | tracefigs        | `BENCH_trace.json`    | `identical` (runtime), `json_round_trip` |
+//! | recoveryfigs     | `BENCH_recovery.json` | `results_identical`, `reactive_p999_beats_oblivious` |
+//! | backendfigs      | `BENCH_backends.json` | `results_identical`, `dpa_table1_identical`, `sharp_agrs_busbw_advantage` |
+//!
+//! `results_identical` is [`study::sweep`]'s check: the sweep runs at
+//! jobs = 1 and 4 and the digests must match. `simcore` and `tracefigs`
+//! measure wall clock, so they run serially and only share the writer
+//! and the baseline path. Generators never write files: the baseline
+//! rides on [`FigData::baseline`] and the `figures` binary writes it.
+//!
+//! The paper-figure and ablation generators take a `jobs` worker count
+//! and fan their independent simulations out through
+//! [`mcag_exec::par_map`]; outputs are slot-ordered, so tables are
+//! byte-identical for every `jobs` value. [`generate`] runs serially;
+//! the `figures` binary passes `--jobs` through [`generate_with`].
 
 #![warn(missing_docs)]
 
@@ -66,6 +64,7 @@ pub mod parallel;
 pub mod recoveryfigs;
 pub mod runtimefigs;
 pub mod simcore;
+pub mod study;
 pub mod tracefigs;
 
 pub use data::FigData;
@@ -87,29 +86,16 @@ pub const ABLATIONS: &[&str] = &[
     "runtime_multitenant",
 ];
 
-/// Simulator-performance and scenario-sweep generators: the DES engine
-/// itself (timer wheel vs reference heap, `BENCH_simcore.json`), the
-/// fork-join sweep executor (`BENCH_parallel.json`), and the seeded
-/// failure sweeps with tail-latency reporting (`BENCH_faults.json`),
-/// and the open-loop latency-vs-offered-load study of the multi-tenant
-/// runtime (`BENCH_load.json`), and the flight-recorder baselines
-/// (`BENCH_trace.json`). The unsuffixed ids are the recorded baselines;
-/// `*_smoke` are the bounded CI variants.
-pub const PERF: &[&str] = &[
-    "simcore",
-    "simcore_smoke",
-    "parallel_scaling",
-    "parallel_scaling_smoke",
-    "faultfigs",
-    "faultfigs_smoke",
-    "loadfigs",
-    "loadfigs_smoke",
-    "tracefigs",
-    "tracefigs_smoke",
-    "recoveryfigs",
-    "recoveryfigs_smoke",
-    "backendfigs",
-    "backendfigs_smoke",
+/// The studies by id (see the table above); `<id>_smoke` runs one in
+/// smoke mode.
+pub const STUDIES: &[(&str, study::Study)] = &[
+    ("simcore", simcore::simcore),
+    ("parallel_scaling", parallel::parallel_scaling),
+    ("faultfigs", faultfigs::faultfigs),
+    ("loadfigs", loadfigs::loadfigs),
+    ("tracefigs", tracefigs::tracefigs),
+    ("recoveryfigs", recoveryfigs::recoveryfigs),
+    ("backendfigs", backendfigs::backendfigs),
 ];
 
 /// Run one generator by id, serially (`jobs = 1`).
@@ -120,7 +106,13 @@ pub fn generate(id: &str) -> FigData {
 /// Run one generator by id with up to `jobs` simulations in flight.
 /// Sweep outputs are slot-ordered by [`mcag_exec::par_map`], so every
 /// table is byte-identical to the serial run; only wall clock changes.
+/// Studies run their own fixed passes; `<study>_smoke` runs the same
+/// study in smoke mode.
 pub fn generate_with(id: &str, jobs: usize) -> FigData {
+    let (stem, smoke) = id.strip_suffix("_smoke").map_or((id, false), |s| (s, true));
+    if let Some((_, run)) = STUDIES.iter().find(|(s, _)| *s == stem) {
+        return run(smoke);
+    }
     match id {
         "fig2" => modelfigs::fig2(),
         "fig3" => modelfigs::fig3(),
@@ -141,22 +133,9 @@ pub fn generate_with(id: &str, jobs: usize) -> FigData {
         "ablation_rq_depth" => ablations::ablation_rq_depth(jobs),
         "ablation_multicomm" => ablations::ablation_multicomm(jobs),
         "runtime_multitenant" => runtimefigs::runtime_multitenant(jobs),
-        "faultfigs" => faultfigs::faultfigs(),
-        "faultfigs_smoke" => faultfigs::faultfigs_smoke(),
-        "loadfigs" => loadfigs::loadfigs(),
-        "loadfigs_smoke" => loadfigs::loadfigs_smoke(),
-        "simcore" => simcore::simcore(),
-        "simcore_smoke" => simcore::simcore_smoke(),
-        "parallel_scaling" => parallel::parallel_scaling(),
-        "parallel_scaling_smoke" => parallel::parallel_scaling_smoke(),
-        "tracefigs" => tracefigs::tracefigs(),
-        "tracefigs_smoke" => tracefigs::tracefigs_smoke(),
-        "recoveryfigs" => recoveryfigs::recoveryfigs(),
-        "recoveryfigs_smoke" => recoveryfigs::recoveryfigs_smoke(),
-        "backendfigs" => backendfigs::backendfigs(),
-        "backendfigs_smoke" => backendfigs::backendfigs_smoke(),
         other => {
-            panic!("unknown figure id {other:?} (known: {ALL_FIGS:?} + {ABLATIONS:?} + {PERF:?})")
+            let studies: Vec<&str> = STUDIES.iter().map(|(s, _)| *s).collect();
+            panic!("unknown figure id {other:?} (known: {ALL_FIGS:?} + {ABLATIONS:?} + {studies:?}, each optionally _smoke)")
         }
     }
 }

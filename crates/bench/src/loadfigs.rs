@@ -20,32 +20,22 @@
 //!   throttle off vs on at sustained overload (shedding arrivals keeps
 //!   the p99 of *admitted* jobs bounded).
 //!
-//! The sweep runs twice, `jobs = 1` then `jobs = 4`, and **asserts the
-//! two passes' digests byte-identical** before writing anything. All
-//! reported quantities are simulated-time integers (the arrival
-//! generators use a local bit-exact logarithm, never libm), so the
-//! full-mode [`BENCH_JSON`] baseline reproduces byte-identically on any
-//! host; `loadfigs_smoke` is the bounded CI variant writing the
-//! gitignored [`BENCH_SMOKE_JSON`].
+//! The sweep runs twice, `jobs = 1` then `jobs = 4`, through
+//! [`study::sweep`], which **asserts the two passes' digests
+//! byte-identical**. All reported quantities are simulated-time integers
+//! (the arrival generators use a local bit-exact logarithm, never libm),
+//! so the full study's `BENCH_load.json` baseline reproduces
+//! byte-identically on any host; `loadfigs_smoke` is the bounded CI
+//! variant.
 
 use crate::data::FigData;
-use mcag_exec::par_map;
+use crate::study::{self, Obj};
 use mcag_runtime::{
     AdmissionPolicy, OpMix, PoolConfig, RatePhase, RateProcess, Runtime, RuntimeConfig,
     RuntimeReport, Workload,
 };
 use mcag_simnet::Topology;
 use mcag_verbs::LinkRate;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// File the full-mode generator writes its machine-readable
-/// latency-vs-load baseline to (checked in).
-pub const BENCH_JSON: &str = "BENCH_load.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_load_smoke.json";
 
 /// The "1×" mean interarrival gap (ns) the knee sweep is anchored on,
 /// chosen so the sweep's ×0.25…×8 rate multipliers straddle the service
@@ -190,33 +180,24 @@ pub fn run_cell(cell: &LoadCell) -> LoadDigest {
     digest(&rt.run_open_loop())
 }
 
-/// The load grid for `mode`, in row order.
-pub fn load_cells(mode: &str) -> Vec<LoadCell> {
-    let full = mode == "full";
+/// The smoke or full load grid, in row order.
+pub fn load_cells(smoke: bool) -> Vec<LoadCell> {
+    let full = !smoke;
     let target: u64 = if full { 400 } else { 100 };
-    let mut cells = Vec::new();
-    let mut seed = 40u64;
-    let mut push = |label: String,
-                    tenants: u32,
-                    capacity: usize,
-                    partitions: usize,
-                    mean: u64,
-                    burst: bool,
-                    arrivals_target: u64,
-                    throttle: Option<u64>| {
-        seed += 1;
-        cells.push(LoadCell {
-            label,
-            tenants,
-            capacity,
-            partitions,
-            mean_interarrival_ns: mean,
-            burst,
-            arrivals_target,
-            throttle_sojourn_ns: throttle,
-            seed,
-        });
+    // The reference cell every row varies: 16 tenants, 32 pool slots, two
+    // partitions, Poisson arrivals at the base rate.
+    let base = LoadCell {
+        label: String::new(),
+        tenants: 16,
+        capacity: 32,
+        partitions: 2,
+        mean_interarrival_ns: BASE_INTERARRIVAL_NS,
+        burst: false,
+        arrivals_target: target,
+        throttle_sojourn_ns: None,
+        seed: 0,
     };
+    let mut cells = Vec::new();
 
     // Saturation knee: offered rate × {0.25 … 8} around the base rate
     // (rate ×k ⇔ interarrival ÷k).
@@ -234,127 +215,94 @@ pub fn load_cells(mode: &str) -> Vec<LoadCell> {
         &[(b * 2, "x0.5"), (b / 2, "x2"), (b / 8, "x8")]
     };
     for &(mean, name) in knee {
-        push(format!("knee_{name}"), 16, 32, 2, mean, false, target, None);
+        cells.push(LoadCell {
+            label: format!("knee_{name}"),
+            mean_interarrival_ns: mean,
+            ..base.clone()
+        });
     }
 
     // Tenant scaling: mostly-idle tenants, ~1 arrival each; the ≥1000
     // cell runs in the smoke budget (indexed-queue acceptance).
     let scales: &[u32] = if full { &[64, 256, 1024] } else { &[1024] };
     for &t in scales {
-        push(
-            format!("scale_t{t}"),
-            t,
-            64,
-            2,
-            BASE_INTERARRIVAL_NS,
-            false,
-            t as u64,
-            None,
-        );
+        cells.push(LoadCell {
+            label: format!("scale_t{t}"),
+            tenants: t,
+            capacity: 64,
+            arrivals_target: t.into(),
+            ..base.clone()
+        });
     }
 
     // Pool capacity at fixed 1× rate: rebuild churn inflates service.
     if full {
-        for cap in [8usize, 16, 64] {
-            push(
-                format!("cap_{cap}"),
-                16,
-                cap,
-                2,
-                BASE_INTERARRIVAL_NS,
-                false,
-                target,
-                None,
-            );
+        for capacity in [8usize, 16, 64] {
+            cells.push(LoadCell {
+                label: format!("cap_{capacity}"),
+                capacity,
+                ..base.clone()
+            });
         }
         // Bursty modulated arrivals at 1× average rate.
-        push(
-            "burst_x1".to_string(),
-            16,
-            32,
-            2,
-            BASE_INTERARRIVAL_NS,
-            true,
-            target,
-            None,
-        );
+        cells.push(LoadCell {
+            label: "burst_x1".into(),
+            burst: true,
+            ..base.clone()
+        });
     }
 
     // Cross-batch pipelining: same ×2 overload, 1 vs 2 partitions.
-    for parts in [1usize, 2] {
-        push(
-            format!("pipe_p{parts}"),
-            16,
-            32,
-            parts,
-            BASE_INTERARRIVAL_NS / 2,
-            false,
-            target,
-            None,
-        );
+    for partitions in [1usize, 2] {
+        cells.push(LoadCell {
+            label: format!("pipe_p{partitions}"),
+            partitions,
+            mean_interarrival_ns: BASE_INTERARRIVAL_NS / 2,
+            ..base.clone()
+        });
     }
 
     // Admission throttling at ×4 overload: shed vs queue. The window is
     // stretched (vs the knee cells) so the overload is *sustained* —
     // the sojourn EWMA only climbs as late jobs commit, so a short
     // burst would end before the throttle could react.
-    let shed_target = target * if full { 2 } else { 4 };
     for (label, throttle) in [("shed_off", None), ("shed_on", Some(300_000u64))] {
-        push(
-            label.to_string(),
-            16,
-            32,
-            2,
-            BASE_INTERARRIVAL_NS / 4,
-            false,
-            shed_target,
-            throttle,
-        );
+        cells.push(LoadCell {
+            label: label.into(),
+            mean_interarrival_ns: BASE_INTERARRIVAL_NS / 4,
+            arrivals_target: target * if full { 2 } else { 4 },
+            throttle_sojourn_ns: throttle,
+            ..base.clone()
+        });
+    }
+
+    // Independent arrival streams: seeds 41, 42, … in row order.
+    for (seed, cell) in (41..).zip(&mut cells) {
+        cell.seed = seed;
     }
     cells
 }
 
-fn loadfigs_with(mode: &str) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
-    } else {
-        BENCH_SMOKE_JSON
-    };
-    let cells = load_cells(mode);
-
-    // Two passes, jobs = 1 then jobs = 4; digests must be
-    // byte-identical (the determinism half of the acceptance bar).
-    let mut passes: Vec<(usize, u64)> = Vec::new();
-    let mut reference: Option<Vec<LoadDigest>> = None;
-    for workers in [1usize, 4] {
-        let t0 = Instant::now();
-        let digests = par_map(workers, &cells, run_cell);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        match &reference {
-            None => reference = Some(digests),
-            Some(base) => assert_eq!(
-                base, &digests,
-                "jobs=4 produced different load-sweep results than jobs=1 — determinism broken"
-            ),
-        }
-        passes.push((workers, wall_ns));
-    }
-    let digests = reference.expect("at least one pass ran");
+/// The open-loop load study: knee, tenant-scaling, capacity, burst,
+/// pipelining and shedding cells (the recorded baseline), or (smoke)
+/// three knee points, the 1024-tenant cell, and the pipelining and
+/// shedding pairs.
+pub fn loadfigs(smoke: bool) -> FigData {
+    let mode = study::mode(smoke);
+    let cells = load_cells(smoke);
+    let sweep = study::sweep(study::PASSES, &cells, |_| 0, run_cell);
+    let digests = &sweep.digests;
 
     // Self-checks on the curve shapes the study exists to show.
     let by_label = |l: &str| {
         cells
             .iter()
-            .zip(&digests)
+            .zip(digests)
             .find(|(c, _)| c.label == l)
             .map(|(_, d)| *d)
             .expect("cell present")
     };
-    let knee_lo = by_label(if mode == "full" {
-        "knee_x0.25"
-    } else {
-        "knee_x0.5"
-    });
+    let knee_lo = by_label(if smoke { "knee_x0.5" } else { "knee_x0.25" });
     let knee_hi = by_label("knee_x8");
     assert!(
         knee_hi.p50_sojourn_ns > 4 * knee_lo.p50_sojourn_ns.max(1),
@@ -396,7 +344,7 @@ fn loadfigs_with(mode: &str) -> FigData {
             "makespan (ms)",
         ],
     );
-    for (c, d) in cells.iter().zip(&digests) {
+    for (c, d) in cells.iter().zip(digests) {
         f.row(vec![
             c.label.clone(),
             c.tenants.to_string(),
@@ -422,98 +370,57 @@ fn loadfigs_with(mode: &str) -> FigData {
          the knee and explodes past it; shed_on bounds the admitted-job tail by refusing \
          arrivals (Throttled) while shed_off queues them",
     );
-    for (workers, wall_ns) in &passes {
-        f.note(format!(
-            "pass jobs={workers}: {:.1} ms wall (results asserted identical across passes)",
-            *wall_ns as f64 / 1e6
-        ));
-    }
-    f.note(format!(
-        "machine-readable load baseline written to {json_path}"
-    ));
+    sweep.note_passes(&mut f);
 
-    let json = render_json(mode, &cells, &digests);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
-    f
-}
-
-/// Hand-rolled JSON (the offline serde shim has no serializer). Only
-/// simulated-time integers appear, so the file is byte-identical across
-/// hosts and repeated runs — CI asserts exactly that.
-fn render_json(mode: &str, cells: &[LoadCell], digests: &[LoadDigest]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures loadfigs\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"topology\": \"star-4 CX3_56G\",");
-    let _ = writeln!(
-        s,
-        "  \"mix\": \"AG:2 bcast:1 AG+RS:1 over 8-32 KiB power-of-two ladder\","
-    );
-    let _ = writeln!(s, "  \"base_interarrival_ns\": {BASE_INTERARRIVAL_NS},");
-    let _ = writeln!(
-        s,
-        "  \"interpretation\": \"one row per open-loop cell; sojourn = queue + service on the \
-         virtual clock, percentiles nearest-rank over completed jobs. Each cell ran at jobs=1 \
-         and jobs=4 and the digests were asserted byte-identical before this file was written; \
-         arrival streams use a local bit-exact logarithm (no libm), so the file reproduces \
-         byte-identically on any host.\","
-    );
-    let _ = writeln!(s, "  \"results_identical\": true,");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, (c, d)) in cells.iter().zip(digests).enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"cell\": \"{}\", \"tenants\": {}, \"capacity\": {}, \"partitions\": {}, \
-             \"mean_interarrival_ns\": {}, \"burst\": {}, \"throttle_sojourn_ns\": {}, \
-             \"offered\": {}, \"admitted\": {}, \"completed\": {}, \"rejected\": {}, \
-             \"throttled\": {}, \"queue_limited\": {}, \"batches\": {}, \"makespan_ns\": {}, \
-             \"mean_sojourn_ns\": {}, \"p50_sojourn_ns\": {}, \"p99_sojourn_ns\": {}, \
-             \"utilization_permille\": {}, \"pool_hits\": {}, \"pool_rebuilds\": {} }}{comma}",
-            c.label,
-            c.tenants,
-            c.capacity,
-            c.partitions,
-            c.mean_interarrival_ns,
-            c.burst,
-            c.throttle_sojourn_ns.unwrap_or(0),
-            d.offered,
-            d.admitted,
-            d.completed,
-            d.rejected,
-            d.throttled,
-            d.queue_limited,
-            d.batches,
-            d.makespan_ns,
-            d.mean_sojourn_ns,
-            d.p50_sojourn_ns,
-            d.p99_sojourn_ns,
-            d.util_permille,
-            d.pool_hits,
-            d.pool_rebuilds,
+    // Only simulated-time integers, so the file is byte-identical across
+    // hosts and repeated runs — CI asserts exactly that.
+    let doc = Obj::new()
+        .str("generator", "figures loadfigs")
+        .str("mode", mode)
+        .str("topology", "star-4 CX3_56G")
+        .str(
+            "mix",
+            "AG:2 bcast:1 AG+RS:1 over 8-32 KiB power-of-two ladder",
+        )
+        .int("base_interarrival_ns", BASE_INTERARRIVAL_NS)
+        .str(
+            "interpretation",
+            "one row per open-loop cell; sojourn = queue + service on the virtual clock, \
+             percentiles nearest-rank over completed jobs. Each cell ran at jobs=1 and jobs=4 \
+             and the digests were asserted byte-identical before this file was written; \
+             arrival streams use a local bit-exact logarithm (no libm), so the file \
+             reproduces byte-identically on any host.",
+        )
+        .gate("results_identical", sweep.cross_checked())
+        .rows(
+            "cells",
+            cells.iter().zip(digests).map(|(c, d)| {
+                Obj::new()
+                    .str("cell", &c.label)
+                    .int("tenants", c.tenants.into())
+                    .int("capacity", c.capacity as u64)
+                    .int("partitions", c.partitions as u64)
+                    .int("mean_interarrival_ns", c.mean_interarrival_ns)
+                    .bool("burst", c.burst)
+                    .int("throttle_sojourn_ns", c.throttle_sojourn_ns.unwrap_or(0))
+                    .int("offered", d.offered)
+                    .int("admitted", d.admitted)
+                    .int("completed", d.completed)
+                    .int("rejected", d.rejected)
+                    .int("throttled", d.throttled)
+                    .int("queue_limited", d.queue_limited)
+                    .int("batches", d.batches)
+                    .int("makespan_ns", d.makespan_ns)
+                    .int("mean_sojourn_ns", d.mean_sojourn_ns)
+                    .int("p50_sojourn_ns", d.p50_sojourn_ns)
+                    .int("p99_sojourn_ns", d.p99_sojourn_ns)
+                    .int("utilization_permille", d.util_permille)
+                    .int("pool_hits", d.pool_hits)
+                    .int("pool_rebuilds", d.pool_rebuilds)
+            }),
         );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full load study (the recorded baseline): knee, tenant-scaling,
-/// capacity, burst, pipelining, and shedding cells, twice (jobs = 1
-/// and 4).
-pub fn loadfigs() -> FigData {
-    loadfigs_with("full")
-}
-
-/// Bounded CI smoke: three knee points, the 1024-tenant cell, the
-/// pipelining pair, and the shedding pair; still asserts cross-jobs
-/// determinism and writes [`BENCH_SMOKE_JSON`] (not the checked-in
-/// full baseline).
-pub fn loadfigs_smoke() -> FigData {
-    loadfigs_with("smoke")
+    study::attach(&mut f, "load", smoke, &doc);
+    f
 }
 
 #[cfg(test)]
@@ -522,8 +429,8 @@ mod tests {
 
     #[test]
     fn grids_cover_the_acceptance_axes() {
-        let full = load_cells("full");
-        let smoke = load_cells("smoke");
+        let full = load_cells(false);
+        let smoke = load_cells(true);
         // ≥1000-tenant cell in BOTH budgets, knee sweep spanning ≥16×
         // in rate, throttle on/off pair, partitions 1 vs 2 pair.
         for cells in [&full, &smoke] {

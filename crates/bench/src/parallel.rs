@@ -1,36 +1,29 @@
 //! Parallel-executor scaling: the wall-clock trajectory of the fork-join
-//! sweep path (`mcag_exec::par_map`) on a fixed simulation sweep.
+//! sweep path (`mcag_exec`) on a fixed simulation sweep.
 //!
 //! The workload is the 188-node UCC-testbed sweep (Broadcast and
 //! Allgather across message sizes — the shape of every Fig. 10–12 cell),
-//! run to completion at `jobs = 1`, `2`, and `4`. Each pass records its
-//! wall clock and a per-simulation digest (completion time, engine
-//! events, link bytes); the generator **asserts the digests are
-//! byte-identical across all `jobs` values** before reporting, so the
-//! speedup table doubles as a determinism check.
+//! run to completion at `jobs = 1`, `2`, and `4` through
+//! [`study::sweep`], which **asserts the per-simulation digests
+//! (completion time, engine events, link bytes) byte-identical across
+//! all `jobs` values** — the speedup table doubles as a determinism
+//! check.
 //!
-//! The full generator writes [`BENCH_JSON`] (checked in — the recorded
-//! scaling baseline, including the recording host's available
+//! The full study's baseline is `BENCH_parallel.json` (checked in — the
+//! recorded scaling baseline, including the recording host's available
 //! parallelism, without which the speedup column cannot be interpreted);
-//! `parallel_scaling_smoke` runs a bounded variant for CI and writes the
-//! gitignored [`BENCH_SMOKE_JSON`].
+//! `parallel_scaling_smoke` runs a bounded variant on a 16-rank star.
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
+use crate::study::{self, Obj};
 use mcag_core::{des, CollectiveKind, ProtocolConfig};
-use mcag_exec::{default_jobs, par_map};
+use mcag_exec::default_jobs;
 use mcag_simnet::{FabricConfig, Topology};
 use mcag_verbs::{LinkRate, Rank};
-use std::fmt::Write as _;
-use std::time::Instant;
 
-/// File the full-mode generator writes its machine-readable scaling
-/// baseline to (checked in).
-pub const BENCH_JSON: &str = "BENCH_parallel.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_parallel_smoke.json";
+/// Worker counts of the scaling passes — the content of this study.
+const JOB_COUNTS: &[usize] = &[1, 2, 4];
 
 /// One simulation of the sweep workload: `(kind, send_len)` on the
 /// mode's topology. Plain `Send + Sync` data — the compile-time
@@ -55,13 +48,13 @@ pub struct SweepDigest {
     pub data_bytes: u64,
 }
 
-/// The sweep workload for `mode` (`"full"`: the 188-node UCC testbed;
-/// `"smoke"`: a bounded 16-rank star for CI).
-pub fn sweep_jobs(mode: &str) -> Vec<SweepJob> {
-    let sizes: &[usize] = if mode == "full" {
-        &[64 << 10, 128 << 10, 256 << 10]
-    } else {
+/// The sweep workload (full: the 188-node UCC testbed; smoke: a bounded
+/// 16-rank star).
+pub fn sweep_jobs(smoke: bool) -> Vec<SweepJob> {
+    let sizes: &[usize] = if smoke {
         &[8 << 10, 16 << 10, 32 << 10]
+    } else {
+        &[64 << 10, 128 << 10, 256 << 10]
     };
     let mut jobs = Vec::new();
     for &send_len in sizes {
@@ -75,77 +68,45 @@ pub fn sweep_jobs(mode: &str) -> Vec<SweepJob> {
     jobs
 }
 
-fn sweep_topology(mode: &str) -> Topology {
-    if mode == "full" {
-        Topology::ucc_testbed()
-    } else {
+fn sweep_topology(smoke: bool) -> Topology {
+    if smoke {
         Topology::single_switch(16, LinkRate::CX3_56G, 100)
-    }
-}
-
-/// Run the whole sweep with `jobs` workers, returning per-simulation
-/// digests (slot-ordered) and the wall clock of the pass.
-pub fn run_sweep(mode: &str, jobs: usize) -> (Vec<SweepDigest>, u64) {
-    let specs = sweep_jobs(mode);
-    let t0 = Instant::now();
-    let digests = par_map(jobs, &specs, |job| {
-        let proto = ProtocolConfig {
-            mtu: sim_mtu_for(job.send_len),
-            ..ProtocolConfig::default()
-        };
-        let out = des::run_collective(
-            sweep_topology(mode),
-            FabricConfig::ucc_default(),
-            proto,
-            job.kind,
-            job.send_len,
-        );
-        assert!(out.stats.all_done(), "sweep job {job:?} did not complete");
-        SweepDigest {
-            completion_ns: out.completion_ns(),
-            events: out.stats.events,
-            data_bytes: out.traffic.total_data_bytes(),
-        }
-    });
-    (digests, t0.elapsed().as_nanos() as u64)
-}
-
-struct Pass {
-    jobs: usize,
-    wall_ns: u64,
-    speedup: f64,
-}
-
-fn parallel_with(mode: &str) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
     } else {
-        BENCH_SMOKE_JSON
-    };
-    let job_counts = [1usize, 2, 4];
-    let mut passes: Vec<Pass> = Vec::new();
-    let mut reference: Option<Vec<SweepDigest>> = None;
-    for &jobs in &job_counts {
-        let (digests, wall_ns) = run_sweep(mode, jobs);
-        match &reference {
-            None => reference = Some(digests),
-            Some(base) => assert_eq!(
-                base, &digests,
-                "jobs={jobs} produced different results than jobs=1 — determinism broken"
-            ),
-        }
-        let speedup = passes
-            .first()
-            .map_or(1.0, |serial| serial.wall_ns as f64 / wall_ns.max(1) as f64);
-        passes.push(Pass {
-            jobs,
-            wall_ns,
-            speedup,
-        });
+        Topology::ucc_testbed()
     }
+}
+
+/// Run one simulation of the sweep to its digest.
+pub fn run_job(smoke: bool, job: &SweepJob) -> SweepDigest {
+    let proto = ProtocolConfig {
+        mtu: sim_mtu_for(job.send_len),
+        ..ProtocolConfig::default()
+    };
+    let out = des::run_collective(
+        sweep_topology(smoke),
+        FabricConfig::ucc_default(),
+        proto,
+        job.kind,
+        job.send_len,
+    );
+    assert!(out.stats.all_done(), "sweep job {job:?} did not complete");
+    SweepDigest {
+        completion_ns: out.completion_ns(),
+        events: out.stats.events,
+        data_bytes: out.traffic.total_data_bytes(),
+    }
+}
+
+/// The parallel-scaling study: the recorded baseline, or (smoke) the
+/// same pass structure on a 16-rank star.
+pub fn parallel_scaling(smoke: bool) -> FigData {
+    let mode = study::mode(smoke);
+    let jobs = sweep_jobs(smoke);
+    let sweep = study::sweep(JOB_COUNTS, &jobs, |_| 0, |j| run_job(smoke, j));
+    let serial_ns = sweep.passes[0].1 as f64;
+    let speedup = |wall_ns: u64| serial_ns / wall_ns.max(1) as f64;
 
     let host = default_jobs();
-    let n_sims = sweep_jobs(mode).len();
     let mut f = FigData::new(
         "parallel_scaling",
         "Fork-join sweep executor: figure-sweep wall clock vs worker count",
@@ -156,80 +117,65 @@ fn parallel_with(mode: &str) -> FigData {
             "results identical",
         ],
     );
-    for p in &passes {
+    for &(workers, wall_ns) in &sweep.passes {
         f.row(vec![
-            p.jobs.to_string(),
-            format!("{:.1}", p.wall_ns as f64 / 1e6),
-            format!("{:.2}x", p.speedup),
-            "yes".into(), // asserted above; a mismatch panics
+            workers.to_string(),
+            format!("{:.1}", wall_ns as f64 / 1e6),
+            format!("{:.2}x", speedup(wall_ns)),
+            "yes".into(), // asserted by the sweep; a mismatch panics
         ]);
     }
     f.note(format!(
-        "mode={mode}; workload = {n_sims} independent collectives; digests \
-         (completion ns, events, link bytes) asserted byte-identical across all jobs values"
+        "mode={mode}; workload = {} independent collectives; digests \
+         (completion ns, events, link bytes) asserted byte-identical across all jobs values",
+        jobs.len()
     ));
     f.note(format!(
         "host available_parallelism = {host}; wall-clock speedup is bounded by it \
          (a 1-core host shows ~1.0x regardless of jobs)"
     ));
-    f.note(format!("machine-readable baseline written to {json_path}"));
 
-    let json = render_json(mode, host, n_sims, &passes);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    let doc = baseline_doc(smoke, host, jobs.len(), &sweep.passes);
+    study::attach(&mut f, "parallel", smoke, &doc);
     f
 }
 
-/// Hand-rolled JSON (the offline serde shim has no serializer).
-fn render_json(mode: &str, host_parallelism: usize, n_sims: usize, passes: &[Pass]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures parallel_scaling\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"{n_sims} independent Broadcast/Allgather simulations \
-         ({} topology)\",",
-        if mode == "full" {
-            "188-node UCC testbed"
-        } else {
-            "16-rank star"
-        }
-    );
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(
-        s,
-        "  \"interpretation\": \"speedup is wall-clock of the jobs=1 pass over this pass, \
-         measured on the recording host; it is bounded by host_parallelism (a 1-core \
-         recording host reports ~1.0 for every jobs value). Result digests are asserted \
-         byte-identical across all passes before this file is written.\","
-    );
-    let _ = writeln!(s, "  \"results_identical\": true,");
-    let _ = writeln!(s, "  \"passes\": [");
-    for (i, p) in passes.iter().enumerate() {
-        let comma = if i + 1 < passes.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"jobs\": {}, \"wall_ns\": {}, \"speedup\": {:.3} }}{comma}",
-            p.jobs, p.wall_ns, p.speedup
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full parallel-scaling suite (the recorded baseline).
-pub fn parallel_scaling() -> FigData {
-    parallel_with("full")
-}
-
-/// Bounded CI smoke: same pass structure on a 16-rank star; still
-/// asserts cross-jobs determinism and writes [`BENCH_SMOKE_JSON`] (not
-/// the checked-in full baseline).
-pub fn parallel_scaling_smoke() -> FigData {
-    parallel_with("smoke")
+/// The baseline document of a sweep of `n_sims` simulations whose passes
+/// ran as `(workers, wall_ns)`, the first being the serial reference.
+fn baseline_doc(smoke: bool, host: usize, n_sims: usize, passes: &[(usize, u64)]) -> Obj {
+    let serial_ns = passes[0].1 as f64;
+    let speedup = |wall_ns: u64| serial_ns / wall_ns.max(1) as f64;
+    let topology = if smoke {
+        "16-rank star"
+    } else {
+        "188-node UCC testbed"
+    };
+    Obj::new()
+        .str("generator", "figures parallel_scaling")
+        .str("mode", study::mode(smoke))
+        .str(
+            "workload",
+            &format!("{n_sims} independent Broadcast/Allgather simulations ({topology} topology)"),
+        )
+        .int("host_parallelism", host as u64)
+        .str(
+            "interpretation",
+            "speedup is wall-clock of the jobs=1 pass over this pass, measured on the recording \
+             host; it is bounded by host_parallelism (a 1-core recording host reports ~1.0 for \
+             every jobs value). Result digests are asserted byte-identical across all passes \
+             before this file is written.",
+        )
+        // More than one pass ran, so the sweep compared their digests.
+        .gate("results_identical", passes.len() > 1)
+        .rows(
+            "passes",
+            passes.iter().map(|&(workers, wall_ns)| {
+                Obj::new()
+                    .int("jobs", workers as u64)
+                    .int("wall_ns", wall_ns)
+                    .float("speedup", speedup(wall_ns), 3)
+            }),
+        )
 }
 
 #[cfg(test)]
@@ -238,32 +184,20 @@ mod tests {
 
     #[test]
     fn sweep_digests_identical_across_worker_counts() {
-        let (d1, _) = run_sweep("smoke", 1);
-        let (d4, _) = run_sweep("smoke", 4);
-        assert_eq!(d1, d4);
-        assert_eq!(d1.len(), sweep_jobs("smoke").len());
-        for d in &d1 {
+        let jobs = sweep_jobs(true);
+        let sweep = study::sweep(study::PASSES, &jobs, |_| 0, |j| run_job(true, j));
+        assert_eq!(sweep.digests.len(), jobs.len());
+        for d in &sweep.digests {
             assert!(d.completion_ns > 0 && d.events > 0 && d.data_bytes > 0);
         }
     }
 
     #[test]
     fn json_shape_is_wellformed_enough() {
-        let passes = [
-            Pass {
-                jobs: 1,
-                wall_ns: 100,
-                speedup: 1.0,
-            },
-            Pass {
-                jobs: 4,
-                wall_ns: 50,
-                speedup: 2.0,
-            },
-        ];
-        let j = render_json("test", 8, 6, &passes);
+        let j = baseline_doc(true, 8, 6, &[(1, 100), (4, 50)]).render();
         assert!(j.contains("\"host_parallelism\": 8,"));
         assert!(j.contains("\"speedup\": 2.000 }"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        mcag_trace::validate_json(&j).expect("parallel baseline parses");
     }
 }

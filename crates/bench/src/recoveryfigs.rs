@@ -16,32 +16,22 @@
 //! oblivious under both the flapping-port and switch-failure models at
 //! matched rates — asserted before anything is written.
 //!
-//! The sweep runs twice, `jobs = 1` then `jobs = 4`, and **asserts the
-//! two passes' digests byte-identical** before writing anything. All
-//! reported quantities are simulated-time integers, so the full-mode
-//! [`BENCH_JSON`] baseline reproduces byte-identically on any host;
-//! `recoveryfigs_smoke` is the bounded CI variant writing the
-//! gitignored [`BENCH_SMOKE_JSON`].
+//! The sweep runs twice, `jobs = 1` then `jobs = 4`, through
+//! [`study::sweep`], which **asserts the two passes' digests
+//! byte-identical**. All reported quantities are simulated-time
+//! integers, so the full study's `BENCH_recovery.json` baseline
+//! reproduces byte-identically on any host; `recoveryfigs_smoke` is the
+//! bounded CI variant.
 
 use crate::data::FigData;
-use crate::faultfigs::quantile_ns;
-use mcag_exec::par_map;
+use crate::study::{self, Obj};
 use mcag_faults::{FaultModel, FaultPlan};
+use mcag_models::nearest_rank;
 use mcag_runtime::{
     OpMix, PoolConfig, RateProcess, ReactivePolicy, Runtime, RuntimeConfig, RuntimeReport, Workload,
 };
 use mcag_simnet::{LinkSchedule, Topology};
 use mcag_verbs::LinkRate;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// File the full-mode generator writes its machine-readable recovery
-/// baseline to (checked in).
-pub const BENCH_JSON: &str = "BENCH_recovery.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_recovery_smoke.json";
 
 /// Watchdog grant for every run, in summed-cutoff multiples: tight
 /// enough that a censored batch costs bounded simulated time, loose
@@ -192,14 +182,15 @@ pub fn run_one(run: &RecoveryRun) -> RecoveryDigest {
     digest(&rt.run_open_loop())
 }
 
-/// The sweep grid for `mode`, cell-major (seeds innermost); oblivious
-/// and reactive runs of one `(model, rate, seed)` share the identical
-/// hazard schedule and arrival stream, so every comparison is paired.
-pub fn sweep_runs(mode: &str) -> Vec<RecoveryRun> {
-    let (rates, seeds): (&[f64], u64) = if mode == "full" {
-        (&[0.1, 0.3], 200)
-    } else {
+/// The smoke or full sweep grid, cell-major (seeds innermost);
+/// oblivious and reactive runs of one `(model, rate, seed)` share the
+/// identical hazard schedule and arrival stream, so every comparison is
+/// paired.
+pub fn sweep_runs(smoke: bool) -> Vec<RecoveryRun> {
+    let (rates, seeds): (&[f64], u64) = if smoke {
         (&[0.3], 24)
+    } else {
+        (&[0.1, 0.3], 200)
     };
     let mut runs = Vec::new();
     for model in RecoveryFault::ALL {
@@ -219,112 +210,13 @@ pub fn sweep_runs(mode: &str) -> Vec<RecoveryRun> {
     runs
 }
 
-struct Cell {
-    model: RecoveryFault,
-    rate: f64,
-    reactive: bool,
-    seeds: usize,
-    jobs: u64,
-    completed: u64,
-    censored: u64,
-    retried: u64,
-    gave_up: u64,
-    sm_rebuilds: u64,
-    timed_out_batches: u64,
-    fault_drops: u64,
-    p50: u64,
-    p99: u64,
-    p999: u64,
-    max: u64,
-}
-
-fn aggregate(runs: &[RecoveryRun], digests: &[RecoveryDigest]) -> Vec<Cell> {
-    let mut keys: Vec<(RecoveryFault, f64, bool)> = Vec::new();
-    for r in runs {
-        let key = (r.model, r.rate, r.reactive);
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    keys.into_iter()
-        .map(|(model, rate, reactive)| {
-            let picked: Vec<&RecoveryDigest> = runs
-                .iter()
-                .zip(digests)
-                .filter(|(r, _)| r.model == model && r.rate == rate && r.reactive == reactive)
-                .map(|(_, d)| d)
-                .collect();
-            let mut lat: Vec<u64> = picked
-                .iter()
-                .flat_map(|d| d.latencies_ns.iter().copied())
-                .collect();
-            lat.sort_unstable();
-            assert!(!lat.is_empty(), "cell produced no job records");
-            Cell {
-                model,
-                rate,
-                reactive,
-                seeds: picked.len(),
-                jobs: lat.len() as u64,
-                completed: picked.iter().map(|d| d.completed).sum(),
-                censored: picked.iter().map(|d| d.censored).sum(),
-                retried: picked.iter().map(|d| d.retried).sum(),
-                gave_up: picked.iter().map(|d| d.gave_up).sum(),
-                sm_rebuilds: picked.iter().map(|d| d.sm_rebuilds).sum(),
-                timed_out_batches: picked.iter().map(|d| d.timed_out_batches).sum(),
-                fault_drops: picked.iter().map(|d| d.fault_drops).sum(),
-                p50: quantile_ns(&lat, 0.50),
-                p99: quantile_ns(&lat, 0.99),
-                p999: quantile_ns(&lat, 0.999),
-                max: *lat.last().unwrap(),
-            }
-        })
-        .collect()
-}
-
-fn recoveryfigs_with(mode: &str) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
-    } else {
-        BENCH_SMOKE_JSON
-    };
-    let runs = sweep_runs(mode);
-
-    // Two passes, jobs = 1 then jobs = 4; digests must be
-    // byte-identical (the determinism half of the acceptance bar).
-    let mut passes: Vec<(usize, u64)> = Vec::new();
-    let mut reference: Option<Vec<RecoveryDigest>> = None;
-    for workers in [1usize, 4] {
-        let t0 = Instant::now();
-        let digests = par_map(workers, &runs, run_one);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        match &reference {
-            None => reference = Some(digests),
-            Some(base) => assert_eq!(
-                base, &digests,
-                "jobs=4 produced different recovery-sweep results than jobs=1 — determinism broken"
-            ),
-        }
-        passes.push((workers, wall_ns));
-    }
-    let digests = reference.expect("at least one pass ran");
-    let cells = aggregate(&runs, &digests);
-
-    // The acceptance bar: under both named fault models, at every
-    // matched rate, the reactive scheduler's pooled p999 beats the
-    // oblivious one's.
-    for pair in cells.chunks(2) {
-        let [obl, rea] = pair else { unreachable!() };
-        assert!(!obl.reactive && rea.reactive, "cell order broken");
-        assert!(
-            rea.p999 < obl.p999,
-            "reactive p999 must beat oblivious under {} @ {}: {} vs {} ns",
-            obl.model.label(),
-            obl.rate,
-            rea.p999,
-            obl.p999,
-        );
-    }
+/// The recovery study: flapping and switch-failure models × two rates
+/// × both schedulers, 200 seeds per cell (the recorded baseline), or
+/// (smoke) both models at the high rate, 24 seeds per cell.
+pub fn recoveryfigs(smoke: bool) -> FigData {
+    let mode = study::mode(smoke);
+    let runs = sweep_runs(smoke);
+    let sweep = study::sweep(study::PASSES, &runs, |_| 0, run_one);
 
     let mut f = FigData::new(
         "recoveryfigs",
@@ -344,22 +236,66 @@ fn recoveryfigs_with(mode: &str) -> FigData {
             "max (us)",
         ],
     );
-    for c in &cells {
+    let (mut rows, mut p999s) = (Vec::new(), Vec::new());
+    for ((model, rate, reactive), picked) in
+        sweep.group_by(&runs, |r| (r.model, r.rate, r.reactive))
+    {
+        let mut lat: Vec<u64> = picked
+            .iter()
+            .flat_map(|d| d.latencies_ns.iter().copied())
+            .collect();
+        lat.sort_unstable();
+        assert!(!lat.is_empty(), "cell produced no job records");
+        let [p50, p99, p999] = [0.50, 0.99, 0.999].map(|q| nearest_rank(&lat, q));
+        let max = lat[lat.len() - 1];
+        let sum = |field: fn(&RecoveryDigest) -> u64| picked.iter().map(|d| field(d)).sum::<u64>();
+        let (censored, retried, gave_up) =
+            (sum(|d| d.censored), sum(|d| d.retried), sum(|d| d.gave_up));
+        let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
         f.row(vec![
-            c.model.label().to_string(),
-            format!("{:.2}", c.rate),
-            if c.reactive { "reactive" } else { "oblivious" }.to_string(),
-            c.seeds.to_string(),
-            c.jobs.to_string(),
-            c.censored.to_string(),
-            c.retried.to_string(),
-            c.gave_up.to_string(),
-            format!("{:.1}", c.p50 as f64 / 1e3),
-            format!("{:.1}", c.p99 as f64 / 1e3),
-            format!("{:.1}", c.p999 as f64 / 1e3),
-            format!("{:.1}", c.max as f64 / 1e3),
+            model.label().to_string(),
+            format!("{rate:.2}"),
+            scheduler(reactive).to_string(),
+            picked.len().to_string(),
+            lat.len().to_string(),
+            censored.to_string(),
+            retried.to_string(),
+            gave_up.to_string(),
+            us(p50),
+            us(p99),
+            us(p999),
+            us(max),
         ]);
+        rows.push(
+            Obj::new()
+                .str("model", model.label())
+                .float("rate", rate, 2)
+                .str("scheduler", scheduler(reactive))
+                .int("seeds", picked.len() as u64)
+                .int("jobs", lat.len() as u64)
+                .int("completed", sum(|d| d.completed))
+                .int("censored", censored)
+                .int("retried", retried)
+                .int("gave_up", gave_up)
+                .int("sm_rebuilds", sum(|d| d.sm_rebuilds))
+                .int("timed_out_batches", sum(|d| d.timed_out_batches))
+                .int("fault_drops", sum(|d| d.fault_drops))
+                .int("p50_ns", p50)
+                .int("p99_ns", p99)
+                .int("p999_ns", p999)
+                .int("max_ns", max),
+        );
+        p999s.push((reactive, p999));
     }
+    // The acceptance bar: under both named fault models, at every
+    // matched rate, the reactive scheduler's pooled p999 beats the
+    // oblivious one's.
+    let reactive_wins = p999s.chunks(2).all(|pair| {
+        let [(false, obl), (true, rea)] = pair else {
+            panic!("cell order broken: {pair:?}")
+        };
+        rea < obl
+    });
     f.note(format!(
         "mode={mode}; two-partition runtime, partition 0 replays the seed's compiled fault \
          schedule per batch, partition 1 clean; paired seeds — oblivious and reactive runs of a \
@@ -374,91 +310,36 @@ fn recoveryfigs_with(mode: &str) -> FigData {
         "acceptance asserted before writing: reactive p999 < oblivious p999 for every \
          (model, rate) pair; watchdog = {SWEEP_WATCHDOG_CUTOFFS}x summed cutoffs",
     ));
-    for (workers, wall_ns) in &passes {
-        f.note(format!(
-            "pass jobs={workers}: {:.1} ms wall (results asserted identical across passes)",
-            *wall_ns as f64 / 1e6
-        ));
-    }
-    f.note(format!(
-        "machine-readable recovery baseline written to {json_path}"
-    ));
+    sweep.note_passes(&mut f);
 
-    let json = render_json(mode, &cells);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    // Only simulated-time integers, so the file is byte-identical across
+    // hosts and repeated runs — CI diffs two smoke passes to enforce it.
+    let doc = Obj::new()
+        .str("generator", "figures recoveryfigs")
+        .str("mode", mode)
+        .str("topology", "fat-tree 8 hosts / 2 leaves / 2 spines CX3_56G")
+        .int("watchdog_cutoffs", SWEEP_WATCHDOG_CUTOFFS)
+        .str(
+            "interpretation",
+            "one row per (fault model, rate, scheduler) cell; latencies are per-job sojourns \
+             (submit to finish, censored jobs carry their censoring instant) pooled over all \
+             seeds, percentiles nearest-rank. Oblivious and reactive rows of a pair share \
+             identical per-seed hazards and arrival streams. Each cell ran at jobs=1 and jobs=4 \
+             and the digests were asserted byte-identical before this file was written.",
+        )
+        .gate("results_identical", sweep.cross_checked())
+        .gate("reactive_p999_beats_oblivious", reactive_wins)
+        .rows("cells", rows);
+    study::attach(&mut f, "recovery", smoke, &doc);
     f
 }
 
-/// Hand-rolled JSON (the offline serde shim has no serializer). Only
-/// simulated-time integers appear, so the file is byte-identical across
-/// hosts and repeated runs — CI diffs two smoke passes to enforce it.
-fn render_json(mode: &str, cells: &[Cell]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures recoveryfigs\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"topology\": \"fat-tree 8 hosts / 2 leaves / 2 spines CX3_56G\","
-    );
-    let _ = writeln!(s, "  \"watchdog_cutoffs\": {SWEEP_WATCHDOG_CUTOFFS},");
-    let _ = writeln!(
-        s,
-        "  \"interpretation\": \"one row per (fault model, rate, scheduler) cell; latencies are \
-         per-job sojourns (submit to finish, censored jobs carry their censoring instant) pooled \
-         over all seeds, percentiles nearest-rank. Oblivious and reactive rows of a pair share \
-         identical per-seed hazards and arrival streams. Each cell ran at jobs=1 and jobs=4 and \
-         the digests were asserted byte-identical before this file was written.\","
-    );
-    let _ = writeln!(s, "  \"results_identical\": true,");
-    let _ = writeln!(s, "  \"reactive_p999_beats_oblivious\": true,");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"model\": \"{}\", \"rate\": {:.2}, \"scheduler\": \"{}\", \"seeds\": {}, \
-             \"jobs\": {}, \"completed\": {}, \"censored\": {}, \"retried\": {}, \
-             \"gave_up\": {}, \"sm_rebuilds\": {}, \"timed_out_batches\": {}, \
-             \"fault_drops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"max_ns\": {} }}{comma}",
-            c.model.label(),
-            c.rate,
-            if c.reactive { "reactive" } else { "oblivious" },
-            c.seeds,
-            c.jobs,
-            c.completed,
-            c.censored,
-            c.retried,
-            c.gave_up,
-            c.sm_rebuilds,
-            c.timed_out_batches,
-            c.fault_drops,
-            c.p50,
-            c.p99,
-            c.p999,
-            c.max,
-        );
+fn scheduler(reactive: bool) -> &'static str {
+    if reactive {
+        "reactive"
+    } else {
+        "oblivious"
     }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full recovery study (the recorded baseline): flapping and
-/// switch-failure models × two rates × both schedulers, 200 seeds per
-/// cell, twice (jobs = 1 and 4).
-pub fn recoveryfigs() -> FigData {
-    recoveryfigs_with("full")
-}
-
-/// Bounded CI smoke: both models at the high rate, 24 seeds per cell;
-/// still asserts cross-jobs determinism and the reactive p999 win, and
-/// writes [`BENCH_SMOKE_JSON`] (not the checked-in full baseline).
-pub fn recoveryfigs_smoke() -> FigData {
-    recoveryfigs_with("smoke")
 }
 
 #[cfg(test)]
@@ -467,8 +348,8 @@ mod tests {
 
     #[test]
     fn grids_pair_oblivious_with_reactive() {
-        for mode in ["full", "smoke"] {
-            let runs = sweep_runs(mode);
+        for smoke in [false, true] {
+            let runs = sweep_runs(smoke);
             // Every (model, rate, seed) appears exactly once per
             // scheduler, so cell aggregation sees paired halves and the
             // acceptance check can chunk cells two at a time.
@@ -479,7 +360,7 @@ mod tests {
                 assert!(runs.iter().any(|r| r.model == model));
             }
         }
-        assert!(sweep_runs("full").len() >= 2 * sweep_runs("smoke").len());
+        assert!(sweep_runs(false).len() >= 2 * sweep_runs(true).len());
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! * `allgather_512_fat_tree` — a 512-node three-level fat-tree
 //!   Allgather, the scale that motivated the wheel/slab overhaul.
 //!
-//! The full generator writes `BENCH_simcore.json` into the working
-//! directory with before/after numbers so future perf PRs can diff
-//! against this baseline. `simcore_smoke` runs the same shapes at
-//! bounded sizes for CI and writes `BENCH_simcore_smoke.json` so it
-//! never clobbers the checked-in full-mode baseline.
+//! The full study's baseline is `BENCH_simcore.json`, with before/after
+//! numbers so future perf PRs can diff against it. `simcore_smoke` runs
+//! the same shapes at bounded sizes for CI (`BENCH_simcore_smoke.json`).
 //!
 //! Unlike the sweep generators, these scenarios run **serially even
 //! under `figures --jobs N`**: each one measures engine events per
@@ -26,19 +24,11 @@
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
+use crate::study::{self, Obj};
 use mcag_core::{des, CollectiveKind, ProtocolConfig};
 use mcag_simnet::{EventQueue, FabricConfig, QueueBackend, Topology};
 use mcag_verbs::LinkRate;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// File the full-mode generator writes its machine-readable baseline to
-/// (checked in — the perf trajectory's source of truth).
-pub const BENCH_JSON: &str = "BENCH_simcore.json";
-
-/// File the bounded CI smoke writes instead, so a smoke run never
-/// clobbers the checked-in full-mode baseline.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_simcore_smoke.json";
 
 /// Events/sec of the pre-overhaul engine (`BinaryHeap` queue, per-hop
 /// boxed packets, deep multicast clones, payload-carrying event enum) on
@@ -80,13 +70,6 @@ pub struct EngineRun {
     pub sim_ns: u64,
     /// Peak pending-event count of the queue.
     pub peak_queue_depth: usize,
-}
-
-fn backend_name(b: QueueBackend) -> &'static str {
-    match b {
-        QueueBackend::Wheel => "timer-wheel",
-        QueueBackend::Heap => "binary-heap",
-    }
 }
 
 /// The churn scenarios' delay mix, drawn from a random word: it mirrors
@@ -148,80 +131,70 @@ pub fn allgather_run(topo: Topology, backend: QueueBackend, send_len: usize) -> 
 
 struct Scenario {
     name: &'static str,
-    runs: Vec<EngineRun>,
+    wheel: EngineRun,
+    /// The reference binary-heap engine on the same scenario, where it
+    /// is tractable.
+    heap: Option<EngineRun>,
     /// Recorded pre-overhaul events/sec, when this exact scenario has a
     /// measured "before" anchor (full-mode `allgather_188` only).
     pre_overhaul: Option<f64>,
 }
 
 impl Scenario {
-    fn wheel(&self) -> &EngineRun {
-        self.runs
-            .iter()
-            .find(|r| r.backend == QueueBackend::Wheel)
-            .expect("every scenario runs the wheel engine")
-    }
-
-    fn heap(&self) -> Option<&EngineRun> {
-        self.runs.iter().find(|r| r.backend == QueueBackend::Heap)
-    }
-
     /// Wheel throughput over heap throughput (None without a baseline).
     fn speedup(&self) -> Option<f64> {
-        self.heap()
-            .map(|h| self.wheel().events_per_sec / h.events_per_sec.max(1e-9))
+        let heap = self.heap.as_ref()?;
+        Some(self.wheel.events_per_sec / heap.events_per_sec.max(1e-9))
     }
 }
 
-fn simcore_with(mode: &str, micro_ops: u64, n188: usize, n512: usize) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
+/// The simulator-throughput study: the recorded baseline, or (smoke) the
+/// same scenarios at bounded iteration counts and message sizes; asserts
+/// a nonzero events/sec on every row either way.
+pub fn simcore(smoke: bool) -> FigData {
+    let (micro_ops, n188, n512) = if smoke {
+        (200_000, 32 << 10, 8 << 10)
     } else {
-        BENCH_SMOKE_JSON
+        (2_000_000, 256 << 10, 64 << 10)
     };
-    let mut scenarios = Vec::new();
-
+    let mode = study::mode(smoke);
     // Microbenchmark: synthesize EngineRun records from the churn loop.
-    let mut micro_runs = Vec::new();
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let eps = queue_churn_events_per_sec(backend, micro_ops);
-        assert!(eps > 0.0, "microbench reported zero events/sec");
-        micro_runs.push(EngineRun {
-            backend,
-            events: micro_ops,
-            events_per_sec: eps,
-            sim_ns: 0,
-            peak_queue_depth: 4096,
-        });
-    }
-    scenarios.push(Scenario {
-        name: "event_queue",
-        runs: micro_runs,
-        pre_overhaul: None,
-    });
-
-    // The paper's 188-node testbed, both engines (the acceptance metric).
-    scenarios.push(Scenario {
-        name: "allgather_188",
-        runs: vec![
-            allgather_run(Topology::ucc_testbed(), QueueBackend::Wheel, n188),
-            allgather_run(Topology::ucc_testbed(), QueueBackend::Heap, n188),
-        ],
-        // The recorded anchor was measured at full-mode sizes only.
-        pre_overhaul: (mode == "full").then_some(pre_overhaul_anchor_eps()),
-    });
-
-    // 512-node fat-tree: wheel only — the scenario this PR makes
-    // tractable; the heap baseline is recorded at 188 nodes.
-    scenarios.push(Scenario {
-        name: "allgather_512_fat_tree",
-        runs: vec![allgather_run(
-            Topology::fat_tree_512(LinkRate::NDR_400G),
-            QueueBackend::Wheel,
-            n512,
-        )],
-        pre_overhaul: None,
-    });
+    let churn = |backend| EngineRun {
+        backend,
+        events: micro_ops,
+        events_per_sec: queue_churn_events_per_sec(backend, micro_ops),
+        sim_ns: 0,
+        peak_queue_depth: 4096,
+    };
+    let ag188 = |backend| allgather_run(Topology::ucc_testbed(), backend, n188);
+    let scenarios = [
+        Scenario {
+            name: "event_queue",
+            wheel: churn(QueueBackend::Wheel),
+            heap: Some(churn(QueueBackend::Heap)),
+            pre_overhaul: None,
+        },
+        // The paper's 188-node testbed, both engines (the acceptance
+        // metric); the recorded anchor was measured at full-mode sizes.
+        Scenario {
+            name: "allgather_188",
+            wheel: ag188(QueueBackend::Wheel),
+            heap: Some(ag188(QueueBackend::Heap)),
+            pre_overhaul: (!smoke).then(pre_overhaul_anchor_eps),
+        },
+        // 512-node fat-tree: wheel only — the heap baseline is recorded
+        // at 188 nodes.
+        Scenario {
+            name: "allgather_512_fat_tree",
+            wheel: allgather_run(
+                Topology::fat_tree_512(LinkRate::NDR_400G),
+                QueueBackend::Wheel,
+                n512,
+            ),
+            heap: None,
+            pre_overhaul: None,
+        },
+    ];
 
     let mut f = FigData::new(
         "simcore",
@@ -237,120 +210,71 @@ fn simcore_with(mode: &str, micro_ops: u64, n188: usize, n512: usize) -> FigData
         ],
     );
     for sc in &scenarios {
-        let speedup = sc.speedup();
-        for run in &sc.runs {
+        let wheel_speedup = sc.speedup().map_or("-".into(), |s| format!("{s:.2}x"));
+        for (run, engine, speedup) in [(&sc.wheel, "timer-wheel", wheel_speedup)]
+            .into_iter()
+            .chain(sc.heap.iter().map(|h| (h, "binary-heap", "1.00x".into())))
+        {
             assert!(run.events_per_sec > 0.0, "{}: zero events/sec", sc.name);
-            let speedup_cell = match (run.backend, speedup) {
-                (QueueBackend::Wheel, Some(s)) => format!("{s:.2}x"),
-                (QueueBackend::Wheel, None) => "-".into(),
-                (QueueBackend::Heap, _) => "1.00x".into(),
-            };
             f.row(vec![
                 sc.name.into(),
-                backend_name(run.backend).into(),
+                engine.into(),
                 run.events.to_string(),
                 format!("{:.3}M", run.events_per_sec / 1e6),
                 run.peak_queue_depth.to_string(),
                 format!("{:.1}", run.sim_ns as f64 / 1e3),
-                speedup_cell,
+                speedup,
             ]);
         }
     }
     f.note(format!(
         "mode={mode}; before = binary-heap engine, after = timer-wheel + slab packet path"
     ));
-    if let Some(sc) = scenarios.iter().find(|s| s.pre_overhaul.is_some()) {
-        let pre = sc.pre_overhaul.unwrap_or(1.0);
+    for sc in &scenarios {
+        let Some(pre) = sc.pre_overhaul else { continue };
         f.note(format!(
             "{}: recorded pre-overhaul engine (heap + per-hop clones) ran at {:.1}M events/sec \
              on this scenario => {:.2}x end-to-end",
             sc.name,
             pre / 1e6,
-            sc.wheel().events_per_sec / pre
+            sc.wheel.events_per_sec / pre
         ));
     }
-    f.note(format!("machine-readable baseline written to {json_path}"));
-
-    let json = render_json(mode, &scenarios);
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    study::attach(&mut f, "simcore", smoke, &baseline_doc(mode, &scenarios));
     f
 }
 
-/// Hand-rolled JSON (the offline serde shim has no serializer).
-fn render_json(mode: &str, scenarios: &[Scenario]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures simcore\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"before_engine\": \"binary-heap\",");
-    let _ = writeln!(s, "  \"after_engine\": \"timer-wheel\",");
-    let _ = writeln!(
-        s,
-        "  \"pre_overhaul_anchor\": \"events/sec of the pre-overhaul engine measured once on \
-         the baseline recording host; speedup_vs_pre_overhaul is only meaningful for runs on \
-         that host — cross-host, compare the engines measured in this same file instead\","
-    );
-    let _ = writeln!(s, "  \"scenarios\": [");
-    for (i, sc) in scenarios.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", sc.name);
-        let w = sc.wheel();
-        let _ = writeln!(s, "      \"events\": {},", w.events);
-        let _ = writeln!(s, "      \"sim_time_ns\": {},", w.sim_ns);
-        let _ = writeln!(s, "      \"peak_queue_depth\": {},", w.peak_queue_depth);
-        let _ = writeln!(
-            s,
-            "      \"after_events_per_sec\": {:.0},",
-            w.events_per_sec
-        );
-        match sc.heap() {
-            Some(h) => {
-                let _ = writeln!(
-                    s,
-                    "      \"before_events_per_sec\": {:.0},",
-                    h.events_per_sec
-                );
-                let _ = writeln!(s, "      \"speedup\": {:.3},", sc.speedup().unwrap_or(0.0));
-            }
-            None => {
-                let _ = writeln!(s, "      \"before_events_per_sec\": null,");
-                let _ = writeln!(s, "      \"speedup\": null,");
-            }
-        }
-        match sc.pre_overhaul {
-            Some(pre) => {
-                let _ = writeln!(s, "      \"pre_overhaul_events_per_sec\": {pre:.0},");
-                let _ = writeln!(
-                    s,
-                    "      \"speedup_vs_pre_overhaul\": {:.3}",
-                    w.events_per_sec / pre
-                );
-            }
-            None => {
-                let _ = writeln!(s, "      \"pre_overhaul_events_per_sec\": null,");
-                let _ = writeln!(s, "      \"speedup_vs_pre_overhaul\": null");
-            }
-        }
-        let comma = if i + 1 < scenarios.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full simulator-throughput suite (the recorded baseline).
-pub fn simcore() -> FigData {
-    simcore_with("full", 2_000_000, 256 << 10, 64 << 10)
-}
-
-/// Bounded CI smoke: same scenarios, smaller iteration counts and
-/// messages; still asserts a nonzero events/sec on every row and writes
-/// [`BENCH_SMOKE_JSON`] (not the checked-in full baseline).
-pub fn simcore_smoke() -> FigData {
-    simcore_with("smoke", 200_000, 32 << 10, 8 << 10)
+/// The baseline document: before/after engine throughput per scenario.
+fn baseline_doc(mode: &str, scenarios: &[Scenario]) -> Obj {
+    Obj::new()
+        .str("generator", "figures simcore")
+        .str("mode", mode)
+        .str("before_engine", "binary-heap")
+        .str("after_engine", "timer-wheel")
+        .str(
+            "pre_overhaul_anchor",
+            "events/sec of the pre-overhaul engine measured once on the baseline recording \
+             host; speedup_vs_pre_overhaul is only meaningful for runs on that host — \
+             cross-host, compare the engines measured in this same file instead",
+        )
+        .blocks(
+            "scenarios",
+            scenarios.iter().map(|sc| {
+                let w = &sc.wheel;
+                let heap_eps = sc.heap.as_ref().map(|h| h.events_per_sec);
+                let vs_pre = sc.pre_overhaul.map(|pre| w.events_per_sec / pre);
+                Obj::new()
+                    .str("name", sc.name)
+                    .int("events", w.events)
+                    .int("sim_time_ns", w.sim_ns)
+                    .int("peak_queue_depth", w.peak_queue_depth as u64)
+                    .float("after_events_per_sec", w.events_per_sec, 0)
+                    .float_or_null("before_events_per_sec", heap_eps, 0)
+                    .float_or_null("speedup", sc.speedup(), 3)
+                    .float_or_null("pre_overhaul_events_per_sec", sc.pre_overhaul, 0)
+                    .float_or_null("speedup_vs_pre_overhaul", vs_pre, 3)
+            }),
+        )
 }
 
 #[cfg(test)]
@@ -376,30 +300,24 @@ mod tests {
 
     #[test]
     fn json_shape_is_wellformed_enough() {
+        let run = |backend, events_per_sec| EngineRun {
+            backend,
+            events: 10,
+            events_per_sec,
+            sim_ns: 1,
+            peak_queue_depth: 2,
+        };
         let sc = Scenario {
             name: "x",
-            runs: vec![
-                EngineRun {
-                    backend: QueueBackend::Wheel,
-                    events: 10,
-                    events_per_sec: 5.0,
-                    sim_ns: 1,
-                    peak_queue_depth: 2,
-                },
-                EngineRun {
-                    backend: QueueBackend::Heap,
-                    events: 10,
-                    events_per_sec: 2.5,
-                    sim_ns: 1,
-                    peak_queue_depth: 2,
-                },
-            ],
+            wheel: run(QueueBackend::Wheel, 5.0),
+            heap: Some(run(QueueBackend::Heap, 2.5)),
             pre_overhaul: Some(1.0),
         };
-        let j = render_json("test", &[sc]);
+        let j = baseline_doc("test", &[sc]).render();
         assert!(j.contains("\"speedup\": 2.000,"));
         assert!(j.contains("\"before_events_per_sec\": 2,"));
         assert!(j.contains("\"speedup_vs_pre_overhaul\": 5.000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        mcag_trace::validate_json(&j).expect("simcore baseline parses");
     }
 }

@@ -17,29 +17,21 @@
 //!   the 188-node Allgather against the recorded pre-instrumentation
 //!   anchor, demonstrating that a disabled sink costs one branch.
 //!
-//! The full generator writes `BENCH_trace.json` (checked in; the
+//! The full study's baseline is `BENCH_trace.json` (checked in; the
 //! overhead block is a wall-clock snapshot from the recording host, like
-//! `BENCH_simcore.json`). `tracefigs_smoke` writes
-//! `BENCH_trace_smoke.json` with `"overhead": null` — every smoke field
-//! is a simulated-time integer or digest, so CI regenerates the file
-//! twice and asserts the bytes match.
+//! `BENCH_simcore.json`). `tracefigs_smoke`'s baseline,
+//! `BENCH_trace_smoke.json`, has `"overhead": null` — every other field
+//! is a simulated-time integer or digest (and the host's parallelism),
+//! so CI regenerates the file twice and asserts the bytes match.
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
+use crate::study::{self, Obj};
 use mcag_core::{des, CollectiveKind, CollectiveOutcome, ProtocolConfig};
 use mcag_runtime::{JobKind, PoolConfig, Runtime, RuntimeConfig, RuntimeReport, RuntimeTrace};
 use mcag_simnet::{FabricConfig, Topology};
 use mcag_trace::{export_chrome, validate_json, ChromeOptions, LinkTimeline, TraceSpec};
 use mcag_verbs::LinkRate;
-use std::fmt::Write as _;
-
-/// File the full-mode generator writes its machine-readable baseline to
-/// (checked in — the trace subsystem's source of truth).
-pub const BENCH_JSON: &str = "BENCH_trace.json";
-
-/// File the bounded CI smoke writes instead; contains no wall-clock
-/// numbers, so two smoke passes produce byte-identical files.
-pub const BENCH_SMOKE_JSON: &str = "BENCH_trace_smoke.json";
 
 /// Timeline bucketing used by every cell (64 µs of simulated time).
 pub const TIMELINE_WINDOW_NS: u64 = 65_536;
@@ -65,12 +57,9 @@ pub fn pre_trace_anchor_eps() -> f64 {
 
 /// FNV-1a over a string (digest cells for byte-stability checks).
 pub(crate) fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One traced collective on `topo` with the given recorder spec.
@@ -122,8 +111,8 @@ fn traced_cell(name: &'static str, topo: Topology, send_len: usize) -> TracedCel
 
 /// Export a traced 512-node fat-tree Allgather as a Chrome trace-event
 /// JSON document (already round-tripped through [`validate_json`]).
-/// Shared by the generator cell, the `figures --trace <path>` flag, and
-/// CI's Perfetto-artifact step.
+/// Shared by the generator cell and the `figures --trace <path>` flag
+/// (CI's Perfetto artifact).
 pub fn reference_chrome_trace() -> String {
     let topo = Topology::fat_tree_512(LinkRate::NDR_400G);
     let link_names: Vec<String> = (0..topo.num_links()).map(|l| format!("link{l}")).collect();
@@ -140,13 +129,6 @@ pub fn reference_chrome_trace() -> String {
     );
     validate_json(&doc).expect("chrome export must round-trip the JSON parser");
     doc
-}
-
-/// Write the reference Chrome trace to `path`; returns the byte length.
-pub fn export_reference_trace(path: &str) -> std::io::Result<usize> {
-    let doc = reference_chrome_trace();
-    std::fs::write(path, &doc)?;
-    Ok(doc.len())
 }
 
 /// A small open-loop multi-tenant scenario traced end to end.
@@ -185,13 +167,9 @@ fn runtime_cell() -> RuntimeCell {
     let (r4, t4) = traced_runtime(4);
     assert_eq!(r1, r4, "open-loop report must not depend on worker count");
     assert_eq!(t1, t4, "trace must not depend on worker count");
-    let report_digest = fnv(&format!("{r1:?}"));
-    let trace_digest = fnv(&format!("{t1:?}"));
-    assert_eq!(report_digest, fnv(&format!("{r4:?}")));
-    assert_eq!(trace_digest, fnv(&format!("{t4:?}")));
     RuntimeCell {
-        report_digest,
-        trace_digest,
+        report_digest: fnv(&format!("{r1:?}")),
+        trace_digest: fnv(&format!("{t1:?}")),
         fabric_events: t1.fabric.len(),
         batch_spans: t1.batches.len(),
         job_spans: t1.jobs.len(),
@@ -270,12 +248,16 @@ fn measure_overhead(send_len: usize, runs_each: u32) -> Overhead {
     oh
 }
 
-fn tracefigs_with(mode: &str, n188: usize, n512: usize) -> FigData {
-    let json_path = if mode == "full" {
-        BENCH_JSON
+/// The flight-recorder study: the recorded baseline (with the wall-clock
+/// overhead cell), or (smoke) the same cells at smaller messages and no
+/// wall-clock fields — regenerate it twice and the bytes must match.
+pub fn tracefigs(smoke: bool) -> FigData {
+    let (n188, n512) = if smoke {
+        (32 << 10, 8 << 10)
     } else {
-        BENCH_SMOKE_JSON
+        (256 << 10, 64 << 10)
     };
+    let mode = study::mode(smoke);
     let cells = [
         traced_cell("traced_ag188", Topology::ucc_testbed(), n188),
         traced_cell(
@@ -285,10 +267,9 @@ fn tracefigs_with(mode: &str, n188: usize, n512: usize) -> FigData {
         ),
     ];
     let chrome = reference_chrome_trace();
-    let chrome_digest = fnv(&chrome);
+    let chrome = (chrome.len(), fnv(&chrome));
     let rt = runtime_cell();
-    let overhead = (mode == "full").then(|| measure_overhead(n188, 5));
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let overhead = (!smoke).then(|| measure_overhead(n188, 5));
 
     let mut f = FigData::new(
         "tracefigs",
@@ -313,8 +294,8 @@ fn tracefigs_with(mode: &str, n188: usize, n512: usize) -> FigData {
         "-".into(),
         "-".into(),
         "-".into(),
-        format!("{chrome_digest:016x}"),
-        format!("{} bytes, JSON round-trip ok", chrome.len()),
+        format!("{:016x}", chrome.1),
+        format!("{} bytes, JSON round-trip ok", chrome.0),
     ]);
     f.row(vec![
         "runtime_jobs".into(),
@@ -351,115 +332,75 @@ fn tracefigs_with(mode: &str, n188: usize, n512: usize) -> FigData {
             pre_trace_anchor_eps() / 1e6
         ));
     }
-    f.note(format!("machine-readable baseline written to {json_path}"));
-
-    let json = render_json(
-        mode,
-        host_parallelism,
-        &cells,
-        chrome.len(),
-        chrome_digest,
-        &rt,
-        overhead.as_ref(),
-    );
-    validate_json(&json).expect("baseline JSON must parse");
-    if let Err(e) = std::fs::write(json_path, &json) {
-        f.note(format!("could not write {json_path}: {e}"));
-    }
+    let doc = baseline_doc(smoke, &cells, chrome, &rt, overhead.as_ref());
+    study::attach(&mut f, "trace", smoke, &doc);
     f
 }
 
-/// Hand-rolled JSON (the offline serde shim has no serializer).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    mode: &str,
-    host_parallelism: usize,
+/// The baseline document; `chrome` is the reference export's byte
+/// length and digest.
+fn baseline_doc(
+    smoke: bool,
     cells: &[TracedCell],
-    chrome_bytes: usize,
-    chrome_digest: u64,
+    (chrome_bytes, chrome_digest): (usize, u64),
     rt: &RuntimeCell,
     overhead: Option<&Overhead>,
-) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"generator\": \"figures tracefigs\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(s, "  \"ring_capacity\": {},", TraceSpec::DEFAULT_CAPACITY);
-    let _ = writeln!(s, "  \"timeline_window_ns\": {TIMELINE_WINDOW_NS},");
-    let _ = writeln!(s, "  \"scenarios\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(s, "      \"events_offered\": {},", c.events_offered);
-        let _ = writeln!(s, "      \"events_kept\": {},", c.events_kept);
-        let _ = writeln!(s, "      \"events_dropped\": {},", c.events_dropped);
-        let _ = writeln!(s, "      \"sim_time_ns\": {},", c.sim_ns);
-        let _ = writeln!(
-            s,
-            "      \"timeline_digest\": \"{:016x}\",",
-            c.timeline_digest
+) -> Obj {
+    let hex = |d: u64| format!("{d:016x}");
+    let doc = Obj::new()
+        .str("generator", "figures tracefigs")
+        .str("mode", study::mode(smoke))
+        .int("host_parallelism", mcag_exec::default_jobs() as u64)
+        .int("ring_capacity", TraceSpec::DEFAULT_CAPACITY as u64)
+        .int("timeline_window_ns", TIMELINE_WINDOW_NS)
+        .blocks(
+            "scenarios",
+            cells.iter().map(|c| {
+                Obj::new()
+                    .str("name", c.name)
+                    .int("events_offered", c.events_offered)
+                    .int("events_kept", c.events_kept as u64)
+                    .int("events_dropped", c.events_dropped)
+                    .int("sim_time_ns", c.sim_ns)
+                    .str("timeline_digest", &hex(c.timeline_digest))
+                    .int("busiest_link", c.busiest_link.into())
+                    .int("busiest_busy_ns", c.busiest_busy_ns)
+            }),
+        )
+        .obj(
+            "chrome_export",
+            Obj::new()
+                .str("scenario", "traced fat_tree_512 allgather")
+                .int("bytes", chrome_bytes as u64)
+                .str("digest", &hex(chrome_digest))
+                .bool("json_round_trip", true),
+        )
+        .obj(
+            "runtime_jobs",
+            Obj::new()
+                .ints("jobs_compared", &[1, 4])
+                .bool("identical", true)
+                .str("report_digest", &hex(rt.report_digest))
+                .str("trace_digest", &hex(rt.trace_digest))
+                .int("fabric_events", rt.fabric_events as u64)
+                .int("batch_spans", rt.batch_spans as u64)
+                .int("job_spans", rt.job_spans as u64),
         );
-        let _ = writeln!(s, "      \"busiest_link\": {},", c.busiest_link);
-        let _ = writeln!(s, "      \"busiest_busy_ns\": {}", c.busiest_busy_ns);
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"chrome_export\": {{");
-    let _ = writeln!(s, "    \"scenario\": \"traced fat_tree_512 allgather\",");
-    let _ = writeln!(s, "    \"bytes\": {chrome_bytes},");
-    let _ = writeln!(s, "    \"digest\": \"{chrome_digest:016x}\",");
-    let _ = writeln!(s, "    \"json_round_trip\": true");
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"runtime_jobs\": {{");
-    let _ = writeln!(s, "    \"jobs_compared\": [1, 4],");
-    let _ = writeln!(s, "    \"identical\": true,");
-    let _ = writeln!(s, "    \"report_digest\": \"{:016x}\",", rt.report_digest);
-    let _ = writeln!(s, "    \"trace_digest\": \"{:016x}\",", rt.trace_digest);
-    let _ = writeln!(s, "    \"fabric_events\": {},", rt.fabric_events);
-    let _ = writeln!(s, "    \"batch_spans\": {},", rt.batch_spans);
-    let _ = writeln!(s, "    \"job_spans\": {}", rt.job_spans);
-    let _ = writeln!(s, "  }},");
     match overhead {
-        Some(oh) => {
-            let _ = writeln!(s, "  \"overhead\": {{");
-            let _ = writeln!(s, "    \"scenario\": \"allgather_188\",");
-            let _ = writeln!(s, "    \"runs_each\": {},", oh.runs_each);
-            let _ = writeln!(s, "    \"events\": {},", oh.events);
-            let _ = writeln!(s, "    \"off_events_per_sec\": {:.0},", oh.off_eps);
-            let _ = writeln!(s, "    \"on_events_per_sec\": {:.0},", oh.on_eps);
-            let _ = writeln!(s, "    \"on_overhead_pct\": {:.2},", oh.on_overhead_pct());
-            let _ = writeln!(
-                s,
-                "    \"pre_trace_anchor_eps\": {:.0},",
-                pre_trace_anchor_eps()
-            );
-            let _ = writeln!(
-                s,
-                "    \"off_vs_anchor_pct\": {:.2}",
-                oh.off_vs_anchor_pct()
-            );
-            let _ = writeln!(s, "  }}");
-        }
-        None => {
-            let _ = writeln!(s, "  \"overhead\": null");
-        }
+        Some(oh) => doc.obj(
+            "overhead",
+            Obj::new()
+                .str("scenario", "allgather_188")
+                .int("runs_each", oh.runs_each.into())
+                .int("events", oh.events)
+                .float("off_events_per_sec", oh.off_eps, 0)
+                .float("on_events_per_sec", oh.on_eps, 0)
+                .float("on_overhead_pct", oh.on_overhead_pct(), 2)
+                .float("pre_trace_anchor_eps", pre_trace_anchor_eps(), 0)
+                .float("off_vs_anchor_pct", oh.off_vs_anchor_pct(), 2),
+        ),
+        None => doc.null("overhead"),
     }
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Full flight-recorder suite (the recorded baseline).
-pub fn tracefigs() -> FigData {
-    tracefigs_with("full", 256 << 10, 64 << 10)
-}
-
-/// Bounded CI smoke: same cells at smaller messages, no wall-clock
-/// fields, written to [`BENCH_SMOKE_JSON`] — regenerate twice and the
-/// bytes must match.
-pub fn tracefigs_smoke() -> FigData {
-    tracefigs_with("smoke", 32 << 10, 8 << 10)
 }
 
 #[cfg(test)]
@@ -556,7 +497,7 @@ mod tests {
                 batch_spans: 4,
                 job_spans: 5,
             };
-            render_json("smoke", 1, &cells, 10, 0xabc, &rt, None)
+            baseline_doc(true, &cells, (10, 0xabc), &rt, None).render()
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a, b);

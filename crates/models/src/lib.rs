@@ -12,16 +12,20 @@
 //! * [`bandwidth`] — NCCL-convention algorithmic/bus bandwidth
 //!   reporting (`busbw = algbw × collective factor`), shared by the
 //!   bench generators.
+//! * [`percentile`] — the nearest-rank percentile behind every reported
+//!   tail (runtime sojourns and the bench studies alike).
 
 #![warn(missing_docs)]
 
 pub mod bandwidth;
 pub mod node_boundary;
+pub mod percentile;
 pub mod sizing;
 pub mod speedup;
 pub mod traffic;
 
 pub use bandwidth::{algbw_gbps, busbw_gbps, CollectiveOp};
+pub use percentile::nearest_rank;
 pub use sizing::{BitmapSizing, DPA_LLC_BYTES};
 pub use speedup::{concurrent_speedup, BandwidthShares};
 pub use traffic::{allgather_traffic, broadcast_traffic, TrafficModel};

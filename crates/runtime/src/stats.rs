@@ -297,14 +297,9 @@ impl RuntimeReport {
     /// `[0, 1]`, e.g. `0.99` for the p99 tail. Sojourn is the full
     /// queue + service latency. Returns 0 with no records.
     pub fn sojourn_percentile_ns(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of [0, 1]: {q}");
-        if self.jobs.is_empty() {
-            return 0;
-        }
         let mut lat: Vec<u64> = self.jobs.iter().map(JobRecord::latency_ns).collect();
         lat.sort_unstable();
-        let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1]
+        mcag_models::nearest_rank(&lat, q)
     }
 
     /// Offered arrival rate over the run, jobs per simulated second.

@@ -20,8 +20,8 @@ use proptest::prelude::*;
 
 #[test]
 fn backend_sweep_identical_across_worker_counts() {
-    let serial = sweep_digests("smoke", 1);
-    let parallel = sweep_digests("smoke", 4);
+    let serial = sweep_digests(true, 1);
+    let parallel = sweep_digests(true, 4);
     assert!(!serial.is_empty());
     assert_eq!(
         serial, parallel,

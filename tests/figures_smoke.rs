@@ -2,6 +2,8 @@
 //! well-formed table. (The heavy 188-node figures are `#[ignore]`d here
 //! and exercised by the `figures` binary / `cargo bench`.)
 
+mod common;
+
 use mcag_bench::{generate, FigData};
 
 fn check(f: &FigData) {
@@ -13,6 +15,25 @@ fn check(f: &FigData) {
     assert!(rendered.contains(&f.id));
     let csv = f.to_csv();
     assert_eq!(csv.lines().count(), f.rows.len() + 1);
+}
+
+/// A study's returned baseline: it names its smoke file, records its
+/// gates, and hashes to the pinned FNV-1a digest. The digest pins the
+/// bytes themselves, which CI's run-twice-and-`cmp` check cannot: a
+/// change that is deterministic but wrong passes that check. The
+/// generator returns the document instead of writing it, so the test
+/// leaves the checkout clean.
+fn check_baseline(f: &FigData, path: &str, gates: &[&str], fnv: u64) {
+    let b = f.baseline.as_ref().expect("studies return their baseline");
+    assert_eq!(b.path, path);
+    for gate in gates {
+        let line = format!("\"{gate}\": true,");
+        assert!(
+            b.json.lines().any(|l| l.trim() == line),
+            "{path}: {line} missing"
+        );
+    }
+    assert_eq!(common::fnv64(&b.json), fnv, "{path} bytes moved");
 }
 
 #[test]
@@ -91,6 +112,12 @@ fn faultfigs_smoke_shape() {
     }
     // Per-seed wall times ride along for timings.csv.
     assert!(!f.job_wall_ms.is_empty());
+    check_baseline(
+        &f,
+        "BENCH_faults_smoke.json",
+        &["results_identical"],
+        0xe002_488b_12e2_7180,
+    );
 }
 
 #[test]
@@ -111,6 +138,12 @@ fn recoveryfigs_smoke_shape() {
     for model in ["flapping", "switch"] {
         assert!(f.rows.iter().any(|r| r[0] == model), "{model} missing");
     }
+    check_baseline(
+        &f,
+        "BENCH_recovery_smoke.json",
+        &["results_identical", "reactive_p999_beats_oblivious"],
+        0x2f3e_16bf_b129_0cf5,
+    );
 }
 
 #[test]
