@@ -42,7 +42,8 @@ pub const RS_TX_TOKEN: u64 = 5;
 /// `reduce_group`:
 ///
 /// * `Some(g)`: in-network (SHARP-style). Contributions enter `g`'s
-///   switch reduction tree and each owner receives its `N` reduced
+///   switch reduction tree as one sweep work request
+///   ([`Ctx::post_inc_sweep`]) and each owner receives its `N` reduced
 ///   bytes; the own shard's local contribution is folded in at
 ///   delivery, as SHARP endpoints do.
 /// * `None`: on the endpoints. Every contribution is unicast to the
@@ -156,20 +157,25 @@ impl RsApp {
 impl RankApp<ControlMsg> for RsApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
         self.t_start = ctx.now();
-        // Contribute every shard except our own; the NIC cuts each
-        // message into MTU segments.
-        for shard in (0..self.p).filter(|&s| s != self.me.0) {
-            let seg = MsgSegments {
-                first_psn: shard * self.chunks_per_shard,
-                chunks: self.chunks_per_shard,
-                buf_len: self.shard_len,
-                mtu: self.mtu,
-                imm: self.imm,
-                coll: self.coll,
-            };
-            match self.reduce_group {
-                Some(g) => ctx.post_inc_message(self.qp, g, Rank(shard), self.qp, seg),
-                None => ctx.post_unicast_message(Rank(shard), self.qp, seg),
+        // Contribute every shard except our own, in owner order; the NIC
+        // cuts each message into MTU segments.
+        let seg = |shard: u32| MsgSegments {
+            first_psn: shard * self.chunks_per_shard,
+            chunks: self.chunks_per_shard,
+            buf_len: self.shard_len,
+            mtu: self.mtu,
+            imm: self.imm,
+            coll: self.coll,
+        };
+        match self.reduce_group {
+            // One sweep request for all of them.
+            Some(g) => ctx.post_inc_sweep(self.qp, g, 0..self.p, self.qp, seg(0)),
+            // One message per shard: each resolves its route when posted,
+            // so adaptive routing draws from the RNG in post order.
+            None => {
+                for shard in (0..self.p).filter(|&s| s != self.me.0) {
+                    ctx.post_unicast_message(Rank(shard), self.qp, seg(shard));
+                }
             }
         }
         ctx.notify_tx_drained(self.qp, self.token_base + RS_TX_TOKEN);
@@ -207,6 +213,9 @@ pub struct ConcurrentOutcome {
     pub stats: RunStats,
     /// Link counters.
     pub traffic: TrafficReport,
+    /// Packets the fabric still held when the run ended
+    /// ([`Fabric::live_packets`]); a completed run leaves none.
+    pub live_packets: usize,
 }
 
 impl ConcurrentOutcome {
@@ -311,6 +320,7 @@ fn run_pair(
         rs_times,
         stats,
         traffic,
+        live_packets: fab.live_packets(),
     }
 }
 
@@ -371,6 +381,7 @@ pub fn run_reduce_scatter(
         rs_times,
         stats,
         traffic,
+        live_packets: fab.live_packets(),
     }
 }
 

@@ -164,6 +164,9 @@ pub struct MultiCommOutcome {
     pub stats: RunStats,
     /// Link counters (all communicators combined).
     pub traffic: TrafficReport,
+    /// Packets the fabric still held when the run ended
+    /// ([`Fabric::live_packets`]); a completed run leaves none.
+    pub live_packets: usize,
 }
 
 impl MultiCommOutcome {
@@ -266,6 +269,7 @@ pub fn run_concurrent_allgathers(
         per_comm,
         stats,
         traffic,
+        live_packets: fab.live_packets(),
     }
 }
 

@@ -12,6 +12,7 @@
 use crate::fabric::Inner;
 use crate::time::SimTime;
 use mcag_verbs::{CollectiveId, Cqe, ImmData, ImmLayout, McastGroupId, Mtu, QpNum, Rank};
+use std::ops::Range;
 
 /// What a delivered packet carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,21 +149,28 @@ impl<M: Clone + 'static> Ctx<'_, M> {
         self.inner.post_rdma_read(self.rank, qp, dst, len, tag);
     }
 
-    /// Contribute one shard (owned by `owner`) to an in-network reduction
-    /// over `group` as a single message: switches merge each chunk's
-    /// contributions up the tree and `owner` receives one reduced chunk
-    /// per PSN on `owner_qp` — the SHARP-style Reduce-Scatter substrate of
-    /// Section II.
-    pub fn post_inc_message(
+    /// Contribute to an in-network reduction over `group` the shard of
+    /// every rank in `owners` except this one, in owner order, as a single
+    /// work request (a chained work-request list): switches merge each
+    /// chunk's contributions up the tree and every owner receives one
+    /// reduced chunk per PSN on `owner_qp` — the SHARP-style
+    /// Reduce-Scatter substrate of Section II.
+    ///
+    /// `seg` is the message to `owners.start`; the shards are laid out
+    /// owner-major, so owner `o`'s message is `seg` moved
+    /// `(o − owners.start) · seg.chunks` PSNs on. The NIC segments the
+    /// sweep an MTU per arbitration turn, exactly as it would the
+    /// separate messages; a range of one owner is one message.
+    pub fn post_inc_sweep(
         &mut self,
         qp: QpNum,
         group: McastGroupId,
-        owner: Rank,
+        owners: Range<u32>,
         owner_qp: QpNum,
         seg: MsgSegments,
     ) {
         self.inner
-            .post_inc(self.rank, qp, group, owner, owner_qp, seg);
+            .post_inc(self.rank, qp, group, owners, owner_qp, seg);
     }
 
     /// Arm a one-shot timer `delay_ns` from now; fires `on_timer(token)`.

@@ -23,13 +23,24 @@
 //! arbiter injects it. A reliable message ([`MsgSegments`]) is one
 //! request however many chunks it carries — it stays at the head of its
 //! queue and is segmented an MTU per arbitration turn, as an RC queue
-//! pair does in hardware. A queue whose drain notification fires gives
-//! its buffer back, so a rank that has finished sending holds none.
+//! pair does in hardware. An in-network-reduction *sweep*
+//! ([`Ctx::post_inc_sweep`]) is one request for a rank's whole
+//! Reduce-Scatter contribution: it walks its owners in order, one message
+//! each, like a chained work-request list — a 512-rank in-switch
+//! Reduce-Scatter queues 512 requests, not 512 · 511. A queue whose drain
+//! notification fires gives its buffer back, so a rank that has finished
+//! sending holds none.
 //!
 //! Packets live in a slab with an embedded LIFO free list from injection
 //! to their last delivery, so the slab is as large as the most packets
 //! ever on the wire at once, not as the most ever posted; events carry a
-//! 4-byte `PktRef` handle instead of a boxed packet. Multicast
+//! 4-byte `PktRef` handle instead of a boxed packet. A slab entry is a
+//! 64-byte compact form — route, body, source rank, receiving QP, 32-bit
+//! length and traffic class — from which the app-facing [`Cqe`] and
+//! [`Payload`] are rebuilt at delivery. A data chunk's descriptor and an
+//! RDMA read's tag ride in the entry; a control message's `M` waits out
+//! of line in a side slab under a key the entry holds, so the entry does
+//! not grow with the app's message type. Multicast
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
@@ -46,56 +57,75 @@ use crate::routing::{self, descend, RouteMode};
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink};
-use mcag_verbs::wire::{Destination, PacketHeader, PacketKind};
+use mcag_verbs::wire::{PacketKind, HEADER_BYTES};
 use mcag_verbs::{CompletionStatus, Cqe, CqeOpcode, ImmData, McastGroupId, QpNum, Rank, Transport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// What happens when a packet reaches its destination host.
-#[derive(Debug, Clone, Copy)]
-enum ArrivalSem {
-    /// Normal two-sided delivery into a pre-posted receive.
-    TwoSided,
-    /// RDMA Read request: target NIC answers in hardware with `resp_len`
-    /// bytes, completion tagged `tag` on the requester.
-    ReadReq {
-        resp_len: usize,
-        tag: u64,
-        req_qp: QpNum,
-    },
-    /// RDMA Read response arriving back at the requester.
-    ReadResp { tag: u64, req_qp: QpNum },
-}
-
+/// Where a packet goes next.
 #[derive(Debug, Clone)]
-enum RouteState {
-    Unicast {
-        path: Arc<[LinkId]>,
-        hop: usize,
-    },
-    Mcast {
-        group: McastGroupId,
-    },
+enum Route {
+    /// A unicast route; `path[hop]` is the next link to take.
+    Unicast { path: Arc<[LinkId]>, hop: u8 },
+    /// Down a multicast tree (unreliable datagrams).
+    Mcast { group: McastGroupId },
     /// In-network-compute contribution climbing its reduction tree
     /// (SHARP-style). Switches absorb contributions until every child
     /// branch has reported, then forward one merged packet up; the tree
     /// root routes the result down to the shard's `owner`.
-    IncUp {
-        group: McastGroupId,
-        owner: Rank,
-        owner_qp: QpNum,
-    },
+    IncUp { group: McastGroupId, owner: Rank },
 }
 
-struct PacketInst<M> {
-    header: PacketHeader,
-    payload: Payload<M>,
-    route: RouteState,
-    sem: ArrivalSem,
-    reliable: bool,
+/// What a packet carries and what its arrival at a host means.
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    /// Chunk `psn` of `origin`'s buffer, with the immediate data it was
+    /// posted with; delivered two-sided into a pre-posted receive.
+    Chunk {
+        origin: Rank,
+        psn: u32,
+        imm: ImmData,
+    },
+    /// A control message, delivered two-sided; the message itself waits
+    /// out of line in `Inner::ctrl_msgs` under this key.
+    Msg(u32),
+    /// RDMA Read request: the target NIC answers in hardware with
+    /// `resp_len` bytes, completion tagged `tag` on the requester.
+    ReadReq { resp_len: u32, tag: u64 },
+    /// RDMA Read response arriving back at the requester.
+    ReadResp { tag: u64 },
+}
+
+/// An in-flight packet in the fabric's compact form: the app-facing
+/// [`Cqe`] and [`Payload`] are rebuilt from it at delivery
+/// ([`Inner::take_cqe`]). The sending QP is never read and the
+/// destination is the route plus `dst_qp`, so neither is stored.
+struct PacketInst {
+    route: Route,
+    body: Body,
+    src: Rank,
+    /// Receiving QP of a unicast packet — for a reduction contribution,
+    /// the owner's QP its result is delivered to. Multicast copies are
+    /// delivered to the QP each host attached to the group instead.
     dst_qp: QpNum,
+    /// Payload bytes, excluding the header.
+    payload_len: u32,
+    kind: PacketKind,
+}
+
+impl PacketInst {
+    fn wire_bytes(&self) -> usize {
+        self.payload_len as usize + HEADER_BYTES
+    }
+
+    /// Reliable transport: everything except multicast datagrams (RC
+    /// messages, control traffic, RDMA reads and SHARP contributions).
+    fn reliable(&self) -> bool {
+        !matches!(self.route, Route::Mcast { .. })
+    }
 }
 
 /// Slab handle of an in-flight packet. Replicating a multicast packet at
@@ -103,9 +133,60 @@ struct PacketInst<M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PktRef(u32);
 
-struct SlabEntry<M> {
+struct SlabEntry {
     refs: u32,
-    pkt: PacketInst<M>,
+    pkt: PacketInst,
+}
+
+/// Slots with an embedded LIFO free list: a slab is as long as the most
+/// entries ever live at once, and a key stays valid until it is removed.
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, v: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                debug_assert!(self.slots[i as usize].is_none());
+                self.slots[i as usize] = Some(v);
+                i
+            }
+            None => {
+                self.slots.push(Some(v));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: u32) -> &T {
+        self.slots[i as usize].as_ref().expect("stale slab key")
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: u32) -> &mut T {
+        self.slots[i as usize].as_mut().expect("stale slab key")
+    }
+
+    fn remove(&mut self, i: u32) -> T {
+        let v = self.slots[i as usize].take().expect("stale slab key");
+        self.free.push(i);
+        v
+    }
+
+    /// Entries inserted and not yet removed.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// One send-queue entry: a work request, not a packet. The NIC turns the
@@ -123,22 +204,25 @@ enum Wqe {
         imm: ImmData,
         origin: Rank,
         psn: u32,
-        len: usize,
+        len: u32,
     },
     /// A reliable unicast message on a route resolved at post time; stays
     /// at the head of its queue and yields segment `next` per turn.
     Unicast {
         path: Arc<[LinkId]>,
-        dst: Rank,
         dst_qp: QpNum,
         seg: MsgSegments,
         next: u32,
     },
-    /// An in-network-reduction contribution message (see
-    /// [`RouteState::IncUp`]), segmented like [`Wqe::Unicast`].
+    /// An in-network-reduction contribution sweep (see [`Route::IncUp`]):
+    /// `seg` is the message to `owner`, segmented like [`Wqe::Unicast`];
+    /// after its last segment the sweep moves on to the next owner below
+    /// `end` that is not the sending rank, `seg.chunks` PSNs further per
+    /// owner passed.
     Inc {
         group: McastGroupId,
         owner: Rank,
+        end: u32,
         owner_qp: QpNum,
         seg: MsgSegments,
         next: u32,
@@ -156,8 +240,23 @@ fn check_segments(seg: &MsgSegments) {
         seg.buf_len,
         seg.mtu
     );
+    assert!(
+        u32::try_from(seg.mtu.bytes().min(seg.buf_len)).is_ok(),
+        "a {} segment overflows the packet length field",
+        seg.mtu
+    );
     // Panics if the last PSN or the collective id overflow the layout.
     seg.imm.pack(seg.coll, seg.first_psn + (seg.chunks - 1));
+}
+
+/// A payload length as the packet's 32-bit length field.
+fn len_field(len: usize) -> u32 {
+    u32::try_from(len).expect("a packet payload must be under 4 GiB")
+}
+
+/// The first owner at or after `from` and below `end` that is not `src`.
+fn next_owner(from: u32, src: Rank, end: u32) -> Option<u32> {
+    (from..end).find(|&o| o != src.0)
 }
 
 /// The event payload. Deliberately small and payload-free: packet state
@@ -276,9 +375,11 @@ pub struct Inner<M> {
     /// Reusable egress-link buffer for switch forwarding (avoids a fresh
     /// `Vec` per packet hop on the multicast replication hot path).
     scratch_links: Vec<LinkId>,
-    /// In-flight packet slab + free list: `PktRef` handles index here.
-    pkt_slab: Vec<Option<SlabEntry<M>>>,
-    free_pkts: Vec<u32>,
+    /// In-flight packets: `PktRef` handles index here.
+    pkt_slab: Slab<SlabEntry>,
+    /// The messages of in-flight control packets ([`Body::Msg`]), out of
+    /// line so that a slab entry does not grow with `M`.
+    ctrl_msgs: Slab<M>,
     /// Flight recorder, allocated iff `cfg.trace` is `Some` — every
     /// record site is gated on this `Option`, so a disabled recorder
     /// costs one branch (the same pattern as `has_faults`).
@@ -397,8 +498,8 @@ impl<M: Clone + 'static> Fabric<M> {
                 inc_live: HashMap::new(),
                 inc_table_peak: 0,
                 scratch_links: Vec::new(),
-                pkt_slab: Vec::new(),
-                free_pkts: Vec::new(),
+                pkt_slab: Slab::new(),
+                ctrl_msgs: Slab::new(),
                 trace,
                 run_wall_ns: 0,
             },
@@ -608,6 +709,14 @@ impl<M: Clone + 'static> Fabric<M> {
     /// Total packet copies lost to down links (fault injection).
     pub fn total_fault_drops(&self) -> u64 {
         self.inner.counters.iter().map(|c| c.fault_drops).sum()
+    }
+
+    /// Packet-slab entries still held — packets built and not yet
+    /// delivered or dropped, wherever they wait — plus the out-of-line
+    /// messages of control packets among them. A fabric whose event queue
+    /// has emptied holds none; anything else is a leak.
+    pub fn live_packets(&self) -> usize {
+        self.inner.pkt_slab.live() + self.inner.ctrl_msgs.live()
     }
 
     /// Mid-run health snapshot: per-link up/down/degraded status plus
@@ -828,92 +937,75 @@ impl<M: Clone + 'static> Inner<M> {
 
     // --------------------------- packet slab --------------------------- //
 
-    fn alloc_pkt(&mut self, pkt: PacketInst<M>) -> PktRef {
-        match self.free_pkts.pop() {
-            Some(i) => {
-                debug_assert!(self.pkt_slab[i as usize].is_none());
-                self.pkt_slab[i as usize] = Some(SlabEntry { refs: 1, pkt });
-                PktRef(i)
-            }
-            None => {
-                let i = self.pkt_slab.len() as u32;
-                self.pkt_slab.push(Some(SlabEntry { refs: 1, pkt }));
-                PktRef(i)
-            }
-        }
+    fn alloc_pkt(&mut self, pkt: PacketInst) -> PktRef {
+        PktRef(self.pkt_slab.insert(SlabEntry { refs: 1, pkt }))
     }
 
     #[inline]
-    fn pkt(&self, r: PktRef) -> &PacketInst<M> {
-        &self.pkt_slab[r.0 as usize]
-            .as_ref()
-            .expect("stale packet handle")
-            .pkt
+    fn pkt(&self, r: PktRef) -> &PacketInst {
+        &self.pkt_slab.get(r.0).pkt
     }
 
     #[inline]
-    fn pkt_mut(&mut self, r: PktRef) -> &mut PacketInst<M> {
-        &mut self.pkt_slab[r.0 as usize]
-            .as_mut()
-            .expect("stale packet handle")
-            .pkt
+    fn pkt_mut(&mut self, r: PktRef) -> &mut PacketInst {
+        &mut self.pkt_slab.get_mut(r.0).pkt
     }
 
     /// Add one reference (a multicast replica about to be transmitted).
     #[inline]
     fn retain_pkt(&mut self, r: PktRef) {
-        self.pkt_slab[r.0 as usize]
-            .as_mut()
-            .expect("stale packet handle")
-            .refs += 1;
+        self.pkt_slab.get_mut(r.0).refs += 1;
     }
 
-    /// Drop one reference; the slab slot is recycled at zero.
+    /// Drop one reference; at zero the slab slot is recycled and a
+    /// control packet's message dropped with it.
     fn release_pkt(&mut self, r: PktRef) {
-        let e = self.pkt_slab[r.0 as usize]
-            .as_mut()
-            .expect("stale packet handle");
+        let e = self.pkt_slab.get_mut(r.0);
         if e.refs > 1 {
             e.refs -= 1;
-        } else {
-            self.pkt_slab[r.0 as usize] = None;
-            self.free_pkts.push(r.0);
+        } else if let Body::Msg(m) = self.pkt_slab.remove(r.0).pkt.body {
+            self.ctrl_msgs.remove(m);
         }
     }
 
-    /// Build the CQE a delivered packet surfaces and consume the handle —
-    /// one slab access for the whole completion.
+    /// Build the CQE and payload a delivered packet surfaces and consume
+    /// the handle — one slab access for the whole completion.
     fn take_cqe(&mut self, r: PktRef, qp_idx: u32) -> (Cqe, Payload<M>) {
-        let i = r.0 as usize;
-        let e = self.pkt_slab[i].as_mut().expect("stale packet handle");
-        let (header, sem) = (e.pkt.header, e.pkt.sem);
-        let payload = if e.refs > 1 {
+        let e = self.pkt_slab.get_mut(r.0);
+        let (body, src, byte_len) = (e.pkt.body, e.pkt.src, e.pkt.payload_len as usize);
+        if e.refs > 1 {
+            debug_assert!(
+                !matches!(body, Body::Msg(_)),
+                "control messages are unicast"
+            );
             e.refs -= 1;
-            e.pkt.payload.clone()
         } else {
-            let owned = self.pkt_slab[i].take().expect("stale packet handle");
-            self.free_pkts.push(r.0);
-            owned.pkt.payload
+            self.pkt_slab.remove(r.0);
+        }
+        let (opcode, imm, wr_id, payload) = match body {
+            Body::Chunk { origin, psn, imm } => (
+                CqeOpcode::Recv,
+                Some(imm),
+                0,
+                Payload::Chunk { origin, psn },
+            ),
+            Body::Msg(m) => (
+                CqeOpcode::Recv,
+                None,
+                0,
+                Payload::Msg(self.ctrl_msgs.remove(m)),
+            ),
+            Body::ReadResp { tag } => (CqeOpcode::RdmaReadDone, None, tag, Payload::Empty),
+            Body::ReadReq { .. } => unreachable!("the target NIC answers read requests"),
         };
-        let cqe = match sem {
-            ArrivalSem::ReadResp { tag, req_qp } => Cqe {
-                opcode: CqeOpcode::RdmaReadDone,
-                status: CompletionStatus::Success,
-                qp: req_qp,
-                imm: None,
-                byte_len: header.payload_len,
-                wr_id: tag,
-                src: Some(header.src),
-            },
-            _ => Cqe {
-                opcode: CqeOpcode::Recv,
-                status: CompletionStatus::Success,
-                qp: QpNum(qp_idx),
-                imm: header.imm,
-                byte_len: header.payload_len,
-                wr_id: 0,
-                src: Some(header.src),
-            },
+        let cqe = Cqe {
+            opcode,
+            status: CompletionStatus::Success,
+            qp: QpNum(qp_idx),
+            imm,
+            byte_len,
+            wr_id,
+            src: Some(src),
         };
         (cqe, payload)
     }
@@ -941,21 +1033,23 @@ impl<M: Clone + 'static> Inner<M> {
                 imm,
                 origin,
                 psn,
-                len,
+                len: len_field(len),
             },
         );
     }
 
-    /// Post one in-network-reduction contribution message: the chunks
-    /// `seg` describes of the shard owned by `owner`; the fabric's
-    /// switches merge contributions up the group's tree and deliver one
-    /// result per PSN to `owner`'s `owner_qp`.
+    /// Post one in-network-reduction contribution sweep: the message
+    /// `seg` describes to every owner in `owners` except `src`, each
+    /// owner's `seg.chunks` PSNs after the previous one's (see
+    /// [`Ctx::post_inc_sweep`]). The fabric's switches merge
+    /// contributions up the group's tree and deliver one result per PSN
+    /// to each owner's `owner_qp`. Every owner's message is checked here.
     pub(crate) fn post_inc(
         &mut self,
         src: Rank,
         qp: QpNum,
         group: McastGroupId,
-        owner: Rank,
+        owners: Range<u32>,
         owner_qp: QpNum,
         seg: MsgSegments,
     ) {
@@ -970,15 +1064,32 @@ impl<M: Clone + 'static> Inner<M> {
             self.num_ranks(),
             "in-network reduction requires full-membership groups"
         );
-        check_segments(&seg);
+        assert!(
+            owners.end as usize <= self.num_ranks(),
+            "sweep owners {owners:?} beyond the {} ranks",
+            self.num_ranks()
+        );
+        let owner_seg = |o: u32| MsgSegments {
+            first_psn: (o - owners.start)
+                .checked_mul(seg.chunks)
+                .and_then(|d| d.checked_add(seg.first_psn))
+                .expect("sweep PSNs overflow"),
+            ..seg
+        };
+        for o in owners.clone().filter(|&o| o != src.0) {
+            check_segments(&owner_seg(o));
+        }
+        let first = next_owner(owners.start, src, owners.end)
+            .expect("a sweep contributes to at least one owner");
         self.enqueue_tx(
             src,
             qp,
             Wqe::Inc {
                 group,
-                owner,
+                owner: Rank(first),
+                end: owners.end,
                 owner_qp,
-                seg,
+                seg: owner_seg(first),
                 next: 0,
             },
         );
@@ -986,22 +1097,15 @@ impl<M: Clone + 'static> Inner<M> {
 
     pub(crate) fn post_msg(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, msg: M, len: usize) {
         let path = self.unicast_path(src, dst);
-        let pkt = PacketInst {
-            header: PacketHeader {
-                src,
-                src_qp: dst_qp,
-                dst: Destination::Unicast(dst, dst_qp),
-                kind: PacketKind::Control,
-                imm: None,
-                payload_len: len,
-            },
-            payload: Payload::Msg(msg),
-            route: RouteState::Unicast { path, hop: 0 },
-            sem: ArrivalSem::TwoSided,
-            reliable: true,
+        let body = Body::Msg(self.ctrl_msgs.insert(msg));
+        let r = self.alloc_pkt(PacketInst {
+            route: Route::Unicast { path, hop: 0 },
+            body,
+            src,
             dst_qp,
-        };
-        let r = self.alloc_pkt(pkt);
+            payload_len: len_field(len),
+            kind: PacketKind::Control,
+        });
         self.enqueue_tx(src, dst_qp, Wqe::Ready(r));
     }
 
@@ -1016,7 +1120,6 @@ impl<M: Clone + 'static> Inner<M> {
             dst_qp,
             Wqe::Unicast {
                 path,
-                dst,
                 dst_qp,
                 seg,
                 next: 0,
@@ -1026,26 +1129,17 @@ impl<M: Clone + 'static> Inner<M> {
 
     pub(crate) fn post_rdma_read(&mut self, src: Rank, qp: QpNum, dst: Rank, len: usize, tag: u64) {
         let path = self.unicast_path(src, dst);
-        let pkt = PacketInst {
-            header: PacketHeader {
-                src,
-                src_qp: qp,
-                dst: Destination::Unicast(dst, qp),
-                kind: PacketKind::Control,
-                imm: None,
-                payload_len: 0,
-            },
-            payload: Payload::Empty,
-            route: RouteState::Unicast { path, hop: 0 },
-            sem: ArrivalSem::ReadReq {
-                resp_len: len,
+        let r = self.alloc_pkt(PacketInst {
+            route: Route::Unicast { path, hop: 0 },
+            body: Body::ReadReq {
+                resp_len: len_field(len),
                 tag,
-                req_qp: qp,
             },
-            reliable: true,
+            src,
             dst_qp: qp,
-        };
-        let r = self.alloc_pkt(pkt);
+            payload_len: 0,
+            kind: PacketKind::Control,
+        });
         self.enqueue_tx(src, qp, Wqe::Ready(r));
     }
 
@@ -1098,10 +1192,11 @@ impl<M: Clone + 'static> Inner<M> {
     /// the slab: a ready packet as posted, a datagram built now, or the
     /// next MTU segment of the message at the head — which leaves the
     /// queue only with its last segment, so a message holds its place
-    /// (FIFO within the QP) while the arbiter interleaves other QPs.
+    /// (FIFO within the QP) while the arbiter interleaves other QPs. A
+    /// reduction sweep moves on to its next owner instead, and leaves with
+    /// the last segment of its last owner.
     fn tx_next_packet(&mut self, src: Rank, qi: usize) -> PktRef {
         let queue = &mut self.nics[src.idx()].tx_queues[qi];
-        let qp = QpNum(qi as u32);
         let mut pop = true;
         let pkt = match queue.front_mut().expect("arbiter picked an empty queue") {
             Wqe::Ready(pr) => {
@@ -1116,23 +1211,15 @@ impl<M: Clone + 'static> Inner<M> {
                 psn,
                 len,
             } => PacketInst {
-                header: PacketHeader {
-                    src,
-                    src_qp: qp,
-                    dst: Destination::Multicast(group),
-                    kind: PacketKind::McastData,
-                    imm: Some(imm),
-                    payload_len: len,
-                },
-                payload: Payload::Chunk { origin, psn },
-                route: RouteState::Mcast { group },
-                sem: ArrivalSem::TwoSided,
-                reliable: false,
+                route: Route::Mcast { group },
+                body: Body::Chunk { origin, psn, imm },
+                src,
                 dst_qp: QpNum(0),
+                payload_len: len,
+                kind: PacketKind::McastData,
             },
             Wqe::Unicast {
                 path,
-                dst,
                 dst_qp,
                 seg,
                 next,
@@ -1141,53 +1228,58 @@ impl<M: Clone + 'static> Inner<M> {
                 *next += 1;
                 pop = *next == seg.chunks;
                 PacketInst {
-                    header: PacketHeader {
-                        src,
-                        src_qp: QpNum(0),
-                        dst: Destination::Unicast(*dst, *dst_qp),
-                        kind: PacketKind::UnicastData,
-                        imm: Some(imm),
-                        payload_len: len,
-                    },
-                    payload: Payload::Chunk { origin: src, psn },
-                    route: RouteState::Unicast {
+                    route: Route::Unicast {
                         path: Arc::clone(path),
                         hop: 0,
                     },
-                    sem: ArrivalSem::TwoSided,
-                    reliable: true,
+                    body: Body::Chunk {
+                        origin: src,
+                        psn,
+                        imm,
+                    },
+                    src,
                     dst_qp: *dst_qp,
+                    payload_len: len as u32,
+                    kind: PacketKind::UnicastData,
                 }
             }
             Wqe::Inc {
                 group,
                 owner,
+                end,
                 owner_qp,
                 seg,
                 next,
             } => {
                 let (psn, imm, len) = seg.segment(*next);
-                *next += 1;
-                pop = *next == seg.chunks;
-                PacketInst {
-                    header: PacketHeader {
-                        src,
-                        src_qp: qp,
-                        dst: Destination::Multicast(*group),
-                        kind: PacketKind::McastData,
-                        imm: Some(imm),
-                        payload_len: len,
-                    },
-                    payload: Payload::Chunk { origin: src, psn },
-                    route: RouteState::IncUp {
+                let pkt = PacketInst {
+                    route: Route::IncUp {
                         group: *group,
                         owner: *owner,
-                        owner_qp: *owner_qp,
                     },
-                    sem: ArrivalSem::TwoSided,
-                    reliable: true, // SHARP runs over reliable transport
+                    body: Body::Chunk {
+                        origin: src,
+                        psn,
+                        imm,
+                    },
+                    src,
                     dst_qp: *owner_qp,
+                    payload_len: len as u32,
+                    kind: PacketKind::McastData,
+                };
+                *next += 1;
+                pop = false;
+                if *next == seg.chunks {
+                    match next_owner(owner.0 + 1, src, *end) {
+                        Some(o) => {
+                            seg.first_psn += (o - owner.0) * seg.chunks;
+                            *owner = Rank(o);
+                            *next = 0;
+                        }
+                        None => pop = true,
+                    }
                 }
+                pkt
             }
         };
         if pop {
@@ -1228,12 +1320,11 @@ impl<M: Clone + 'static> Inner<M> {
         // wire model and counters need.
         let (wire, kind, payload_len, reliable) = {
             let p = self.pkt_mut(pr);
-            if let RouteState::Unicast { path, hop } = &mut p.route {
+            if let Route::Unicast { path, hop } = &mut p.route {
                 debug_assert_eq!(path[0], uplink, "route does not start at the NIC port");
                 *hop = 1;
             }
-            let h = &p.header;
-            (h.wire_bytes(), h.kind, h.payload_len, p.reliable)
+            (p.wire_bytes(), p.kind, p.payload_len, p.reliable())
         };
         let ser = self.effective_ser_ns(uplink, link.rate.serialization_ns(wire));
         let start = now.max(self.link_busy[uplink.idx()]);
@@ -1286,7 +1377,7 @@ impl<M: Clone + 'static> Inner<M> {
         link: LinkId,
         wire: usize,
         kind: PacketKind,
-        payload_len: usize,
+        payload_len: u32,
         reliable: bool,
     ) -> bool {
         let c = &mut self.counters[link.idx()];
@@ -1329,23 +1420,26 @@ impl<M: Clone + 'static> Inner<M> {
         enum Fwd {
             Unicast(LinkId),
             Mcast(McastGroupId),
-            Inc(McastGroupId, Rank, QpNum),
+            Inc(McastGroupId, Rank, u32),
         }
-        let fwd = match &self.pkt(pr).route {
-            RouteState::Unicast { path, hop } => {
-                debug_assert!(*hop < path.len(), "unicast route exhausted at a switch");
-                Fwd::Unicast(path[*hop])
+        let p = self.pkt(pr);
+        let fwd = match (&p.route, p.body) {
+            (Route::Unicast { path, hop }, _) => {
+                debug_assert!(
+                    (*hop as usize) < path.len(),
+                    "unicast route exhausted at a switch"
+                );
+                Fwd::Unicast(path[*hop as usize])
             }
-            RouteState::Mcast { group } => Fwd::Mcast(*group),
-            RouteState::IncUp {
-                group,
-                owner,
-                owner_qp,
-            } => Fwd::Inc(*group, *owner, *owner_qp),
+            (Route::Mcast { group }, _) => Fwd::Mcast(*group),
+            (Route::IncUp { group, owner }, Body::Chunk { psn, .. }) => {
+                Fwd::Inc(*group, *owner, psn)
+            }
+            (Route::IncUp { .. }, _) => unreachable!("INC packet without chunk payload"),
         };
         let group = match fwd {
-            Fwd::Inc(group, owner, owner_qp) => {
-                return self.reduce_at_switch(node, pr, group, owner, owner_qp)
+            Fwd::Inc(group, owner, psn) => {
+                return self.reduce_at_switch(node, pr, group, owner, psn)
             }
             // Unicast: exactly one egress — skip the replication machinery.
             Fwd::Unicast(out) => return self.transmit_hop(out, pr, now),
@@ -1383,13 +1477,9 @@ impl<M: Clone + 'static> Inner<M> {
         pr: PktRef,
         group: McastGroupId,
         owner: Rank,
-        owner_qp: QpNum,
+        psn: u32,
     ) {
         let now = self.q.now();
-        let psn = match &self.pkt(pr).payload {
-            Payload::Chunk { psn, .. } => *psn,
-            _ => unreachable!("INC packet without chunk payload"),
-        };
         let tree = &self.trees[group.0 as usize];
         // Expected = child branches containing at least one contributor
         // (every rank except the shard owner contributes).
@@ -1443,16 +1533,13 @@ impl<M: Clone + 'static> Inner<M> {
             }
             None => {
                 // Root: retarget the packet in place (single owner — INC
-                // contributions are never replicated) and descend.
+                // contributions are never replicated) and descend to the
+                // owner's QP, which `dst_qp` already names.
                 let path: Arc<[LinkId]> = descend(&self.topo, node, owner, psn as u64).into();
                 let first = path[0];
                 let pkt = self.pkt_mut(pr);
-                pkt.header.dst = Destination::Unicast(owner, owner_qp);
-                pkt.header.kind = PacketKind::UnicastData;
-                pkt.route = RouteState::Unicast { path, hop: 0 };
-                pkt.sem = ArrivalSem::TwoSided;
-                pkt.reliable = true;
-                pkt.dst_qp = owner_qp;
+                pkt.kind = PacketKind::UnicastData;
+                pkt.route = Route::Unicast { path, hop: 0 };
                 self.transmit_hop(first, pr, now);
             }
         }
@@ -1463,11 +1550,10 @@ impl<M: Clone + 'static> Inner<M> {
         // One slab access: hop bookkeeping + header fields.
         let (wire, kind, payload_len, reliable) = {
             let p = self.pkt_mut(pr);
-            if let RouteState::Unicast { hop, .. } = &mut p.route {
+            if let Route::Unicast { hop, .. } = &mut p.route {
                 *hop += 1;
             }
-            let h = &p.header;
-            (h.wire_bytes(), h.kind, h.payload_len, p.reliable)
+            (p.wire_bytes(), p.kind, p.payload_len, p.reliable())
         };
         // Down egress: unreliable copies are lost; reliable copies wait
         // for the link's next recovery (link-level retransmission wins
@@ -1515,39 +1601,26 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     fn deliver_at_host(&mut self, rank: Rank, in_link: LinkId, pr: PktRef) {
-        match self.pkt(pr).sem {
-            ArrivalSem::ReadReq {
-                resp_len,
-                tag,
-                req_qp,
-            } => {
+        let p = self.pkt(pr);
+        let (requester, req_qp, body) = (p.src, p.dst_qp, p.body);
+        match body {
+            Body::ReadReq { resp_len, tag } => {
                 // Target NIC hardware answers; no CPU involvement (RC
                 // one-sided semantics).
-                let requester = self.pkt(pr).header.src;
                 self.release_pkt(pr);
                 let path = self.unicast_path(rank, requester);
-                let resp = PacketInst {
-                    header: PacketHeader {
-                        src: rank,
-                        src_qp: QpNum(0),
-                        dst: Destination::Unicast(requester, req_qp),
-                        kind: PacketKind::UnicastData,
-                        imm: None,
-                        payload_len: resp_len,
-                    },
-                    payload: Payload::Empty,
-                    route: RouteState::Unicast { path, hop: 0 },
-                    sem: ArrivalSem::ReadResp { tag, req_qp },
-                    reliable: true,
+                let r = self.alloc_pkt(PacketInst {
+                    route: Route::Unicast { path, hop: 0 },
+                    body: Body::ReadResp { tag },
+                    src: rank,
                     dst_qp: req_qp,
-                };
-                let r = self.alloc_pkt(resp);
+                    payload_len: resp_len,
+                    kind: PacketKind::UnicastData,
+                });
                 self.enqueue_tx(rank, req_qp, Wqe::Ready(r));
             }
-            ArrivalSem::ReadResp { req_qp, .. } => {
-                self.schedule_cqe(rank, req_qp.0 as usize, pr, false);
-            }
-            ArrivalSem::TwoSided => self.deliver_two_sided(rank, in_link, pr),
+            Body::ReadResp { .. } => self.schedule_cqe(rank, req_qp.0 as usize, pr, false),
+            Body::Chunk { .. } | Body::Msg(_) => self.deliver_two_sided(rank, in_link, pr),
         }
     }
 
@@ -1555,22 +1628,19 @@ impl<M: Clone + 'static> Inner<M> {
         // One slab read for everything delivery needs.
         let (dest, forced_key, needs_slot) = {
             let p = self.pkt(pr);
-            let dest = match (&p.route, &p.header.dst) {
-                (RouteState::IncUp { .. }, _) => {
-                    unreachable!("reduction contribution delivered to a host")
-                }
-                (RouteState::Mcast { group }, _) => Err(*group),
-                (_, Destination::Unicast(_, qp)) => Ok(qp.0 as usize),
-                _ => unreachable!("unicast route with multicast destination"),
+            let dest = match p.route {
+                Route::IncUp { .. } => unreachable!("reduction contribution delivered to a host"),
+                Route::Mcast { group } => Err(group),
+                Route::Unicast { .. } => Ok(p.dst_qp.0 as usize),
             };
             // Forced-drop key (origin, psn, dst) for multicast data.
-            let forced_key = match (&p.header.kind, &p.payload) {
-                (PacketKind::McastData, Payload::Chunk { origin, psn }) => {
-                    Some((origin.0, *psn, rank.0))
+            let forced_key = match (p.kind, p.body) {
+                (PacketKind::McastData, Body::Chunk { origin, psn, .. }) => {
+                    Some((origin.0, psn, rank.0))
                 }
                 _ => None,
             };
-            (dest, forced_key, !p.reliable)
+            (dest, forced_key, !p.reliable())
         };
         let qp_idx = match dest {
             Ok(qi) => qi,
@@ -1635,7 +1705,7 @@ impl<M: Clone + 'static> Inner<M> {
         nic.workers[worker] = done;
         if self.trace.is_some() {
             // The extra slab read for `bytes` happens only when tracing.
-            let bytes = self.pkt(pr).header.payload_len as u32;
+            let bytes = self.pkt(pr).payload_len;
             if let Some(t) = self.trace.as_mut() {
                 t.record(TraceEvent::Deliver {
                     at_ns: done.as_ns(),
@@ -1654,12 +1724,6 @@ impl<M: Clone + 'static> Inner<M> {
                 pkt: pr,
             },
         );
-    }
-
-    /// Live slab entries (for leak checks in tests).
-    #[cfg(test)]
-    fn live_pkts(&self) -> usize {
-        self.pkt_slab.iter().flatten().count()
     }
 }
 
@@ -1785,7 +1849,7 @@ mod tests {
         );
         assert!(fab.total_fabric_drops() > 0);
         // Dropped replicas must not leak slab entries.
-        assert_eq!(fab.inner.live_pkts(), 0);
+        assert_eq!(fab.live_packets(), 0);
     }
 
     #[test]
@@ -1931,8 +1995,8 @@ mod tests {
         let (mut fab, _) = bcast_fabric(8, 256, FabricConfig::ucc_default());
         let stats = fab.run();
         assert!(stats.all_done());
-        assert_eq!(fab.inner.live_pkts(), 0, "all packets released");
-        let slab_size = fab.inner.pkt_slab.len();
+        assert_eq!(fab.live_packets(), 0, "all packets released");
+        let slab_size = fab.inner.pkt_slab.slots.len();
         assert!(
             slab_size < 2048,
             "slab grew to {slab_size} for 256 chunks — free list not reused?"
@@ -2113,7 +2177,7 @@ mod tests {
         assert_eq!(report.total_fault_drops(), fab.total_fault_drops());
         // The open-ended outage accrues downtime up to the end of the run.
         assert!(report.link(LinkId(7)).downtime_ns > 0);
-        assert_eq!(fab.inner.live_pkts(), 0, "dropped copies must not leak");
+        assert_eq!(fab.live_packets(), 0, "dropped copies must not leak");
     }
 
     #[test]
@@ -2166,6 +2230,31 @@ mod tests {
         assert!(stats.all_done());
         assert!(stats.max_done().unwrap().as_ns() > window);
         assert_eq!(fab.total_fault_drops(), 0);
+    }
+
+    #[test]
+    fn control_message_lost_to_a_dead_link_is_freed() {
+        use crate::linkstate::{LinkSchedule, LinkStateEvent};
+        // The switch's egress toward rank 1 never recovers: the first
+        // ping is dropped there, and its out-of-line message with it.
+        let topo = Topology::single_switch(2, LinkRate::CX7_200G, 50);
+        let mut cfg = FabricConfig::ideal();
+        cfg.faults = LinkSchedule::new(vec![LinkStateEvent::down(0, LinkId(3))]);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
+        for r in [Rank(0), Rank(1)] {
+            fab.add_qp(r, Transport::Rc, 0);
+            fab.set_app(
+                r,
+                Box::new(PingPong {
+                    peer: Rank(1 - r.0),
+                    hops_left: 2,
+                    read_done: false,
+                }),
+            );
+        }
+        assert!(!fab.run().all_done());
+        assert_eq!(fab.total_fault_drops(), 1);
+        assert_eq!(fab.live_packets(), 0, "the dropped message leaked");
     }
 
     #[test]
@@ -2244,10 +2333,22 @@ mod tests {
 
     #[test]
     fn work_request_stays_small() {
-        // 512 ranks each queue 511 of these at once; the largest variant
-        // is the unicast message (route handle + segmentation).
+        // A 128-rank endpoint Reduce-Scatter queues 127 per rank at once;
+        // the largest variant is the unicast message (route handle +
+        // segmentation).
         let size = std::mem::size_of::<Wqe>();
         assert!(size <= 64, "Wqe grew to {size} bytes");
+    }
+
+    #[test]
+    fn slab_entry_stays_small() {
+        // The 128-rank endpoint pair holds ~120 k of these at its peak.
+        // An entry no longer depends on the app's message type (control
+        // messages wait out of line), so this holds for every `M`,
+        // `mcag-core`'s 32-byte `ControlMsg` included; it was 144 bytes
+        // with an in-line header, payload and arrival semantics.
+        let size = std::mem::size_of::<Option<SlabEntry>>();
+        assert!(size <= 80, "slab entry grew to {size} bytes");
     }
 
     const ARB_MTU: usize = 1024;
@@ -2286,11 +2387,11 @@ mod tests {
             ctx.post_mcast_chunk(ARB_UD, g, ImmData(0), Rank(0), 0, 1000);
             ctx.notify_tx_drained(ARB_UD, 7);
             ctx.post_msg(Rank(1), ARB_CTRL, 11, 64);
-            ctx.post_inc_message(ARB_INC, g, Rank(1), ARB_INC, arb_message(4, 1500, 3));
+            ctx.post_inc_sweep(ARB_INC, g, 1..2, ARB_INC, arb_message(4, 1500, 3));
             ctx.post_mcast_chunk(ARB_UD, g, ImmData(1), Rank(0), 1, 1001);
             ctx.post_unicast_message(Rank(2), ARB_CTRL, arb_message(0, 2500, 2));
             ctx.post_rdma_read(ARB_CTRL, Rank(3), 3000, 0xbeef);
-            ctx.post_inc_message(ARB_INC, g, Rank(2), ARB_INC, arb_message(8, 2048, 3));
+            ctx.post_inc_sweep(ARB_INC, g, 2..3, ARB_INC, arb_message(8, 2048, 3));
             ctx.post_mcast_chunk(ARB_UD, g, ImmData(2), Rank(0), 2, 1002);
             ctx.post_unicast_message(Rank(1), ARB_CTRL, arb_message(3, 700, 2));
             ctx.notify_tx_drained(ARB_CTRL, 100);
@@ -2306,13 +2407,8 @@ mod tests {
             self.drained.push((ctx.now().as_ns(), token));
             if token == 7 {
                 ctx.post_mcast_chunk(ARB_UD, self.group, ImmData(3), Rank(0), 3, 1003);
-                ctx.post_inc_message(
-                    ARB_INC,
-                    self.group,
-                    Rank(3),
-                    ARB_INC,
-                    arb_message(12, 1025, 3),
-                );
+                let g = self.group;
+                ctx.post_inc_sweep(ARB_INC, g, 3..4, ARB_INC, arb_message(12, 1025, 3));
                 ctx.notify_tx_drained(ARB_UD, 201);
                 ctx.notify_tx_drained(ARB_INC, 202);
             }
@@ -2430,7 +2526,7 @@ mod tests {
     impl RankApp<Msg> for OneMessage {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
             match self.group {
-                Some(g) => ctx.post_inc_message(QpNum(0), g, Rank(1), QpNum(0), self.seg),
+                Some(g) => ctx.post_inc_sweep(QpNum(0), g, 1..2, QpNum(0), self.seg),
                 None => ctx.post_unicast_message(Rank(1), QpNum(0), self.seg),
             }
         }
@@ -2451,7 +2547,7 @@ mod tests {
         fab.set_app(Rank(0), Box::new(OneMessage { seg, group }));
         fab.set_app(Rank(1), Box::new(RecvLog::default()));
         fab.run();
-        assert_eq!(fab.inner.live_pkts(), 0);
+        assert_eq!(fab.live_packets(), 0);
         fab.take_app_as::<RecvLog>(Rank(1)).got
     }
 
@@ -2492,46 +2588,61 @@ mod tests {
         deliver_message(seg, false);
     }
 
-    #[test]
-    fn inc_reduce_scatter_leaves_nothing_behind() {
-        // Every rank contributes every foreign shard as one message and
-        // waits for its own reduced shard; afterwards the slab, the send
-        // queues (buffers included) and the aggregation state are empty.
-        struct Rs {
-            group: McastGroupId,
-            got: u32,
-            tx_done: bool,
+    /// Every rank contributes every foreign shard of 2,500 bytes (3
+    /// segments, the last short) — as one sweep, or as one single-owner
+    /// sweep per shard — and waits for its own reduced shard.
+    struct Rs {
+        group: McastGroupId,
+        sweep: bool,
+        got: u32,
+        tx_done: bool,
+    }
+
+    impl Rs {
+        fn maybe_done(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            if self.tx_done && self.got == 3 {
+                ctx.mark_done();
+            }
         }
-        const SHARD: usize = 2500; // 3 segments, the last short
-        impl Rs {
-            fn maybe_done(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                if self.tx_done && self.got == 3 {
-                    ctx.mark_done();
+    }
+
+    impl RankApp<Msg> for Rs {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            let (me, p) = (ctx.rank().0, ctx.num_ranks() as u32);
+            if self.sweep {
+                ctx.post_inc_sweep(
+                    QpNum(0),
+                    self.group,
+                    0..p,
+                    QpNum(0),
+                    arb_message(0, 2500, 3),
+                );
+            } else {
+                for shard in (0..p).filter(|&s| s != me) {
+                    let seg = arb_message(shard * 3, 2500, 3);
+                    ctx.post_inc_sweep(QpNum(0), self.group, shard..shard + 1, QpNum(0), seg);
                 }
             }
+            ctx.notify_tx_drained(QpNum(0), 5);
         }
-        impl RankApp<Msg> for Rs {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                let me = ctx.rank().0;
-                for shard in (0..ctx.num_ranks() as u32).filter(|&s| s != me) {
-                    let seg = arb_message(shard * 3, SHARD, 3);
-                    ctx.post_inc_message(QpNum(0), self.group, Rank(shard), QpNum(0), seg);
-                }
-                ctx.notify_tx_drained(QpNum(0), 5);
-            }
-            fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
-                assert!(cqe.is_recv_success());
-                self.got += 1;
-                self.maybe_done(ctx);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
-            fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, Msg>, _token: u64) {
-                self.tx_done = true;
-                self.maybe_done(ctx);
-            }
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
+            assert!(cqe.is_recv_success());
+            self.got += 1;
+            self.maybe_done(ctx);
         }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+        fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, Msg>, _token: u64) {
+            self.tx_done = true;
+            self.maybe_done(ctx);
+        }
+    }
+
+    /// An 8-rank fat tree wired for [`Rs`], traced.
+    fn rs_fabric(sweep: bool) -> Fabric<Msg> {
         let topo = Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
-        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ucc_default());
+        let mut cfg = FabricConfig::ucc_default();
+        cfg.trace = Some(mcag_trace::TraceSpec::default());
+        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
         let members: Vec<Rank> = (0..8).map(Rank).collect();
         let group = fab.create_group(&members);
         for &r in &members {
@@ -2540,20 +2651,29 @@ mod tests {
                 r,
                 Box::new(Rs {
                     group,
+                    sweep,
                     got: 0,
                     tx_done: false,
                 }),
             );
         }
+        fab
+    }
+
+    #[test]
+    fn inc_reduce_scatter_leaves_nothing_behind() {
+        // Afterwards the slab, the send queues (buffers included) and the
+        // aggregation state are empty.
+        let mut fab = rs_fabric(true);
         let stats = fab.run();
         assert!(stats.all_done(), "{stats:?}");
-        assert_eq!(fab.inner.live_pkts(), 0, "slab entries leaked");
+        assert_eq!(fab.live_packets(), 0, "slab entries leaked");
         // In flight at once: at most one packet per NIC plus what the
         // switches hold — far below the 8 · 7 · 3 = 168 posted.
         assert!(
-            fab.inner.pkt_slab.len() < 64,
+            fab.inner.pkt_slab.slots.len() < 64,
             "{}",
-            fab.inner.pkt_slab.len()
+            fab.inner.pkt_slab.slots.len()
         );
         for nic in &fab.inner.nics {
             for q in &nic.tx_queues {
@@ -2563,6 +2683,44 @@ mod tests {
         }
         assert!(fab.inner.inc_arrivals.is_empty());
         assert!(fab.inner.inc_live.values().all(|&live| live == 0));
+    }
+
+    #[test]
+    fn sweep_injects_what_one_message_per_owner_did() {
+        // One work request per rank against seven: the same packets leave
+        // every NIC at the same instants, and everything downstream of
+        // injection — events, completions, link counters — is the same.
+        let (mut sweep, mut messages) = (rs_fabric(true), rs_fabric(false));
+        let (a, b) = (sweep.run(), messages.run());
+        assert!(a.all_done());
+        assert_eq!(
+            (a.events, a.per_rank_done, a.peak_queue_depth),
+            (b.events, b.per_rank_done, b.peak_queue_depth)
+        );
+        assert_eq!(sweep.traffic().per_link(), messages.traffic().per_link());
+        let events = |f: &Fabric<Msg>| f.trace().unwrap().iter().copied().collect::<Vec<_>>();
+        assert_eq!(events(&sweep), events(&messages));
+    }
+
+    #[test]
+    #[should_panic(expected = "PSN 16777216 exceeds 24 bits")]
+    fn sweep_checks_every_owner_at_post() {
+        // Owner 1's three PSNs fit the 24-bit layout, owner 2's last one
+        // does not: the post is rejected, not the segment.
+        let topo = Topology::single_switch(3, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        let group = fab.create_group(&[Rank(0), Rank(1), Rank(2)]);
+        let mut ctx = Ctx {
+            inner: &mut fab.inner,
+            rank: Rank(0),
+        };
+        ctx.post_inc_sweep(
+            QpNum(0),
+            group,
+            1..3,
+            QpNum(0),
+            arb_message((1 << 24) - 5, 2500, 3),
+        );
     }
 
     #[test]

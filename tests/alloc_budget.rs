@@ -1,8 +1,9 @@
 //! Allocation budgets: the regression gate behind the arena-backed
 //! timer wheel and the one-buffer Chrome exporter. A counting
-//! `#[global_allocator]` holds seven numbers to a ceiling so that a
-//! per-slot container, a per-batch deep copy, a per-element `String` or
-//! a capacity that is never given back cannot return unnoticed:
+//! `#[global_allocator]` holds eight numbers to a ceiling so that a
+//! per-slot container, a per-batch deep copy, a per-element `String`, a
+//! capacity that is never given back or a fat in-flight packet cannot
+//! return unnoticed:
 //!
 //! 1. constant-depth schedule/pop churn on the wheel allocates nothing
 //!    once the arena has reached the queue's depth;
@@ -18,13 +19,18 @@
 //!    10 k-event and a 100 k-event trace, and peaks at the document;
 //! 6. the paper's 188-node Allgather stays under a peak-live-heap cap;
 //! 7. so does a 64-rank in-switch `{AG, RS}` pair, whose send queues hold
-//!    one work request per shard rather than one built packet per chunk.
+//!    one Reduce-Scatter sweep request per rank rather than one request
+//!    per shard or one built packet per chunk;
+//! 8. and the same pair reduced on the endpoints, whose peak is the
+//!    packet slab.
 //!
 //! The counters are per thread (the harness runs tests on parallel
 //! threads, and every path measured here is single-threaded), so the
 //! tests cannot see each other's allocations.
 
-use mcast_allgather::core::{des, run_concurrent_ag_rs, CollectiveKind, ProtocolConfig};
+use mcast_allgather::core::{
+    des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, CollectiveKind, ProtocolConfig,
+};
 use mcast_allgather::runtime::{
     JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
@@ -345,21 +351,42 @@ fn allgather_188_peak_live_heap_stays_small() {
     assert!(peak_mib < 8.0, "peak live heap {peak_mib:.1} MiB");
 }
 
-#[test]
-fn in_switch_pair_queues_work_requests_not_packets() {
-    // 64 ranks each post their 63 foreign shards (4 chunks apiece) at
-    // t = 0, beside an Allgather with every chain running.
+/// Peak live heap, in MiB, of the 64-rank `{AG, RS}` pair reduced in the
+/// switches or on the endpoints: every rank posts its 63 foreign shards
+/// (4 chunks apiece) at t = 0, beside an Allgather with every chain
+/// running.
+fn pair_peak_mib(in_switch: bool) -> f64 {
     let topo = Topology::fat_tree_two_level(64, 8, 4, 2, LinkRate::NDR_400G, 300);
     let proto = ProtocolConfig {
         chains: 64,
         ..ProtocolConfig::default()
     };
+    let (cfg, send_len) = (FabricConfig::ucc_default(), 16 << 10);
     let floor = reset_peak();
-    let run = run_concurrent_ag_rs(topo, FabricConfig::ucc_default(), proto, 16 << 10);
+    let run = if in_switch {
+        run_concurrent_ag_rs(topo, cfg, proto, send_len)
+    } else {
+        run_concurrent_ag_rs_endpoint(topo, cfg, proto, send_len)
+    };
     assert!(run.stats.all_done());
-    let peak_mib = (tally().peak - floor) as f64 / (1u64 << 20) as f64;
-    // Measured 0.95 MiB: 64 · 63 queued message requests of 64 B. With
-    // one pre-built packet per chunk in the slab — 64 · 63 · 4 = 16,128
-    // of them, 2.2 MiB before their handles are counted — it was 2.94.
-    assert!(peak_mib < 1.4, "peak live heap {peak_mib:.2} MiB");
+    (tally().peak - floor) as f64 / (1u64 << 20) as f64
+}
+
+#[test]
+fn in_switch_pair_queues_work_requests_not_packets() {
+    let peak_mib = pair_peak_mib(true);
+    // Measured 0.65 MiB: each rank queues one sweep request for its 63
+    // contributions, 64 requests in all. It was 0.95 with one message
+    // request per shard (64 · 63 of 64 B), and 2.94 with one pre-built
+    // packet per chunk in the slab (64 · 63 · 4 = 16,128 of them).
+    assert!(peak_mib < 0.85, "peak live heap {peak_mib:.2} MiB");
+}
+
+#[test]
+fn endpoint_pair_holds_a_slab_of_small_packets() {
+    let peak_mib = pair_peak_mib(false);
+    // Measured 2.10 MiB, half of it the packet slab, which grows to
+    // 16,384 entries. It was 3.34 with 144-byte entries (64 now, pinned
+    // by `mcag-simnet`'s `slab_entry_stays_small`).
+    assert!(peak_mib < 2.6, "peak live heap {peak_mib:.2} MiB");
 }

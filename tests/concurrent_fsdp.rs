@@ -16,22 +16,38 @@ fn star(p: u32) -> Topology {
     Topology::single_switch(p as usize, LinkRate::CX3_56G, 100)
 }
 
+/// `text` with the digits after every `key` replaced by `with`, or with
+/// the key dropped along with them when `with` is `None`.
+fn rewrite_numbers(text: &str, key: &str, with: Option<&str>) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(key) {
+        out.push_str(&rest[..at]);
+        if let Some(with) = with {
+            out.push_str(key);
+            out.push_str(with);
+        }
+        rest = rest[at + key.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
 /// FNV-1a of `format!("{out:?}")` with every `wall_ns: <digits>` (host
 /// wall-clock time in `RunStats` and `TrafficReport`) pinned to 0, so
-/// the digest covers simulated results only.
+/// the digest covers simulated results only, and without the outcome's
+/// `live_packets` field, which the recorded digests predate and
+/// [`assert_completed_clean`] checks on its own.
 fn sim_digest(out: &impl std::fmt::Debug) -> u64 {
-    const KEY: &str = "wall_ns: ";
-    let text = format!("{out:?}");
-    let mut pinned = String::with_capacity(text.len());
-    let mut rest = text.as_str();
-    while let Some(at) = rest.find(KEY) {
-        let (head, tail) = rest.split_at(at + KEY.len());
-        pinned.push_str(head);
-        pinned.push('0');
-        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    pinned.push_str(rest);
-    common::fnv64(&pinned)
+    let text = rewrite_numbers(&format!("{out:?}"), "wall_ns: ", Some("0"));
+    common::fnv64(&rewrite_numbers(&text, ", live_packets: ", None))
+}
+
+/// A driver run completed and left no packet behind in the fabric —
+/// none on a link, queued to send, or awaiting its completion.
+fn assert_completed_clean(what: &str, done: bool, live_packets: usize) {
+    assert!(done, "{what}: the run did not complete");
+    assert_eq!(live_packets, 0, "{what}: packets left in the fabric");
 }
 
 /// Topology × fabric × protocol: the twelve cells each driver digest
@@ -106,19 +122,30 @@ fn drivers_reproduce_their_recorded_bytes() {
         let in_switch = run_concurrent_ag_rs(topo.clone(), fabric.clone(), proto, 24 << 10);
         let endpoint = run_concurrent_ag_rs_endpoint(topo.clone(), fabric.clone(), proto, 24 << 10);
         let k3 = run_concurrent_allgathers(topo, fabric, proto, 16 << 10, 3);
+        for (what, done, live) in [
+            (
+                "in-switch pair",
+                in_switch.stats.all_done(),
+                in_switch.live_packets,
+            ),
+            (
+                "endpoint pair",
+                endpoint.stats.all_done(),
+                endpoint.live_packets,
+            ),
+            ("three Allgathers", k3.stats.all_done(), k3.live_packets),
+        ] {
+            assert_completed_clean(&format!("{what}, cell {i}"), done, live);
+        }
         pairs[0][i] = sim_digest(&in_switch);
         pairs[1][i] = sim_digest(&endpoint);
         pairs[2][i] = sim_digest(&k3);
     }
     let rs = [true, false].map(|in_switch| {
         let cfg = FabricConfig::ucc_default();
-        sim_digest(&run_reduce_scatter(
-            star(7),
-            cfg,
-            Mtu::IB_4K,
-            40 << 10,
-            in_switch,
-        ))
+        let out = run_reduce_scatter(star(7), cfg, Mtu::IB_4K, 40 << 10, in_switch);
+        assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
+        sim_digest(&out)
     });
     assert_eq!(
         (pairs, rs),
@@ -143,7 +170,7 @@ fn inc_reduce_scatter_delivers_every_shard() {
         128 << 10,
         true,
     );
-    assert!(out.stats.all_done());
+    assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
     assert_eq!(out.rs_times.iter().flatten().count(), 8);
 }
 
@@ -159,6 +186,7 @@ fn inc_rs_send_bound_recv_light() {
         n as usize,
         true,
     );
+    assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
     let topo = star(p as u32);
     assert_eq!(
         out.traffic.host_injection_bytes(&topo),
@@ -186,6 +214,7 @@ fn inc_reduction_happens_in_the_switch() {
             n as usize,
             true,
         );
+        assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
         let topo = star(p as u32);
         assert_eq!(out.traffic.host_delivery_bytes(&topo), p * n, "P = {p}");
     }
@@ -213,7 +242,7 @@ fn appendix_b_speedup_tracks_model() {
             },
             n,
         );
-        assert!(opt.stats.all_done());
+        assert_completed_clean("optimal pair", opt.stats.all_done(), opt.live_packets);
         let s = t_ring as f64 / opt.pair_completion_ns() as f64;
         let model = concurrent_speedup(p);
         assert!(
@@ -238,7 +267,7 @@ fn concurrent_pair_on_fat_tree() {
         },
         128 << 10,
     );
-    assert!(out.stats.all_done(), "{:?}", out.stats);
+    assert_completed_clean("fat-tree pair", out.stats.all_done(), out.live_packets);
 }
 
 #[test]
@@ -262,6 +291,7 @@ fn optimal_pair_strictly_beats_ring_pair() {
         },
         n,
     );
+    assert_completed_clean("optimal pair", opt.stats.all_done(), opt.live_packets);
     assert!(
         opt.pair_completion_ns() < t_ring,
         "optimal pair must win outright"
