@@ -77,8 +77,8 @@ fn bench_runtime_trace(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("runtime_trace");
     g.sample_size(10);
-    // Harvest: the stable sort of commit-order fabric events into
-    // virtual-time order (`RuntimeTrace::normalize`).
+    // Harvest: merge the committed batches' time-sorted runs into one
+    // virtual-time-ordered vector (`mcag_trace::merge_runs`).
     g.bench_function("take_trace", |b| {
         b.iter_batched(
             traced_runtime,

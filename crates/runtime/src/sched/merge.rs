@@ -14,6 +14,11 @@
 //! a censored [`JobRecord`], and the batch's observed damage (drops,
 //! downtime, the timeout itself) is folded into the partition-health
 //! score that steers later placements.
+//!
+//! With the flight recorder on, a commit appends the batch's spans and
+//! records its sorted fabric run beside its dispatch time, in commit
+//! order; the events themselves are copied once, when
+//! `Runtime::take_trace` merges the runs onto the virtual timeline.
 
 use super::form::FormedBatch;
 use super::sim::{delivered_bytes, BatchOutcome};
@@ -149,12 +154,12 @@ impl Runtime {
         }
 
         if let Some(tr) = self.trace.as_mut() {
-            // Merge runs in commit order, so both the span list and the
-            // absorbed fabric events land deterministically for every
-            // worker count.
-            if let Some(sink) = outcome.trace {
-                let (events, dropped) = sink.into_ordered();
-                tr.absorb_fabric(events, dropped, dispatch_ns);
+            // Batches merge in commit order, so both the span list and
+            // the list of fabric runs land deterministically for every
+            // worker count. The run's events are not copied here.
+            if let Some(run) = outcome.trace {
+                tr.fabric_dropped += run.dropped();
+                self.fabric_runs.push((dispatch_ns, run));
             }
             tr.batches.push(BatchSpan {
                 batch: index,

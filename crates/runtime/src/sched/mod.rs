@@ -64,7 +64,7 @@ use form::FormedBatch;
 use mcag_core::{des, ProtocolConfig};
 use mcag_offload::BackendKind;
 use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
-use mcag_trace::{Marker, RuntimeTrace, TraceSpec};
+use mcag_trace::{merge_runs, Marker, RuntimeTrace, TraceRun, TraceSpec};
 use memo::BatchMemo;
 pub use memo::MemoStats;
 use sim::BatchOutcome;
@@ -264,8 +264,12 @@ pub struct Runtime {
     partition_hosts: Vec<(HostModel, Option<usize>)>,
     /// Recovery accounting, accumulated at commit.
     retry: RetryStats,
-    /// Accumulating trace document (`Some` iff `cfg.trace` is).
+    /// Accumulating trace document (`Some` iff `cfg.trace` is), its
+    /// `fabric` left empty until [`Runtime::take_trace`].
     trace: Option<RuntimeTrace>,
+    /// Each committed batch's sorted fabric events with its dispatch
+    /// time, in commit order: what `take_trace` merges into `fabric`.
+    fabric_runs: Vec<(u64, TraceRun)>,
     /// Outcomes of recurring batch shapes ([`Runtime::simulate`]).
     memo: BatchMemo,
 }
@@ -354,6 +358,7 @@ impl Runtime {
             partition_hosts,
             retry: RetryStats::default(),
             trace,
+            fabric_runs: Vec::new(),
             memo: BatchMemo::default(),
         }
     }
@@ -776,12 +781,13 @@ impl Runtime {
         }
     }
 
-    /// Remove and return the accumulated trace, normalized (fabric
-    /// events stable-sorted into virtual-time order). `None` when
-    /// tracing is off — or already harvested; call once, after the run.
+    /// Remove and return the accumulated trace, its fabric events merged
+    /// from the committed batches' sorted runs into virtual-time order
+    /// ([`merge_runs`]: ties keep commit order). `None` when tracing is
+    /// off — or already harvested; call once, after the run.
     pub fn take_trace(&mut self) -> Option<RuntimeTrace> {
         let mut tr = self.trace.take()?;
-        tr.normalize();
+        tr.fabric = merge_runs(&std::mem::take(&mut self.fabric_runs));
         Some(tr)
     }
 

@@ -15,12 +15,18 @@
 //! key, `fabric.seed`, is read only when `FabricConfig::uses_rng()`, and
 //! then the memo is bypassed. Debug builds re-simulate every replayed
 //! batch and compare, so a field that breaks this rule fails tier-1.
+//!
+//! With the flight recorder on, this is also where a batch's packet
+//! events are sorted — once, a few hundred at a time, on the batch's own
+//! clock — into a shared [`TraceRun`]. A replay of the outcome shares
+//! that run; `Runtime::take_trace` merges the committed runs.
 
 use crate::job::JobKind;
 use mcag_core::protocol::QpLayout;
 use mcag_core::ProtocolConfig;
 use mcag_core::{des, CollectivePlan, CommSlot, ControlMsg, McastRankApp, MultiCommApp, RsApp};
-use mcag_simnet::{Fabric, FabricConfig, SimTime, Topology, TraceSink};
+use mcag_simnet::{Fabric, FabricConfig, SimTime, Topology};
+use mcag_trace::TraceRun;
 use mcag_verbs::{CollectiveId, McastGroupId, Rank, Transport};
 use std::sync::Arc;
 
@@ -78,9 +84,10 @@ pub(super) struct BatchOutcome {
     pub(super) downtime_ns: u64,
     /// Multicast trees the SM re-routed around dead switches mid-run.
     pub(super) sm_rebuilds: u32,
-    /// The batch fabric's harvested flight recorder (events on the
-    /// batch's local clock; the merge phase shifts them).
-    pub(super) trace: Option<TraceSink>,
+    /// The batch fabric's harvested flight recorder, sorted on the
+    /// batch's local clock (`take_trace` shifts it onto the virtual
+    /// timeline). Shared, so replaying the outcome copies no events.
+    pub(super) trace: Option<TraceRun>,
 }
 
 /// Run one formed batch on a fresh fabric to quiescence and harvest
@@ -248,7 +255,7 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
         fault_drops,
         downtime_ns,
         sm_rebuilds,
-        trace: fab.take_trace(),
+        trace: fab.take_trace().map(TraceRun::from),
     }
 }
 

@@ -27,7 +27,10 @@
 //! * [`RuntimeTrace`] — merged per-run document: fabric events shifted
 //!   onto the runtime's virtual clock plus batch/job spans and
 //!   admission markers, committed in deterministic order so the trace is
-//!   byte-identical at any worker count.
+//!   byte-identical at any worker count. Each batch's events arrive as a
+//!   [`TraceRun`], sorted once on the batch's clock and shared with
+//!   replays of the batch; [`merge_runs`] orders the committed runs in
+//!   one pass.
 //! * [`LinkTimeline`] — per-link busy fraction over fixed windows
 //!   (integer permille — byte-stable across hosts), the compact form the
 //!   bench baselines digest.
@@ -54,5 +57,5 @@ pub mod timeline;
 pub use chrome::{export_chrome, validate_json, ChromeOptions};
 pub use event::{DropCause, TraceEvent};
 pub use sink::{TraceSink, TraceSpec};
-pub use span::{BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace};
+pub use span::{merge_runs, BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace, TraceRun};
 pub use timeline::LinkTimeline;

@@ -1,12 +1,24 @@
-//! Runtime spans: the scheduler's side of the trace.
+//! Runtime spans: the scheduler's side of the trace, and the rule that
+//! orders the fabric's side.
 //!
 //! The fabric records packet-level events; the runtime records *spans* —
 //! batch lifecycles and per-job sojourns on the virtual clock — plus
 //! instant markers for admission rejects and throttling. Spans are
 //! low-volume (one per batch/job, not per packet), so they live in plain
 //! `Vec`s with no ring bound.
+//!
+//! Packet events reach the runtime one batch at a time. Each batch's
+//! harvest is sorted once, on its own clock, into a [`TraceRun`];
+//! [`merge_runs`] threads the committed runs onto the virtual timeline
+//! in one pass. The result is the stable sort by timestamp of the runs'
+//! commit-order concatenation — the one trace-ordering rule — without
+//! ever sorting the whole trace.
 
 use crate::event::TraceEvent;
+use crate::sink::TraceSink;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One batch's lifecycle on the virtual clock: formed/dispatched at
 /// `start_ns`, subnet-manager group programming until
@@ -92,14 +104,107 @@ pub struct Marker {
     pub reason: &'static str,
 }
 
+/// One batch fabric's harvested flight recorder, stable-sorted by
+/// timestamp on the batch's own clock (events that tie keep their
+/// record order). The events are shared: a batch replayed from the
+/// runtime's outcome memo hands out the stored run, not a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceRun {
+    events: Arc<[TraceEvent]>,
+    dropped: u64,
+}
+
+impl TraceRun {
+    /// Sort `events`, given in record order, into a run; `dropped`
+    /// counts what the recorder lost to ring overflow.
+    fn new(mut events: Vec<TraceEvent>, dropped: u64) -> TraceRun {
+        events.sort_by_key(TraceEvent::at_ns);
+        TraceRun {
+            events: events.into(),
+            dropped,
+        }
+    }
+
+    /// Events the recorder lost to ring overflow.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+impl From<TraceSink> for TraceRun {
+    fn from(sink: TraceSink) -> TraceRun {
+        let (events, dropped) = sink.into_ordered();
+        TraceRun::new(events, dropped)
+    }
+}
+
+/// Merge runs listed in commit order, each shifted `offset_ns` onto the
+/// virtual timeline, into one time-ordered vector: exactly the stable
+/// sort by timestamp of their shifted concatenation, so events that tie
+/// keep commit order, then record order.
+///
+/// Runs may overlap in any way — a censored batch keeps recording past
+/// its cutoff, into the next batch on its partition. Runs join the
+/// merge in order of (first shifted timestamp, commit index); a min-heap
+/// keyed the same way holds only the runs that overlap the frontier, and
+/// the run on top copies every event that sorts before the next
+/// competitor in one go. The output is allocated once, at its length.
+pub fn merge_runs(runs: &[(u64, TraceRun)]) -> Vec<TraceEvent> {
+    let mut merged = Vec::with_capacity(runs.iter().map(|(_, run)| run.events.len()).sum());
+    let mut waiting: Vec<(u64, usize)> = Vec::with_capacity(runs.len());
+    waiting.extend(
+        runs.iter()
+            .enumerate()
+            .filter_map(|(i, (offset, run))| Some((run.events.first()?.at_ns() + offset, i))),
+    );
+    waiting.sort_unstable();
+    // Per overlapping run: (next shifted timestamp, commit index, position).
+    let mut active = BinaryHeap::with_capacity(waiting.len());
+    let mut waiting = waiting.into_iter().peekable();
+    loop {
+        // Admit every waiting run whose first event sorts before the
+        // frontier's minimum.
+        while let Some(&(at, i)) = waiting.peek() {
+            if active
+                .peek()
+                .is_some_and(|&Reverse((top_at, j, _))| (top_at, j) < (at, i))
+            {
+                break;
+            }
+            active.push(Reverse((at, i, 0)));
+            waiting.next();
+        }
+        let Some(Reverse((_, i, from))) = active.pop() else {
+            return merged;
+        };
+        // The next competitor: the other overlapping runs' minimum, or
+        // the first run still waiting to join.
+        let rival = active.peek().map(|&Reverse((at, j, _))| (at, j));
+        let bound = rival.into_iter().chain(waiting.peek().copied()).min();
+        let (offset, run) = &runs[i];
+        let rest = &run.events[from..];
+        let take = bound.map_or(rest.len(), |b| {
+            rest.iter()
+                .position(|e| (e.at_ns() + offset, i) >= b)
+                .unwrap_or(rest.len())
+        });
+        // Find the segment first, then copy it: extending from a slice
+        // knows its length, which a `take_while` does not.
+        merged.extend(rest[..take].iter().map(|e| e.shifted(*offset)));
+        let next = from + take;
+        if let Some(e) = run.events.get(next) {
+            active.push(Reverse((e.at_ns() + offset, i, next)));
+        }
+    }
+}
+
 /// The merged trace of one run: fabric packet events on the virtual
 /// clock plus scheduler spans and markers.
 ///
-/// The runtime appends each batch's harvested fabric events (shifted by
-/// the batch's dispatch time) and spans **in commit order**, which is
-/// deterministic for every worker count; [`RuntimeTrace::normalize`]
-/// then stable-sorts fabric events by timestamp, so the final document
-/// is in virtual-time order and byte-identical at any `jobs`.
+/// The runtime appends each batch's spans **in commit order**, which is
+/// deterministic for every worker count, and builds `fabric` from the
+/// batches' [`TraceRun`]s with [`merge_runs`], so the final document is
+/// in virtual-time order and byte-identical at any `jobs`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuntimeTrace {
     /// Packet-lifecycle events on the virtual clock.
@@ -129,23 +234,6 @@ impl RuntimeTrace {
         }
     }
 
-    /// Append one batch's fabric events, shifting its local clock (every
-    /// batch fabric starts at 0) onto the virtual timeline.
-    pub fn absorb_fabric(&mut self, events: Vec<TraceEvent>, dropped: u64, offset_ns: u64) {
-        self.fabric_dropped += dropped;
-        self.fabric
-            .extend(events.into_iter().map(|e| e.shifted(offset_ns)));
-    }
-
-    /// Stable-sort fabric events into virtual-time order. Commit order
-    /// is deterministic, so the stable sort is too.
-    pub fn normalize(&mut self) {
-        // Sorts 16-byte `(at_ns, index)` keys and permutes the 32-byte
-        // events once, where `sort_by_key` drags the events themselves
-        // through every merge pass.
-        self.fabric.sort_by_cached_key(TraceEvent::at_ns);
-    }
-
     /// The job with the largest sojourn (ties: earliest submit, then
     /// lowest id — fully deterministic).
     pub fn longest_job(&self) -> Option<&JobSpan> {
@@ -169,26 +257,92 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Per batch in commit order, from `(offset, timestamps)` pairs: the
+    /// offset and the events in record order. `depth` numbers every event
+    /// in commit-then-record order, so a comparison sees where each one
+    /// came from.
+    fn batches(spec: &[(u64, Vec<u64>)]) -> Vec<(u64, Vec<TraceEvent>)> {
+        let mut id = 0;
+        spec.iter()
+            .map(|(offset, times)| {
+                let events = times
+                    .iter()
+                    .map(|&at_ns| {
+                        id += 1;
+                        TraceEvent::QueueDepth { at_ns, depth: id }
+                    })
+                    .collect();
+                (*offset, events)
+            })
+            .collect()
+    }
+
+    fn merged(spec: &[(u64, Vec<u64>)]) -> Vec<TraceEvent> {
+        let runs: Vec<(u64, TraceRun)> = batches(spec)
+            .into_iter()
+            .map(|(offset, events)| (offset, TraceRun::new(events, 0)))
+            .collect();
+        merge_runs(&runs)
+    }
+
     proptest! {
-        /// `normalize` is the stable sort by timestamp: equal-time
-        /// events keep their commit order. Timestamps are drawn from a
-        /// narrow range so ties are the common case, and `depth`
-        /// remembers where each event started.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The merge is the stable sort of the shifted commit-order
+        /// concatenation. Offsets are random and need not grow with the
+        /// commit index, runs overlap and reach past the start of later
+        /// runs, some are empty, and timestamps come from a narrow range
+        /// so ties are the common case.
         #[test]
-        fn normalize_is_the_stable_sort_by_timestamp(
-            times in prop::collection::vec(0u64..24, 0..200),
+        fn merge_runs_is_the_stable_sort_of_the_concatenation(
+            spec in prop::collection::vec(
+                (0u64..40, prop::collection::vec(0u64..24, 0..30)),
+                0..12,
+            ),
         ) {
-            let fabric: Vec<TraceEvent> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &at_ns)| TraceEvent::QueueDepth { at_ns, depth: i as u32 })
+            let mut expected: Vec<TraceEvent> = batches(&spec)
+                .into_iter()
+                .flat_map(|(offset, events)| events.into_iter().map(move |e| e.shifted(offset)))
                 .collect();
-            let mut expected = fabric.clone();
             expected.sort_by_key(TraceEvent::at_ns);
-            let mut tr = RuntimeTrace::from_fabric(fabric, 0);
-            tr.normalize();
-            prop_assert_eq!(tr.fabric, expected);
+            prop_assert_eq!(merged(&spec), expected);
         }
+    }
+
+    #[test]
+    fn equal_timestamps_in_different_runs_keep_commit_order() {
+        // Every event but one lands at 10 ns on the virtual clock. The
+        // second run starts earlier, at 4 ns, and so leads the merge, yet
+        // its event at 10 ns must wait for the first run's two.
+        let spec = [
+            (10, vec![0, 0]),
+            (0, vec![4, 10]),
+            (4, vec![6, 6]),
+            (10, vec![0]),
+        ];
+        let order: Vec<(u64, u32)> = merged(&spec)
+            .iter()
+            .map(|e| match *e {
+                TraceEvent::QueueDepth { at_ns, depth } => (at_ns, depth),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [(4, 3), (10, 1), (10, 2), (10, 4), (10, 5), (10, 6), (10, 7)]
+        );
+    }
+
+    #[test]
+    fn runs_shift_onto_the_virtual_clock_and_count_drops() {
+        let depth = |at_ns| TraceEvent::QueueDepth { at_ns, depth: 0 };
+        let run = TraceRun::new(vec![depth(30), depth(10)], 3);
+        assert_eq!(run.dropped(), 3);
+        let runs = [(1000, run), (500, TraceRun::new(vec![depth(5)], 0))];
+        let tr = RuntimeTrace::from_fabric(merge_runs(&runs), 3);
+        let times: Vec<u64> = tr.fabric.iter().map(TraceEvent::at_ns).collect();
+        assert_eq!(times, [505, 1010, 1030]);
+        assert_eq!(tr.horizon_ns(), 1030);
     }
 
     fn job(id: u64, submitted: u64, finished: u64) -> JobSpan {
@@ -204,25 +358,6 @@ mod tests {
             pool_builds: 0,
             pool_rebuilds: 0,
         }
-    }
-
-    #[test]
-    fn absorb_shifts_and_counts() {
-        let mut tr = RuntimeTrace::default();
-        tr.absorb_fabric(
-            vec![TraceEvent::QueueDepth {
-                at_ns: 10,
-                depth: 1,
-            }],
-            3,
-            1000,
-        );
-        tr.absorb_fabric(vec![TraceEvent::QueueDepth { at_ns: 5, depth: 2 }], 0, 500);
-        assert_eq!(tr.fabric_dropped, 3);
-        tr.normalize();
-        let times: Vec<u64> = tr.fabric.iter().map(TraceEvent::at_ns).collect();
-        assert_eq!(times, vec![505, 1010]);
-        assert_eq!(tr.horizon_ns(), 1010);
     }
 
     #[test]

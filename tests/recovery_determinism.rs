@@ -8,7 +8,11 @@
 //!   per-seed hazards and arrival streams;
 //! * the retry pipeline is observable end to end: a dead fabric censors
 //!   every attempt, the retry counters reconcile, and the record carries
-//!   the attempt count.
+//!   the attempt count;
+//! * the golden scenario's trace, censored batches included, is pinned
+//!   byte for byte: its `Debug` rendering and its Chrome export.
+
+mod common;
 
 use mcag_bench::recoveryfigs::{run_one, RecoveryFault, RecoveryRun};
 use mcast_allgather::faults::{FaultModel, FaultPlan};
@@ -24,23 +28,26 @@ fn golden_topo() -> Topology {
     Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100)
 }
 
-/// The golden scenario: two partitions, partition 0 flapping hard, six
-/// tenants offering a Poisson mix, reactive or oblivious scheduling.
+/// The golden hazard: 30 % of ports flapping hard for 8 ms.
+const FLAPPING: FaultModel = FaultModel::FlappingPort {
+    fraction: 0.3,
+    period_ns: 40_000,
+    down_ns: 30_000,
+    start_ns: 0,
+    end_ns: 8_000_000,
+};
+
+/// The golden scenario: two partitions, `hazard` on partition 0, six
+/// tenants offering a Poisson mix, reactive (`Some`) or oblivious
+/// scheduling.
 fn golden_run(
-    reactive: bool,
+    hazard: FaultModel,
+    reactive: Option<ReactivePolicy>,
     jobs: usize,
     spec: Option<TraceSpec>,
 ) -> (RuntimeReport, Option<RuntimeTrace>) {
     let topo = golden_topo();
-    let hazard = FaultPlan::new(0xC0FE)
-        .with(FaultModel::FlappingPort {
-            fraction: 0.3,
-            period_ns: 40_000,
-            down_ns: 30_000,
-            start_ns: 0,
-            end_ns: 8_000_000,
-        })
-        .compile(&topo);
+    let hazard = FaultPlan::new(0xC0FE).with(hazard).compile(&topo);
     let mut rt = Runtime::new(
         topo,
         RuntimeConfig {
@@ -48,7 +55,7 @@ fn golden_run(
             max_inflight: 4,
             partitions: 2,
             partition_faults: vec![hazard, LinkSchedule::empty()],
-            reactive: reactive.then(ReactivePolicy::default),
+            reactive,
             watchdog_cutoffs: 8,
             trace: spec,
             ..RuntimeConfig::default()
@@ -81,8 +88,18 @@ fn golden_run(
 
 #[test]
 fn reactive_faulted_run_identical_across_worker_counts() {
-    let (r1, t1) = golden_run(true, 1, Some(TraceSpec::default()));
-    let (r4, t4) = golden_run(true, 4, Some(TraceSpec::default()));
+    let (r1, t1) = golden_run(
+        FLAPPING,
+        Some(ReactivePolicy::default()),
+        1,
+        Some(TraceSpec::default()),
+    );
+    let (r4, t4) = golden_run(
+        FLAPPING,
+        Some(ReactivePolicy::default()),
+        4,
+        Some(TraceSpec::default()),
+    );
     assert!(
         r1.completed_jobs() > 0,
         "golden scenario must make progress"
@@ -97,10 +114,48 @@ fn reactive_faulted_run_identical_across_worker_counts() {
     );
 }
 
+/// FNV-1a of `format!("{trace:?}")` for the reactive golden scenario
+/// under a switch failure, recorded before the trace harvest merged
+/// per-batch sorted runs instead of sorting the whole trace.
+const CENSORED_TRACE_DIGEST: u64 = 11_739_865_677_123_726_179;
+/// FNV-1a of that trace's Chrome export under default options.
+const CENSORED_EXPORT_DIGEST: u64 = 5_389_381_624_312_786_016;
+
+#[test]
+fn censored_traced_run_keeps_its_bytes() {
+    // A censored batch records events past its own cutoff, so its
+    // fabric events overlap later batches': here batch 0 is cut at
+    // 3.0 ms on partition 0 and records until 6.3 ms, while batch 6
+    // starts there at 4.2 ms. The trace harvest must not assume runs on
+    // one partition are disjoint. Quarantine is off and the damage score
+    // decays fast, so the damaged partition keeps taking batches.
+    let switch_failure = FaultModel::SwitchFailure {
+        switches: 2,
+        start_ns: 2_000,
+        downtime_ns: 5_000_000,
+    };
+    let policy = ReactivePolicy {
+        quarantine_score: u64::MAX,
+        health_halflife_ns: Some(20_000),
+        ..ReactivePolicy::default()
+    };
+    let (report, trace) = golden_run(switch_failure, Some(policy), 1, Some(TraceSpec::default()));
+    assert!(
+        report.retry.timed_out_batches > 0,
+        "the scenario must censor a batch"
+    );
+    let trace = trace.expect("tracing was on");
+    let export = export_chrome(&trace, &ChromeOptions::default());
+    assert_eq!(
+        (common::fnv64(&format!("{trace:?}")), common::fnv64(&export)),
+        (CENSORED_TRACE_DIGEST, CENSORED_EXPORT_DIGEST),
+    );
+}
+
 #[test]
 fn oblivious_faulted_run_identical_across_worker_counts() {
-    let (r1, _) = golden_run(false, 1, None);
-    let (r4, _) = golden_run(false, 4, None);
+    let (r1, _) = golden_run(FLAPPING, None, 1, None);
+    let (r4, _) = golden_run(FLAPPING, None, 4, None);
     assert_eq!(r1, r4, "oblivious report diverged across worker counts");
 }
 
