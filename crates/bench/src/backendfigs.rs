@@ -21,8 +21,8 @@
 //! [`study::sweep`], which **asserts the two passes' digests
 //! byte-identical**. Two more gates hold before the JSON is rendered:
 //! the DPA backend's Table-I datapath metrics must be **bit-for-bit
-//! identical** to the pre-refactor `mcag_dpa::run_datapath` (the
-//! re-homing contract), and the SHARP backend must show a
+//! identical** to `mcag_dpa::run_datapath` called directly (the
+//! backend adds no cost of its own), and the SHARP backend must show a
 //! **bus-bandwidth advantage** for AG+RS at the largest swept scale. All
 //! digest quantities are simulated-time integers, so the full study's
 //! `BENCH_backends.json` baseline reproduces byte-identically on any
@@ -182,10 +182,9 @@ pub fn run_cell(cell: &BackendCell) -> CellDigest {
     let p = topo.num_hosts() as u32;
     let n = cell.send_len;
     let mtu = sim_mtu_for(n);
-    let be = cell.backend.instantiate();
     let mut cfg = FabricConfig::ucc_default();
-    cfg.host = be.host_model(mtu.bytes());
-    cfg.inc_table_capacity = be.limits().aggregation_entries;
+    cfg.host = cell.backend.host_model(mtu.bytes());
+    cfg.inc_table_capacity = cell.backend.limits().aggregation_entries;
     let proto = ProtocolConfig {
         mtu,
         ..ProtocolConfig::default()
@@ -196,7 +195,7 @@ pub fn run_cell(cell: &BackendCell) -> CellDigest {
             // Fully parallel chains (every root multicasts its own
             // subgroup), the Appendix-B configuration of the pair.
             let proto = ProtocolConfig { chains: p, ..proto };
-            let out = if be.placement() == Placement::InSwitch {
+            let out = if cell.backend.placement() == Placement::InSwitch {
                 run_concurrent_ag_rs(topo, cfg, proto, n)
             } else {
                 run_concurrent_ag_rs_endpoint(topo, cfg, proto, n)
@@ -265,14 +264,13 @@ pub fn sweep_digests(smoke: bool, jobs: usize) -> Vec<CellDigest> {
 fn datapath_rows() -> Vec<Obj> {
     let mut rows = Vec::new();
     for backend in BackendKind::ALL {
-        let be = backend.instantiate();
-        let placement = match be.placement() {
+        let placement = match backend.placement() {
             Placement::EndpointNic => "endpoint NIC",
             Placement::HostCore => "host core",
             Placement::InSwitch => "in-switch",
         };
         for transport in [DatapathTransport::Uc, DatapathTransport::Ud] {
-            let m = be.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
+            let m = backend.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
             rows.push(
                 Obj::new()
                     .str("backend", backend.label())
@@ -280,20 +278,22 @@ fn datapath_rows() -> Vec<Obj> {
                     .str("placement", placement)
                     .float("gib_per_s", m.gib_per_s, 3)
                     .float("ns_per_cqe", m.wall_ns / m.chunks as f64, 3)
-                    .int("rx_proc_ns_per_cqe", be.host_model(4096).rx_proc_ns_per_cqe)
-                    .int("setup_ns", be.setup_ns())
-                    .int("contexts", be.limits().contexts.into()),
+                    .int(
+                        "rx_proc_ns_per_cqe",
+                        backend.host_model(4096).rx_proc_ns_per_cqe,
+                    )
+                    .int("setup_ns", backend.setup_ns())
+                    .int("contexts", backend.limits().contexts.into()),
             );
         }
     }
     rows
 }
 
-/// The re-homing contract: the DPA backend's datapath must be
-/// bit-for-bit the pre-refactor `run_datapath` at the Table-I
-/// operating point (single thread, 4 KiB chunks, saturated).
+/// The backend contract: the DPA backend's datapath must be
+/// bit-for-bit `mcag_dpa::run_datapath` at the Table-I operating point
+/// (single thread, 4 KiB chunks, saturated).
 fn dpa_table1_identical() -> bool {
-    let be = BackendKind::DpaBf3.instantiate();
     let spec = DpaSpec::bf3();
     [
         (DatapathTransport::Uc, KernelKind::DpaUc),
@@ -301,7 +301,13 @@ fn dpa_table1_identical() -> bool {
     ]
     .into_iter()
     .all(|(transport, kind)| {
-        let via_trait = be.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
+        let via_backend = BackendKind::DpaBf3.datapath(
+            transport,
+            1,
+            4096,
+            DATAPATH_CHUNKS,
+            ArrivalModel::Saturated,
+        );
         let direct = run_datapath(
             &spec,
             &Kernel::new(kind),
@@ -310,7 +316,7 @@ fn dpa_table1_identical() -> bool {
             DATAPATH_CHUNKS,
             ArrivalModel::Saturated,
         );
-        via_trait == direct
+        via_backend == direct
     })
 }
 
@@ -388,7 +394,7 @@ pub fn backendfigs(smoke: bool) -> FigData {
          AG+RS pair moves less wire data than any endpoint-reduction backend",
     );
     f.note(
-        "gates asserted before writing: DPA backend bit-identical to pre-refactor run_datapath \
+        "gates asserted before writing: DPA backend bit-identical to run_datapath called directly \
          at the Table-I point; SHARP AG+RS busbw beats every endpoint backend at the largest \
          scale; jobs=1 and jobs=4 digests byte-identical",
     );

@@ -21,9 +21,6 @@ pub struct ProtocolConfig {
     /// drain time `N/B_link` (Section III-C, "Cutoff timer"), covering
     /// RNR-synchronization time and network noise.
     pub cutoff_alpha_ns: u64,
-    /// Additional cutoff slack per schedule step (chains hand off
-    /// activation signals `R` times; each handoff adds latency).
-    pub cutoff_per_step_ns: u64,
 }
 
 impl Default for ProtocolConfig {
@@ -33,19 +30,12 @@ impl Default for ProtocolConfig {
             imm: ImmLayout::DEFAULT,
             subgroups: 1,
             chains: 1,
-            cutoff_alpha_ns: 200_000,   // 200 µs
-            cutoff_per_step_ns: 10_000, // 10 µs per activation handoff
+            cutoff_alpha_ns: 200_000, // 200 µs
         }
     }
 }
 
 impl ProtocolConfig {
-    /// Paper's UCC-testbed configuration: 1 worker per datapath, single
-    /// subgroup, single active root.
-    pub fn ucc_paper() -> ProtocolConfig {
-        ProtocolConfig::default()
-    }
-
     /// A configuration exercising all parallelism axes (multiple subgroups
     /// and chains) — used by scaling studies and stress tests.
     pub fn parallel(subgroups: u32, chains: u32) -> ProtocolConfig {
@@ -63,7 +53,8 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_testbed() {
-        let c = ProtocolConfig::ucc_paper();
+        // The UCC testbed: single subgroup, single active root.
+        let c = ProtocolConfig::default();
         assert_eq!(c.mtu, Mtu::IB_4K);
         assert_eq!(c.subgroups, 1);
         assert_eq!(c.chains, 1);

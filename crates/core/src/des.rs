@@ -159,11 +159,15 @@ impl CollectivePlan {
     }
 }
 
+/// Cutoff slack per schedule step: chains hand off activation signals
+/// `R` times, and each handoff adds latency.
+const CUTOFF_PER_STEP_NS: u64 = 10_000;
+
 /// Reliability cutoff timer for `plan` on `topo` (Section III-C): the
 /// ideal drain time of the receive buffer at the host link rate scaled by
 /// `headroom` (collectives sharing the NIC stretch the drain
-/// proportionally), plus the configured fixed slack and per-schedule-step
-/// slack for activation handoffs.
+/// proportionally), plus the configured fixed slack and
+/// `CUTOFF_PER_STEP_NS` per schedule step for activation handoffs.
 pub fn cutoff_ns(
     topo: &Topology,
     plan: &CollectivePlan,
@@ -176,7 +180,7 @@ pub fn cutoff_ns(
         .serialization_ns(plan.recv_len())
         .saturating_mul(headroom.max(1));
     let steps = plan.sequencer().num_steps() as u64;
-    drain_ns + proto.cutoff_alpha_ns + proto.cutoff_per_step_ns * steps
+    drain_ns + proto.cutoff_alpha_ns + CUTOFF_PER_STEP_NS * steps
 }
 
 /// Run one multicast collective on `topo` (owned, or an `Arc` shared

@@ -4,32 +4,35 @@
 //! device: the BlueField-3 DPA barrel processor modeled in `mcag-dpa`.
 //! The design-space question the paper leaves open is *where else* that
 //! compute could run — and what each placement costs on the virtual
-//! clock. This crate answers it behind one trait:
+//! clock. This crate answers it with one plain-data selector,
+//! [`BackendKind`], that is also the cost model: every query is a
+//! `match` on the kind.
 //!
-//! * [`OffloadBackend`] — abstracts the offload target: per-chunk
-//!   receive-handler latency/occupancy (via a [`DatapathMetrics`]
-//!   producing cost model), placement ([`Placement`]: endpoint NIC,
-//!   host core, or in-switch), one-time provisioning cost
-//!   ([`OffloadBackend::setup_ns`]), and context/table capacity limits
-//!   ([`BackendLimits`]);
+//! * The queries — per-chunk receive-handler latency/occupancy
+//!   ([`BackendKind::datapath`], producing [`DatapathMetrics`]),
+//!   placement ([`Placement`]: endpoint NIC, host core, or in-switch),
+//!   one-time provisioning cost ([`BackendKind::setup_ns`]), and
+//!   context/table capacity limits ([`BackendLimits`]);
 //! * [`BackendKind::DpaBf3`] / [`BackendKind::HostCpu`] — the paper's
-//!   two datapaths, re-homed from `mcag-dpa` **byte-identically**
-//!   (they delegate straight to [`mcag_dpa::run_datapath`], so Table I
-//!   reproduces bit-for-bit through the trait);
+//!   two datapaths, **byte-identical** to `mcag-dpa` (they call
+//!   [`mcag_dpa::run_datapath`] directly, so Table I reproduces
+//!   bit-for-bit through the backend);
 //! * [`BackendKind::FpgaSmartNic`] — a deep-pipelined spatial datapath
 //!   (lanes × initiation interval): high fixed throughput, no
 //!   instruction stream, but a large partial-reconfiguration setup
 //!   cost (per the FPGA AI-NIC line of work in PAPERS.md);
 //! * [`BackendKind::SharpSwitch`] — SHARP-style in-switch reduction:
 //!   compute lives at fabric switches on the multicast tree
-//!   (`mcag-simnet`'s `IncUp` route state), endpoints do descriptor
-//!   work only, and the scarce resource is the bounded per-switch
-//!   aggregation table (`FabricConfig::inc_table_capacity`), charged
-//!   like the MGID pool.
+//!   (`mcag-simnet`'s `IncUp` route state and `reduce_at_switch`), so
+//!   each down-link carries one reduced result instead of `P − 1`
+//!   operand streams; endpoints do descriptor work only, and the
+//!   scarce resource is the bounded per-switch aggregation table
+//!   (`FabricConfig::inc_table_capacity`), charged like the MGID pool.
 //!
 //! Backends compile down to an endpoint [`HostModel`] (what the DES
-//! fabric charges per CQE) plus fabric-side knobs, so selecting one is
-//! a [`FabricConfig`](mcag_simnet::FabricConfig) edit — the
+//! fabric charges per CQE, [`BackendKind::host_model`]) plus
+//! fabric-side knobs, so selecting one is a
+//! [`FabricConfig`](mcag_simnet::FabricConfig) edit — the
 //! `mcag-runtime` scheduler wires this through per-partition backend
 //! assignments and `mcag-bench`'s `backendfigs` sweeps backend ×
 //! collective × scale into `BENCH_backends.json`.
@@ -38,19 +41,8 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod cpu;
-pub mod dpa;
-pub mod fpga;
-pub mod pipeline;
-pub mod reduce;
-pub mod sharp;
+mod backend;
+mod pipeline;
 
-pub use backend::{BackendKind, BackendLimits, DatapathTransport, OffloadBackend, Placement};
-pub use cpu::HostCpuBackend;
-pub use dpa::DpaBackend;
-pub use fpga::{FpgaBackend, FpgaSpec};
+pub use backend::{BackendKind, BackendLimits, DatapathTransport, Placement};
 pub use mcag_dpa::{ArrivalModel, DatapathMetrics};
-pub use pipeline::PipelineModel;
-pub use reduce::{flat_reduce, tree_reduce};
-pub use sharp::{SharpBackend, SharpSpec};

@@ -14,24 +14,24 @@ use mcag_dpa::{ArrivalModel, DatapathMetrics};
 /// latency through the stages and `overhead_cycles` of per-chunk
 /// header/CQE work.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineModel {
+pub(crate) struct PipelineModel {
     /// Parallel lanes (chunk `i` goes to lane `i mod lanes`).
-    pub lanes: u32,
+    pub(crate) lanes: u32,
     /// Bus width: payload bytes accepted per cycle per lane.
-    pub bytes_per_cycle: u32,
+    pub(crate) bytes_per_cycle: u32,
     /// Pipeline clock in GHz.
-    pub freq_ghz: f64,
+    pub(crate) freq_ghz: f64,
     /// Stages between ingress and CQE visibility (fill latency).
-    pub fill_cycles: u64,
+    pub(crate) fill_cycles: u64,
     /// Fixed per-chunk cycles (header parse, descriptor, CQE emit).
-    pub overhead_cycles: u64,
+    pub(crate) overhead_cycles: u64,
 }
 
 impl PipelineModel {
     /// Initiation interval of one chunk on one lane, in cycles, for
     /// `passes` bus traversals (UC placement is one pass; a UD
     /// staging→user copy is a second).
-    pub fn chunk_cycles(&self, passes: u32, chunk_bytes: usize) -> u64 {
+    fn chunk_cycles(&self, passes: u32, chunk_bytes: usize) -> u64 {
         let words = (chunk_bytes as u64).div_ceil(self.bytes_per_cycle as u64);
         self.overhead_cycles + passes as u64 * words
     }
@@ -41,7 +41,7 @@ impl PipelineModel {
     /// Table-I-style metrics. Deterministic pure f64, like
     /// [`mcag_dpa::run_datapath`]; a spatial pipeline retires no
     /// instructions, so `instr_per_cqe` and `ipc` report 0.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         passes: u32,
         threads: u32,

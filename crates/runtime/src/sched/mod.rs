@@ -306,7 +306,7 @@ impl Runtime {
         let partition_hosts: Vec<(HostModel, Option<usize>)> = cfg
             .partition_backends
             .iter()
-            .map(|kind| (kind.host_model(chunk), kind.aggregation_entries()))
+            .map(|kind| (kind.host_model(chunk), kind.limits().aggregation_entries))
             .collect();
         let pool = McastGroupPool::new(cfg.pool);
         let partition_stats = vec![PartitionStats::default(); cfg.partitions];

@@ -103,8 +103,6 @@ pub struct FabricConfig {
     /// RNG seed for drops and adaptive routing; it changes nothing
     /// unless [`uses_rng`](FabricConfig::uses_rng).
     pub seed: u64,
-    /// Safety valve: abort if the event count explodes.
-    pub max_events: u64,
     /// Switch multicast-group-table capacity: creating more groups than
     /// this panics, modeling the bounded MGID table a subnet manager
     /// programs (the scarce resource `mcag-runtime`'s pool arbitrates).
@@ -143,7 +141,6 @@ impl FabricConfig {
             switch_latency_ns: 200,
             adaptive_routing: false,
             seed: 0x5eed,
-            max_events: 2_000_000_000,
             mcast_table_capacity: None,
             inc_table_capacity: None,
             event_queue: QueueBackend::default(),

@@ -65,6 +65,10 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Safety valve: a run that dispatches this many events panics as a
+/// livelocked protocol.
+const MAX_EVENTS: u64 = 2_000_000_000;
+
 /// Where a packet goes next.
 #[derive(Debug, Clone)]
 enum Route {
@@ -649,11 +653,8 @@ impl<M: Clone + 'static> Fabric<M> {
             }
         }
         while self.inner.done_count < n {
-            if self.inner.q.processed() >= self.inner.cfg.max_events {
-                panic!(
-                    "event cap {} exceeded — livelocked protocol?",
-                    self.inner.cfg.max_events
-                );
+            if self.inner.q.processed() >= MAX_EVENTS {
+                panic!("event cap {MAX_EVENTS} exceeded — livelocked protocol?");
             }
             let Some((_, ev)) = self.inner.q.pop_if_before(deadline) else {
                 break; // quiescent or past the deadline; caller inspects stats

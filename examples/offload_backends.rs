@@ -18,29 +18,28 @@ use mcast_allgather::verbs::LinkRate;
 fn main() {
     // Device level: each backend's receive datapath on one context,
     // 4 KiB chunks, saturated arrivals — the Table-I measurement, now
-    // answerable for any backend through the one trait.
+    // answerable for any backend kind.
     println!("single-context datapath (4 KiB chunks, saturated arrivals):");
     println!(
         "  {:<14} {:<13} {:>9} {:>9} {:>10} {:>9}",
         "backend", "placement", "UC GiB/s", "UD GiB/s", "setup (us)", "contexts"
     );
     for kind in BackendKind::ALL {
-        let be = kind.instantiate();
-        let dp = |t| be.datapath(t, 1, 4096, 20_000, ArrivalModel::Saturated);
+        let dp = |t| kind.datapath(t, 1, 4096, 20_000, ArrivalModel::Saturated);
         let uc = dp(DatapathTransport::Uc);
         let ud = dp(DatapathTransport::Ud);
         println!(
             "  {:<14} {:<13} {:>9.1} {:>9.1} {:>10.1} {:>9}",
             kind.label(),
-            match be.placement() {
+            match kind.placement() {
                 Placement::EndpointNic => "endpoint NIC",
                 Placement::HostCore => "host core",
                 Placement::InSwitch => "in-switch",
             },
             uc.gib_per_s,
             ud.gib_per_s,
-            be.setup_ns() as f64 / 1e3,
-            be.limits().contexts
+            kind.setup_ns() as f64 / 1e3,
+            kind.limits().contexts
         );
     }
 
@@ -50,10 +49,9 @@ fn main() {
     let p: u32 = 16;
     let n: usize = 64 << 10;
     let fabric_for = |kind: BackendKind| {
-        let be = kind.instantiate();
         let mut cfg = FabricConfig::ucc_default();
-        cfg.host = be.host_model(ProtocolConfig::default().mtu.bytes());
-        cfg.inc_table_capacity = be.limits().aggregation_entries;
+        cfg.host = kind.host_model(ProtocolConfig::default().mtu.bytes());
+        cfg.inc_table_capacity = kind.limits().aggregation_entries;
         cfg
     };
     println!("\n64 KiB Allgather, 16 ranks on one 56G switch:");
@@ -84,12 +82,11 @@ fn main() {
     println!("\n16 KiB AG+RS pair (AllReduce decomposition), same fabric:");
     let n: usize = 16 << 10;
     for kind in BackendKind::ALL {
-        let be = kind.instantiate();
         let proto = ProtocolConfig {
             chains: p,
             ..ProtocolConfig::default()
         };
-        let out = if be.placement() == Placement::InSwitch {
+        let out = if kind.placement() == Placement::InSwitch {
             run_concurrent_ag_rs(topo(), fabric_for(kind), proto, n)
         } else {
             run_concurrent_ag_rs_endpoint(topo(), fabric_for(kind), proto, n)
@@ -103,7 +100,7 @@ fn main() {
             ns as f64 / 1e3,
             busbw_gbps(CollectiveOp::AllReduce, p, bytes, ns),
             out.traffic.total_data_bytes() as f64 / (1 << 20) as f64,
-            if be.placement() == Placement::InSwitch {
+            if kind.placement() == Placement::InSwitch {
                 "reduced in-switch"
             } else {
                 "reduced at endpoints"

@@ -21,8 +21,8 @@
 //!   trace sink, runtime spans, link-utilization timelines, and
 //!   Chrome/Perfetto trace export.
 //! * [`offload`] — pluggable in-network compute backends (BlueField-3
-//!   DPA, host CPU, FPGA SmartNIC, SHARP-style in-switch reduction)
-//!   behind one cost-model trait.
+//!   DPA, host CPU, FPGA SmartNIC, SHARP-style in-switch reduction),
+//!   each a `BackendKind` answering every cost query.
 //! * [`memfabric`] — the threaded real-byte fabric for end-to-end
 //!   validation.
 //! * [`baselines`] — point-to-point collective schedules.

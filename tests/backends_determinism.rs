@@ -2,21 +2,20 @@
 //!
 //! * the **backend × collective × scale sweep** is byte-identical at
 //!   `jobs = 1` and `jobs = 4`;
-//! * the re-homed **DPA backend** is bit-for-bit the pre-refactor
-//!   `mcag_dpa::run_datapath` — at the Table-I operating point and at
-//!   full hardware occupancy, on both transports;
-//! * **in-switch reduction computes the same value as endpoint
-//!   reduction** on arbitrary aggregation trees (proptest), and the
-//!   DES-level drivers agree that both placements complete the same
-//!   Reduce-Scatter.
+//! * every backend's **compiled cost** is the recorded one: the DPA and
+//!   host-CPU backends are bit-for-bit `mcag_dpa::run_datapath` — at
+//!   the Table-I operating point and at full occupancy, on both
+//!   transports — and setup cost, limits and per-CQE host models match
+//!   a recorded table;
+//! * the DES-level drivers agree that **in-switch and endpoint
+//!   reduction** complete the same Reduce-Scatter.
 
 use mcag_bench::backendfigs::sweep_digests;
 use mcast_allgather::core::run_reduce_scatter;
 use mcast_allgather::dpa::{run_datapath, ArrivalModel, DpaSpec, Kernel, KernelKind};
-use mcast_allgather::offload::{flat_reduce, tree_reduce, BackendKind, DatapathTransport};
+use mcast_allgather::offload::{BackendKind, BackendLimits, DatapathTransport};
 use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::{LinkRate, Mtu};
-use proptest::prelude::*;
 
 #[test]
 fn backend_sweep_identical_across_worker_counts() {
@@ -29,60 +28,81 @@ fn backend_sweep_identical_across_worker_counts() {
     );
 }
 
+/// Every backend's compiled cost. The engine backends are
+/// `run_datapath` on both transports; setup cost, limits and the
+/// per-CQE cost `host_model` calibrates at each chunk size must match
+/// the recorded table.
 #[test]
-fn dpa_backend_is_the_pre_refactor_datapath() {
-    let be = BackendKind::DpaBf3.instantiate();
-    let spec = DpaSpec::bf3();
-    for (transport, kind) in [
-        (DatapathTransport::Uc, KernelKind::DpaUc),
-        (DatapathTransport::Ud, KernelKind::DpaUd),
+fn backends_are_the_recorded_cost_models() {
+    for (be, spec, [ud, uc]) in [
+        (
+            BackendKind::DpaBf3,
+            DpaSpec::bf3(),
+            [KernelKind::DpaUd, KernelKind::DpaUc],
+        ),
+        (
+            BackendKind::HostCpu,
+            DpaSpec::host_cpu(),
+            [KernelKind::CpuUdUcx, KernelKind::CpuRcCustom],
+        ),
     ] {
-        // Table-I operating point: one thread, 4 KiB chunks, saturated.
-        // Then full occupancy — every hardware context busy.
-        for threads in [1, spec.total_threads()] {
-            let via_trait = be.datapath(transport, threads, 4096, 40_000, ArrivalModel::Saturated);
-            let direct = run_datapath(
-                &spec,
-                &Kernel::new(kind),
-                threads,
-                4096,
-                40_000,
-                ArrivalModel::Saturated,
-            );
-            assert_eq!(
-                via_trait, direct,
-                "DPA backend drifted from run_datapath ({transport:?}, {threads} threads)"
-            );
+        for (transport, kind) in [(DatapathTransport::Ud, ud), (DatapathTransport::Uc, uc)] {
+            // Table-I operating point: one context, 4 KiB chunks,
+            // saturated. Then full occupancy — every context busy.
+            for threads in [1, spec.total_threads()] {
+                let arrival = ArrivalModel::Saturated;
+                let direct =
+                    run_datapath(&spec, &Kernel::new(kind), threads, 4096, 40_000, arrival);
+                assert_eq!(
+                    be.datapath(transport, threads, 4096, 40_000, arrival),
+                    direct,
+                    "{} drifted from run_datapath ({transport:?}, {threads} contexts)",
+                    be.label()
+                );
+            }
         }
     }
-}
 
-proptest! {
-    /// In-switch reduction folds partial aggregates up an arbitrary
-    /// tree; the endpoint path folds every contribution flat at the
-    /// owner. Same operands, same result — on every tree shape.
-    #[test]
-    fn in_switch_reduction_matches_endpoint_reduction(
-        raw in prop::collection::vec(any::<u64>(), 2..40),
-        shuffle in any::<u64>(),
-    ) {
-        // Derive an arbitrary valid tree (parent[i] < i) and operand
-        // set from the raw entropy: entry i contributes raw[i] at a
-        // node whose parent is drawn from the slots above it.
-        let n = raw.len();
-        let mut parent = vec![0usize; n];
-        for i in 1..n {
-            parent[i] = (raw[i] ^ shuffle) as usize % i;
-        }
-        prop_assert_eq!(tree_reduce(&parent, &raw), flat_reduce(&raw));
-
-        // Relay-only switches (zero contribution) never change the sum.
-        let mut with_relays = raw.clone();
-        with_relays.extend([0u64, 0]);
-        let mut relay_parent = parent.clone();
-        relay_parent.push(shuffle as usize % n);
-        relay_parent.push((shuffle >> 32) as usize % (n + 1));
-        prop_assert_eq!(tree_reduce(&relay_parent, &with_relays), flat_reduce(&raw));
+    // (backend, setup_ns, contexts, aggregation entries, per-CQE ns at
+    // 64 B, 1, 4, 8, 16 and 64 KiB chunks).
+    const SIZES: [usize; 6] = [64, 1024, 4096, 8192, 16384, 65536];
+    let recorded = [
+        (
+            BackendKind::DpaBf3,
+            100_000,
+            256,
+            None,
+            [13, 32, 93, 175, 339, 1322],
+        ),
+        (
+            BackendKind::HostCpu,
+            0,
+            1,
+            None,
+            [431, 431, 431, 431, 431, 1321],
+        ),
+        (
+            BackendKind::FpgaSmartNic,
+            5_000_000,
+            8,
+            None,
+            [8, 18, 53, 98, 190, 738],
+        ),
+        (BackendKind::SharpSwitch, 250_000, 32, Some(512), [120; 6]),
+    ];
+    for (be, setup_ns, contexts, aggregation_entries, per_cqe) in recorded {
+        assert_eq!(be.setup_ns(), setup_ns, "{}", be.label());
+        assert_eq!(
+            be.limits(),
+            BackendLimits {
+                contexts,
+                aggregation_entries
+            },
+            "{}",
+            be.label()
+        );
+        let got = SIZES.map(|c| be.host_model(c).rx_proc_ns_per_cqe);
+        assert_eq!(got, per_cqe, "{} per-CQE ns at {SIZES:?}", be.label());
     }
 }
 
