@@ -302,11 +302,38 @@ mod tests {
     }
 
     #[test]
+    fn datapath_is_the_pre_refactor_engine() {
+        let direct = run_datapath(
+            &DpaSpec::bf3(),
+            &Kernel::new(KernelKind::DpaUc),
+            4,
+            4096,
+            5_000,
+            ArrivalModel::Saturated,
+        );
+        let via_kind = BackendKind::DpaBf3.datapath(
+            DatapathTransport::Uc,
+            4,
+            4096,
+            5_000,
+            ArrivalModel::Saturated,
+        );
+        assert_eq!(via_kind, direct);
+    }
+
+    #[test]
     fn full_complex_beats_the_ucc_progress_thread() {
         // 256 barrel threads next to the DMA engine sustain a far
         // shorter per-CQE interval than the 350 ns tuned host engine.
         let hm = BackendKind::DpaBf3.host_model(4096);
         assert!(hm.rx_proc_ns_per_cqe < 350, "{hm:?}");
+    }
+
+    #[test]
+    fn single_context_and_no_fabric_state() {
+        let limits = BackendKind::HostCpu.limits();
+        assert_eq!(limits.contexts, 1);
+        assert_eq!(limits.aggregation_entries, None);
     }
 
     #[test]
@@ -326,11 +353,23 @@ mod tests {
     }
 
     #[test]
+    fn reconfiguration_dominates_setup() {
+        let setup_ns = BackendKind::FpgaSmartNic.setup_ns();
+        assert!(setup_ns >= 1_000_000, "PR cost is milliseconds");
+    }
+
+    #[test]
     fn endpoint_cost_is_descriptor_only() {
         let hm = BackendKind::SharpSwitch.host_model(4096);
         assert!(hm.rx_proc_ns_per_cqe < 350);
         // Independent of chunk size: no payload pass at the endpoint.
         assert_eq!(hm, BackendKind::SharpSwitch.host_model(65_536));
+    }
+
+    #[test]
+    fn aggregation_table_is_bounded() {
+        let limits = BackendKind::SharpSwitch.limits();
+        assert_eq!(limits.aggregation_entries, Some(512));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! * the **backend × collective × scale sweep** is byte-identical at
 //!   `jobs = 1` and `jobs = 4`;
-//! * every backend's **compiled cost** is the recorded one: the DPA and
-//!   host-CPU backends are bit-for-bit `mcag_dpa::run_datapath` — at
-//!   the Table-I operating point and at full occupancy, on both
-//!   transports — and setup cost, limits and per-CQE host models match
-//!   a recorded table;
+//! * the **DPA backend** is bit-for-bit the pre-refactor
+//!   `mcag_dpa::run_datapath` — at the Table-I operating point and at
+//!   full occupancy, on both transports;
+//! * every backend's **compiled cost** is the recorded one: the
+//!   host-CPU backend is `run_datapath` the same way, and setup cost,
+//!   limits and per-CQE host models match a recorded table;
 //! * the DES-level drivers agree that **in-switch and endpoint
 //!   reduction** complete the same Reduce-Scatter.
 
@@ -28,40 +29,45 @@ fn backend_sweep_identical_across_worker_counts() {
     );
 }
 
-/// Every backend's compiled cost. The engine backends are
+/// `be` on both transports is bit-for-bit `run_datapath` with `spec`
+/// and the transport's kernel from `[ud, uc]`.
+fn assert_engine_is_run_datapath(be: BackendKind, spec: DpaSpec, [ud, uc]: [KernelKind; 2]) {
+    for (transport, kind) in [(DatapathTransport::Ud, ud), (DatapathTransport::Uc, uc)] {
+        // Table-I operating point: one context, 4 KiB chunks,
+        // saturated. Then full occupancy — every context busy.
+        for threads in [1, spec.total_threads()] {
+            let arrival = ArrivalModel::Saturated;
+            let direct = run_datapath(&spec, &Kernel::new(kind), threads, 4096, 40_000, arrival);
+            assert_eq!(
+                be.datapath(transport, threads, 4096, 40_000, arrival),
+                direct,
+                "{} drifted from run_datapath ({transport:?}, {threads} contexts)",
+                be.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn dpa_backend_is_the_pre_refactor_datapath() {
+    assert_engine_is_run_datapath(
+        BackendKind::DpaBf3,
+        DpaSpec::bf3(),
+        [KernelKind::DpaUd, KernelKind::DpaUc],
+    );
+}
+
+/// Every backend's compiled cost. The host-CPU engine is
 /// `run_datapath` on both transports; setup cost, limits and the
 /// per-CQE cost `host_model` calibrates at each chunk size must match
 /// the recorded table.
 #[test]
 fn backends_are_the_recorded_cost_models() {
-    for (be, spec, [ud, uc]) in [
-        (
-            BackendKind::DpaBf3,
-            DpaSpec::bf3(),
-            [KernelKind::DpaUd, KernelKind::DpaUc],
-        ),
-        (
-            BackendKind::HostCpu,
-            DpaSpec::host_cpu(),
-            [KernelKind::CpuUdUcx, KernelKind::CpuRcCustom],
-        ),
-    ] {
-        for (transport, kind) in [(DatapathTransport::Ud, ud), (DatapathTransport::Uc, uc)] {
-            // Table-I operating point: one context, 4 KiB chunks,
-            // saturated. Then full occupancy — every context busy.
-            for threads in [1, spec.total_threads()] {
-                let arrival = ArrivalModel::Saturated;
-                let direct =
-                    run_datapath(&spec, &Kernel::new(kind), threads, 4096, 40_000, arrival);
-                assert_eq!(
-                    be.datapath(transport, threads, 4096, 40_000, arrival),
-                    direct,
-                    "{} drifted from run_datapath ({transport:?}, {threads} contexts)",
-                    be.label()
-                );
-            }
-        }
-    }
+    assert_engine_is_run_datapath(
+        BackendKind::HostCpu,
+        DpaSpec::host_cpu(),
+        [KernelKind::CpuUdUcx, KernelKind::CpuRcCustom],
+    );
 
     // (backend, setup_ns, contexts, aggregation entries, per-CQE ns at
     // 64 B, 1, 4, 8, 16 and 64 KiB chunks).
