@@ -50,26 +50,35 @@ fn assert_completed_clean(what: &str, done: bool, live_packets: usize) {
     assert_eq!(live_packets, 0, "{what}: packets left in the fabric");
 }
 
-/// Topology × fabric × protocol: the twelve cells each driver digest
-/// covers, in the order of the digest tables below.
+/// Topology × fabric × protocol: the fifteen cells each driver digest
+/// covers, in the order of the digest tables below. The last three run
+/// two RX workers per rank with two subgroups per communicator, so they
+/// pin which worker each subgroup QP is pinned to.
 fn digest_cells() -> Vec<(Topology, FabricConfig, ProtocolConfig)> {
     let fat_tree = Topology::fat_tree_two_level(32, 4, 2, 2, LinkRate::NDR_400G, 300);
+    let topos = [star(4), star(7), fat_tree];
     let mut cells = Vec::new();
-    for topo in [star(4), star(7), fat_tree] {
+    for topo in &topos {
         for fabric in [FabricConfig::ucc_default(), FabricConfig::ideal()] {
             for proto in [ProtocolConfig::default(), ProtocolConfig::parallel(2, 2)] {
                 cells.push((topo.clone(), fabric.clone(), proto));
             }
         }
     }
+    let mut two_workers = FabricConfig::ucc_default();
+    two_workers.host.rx_workers = 2;
+    for topo in topos {
+        cells.push((topo, two_workers.clone(), ProtocolConfig::parallel(2, 2)));
+    }
     cells
 }
 
-/// [`sim_digest`]s recorded at the commit before the Reduce-Scatter
-/// apps and rank muxes were merged: per cell of [`digest_cells`], the
-/// in-switch pair, the endpoint pair (both 24 KiB) and three concurrent
-/// 16 KiB Allgathers.
-const PAIR_IN_SWITCH_DIGESTS: [u64; 12] = [
+/// [`sim_digest`]s per cell of [`digest_cells`]: the in-switch pair, the
+/// endpoint pair (both 24 KiB) and three concurrent 16 KiB Allgathers.
+/// The first twelve of each table were recorded at the commit before the
+/// Reduce-Scatter apps and rank muxes were merged, the two-worker cells
+/// at the commit before the communicator layout became one routine.
+const PAIR_IN_SWITCH_DIGESTS: [u64; 15] = [
     0xc8ceb40ca0676ab4,
     0x9fbd5cc324c39008,
     0xe427acd67b255273,
@@ -82,8 +91,11 @@ const PAIR_IN_SWITCH_DIGESTS: [u64; 12] = [
     0xd26b9b2db77b43d7,
     0x948b0e3e5046d90f,
     0xa4406d45f11a513f,
+    0x20f097d1588d32a6,
+    0xf44bf72fd03d4d07,
+    0x3cc6e3bed1ade750,
 ];
-const PAIR_ENDPOINT_DIGESTS: [u64; 12] = [
+const PAIR_ENDPOINT_DIGESTS: [u64; 15] = [
     0x02551680cd2ac118,
     0x20636fa812ad4a66,
     0x3683ae15e2c857ca,
@@ -96,8 +108,11 @@ const PAIR_ENDPOINT_DIGESTS: [u64; 12] = [
     0x3176971e66f2dac7,
     0x86b04fa16b222885,
     0x0371381a144cddce,
+    0xbd3174be5492967a,
+    0x517a6204a0f0d249,
+    0xf79efbb091a02dac,
 ];
-const ALLGATHERS_K3_DIGESTS: [u64; 12] = [
+const ALLGATHERS_K3_DIGESTS: [u64; 15] = [
     0x902a7faad962dd90,
     0xfeed7d061de6ce95,
     0x1422d83924f1daaa,
@@ -110,6 +125,9 @@ const ALLGATHERS_K3_DIGESTS: [u64; 12] = [
     0xebfcb59fff23039f,
     0xf0c4d78fa035c658,
     0x2d9b9f134dc43e80,
+    0x9c99fc1a89c54f4d,
+    0x6dc019f0b634e78f,
+    0x8505837c90e6df7a,
 ];
 /// The standalone in-switch and endpoint Reduce-Scatters, 40 KiB shards
 /// on a 7-host star, recorded at the same commit.
@@ -117,7 +135,7 @@ const RS_DIGESTS: [u64; 2] = [0xbb532a56ad1077e5, 0x18a1f28d763e8209];
 
 #[test]
 fn drivers_reproduce_their_recorded_bytes() {
-    let mut pairs = [[0u64; 12]; 3];
+    let mut pairs = [[0u64; 15]; 3];
     for (i, (topo, fabric, proto)) in digest_cells().into_iter().enumerate() {
         let in_switch = run_concurrent_ag_rs(topo.clone(), fabric.clone(), proto, 24 << 10);
         let endpoint = run_concurrent_ag_rs_endpoint(topo.clone(), fabric.clone(), proto, 24 << 10);

@@ -4,6 +4,7 @@
 //! job queue must batch exactly like the original full-scan scheduler
 //! on closed-loop inputs.
 
+use mcast_allgather::core::ProtocolConfig;
 use mcast_allgather::runtime::{
     merge_arrivals, nccl_style_trace, AdmissionPolicy, Arrival, JobId, JobKind, JobQueue, JobSpec,
     OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport, TenantId, TraceSpec,
@@ -14,9 +15,12 @@ use mcast_allgather::verbs::{LinkRate, Rank};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
+mod common;
+
 /// A mixed open-loop workload: a Poisson stream over an NCCL-style
-/// op/size mix merged with a deterministic NCCL-style rung trace.
-fn mixed_run(jobs: usize) -> RuntimeReport {
+/// op/size mix merged with a deterministic NCCL-style rung trace, on
+/// `base`'s fabric and protocol.
+fn mixed_run(jobs: usize, base: RuntimeConfig) -> RuntimeReport {
     let mix = OpMix {
         allgather_weight: 2,
         broadcast_weight: 1,
@@ -45,7 +49,7 @@ fn mixed_run(jobs: usize) -> RuntimeReport {
             pool: PoolConfig::with_capacity(24),
             max_inflight: 4,
             partitions: 2,
-            ..RuntimeConfig::default()
+            ..base
         },
     );
     for i in 0..8 {
@@ -57,14 +61,14 @@ fn mixed_run(jobs: usize) -> RuntimeReport {
 
 #[test]
 fn golden_mixed_open_loop_identical_across_worker_counts() {
-    let serial = mixed_run(1);
+    let serial = mixed_run(1, RuntimeConfig::default());
     // Not trivially identical: the run exercised the interesting paths.
     assert!(serial.completed_jobs() > 50);
     assert!(serial.batches > 10);
     assert!(serial.offered_jobs >= serial.completed_jobs() as u64);
     assert!(serial.partitions.iter().all(|p| p.batches > 0));
     for jobs in [2usize, 4] {
-        let parallel = mixed_run(jobs);
+        let parallel = mixed_run(jobs, RuntimeConfig::default());
         assert_eq!(serial, parallel, "open-loop run diverged at jobs={jobs}");
         assert_eq!(
             format!("{serial:?}"),
@@ -72,6 +76,28 @@ fn golden_mixed_open_loop_identical_across_worker_counts() {
             "debug render diverged at jobs={jobs}"
         );
     }
+}
+
+/// FNV-1a of the `Debug` render of [`mixed_run`] with two RX workers per
+/// rank and two subgroups per job, recorded at the commit before the
+/// communicator layout became one routine: it pins which worker each
+/// job's subgroup QPs are pinned to, which one worker cannot see.
+const TWO_WORKER_REPORT_DIGEST: u64 = 0xb84d311a84c64627;
+
+#[test]
+fn two_worker_open_loop_reproduces_its_recorded_report() {
+    let mut base = RuntimeConfig {
+        proto: ProtocolConfig::parallel(2, 2),
+        ..RuntimeConfig::default()
+    };
+    base.fabric.host.rx_workers = 2;
+    let report = mixed_run(1, base);
+    assert!(report.completed_jobs() > 50);
+    assert_eq!(
+        common::fnv64(&format!("{report:?}")),
+        TWO_WORKER_REPORT_DIGEST,
+        "the two-worker runtime report moved"
+    );
 }
 
 #[test]
