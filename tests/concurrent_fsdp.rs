@@ -3,12 +3,12 @@
 
 use mcast_allgather::baselines::{ring_allgather, ring_reduce_scatter, run_p2p_concurrent};
 use mcast_allgather::core::{
-    concurrent::run_reduce_scatter, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint,
-    run_concurrent_allgathers, ProtocolConfig,
+    concurrent::run_reduce_scatter, run_collective, run_concurrent_ag_rs,
+    run_concurrent_ag_rs_endpoint, run_concurrent_allgathers, CollectiveKind, ProtocolConfig,
 };
 use mcast_allgather::models::concurrent_speedup;
 use mcast_allgather::simnet::{FabricConfig, Topology};
-use mcast_allgather::verbs::{LinkRate, Mtu};
+use mcast_allgather::verbs::{LinkRate, Mtu, Rank};
 
 mod common;
 
@@ -177,6 +177,43 @@ fn drivers_reproduce_their_recorded_bytes() {
         ),
         "a driver's simulated output moved"
     );
+}
+
+#[test]
+fn degenerate_sizes_complete_on_every_driver() {
+    // Empty, one-byte and not-a-multiple-of-the-MTU sends on the smallest
+    // stars, through every driver that lays out multicast communicators.
+    let (fabric, proto) = (FabricConfig::ucc_default(), ProtocolConfig::default());
+    for p in [2, 4] {
+        for n in [0, 1, 5_000] {
+            let cell = format!("{n} B on star({p})");
+            for kind in [
+                CollectiveKind::Allgather,
+                CollectiveKind::Broadcast { root: Rank(0) },
+            ] {
+                let out = run_collective(star(p), fabric.clone(), proto, kind, n);
+                assert!(out.stats.all_done(), "{kind:?}, {cell}: incomplete");
+            }
+            let in_switch = run_concurrent_ag_rs(star(p), fabric.clone(), proto, n);
+            let endpoint = run_concurrent_ag_rs_endpoint(star(p), fabric.clone(), proto, n);
+            let k3 = run_concurrent_allgathers(star(p), fabric.clone(), proto, n, 3);
+            for (what, done, live) in [
+                (
+                    "in-switch pair",
+                    in_switch.stats.all_done(),
+                    in_switch.live_packets,
+                ),
+                (
+                    "endpoint pair",
+                    endpoint.stats.all_done(),
+                    endpoint.live_packets,
+                ),
+                ("three Allgathers", k3.stats.all_done(), k3.live_packets),
+            ] {
+                assert_completed_clean(&format!("{what}, {cell}"), done, live);
+            }
+        }
+    }
 }
 
 #[test]
