@@ -15,12 +15,12 @@
 //! (the no-offload reference `mcag-offload` compares backends against).
 //! One [`RsApp`] implements both placements; the pair shares each NIC's
 //! round-robin QP arbiter and every fabric link inside one
-//! [`MultiCommApp`] per rank.
+//! [`MultiCommApp`](crate::MultiCommApp) per rank.
 
 use crate::msg::ControlMsg;
-use crate::multicomm::{CommSlot, MultiCommApp};
+use crate::multicomm::{self, Comm};
 use crate::plan::{CollectiveKind, CollectivePlan};
-use crate::protocol::{McastRankApp, QpLayout, RankTiming};
+use crate::protocol::RankTiming;
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
 use mcag_simnet::{
@@ -30,8 +30,9 @@ use mcag_verbs::{CollectiveId, Cqe, CqeOpcode, ImmLayout, McastGroupId, Mtu, QpN
 use std::sync::Arc;
 
 /// Drain-notification token used by [`RsApp`] (offset by the instance's
-/// token base when several protocols share one rank; [`MultiCommApp`]
-/// routes `token % TOKEN_STRIDE == RS_TX_TOKEN` to the Reduce-Scatter).
+/// token base when several protocols share one rank;
+/// [`MultiCommApp`](crate::MultiCommApp) routes `token % TOKEN_STRIDE ==
+/// RS_TX_TOKEN` to the Reduce-Scatter).
 /// Distinct from [`crate::protocol::McastRankApp`]'s cutoff timer (1) and
 /// TX-drain tokens (≥ 16) so the two can share a token namespace.
 pub const RS_TX_TOKEN: u64 = 5;
@@ -106,13 +107,14 @@ impl RsApp {
         }
     }
 
-    /// Disable automatic `mark_done` ([`MultiCommApp`] marks for its slots).
+    /// Disable automatic `mark_done` ([`MultiCommApp`](crate::MultiCommApp)
+    /// marks for its slots).
     pub(crate) fn set_auto_mark_done(&mut self, auto: bool) {
         self.auto_mark_done = auto;
     }
 
-    /// Namespace this instance's drain token (its [`MultiCommApp`] slot's
-    /// token base).
+    /// Namespace this instance's drain token (its
+    /// [`MultiCommApp`](crate::MultiCommApp) slot's token base).
     pub(crate) fn set_token_base(&mut self, base: u64) {
         self.token_base = base;
     }
@@ -238,9 +240,9 @@ impl ConcurrentOutcome {
     }
 }
 
-/// Wire and run the pair on a fresh fabric: the multicast Allgather of
+/// Run the pair on a fresh fabric: the multicast Allgather of
 /// `send_len` bytes (collective 1) beside the Reduce-Scatter of a
-/// `send_len·P` vector (collective 3), reduced in a full-membership
+/// `send_len·P` vector (collective 2), reduced in a full-membership
 /// switch group when `in_switch`, else on the endpoints.
 fn run_pair(
     topo: Topology,
@@ -249,75 +251,29 @@ fn run_pair(
     send_len: usize,
     in_switch: bool,
 ) -> ConcurrentOutcome {
-    let p = topo.num_hosts() as u32;
-    let plan = Arc::new(CollectivePlan::new(
+    let plan = CollectivePlan::new(
         CollectiveKind::Allgather,
-        p,
+        topo.num_hosts() as u32,
         send_len,
         proto.mtu,
         proto.imm,
         CollectiveId(1),
         proto.subgroups,
         proto.chains,
-    ));
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg.clone());
-
+    );
+    let comm = Comm {
+        plan: Arc::new(plan),
+        rs_in_switch: Some(in_switch),
+    };
     // The pair roughly doubles the drain time of each collective (they
     // share the NIC), so give the AG cutoff 3× the usual headroom.
-    let cutoff = crate::des::cutoff_ns(fab.topology(), &plan, &proto, 3);
-
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let n_workers = fabric_cfg.host.rx_workers.max(1);
-    let ag_groups: Vec<_> = (0..plan.num_subgroups())
-        .map(|_| fab.create_group(&members))
-        .collect();
-    let rs_group = in_switch.then(|| fab.create_group(&members));
-
-    for &r in &members {
-        let ctrl = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let mut subgroup_qps = Vec::new();
-        for (j, &g) in ag_groups.iter().enumerate() {
-            let qp = fab.add_qp(r, mcag_verbs::Transport::Ud, j % n_workers);
-            fab.attach(r, qp, g);
-            subgroup_qps.push(qp);
-        }
-        // No attach for the RS QP: in-switch contributions enter the
-        // reduction tree by membership and results return as routed
-        // unicast; endpoint operands target the owner's twin QP (SPMD
-        // wiring gives it the same number on every rank).
-        let rs_qp = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let ag = McastRankApp::new(
-            Arc::clone(&plan),
-            r,
-            QpLayout {
-                ctrl,
-                subgroup_qps,
-                groups: ag_groups.clone(),
-            },
-            cutoff,
-        );
-        let coll = CollectiveId(3);
-        let rs = RsApp::new(p, r, send_len, proto.mtu, proto.imm, coll, rs_qp, rs_group);
-        let slots = vec![CommSlot::AgRs { ag, rs }];
-        fab.set_app(r, Box::new(MultiCommApp::new(slots)));
-    }
-
+    let (mut fab, _) = multicomm::build(topo, fabric_cfg, &proto, &[comm], 3);
     let stats = fab.run();
     let traffic = fab.traffic();
-    let mut ag_timings = Vec::with_capacity(p as usize);
-    let mut rs_times = Vec::with_capacity(p as usize);
-    for &r in &members {
-        match fab.take_app_as::<MultiCommApp>(r).into_slots().pop() {
-            Some(CommSlot::AgRs { ag, rs }) => {
-                ag_timings.push(ag.timing());
-                rs_times.push(rs.times());
-            }
-            _ => unreachable!("every rank hosts one AG+RS slot"),
-        }
-    }
+    let slots = multicomm::take_slots(&mut fab);
     ConcurrentOutcome {
-        ag_timings,
-        rs_times,
+        ag_timings: slots.iter().map(|s| s[0].ag.timing()).collect(),
+        rs_times: slots.iter().map(|s| s[0].rs.as_ref()?.times()).collect(),
         stats,
         traffic,
         live_packets: fab.live_packets(),

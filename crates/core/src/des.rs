@@ -4,21 +4,22 @@
 //! equivalent of an OSU-benchmark iteration with switch-counter
 //! collection (Section VI-B methodology).
 
-use crate::msg::ControlMsg;
+use crate::multicomm::{self, Comm};
 use crate::plan::{CollectiveKind, CollectivePlan};
-use crate::protocol::{McastRankApp, QpLayout, RankTiming};
+use crate::protocol::RankTiming;
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
-use mcag_simnet::{Fabric, FabricConfig, SimTime, Topology, TraceSink, TrafficReport};
-use mcag_verbs::{CollectiveId, Rank, Transport};
+use mcag_simnet::{FabricConfig, SimTime, Topology, TraceSink, TrafficReport};
+use mcag_verbs::{CollectiveId, Rank};
 use std::sync::Arc;
 
 /// Watchdog margin: a healthy collective (including recovery rounds, each
 /// of which re-arms a cutoff-sized timer) finishes within a handful of
 /// cutoffs; a run still pending after this many is livelocked. Used to
-/// bound [`run_collective`] via the peek-based [`Fabric::run_until`]
-/// instead of grinding toward the multi-billion event cap; the runtime
-/// scheduler applies the same margin to whole batches.
+/// bound [`run_collective`] via the peek-based
+/// [`Fabric::run_until`](mcag_simnet::Fabric::run_until) instead of
+/// grinding toward the multi-billion event cap; the runtime scheduler
+/// applies the same margin to whole batches.
 pub const WATCHDOG_CUTOFFS: u64 = 1024;
 
 /// Per-run recovery/termination bounds: how aggressively the protocol's
@@ -217,10 +218,9 @@ pub fn run_collective_bounded(
     bounds: RunBounds,
 ) -> CollectiveOutcome {
     let topo: Arc<Topology> = topo.into();
-    let p = topo.num_hosts() as u32;
     let plan = Arc::new(CollectivePlan::new(
         kind,
-        p,
+        topo.num_hosts() as u32,
         send_len,
         proto.mtu,
         proto.imm,
@@ -228,37 +228,16 @@ pub fn run_collective_bounded(
         proto.subgroups,
         proto.chains,
     ));
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg.clone());
-
+    let comm = Comm {
+        plan: Arc::clone(&plan),
+        rs_in_switch: None,
+    };
     // Cutoff timer: ideal drain time of the receive buffer at the host
     // link rate, scaled by the recovery headroom, plus slack
     // (Section III-C).
-    let cutoff = cutoff_ns(fab.topology(), &plan, &proto, bounds.cutoff_headroom);
-
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let n_workers = fabric_cfg.host.rx_workers.max(1);
-    let groups: Vec<_> = (0..plan.num_subgroups())
-        .map(|_| fab.create_group(&members))
-        .collect();
-
-    for &r in &members {
-        let ctrl = fab.add_qp(r, Transport::Rc, 0);
-        let mut subgroup_qps = Vec::with_capacity(groups.len());
-        for (j, &g) in groups.iter().enumerate() {
-            let qp = fab.add_qp(r, Transport::Ud, j % n_workers);
-            fab.attach(r, qp, g);
-            subgroup_qps.push(qp);
-        }
-        let layout = QpLayout {
-            ctrl,
-            subgroup_qps,
-            groups: groups.clone(),
-        };
-        fab.set_app(
-            r,
-            Box::new(McastRankApp::new(Arc::clone(&plan), r, layout, cutoff)),
-        );
-    }
+    let (mut fab, cutoffs) =
+        multicomm::build(topo, fabric_cfg, &proto, &[comm], bounds.cutoff_headroom);
+    let cutoff = cutoffs[0];
 
     // Deadline-bounded run: `run_until` peeks the next event time instead
     // of popping-and-rescheduling, so the bound never perturbs event
@@ -270,9 +249,9 @@ pub fn run_collective_bounded(
     let drops = fab.total_fabric_drops();
     // Harvest the owned per-app sinks: each endpoint carried its own
     // timing row through the run; the driver assembles the table.
-    let timings = members
+    let timings = multicomm::take_slots(&mut fab)
         .iter()
-        .map(|&r| fab.take_app_as::<McastRankApp>(r).timing())
+        .map(|slots| slots[0].ag.timing())
         .collect();
     let trace = fab.take_trace();
     CollectiveOutcome {

@@ -23,9 +23,11 @@
 //!   reliability-timer knobs.
 //! * [`des`] — the discrete-event driver producing timings and traffic
 //!   reports for the paper's UCC-testbed experiments.
-//! * [`multicomm`] — several communicators per rank (Section V-C):
-//!   [`MultiCommApp`], the one composite rank app, hosting one
-//!   [`CommSlot`] per communicator, and the `k`-Allgather driver.
+//! * [`multicomm`] — several communicators per rank (Section V-C): the
+//!   one layout routine, [`multicomm::build`], which lays every driver's
+//!   communicators out on a fabric, and the rank mux, [`MultiCommApp`],
+//!   hosting one [`CommSlot`] per communicator; plus the `k`-Allgather
+//!   driver.
 //! * [`concurrent`] — the FSDP `{Allgather, Reduce-Scatter}` pair
 //!   (Section II, Appendix B): [`RsApp`], one Reduce-Scatter endpoint
 //!   reducing in the switches or on the endpoints, and the pair and
@@ -71,6 +73,6 @@ pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};
 pub use msg::ControlMsg;
 pub use multicomm::{run_concurrent_allgathers, CommSlot, MultiCommApp, MultiCommOutcome};
 pub use plan::{CollectiveKind, CollectivePlan};
-pub use protocol::{McastRankApp, QpLayout, RankTiming};
+pub use protocol::{McastRankApp, RankTiming};
 pub use sequencer::Sequencer;
 pub use staging::StagingRing;

@@ -8,15 +8,16 @@
 //! collective id in the immediate bits; they share the NIC's round-robin
 //! arbiter and the fabric.
 //!
-//! [`MultiCommApp`] is the one composite rank app: it hosts one
-//! [`CommSlot`] per communicator — a Broadcast/Allgather, or the FSDP
-//! pair of an Allgather beside a [`RsApp`] in either reduction
-//! placement — and owns the composition convention (slot `i`'s token
-//! base, auto-mark-done, QP ownership). Its three callers are
-//! [`run_concurrent_allgathers`] here (`k` simultaneous Allgathers,
-//! per-communicator timings), the FSDP pair drivers in
-//! [`crate::concurrent`], and `mcag-runtime`'s batch simulation, which
-//! puts every job of a batch in its own slot.
+//! [`build`] is the one place communicators are laid out on a fabric:
+//! every driver — [`crate::des`]'s single collective, the FSDP pair
+//! drivers in [`crate::concurrent`], [`run_concurrent_allgathers`] here
+//! and `mcag-runtime`'s batch simulation — describes its communicators
+//! as [`Comm`]s and harvests them with [`take_slots`]. On every rank
+//! [`MultiCommApp`], the one composite rank app, hosts one [`CommSlot`]
+//! per communicator — a Broadcast/Allgather, or the FSDP pair of an
+//! Allgather beside a [`RsApp`] in either reduction placement — and owns
+//! the composition convention (slot `i`'s token base, marking the rank
+//! done, QP ownership).
 
 use crate::concurrent::{RsApp, RS_TX_TOKEN};
 use crate::msg::ControlMsg;
@@ -28,34 +29,107 @@ use mcag_simnet::{Ctx, Fabric, FabricConfig, Payload, RankApp, Topology, Traffic
 use mcag_verbs::{CollectiveId, Cqe, QpNum, Rank, Transport};
 use std::sync::Arc;
 
+/// One communicator to lay out with [`build`].
+pub struct Comm {
+    /// Its Broadcast or Allgather; the plan carries the collective id.
+    pub plan: Arc<CollectivePlan>,
+    /// `Some(in_switch)` makes it the FSDP pair: beside the Allgather, a
+    /// Reduce-Scatter of a `send_len·P` vector, with the plan's collective
+    /// id plus one, reduced in a full-membership switch group when
+    /// `in_switch`, else on the endpoints.
+    pub rs_in_switch: Option<bool>,
+}
+
 /// One communicator's endpoint(s) on a rank.
-pub enum CommSlot {
-    /// A Broadcast or Allgather.
-    Coll(McastRankApp),
-    /// The FSDP pair: a multicast Allgather beside a Reduce-Scatter.
-    AgRs {
-        /// The Allgather half.
-        ag: McastRankApp,
-        /// The Reduce-Scatter half (either placement).
-        rs: RsApp,
-    },
+pub struct CommSlot {
+    /// The Broadcast or Allgather.
+    pub ag: McastRankApp,
+    /// The FSDP pair's Reduce-Scatter (either placement), if any.
+    pub rs: Option<RsApp>,
 }
 
 impl CommSlot {
-    /// The slot's multicast endpoint and, for the pair, its Reduce-Scatter.
-    fn parts(&mut self) -> (&mut McastRankApp, Option<&mut RsApp>) {
-        match self {
-            CommSlot::Coll(ag) => (ag, None),
-            CommSlot::AgRs { ag, rs } => (ag, Some(rs)),
-        }
-    }
-
     fn released(&self) -> bool {
-        match self {
-            CommSlot::Coll(ag) => ag.is_released(),
-            CommSlot::AgRs { ag, rs } => ag.is_released() && rs.is_released(),
-        }
+        self.ag.is_released() && self.rs.as_ref().is_none_or(RsApp::is_released)
     }
+}
+
+/// Lay `comms` out on a fresh fabric and install one [`MultiCommApp`]
+/// per rank; returns the fabric, ready to run, and each communicator's
+/// reliability cutoff ([`crate::des::cutoff_ns`] with `headroom`).
+///
+/// The layout (Section V-C's thread mapping): per communicator, its
+/// subgroup groups and then its reduction group are created in order. On
+/// every rank, communicator `i` adds its control QP on worker 0, the QP
+/// of subgroup `j` on RX worker `(i + j) mod W`, attached to that
+/// subgroup's group, and the pair's Reduce-Scatter QP on worker 0.
+pub fn build(
+    topo: impl Into<Arc<Topology>>,
+    fabric_cfg: FabricConfig,
+    proto: &ProtocolConfig,
+    comms: &[Comm],
+    headroom: u64,
+) -> (Fabric<ControlMsg>, Vec<u64>) {
+    let n_workers = fabric_cfg.host.rx_workers.max(1);
+    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
+    let p = fab.topology().num_hosts() as u32;
+    let members: Vec<Rank> = (0..p).map(Rank).collect();
+    let groups: Vec<_> = comms
+        .iter()
+        .map(|comm| {
+            let subgroups: Vec<_> = (0..comm.plan.num_subgroups())
+                .map(|_| fab.create_group(&members))
+                .collect();
+            let reduce = (comm.rs_in_switch == Some(true)).then(|| fab.create_group(&members));
+            (subgroups, reduce)
+        })
+        .collect();
+    let cutoffs: Vec<u64> = comms
+        .iter()
+        .map(|comm| crate::des::cutoff_ns(fab.topology(), &comm.plan, proto, headroom))
+        .collect();
+    for &r in &members {
+        let mut slots = Vec::with_capacity(comms.len());
+        for (i, (comm, (subgroups, reduce))) in comms.iter().zip(&groups).enumerate() {
+            let ctrl = fab.add_qp(r, Transport::Rc, 0);
+            let mut subgroup_qps = Vec::with_capacity(subgroups.len());
+            for (j, &g) in subgroups.iter().enumerate() {
+                let qp = fab.add_qp(r, Transport::Ud, (i + j) % n_workers);
+                fab.attach(r, qp, g);
+                subgroup_qps.push(qp);
+            }
+            let layout = QpLayout {
+                ctrl,
+                subgroup_qps,
+                groups: subgroups.clone(),
+            };
+            let plan = &comm.plan;
+            // No attach for the Reduce-Scatter QP: in-switch contributions
+            // enter the reduction tree by membership and results return
+            // as routed unicast; endpoint operands target the owner's
+            // twin QP (SPMD wiring gives it the same number on every rank).
+            let rs = comm.rs_in_switch.map(|_| {
+                let qp = fab.add_qp(r, Transport::Rc, 0);
+                let coll = CollectiveId(plan.coll_id().0 + 1);
+                let (mtu, imm, n) = (plan.mtu(), plan.imm_layout(), plan.send_len());
+                RsApp::new(p, r, n, mtu, imm, coll, qp, *reduce)
+            });
+            slots.push(CommSlot {
+                ag: McastRankApp::new(Arc::clone(plan), r, layout, cutoffs[i]),
+                rs,
+            });
+        }
+        fab.set_app(r, Box::new(MultiCommApp::new(slots)));
+    }
+    (fab, cutoffs)
+}
+
+/// Every rank's slots after a [`build`] fabric ran, rank-major: entry
+/// `[r][i]` is communicator `i`'s endpoint(s) on rank `r`.
+pub fn take_slots(fab: &mut Fabric<ControlMsg>) -> Vec<Vec<CommSlot>> {
+    (0..fab.topology().num_hosts() as u32)
+        .map(|r| fab.take_app_as::<MultiCommApp>(Rank(r)).slots)
+        .collect()
 }
 
 /// One rank's view of several concurrently progressing communicators:
@@ -63,7 +137,7 @@ impl CommSlot {
 /// by token namespace (slot `i` owns tokens `[i·TOKEN_STRIDE,
 /// (i+1)·TOKEN_STRIDE)`; within a pair slot, `token % TOKEN_STRIDE ==
 /// RS_TX_TOKEN` is the Reduce-Scatter's drain and every timer is the
-/// Allgather's).
+/// Allgather's). It marks the rank done once every slot has released.
 pub struct MultiCommApp {
     slots: Vec<CommSlot>,
     /// `qp_owner[qp]` = slot owning that rank-local QP.
@@ -73,9 +147,8 @@ pub struct MultiCommApp {
 
 impl MultiCommApp {
     /// Compose `slots`: slot `i` gets token base `i·TOKEN_STRIDE` and
-    /// auto-mark-done off (the mux marks the rank done once every slot
-    /// has released), and owns the QPs its endpoints were built on.
-    pub fn new(mut slots: Vec<CommSlot>) -> MultiCommApp {
+    /// owns the QPs its endpoints were built on.
+    pub(crate) fn new(mut slots: Vec<CommSlot>) -> MultiCommApp {
         assert!(!slots.is_empty());
         let mut qp_owner = Vec::new();
         let mut own = |qp: QpNum, slot: usize| {
@@ -87,11 +160,9 @@ impl MultiCommApp {
         };
         for (i, slot) in slots.iter_mut().enumerate() {
             let base = i as u64 * TOKEN_STRIDE;
-            let (ag, rs) = slot.parts();
-            ag.set_auto_mark_done(false);
-            ag.set_token_base(base);
-            ag.qps().for_each(|qp| own(qp, i));
-            if let Some(rs) = rs {
+            slot.ag.set_token_base(base);
+            slot.ag.qps().for_each(|qp| own(qp, i));
+            if let Some(rs) = &mut slot.rs {
                 rs.set_auto_mark_done(false);
                 rs.set_token_base(base);
                 own(rs.qp(), i);
@@ -110,46 +181,40 @@ impl MultiCommApp {
             ctx.mark_done();
         }
     }
-
-    /// Decompose into the per-communicator endpoints (harvest path):
-    /// entry `i` is slot `i`'s endpoint(s) on this rank.
-    pub fn into_slots(self) -> Vec<CommSlot> {
-        self.slots
-    }
 }
 
 impl RankApp<ControlMsg> for MultiCommApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
         for slot in &mut self.slots {
-            let (ag, rs) = slot.parts();
-            ag.on_start(ctx);
-            if let Some(rs) = rs {
+            slot.ag.on_start(ctx);
+            if let Some(rs) = &mut slot.rs {
                 rs.on_start(ctx);
             }
         }
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        let (ag, rs) = self.slots[self.qp_owner[cqe.qp.0 as usize]].parts();
-        match rs {
+        let slot = &mut self.slots[self.qp_owner[cqe.qp.0 as usize]];
+        match &mut slot.rs {
             Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
-            _ => ag.on_cqe(ctx, cqe, payload),
+            _ => slot.ag.on_cqe(ctx, cqe, payload),
         }
         self.maybe_mark(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
         // The Reduce-Scatter arms no timers.
-        let (ag, _) = self.slots[(token / TOKEN_STRIDE) as usize].parts();
-        ag.on_timer(ctx, token);
+        self.slots[(token / TOKEN_STRIDE) as usize]
+            .ag
+            .on_timer(ctx, token);
         self.maybe_mark(ctx);
     }
 
     fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        let (ag, rs) = self.slots[(token / TOKEN_STRIDE) as usize].parts();
-        match rs {
+        let slot = &mut self.slots[(token / TOKEN_STRIDE) as usize];
+        match &mut slot.rs {
             Some(rs) if token % TOKEN_STRIDE == RS_TX_TOKEN => rs.on_tx_drained(ctx, token),
-            _ => ag.on_tx_drained(ctx, token),
+            _ => slot.ag.on_tx_drained(ctx, token),
         }
         self.maybe_mark(ctx);
     }
@@ -199,70 +264,29 @@ pub fn run_concurrent_allgathers(
 ) -> MultiCommOutcome {
     assert!(k >= 1);
     let p = topo.num_hosts() as u32;
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg.clone());
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let n_workers = fabric_cfg.host.rx_workers.max(1);
-
-    // Per-communicator plans and groups.
-    let mut plans = Vec::with_capacity(k);
-    let mut groups_per_comm = Vec::with_capacity(k);
-    for c in 0..k {
-        let plan = Arc::new(CollectivePlan::new(
-            CollectiveKind::Allgather,
-            p,
-            send_len,
-            proto.mtu,
-            proto.imm,
-            CollectiveId(c as u32 + 1),
-            proto.subgroups,
-            proto.chains,
-        ));
-        let groups: Vec<_> = (0..plan.num_subgroups())
-            .map(|_| fab.create_group(&members))
-            .collect();
-        plans.push(plan);
-        groups_per_comm.push(groups);
-    }
-
+    let comms: Vec<Comm> = (0..k as u32)
+        .map(|c| Comm {
+            plan: Arc::new(CollectivePlan::new(
+                CollectiveKind::Allgather,
+                p,
+                send_len,
+                proto.mtu,
+                proto.imm,
+                CollectiveId(c + 1),
+                proto.subgroups,
+                proto.chains,
+            )),
+            rs_in_switch: None,
+        })
+        .collect();
     // k communicators share the link: give the cutoff k× the headroom.
-    let cutoff = crate::des::cutoff_ns(fab.topology(), &plans[0], &proto, k as u64 + 1);
-
-    for &r in &members {
-        let mut slots = Vec::with_capacity(k);
-        for c in 0..k {
-            let ctrl = fab.add_qp(r, Transport::Rc, 0);
-            let mut subgroup_qps = Vec::new();
-            for (j, &g) in groups_per_comm[c].iter().enumerate() {
-                // Communicators round-robin over the RX workers
-                // (Section V-C's thread mapping).
-                let qp = fab.add_qp(r, Transport::Ud, (c + j) % n_workers);
-                fab.attach(r, qp, g);
-                subgroup_qps.push(qp);
-            }
-            slots.push(CommSlot::Coll(McastRankApp::new(
-                Arc::clone(&plans[c]),
-                r,
-                QpLayout {
-                    ctrl,
-                    subgroup_qps,
-                    groups: groups_per_comm[c].clone(),
-                },
-                cutoff,
-            )));
-        }
-        fab.set_app(r, Box::new(MultiCommApp::new(slots)));
-    }
-
+    let (mut fab, _) = build(topo, fabric_cfg, &proto, &comms, k as u64 + 1);
     let stats = fab.run();
     let traffic = fab.traffic();
     let mut per_comm = vec![vec![RankTiming::default(); p as usize]; k];
-    for &r in &members {
-        let slots = fab.take_app_as::<MultiCommApp>(r).into_slots();
-        for (c, slot) in slots.into_iter().enumerate() {
-            let CommSlot::Coll(app) = slot else {
-                unreachable!("every communicator is an Allgather")
-            };
-            per_comm[c][r.idx()] = app.timing();
+    for (r, slots) in take_slots(&mut fab).iter().enumerate() {
+        for (c, slot) in slots.iter().enumerate() {
+            per_comm[c][r] = slot.ag.timing();
         }
     }
     MultiCommOutcome {
@@ -382,57 +406,29 @@ mod tests {
         fabric_cfg: FabricConfig,
         n: usize,
     ) -> (RunStats, u64, Vec<Vec<CommSlot>>) {
-        use crate::concurrent::RsApp;
         let proto = ProtocolConfig::default();
         let p = topo.num_hosts() as u32;
-        let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
-        let members: Vec<Rank> = (0..p).map(Rank).collect();
-        // (Allgather collective id, Reduce-Scatter placement) per slot.
-        let spec = [(1, None), (3, Some(true)), (5, Some(false))];
-        let plans: Vec<_> = spec
-            .iter()
-            .map(|&(coll, _)| {
-                let kind = CollectiveKind::Allgather;
-                let (mtu, imm) = (proto.mtu, proto.imm);
-                let plan = CollectivePlan::new(kind, p, n, mtu, imm, CollectiveId(coll), 1, 1);
-                Arc::new(plan)
+        let (kind, mtu, imm) = (CollectiveKind::Allgather, proto.mtu, proto.imm);
+        let comms: Vec<Comm> = [(1, None), (3, Some(true)), (5, Some(false))]
+            .into_iter()
+            .map(|(coll, rs_in_switch)| Comm {
+                plan: Arc::new(CollectivePlan::new(
+                    kind,
+                    p,
+                    n,
+                    mtu,
+                    imm,
+                    CollectiveId(coll),
+                    1,
+                    1,
+                )),
+                rs_in_switch,
             })
             .collect();
-        let ag_groups: Vec<_> = plans.iter().map(|_| fab.create_group(&members)).collect();
-        let rs_group = fab.create_group(&members);
-        let cutoff = crate::des::cutoff_ns(fab.topology(), &plans[0], &proto, 4);
-        for &r in &members {
-            let mut slots = Vec::new();
-            for ((&(coll, placement), plan), &g) in spec.iter().zip(&plans).zip(&ag_groups) {
-                let ctrl = fab.add_qp(r, Transport::Rc, 0);
-                let qp = fab.add_qp(r, Transport::Ud, 0);
-                fab.attach(r, qp, g);
-                let layout = QpLayout {
-                    ctrl,
-                    subgroup_qps: vec![qp],
-                    groups: vec![g],
-                };
-                let ag = McastRankApp::new(Arc::clone(plan), r, layout, cutoff);
-                slots.push(match placement {
-                    None => CommSlot::Coll(ag),
-                    Some(in_switch) => {
-                        let rs_qp = fab.add_qp(r, Transport::Rc, 0);
-                        let (mtu, imm, rs_coll) = (proto.mtu, proto.imm, CollectiveId(coll + 1));
-                        let group = in_switch.then_some(rs_group);
-                        let rs = RsApp::new(p, r, n, mtu, imm, rs_coll, rs_qp, group);
-                        CommSlot::AgRs { ag, rs }
-                    }
-                });
-            }
-            fab.set_app(r, Box::new(MultiCommApp::new(slots)));
-        }
+        let (mut fab, _) = build(topo, fabric_cfg, &proto, &comms, 4);
         let stats = fab.run();
         let bytes = fab.traffic().total_data_bytes();
-        let slots = members
-            .iter()
-            .map(|&r| fab.take_app_as::<MultiCommApp>(r).into_slots())
-            .collect();
-        (stats, bytes, slots)
+        (stats, bytes, take_slots(&mut fab))
     }
 
     #[test]
@@ -454,13 +450,8 @@ mod tests {
             let (stats, bytes, ranks) = run_mixed_slots(topo.clone(), cfg.clone(), n);
             assert!(stats.all_done(), "{stats:?}");
             for slot in ranks.iter().flatten() {
-                match slot {
-                    CommSlot::Coll(ag) => assert!(ag.timing().t_done.is_some()),
-                    CommSlot::AgRs { ag, rs } => {
-                        assert!(ag.timing().t_done.is_some());
-                        assert!(rs.times().is_some());
-                    }
-                }
+                assert!(slot.ag.timing().t_done.is_some());
+                assert!(slot.rs.as_ref().is_none_or(|rs| rs.times().is_some()));
             }
             let alone = [
                 run_concurrent_allgathers(topo.clone(), cfg.clone(), proto, n, 1).traffic,

@@ -102,10 +102,11 @@ impl RankTiming {
     }
 }
 
-/// QP layout shared by every rank (SPMD): QP 0 is the reliable control
-/// ring; QPs `1..=S` are the UD multicast subgroup QPs.
+/// One endpoint's QPs, the same on every rank (SPMD): the reliable
+/// control ring and one UD multicast QP per subgroup, laid out by
+/// [`crate::multicomm::build`].
 #[derive(Debug, Clone)]
-pub struct QpLayout {
+pub(crate) struct QpLayout {
     /// Reliable (RC) control QP.
     pub ctrl: QpNum,
     /// One UD QP per multicast subgroup.
@@ -134,10 +135,6 @@ pub struct McastRankApp {
     final_received: bool,
     released: bool,
 
-    /// If true (default), call `mark_done` on release; composite apps
-    /// running several protocols on one rank turn this off and mark done
-    /// themselves when every sub-protocol has finished.
-    auto_mark_done: bool,
     /// Offset added to all timer/drain tokens so that several protocol
     /// instances (communicators) on one rank never collide.
     token_base: u64,
@@ -156,7 +153,12 @@ impl McastRankApp {
     /// timeout (`expected_bytes / B_link + α`, precomputed by the
     /// driver). Final timings are read back with [`McastRankApp::timing`]
     /// once the run completes.
-    pub fn new(plan: Arc<CollectivePlan>, me: Rank, qps: QpLayout, cutoff_ns: u64) -> McastRankApp {
+    pub(crate) fn new(
+        plan: Arc<CollectivePlan>,
+        me: Rank,
+        qps: QpLayout,
+        cutoff_ns: u64,
+    ) -> McastRankApp {
         let p = plan.num_ranks();
         let mut bitmap = ChunkBitmap::new(plan.total_chunks() as usize);
         // The local block is already in place (zero-copy: the send buffer
@@ -180,19 +182,12 @@ impl McastRankApp {
             final_sent: false,
             final_received: false,
             released: false,
-            auto_mark_done: true,
             token_base: 0,
             pending_drains: 0,
             outstanding_reads: HashMap::new(),
             next_tag: 1,
             pending_serve: Vec::new(),
         }
-    }
-
-    /// Disable the automatic `mark_done` on release
-    /// ([`crate::MultiCommApp`] marks for its slots).
-    pub(crate) fn set_auto_mark_done(&mut self, auto: bool) {
-        self.auto_mark_done = auto;
     }
 
     /// Namespace this instance's timer/drain tokens (communicator index
@@ -433,9 +428,6 @@ impl McastRankApp {
         }
         self.released = true;
         self.timing.t_done = Some(ctx.now());
-        if self.auto_mark_done {
-            ctx.mark_done();
-        }
     }
 
     fn start_recovery(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {

@@ -16,6 +16,7 @@ use super::sim::BatchSim;
 use super::Runtime;
 use crate::job::{JobKind, PendingJob};
 use crate::pool::{AcquireOutcome, GroupKey};
+use mcag_core::multicomm::Comm;
 use mcag_core::{CollectiveKind, CollectivePlan};
 use mcag_verbs::CollectiveId;
 use std::sync::Arc;
@@ -123,7 +124,7 @@ impl Runtime {
             fabric.host = *host;
             fabric.inc_table_capacity = *inc_cap;
         }
-        let plans = picked
+        let comms = picked
             .iter()
             .enumerate()
             .map(|(i, job)| {
@@ -131,7 +132,7 @@ impl Runtime {
                     JobKind::Broadcast { root } => CollectiveKind::Broadcast { root },
                     JobKind::Allgather | JobKind::AgRs => CollectiveKind::Allgather,
                 };
-                Arc::new(CollectivePlan::new(
+                let plan = Arc::new(CollectivePlan::new(
                     kind,
                     p,
                     job.spec.send_len,
@@ -140,19 +141,16 @@ impl Runtime {
                     CollectiveId(2 * i as u32 + 1),
                     proto.subgroups,
                     proto.chains,
-                ))
+                ));
+                let rs_in_switch = matches!(job.spec.kind, JobKind::AgRs).then_some(true);
+                Comm { plan, rs_in_switch }
             })
-            .collect();
-        let with_rs = picked
-            .iter()
-            .map(|job| matches!(job.spec.kind, JobKind::AgRs))
             .collect();
         let sim = BatchSim {
             topo: Arc::clone(&self.topo),
             fabric,
             proto,
-            plans,
-            with_rs,
+            comms,
             watchdog_cutoffs: self.cfg.watchdog_cutoffs,
             sm_check_cutoffs: self.cfg.reactive.map(|r| r.sm_check_cutoffs),
         };

@@ -97,7 +97,7 @@ impl Runtime {
             let delivered = if censored {
                 0
             } else {
-                delivered_bytes(job.spec.kind, &sim.plans[i])
+                delivered_bytes(job.spec.kind, &sim.comms[i].plan)
             };
             let (group_hits, group_builds, group_rebuilds) = per_job_groups[i];
             let rec = JobRecord {

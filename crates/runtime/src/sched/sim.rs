@@ -22,12 +22,11 @@
 //! that run; `Runtime::take_trace` merges the committed runs.
 
 use crate::job::JobKind;
-use mcag_core::protocol::QpLayout;
-use mcag_core::ProtocolConfig;
-use mcag_core::{des, CollectivePlan, CommSlot, ControlMsg, McastRankApp, MultiCommApp, RsApp};
-use mcag_simnet::{Fabric, FabricConfig, SimTime, Topology};
+use mcag_core::multicomm::{self, Comm};
+use mcag_core::{CollectivePlan, ProtocolConfig};
+use mcag_simnet::{FabricConfig, SimTime, Topology};
 use mcag_trace::TraceRun;
-use mcag_verbs::{CollectiveId, McastGroupId, Rank, Transport};
+use mcag_verbs::Rank;
 use std::sync::Arc;
 
 /// Self-contained description of one batch's fabric simulation. `Send`,
@@ -37,11 +36,10 @@ pub(super) struct BatchSim {
     pub(super) topo: Arc<Topology>,
     pub(super) fabric: FabricConfig,
     pub(super) proto: ProtocolConfig,
-    /// One collective plan per batch slot (collective id `2i + 1`).
-    pub(super) plans: Vec<Arc<CollectivePlan>>,
-    /// Whether slot `i` also runs the in-network Reduce-Scatter half
-    /// (collective id `2i + 2`).
-    pub(super) with_rs: Vec<bool>,
+    /// One communicator per batch slot: the job's collective
+    /// (collective id `2i + 1`) and, for an AG+RS job, the in-network
+    /// Reduce-Scatter half (collective id `2i + 2`).
+    pub(super) comms: Vec<Comm>,
     /// Recovery cutoff, in multiples of the batch's summed per-job
     /// cutoffs: a batch still running past this is censored, not
     /// panicked ([`RuntimeConfig::watchdog_cutoffs`]).
@@ -95,79 +93,16 @@ pub(super) struct BatchOutcome {
 /// of the [`BatchSim`] — no runtime state — so any number of batches can
 /// execute concurrently without perturbing each other's results.
 pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
-    let p = sim.topo.num_hosts() as u32;
-    let n_workers = sim.fabric.host.rx_workers.max(1);
-    let mut fab: Fabric<ControlMsg> = Fabric::new(Arc::clone(&sim.topo), sim.fabric.clone());
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let headroom = sim.plans.len() as u64 + 1;
-
-    // Per-slot fabric groups and cutoffs.
-    struct Slot {
-        groups: Vec<McastGroupId>,
-        rs_group: Option<McastGroupId>,
-        cutoff: u64,
-    }
-    let slots: Vec<Slot> = sim
-        .plans
-        .iter()
-        .zip(&sim.with_rs)
-        .map(|(plan, &with_rs)| {
-            let groups: Vec<McastGroupId> = (0..plan.num_subgroups())
-                .map(|_| fab.create_group(&members))
-                .collect();
-            let rs_group = with_rs.then(|| fab.create_group(&members));
-            let cutoff = des::cutoff_ns(fab.topology(), plan, &sim.proto, headroom);
-            Slot {
-                groups,
-                rs_group,
-                cutoff,
-            }
-        })
-        .collect();
-
-    // SPMD app wiring: every rank hosts one slot per job in a
-    // `MultiCommApp`, which routes by QP ownership and token namespace.
-    for &r in &members {
-        let mut apps = Vec::with_capacity(slots.len());
-        for (i, (plan, slot)) in sim.plans.iter().zip(&slots).enumerate() {
-            let ctrl = fab.add_qp(r, Transport::Rc, 0);
-            let mut subgroup_qps = Vec::with_capacity(slot.groups.len());
-            for (j, &g) in slot.groups.iter().enumerate() {
-                let qp = fab.add_qp(r, Transport::Ud, (i + j) % n_workers);
-                fab.attach(r, qp, g);
-                subgroup_qps.push(qp);
-            }
-            let ag = McastRankApp::new(
-                Arc::clone(plan),
-                r,
-                QpLayout {
-                    ctrl,
-                    subgroup_qps,
-                    groups: slot.groups.clone(),
-                },
-                slot.cutoff,
-            );
-            let app = match slot.rs_group {
-                Some(rsg) => {
-                    let rs_qp = fab.add_qp(r, Transport::Rc, 0);
-                    let rs = RsApp::new(
-                        p,
-                        r,
-                        plan.send_len(),
-                        sim.proto.mtu,
-                        sim.proto.imm,
-                        CollectiveId(2 * i as u32 + 2),
-                        rs_qp,
-                        Some(rsg),
-                    );
-                    CommSlot::AgRs { ag, rs }
-                }
-                None => CommSlot::Coll(ag),
-            };
-            apps.push(app);
-        }
-        fab.set_app(r, Box::new(MultiCommApp::new(apps)));
-    }
+    // Every rank hosts one slot per job in a `MultiCommApp`, which
+    // routes by QP ownership and token namespace.
+    let headroom = sim.comms.len() as u64 + 1;
+    let (mut fab, cutoffs) = multicomm::build(
+        Arc::clone(&sim.topo),
+        sim.fabric.clone(),
+        &sim.proto,
+        &sim.comms,
+        headroom,
+    );
 
     // Batch watchdog: every job's cutoff already upper-bounds its drain
     // (headroom includes the batch size), so a batch still running
@@ -177,7 +112,7 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // the deadline and the batch is *censored*: reported with the
     // cutoff as its end time, never panicked, so the scheduler above
     // can retry or record the loss.
-    let total_cutoff: u64 = slots.iter().map(|s| s.cutoff).sum();
+    let total_cutoff: u64 = cutoffs.iter().sum();
     let watchdog = SimTime::from_ns(total_cutoff.saturating_mul(sim.watchdog_cutoffs.max(1)));
     let mut sm_rebuilds = 0u32;
     let stats = match sim.sm_check_cutoffs {
@@ -215,24 +150,17 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // Harvest the owned per-app sinks: per slot, the last rank's AG
     // release and RS delivery. A slot where any rank never finished is
     // censored at the watchdog instant.
-    let mut slot_done_ns = vec![0u64; slots.len()];
-    let mut slot_timed_out = vec![false; slots.len()];
-    for &r in &members {
-        let rank_slots = fab.take_app_as::<MultiCommApp>(r).into_slots();
-        for (i, slot_app) in rank_slots.into_iter().enumerate() {
-            let done = match slot_app {
-                CommSlot::Coll(ag) => ag.timing().t_done.map(SimTime::as_ns),
-                CommSlot::AgRs { ag, rs } => {
-                    let ag_done = ag.timing().t_done.map(SimTime::as_ns);
-                    let rs_done = rs.times().map(|(_, end)| end.as_ns());
-                    match (ag_done, rs_done) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        _ => None,
-                    }
-                }
+    let mut slot_done_ns = vec![0u64; sim.comms.len()];
+    let mut slot_timed_out = vec![false; sim.comms.len()];
+    for rank_slots in multicomm::take_slots(&mut fab) {
+        for (i, slot) in rank_slots.iter().enumerate() {
+            let ag_done = slot.ag.timing().t_done;
+            let done = match &slot.rs {
+                None => ag_done,
+                Some(rs) => ag_done.zip(rs.times()).map(|(ag, (_, rs))| ag.max(rs)),
             };
             match done {
-                Some(t) => slot_done_ns[i] = slot_done_ns[i].max(t),
+                Some(t) => slot_done_ns[i] = slot_done_ns[i].max(t.as_ns()),
                 None => slot_timed_out[i] = true,
             }
         }
