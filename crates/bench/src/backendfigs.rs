@@ -47,7 +47,7 @@ pub const DATAPATH_CHUNKS: u64 = 40_000;
 
 /// The collectives the study sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepCollective {
+enum SweepCollective {
     /// One root's buffer to every rank (multicast protocol).
     Broadcast,
     /// Every rank's buffer to every rank (multicast protocol).
@@ -87,7 +87,7 @@ impl SweepCollective {
 
 /// The fabric scales the study sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepScale {
+enum SweepScale {
     /// 16 ranks on one switch, ConnectX-3 56G (the small testbed shape).
     Star16,
     /// 128 ranks, two-level leaf/spine at NDR 400G.
@@ -144,7 +144,7 @@ impl SweepScale {
 
 /// One simulation of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct BackendCell {
+struct BackendCell {
     /// Which compute device the receive path runs on.
     pub backend: BackendKind,
     /// Which collective.
@@ -177,7 +177,7 @@ pub struct CellDigest {
 /// Run one cell to its digest: compile the backend into the fabric's
 /// endpoint cost model (and aggregation-table bound, if in-switch),
 /// then run the collective end to end.
-pub fn run_cell(cell: &BackendCell) -> CellDigest {
+fn run_cell(cell: &BackendCell) -> CellDigest {
     let topo = cell.scale.topology();
     let p = topo.num_hosts() as u32;
     let n = cell.send_len;
@@ -230,7 +230,7 @@ pub fn run_cell(cell: &BackendCell) -> CellDigest {
 
 /// The smoke or full sweep grid, backend-major then collective then
 /// scale (the table's row order). Smoke skips the 512-rank fabric.
-pub fn sweep_cells(smoke: bool) -> Vec<BackendCell> {
+fn sweep_cells(smoke: bool) -> Vec<BackendCell> {
     let scales: &[SweepScale] = if smoke {
         &[SweepScale::Star16, SweepScale::FatTree128]
     } else {

@@ -10,7 +10,7 @@
 //! watchdog deadline and counted separately.
 //!
 //! The sweep runs twice, at `jobs = 1` and `jobs = 4`, through
-//! [`study::sweep`] (largest-first claim order by [`job_weight`]: the
+//! [`study::sweep`] (largest-first claim order by `job_weight`: the
 //! expensive high-headroom / switch-failure seeds overlap the cheap
 //! bulk), which **asserts the two passes' digests byte-identical** — the
 //! tail table doubles as a determinism check of the whole fault stack.
@@ -37,7 +37,7 @@ pub const SWEEP_WATCHDOG_CUTOFFS: u64 = 64;
 
 /// The three failure processes the sweep compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// Bandwidth asymmetry: a fraction of directed links at 1/4 rate.
     Degraded,
     /// Port up/down duty cycling on a fraction of cables.
@@ -67,7 +67,7 @@ impl FaultKind {
 /// One simulation of the sweep: a grid cell plus the seed that draws
 /// its victims.
 #[derive(Debug, Clone, Copy)]
-pub struct FaultJob {
+struct FaultJob {
     /// Failure process under test.
     pub kind: FaultKind,
     /// Failure rate (fraction of links/ports; switch count via ceil).
@@ -81,7 +81,7 @@ pub struct FaultJob {
 /// Everything about one run that must be identical across worker
 /// counts (wall clock deliberately excluded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultDigest {
+struct FaultDigest {
     /// Completion time, censored at the watchdog deadline on timeout.
     pub completion_ns: u64,
     /// Whether the watchdog tripped.
@@ -99,7 +99,7 @@ pub struct FaultDigest {
 /// The fault timeline for one job. Windows are sized against the
 /// healthy completion time of the sweep collective (~100 µs), so every
 /// model disturbs the datapath phase and recovers within the watchdog.
-pub fn sweep_plan(job: &FaultJob, topo: &Topology) -> FaultPlan {
+fn sweep_plan(job: &FaultJob, topo: &Topology) -> FaultPlan {
     let plan = FaultPlan::new(job.seed);
     match job.kind {
         FaultKind::Degraded => plan.with(FaultModel::DegradedLink {
@@ -141,7 +141,7 @@ fn sweep_send_len(smoke: bool) -> usize {
 }
 
 /// Run one sweep job of the smoke or full grid to its digest.
-pub fn run_job(smoke: bool, job: &FaultJob) -> FaultDigest {
+fn run_job(smoke: bool, job: &FaultJob) -> FaultDigest {
     let topo = sweep_topology(smoke);
     let mut cfg = FabricConfig::ucc_default();
     cfg.faults = sweep_plan(job, &topo).compile(&topo);
@@ -174,7 +174,7 @@ pub fn run_job(smoke: bool, job: &FaultJob) -> FaultDigest {
 /// Claim-order weight: a deterministic cost proxy (disruptive models
 /// and high headroom burn more simulated time), so the sweep
 /// front-loads the likely-expensive seeds.
-pub fn job_weight(job: &FaultJob) -> u64 {
+fn job_weight(job: &FaultJob) -> u64 {
     let model = match job.kind {
         FaultKind::Degraded => 1,
         FaultKind::Flapping => 2,
@@ -184,7 +184,7 @@ pub fn job_weight(job: &FaultJob) -> u64 {
 }
 
 /// The smoke or full sweep grid, in cell-major order (seeds innermost).
-pub fn sweep_jobs(smoke: bool) -> Vec<FaultJob> {
+fn sweep_jobs(smoke: bool) -> Vec<FaultJob> {
     let (rates, cutoffs, seeds): (&[f64], &[u64], u64) = if smoke {
         (&[0.20], &[1, 4], 24)
     } else {

@@ -2,9 +2,9 @@
 //!
 //! One generator per table/figure of the paper's evaluation section.
 //! Each returns a [`data::FigData`] (column headers + rows + notes) that
-//! the `figures` binary prints (and optionally dumps as CSV); the
-//! criterion benches under `benches/` wrap the same generators so
-//! `cargo bench` exercises every experiment.
+//! the `figures` binary prints (and optionally dumps as CSV).
+//! `tests/figures_smoke.rs` checks every table's shape. Wall-clock speed
+//! claims belong to the gated benchmark in `benchmark/`, not here.
 //!
 //! | id     | paper artifact                                              |
 //! |--------|-------------------------------------------------------------|

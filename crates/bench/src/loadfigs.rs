@@ -40,7 +40,7 @@ use mcag_verbs::LinkRate;
 /// The "1×" mean interarrival gap (ns) the knee sweep is anchored on,
 /// chosen so the sweep's ×0.25…×8 rate multipliers straddle the service
 /// capacity of the 4-rank / 2-partition reference cell.
-pub const BASE_INTERARRIVAL_NS: u64 = 40_000;
+const BASE_INTERARRIVAL_NS: u64 = 40_000;
 
 /// NCCL-style op/size mix every cell offers: AG-heavy with broadcast
 /// and fused AG+RS minorities over an 8–32 KiB power-of-two ladder.
@@ -55,7 +55,7 @@ const MIX: OpMix = OpMix {
 
 /// One open-loop scenario of the load grid.
 #[derive(Debug, Clone)]
-pub struct LoadCell {
+struct LoadCell {
     /// Row label (`knee_x2`, `scale_t1024`, …).
     pub label: String,
     /// Registered tenants (arrivals spread uniformly).
@@ -79,7 +79,7 @@ pub struct LoadCell {
 /// Everything about one cell's run that must be identical across worker
 /// counts — simulated-time integers only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadDigest {
+struct LoadDigest {
     /// Submission attempts (the offered load).
     pub offered: u64,
     /// Jobs admitted.
@@ -133,7 +133,7 @@ fn digest(report: &RuntimeReport) -> LoadDigest {
 
 /// Run one cell: build the runtime, generate and load the seeded
 /// arrival stream, drive the open-loop engine, digest the report.
-pub fn run_cell(cell: &LoadCell) -> LoadDigest {
+fn run_cell(cell: &LoadCell) -> LoadDigest {
     let cfg = RuntimeConfig {
         pool: PoolConfig::with_capacity(cell.capacity),
         admission: AdmissionPolicy {
@@ -181,7 +181,7 @@ pub fn run_cell(cell: &LoadCell) -> LoadDigest {
 }
 
 /// The smoke or full load grid, in row order.
-pub fn load_cells(smoke: bool) -> Vec<LoadCell> {
+fn load_cells(smoke: bool) -> Vec<LoadCell> {
     let full = !smoke;
     let target: u64 = if full { 400 } else { 100 };
     // The reference cell every row varies: 16 tenants, 32 pool slots, two

@@ -21,7 +21,7 @@ fn star(p: usize) -> Topology {
 
 /// Run `tenants` tenants (3 Allgathers each, 16–64 KiB) over a pool of
 /// `capacity` groups.
-pub fn run_scenario(tenants: usize, capacity: usize) -> RuntimeReport {
+fn run_scenario(tenants: usize, capacity: usize) -> RuntimeReport {
     let cfg = RuntimeConfig {
         pool: PoolConfig::with_capacity(capacity),
         max_inflight: capacity.min(8),

@@ -41,42 +41,27 @@ use std::time::Instant;
 ///
 /// The anchor is host-specific. To re-anchor on another machine, check
 /// out the pre-overhaul commit, time `des::run_collective` on the
-/// 188-node 256 KiB Allgather there, and export the result as
-/// `SIMCORE_PRE_OVERHAUL_EPS` when regenerating the baseline —
-/// [`pre_overhaul_anchor_eps`] prefers that override.
+/// 188-node 256 KiB Allgather there, and record the result here before
+/// regenerating the baseline.
 pub const PRE_OVERHAUL_AG188_EVENTS_PER_SEC: f64 = 6.9e6;
 
-/// The pre-overhaul anchor in effect: the `SIMCORE_PRE_OVERHAUL_EPS`
-/// environment override when set (a locally re-measured anchor),
-/// otherwise the recorded [`PRE_OVERHAUL_AG188_EVENTS_PER_SEC`].
-pub fn pre_overhaul_anchor_eps() -> f64 {
-    std::env::var("SIMCORE_PRE_OVERHAUL_EPS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(PRE_OVERHAUL_AG188_EVENTS_PER_SEC)
-}
-
 /// Outcome of one scenario on one engine.
-#[derive(Debug, Clone)]
-pub struct EngineRun {
-    /// Engine that produced this run.
-    pub backend: QueueBackend,
+struct EngineRun {
     /// Events the engine processed.
-    pub events: u64,
+    events: u64,
     /// Engine throughput in events per wall-clock second.
-    pub events_per_sec: f64,
+    events_per_sec: f64,
     /// Simulated completion time of the collective (0 for microbenches).
-    pub sim_ns: u64,
+    sim_ns: u64,
     /// Peak pending-event count of the queue.
-    pub peak_queue_depth: usize,
+    peak_queue_depth: usize,
 }
 
 /// The churn scenarios' delay mix, drawn from a random word: it mirrors
 /// a collective run — mostly NIC-serialization-scale delays (near
 /// wheel), some in the millisecond range (far wheel), a few cutoff-scale
 /// timers (overflow).
-pub fn churn_delay_ns(r: u64) -> u64 {
+fn churn_delay_ns(r: u64) -> u64 {
     match r % 100 {
         0..=84 => r % 4096,              // NIC/switch hop scale
         85..=97 => 4096 + r % (1 << 22), // cross-level cascades
@@ -86,7 +71,7 @@ pub fn churn_delay_ns(r: u64) -> u64 {
 
 /// Pure event-queue churn: hold a steady window of pending events and
 /// measure schedule+pop pairs per second under [`churn_delay_ns`].
-pub fn queue_churn_events_per_sec(backend: QueueBackend, ops: u64) -> f64 {
+fn queue_churn_events_per_sec(backend: QueueBackend, ops: u64) -> f64 {
     let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
@@ -109,9 +94,8 @@ pub fn queue_churn_events_per_sec(backend: QueueBackend, ops: u64) -> f64 {
 }
 
 /// One end-to-end multicast Allgather on `topo`, returning engine
-/// stats. Shared by the JSON generator and the `protocol_hotpath`
-/// criterion bench so both measure the identical scenario setup.
-pub fn allgather_run(topo: Topology, backend: QueueBackend, send_len: usize) -> EngineRun {
+/// stats.
+fn allgather_run(topo: Topology, backend: QueueBackend, send_len: usize) -> EngineRun {
     let mut cfg = FabricConfig::ucc_default();
     cfg.event_queue = backend;
     let proto = ProtocolConfig {
@@ -121,7 +105,6 @@ pub fn allgather_run(topo: Topology, backend: QueueBackend, send_len: usize) -> 
     let out = des::run_collective(topo, cfg, proto, CollectiveKind::Allgather, send_len);
     assert!(out.stats.all_done(), "simcore scenario did not complete");
     EngineRun {
-        backend,
         events: out.stats.events,
         events_per_sec: out.stats.events_per_sec(),
         sim_ns: out.completion_ns(),
@@ -160,7 +143,6 @@ pub fn simcore(smoke: bool) -> FigData {
     let mode = study::mode(smoke);
     // Microbenchmark: synthesize EngineRun records from the churn loop.
     let churn = |backend| EngineRun {
-        backend,
         events: micro_ops,
         events_per_sec: queue_churn_events_per_sec(backend, micro_ops),
         sim_ns: 0,
@@ -180,7 +162,7 @@ pub fn simcore(smoke: bool) -> FigData {
             name: "allgather_188",
             wheel: ag188(QueueBackend::Wheel),
             heap: Some(ag188(QueueBackend::Heap)),
-            pre_overhaul: (!smoke).then(pre_overhaul_anchor_eps),
+            pre_overhaul: (!smoke).then_some(PRE_OVERHAUL_AG188_EVENTS_PER_SEC),
         },
         // 512-node fat-tree: wheel only — the heap baseline is recorded
         // at 188 nodes.
@@ -300,8 +282,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_wellformed_enough() {
-        let run = |backend, events_per_sec| EngineRun {
-            backend,
+        let run = |events_per_sec| EngineRun {
             events: 10,
             events_per_sec,
             sim_ns: 1,
@@ -309,8 +290,8 @@ mod tests {
         };
         let sc = Scenario {
             name: "x",
-            wheel: run(QueueBackend::Wheel, 5.0),
-            heap: Some(run(QueueBackend::Heap, 2.5)),
+            wheel: run(5.0),
+            heap: Some(run(2.5)),
             pre_overhaul: Some(1.0),
         };
         let j = baseline_doc("test", &[sc]).render();

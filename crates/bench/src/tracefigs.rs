@@ -34,7 +34,7 @@ use mcag_trace::{export_chrome, validate_json, ChromeOptions, LinkTimeline, Trac
 use mcag_verbs::LinkRate;
 
 /// Timeline bucketing used by every cell (64 µs of simulated time).
-pub const TIMELINE_WINDOW_NS: u64 = 65_536;
+const TIMELINE_WINDOW_NS: u64 = 65_536;
 
 /// Events/sec of the engine on the full-mode `allgather_188` scenario at
 /// the commit *before* the trace instrumentation landed — best of three

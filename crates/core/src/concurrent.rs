@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// RS_TX_TOKEN` to the Reduce-Scatter).
 /// Distinct from [`crate::protocol::McastRankApp`]'s cutoff timer (1) and
 /// TX-drain tokens (≥ 16) so the two can share a token namespace.
-pub const RS_TX_TOKEN: u64 = 5;
+pub(crate) const RS_TX_TOKEN: u64 = 5;
 
 /// Reduce-Scatter endpoint: contributes every foreign shard — `N(P−1)`
 /// bytes, eq. 2's RS send volume, one message per shard — and waits for
@@ -77,7 +77,7 @@ impl RsApp {
     /// contributions target the owner's twin QP. The `(start, end)`
     /// completion record is read back with [`RsApp::times`] after the run.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         p: u32,
         me: Rank,
         shard_len: usize,

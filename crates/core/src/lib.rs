@@ -66,7 +66,7 @@ pub mod staging;
 
 pub use bitmap::ChunkBitmap;
 pub use concurrent::{
-    run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_reduce_scatter, RsApp, RS_TX_TOKEN,
+    run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_reduce_scatter, RsApp,
 };
 pub use config::ProtocolConfig;
 pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};

@@ -2,9 +2,9 @@
 //!
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: queue pairs and their three transport service models
-//! (UD / UC / RC), work requests and completions, MTU-sized datagram
-//! chunking with packet sequence numbers (PSNs) carried in the 32-bit
-//! immediate-data field, and multicast group identifiers.
+//! (UD / UC / RC), completions, MTUs, packet sequence numbers (PSNs)
+//! carried in the 32-bit immediate-data field, and multicast group
+//! identifiers.
 //!
 //! The paper (Khalilov et al., SC'24) builds its Broadcast/Allgather stack
 //! directly on IB Verbs semantics; reproducing those semantics faithfully —
@@ -15,11 +15,10 @@
 //! the threaded in-memory fabric (`mcag-memfabric`).
 //!
 //! Nothing in this crate performs I/O or simulation; it is a pure data
-//! model plus the PSN/immediate encoding and buffer-fragmentation math.
+//! model plus the PSN/immediate encoding and MTU chunk arithmetic.
 
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod imm;
 pub mod mtu;
 pub mod transport;
@@ -27,12 +26,9 @@ pub mod types;
 pub mod wire;
 pub mod wqe;
 
-pub use chunk::{ChunkIter, Chunker};
 pub use imm::{ImmData, ImmLayout};
 pub use mtu::Mtu;
-pub use transport::{Transport, TransportCaps};
-pub use types::{
-    CollectiveId, CqNum, LinkRate, McastGroupId, QpNum, Rank, WorkerId, DEFAULT_MTU_BYTES,
-};
-pub use wire::{PacketHeader, PacketKind};
-pub use wqe::{CompletionStatus, Cqe, CqeOpcode, WorkRequest};
+pub use transport::Transport;
+pub use types::{CollectiveId, LinkRate, McastGroupId, QpNum, Rank};
+pub use wire::PacketKind;
+pub use wqe::{CompletionStatus, Cqe, CqeOpcode};

@@ -1,4 +1,4 @@
-//! The three IB transport service models and their capability matrix.
+//! The three IB transport service models.
 //!
 //! Figure 4 of the paper lays out the trade-off space: UD is the only
 //! transport with standardized multicast but is datagram-granular and
@@ -21,102 +21,4 @@ pub enum Transport {
     /// Reliable Connection: hardware retransmission, one-sided RDMA
     /// Read/Write — the substrate for the slow-path fetch ring.
     Rc,
-}
-
-/// What a transport can and cannot do; used by fabrics to reject invalid
-/// work requests exactly as a real NIC would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransportCaps {
-    /// Delivery is guaranteed (hardware retransmission).
-    pub reliable: bool,
-    /// Send/receive targets may be multicast groups.
-    pub multicast: bool,
-    /// Messages may exceed the MTU (NIC segments them itself).
-    pub multi_packet_messages: bool,
-    /// One-sided RDMA Read is available.
-    pub rdma_read: bool,
-    /// One-sided RDMA Write is available.
-    pub rdma_write: bool,
-    /// Receiver must pre-post buffers (two-sided semantics present).
-    pub two_sided: bool,
-}
-
-impl Transport {
-    /// Capability matrix per the InfiniBand specification (plus the UC
-    /// multicast extension the paper proposes for next-gen hardware).
-    pub const fn caps(self) -> TransportCaps {
-        match self {
-            Transport::Ud => TransportCaps {
-                reliable: false,
-                multicast: true,
-                multi_packet_messages: false,
-                rdma_read: false,
-                rdma_write: false,
-                two_sided: true,
-            },
-            Transport::Uc => TransportCaps {
-                reliable: false,
-                multicast: true, // vendor extension studied by the paper
-                multi_packet_messages: true,
-                rdma_read: false,
-                rdma_write: true,
-                two_sided: true,
-            },
-            Transport::Rc => TransportCaps {
-                reliable: true,
-                multicast: false,
-                multi_packet_messages: true,
-                rdma_read: true,
-                rdma_write: true,
-                two_sided: true,
-            },
-        }
-    }
-
-    /// Short lowercase name, matching the paper's figure legends.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Transport::Ud => "ud",
-            Transport::Uc => "uc",
-            Transport::Rc => "rc",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ud_is_multicast_but_unreliable_and_datagram_only() {
-        let caps = Transport::Ud.caps();
-        assert!(caps.multicast);
-        assert!(!caps.reliable);
-        assert!(!caps.multi_packet_messages);
-        assert!(!caps.rdma_read && !caps.rdma_write);
-    }
-
-    #[test]
-    fn rc_is_reliable_one_sided_but_never_multicast() {
-        let caps = Transport::Rc.caps();
-        assert!(caps.reliable);
-        assert!(caps.rdma_read && caps.rdma_write);
-        assert!(!caps.multicast);
-    }
-
-    #[test]
-    fn uc_supports_multipacket_writes_and_extension_multicast() {
-        let caps = Transport::Uc.caps();
-        assert!(!caps.reliable);
-        assert!(caps.multi_packet_messages);
-        assert!(caps.rdma_write && !caps.rdma_read);
-        assert!(caps.multicast);
-    }
-
-    #[test]
-    fn names_match_figure_legends() {
-        assert_eq!(Transport::Ud.name(), "ud");
-        assert_eq!(Transport::Uc.name(), "uc");
-        assert_eq!(Transport::Rc.name(), "rc");
-    }
 }

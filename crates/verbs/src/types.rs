@@ -6,9 +6,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Default MTU used throughout the paper's evaluation: 4 KiB datagrams.
-pub const DEFAULT_MTU_BYTES: usize = 4096;
-
 /// A collective participant (one process; the paper runs 1 process per node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Rank(pub u32);
@@ -46,10 +43,6 @@ impl fmt::Display for Rank {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct QpNum(pub u32);
 
-/// Completion queue number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CqNum(pub u32);
-
 /// Hardware multicast group (maps to one multicast tree in the fabric).
 ///
 /// The Allgather protocol replicates groups into *subgroups* so that
@@ -62,10 +55,6 @@ pub struct McastGroupId(pub u32);
 /// of the CQE immediate value (footnote 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CollectiveId(pub u32);
-
-/// A datapath worker thread (CPU thread or DPA hardware thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct WorkerId(pub u32);
 
 /// Link rate expressed in bits per second, with convenience constructors
 /// matching the hardware generations in the paper.

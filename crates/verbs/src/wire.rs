@@ -1,11 +1,6 @@
-//! On-the-wire packet representation shared by the fabrics.
-//!
-//! The simulators move *descriptors* of payloads (offset + length into a
-//! registered buffer) rather than copying bytes for every hop; the
-//! threaded memfabric attaches real bytes. Both use the same header.
+//! Per-packet wire constants shared by the fabrics: the fixed header
+//! overhead and the traffic class that accounting splits bytes by.
 
-use crate::imm::ImmData;
-use crate::types::{McastGroupId, QpNum, Rank};
 use serde::{Deserialize, Serialize};
 
 /// IB/RoCE-ish per-packet header overhead in bytes (LRH+GRH+BTH+ICRC ≈ 58 B
@@ -26,70 +21,4 @@ pub enum PacketKind {
     /// Slow-path/control traffic: barrier, activation signal, handshake,
     /// fetch request/ACK.
     Control,
-}
-
-/// Destination of a packet at the fabric level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Destination {
-    /// A specific remote queue pair on a specific rank's NIC.
-    Unicast(Rank, QpNum),
-    /// All members of a multicast group (switch-replicated).
-    Multicast(McastGroupId),
-}
-
-/// Packet header; the payload travels alongside it as either a descriptor
-/// (DES fabric) or owned bytes (memfabric).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PacketHeader {
-    /// Sending rank.
-    pub src: Rank,
-    /// Sending queue pair.
-    pub src_qp: QpNum,
-    /// Fabric destination.
-    pub dst: Destination,
-    /// Traffic class.
-    pub kind: PacketKind,
-    /// Immediate data (collective id | PSN) if the operation carries it.
-    pub imm: Option<ImmData>,
-    /// Payload length in bytes (excluding header overhead).
-    pub payload_len: usize,
-}
-
-impl PacketHeader {
-    /// Total wire footprint: payload plus fixed header overhead.
-    #[inline]
-    pub fn wire_bytes(&self) -> usize {
-        self.payload_len + HEADER_BYTES
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_footprint_includes_header() {
-        let h = PacketHeader {
-            src: Rank(0),
-            src_qp: QpNum(1),
-            dst: Destination::Multicast(McastGroupId(0)),
-            kind: PacketKind::McastData,
-            imm: Some(ImmData(42)),
-            payload_len: 4096,
-        };
-        assert_eq!(h.wire_bytes(), 4096 + HEADER_BYTES);
-    }
-
-    #[test]
-    fn control_packets_can_be_empty() {
-        let h = PacketHeader {
-            src: Rank(3),
-            src_qp: QpNum(9),
-            dst: Destination::Unicast(Rank(4), QpNum(2)),
-            kind: PacketKind::Control,
-            imm: None,
-            payload_len: 0,
-        };
-        assert_eq!(h.wire_bytes(), HEADER_BYTES);
-    }
 }

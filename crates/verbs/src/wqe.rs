@@ -1,85 +1,12 @@
-//! Work requests and completions.
+//! Completions.
 //!
-//! These mirror the Verbs send/receive work-queue-element and
-//! completion-queue-entry structures closely enough that the DPA kernel
+//! These mirror the Verbs completion-queue-entry structure closely enough that the DPA kernel
 //! code in the paper's Appendix C maps one-to-one onto our simulated
 //! handlers (`flexio_dev_cqe_get_opcode`, `cqe_get_imm_data`, ...).
 
 use crate::imm::ImmData;
-use crate::types::{McastGroupId, QpNum, Rank};
-use crate::wire::PacketKind;
+use crate::types::{QpNum, Rank};
 use serde::{Deserialize, Serialize};
-
-/// A send-side or receive-side work request, posted to a QP.
-///
-/// Buffer references are `(offset, len)` into the memory region registered
-/// with the owning endpoint; fabrics resolve them to descriptors (DES) or
-/// byte slices (memfabric).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkRequest {
-    /// Two-sided send of one datagram to a multicast group (UD/UC fast path).
-    SendMcast {
-        /// Target multicast group (one multicast tree in the fabric).
-        group: McastGroupId,
-        /// Immediate data carrying `(collective id, PSN)`.
-        imm: ImmData,
-        /// Offset of the chunk inside the registered send buffer.
-        offset: usize,
-        /// Chunk length in bytes.
-        len: usize,
-    },
-    /// Two-sided unicast send.
-    Send {
-        /// Destination rank.
-        dst: Rank,
-        /// Destination queue pair.
-        dst_qp: QpNum,
-        /// Optional immediate data.
-        imm: Option<ImmData>,
-        /// Offset inside the registered send buffer.
-        offset: usize,
-        /// Length in bytes.
-        len: usize,
-        /// Traffic class for accounting.
-        kind: PacketKind,
-    },
-    /// One-sided RDMA Write (RC/UC).
-    RdmaWrite {
-        /// Destination rank.
-        dst: Rank,
-        /// Destination queue pair.
-        dst_qp: QpNum,
-        /// Offset in the remote registered region.
-        remote_offset: usize,
-        /// Offset in the local registered region.
-        local_offset: usize,
-        /// Length in bytes.
-        len: usize,
-        /// Optional immediate (generates a receive completion remotely).
-        imm: Option<ImmData>,
-    },
-    /// One-sided RDMA Read (RC only) — the selective-fetch primitive of the
-    /// slow-path reliability layer.
-    RdmaRead {
-        /// Rank owning the source buffer.
-        dst: Rank,
-        /// Remote queue pair.
-        dst_qp: QpNum,
-        /// Offset in the remote registered region to read from.
-        remote_offset: usize,
-        /// Offset in the local registered region to land data at.
-        local_offset: usize,
-        /// Length in bytes.
-        len: usize,
-    },
-    /// Pre-posted receive buffer slot (staging ring entry).
-    RecvPost {
-        /// Offset inside the registered receive/staging region.
-        offset: usize,
-        /// Capacity of the slot in bytes.
-        len: usize,
-    },
-}
 
 /// Completion opcode, matching the subset of `ibv_wc_opcode` /
 /// `flexio_dev_cqe_get_opcode` values the protocol dispatches on.

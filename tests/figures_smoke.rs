@@ -1,6 +1,8 @@
 //! Smoke tests for the figure harness: every generator must produce a
-//! well-formed table. (The heavy 188-node figures are `#[ignore]`d here
-//! and exercised by the `figures` binary / `cargo bench`.)
+//! well-formed table. The paper's headline figures (Fig. 10, 11 and 12,
+//! each a 188-node sweep) are `#[ignore]`d to keep debug-build `cargo
+//! test` short; CI runs them in release with
+//! `cargo test --release --test figures_smoke -- --ignored`.
 
 mod common;
 
@@ -147,19 +149,19 @@ fn recoveryfigs_smoke_shape() {
 }
 
 #[test]
-#[ignore = "full 188-node sweep (~20 s in release); run with --ignored"]
+#[ignore = "188-node breakdown sweep (~2 s in release); run with --ignored"]
 fn fig10_shape() {
     check(&generate("fig10"));
 }
 
 #[test]
-#[ignore = "full 188-node sweep (~30 s in release); run with --ignored"]
+#[ignore = "188-node throughput sweep (~7 s in release); run with --ignored"]
 fn fig11_shape() {
     check(&generate("fig11"));
 }
 
 #[test]
-#[ignore = "10-iteration counter sweep (~15 s in release); run with --ignored"]
+#[ignore = "10-iteration counter sweep (~4 s in release); run with --ignored"]
 fn fig12_shape() {
     let f = generate("fig12");
     check(&f);
