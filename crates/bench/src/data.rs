@@ -16,12 +16,6 @@ pub struct FigData {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes: calibration caveats, expected shapes.
     pub notes: Vec<String>,
-    /// Per-job wall times `(label, ms)` for sweep generators that
-    /// measure individual simulations (cost-skew analysis). The
-    /// `figures` binary appends these to `timings.csv` as
-    /// `<id>:<label>` rows; they never enter rendered tables or
-    /// determinism digests.
-    pub job_wall_ms: Vec<(String, f64)>,
     /// The machine-readable baseline of a study generator, which the
     /// `figures` binary writes next to the table it prints.
     pub baseline: Option<Baseline>,
@@ -46,14 +40,8 @@ impl FigData {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
-            job_wall_ms: Vec::new(),
             baseline: None,
         }
-    }
-
-    /// Record one job's wall time (see [`FigData::job_wall_ms`]).
-    pub fn job_timing(&mut self, label: impl Into<String>, wall_ms: f64) {
-        self.job_wall_ms.push((label.into(), wall_ms));
     }
 
     /// Append a row (must match the column count).
@@ -137,21 +125,6 @@ impl FigData {
     }
 }
 
-/// Header of the `timings.csv` the `figures` binary writes under
-/// `--csv`. Every row — per-generator summary and per-job detail alike —
-/// comes from [`timing_row`], so the file stays uniform.
-pub const TIMINGS_CSV_HEADER: &str = "figure,jobs,wall_ms";
-
-/// One `timings.csv` row: `<fig>,<jobs>,<wall_ms>` for a generator
-/// summary, `<fig>:<job>,<jobs>,<wall_ms>` for a per-job detail row
-/// (the [`FigData::job_wall_ms`] cost-skew data).
-pub fn timing_row(fig: &str, job: Option<&str>, jobs: usize, wall_ms: f64) -> String {
-    match job {
-        Some(j) => format!("{fig}:{j},{jobs},{wall_ms:.3}"),
-        None => format!("{fig},{jobs},{wall_ms:.3}"),
-    }
-}
-
 /// Format bytes with binary units.
 pub fn human_bytes(b: u64) -> String {
     const U: &[&str] = &["B", "KiB", "MiB", "GiB", "TiB"];
@@ -196,17 +169,6 @@ mod tests {
         let csv = f.to_csv();
         assert!(csv.starts_with("\"a,b\",c"));
         assert!(csv.contains("\"v\"\"1\""));
-    }
-
-    #[test]
-    fn timing_rows_are_uniform() {
-        assert_eq!(timing_row("fig11", None, 4, 12.3456), "fig11,4,12.346");
-        assert_eq!(
-            timing_row("faultfigs", Some("seed7"), 1, 0.5),
-            "faultfigs:seed7,1,0.500"
-        );
-        // Both row shapes parse under the one header.
-        assert_eq!(TIMINGS_CSV_HEADER.split(',').count(), 3);
     }
 
     #[test]

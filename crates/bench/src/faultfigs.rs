@@ -17,8 +17,7 @@
 //! The full study's baseline is the checked-in `BENCH_faults.json`;
 //! `faultfigs_smoke` is the bounded CI variant. Both contain only
 //! simulated-time quantities, so repeated runs on any host produce
-//! byte-identical files (CI diffs two passes to enforce this); wall
-//! clocks go to the table notes and `timings.csv` instead.
+//! byte-identical files (CI diffs two passes to enforce this).
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
@@ -273,20 +272,6 @@ pub fn faultfigs(smoke: bool) -> FigData {
         jobs.len(),
     ));
     sweep.note_passes(&mut f);
-    // Per-seed wall times (from the final, parallel pass) for cost-skew
-    // analysis; the figures binary lands these in timings.csv.
-    for (j, wall_ns) in jobs.iter().zip(&sweep.item_wall_ns) {
-        f.job_timing(
-            format!(
-                "{}_r{:.2}_c{}_s{}",
-                j.kind.label(),
-                j.rate,
-                j.cutoff_headroom,
-                j.seed
-            ),
-            *wall_ns as f64 / 1e6,
-        );
-    }
 
     // Only simulated-time quantities, so the file is byte-identical
     // across hosts and repeated runs — CI asserts exactly that.

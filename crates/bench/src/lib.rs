@@ -22,7 +22,7 @@
 //! | fig16  | 64 B chunk rate toward 1.6 Tbit/s                            |
 //! | appb   | measured {AG,RS} concurrent speedup vs `2 − 2/P`             |
 //!
-//! Beyond the paper, seven studies write machine-readable baselines
+//! Beyond the paper, six studies write machine-readable baselines
 //! through one harness ([`study`]): each is one `fn(smoke: bool) ->
 //! FigData`, the id with a `_smoke` suffix runs its bounded CI variant
 //! (baseline `BENCH_<stem>_smoke.json`, gitignored), and every named gate
@@ -30,8 +30,7 @@
 //!
 //! | study id         | baseline              | gates                                    |
 //! |------------------|-----------------------|------------------------------------------|
-//! | simcore          | `BENCH_simcore.json`  | nonzero events/sec on every engine row   |
-//! | parallel_scaling | `BENCH_parallel.json` | `results_identical` (jobs = 1, 2, 4)     |
+//! | simcore          | `BENCH_simcore.json`  | `results_identical`, `engines_identical` |
 //! | faultfigs        | `BENCH_faults.json`   | `results_identical`                      |
 //! | loadfigs         | `BENCH_load.json`     | `results_identical`; knee, pipe, shed    |
 //! | tracefigs        | `BENCH_trace.json`    | `identical` (runtime), `json_round_trip` |
@@ -39,10 +38,10 @@
 //! | backendfigs      | `BENCH_backends.json` | `results_identical`, `dpa_table1_identical`, `sharp_agrs_busbw_advantage` |
 //!
 //! `results_identical` is [`study::sweep`]'s check: the sweep runs at
-//! jobs = 1 and 4 and the digests must match. `simcore` and `tracefigs`
-//! measure wall clock, so they run serially and only share the writer
-//! and the baseline path. Generators never write files: the baseline
-//! rides on [`FigData::baseline`] and the `figures` binary writes it.
+//! jobs = 1 and 4 and the digests must match. Every baseline holds
+//! simulated-time integers and digests only, so it regenerates byte for
+//! byte on any host. Generators never write files: the baseline rides
+//! on [`FigData::baseline`] and the `figures` binary writes it.
 //!
 //! The paper-figure and ablation generators take a `jobs` worker count
 //! and fan their independent simulations out through
@@ -60,7 +59,6 @@ pub mod faultfigs;
 pub mod loadfigs;
 pub mod modelfigs;
 pub mod netfigs;
-pub mod parallel;
 pub mod recoveryfigs;
 pub mod runtimefigs;
 pub mod simcore;
@@ -75,8 +73,9 @@ pub const ALL_FIGS: &[&str] = &[
     "fig16", "appb",
 ];
 
-/// Ablation studies beyond the paper's figures (design-choice sweeps
-/// called out in DESIGN.md). Run with `figures --ablations` or by id.
+/// Ablation studies beyond the paper's figures: design-choice sweeps
+/// (chains, subgroups, cutoff, receive-queue depth, communicators,
+/// multi-tenant runtime). Run with `figures --ablations` or by id.
 pub const ABLATIONS: &[&str] = &[
     "ablation_chains",
     "ablation_subgroups",
@@ -90,7 +89,6 @@ pub const ABLATIONS: &[&str] = &[
 /// smoke mode.
 pub const STUDIES: &[(&str, study::Study)] = &[
     ("simcore", simcore::simcore),
-    ("parallel_scaling", parallel::parallel_scaling),
     ("faultfigs", faultfigs::faultfigs),
     ("loadfigs", loadfigs::loadfigs),
     ("tracefigs", tracefigs::tracefigs),
@@ -105,7 +103,7 @@ pub fn generate(id: &str) -> FigData {
 
 /// Run one generator by id with up to `jobs` simulations in flight.
 /// Sweep outputs are slot-ordered by [`mcag_exec::par_map`], so every
-/// table is byte-identical to the serial run; only wall clock changes.
+/// table is byte-identical to the serial run.
 /// Studies run their own fixed passes; `<study>_smoke` runs the same
 /// study in smoke mode.
 pub fn generate_with(id: &str, jobs: usize) -> FigData {

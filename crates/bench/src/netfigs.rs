@@ -76,7 +76,7 @@ pub fn fig10(jobs: usize) -> FigData {
     }
     // Cost skews hard toward the big corner (188 ranks x 4 MiB), so
     // claim largest-first: event count grows with ranks x chunks.
-    let timed = par_map_ordered(
+    let rows = par_map_ordered(
         jobs,
         &cells,
         |_, &(p, n)| (p as u64) * (n / sim_mtu_for(n).bytes()).max(1) as u64,
@@ -100,16 +100,10 @@ pub fn fig10(jobs: usize) -> FigData {
             ]
         },
     );
-    for t in &timed {
-        f.row(t.value.clone());
+    for row in rows {
+        f.row(row);
     }
     f.note("paper: from 16 nodes upward, 99% of progress-path time is the non-blocking multicast datapath for large messages");
-    for (&(p, n), t) in cells.iter().zip(&timed) {
-        f.job_timing(
-            format!("p{}_{}", p, human_bytes(n as u64)),
-            t.wall_ns as f64 / 1e6,
-        );
-    }
     f
 }
 
@@ -154,17 +148,6 @@ pub fn fig11(jobs: usize) -> FigData {
         Algo::Ring,
     ];
     impl Algo {
-        fn label(self) -> &'static str {
-            match self {
-                Algo::McastBcast => "bcast_mcast",
-                Algo::ChainPipe => "bcast_chain",
-                Algo::ScatterAg => "bcast_scatter_ag",
-                Algo::Knomial => "bcast_4nomial",
-                Algo::BinaryTree => "bcast_btree",
-                Algo::McastAg => "ag_mcast",
-                Algo::Ring => "ag_ring",
-            }
-        }
         /// Relative cost per byte, for largest-first claim order: the
         /// P2P schedules simulate every unicast segment (the pipelined
         /// chain at ~n/512 segments is the worst), the ring moves
@@ -273,18 +256,12 @@ pub fn fig11(jobs: usize) -> FigData {
         row.extend(
             rendered[i * ALGOS.len()..(i + 1) * ALGOS.len()]
                 .iter()
-                .map(|t| t.value.clone()),
+                .cloned(),
         );
         f.row(row);
     }
     f.note("paper: mcast Broadcast beats the best P2P scheme by up to 1.3x (our pipelined-chain/scatter-AG baselines bracket UCC's bandwidth-optimized bcast) and binary tree by up to 4.75x");
     f.note("paper: mcast Allgather matches ring at 128-256 KiB (both receive-bound); mcast shows much lower variability (CV)");
-    for (&(n, algo), t) in cells.iter().zip(&rendered) {
-        f.job_timing(
-            format!("{}_{}", algo.label(), human_bytes(n as u64)),
-            t.wall_ns as f64 / 1e6,
-        );
-    }
     f
 }
 

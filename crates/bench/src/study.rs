@@ -10,7 +10,6 @@
 use crate::data::{Baseline, FigData};
 use mcag_exec::par_map_ordered;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A study generator: the recorded baseline, or with `smoke` its
 /// bounded CI variant.
@@ -46,15 +45,13 @@ pub fn attach(f: &mut FigData, stem: &str, smoke: bool, doc: &Obj) {
     });
 }
 
-/// What [`sweep`] measured.
+/// What [`sweep`] computed.
 #[derive(Debug, Clone)]
 pub struct Sweep<D> {
     /// Per-item digests in input order, equal in every pass.
     pub digests: Vec<D>,
-    /// `(workers, wall_ns)` of every pass, in the order they ran.
-    pub passes: Vec<(usize, u64)>,
-    /// Per-item wall times of the last pass (ns).
-    pub item_wall_ns: Vec<u64>,
+    /// Worker count of every pass, in the order they ran.
+    pub passes: Vec<usize>,
 }
 
 impl<D> Sweep<D> {
@@ -81,14 +78,14 @@ impl<D> Sweep<D> {
         groups
     }
 
-    /// One table note per pass: its worker count and wall clock.
+    /// A table note naming the worker counts whose results were
+    /// asserted identical.
     pub fn note_passes(&self, f: &mut FigData) {
-        for (workers, wall_ns) in &self.passes {
-            f.note(format!(
-                "pass jobs={workers}: {:.1} ms wall (results asserted identical across passes)",
-                *wall_ns as f64 / 1e6
-            ));
-        }
+        let jobs: Vec<String> = self.passes.iter().map(|w| format!("jobs={w}")).collect();
+        f.note(format!(
+            "passes {}: results asserted identical across passes",
+            jobs.join(", ")
+        ));
     }
 }
 
@@ -108,14 +105,10 @@ where
     let mut out = Sweep {
         digests: Vec::new(),
         passes: Vec::new(),
-        item_wall_ns: Vec::new(),
     };
     for &w in workers {
-        let t0 = Instant::now();
-        let timed = par_map_ordered(w, items, |_, item| weight(item), &run);
-        out.passes.push((w, t0.elapsed().as_nanos() as u64));
-        out.item_wall_ns = timed.iter().map(|t| t.wall_ns).collect();
-        let digests: Vec<D> = timed.into_iter().map(|t| t.value).collect();
+        let digests = par_map_ordered(w, items, |_, item| weight(item), &run);
+        out.passes.push(w);
         if out.passes.len() == 1 {
             out.digests = digests;
         } else {

@@ -1,7 +1,7 @@
-//! Flight-recorder baselines: determinism digests, Perfetto export
-//! round-trips, and the zero-cost-when-off overhead measurement.
+//! Flight-recorder baselines: determinism digests and Perfetto export
+//! round-trips.
 //!
-//! Four cells:
+//! Three cells:
 //!
 //! * `traced_ag188` — the paper's 188-node UCC-testbed Allgather with a
 //!   recorder attached: event counts (offered / kept / ring-dropped) and
@@ -13,16 +13,12 @@
 //! * `runtime_jobs` — an open-loop multi-tenant run traced at `jobs = 1`
 //!   and `jobs = 4`; the cell records the shared report/trace digests
 //!   after asserting the two runs are byte-identical.
-//! * `overhead` (full mode only) — best-of-N interleaved off/on runs of
-//!   the 188-node Allgather against the recorded pre-instrumentation
-//!   anchor, demonstrating that a disabled sink costs one branch.
 //!
-//! The full study's baseline is `BENCH_trace.json` (checked in; the
-//! overhead block is a wall-clock snapshot from the recording host, like
-//! `BENCH_simcore.json`). `tracefigs_smoke`'s baseline,
-//! `BENCH_trace_smoke.json`, has `"overhead": null` — every other field
-//! is a simulated-time integer or digest (and the host's parallelism),
-//! so CI regenerates the file twice and asserts the bytes match.
+//! The full study's baseline is `BENCH_trace.json` (checked in);
+//! `tracefigs_smoke`'s is `BENCH_trace_smoke.json`. Every field of both
+//! is a simulated-time integer or digest, so they regenerate byte for
+//! byte on any host. What tracing costs the host is the benchmark's
+//! `trace.record_overhead_share` on its `load_traced` workload.
 
 use crate::data::FigData;
 use crate::netfigs::sim_mtu_for;
@@ -35,25 +31,6 @@ use mcag_verbs::LinkRate;
 
 /// Timeline bucketing used by every cell (64 µs of simulated time).
 const TIMELINE_WINDOW_NS: u64 = 65_536;
-
-/// Events/sec of the engine on the full-mode `allgather_188` scenario at
-/// the commit *before* the trace instrumentation landed — best of three
-/// runs on the host that produced the checked-in `BENCH_trace.json`.
-/// The "before" anchor of the zero-cost-when-off argument; host-specific
-/// (re-anchor elsewhere via the `TRACEFIGS_PRE_TRACE_EPS` override,
-/// which [`pre_trace_anchor_eps`] prefers).
-pub const PRE_TRACE_AG188_EVENTS_PER_SEC: f64 = 14.0e6;
-
-/// The pre-instrumentation anchor in effect: the `TRACEFIGS_PRE_TRACE_EPS`
-/// environment override when set, else the recorded
-/// [`PRE_TRACE_AG188_EVENTS_PER_SEC`].
-pub fn pre_trace_anchor_eps() -> f64 {
-    std::env::var("TRACEFIGS_PRE_TRACE_EPS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(PRE_TRACE_AG188_EVENTS_PER_SEC)
-}
 
 /// FNV-1a over a string (digest cells for byte-stability checks).
 pub(crate) fn fnv(s: &str) -> u64 {
@@ -176,81 +153,9 @@ fn runtime_cell() -> RuntimeCell {
     }
 }
 
-/// Best-of-N interleaved off/on overhead measurement (full mode only —
-/// wall clock, recorded as a snapshot from the baseline host).
-struct Overhead {
-    runs_each: u32,
-    events: u64,
-    off_eps: f64,
-    on_eps: f64,
-}
-
-impl Overhead {
-    /// Events/sec penalty of running with the recorder attached.
-    fn on_overhead_pct(&self) -> f64 {
-        (1.0 - self.on_eps / self.off_eps) * 100.0
-    }
-
-    /// Regression of the instrumented-but-disabled build against the
-    /// pre-instrumentation anchor (negative = faster than the anchor).
-    fn off_vs_anchor_pct(&self) -> f64 {
-        (1.0 - self.off_eps / pre_trace_anchor_eps()) * 100.0
-    }
-}
-
-fn measure_overhead(send_len: usize, runs_each: u32) -> Overhead {
-    let proto = ProtocolConfig {
-        mtu: sim_mtu_for(send_len),
-        ..ProtocolConfig::default()
-    };
-    let run = |traced: bool| -> (u64, f64) {
-        let mut cfg = FabricConfig::ucc_default();
-        cfg.trace = traced.then(TraceSpec::default);
-        let out = des::run_collective(
-            Topology::ucc_testbed(),
-            cfg,
-            proto,
-            CollectiveKind::Allgather,
-            send_len,
-        );
-        assert!(out.stats.all_done());
-        (out.stats.events, out.stats.events_per_sec())
-    };
-    let (mut off_eps, mut on_eps) = (0.0f64, 0.0f64);
-    let mut events = 0u64;
-    // Interleave off/on so slow host intervals hit both sides equally;
-    // best-of-N discards scheduler noise (this is a throughput bound).
-    for _ in 0..runs_each {
-        let (ev_off, eps_off) = run(false);
-        let (ev_on, eps_on) = run(true);
-        assert_eq!(
-            ev_off, ev_on,
-            "tracing must not change the event stream, only observe it"
-        );
-        events = ev_off;
-        off_eps = off_eps.max(eps_off);
-        on_eps = on_eps.max(eps_on);
-    }
-    let oh = Overhead {
-        runs_each,
-        events,
-        off_eps,
-        on_eps,
-    };
-    // Catastrophic-slowdown guard only: wall clock on shared CI hosts is
-    // too noisy for a hard 2% gate, so the precise numbers live in the
-    // checked-in BENCH_trace.json snapshot instead.
-    assert!(
-        oh.off_eps > 0.2 * pre_trace_anchor_eps(),
-        "disabled-sink run collapsed to {:.1}M events/sec",
-        oh.off_eps / 1e6
-    );
-    oh
-}
-
-/// The flight-recorder study: the recorded baseline (with the wall-clock
-/// overhead cell), or (smoke) the same cells at smaller messages and no
-/// wall-clock fields — regenerate it twice and the bytes must match.
+/// The flight-recorder study: the recorded baseline, or (smoke) the same
+/// cells at smaller messages — regenerate either twice and the bytes
+/// must match.
 pub fn tracefigs(smoke: bool) -> FigData {
     let (n188, n512) = if smoke {
         (32 << 10, 8 << 10)
@@ -269,11 +174,10 @@ pub fn tracefigs(smoke: bool) -> FigData {
     let chrome = reference_chrome_trace();
     let chrome = (chrome.len(), fnv(&chrome));
     let rt = runtime_cell();
-    let overhead = (!smoke).then(|| measure_overhead(n188, 5));
 
     let mut f = FigData::new(
         "tracefigs",
-        "Flight recorder: determinism digests, Perfetto export, zero-cost-when-off",
+        "Flight recorder: determinism digests and Perfetto export",
         &["cell", "events", "kept", "dropped", "digest", "detail"],
     );
     for c in &cells {
@@ -305,34 +209,12 @@ pub fn tracefigs(smoke: bool) -> FigData {
         format!("{:016x}", rt.trace_digest),
         format!("jobs=1 == jobs=4; report digest {:016x}", rt.report_digest),
     ]);
-    if let Some(oh) = &overhead {
-        f.row(vec![
-            "overhead".into(),
-            oh.events.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!(
-                "off {:.1}M on {:.1}M ev/s (+{:.2}% traced; off vs anchor {:+.2}%)",
-                oh.off_eps / 1e6,
-                oh.on_eps / 1e6,
-                oh.on_overhead_pct(),
-                oh.off_vs_anchor_pct()
-            ),
-        ]);
-    }
     f.note(format!(
         "mode={mode}; ring capacity {} events, timeline window {TIMELINE_WINDOW_NS} ns",
         TraceSpec::DEFAULT_CAPACITY
     ));
     f.note("digests and event counts are simulated-time integers: byte-stable across hosts");
-    if overhead.is_some() {
-        f.note(format!(
-            "overhead is wall clock from the baseline host (pre-trace anchor {:.1}M ev/s)",
-            pre_trace_anchor_eps() / 1e6
-        ));
-    }
-    let doc = baseline_doc(smoke, &cells, chrome, &rt, overhead.as_ref());
+    let doc = baseline_doc(smoke, &cells, chrome, &rt);
     study::attach(&mut f, "trace", smoke, &doc);
     f
 }
@@ -344,13 +226,11 @@ fn baseline_doc(
     cells: &[TracedCell],
     (chrome_bytes, chrome_digest): (usize, u64),
     rt: &RuntimeCell,
-    overhead: Option<&Overhead>,
 ) -> Obj {
     let hex = |d: u64| format!("{d:016x}");
-    let doc = Obj::new()
+    Obj::new()
         .str("generator", "figures tracefigs")
         .str("mode", study::mode(smoke))
-        .int("host_parallelism", mcag_exec::default_jobs() as u64)
         .int("ring_capacity", TraceSpec::DEFAULT_CAPACITY as u64)
         .int("timeline_window_ns", TIMELINE_WINDOW_NS)
         .blocks(
@@ -385,22 +265,7 @@ fn baseline_doc(
                 .int("fabric_events", rt.fabric_events as u64)
                 .int("batch_spans", rt.batch_spans as u64)
                 .int("job_spans", rt.job_spans as u64),
-        );
-    match overhead {
-        Some(oh) => doc.obj(
-            "overhead",
-            Obj::new()
-                .str("scenario", "allgather_188")
-                .int("runs_each", oh.runs_each.into())
-                .int("events", oh.events)
-                .float("off_events_per_sec", oh.off_eps, 0)
-                .float("on_events_per_sec", oh.on_eps, 0)
-                .float("on_overhead_pct", oh.on_overhead_pct(), 2)
-                .float("pre_trace_anchor_eps", pre_trace_anchor_eps(), 0)
-                .float("off_vs_anchor_pct", oh.off_vs_anchor_pct(), 2),
-        ),
-        None => doc.null("overhead"),
-    }
+        )
 }
 
 #[cfg(test)]
@@ -497,7 +362,7 @@ mod tests {
                 batch_spans: 4,
                 job_spans: 5,
             };
-            baseline_doc(true, &cells, (10, 0xabc), &rt, None).render()
+            baseline_doc(true, &cells, (10, 0xabc), &rt).render()
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a, b);

@@ -22,13 +22,11 @@
 //! [`par_map_ordered`] adds **largest-first claim order** for sweeps
 //! with per-job cost skew (a timed-out fault seed costs orders of
 //! magnitude more than a clean one): heavy jobs claimed first overlap
-//! the cheap bulk instead of stranding a worker at the tail. It also
-//! reports per-job wall times ([`Timed`]) for utilization analysis.
-//! Outputs remain slot-ordered either way.
-//!
-//! Wall-clock measurements (as opposed to simulated-time results) made
-//! inside jobs remain host- and contention-dependent; parallel sweeps
-//! change *when* a job runs, never *what* it computes.
+//! the cheap bulk instead of stranding a worker at the tail. Both run
+//! one claim loop and differ only in the order jobs are claimed;
+//! outputs are slot-ordered either way. Parallel sweeps change *when* a
+//! job runs, never *what* it computes. Nothing here reads a clock:
+//! host timing belongs to the benchmark in `benchmark/`.
 
 #![warn(missing_docs)]
 
@@ -45,11 +43,13 @@ pub fn default_jobs() -> usize {
 /// Map `f` over `items` using up to `jobs` worker threads, returning
 /// outputs in input order.
 ///
-/// Work is claimed from an atomic index and each output lands in its
-/// input's slot, so the result is **byte-identical to the serial run**
-/// (`jobs = 1`) for any worker count — the determinism contract the
-/// golden tests in `tests/parallel_determinism.rs` pin down. With
-/// `jobs <= 1` (or fewer than two items) no thread is spawned.
+/// Workers claim items in input order from an atomic index and each
+/// output lands in its input's slot, so the result is **byte-identical
+/// to the serial run** (`jobs = 1`) for any worker count — the
+/// determinism contract the golden tests in
+/// `tests/parallel_determinism.rs` pin down. With `jobs <= 1` (or fewer
+/// than two items) this is a plain serial map: no thread, no allocation
+/// beyond the output.
 ///
 /// Panics in `f` are propagated to the caller after all workers have
 /// stopped claiming new items.
@@ -59,37 +59,84 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = items.len();
-    let workers = jobs.max(1).min(n);
+    let workers = jobs.max(1).min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
+    claim_loop(workers, items, |k| k, &f)
+}
 
+/// [`par_map`] with **largest-first claim order**: workers claim jobs
+/// in descending `weight` (ties broken by input index, so the order is
+/// total and deterministic) while outputs still land slot-ordered by
+/// input index.
+///
+/// Use this when per-job cost skews — a handful of expensive jobs
+/// claimed last would each strand a worker at the tail of the sweep;
+/// claimed first, they overlap with the cheap bulk. The *results* stay
+/// byte-identical to `par_map` (and to `jobs = 1`) for any worker
+/// count. With `jobs <= 1` the calling thread runs the jobs in claim
+/// order.
+pub fn par_map_ordered<I, O, F, W>(jobs: usize, items: &[I], weight: W, f: F) -> Vec<O>
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+    W: Fn(usize, &I) -> u64,
+{
+    // Claim order: heaviest first, input index as the deterministic
+    // tie-break.
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    // Cached key: `weight` is a caller closure of unknown cost — run it
+    // exactly once per item, not once per comparison.
+    order.sort_by_cached_key(|&i| (std::cmp::Reverse(weight(i, &items[i])), i));
+    let workers = jobs.max(1).min(items.len());
+    claim_loop(workers, items, |k| order[k], &f)
+}
+
+/// The claim loop both maps share: `workers` scoped threads (just the
+/// calling thread when `workers <= 1`) take claim numbers `k` from one
+/// atomic counter and run `f` on item `claim(k)`; every output lands in
+/// its item's slot.
+fn claim_loop<I, O, F>(
+    workers: usize,
+    items: &[I],
+    claim: impl Fn(usize) -> usize + Sync,
+    f: &F,
+) -> Vec<O>
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+{
+    let n = items.len();
     let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, O)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
+            }
+            let i = claim(k);
+            local.push((i, f(&items[i])));
+        }
+        local
+    };
+    let parts: Vec<Vec<(usize, O)>> = if workers <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
 
     // Slot-ordered assembly: output i is f(&items[i]) no matter which
     // worker computed it or when.
@@ -99,97 +146,7 @@ where
         out[i] = Some(o);
     }
     out.into_iter()
-        .map(|o| o.expect("par_map slot never filled"))
-        .collect()
-}
-
-/// A job output annotated with the wall-clock time its closure took.
-///
-/// The wall time is measurement, not result: it varies with host load
-/// and scheduling, so determinism-checked digests must be built from
-/// [`Timed::value`] only.
-#[derive(Debug, Clone)]
-pub struct Timed<O> {
-    /// The job's output.
-    pub value: O,
-    /// Wall-clock nanoseconds spent inside `f` for this job.
-    pub wall_ns: u64,
-}
-
-/// [`par_map`] with **largest-first claim order** and per-job wall
-/// times: workers claim jobs in descending `weight` (ties broken by
-/// input index, so the order is total and deterministic) while outputs
-/// still land slot-ordered by input index.
-///
-/// Use this when per-job cost skews — a handful of expensive jobs
-/// claimed last would each strand a worker at the tail of the sweep;
-/// claimed first, they overlap with the cheap bulk. The *results* stay
-/// byte-identical to `par_map` (and to `jobs = 1`) for any worker
-/// count; only wall clock and the measured [`Timed::wall_ns`] change.
-pub fn par_map_ordered<I, O, F, W>(jobs: usize, items: &[I], weight: W, f: F) -> Vec<Timed<O>>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-    W: Fn(usize, &I) -> u64,
-{
-    let n = items.len();
-    // Claim order: heaviest first, input index as the deterministic
-    // tie-break.
-    let mut order: Vec<usize> = (0..n).collect();
-    // Cached key: `weight` is a caller closure of unknown cost — run it
-    // exactly once per item, not once per comparison.
-    order.sort_by_cached_key(|&i| (std::cmp::Reverse(weight(i, &items[i])), i));
-
-    let timed = |i: usize| {
-        let t0 = std::time::Instant::now();
-        let value = f(&items[i]);
-        Timed {
-            value,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        }
-    };
-
-    let workers = jobs.max(1).min(n);
-    let mut out: Vec<Option<Timed<O>>> = (0..n).map(|_| None).collect();
-    if workers <= 1 {
-        for &i in &order {
-            out[i] = Some(timed(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, Timed<O>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= n {
-                                break;
-                            }
-                            let i = order[k];
-                            local.push((i, timed(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        for (i, o) in parts.into_iter().flatten() {
-            debug_assert!(out[i].is_none(), "slot {i} claimed twice");
-            out[i] = Some(o);
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("par_map_ordered slot never filled"))
+        .map(|o| o.expect("claimed slot never filled"))
         .collect()
 }
 
@@ -269,8 +226,7 @@ mod tests {
         let plain = par_map(1, &items, |&x| x * 3 + 1);
         for jobs in [1, 2, 4, 16] {
             let ordered = par_map_ordered(jobs, &items, |_, &x| x, |&x| x * 3 + 1);
-            let values: Vec<u64> = ordered.iter().map(|t| t.value).collect();
-            assert_eq!(values, plain, "jobs={jobs}");
+            assert_eq!(ordered, plain, "jobs={jobs}");
         }
     }
 
@@ -291,32 +247,7 @@ mod tests {
             },
         );
         assert_eq!(log.into_inner().unwrap(), vec![30, 30, 20, 10, 5]);
-        let values: Vec<u64> = out.iter().map(|t| t.value).collect();
-        assert_eq!(values, vec![10, 30, 20, 30, 5]);
-    }
-
-    #[test]
-    fn ordered_records_per_job_wall_times() {
-        let items: Vec<usize> = (0..8).collect();
-        let out = par_map_ordered(
-            2,
-            &items,
-            |i, _| i as u64,
-            |&i| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                i
-            },
-        );
-        // Only the slept job has a guaranteed-nonzero duration; trivial
-        // jobs can legitimately measure 0 ns on coarse monotonic clocks.
-        assert!(
-            out[0].wall_ns >= 2_000_000,
-            "slept job under-measured: {}",
-            out[0].wall_ns
-        );
-        assert_eq!(out.iter().map(|t| t.value).collect::<Vec<_>>(), items);
+        assert_eq!(out, vec![10, 30, 20, 30, 5]);
     }
 
     #[test]

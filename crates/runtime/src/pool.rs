@@ -27,36 +27,35 @@ pub struct GroupKey {
     pub index: u32,
 }
 
-/// Group-pool tuning: table size and subnet-manager programming costs.
+/// Simulated cost to program a group into a free slot (SM join
+/// round-trip for every member): 200 µs.
+const BUILD_NS: u64 = 200_000;
+
+/// Simulated cost to evict an LRU group *and* program a new one (leaves
+/// + re-routes the spanning tree, then reprograms).
+const REBUILD_NS: u64 = 350_000;
+
+const _: () = assert!(REBUILD_NS >= BUILD_NS, "rebuild cannot beat build");
+
+/// Group-pool tuning: the table size. Programming costs are the fixed
+/// subnet-manager round-trips `BUILD_NS` (200 µs) and `REBUILD_NS`
+/// (350 µs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolConfig {
     /// Multicast-group table capacity (entries).
     pub capacity: usize,
-    /// Simulated cost to program a group into a free slot (SM join
-    /// round-trip for every member).
-    pub build_ns: u64,
-    /// Simulated cost to evict an LRU group *and* program a new one
-    /// (leaves + re-routes the spanning tree); `>= build_ns`.
-    pub rebuild_ns: u64,
 }
 
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
-        PoolConfig {
-            capacity: 128,
-            build_ns: 200_000,   // 200 µs SM programming
-            rebuild_ns: 350_000, // detach + reprogram
-        }
+        PoolConfig::with_capacity(128)
     }
 }
 
 impl PoolConfig {
-    /// A pool with `capacity` slots and the default SM costs.
+    /// A pool with `capacity` slots.
     pub fn with_capacity(capacity: usize) -> PoolConfig {
-        PoolConfig {
-            capacity,
-            ..PoolConfig::default()
-        }
+        PoolConfig { capacity }
     }
 }
 
@@ -124,7 +123,6 @@ impl McastGroupPool {
     /// Create a pool. Panics if `capacity == 0`.
     pub fn new(cfg: PoolConfig) -> McastGroupPool {
         assert!(cfg.capacity >= 1, "group table needs at least one slot");
-        assert!(cfg.rebuild_ns >= cfg.build_ns, "rebuild cannot beat build");
         McastGroupPool {
             cfg,
             resident: HashMap::new(),
@@ -188,7 +186,7 @@ impl McastGroupPool {
         }
         let outcome = if self.resident.len() < self.cfg.capacity {
             self.stats.builds += 1;
-            (AcquireOutcome::Built, self.cfg.build_ns)
+            (AcquireOutcome::Built, BUILD_NS)
         } else {
             // Evict the least-recently-used unpinned entry. `last_use`
             // ticks are unique, so the victim is deterministic regardless
@@ -203,7 +201,7 @@ impl McastGroupPool {
             self.resident.remove(&victim);
             self.stats.evictions += 1;
             self.stats.rebuilds += 1;
-            (AcquireOutcome::Rebuilt, self.cfg.rebuild_ns)
+            (AcquireOutcome::Rebuilt, REBUILD_NS)
         };
         self.resident.insert(
             key,
@@ -219,7 +217,7 @@ impl McastGroupPool {
     /// Charge `n` subnet-manager tree rebuilds that happened *outside*
     /// the acquire path — the SM re-routing groups around dead switches
     /// mid-batch. Counts them in [`PoolStats::rebuilds`] and returns the
-    /// virtual time to bill (`n × rebuild_ns`): the same detach +
+    /// virtual time to bill (`n × REBUILD_NS`): the same detach +
     /// reprogram cost an eviction rebuild pays, because the switch work
     /// is the same.
     pub fn charge_rebuilds(&mut self, n: u32) -> u64 {
@@ -227,14 +225,14 @@ impl McastGroupPool {
         self.rebuild_cost_ns(n)
     }
 
-    /// Virtual time `n` SM tree rebuilds cost (`n × rebuild_ns`) without
+    /// Virtual time `n` SM tree rebuilds cost (`n × REBUILD_NS`) without
     /// charging them — the scheduler prices a batch's recovery work
     /// before the batch commits ([`charge_rebuilds`] bills it once, at
     /// commit).
     ///
     /// [`charge_rebuilds`]: McastGroupPool::charge_rebuilds
     pub fn rebuild_cost_ns(&self, n: u32) -> u64 {
-        self.cfg.rebuild_ns * n as u64
+        REBUILD_NS * n as u64
     }
 
     /// Unpin exactly the given keys (their batch finished): resident
@@ -272,7 +270,7 @@ mod tests {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(2));
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Built);
-        assert_eq!(c, PoolConfig::default().build_ns);
+        assert_eq!(c, BUILD_NS);
         pool.unpin(&[key(0, 0)]);
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Hit);

@@ -94,8 +94,6 @@ pub struct FabricConfig {
     pub host: HostModel,
     /// Loss model.
     pub drops: DropModel,
-    /// Per-hop switch forwarding latency (beyond serialization).
-    pub switch_latency_ns: u64,
     /// If true, up-link selection is randomized per packet (adaptive
     /// routing) — packets of one flow may arrive out of order, exercising
     /// the staging-based OOO tolerance of the receive path.
@@ -138,7 +136,6 @@ impl FabricConfig {
         FabricConfig {
             host: HostModel::ucc_host(),
             drops: DropModel::none(),
-            switch_latency_ns: 200,
             adaptive_routing: false,
             seed: 0x5eed,
             mcast_table_capacity: None,

@@ -4,16 +4,6 @@
 use crate::topology::{LinkId, NodeKind, Topology};
 use serde::{Deserialize, Serialize};
 
-/// The one definition of simulator throughput: events per wall-clock
-/// second, 0.0 when no wall time was recorded. Shared by
-/// [`TrafficReport::events_per_sec`] and `RunStats::events_per_sec`.
-pub(crate) fn events_per_sec(events: u64, wall_ns: u64) -> f64 {
-    if wall_ns == 0 {
-        return 0.0;
-    }
-    events as f64 * 1e9 / wall_ns as f64
-}
-
 /// Byte/packet counters for one directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkCounters {
@@ -113,12 +103,6 @@ impl TrafficReport {
     /// Wall-clock nanoseconds the engine spent in its event loop.
     pub fn wall_ns(&self) -> u64 {
         self.wall_ns
-    }
-
-    /// Simulator throughput: events processed per wall-clock second
-    /// (0.0 when no wall time was recorded).
-    pub fn events_per_sec(&self) -> f64 {
-        events_per_sec(self.events, self.wall_ns)
     }
 
     /// Counters of one directed link.

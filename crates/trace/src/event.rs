@@ -94,7 +94,7 @@ pub enum TraceEvent {
         /// New state: `true` = up (possibly degraded), `false` = down.
         up: bool,
     },
-    /// Sampled event-queue depth (every `TraceSpec::queue_sample_every`
+    /// Sampled event-queue depth (every `TraceSpec::QUEUE_SAMPLE_EVERY`
     /// processed events).
     QueueDepth {
         /// Sample time.

@@ -15,25 +15,20 @@ pub struct TraceSpec {
     /// `capacity × size_of::<TraceEvent>()` (≤ 32 B/event); overflow
     /// overwrites the oldest events and counts them as dropped.
     pub capacity: usize,
-    /// Sample the engine's pending-event count every this many processed
-    /// events (`0` disables depth sampling).
-    pub queue_sample_every: u64,
 }
 
 impl TraceSpec {
     /// Default ring capacity (64 Ki events ≈ 2 MiB).
     pub const DEFAULT_CAPACITY: usize = 64 << 10;
 
-    /// Default queue-depth sample period.
-    pub const DEFAULT_SAMPLE_EVERY: u64 = 1024;
+    /// A traced fabric samples its engine's pending-event count every
+    /// this many processed events.
+    pub const QUEUE_SAMPLE_EVERY: u64 = 1024;
 
-    /// Spec with an explicit ring capacity and the default sample period.
+    /// Spec with an explicit ring capacity.
     pub fn with_capacity(capacity: usize) -> TraceSpec {
         assert!(capacity >= 1, "trace ring needs at least one slot");
-        TraceSpec {
-            capacity,
-            queue_sample_every: Self::DEFAULT_SAMPLE_EVERY,
-        }
+        TraceSpec { capacity }
     }
 }
 
@@ -72,11 +67,6 @@ impl TraceSink {
             head: 0,
             offered: 0,
         }
-    }
-
-    /// The spec this sink was allocated from.
-    pub fn spec(&self) -> &TraceSpec {
-        &self.spec
     }
 
     /// Record one event (ring write + counter bump).

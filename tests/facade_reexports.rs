@@ -69,9 +69,9 @@ fn exec_reachable_and_maps() {
     let doubled = mcast_allgather::exec::par_map(2, &[1u32, 2, 3], |&x| x * 2);
     assert_eq!(doubled, vec![2, 4, 6]);
     assert!(mcast_allgather::exec::default_jobs() >= 1);
-    let timed =
+    let ordered =
         mcast_allgather::exec::par_map_ordered(2, &[1u32, 2, 3], |_, &x| x as u64, |&x| x * 2);
-    assert_eq!(timed.iter().map(|t| t.value).collect::<Vec<_>>(), doubled);
+    assert_eq!(ordered, doubled);
 }
 
 #[test]

@@ -94,9 +94,6 @@ fn fault_sweep_outcomes_identical_across_worker_counts() {
             |_, &(kind_ix, _, cutoff)| (kind_ix as u64 + 1) * cutoff,
             |&(kind_ix, seed, cutoff)| faulted_render(kind_ix, seed, cutoff),
         )
-        .into_iter()
-        .map(|t| t.value)
-        .collect()
     };
     let serial = run(1);
     let parallel = run(4);

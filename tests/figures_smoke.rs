@@ -112,13 +112,25 @@ fn faultfigs_smoke_shape() {
         let p999: f64 = r[5].parse().unwrap();
         assert!(p50 <= p99 && p99 <= p999, "tail out of order: {r:?}");
     }
-    // Per-seed wall times ride along for timings.csv.
-    assert!(!f.job_wall_ms.is_empty());
     check_baseline(
         &f,
         "BENCH_faults_smoke.json",
         &["results_identical"],
         0xe002_488b_12e2_7180,
+    );
+}
+
+#[test]
+fn simcore_smoke_shape() {
+    let f = generate("simcore_smoke");
+    check(&f);
+    // Both engines on the 188-node Allgather, the wheel on the fat-tree.
+    assert_eq!(f.rows.len(), 3);
+    check_baseline(
+        &f,
+        "BENCH_simcore_smoke.json",
+        &["results_identical", "engines_identical"],
+        0x2743_119e_4d33_ea17,
     );
 }
 

@@ -7,7 +7,6 @@
 //! anywhere in the stack fails to *compile* this suite rather than
 //! silently re-serializing every sweep and runtime wave.
 
-use mcag_bench::parallel::SweepJob;
 use mcast_allgather::baselines::{ring_allgather, run_p2p};
 use mcast_allgather::core::{
     des, CollectiveKind, CollectiveOutcome, CommSlot, ControlMsg, McastRankApp, MultiCommApp,
@@ -43,9 +42,8 @@ fn protocol_apps_are_send() {
 
 #[test]
 fn sweep_job_and_outcome_are_send() {
-    // The parallel-scaling sweep's job descriptor and what a simulation
-    // returns — both must cross thread boundaries.
-    assert_send::<SweepJob>();
+    // What a simulation returns and the runtime that drives batch
+    // waves — both must cross thread boundaries.
     assert_send::<CollectiveOutcome>();
     assert_send::<Runtime>();
 }

@@ -122,7 +122,6 @@ fn engines_agree_across_kinds_and_scales() {
 #[test]
 fn engine_stats_populate_the_report() {
     let out = run_188(QueueBackend::Wheel);
-    assert!(out.stats.events_per_sec() > 0.0);
     assert!(out.traffic.events() > 0);
     assert!(out.traffic.peak_queue_depth() > 0);
     assert!(out.traffic.wall_ns() > 0);
