@@ -7,8 +7,8 @@
 //! [`FaultPlan`] is a seed plus a list of composable [`FaultModel`]s,
 //! and [`FaultPlan::compile`] lowers it — deterministically — onto a
 //! concrete topology as a `mcag-simnet` [`LinkSchedule`] of timed
-//! link-state transitions that the fabric replays as ordinary queue
-//! events.
+//! link-state transitions that the fabric replays, in order, from a
+//! cursor beside its event queue.
 //!
 //! ## Models
 //!

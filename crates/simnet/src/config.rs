@@ -119,7 +119,8 @@ pub struct FabricConfig {
     /// determinism oracle and perf baseline (`BENCH_simcore.json`).
     pub event_queue: QueueBackend,
     /// Scheduled link-state transitions (down windows, flaps, bandwidth
-    /// degradation), replayed as ordinary queue events. Usually the
+    /// degradation), replayed from a cursor beside the event queue, each
+    /// counted as a pending event until it fires. Usually the
     /// compiled form of a `mcag-faults` `FaultPlan`; empty means a
     /// healthy fabric and adds no per-packet work.
     pub faults: LinkSchedule,

@@ -304,10 +304,10 @@ impl<E> Wheel<E> {
         (chunk << SLOT_BITS) + u64::from(self.far_min[cslot])
     }
 
-    /// Pop the earliest event if its time is `<= deadline`. The caller
-    /// guarantees the queue is non-empty. Levels only advance when the
-    /// advance is immediately followed by a successful pop, so an early
-    /// (deadline) return never strands later insertions behind `base0`.
+    /// Pop the earliest event if its time is `<= deadline` (`None` on an
+    /// empty wheel). Levels only advance when the advance is immediately
+    /// followed by a successful pop, so an early (deadline) return never
+    /// strands later insertions behind `base0`.
     fn pop_if_before(&mut self, now: u64, deadline: u64) -> Option<(u64, E)> {
         loop {
             // Near level: slots before `now` are already drained.
@@ -392,12 +392,22 @@ enum Engine<E> {
 }
 
 /// Priority queue of simulation events.
+///
+/// Besides the events it holds, the queue can count *reserved* entries:
+/// a side stream of timed entries the fabric keeps and replays itself
+/// (its fault schedule), reserved up front with `reserve_pending` and
+/// consumed one at a time with `consume_reserved`. They count in `len`,
+/// `peak_len`, `processed` and `now` exactly as if they had been pushed,
+/// without occupying the engine.
 pub struct EventQueue<E> {
     engine: Engine<E>,
     next_seq: u64,
     now: SimTime,
     processed: u64,
+    /// Pending entries: the engine's plus the reserved ones.
     len: usize,
+    /// Reserved entries not yet consumed.
+    reserved: usize,
     peak: usize,
 }
 
@@ -418,6 +428,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             processed: 0,
             len: 0,
+            reserved: 0,
             peak: 0,
         }
     }
@@ -442,7 +453,7 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Number of pending events.
+    /// Number of pending events, reserved entries included.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -485,6 +496,40 @@ impl<E> EventQueue<E> {
         if self.len > self.peak {
             self.peak = self.len;
         }
+    }
+
+    /// Count `n` entries of a caller-kept side stream as pending, as if
+    /// they had been scheduled now: they take `n` sequence numbers and
+    /// raise `len` and `peak_len`, but the engine never holds them.
+    pub(crate) fn reserve_pending(&mut self, n: usize) {
+        self.next_seq += n as u64;
+        self.len += n;
+        self.reserved += n;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// Consume one reserved entry at `at`, as a pop of it would: advance
+    /// simulated time to `at`, count it processed and no longer pending.
+    /// The caller must first pop every queued event that precedes the
+    /// entry in `(time, seq)` order.
+    ///
+    /// # Panics
+    /// If nothing is reserved or `at` is in the past.
+    pub(crate) fn consume_reserved(&mut self, at: SimTime) {
+        assert!(self.reserved > 0, "no reserved entry to consume");
+        assert!(
+            at >= self.now,
+            "reserved entry consumed in the past: {at} < {}",
+            self.now
+        );
+        debug_assert!(
+            self.peek_time().is_none_or(|t| t >= at),
+            "reserved entry at {at} consumed ahead of an earlier queued event"
+        );
+        self.reserved -= 1;
+        self.len -= 1;
+        self.now = at;
+        self.processed += 1;
     }
 
     /// Schedule `event` after `delay_ns` nanoseconds.
@@ -691,6 +736,33 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(5), 2)));
     }
 
+    #[test]
+    fn reserved_entries_count_as_pending_events() {
+        for b in BACKENDS {
+            let mut q = EventQueue::with_backend(b);
+            q.reserve_pending(2);
+            q.schedule_at(SimTime(10), "a");
+            assert_eq!((q.len(), q.peak_len()), (3, 3), "{b:?}");
+            // A same-instant reserved entry is consumed ahead of "a".
+            q.consume_reserved(SimTime(10));
+            assert_eq!((q.now(), q.processed(), q.len()), (SimTime(10), 1, 2));
+            assert_eq!(q.pop(), Some((SimTime(10), "a")));
+            // Only a reserved entry is left: nothing to pop or peek.
+            assert_eq!((q.pop(), q.peek_time()), (None, None));
+            assert_eq!((q.len(), q.is_empty()), (1, false));
+            q.consume_reserved(SimTime(40));
+            assert_eq!((q.now(), q.processed(), q.len()), (SimTime(40), 3, 0));
+            assert_eq!(q.peak_len(), 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no reserved entry")]
+    fn consuming_without_a_reservation_panics() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.consume_reserved(SimTime(1));
+    }
+
     /// Walk every slot list and the free list of a wheel queue and
     /// check the arena invariants: each node is on exactly one list,
     /// listed nodes hold an event and free ones do not, the cached far
@@ -742,7 +814,7 @@ mod tests {
         }
         assert_eq!(listed + free, w.nodes.len(), "leaked arena node");
         let parked: usize = w.overflow.values().map(Vec::len).sum();
-        assert_eq!(listed + parked, q.len(), "pending count");
+        assert_eq!(listed + parked + q.reserved, q.len(), "pending count");
         assert!(w.nodes.len() <= q.peak_len(), "arena outgrew the peak");
         (listed, free)
     }
@@ -788,19 +860,40 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The wheel and the reference heap pop, refuse and peek
-        /// identically under random schedule / pop / deadline-pop
-        /// interleavings spanning every wheel level and its boundaries,
-        /// and the wheel's arena invariants hold after every operation.
+        /// identically under random schedule / pop / deadline-pop /
+        /// reserve / consume interleavings spanning every wheel level and
+        /// its boundaries, agree on every counter, and the wheel's arena
+        /// invariants hold after every operation.
         #[test]
         fn wheel_matches_heap_model(
-            ops in prop::collection::vec((0u8..14, 0u64..u64::MAX / 4), 1..250),
+            ops in prop::collection::vec((0u8..16, 0u64..u64::MAX / 4), 1..250),
         ) {
             let mut w = EventQueue::with_backend(QueueBackend::Wheel);
             let mut h = EventQueue::with_backend(QueueBackend::Heap);
-            let mut id = 0u64;
+            let (mut id, mut reserved) = (0u64, 0usize);
             for (op, val) in ops {
                 match op {
                     0 | 1 => prop_assert_eq!(w.pop(), h.pop()),
+                    14 => {
+                        let n = (val % 4) as usize;
+                        w.reserve_pending(n);
+                        h.reserve_pending(n);
+                        reserved += n;
+                    }
+                    15 if reserved > 0 => {
+                        // A side-stream entry due no later than the
+                        // earliest queued event (ties included), as the
+                        // fabric's fault cursor consumes them.
+                        let now = w.now().as_ns();
+                        let mut at = SimTime(now + val % (1 << (2 * SLOT_BITS + 1)));
+                        if let Some(t) = w.peek_time() {
+                            at = at.min(t);
+                        }
+                        w.consume_reserved(at);
+                        h.consume_reserved(at);
+                        reserved -= 1;
+                    }
+                    15 => {}
                     2 | 3 => {
                         // A deadline that usually falls short of the
                         // earliest pending event: the pop is refused and
@@ -834,6 +927,8 @@ mod tests {
                 }
                 prop_assert_eq!(w.now(), h.now());
                 prop_assert_eq!(w.len(), h.len());
+                prop_assert_eq!(w.peak_len(), h.peak_len());
+                prop_assert_eq!(w.processed(), h.processed());
                 prop_assert_eq!(w.peek_time(), h.peek_time());
                 check_arena(&w);
             }
@@ -844,6 +939,8 @@ mod tests {
                     break;
                 }
             }
+            // Only the unconsumed reserved entries are left pending.
+            prop_assert_eq!((w.len(), h.len()), (reserved, reserved));
             prop_assert_eq!(w.processed(), h.processed());
             prop_assert_eq!(w.peak_len(), h.peak_len());
             let (listed, free) = check_arena(&w);

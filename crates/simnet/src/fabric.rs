@@ -292,11 +292,6 @@ enum Ev {
         rank: Rank,
         token: u64,
     },
-    /// A scheduled link-state transition (`FabricConfig::faults`) takes
-    /// effect; `idx` indexes the compiled schedule.
-    LinkFault {
-        idx: u32,
-    },
 }
 
 /// Runtime state of one directed link under the fault schedule. Only
@@ -365,6 +360,14 @@ pub struct Inner<M> {
     /// Fast gate for every fault-path consult: true iff
     /// `cfg.faults` has at least one transition.
     has_faults: bool,
+    /// The fault cursor: index of the next transition of `cfg.faults` to
+    /// apply. Transitions are never queued; each is a reserved entry of
+    /// `q` until `run_until` applies it.
+    fault_cursor: usize,
+    /// Instant of the transition under the cursor (`None` once the
+    /// schedule is spent), cached so the event loop never reaches into
+    /// the schedule between transitions.
+    next_fault: Option<SimTime>,
     route_cache: HashMap<(u32, u32), Arc<[LinkId]>>,
     rng: StdRng,
     done: Vec<Option<SimTime>>,
@@ -462,25 +465,27 @@ impl<M: Clone + 'static> Fabric<M> {
         let link_busy = vec![SimTime::ZERO; topo.num_links()];
         let rng = StdRng::seed_from_u64(cfg.seed);
         let mut q = EventQueue::with_backend(cfg.event_queue);
-        // Replay the fault schedule as ordinary queue events. They are
-        // scheduled before any protocol event, so a transition and a
-        // same-instant transmission resolve in schedule-first order —
-        // part of the determinism contract.
+        // Replay the fault schedule from a cursor beside the queue. Its
+        // transitions are reserved as pending entries, as if scheduled
+        // before any protocol event, and `run_until` applies each one
+        // ahead of every same-instant protocol event — schedule-first
+        // tie order is part of the determinism contract.
         let trace = cfg.trace.clone().map(TraceSink::new);
         let has_faults = !cfg.faults.is_empty();
         let link_fault = if has_faults {
-            for (i, ev) in cfg.faults.events().iter().enumerate() {
+            for ev in cfg.faults.events() {
                 assert!(
                     ev.link.idx() < topo.num_links(),
                     "fault schedule references {:?} outside the topology",
                     ev.link
                 );
-                q.schedule_at(SimTime(ev.at_ns), Ev::LinkFault { idx: i as u32 });
             }
+            q.reserve_pending(cfg.faults.len());
             vec![LinkFaultState::healthy(); topo.num_links()]
         } else {
             Vec::new()
         };
+        let next_fault = cfg.faults.events().first().map(|e| SimTime(e.at_ns));
         Fabric {
             inner: Inner {
                 topo,
@@ -492,6 +497,8 @@ impl<M: Clone + 'static> Fabric<M> {
                 link_busy,
                 link_fault,
                 has_faults,
+                fault_cursor: 0,
+                next_fault,
                 route_cache: HashMap::new(),
                 rng,
                 done: vec![None; n],
@@ -650,14 +657,23 @@ impl<M: Clone + 'static> Fabric<M> {
                 self.with_app(Rank(r as u32), |app, ctx| app.on_start(ctx));
             }
         }
+        // Queued events pop up to `bound`, which stops short of the next
+        // transition due by the deadline; it changes only when one is
+        // applied.
+        let mut bound = self.inner.pop_bound(deadline);
         while self.inner.done_count < n {
             if self.inner.q.processed() >= MAX_EVENTS {
                 panic!("event cap {MAX_EVENTS} exceeded — livelocked protocol?");
             }
-            let Some((_, ev)) = self.inner.q.pop_if_before(deadline) else {
-                break; // quiescent or past the deadline; caller inspects stats
-            };
-            self.dispatch(ev);
+            match bound.and_then(|b| self.inner.q.pop_if_before(b)) {
+                Some((_, ev)) => self.dispatch(ev),
+                None if self.inner.next_fault.is_some_and(|t| t <= deadline) => {
+                    self.inner.apply_next_fault();
+                    bound = self.inner.pop_bound(deadline);
+                }
+                // Quiescent or past the deadline; caller inspects stats.
+                None => break,
+            }
             if sample_every != 0 && self.inner.q.processed().is_multiple_of(sample_every) {
                 let (at_ns, depth) = (self.inner.q.now().as_ns(), self.inner.q.len() as u32);
                 if let Some(t) = self.inner.trace.as_mut() {
@@ -675,10 +691,14 @@ impl<M: Clone + 'static> Fabric<M> {
         }
     }
 
-    /// Timestamp of the earliest pending event (`None` when quiescent) —
-    /// the peek-based progress probe for cutoff checks.
+    /// Timestamp of the earliest pending event, scheduled link-state
+    /// transitions included (`None` when quiescent) — the peek-based
+    /// progress probe for cutoff checks.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.inner.q.peek_time()
+        [self.inner.q.peek_time(), self.inner.next_fault]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Snapshot of all link counters (open downtime/degraded intervals
@@ -814,7 +834,6 @@ impl<M: Clone + 'static> Fabric<M> {
             Ev::TxDrained { rank, token } => {
                 self.with_app(rank, |app, ctx| app.on_tx_drained(ctx, token));
             }
-            Ev::LinkFault { idx } => self.inner.apply_link_fault(idx),
         }
     }
 
@@ -870,11 +889,32 @@ impl<M: Clone + 'static> Inner<M> {
 
     // --------------------------- fault state --------------------------- //
 
-    /// Apply scheduled transition `idx`, closing the accounting interval
-    /// of the state the link leaves.
-    fn apply_link_fault(&mut self, idx: u32) {
-        let ev = self.cfg.faults.events()[idx as usize];
-        let next_up = self.cfg.faults.next_up_ns(idx as usize);
+    /// The latest instant a queued event may pop at before the fault
+    /// cursor's transition, when that transition is due by `deadline`: one
+    /// nanosecond before it, so it fires ahead of every same-instant
+    /// event (`None` — pop nothing — when it is at t = 0). Otherwise
+    /// `deadline`.
+    fn pop_bound(&self, deadline: SimTime) -> Option<SimTime> {
+        match self.next_fault {
+            Some(t) if t <= deadline => t.as_ns().checked_sub(1).map(SimTime),
+            _ => Some(deadline),
+        }
+    }
+
+    /// Consume the transition under the fault cursor at its instant (as
+    /// a pop of it would), advance the cursor and apply the transition,
+    /// closing the accounting interval of the state the link leaves.
+    fn apply_next_fault(&mut self) {
+        let idx = self.fault_cursor;
+        let at = self
+            .next_fault
+            .expect("no transition under the fault cursor");
+        self.q.consume_reserved(at);
+        self.fault_cursor += 1;
+        let events = self.cfg.faults.events();
+        self.next_fault = events.get(idx + 1).map(|e| SimTime(e.at_ns));
+        let ev = events[idx];
+        let next_up = self.cfg.faults.next_up_ns(idx);
         let now = self.q.now();
         let li = ev.link.idx();
         let st = self.link_fault[li];
@@ -2325,6 +2365,139 @@ mod tests {
         assert_eq!(s1.per_rank_done, s2.per_rank_done);
         assert_eq!(s1.events, s2.events);
         assert_eq!(base.traffic().per_link(), faulted.traffic().per_link());
+    }
+
+    // ------------------------- the fault cursor ------------------------- //
+
+    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
+
+    fn faulted_cfg(
+        backend: QueueBackend,
+        events: Vec<crate::linkstate::LinkStateEvent>,
+    ) -> FabricConfig {
+        let mut cfg = FabricConfig::ideal();
+        cfg.event_queue = backend;
+        cfg.faults = crate::linkstate::LinkSchedule::new(events);
+        cfg
+    }
+
+    #[test]
+    fn transition_fires_ahead_of_a_same_instant_arrival() {
+        use crate::linkstate::LinkStateEvent;
+        for b in BACKENDS {
+            // The instant the root's one datagram reaches the switch's
+            // egress toward rank 3 (its first copy finds the link idle).
+            let mut cfg = faulted_cfg(b, Vec::new());
+            cfg.trace = Some(TraceSpec::default());
+            let (mut healthy, _) = bcast_fabric(4, 1, cfg);
+            assert!(healthy.run().all_done());
+            let reach = healthy
+                .trace()
+                .unwrap()
+                .iter()
+                .find_map(|e| match *e {
+                    TraceEvent::Egress {
+                        start_ns, link: 7, ..
+                    } => Some(start_ns - SWITCH_LATENCY_NS),
+                    _ => None,
+                })
+                .expect("no copy toward rank 3");
+            // Down at that very instant: the transition wins the tie.
+            let down = vec![LinkStateEvent::down(reach, LinkId(7))];
+            let (mut tie, _) = bcast_fabric(4, 1, faulted_cfg(b, down));
+            assert!(!tie.run().all_done(), "{b:?}");
+            assert_eq!(tie.total_fault_drops(), 1, "{b:?}");
+            // One nanosecond later the copy is already through.
+            let down = vec![LinkStateEvent::down(reach + 1, LinkId(7))];
+            let (mut late, _) = bcast_fabric(4, 1, faulted_cfg(b, down));
+            assert!(late.run().all_done(), "{b:?}");
+            assert_eq!(late.total_fault_drops(), 0, "{b:?}");
+        }
+    }
+
+    #[test]
+    fn next_event_time_reports_a_pending_transition() {
+        use crate::linkstate::LinkStateEvent;
+        for b in BACKENDS {
+            let (mut healthy, _) = bcast_fabric(4, 0, faulted_cfg(b, Vec::new()));
+            let (mut fab, _) = bcast_fabric(
+                4,
+                0,
+                faulted_cfg(b, vec![LinkStateEvent::down(5_000, LinkId(3))]),
+            );
+            // Nothing is queued before the run starts.
+            assert_eq!(healthy.next_event_time(), None, "{b:?}");
+            assert_eq!(fab.next_event_time(), Some(SimTime(5_000)), "{b:?}");
+            // Every rank finishes at t = 0, ahead of the transition.
+            assert!(healthy.run().all_done() && fab.run().all_done());
+            assert_eq!(healthy.next_event_time(), None, "{b:?}");
+            assert_eq!(fab.next_event_time(), Some(SimTime(5_000)), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn run_until_applies_due_transitions_and_resumes_the_rest() {
+        use crate::linkstate::LinkStateEvent;
+        for backend in BACKENDS {
+            // Rank 3's downlink dies at t = 0, so no run completes and
+            // every deadline is honoured; link 5 drops long after the
+            // traffic is over and recovers later still.
+            let events = vec![
+                LinkStateEvent::down(0, LinkId(7)),
+                LinkStateEvent::down(100_000, LinkId(5)),
+                LinkStateEvent::up(200_000, LinkId(5)),
+            ];
+            let (mut whole, _) = bcast_fabric(4, 2, faulted_cfg(backend, events.clone()));
+            let (mut fab, _) = bcast_fabric(4, 2, faulted_cfg(backend, events));
+            fab.run_until(SimTime(99_999));
+            assert!(fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert_eq!(fab.next_event_time(), Some(SimTime(100_000)));
+            // A transition exactly at the deadline is applied.
+            let stats = fab.run_until(SimTime(100_000));
+            assert!(!fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert_eq!(stats.end_time, SimTime(100_000));
+            assert_eq!(fab.next_event_time(), Some(SimTime(200_000)));
+            // Resuming applies the rest, as one uninterrupted run does.
+            let (a, b) = (fab.run(), whole.run());
+            assert!(fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert_eq!(fab.next_event_time(), None);
+            assert_eq!(fab.traffic().link(LinkId(5)).downtime_ns, 100_000);
+            assert_eq!(a.end_time, SimTime(200_000));
+            assert_eq!(
+                (a.end_time, a.events, a.peak_queue_depth),
+                (b.end_time, b.events, b.peak_queue_depth),
+                "{backend:?}"
+            );
+            assert_eq!(a.per_rank_done, b.per_rank_done);
+        }
+    }
+
+    #[test]
+    fn transitions_count_as_events_and_as_queue_depth() {
+        use crate::linkstate::LinkStateEvent;
+        for b in BACKENDS {
+            let (mut healthy, _) = bcast_fabric(4, 16, faulted_cfg(b, Vec::new()));
+            let base = healthy.run();
+            assert!(base.all_done());
+            // Ten no-op transitions (an up link restored to full rate).
+            let noops = |from: u64| -> Vec<LinkStateEvent> {
+                (0..10)
+                    .map(|i| LinkStateEvent::up(from + i, LinkId(7)))
+                    .collect()
+            };
+            // After the run ends: never applied, pending throughout.
+            let (mut late, _) = bcast_fabric(4, 16, faulted_cfg(b, noops(1_000_000)));
+            let s = late.run();
+            assert_eq!(s.per_rank_done, base.per_rank_done, "{b:?}");
+            assert_eq!(s.events, base.events, "{b:?}");
+            assert_eq!(s.peak_queue_depth, base.peak_queue_depth + 10, "{b:?}");
+            // At t = 0: every one applied, ahead of all traffic.
+            let (mut early, _) = bcast_fabric(4, 16, faulted_cfg(b, noops(0)));
+            let s = early.run();
+            assert_eq!(s.per_rank_done, base.per_rank_done, "{b:?}");
+            assert_eq!(s.events, base.events + 10, "{b:?}");
+            assert_eq!(early.traffic().events(), base.events + 10, "{b:?}");
+        }
     }
 
     // ---------------------- send-queue work requests --------------------- //

@@ -7,8 +7,10 @@
 //! link serializes packets slower, modeling FEC retraining / lane
 //! downgrade). The schedule is plain data — the higher-level fault
 //! *models* (degraded links, flapping ports, switch failures) live in the
-//! `mcag-faults` crate and compile down to this type; the fabric replays
-//! the schedule as ordinary queue events, so fault runs stay bit-for-bit
+//! `mcag-faults` crate and compile down to this type. The fabric replays
+//! the schedule from a cursor beside its event queue: each transition
+//! counts as a pending event from the start and fires ahead of any
+//! protocol event at the same instant, so fault runs stay bit-for-bit
 //! deterministic.
 //!
 //! ## Enforcement semantics (what the fabric does with this)
@@ -92,9 +94,9 @@ impl LinkStateEvent {
     }
 }
 
-/// A validated, time-sorted schedule of link-state transitions, consumed
-/// by `Fabric::new` (via `FabricConfig::faults`) as ordinary queue
-/// events. The compiled form of a `mcag-faults` `FaultPlan`.
+/// A validated, time-sorted schedule of link-state transitions, replayed
+/// by the fabric (via `FabricConfig::faults`) from a cursor beside its
+/// event queue. The compiled form of a `mcag-faults` `FaultPlan`.
 ///
 /// Immutable once built and shared behind one `Arc`: cloning a schedule
 /// (the runtime clones a `FabricConfig` per batch) copies no transition.
@@ -142,16 +144,14 @@ impl LinkSchedule {
         events.sort_by_key(|e| (e.at_ns, e.link.0));
         // Reverse scan: carry the latest known up-time per link backwards
         // so every event knows when its link next carries traffic.
+        let link_bound = events.iter().map(|e| e.link.idx() + 1).max().unwrap_or(0);
+        let mut latest_up = vec![u64::MAX; link_bound];
         let mut next_up = vec![u64::MAX; events.len()];
-        let mut latest_up: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for i in (0..events.len()).rev() {
-            let e = events[i];
+        for (e, next) in events.iter().zip(&mut next_up).rev() {
             if e.up {
-                latest_up.insert(e.link.0, e.at_ns);
-                next_up[i] = e.at_ns;
-            } else {
-                next_up[i] = latest_up.get(&e.link.0).copied().unwrap_or(u64::MAX);
+                latest_up[e.link.idx()] = e.at_ns;
             }
+            *next = latest_up[e.link.idx()];
         }
         LinkSchedule {
             compiled: Arc::new(Compiled { events, next_up }),
@@ -183,6 +183,7 @@ impl LinkSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn events_are_sorted_and_next_up_is_computed() {
@@ -222,6 +223,39 @@ mod tests {
     fn empty_schedule_is_empty() {
         assert!(LinkSchedule::empty().is_empty());
         assert_eq!(LinkSchedule::empty().len(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random schedules dense with ties (few instants, few links),
+        /// the events are the stable `(at_ns, link)` sort of the input —
+        /// two same-link transitions at one instant keep their given
+        /// order — and `next_up_ns` is what a naive forward scan finds.
+        #[test]
+        fn next_up_matches_a_forward_scan(
+            raw in prop::collection::vec((0u64..8, 0u32..5, 0u8..3), 0..40),
+        ) {
+            let input: Vec<LinkStateEvent> = raw
+                .iter()
+                .map(|&(at, link, kind)| match kind {
+                    0 => LinkStateEvent::down(at, LinkId(link)),
+                    1 => LinkStateEvent::up(at, LinkId(link)),
+                    _ => LinkStateEvent::degraded(at, LinkId(link), 1, 2),
+                })
+                .collect();
+            let s = LinkSchedule::new(input.clone());
+            let mut sorted = input.clone();
+            sorted.sort_by_key(|e| (e.at_ns, e.link.0));
+            prop_assert_eq!(s.events(), &sorted[..]);
+            for (i, e) in sorted.iter().enumerate() {
+                let naive = sorted[i..]
+                    .iter()
+                    .find(|f| f.link == e.link && f.up)
+                    .map_or(u64::MAX, |f| f.at_ns);
+                prop_assert_eq!(s.next_up_ns(i), naive, "event {}", i);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Allocation budgets: the regression gate behind the arena-backed
 //! timer wheel, the sort-free trace harvest and the one-buffer Chrome
-//! exporter. A counting `#[global_allocator]` holds nine numbers to a
+//! exporter. A counting `#[global_allocator]` holds ten numbers to a
 //! ceiling so that a per-slot container, a per-batch deep copy, a
 //! per-element `String`, a capacity that is never given back or a fat
 //! in-flight packet cannot return unnoticed:
@@ -24,15 +24,20 @@
 //!    one Reduce-Scatter sweep request per rank rather than one request
 //!    per shard or one built packet per chunk;
 //! 9. and the same pair reduced on the endpoints, whose peak is the
-//!    packet slab.
+//!    packet slab;
+//! 10. a faulted collective peaks at the same live heap whether its flap
+//!     schedule ends soon after the run or runs on long past it: the
+//!     fabric replays transitions from a cursor, it does not queue them.
 //!
 //! The counters are per thread (the harness runs tests on parallel
 //! threads, and every path measured here is single-threaded), so the
 //! tests cannot see each other's allocations.
 
+use mcast_allgather::core::des::RunBounds;
 use mcast_allgather::core::{
     des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, CollectiveKind, ProtocolConfig,
 };
+use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::runtime::{
     JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
@@ -433,4 +438,53 @@ fn endpoint_pair_holds_a_slab_of_small_packets() {
     // 16,384 entries. It was 3.34 with 144-byte entries (64 now, pinned
     // by `mcag-simnet`'s `slab_entry_stays_small`).
     assert!(peak_mib < 2.6, "peak live heap {peak_mib:.2} MiB");
+}
+
+/// Peak live heap, in bytes, of a 16 KiB Allgather on an 8-host fat
+/// tree whose flapping ports cycle every 40 µs until `flap_end_ns`, with
+/// the run's completion times. The schedule is compiled before the
+/// measurement starts: it is the run's input, not its working set.
+fn flapped_allgather_peak(flap_end_ns: u64) -> (i64, Vec<Option<SimTime>>) {
+    let topo = Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+    let mut cfg = FabricConfig::ucc_default();
+    cfg.faults = FaultPlan::new(7)
+        .with(FaultModel::FlappingPort {
+            fraction: 0.2,
+            period_ns: 40_000,
+            down_ns: 10_000,
+            start_ns: 0,
+            end_ns: flap_end_ns,
+        })
+        .compile(&topo);
+    // A short fixed cutoff slack: fetches finish well inside 200 µs.
+    let proto = ProtocolConfig {
+        cutoff_alpha_ns: 20_000,
+        ..ProtocolConfig::default()
+    };
+    let floor = reset_peak();
+    let run = des::run_collective_bounded(
+        topo,
+        cfg,
+        proto,
+        CollectiveKind::Allgather,
+        16 << 10,
+        RunBounds::default(),
+    );
+    assert!(run.stats.all_done());
+    (tally().peak - floor, run.stats.per_rank_done)
+}
+
+#[test]
+fn pending_fault_transitions_take_no_heap() {
+    let (short, short_done) = flapped_allgather_peak(200_000);
+    let (long, long_done) = flapped_allgather_peak(8_000_000);
+    // The run is over before the short schedule ends, so both runs see
+    // the same transitions; the long one leaves thousands more pending.
+    assert_eq!(short_done, long_done);
+    // It grew 24 B per pending transition while every transition was
+    // pushed into the event queue at fabric construction.
+    assert!(
+        (short - long).abs() <= 256,
+        "peak live heap {short} B with the flaps cut at 200 µs, {long} B at 8 ms"
+    );
 }

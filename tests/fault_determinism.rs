@@ -2,9 +2,10 @@
 //! `FaultPlan` seed must produce **bit-identical** outcomes (fabric
 //! stats, traffic reports, runtime reports) at `jobs = 1` and
 //! `jobs = 4`, and a fault-free plan must be a perfect no-op against
-//! the baseline fabric. Fault schedules are plain data replayed as
-//! queue events, so worker count and plan presence may only change what
-//! the schedule *says* — never introduce nondeterminism.
+//! the baseline fabric. Fault schedules are plain data the fabric
+//! replays from a cursor beside its event queue, so worker count and
+//! plan presence may only change what the schedule *says* — never
+//! introduce nondeterminism.
 
 use mcast_allgather::core::des::{self, RunBounds};
 use mcast_allgather::core::{CollectiveKind, ProtocolConfig};
