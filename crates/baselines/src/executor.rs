@@ -225,15 +225,6 @@ impl P2POutcome {
             .unwrap_or(0)
     }
 
-    /// Per-rank durations of flow `f` for ranks that moved data.
-    pub fn flow_rank_ns(&self, f: usize) -> Vec<u64> {
-        self.flow_times[f]
-            .iter()
-            .flatten()
-            .map(|(s, e)| e.since(*s))
-            .collect()
-    }
-
     /// Per-rank receive throughput (Gbit/s) of flow `f`, given the bytes
     /// each rank receives; ranks with zero expected bytes are skipped.
     pub fn recv_gbps(&self, f: usize, recv_bytes: impl Fn(Rank) -> u64) -> Vec<f64> {

@@ -17,6 +17,7 @@
 //! round-robin QP arbiter and every fabric link inside one
 //! [`MultiCommApp`](crate::MultiCommApp) per rank.
 
+use crate::des::RunBounds;
 use crate::msg::ControlMsg;
 use crate::multicomm::{self, Comm};
 use crate::plan::{CollectiveKind, CollectivePlan};
@@ -24,7 +25,7 @@ use crate::protocol::RankTiming;
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
 use mcag_simnet::{
-    Ctx, Fabric, FabricConfig, MsgSegments, Payload, RankApp, SimTime, Topology, TrafficReport,
+    Ctx, FabricConfig, MsgSegments, Payload, RankApp, SimTime, Topology, TrafficReport,
 };
 use mcag_verbs::{CollectiveId, Cqe, CqeOpcode, ImmLayout, McastGroupId, Mtu, QpNum, Rank};
 use std::sync::Arc;
@@ -64,7 +65,6 @@ pub struct RsApp {
     got: u32,
     tx_done: bool,
     released: bool,
-    auto_mark_done: bool,
     token_base: u64,
     t_start: SimTime,
     t_done: Option<SimTime>,
@@ -100,17 +100,10 @@ impl RsApp {
             got: 0,
             tx_done: false,
             released: false,
-            auto_mark_done: true,
             token_base: 0,
             t_start: SimTime::ZERO,
             t_done: None,
         }
-    }
-
-    /// Disable automatic `mark_done` ([`MultiCommApp`](crate::MultiCommApp)
-    /// marks for its slots).
-    pub(crate) fn set_auto_mark_done(&mut self, auto: bool) {
-        self.auto_mark_done = auto;
     }
 
     /// Namespace this instance's drain token (its
@@ -150,9 +143,6 @@ impl RsApp {
         }
         self.released = true;
         self.t_done = Some(ctx.now());
-        if self.auto_mark_done {
-            ctx.mark_done();
-        }
     }
 }
 
@@ -216,12 +206,15 @@ pub struct ConcurrentOutcome {
     /// Link counters.
     pub traffic: TrafficReport,
     /// Packets the fabric still held when the run ended
-    /// ([`Fabric::live_packets`]); a completed run leaves none.
+    /// ([`mcag_simnet::Fabric::live_packets`]); a completed run leaves
+    /// none.
     pub live_packets: usize,
 }
 
 impl ConcurrentOutcome {
-    /// Wall time until *both* collectives finished everywhere (ns).
+    /// Wall time until *both* collectives finished everywhere (ns);
+    /// meaningful only when `stats.all_done()` (a censored run's open
+    /// ranks count as 0).
     pub fn pair_completion_ns(&self) -> u64 {
         let ag = self
             .ag_timings
@@ -243,7 +236,8 @@ impl ConcurrentOutcome {
 /// Run the pair on a fresh fabric: the multicast Allgather of
 /// `send_len` bytes (collective 1) beside the Reduce-Scatter of a
 /// `send_len·P` vector (collective 2), reduced in a full-membership
-/// switch group when `in_switch`, else on the endpoints.
+/// switch group when `in_switch`, else on the endpoints. Censored at the
+/// default [`RunBounds`] watchdog.
 fn run_pair(
     topo: Topology,
     fabric_cfg: FabricConfig,
@@ -267,16 +261,21 @@ fn run_pair(
     };
     // The pair roughly doubles the drain time of each collective (they
     // share the NIC), so give the AG cutoff 3× the usual headroom.
-    let (mut fab, _) = multicomm::build(topo, fabric_cfg, &proto, &[comm], 3);
-    let stats = fab.run();
-    let traffic = fab.traffic();
-    let slots = multicomm::take_slots(&mut fab);
+    let bounds = RunBounds {
+        cutoff_headroom: 3,
+        ..RunBounds::default()
+    };
+    let out = multicomm::run(topo, fabric_cfg, &proto, &[comm], bounds);
     ConcurrentOutcome {
-        ag_timings: slots.iter().map(|s| s[0].ag.timing()).collect(),
-        rs_times: slots.iter().map(|s| s[0].rs.as_ref()?.times()).collect(),
-        stats,
-        traffic,
-        live_packets: fab.live_packets(),
+        ag_timings: out.slots.iter().map(|s| s[0].ag.timing()).collect(),
+        rs_times: out
+            .slots
+            .iter()
+            .map(|s| s[0].rs.as_ref()?.times())
+            .collect(),
+        stats: out.stats,
+        traffic: out.traffic,
+        live_packets: out.live_packets,
     }
 }
 
@@ -305,59 +304,49 @@ pub fn run_concurrent_ag_rs_endpoint(
     run_pair(topo, fabric_cfg, proto, send_len, false)
 }
 
-/// Run the Reduce-Scatter alone (for the Fig. 3 decomposition), reduced
-/// in the switches when `in_switch`, else on the endpoints. Both
-/// placements inject the same `N(P−1)` per rank; the wire-traffic delta
-/// between them is the SHARP backend's advantage.
-pub fn run_reduce_scatter(
-    topo: Topology,
-    fabric_cfg: FabricConfig,
-    mtu: Mtu,
-    shard_len: usize,
-    in_switch: bool,
-) -> ConcurrentOutcome {
-    let p = topo.num_hosts() as u32;
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
-    let members: Vec<Rank> = (0..p).map(Rank).collect();
-    let group = in_switch.then(|| fab.create_group(&members));
-    for &r in &members {
-        let qp = fab.add_qp(r, mcag_verbs::Transport::Rc, 0);
-        let (imm, coll) = (ImmLayout::DEFAULT, CollectiveId(3));
-        let rs = RsApp::new(p, r, shard_len, mtu, imm, coll, qp, group);
-        fab.set_app(r, Box::new(rs));
-    }
-    let stats = fab.run();
-    let traffic = fab.traffic();
-    let rs_times = members
-        .iter()
-        .map(|&r| fab.take_app_as::<RsApp>(r).times())
-        .collect();
-    ConcurrentOutcome {
-        ag_timings: Vec::new(),
-        rs_times,
-        stats,
-        traffic,
-        live_packets: fab.live_packets(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CollectiveKind;
     use mcag_verbs::LinkRate;
 
     fn star(n: usize) -> Topology {
         Topology::single_switch(n, LinkRate::CX3_56G, 100)
     }
 
+    /// The Reduce-Scatter's own payload bytes on an ideal fabric: the
+    /// pair's `(host injection, host delivery, all links)` minus the same
+    /// Allgather run alone. Neither run fetches, so the Allgather moves
+    /// the same bytes in both.
+    fn rs_bytes(p: usize, n: usize, in_switch: bool) -> (u64, u64, u64) {
+        let (cfg, proto) = (FabricConfig::ideal(), ProtocolConfig::default());
+        let ag = crate::run_collective(star(p), cfg.clone(), proto, CollectiveKind::Allgather, n);
+        let pair = run_pair(star(p), cfg, proto, n, in_switch);
+        assert!(ag.stats.all_done() && pair.stats.all_done());
+        assert_eq!(ag.total_fetched(), 0);
+        assert_eq!(
+            pair.ag_timings
+                .iter()
+                .map(|t| t.fetched_chunks)
+                .sum::<u64>(),
+            0
+        );
+        let topo = star(p);
+        let bytes = |t: &TrafficReport| {
+            let (inj, del) = (t.host_injection_bytes(&topo), t.host_delivery_bytes(&topo));
+            (inj, del, t.total_data_bytes())
+        };
+        let (pair, ag) = (bytes(&pair.traffic), bytes(&ag.traffic));
+        (pair.0 - ag.0, pair.1 - ag.1, pair.2 - ag.2)
+    }
+
     #[test]
     fn inc_reduce_scatter_completes() {
-        let out = run_reduce_scatter(
+        let out = run_concurrent_ag_rs(
             star(6),
             FabricConfig::ucc_default(),
-            Mtu::IB_4K,
+            ProtocolConfig::default(),
             64 << 10,
-            true,
         );
         assert!(out.stats.all_done(), "{:?}", out.stats);
         for t in out.rs_times.iter() {
@@ -373,26 +362,18 @@ mod tests {
         // N(P-1) each, downlinks carry N each.
         let n: u64 = 64 << 10;
         let p = 6u64;
-        let out = run_reduce_scatter(
-            star(p as usize),
-            FabricConfig::ideal(),
-            Mtu::IB_4K,
-            n as usize,
-            true,
-        );
-        let total = out.traffic.total_data_bytes();
+        let (_, _, total) = rs_bytes(p as usize, n as usize, true);
         // P uplinks x N(P-1) + P downlinks x N.
         assert_eq!(total, p * n * (p - 1) + p * n);
     }
 
     #[test]
     fn endpoint_reduce_scatter_completes() {
-        let out = run_reduce_scatter(
+        let out = run_concurrent_ag_rs_endpoint(
             star(6),
             FabricConfig::ucc_default(),
-            Mtu::IB_4K,
+            ProtocolConfig::default(),
             64 << 10,
-            false,
         );
         assert!(out.stats.all_done(), "{:?}", out.stats);
         for t in out.rs_times.iter() {
@@ -407,29 +388,14 @@ mod tests {
         // streams (N(P-1) bytes) instead of one reduced shard (N).
         let n: u64 = 64 << 10;
         let p = 6u64;
-        let endpoint = run_reduce_scatter(
-            star(p as usize),
-            FabricConfig::ideal(),
-            Mtu::IB_4K,
-            n as usize,
-            false,
-        );
+        let (_, _, endpoint) = rs_bytes(p as usize, n as usize, false);
         assert_eq!(
-            endpoint.traffic.total_data_bytes(),
+            endpoint,
             2 * p * n * (p - 1),
             "P uplinks and P downlinks each moving N(P-1)"
         );
-        let inc = run_reduce_scatter(
-            star(p as usize),
-            FabricConfig::ideal(),
-            Mtu::IB_4K,
-            n as usize,
-            true,
-        );
-        assert!(
-            inc.traffic.total_data_bytes() < endpoint.traffic.total_data_bytes(),
-            "in-switch reduction must move fewer bytes"
-        );
+        let (_, _, inc) = rs_bytes(p as usize, n as usize, true);
+        assert!(inc < endpoint, "in-switch reduction must move fewer bytes");
     }
 
     #[test]

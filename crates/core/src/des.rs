@@ -15,17 +15,19 @@ use std::sync::Arc;
 
 /// Watchdog margin: a healthy collective (including recovery rounds, each
 /// of which re-arms a cutoff-sized timer) finishes within a handful of
-/// cutoffs; a run still pending after this many is livelocked. Used to
-/// bound [`run_collective`] via the peek-based
-/// [`Fabric::run_until`](mcag_simnet::Fabric::run_until) instead of
-/// grinding toward the multi-billion event cap; the runtime scheduler
-/// applies the same margin to whole batches.
+/// cutoffs; a run still pending after this many per communicator is
+/// livelocked or cut off by a fault. The default of [`RunBounds`], which
+/// bound every driver's run through [`multicomm::run`] via the
+/// peek-based [`Fabric::run_until`](mcag_simnet::Fabric::run_until)
+/// instead of grinding toward the multi-billion event cap; the runtime
+/// scheduler applies the same margin to whole batches.
 pub const WATCHDOG_CUTOFFS: u64 = 1024;
 
-/// Per-run recovery/termination bounds: how aggressively the protocol's
-/// reliability cutoff is stretched, and how many cutoffs the watchdog
-/// grants before declaring the run timed out. The knobs of the fault
-/// sweeps' "recovery cutoff" axis.
+/// Per-run recovery/termination bounds, applied by [`multicomm::run`] to
+/// every driver: how aggressively the protocol's reliability cutoff is
+/// stretched, and how many cutoffs the watchdog grants before declaring
+/// the run timed out. The knobs of the fault sweeps' "recovery cutoff"
+/// axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBounds {
     /// Multiplier on the ideal-drain-time term of the cutoff timer
@@ -33,9 +35,10 @@ pub struct RunBounds {
     /// falling back to the unicast recovery ring — fewer spurious
     /// fetches on a healthy fabric, fatter tail under faults.
     pub cutoff_headroom: u64,
-    /// Watchdog deadline in cutoffs; a run still pending after
-    /// `cutoff * watchdog_cutoffs` is abandoned ([`RunStats::all_done`]
-    /// stays false — a clean timeout, never a panic).
+    /// Watchdog deadline in cutoffs; a run still pending after its
+    /// communicators' summed cutoffs times `watchdog_cutoffs` is
+    /// abandoned ([`RunStats::all_done`] stays false — a clean timeout,
+    /// never a panic).
     pub watchdog_cutoffs: u64,
 }
 
@@ -234,36 +237,18 @@ pub fn run_collective_bounded(
     };
     // Cutoff timer: ideal drain time of the receive buffer at the host
     // link rate, scaled by the recovery headroom, plus slack
-    // (Section III-C).
-    let (mut fab, cutoffs) =
-        multicomm::build(topo, fabric_cfg, &proto, &[comm], bounds.cutoff_headroom);
-    let cutoff = cutoffs[0];
-
-    // Deadline-bounded run: `run_until` peeks the next event time instead
-    // of popping-and-rescheduling, so the bound never perturbs event
-    // order. `all_done()` stays false if the watchdog trips.
-    let watchdog = SimTime::from_ns(cutoff.saturating_mul(bounds.watchdog_cutoffs.max(1)));
-    let stats = fab.run_until(watchdog);
-    let traffic = fab.traffic();
-    let rnr = fab.total_rnr_drops();
-    let drops = fab.total_fabric_drops();
-    // Harvest the owned per-app sinks: each endpoint carried its own
-    // timing row through the run; the driver assembles the table.
-    let timings = multicomm::take_slots(&mut fab)
-        .iter()
-        .map(|slots| slots[0].ag.timing())
-        .collect();
-    let trace = fab.take_trace();
+    // (Section III-C). `all_done()` stays false if the watchdog trips.
+    let out = multicomm::run(topo, fabric_cfg, &proto, &[comm], bounds);
     CollectiveOutcome {
         plan,
-        timings,
-        stats,
-        traffic,
-        rnr_drops: rnr,
-        fabric_drops: drops,
-        cutoff_ns: cutoff,
-        deadline: watchdog,
-        trace,
+        timings: out.slots.iter().map(|slots| slots[0].ag.timing()).collect(),
+        stats: out.stats,
+        rnr_drops: out.traffic.total_rnr_drops(),
+        fabric_drops: out.traffic.total_drops(),
+        traffic: out.traffic,
+        cutoff_ns: out.cutoffs[0],
+        deadline: out.deadline,
+        trace: out.trace,
     }
 }
 

@@ -24,14 +24,15 @@
 //! * [`des`] — the discrete-event driver producing timings and traffic
 //!   reports for the paper's UCC-testbed experiments.
 //! * [`multicomm`] — several communicators per rank (Section V-C): the
-//!   one layout routine, [`multicomm::build`], which lays every driver's
-//!   communicators out on a fabric, and the rank mux, [`MultiCommApp`],
+//!   one run path, [`multicomm::run`], which lays every driver's
+//!   communicators out on a fabric, runs it under the watchdog and
+//!   harvests the result once, and the rank mux, [`MultiCommApp`],
 //!   hosting one [`CommSlot`] per communicator; plus the `k`-Allgather
 //!   driver.
 //! * [`concurrent`] — the FSDP `{Allgather, Reduce-Scatter}` pair
 //!   (Section II, Appendix B): [`RsApp`], one Reduce-Scatter endpoint
-//!   reducing in the switches or on the endpoints, and the pair and
-//!   standalone drivers.
+//!   reducing in the switches or on the endpoints, and the two pair
+//!   drivers, one per placement.
 //!
 //! ## Quick start
 //!
@@ -65,9 +66,7 @@ pub mod sequencer;
 pub mod staging;
 
 pub use bitmap::ChunkBitmap;
-pub use concurrent::{
-    run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_reduce_scatter, RsApp,
-};
+pub use concurrent::{run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, RsApp};
 pub use config::ProtocolConfig;
 pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};
 pub use msg::ControlMsg;

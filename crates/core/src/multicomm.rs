@@ -8,28 +8,32 @@
 //! collective id in the immediate bits; they share the NIC's round-robin
 //! arbiter and the fabric.
 //!
-//! [`build`] is the one place communicators are laid out on a fabric:
-//! every driver — [`crate::des`]'s single collective, the FSDP pair
-//! drivers in [`crate::concurrent`], [`run_concurrent_allgathers`] here
-//! and `mcag-runtime`'s batch simulation — describes its communicators
-//! as [`Comm`]s and harvests them with [`take_slots`]. On every rank
-//! [`MultiCommApp`], the one composite rank app, hosts one [`CommSlot`]
-//! per communicator — a Broadcast/Allgather, or the FSDP pair of an
-//! Allgather beside a [`RsApp`] in either reduction placement — and owns
-//! the composition convention (slot `i`'s token base, marking the rank
-//! done, QP ownership).
+//! [`run`] is the one run path: every driver — [`crate::des`]'s single
+//! collective, the FSDP pair drivers in [`crate::concurrent`],
+//! [`run_concurrent_allgathers`] here and, through [`run_with`],
+//! `mcag-runtime`'s batch simulation — describes its communicators as
+//! [`Comm`]s, and `run` lays them out on a fresh fabric, runs it under
+//! the [`RunBounds`] watchdog and harvests a [`CommRun`] once. On every
+//! rank [`MultiCommApp`], the one composite rank app, hosts one
+//! [`CommSlot`] per communicator — a Broadcast/Allgather, or the FSDP
+//! pair of an Allgather beside a [`RsApp`] in either reduction placement
+//! — and owns the composition convention (slot `i`'s token base, marking
+//! the rank done, QP ownership).
 
 use crate::concurrent::{RsApp, RS_TX_TOKEN};
+use crate::des::RunBounds;
 use crate::msg::ControlMsg;
 use crate::plan::{CollectiveKind, CollectivePlan};
 use crate::protocol::{McastRankApp, QpLayout, RankTiming, TOKEN_STRIDE};
 use crate::ProtocolConfig;
 use mcag_simnet::fabric::RunStats;
-use mcag_simnet::{Ctx, Fabric, FabricConfig, Payload, RankApp, Topology, TrafficReport};
+use mcag_simnet::{
+    Ctx, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology, TraceSink, TrafficReport,
+};
 use mcag_verbs::{CollectiveId, Cqe, QpNum, Rank, Transport};
 use std::sync::Arc;
 
-/// One communicator to lay out with [`build`].
+/// One communicator to lay out and [`run`].
 pub struct Comm {
     /// Its Broadcast or Allgather; the plan carries the collective id.
     pub plan: Arc<CollectivePlan>,
@@ -63,7 +67,7 @@ impl CommSlot {
 /// every rank, communicator `i` adds its control QP on worker 0, the QP
 /// of subgroup `j` on RX worker `(i + j) mod W`, attached to that
 /// subgroup's group, and the pair's Reduce-Scatter QP on worker 0.
-pub fn build(
+fn build(
     topo: impl Into<Arc<Topology>>,
     fabric_cfg: FabricConfig,
     proto: &ProtocolConfig,
@@ -124,12 +128,84 @@ pub fn build(
     (fab, cutoffs)
 }
 
-/// Every rank's slots after a [`build`] fabric ran, rank-major: entry
-/// `[r][i]` is communicator `i`'s endpoint(s) on rank `r`.
-pub fn take_slots(fab: &mut Fabric<ControlMsg>) -> Vec<Vec<CommSlot>> {
-    (0..fab.topology().num_hosts() as u32)
+/// Everything one [`run`] leaves for its driver, harvested once after
+/// the fabric stopped.
+pub struct CommRun {
+    /// Every rank's slots, rank-major: entry `[r][i]` is communicator
+    /// `i`'s endpoint(s) on rank `r`.
+    pub slots: Vec<Vec<CommSlot>>,
+    /// Fabric statistics; [`RunStats::all_done`] is false when the
+    /// watchdog censored the run.
+    pub stats: RunStats,
+    /// Link counters (all communicators combined).
+    pub traffic: TrafficReport,
+    /// Each communicator's reliability cutoff
+    /// ([`crate::des::cutoff_ns`] with the bounds' headroom).
+    pub cutoffs: Vec<u64>,
+    /// The watchdog deadline the run was bounded by: the summed cutoffs
+    /// times [`RunBounds::watchdog_cutoffs`].
+    pub deadline: SimTime,
+    /// Packets the fabric still held when the run ended
+    /// ([`Fabric::live_packets`]); a completed run leaves none.
+    pub live_packets: usize,
+    /// The harvested flight recorder (`Some` iff the fabric config
+    /// carried a `TraceSpec`).
+    pub trace: Option<TraceSink>,
+}
+
+/// Lay `comms` out on a fresh fabric, run it until every rank is done or
+/// the watchdog deadline passes, and harvest the result. Each
+/// communicator's cutoff carries `bounds.cutoff_headroom`; the deadline
+/// is the summed cutoffs times `bounds.watchdog_cutoffs`. The bounded run
+/// is peek-based, so a run that completes is byte-identical to an
+/// unbounded one; one that does not is censored
+/// (`stats.all_done() == false`) at the deadline.
+pub fn run(
+    topo: impl Into<Arc<Topology>>,
+    fabric_cfg: FabricConfig,
+    proto: &ProtocolConfig,
+    comms: &[Comm],
+    bounds: RunBounds,
+) -> CommRun {
+    run_with(
+        topo,
+        fabric_cfg,
+        proto,
+        comms,
+        bounds,
+        |fab, _, deadline| fab.run_until(deadline),
+    )
+}
+
+/// [`run`] with the caller's drive loop: `drive` gets the fabric, the
+/// summed cutoffs and the watchdog deadline, runs the fabric no further
+/// than the deadline and returns its final statistics — in slices, say,
+/// with work between them, as the runtime's reactive subnet manager
+/// does.
+pub fn run_with(
+    topo: impl Into<Arc<Topology>>,
+    fabric_cfg: FabricConfig,
+    proto: &ProtocolConfig,
+    comms: &[Comm],
+    bounds: RunBounds,
+    drive: impl FnOnce(&mut Fabric<ControlMsg>, u64, SimTime) -> RunStats,
+) -> CommRun {
+    let (mut fab, cutoffs) = build(topo, fabric_cfg, proto, comms, bounds.cutoff_headroom);
+    let total_cutoff: u64 = cutoffs.iter().sum();
+    let deadline = SimTime::from_ns(total_cutoff.saturating_mul(bounds.watchdog_cutoffs.max(1)));
+    let stats = drive(&mut fab, total_cutoff, deadline);
+    let slots = (0..fab.topology().num_hosts() as u32)
         .map(|r| fab.take_app_as::<MultiCommApp>(Rank(r)).slots)
-        .collect()
+        .collect();
+    CommRun {
+        slots,
+        stats,
+        traffic: fab.traffic(),
+        cutoffs,
+        deadline,
+        live_packets: fab.live_packets(),
+        trace: fab.take_trace(),
+    }
 }
 
 /// One rank's view of several concurrently progressing communicators:
@@ -163,7 +239,6 @@ impl MultiCommApp {
             slot.ag.set_token_base(base);
             slot.ag.qps().for_each(|qp| own(qp, i));
             if let Some(rs) = &mut slot.rs {
-                rs.set_auto_mark_done(false);
                 rs.set_token_base(base);
                 own(rs.qp(), i);
             }
@@ -244,7 +319,8 @@ impl MultiCommOutcome {
             .unwrap_or(0)
     }
 
-    /// Completion of the whole batch.
+    /// Completion of the whole batch; meaningful only when
+    /// `stats.all_done()` (a censored run's open ranks count as 0).
     pub fn batch_completion_ns(&self) -> u64 {
         (0..self.per_comm.len())
             .map(|c| self.comm_completion_ns(c))
@@ -254,7 +330,8 @@ impl MultiCommOutcome {
 }
 
 /// Run `k` identical Allgathers (one per communicator) concurrently on
-/// `topo`, each of `send_len` bytes per rank.
+/// `topo`, each of `send_len` bytes per rank, censored at the default
+/// [`RunBounds`] watchdog.
 pub fn run_concurrent_allgathers(
     topo: Topology,
     fabric_cfg: FabricConfig,
@@ -280,20 +357,22 @@ pub fn run_concurrent_allgathers(
         })
         .collect();
     // k communicators share the link: give the cutoff k× the headroom.
-    let (mut fab, _) = build(topo, fabric_cfg, &proto, &comms, k as u64 + 1);
-    let stats = fab.run();
-    let traffic = fab.traffic();
+    let bounds = RunBounds {
+        cutoff_headroom: k as u64 + 1,
+        ..RunBounds::default()
+    };
+    let out = run(topo, fabric_cfg, &proto, &comms, bounds);
     let mut per_comm = vec![vec![RankTiming::default(); p as usize]; k];
-    for (r, slots) in take_slots(&mut fab).iter().enumerate() {
+    for (r, slots) in out.slots.iter().enumerate() {
         for (c, slot) in slots.iter().enumerate() {
             per_comm[c][r] = slot.ag.timing();
         }
     }
     MultiCommOutcome {
         per_comm,
-        stats,
-        traffic,
-        live_packets: fab.live_packets(),
+        stats: out.stats,
+        traffic: out.traffic,
+        live_packets: out.live_packets,
     }
 }
 
@@ -425,10 +504,12 @@ mod tests {
                 rs_in_switch,
             })
             .collect();
-        let (mut fab, _) = build(topo, fabric_cfg, &proto, &comms, 4);
-        let stats = fab.run();
-        let bytes = fab.traffic().total_data_bytes();
-        (stats, bytes, take_slots(&mut fab))
+        let bounds = RunBounds {
+            cutoff_headroom: 4,
+            ..RunBounds::default()
+        };
+        let out = run(topo, fabric_cfg, &proto, &comms, bounds);
+        (out.stats, out.traffic.total_data_bytes(), out.slots)
     }
 
     #[test]

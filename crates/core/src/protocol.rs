@@ -104,7 +104,7 @@ impl RankTiming {
 
 /// One endpoint's QPs, the same on every rank (SPMD): the reliable
 /// control ring and one UD multicast QP per subgroup, laid out by
-/// [`crate::multicomm::build`].
+/// [`crate::multicomm::run`].
 #[derive(Debug, Clone)]
 pub(crate) struct QpLayout {
     /// Reliable (RC) control QP.

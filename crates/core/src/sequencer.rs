@@ -37,11 +37,6 @@ impl Sequencer {
         }
     }
 
-    /// Number of roots.
-    pub fn num_roots(&self) -> u32 {
-        self.p
-    }
-
     /// Number of parallel chains (`M`, the size of each active group).
     pub fn num_chains(&self) -> u32 {
         self.m

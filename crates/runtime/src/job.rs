@@ -260,11 +260,6 @@ impl JobQueue {
         self.lanes.get(tenant.idx()).map_or(0, |l| l.fifo.len())
     }
 
-    /// Tenants currently schedulable (non-empty lane, not busy).
-    pub fn ready_tenants(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Enqueue an admitted job.
     pub fn push(&mut self, job: PendingJob) {
         let t = job.spec.tenant.idx();

@@ -152,11 +152,6 @@ impl McastGroupPool {
         self.cfg.capacity - self.pinned
     }
 
-    /// Groups currently programmed.
-    pub fn resident_groups(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Is `key` currently programmed?
     pub fn is_resident(&self, key: GroupKey) -> bool {
         self.resident.contains_key(&key)

@@ -374,11 +374,6 @@ impl Runtime {
         self.partition_health[partition]
     }
 
-    /// Timed-out jobs currently waiting out their retry backoff.
-    pub fn retry_backlog(&self) -> usize {
-        self.retry_queue.len()
-    }
-
     /// Register a tenant; its id indexes the per-tenant stats.
     pub fn register_tenant(&mut self, name: &str) -> TenantId {
         let id = TenantId(self.tenants.len() as u32);
@@ -390,11 +385,6 @@ impl Runtime {
     /// Current virtual time (ns).
     pub fn now_ns(&self) -> u64 {
         self.now_ns
-    }
-
-    /// Jobs waiting to be scheduled.
-    pub fn pending_jobs(&self) -> usize {
-        self.queue.len()
     }
 
     /// Group-pool handle (counters, residency).

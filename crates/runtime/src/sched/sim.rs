@@ -22,6 +22,7 @@
 //! that run; `Runtime::take_trace` merges the committed runs.
 
 use crate::job::JobKind;
+use mcag_core::des::RunBounds;
 use mcag_core::multicomm::{self, Comm};
 use mcag_core::{CollectivePlan, ProtocolConfig};
 use mcag_simnet::{FabricConfig, SimTime, Topology};
@@ -95,15 +96,7 @@ pub(super) struct BatchOutcome {
 pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // Every rank hosts one slot per job in a `MultiCommApp`, which
     // routes by QP ownership and token namespace.
-    let headroom = sim.comms.len() as u64 + 1;
-    let (mut fab, cutoffs) = multicomm::build(
-        Arc::clone(&sim.topo),
-        sim.fabric.clone(),
-        &sim.proto,
-        &sim.comms,
-        headroom,
-    );
-
+    //
     // Batch watchdog: every job's cutoff already upper-bounds its drain
     // (headroom includes the batch size), so a batch still running
     // orders of magnitude past the summed cutoffs is stuck — on a
@@ -112,39 +105,50 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // the deadline and the batch is *censored*: reported with the
     // cutoff as its end time, never panicked, so the scheduler above
     // can retry or record the loss.
-    let total_cutoff: u64 = cutoffs.iter().sum();
-    let watchdog = SimTime::from_ns(total_cutoff.saturating_mul(sim.watchdog_cutoffs.max(1)));
-    let mut sm_rebuilds = 0u32;
-    let stats = match sim.sm_check_cutoffs {
-        // Reactive SM sweep: run in slices; at each checkpoint diagnose
-        // fully-dead switches from the health snapshot and re-route any
-        // multicast tree that crosses one. Checkpoint times are pure
-        // functions of the batch's cutoffs, so recovery is as
-        // deterministic as the failure.
-        Some(check_cutoffs) if !sim.fabric.faults.is_empty() => {
-            let step = total_cutoff.saturating_mul(check_cutoffs.max(1));
-            let mut deadline = step.min(watchdog.as_ns());
-            loop {
-                let stats = fab.run_until(SimTime::from_ns(deadline));
-                if stats.all_done() || deadline >= watchdog.as_ns() {
-                    break stats;
-                }
-                let dead = fab.dead_switches();
-                if !dead.is_empty() {
-                    sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
-                }
-                deadline = deadline.saturating_add(step).min(watchdog.as_ns());
-            }
-        }
-        _ => fab.run_until(watchdog),
+    let bounds = RunBounds {
+        cutoff_headroom: sim.comms.len() as u64 + 1,
+        watchdog_cutoffs: sim.watchdog_cutoffs,
     };
-    let timed_out = !stats.all_done();
-    let traffic = fab.traffic();
-    let moved_bytes = traffic.total_data_bytes();
+    let mut sm_rebuilds = 0u32;
+    let out = multicomm::run_with(
+        Arc::clone(&sim.topo),
+        sim.fabric.clone(),
+        &sim.proto,
+        &sim.comms,
+        bounds,
+        |fab, total_cutoff, watchdog| match sim.sm_check_cutoffs {
+            // Reactive SM sweep: run in slices; at each checkpoint
+            // diagnose fully-dead switches from the health snapshot and
+            // re-route any multicast tree that crosses one. Checkpoint
+            // times are pure functions of the batch's cutoffs, so
+            // recovery is as deterministic as the failure.
+            Some(check_cutoffs) if !sim.fabric.faults.is_empty() => {
+                let step = total_cutoff.saturating_mul(check_cutoffs.max(1));
+                let mut deadline = step.min(watchdog.as_ns());
+                loop {
+                    let stats = fab.run_until(SimTime::from_ns(deadline));
+                    if stats.all_done() || deadline >= watchdog.as_ns() {
+                        break stats;
+                    }
+                    let dead = fab.dead_switches();
+                    if !dead.is_empty() {
+                        sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
+                    }
+                    deadline = deadline.saturating_add(step).min(watchdog.as_ns());
+                }
+            }
+            _ => fab.run_until(watchdog),
+        },
+    );
+    let watchdog = out.deadline.as_ns();
+    let timed_out = !out.stats.all_done();
     let (fault_drops, downtime_ns) = if sim.fabric.faults.is_empty() {
         (0, 0)
     } else {
-        (traffic.total_fault_drops(), traffic.total_downtime_ns())
+        (
+            out.traffic.total_fault_drops(),
+            out.traffic.total_downtime_ns(),
+        )
     };
 
     // Harvest the owned per-app sinks: per slot, the last rank's AG
@@ -152,7 +156,7 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // censored at the watchdog instant.
     let mut slot_done_ns = vec![0u64; sim.comms.len()];
     let mut slot_timed_out = vec![false; sim.comms.len()];
-    for rank_slots in multicomm::take_slots(&mut fab) {
+    for rank_slots in &out.slots {
         for (i, slot) in rank_slots.iter().enumerate() {
             let ag_done = slot.ag.timing().t_done;
             let done = match &slot.rs {
@@ -167,23 +171,23 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     }
     for (done, &censored) in slot_done_ns.iter_mut().zip(&slot_timed_out) {
         if censored {
-            *done = watchdog.as_ns();
+            *done = watchdog;
         }
     }
     BatchOutcome {
         batch_ns: if timed_out {
-            watchdog.as_ns()
+            watchdog
         } else {
-            stats.end_time.as_ns()
+            out.stats.end_time.as_ns()
         },
         slot_done_ns,
         timed_out,
         slot_timed_out,
-        moved_bytes,
+        moved_bytes: out.traffic.total_data_bytes(),
         fault_drops,
         downtime_ns,
         sm_rebuilds,
-        trace: fab.take_trace().map(TraceRun::from),
+        trace: out.trace.map(TraceRun::from),
     }
 }
 

@@ -310,14 +310,6 @@ impl RuntimeReport {
         self.offered_jobs as f64 * 1e9 / self.makespan_ns as f64
     }
 
-    /// Fraction of submission attempts refused, in `[0, 1]`.
-    pub fn reject_rate(&self) -> f64 {
-        if self.offered_jobs == 0 {
-            return 0.0;
-        }
-        self.rejects.total() as f64 / self.offered_jobs as f64
-    }
-
     /// Mean partition occupancy over the run, in `[0, 1]`: busy virtual
     /// time summed over partitions, over `makespan × partitions`.
     pub fn utilization(&self) -> f64 {

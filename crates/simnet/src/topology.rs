@@ -13,7 +13,6 @@
 
 use mcag_verbs::{LinkRate, Rank};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Index of a node (host or switch) in the topology.
@@ -486,19 +485,6 @@ impl Builder {
             top_level,
         }
     }
-}
-
-/// Pairs of opposite directed links (cable view), useful for reporting.
-pub fn duplex_pairs(topo: &Topology) -> HashMap<LinkId, LinkId> {
-    let mut m = HashMap::new();
-    // Builder always creates up/down adjacent pairs.
-    let mut i = 0;
-    while i + 1 < topo.num_links() {
-        m.insert(LinkId(i as u32), LinkId(i as u32 + 1));
-        m.insert(LinkId(i as u32 + 1), LinkId(i as u32));
-        i += 2;
-    }
-    m
 }
 
 #[cfg(test)]

@@ -92,12 +92,6 @@ impl LinkRate {
         self.bits_per_sec / 8
     }
 
-    /// Bytes transferable per nanosecond (fractional).
-    #[inline]
-    pub fn bytes_per_ns(self) -> f64 {
-        self.bits_per_sec as f64 / 8.0 / 1e9
-    }
-
     /// Time to serialize `bytes` onto the wire, in nanoseconds (rounded up,
     /// minimum 1 ns for a non-empty transfer so that events always advance
     /// simulated time).

@@ -12,11 +12,14 @@
 //!   reduction** complete the same Reduce-Scatter.
 
 use mcag_bench::backendfigs::sweep_digests;
-use mcast_allgather::core::run_reduce_scatter;
+use mcast_allgather::core::CollectiveKind::Allgather;
+use mcast_allgather::core::{
+    run_collective, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, ProtocolConfig,
+};
 use mcast_allgather::dpa::{run_datapath, ArrivalModel, DpaSpec, Kernel, KernelKind};
 use mcast_allgather::offload::{BackendKind, BackendLimits, DatapathTransport};
 use mcast_allgather::simnet::{FabricConfig, Topology};
-use mcast_allgather::verbs::{LinkRate, Mtu};
+use mcast_allgather::verbs::LinkRate;
 
 #[test]
 fn backend_sweep_identical_across_worker_counts() {
@@ -114,26 +117,28 @@ fn backends_are_the_recorded_cost_models() {
 
 #[test]
 fn both_reduction_placements_complete_the_same_reduce_scatter() {
-    // DES-level agreement: in-switch and endpoint Reduce-Scatter
-    // drivers run the identical (topology, shard) problem to
-    // completion; the in-switch path converges operands in the fabric
-    // and therefore moves strictly less payload.
+    // DES-level agreement: the in-switch and endpoint pair drivers run
+    // the identical (topology, shard) Reduce-Scatter beside the same
+    // Allgather to completion; the in-switch path converges operands in
+    // the fabric and therefore moves strictly less payload. Each
+    // Reduce-Scatter's payload is its pair's minus the Allgather run
+    // alone; on an ideal fabric neither fetches, so the Allgather moves
+    // the same bytes in all three runs.
     for topo in [
         Topology::single_switch(6, LinkRate::CX3_56G, 100),
         Topology::fat_tree_two_level(12, 3, 2, 1, LinkRate::CX3_56G, 100),
     ] {
         let shard = 16 << 10;
-        let [inc, endpoint] = [true, false].map(|in_switch| {
-            let cfg = FabricConfig::ucc_default();
-            run_reduce_scatter(topo.clone(), cfg, Mtu::IB_4K, shard, in_switch)
-        });
-        for out in [&inc, &endpoint] {
+        let (cfg, proto) = (FabricConfig::ideal(), ProtocolConfig::default());
+        let ag = run_collective(topo.clone(), cfg.clone(), proto, Allgather, shard);
+        assert_eq!(ag.total_fetched(), 0);
+        let [inc, endpoint] = [run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint].map(|run| {
+            let out = run(topo.clone(), cfg.clone(), proto, shard);
             assert!(out.stats.all_done(), "RS did not complete on {topo:?}");
             assert!(out.rs_times.iter().all(|t| t.is_some()));
-        }
-        assert!(
-            inc.traffic.total_data_bytes() < endpoint.traffic.total_data_bytes(),
-            "in-switch reduction must move less payload"
-        );
+            assert!(out.ag_timings.iter().all(|t| t.fetched_chunks == 0));
+            out.traffic.total_data_bytes() - ag.traffic.total_data_bytes()
+        });
+        assert!(inc < endpoint, "in-switch reduction must move less payload");
     }
 }

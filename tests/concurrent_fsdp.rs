@@ -2,10 +2,12 @@
 //! pairs, the in-network reduction substrate, and Appendix B's speedup.
 
 use mcast_allgather::baselines::{ring_allgather, ring_reduce_scatter, run_p2p_concurrent};
+use mcast_allgather::core::des::{self, RunBounds, WATCHDOG_CUTOFFS};
 use mcast_allgather::core::{
-    concurrent::run_reduce_scatter, run_collective, run_concurrent_ag_rs,
-    run_concurrent_ag_rs_endpoint, run_concurrent_allgathers, CollectiveKind, ProtocolConfig,
+    run_collective, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, run_concurrent_allgathers,
+    CollectiveKind, ProtocolConfig,
 };
+use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::models::concurrent_speedup;
 use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::{LinkRate, Mtu, Rank};
@@ -129,9 +131,6 @@ const ALLGATHERS_K3_DIGESTS: [u64; 15] = [
     0x6dc019f0b634e78f,
     0x8505837c90e6df7a,
 ];
-/// The standalone in-switch and endpoint Reduce-Scatters, 40 KiB shards
-/// on a 7-host star, recorded at the same commit.
-const RS_DIGESTS: [u64; 2] = [0xbb532a56ad1077e5, 0x18a1f28d763e8209];
 
 #[test]
 fn drivers_reproduce_their_recorded_bytes() {
@@ -159,22 +158,13 @@ fn drivers_reproduce_their_recorded_bytes() {
         pairs[1][i] = sim_digest(&endpoint);
         pairs[2][i] = sim_digest(&k3);
     }
-    let rs = [true, false].map(|in_switch| {
-        let cfg = FabricConfig::ucc_default();
-        let out = run_reduce_scatter(star(7), cfg, Mtu::IB_4K, 40 << 10, in_switch);
-        assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
-        sim_digest(&out)
-    });
     assert_eq!(
-        (pairs, rs),
-        (
-            [
-                PAIR_IN_SWITCH_DIGESTS,
-                PAIR_ENDPOINT_DIGESTS,
-                ALLGATHERS_K3_DIGESTS
-            ],
-            RS_DIGESTS
-        ),
+        pairs,
+        [
+            PAIR_IN_SWITCH_DIGESTS,
+            PAIR_ENDPOINT_DIGESTS,
+            ALLGATHERS_K3_DIGESTS
+        ],
         "a driver's simulated output moved"
     );
 }
@@ -216,42 +206,112 @@ fn degenerate_sizes_complete_on_every_driver() {
     }
 }
 
+/// An 8-host fat tree whose one failed switch never comes back within
+/// any sane horizon: no driver can complete on it.
+fn dead_switch_cell() -> (Topology, FabricConfig) {
+    let topo = Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+    let mut cfg = FabricConfig::ucc_default();
+    cfg.faults = FaultPlan::new(0)
+        .with(FaultModel::SwitchFailure {
+            switches: 1,
+            start_ns: 20_000,
+            downtime_ns: u64::MAX / 4,
+        })
+        .compile(&topo);
+    (topo, cfg)
+}
+
+#[test]
+fn every_driver_censors_at_its_watchdog() {
+    // The pair's and the k-Allgather driver's cutoffs carry headroom 3
+    // (504,697 ns here); the watchdog grants WATCHDOG_CUTOFFS of them
+    // per communicator. A run still pending then is censored, and its
+    // end time stays within the deadline instead of waiting out the
+    // outage.
+    const PAIR_CUTOFF_NS: u64 = 504_697;
+    let (topo, cfg) = dead_switch_cell();
+    let proto = ProtocolConfig::default();
+    let n = 64 << 10;
+    let single = des::run_collective_bounded(
+        topo.clone(),
+        cfg.clone(),
+        proto,
+        CollectiveKind::Allgather,
+        n,
+        RunBounds::default(),
+    );
+    assert!(single.timed_out(), "the single Allgather completed");
+    let pair = run_concurrent_ag_rs(topo.clone(), cfg.clone(), proto, n);
+    assert!(!pair.stats.all_done(), "the pair completed");
+    assert!(pair.stats.end_time.as_ns() <= WATCHDOG_CUTOFFS * PAIR_CUTOFF_NS);
+    let k2 = run_concurrent_allgathers(topo, cfg, proto, n, 2);
+    assert!(!k2.stats.all_done(), "two Allgathers completed");
+    assert!(k2.stats.end_time.as_ns() <= WATCHDOG_CUTOFFS * 2 * PAIR_CUTOFF_NS);
+}
+
+/// The Reduce-Scatter's own `(host injection, host delivery, all-link
+/// payload)` bytes on an ideal fabric: the pair's minus the same
+/// Allgather run alone. Neither run fetches, so the Allgather moves the
+/// same bytes in both.
+fn rs_bytes(topo: &Topology, n: usize, in_switch: bool) -> (u64, u64, u64) {
+    let (cfg, proto) = (FabricConfig::ideal(), ProtocolConfig::default());
+    let ag = run_collective(
+        topo.clone(),
+        cfg.clone(),
+        proto,
+        CollectiveKind::Allgather,
+        n,
+    );
+    let pair = if in_switch {
+        run_concurrent_ag_rs(topo.clone(), cfg, proto, n)
+    } else {
+        run_concurrent_ag_rs_endpoint(topo.clone(), cfg, proto, n)
+    };
+    assert!(ag.stats.all_done(), "the Allgather alone did not complete");
+    assert_completed_clean("pair", pair.stats.all_done(), pair.live_packets);
+    assert_eq!(ag.total_fetched(), 0, "the Allgather alone fetched");
+    let pair_fetched: u64 = pair.ag_timings.iter().map(|t| t.fetched_chunks).sum();
+    assert_eq!(pair_fetched, 0, "the pair's Allgather fetched");
+    let [pair, ag] = [&pair.traffic, &ag.traffic].map(|t| {
+        let (inj, del) = (t.host_injection_bytes(topo), t.host_delivery_bytes(topo));
+        (inj, del, t.total_data_bytes())
+    });
+    (pair.0 - ag.0, pair.1 - ag.1, pair.2 - ag.2)
+}
+
 #[test]
 fn inc_reduce_scatter_delivers_every_shard() {
-    let out = run_reduce_scatter(
+    let out = run_concurrent_ag_rs(
         star(8),
         FabricConfig::ucc_default(),
-        Mtu::IB_4K,
+        ProtocolConfig::default(),
         128 << 10,
-        true,
     );
-    assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
+    assert_completed_clean("in-switch pair", out.stats.all_done(), out.live_packets);
     assert_eq!(out.rs_times.iter().flatten().count(), 8);
 }
 
 #[test]
 fn inc_rs_send_bound_recv_light() {
-    // Insight 2: INC RS injects N(P-1) but receives only N per rank.
+    // Insight 2: the Reduce-Scatter injects N(P-1) per rank in either
+    // placement, but in-switch each rank receives only its reduced shard
+    // (N), where the endpoints receive all P-1 operand streams.
     let n: u64 = 64 << 10;
     let p = 6u64;
-    let out = run_reduce_scatter(
-        star(p as u32),
-        FabricConfig::ideal(),
-        Mtu::IB_4K,
-        n as usize,
-        true,
-    );
-    assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
     let topo = star(p as u32);
+    let (inj, del, _) = rs_bytes(&topo, n as usize, true);
     assert_eq!(
-        out.traffic.host_injection_bytes(&topo),
+        inj,
         p * n * (p - 1),
         "each rank contributes all foreign shards"
     );
+    assert_eq!(del, p * n, "each rank receives exactly its reduced shard");
+    let (inj, del, _) = rs_bytes(&topo, n as usize, false);
+    assert_eq!(inj, p * n * (p - 1), "the endpoints inject the same shards");
     assert_eq!(
-        out.traffic.host_delivery_bytes(&topo),
-        p * n,
-        "each rank receives exactly its reduced shard"
+        del,
+        p * n * (p - 1),
+        "each owner receives P-1 operand streams"
     );
 }
 
@@ -262,16 +322,8 @@ fn inc_reduction_happens_in_the_switch() {
     // N per rank however many peers contribute.
     for p in [3u64, 6, 10] {
         let n: u64 = 32 << 10;
-        let out = run_reduce_scatter(
-            star(p as u32),
-            FabricConfig::ideal(),
-            Mtu::IB_4K,
-            n as usize,
-            true,
-        );
-        assert_completed_clean("Reduce-Scatter", out.stats.all_done(), out.live_packets);
-        let topo = star(p as u32);
-        assert_eq!(out.traffic.host_delivery_bytes(&topo), p * n, "P = {p}");
+        let (_, del, _) = rs_bytes(&star(p as u32), n as usize, true);
+        assert_eq!(del, p * n, "P = {p}");
     }
 }
 
