@@ -118,11 +118,15 @@ impl Runtime {
         }
         // Heterogeneous offload: a partition with a configured backend
         // runs its batches under that backend's compiled endpoint cost
-        // model, and an in-switch backend additionally bounds the
-        // switches' live aggregation states like the MGID table.
-        if let Some((host, inc_cap)) = self.partition_hosts.get(partition as usize) {
-            fabric.host = *host;
-            fabric.inc_table_capacity = *inc_cap;
+        // model and reduces AG+RS jobs where the backend computes; an
+        // in-switch backend additionally bounds the switches' live
+        // aggregation states like the MGID table. Without backends,
+        // Reduce-Scatters reduce in the switches.
+        let mut rs_in_switch = true;
+        if let Some(&(host, inc_cap, in_switch)) = self.partition_hosts.get(partition as usize) {
+            fabric.host = host;
+            fabric.inc_table_capacity = inc_cap;
+            rs_in_switch = in_switch;
         }
         let comms = picked
             .iter()
@@ -142,8 +146,10 @@ impl Runtime {
                     proto.subgroups,
                     proto.chains,
                 ));
-                let rs_in_switch = matches!(job.spec.kind, JobKind::AgRs).then_some(true);
-                Comm { plan, rs_in_switch }
+                Comm {
+                    plan,
+                    rs_in_switch: matches!(job.spec.kind, JobKind::AgRs).then_some(rs_in_switch),
+                }
             })
             .collect();
         let sim = BatchSim {

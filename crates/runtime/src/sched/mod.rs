@@ -62,7 +62,7 @@ use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
 use form::FormedBatch;
 use mcag_core::{des, ProtocolConfig};
-use mcag_offload::BackendKind;
+use mcag_offload::{BackendKind, Placement};
 use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
 use mcag_trace::{merge_runs, Marker, RuntimeTrace, TraceRun, TraceSpec};
 use memo::BatchMemo;
@@ -171,9 +171,12 @@ pub struct RuntimeConfig {
     /// placed on partition `p` runs with `partition_backends[p]`'s
     /// compiled endpoint cost model (and, for in-switch backends, its
     /// aggregation-table bound) instead of
-    /// [`fabric`](RuntimeConfig::fabric)`.host` — heterogeneous SM
-    /// domains, e.g. one DPA partition and one host-CPU partition.
-    /// Empty (the default) leaves the fabric's host model untouched.
+    /// [`fabric`](RuntimeConfig::fabric)`.host`, and reduces its AG+RS
+    /// jobs where the backend computes: in the switches for an in-switch
+    /// backend, on the endpoints otherwise — heterogeneous SM domains,
+    /// e.g. one DPA partition and one host-CPU partition. Empty (the
+    /// default) leaves the fabric's host model untouched and reduces in
+    /// the switches.
     pub partition_backends: Vec<BackendKind>,
     /// Batch recovery cutoff, in multiples of the batch's summed
     /// per-job drain cutoffs: a batch still running past the cutoff is
@@ -259,9 +262,10 @@ pub struct Runtime {
     health_decayed_at: Vec<u64>,
     /// Per-partition offload backends compiled at construction (empty
     /// iff `cfg.partition_backends` is): the endpoint host model the
-    /// partition's batches run with, plus the in-switch
-    /// aggregation-table bound for SHARP-style backends.
-    partition_hosts: Vec<(HostModel, Option<usize>)>,
+    /// partition's batches run with, the in-switch aggregation-table
+    /// bound for SHARP-style backends, and where an AG+RS job's
+    /// Reduce-Scatter reduces (`true`: in the switches).
+    partition_hosts: Vec<(HostModel, Option<usize>, bool)>,
     /// Recovery accounting, accumulated at commit.
     retry: RetryStats,
     /// Accumulating trace document (`Some` iff `cfg.trace` is), its
@@ -303,10 +307,16 @@ impl Runtime {
         // model runs the backend's datapath engine, which must not
         // happen per batch formation.
         let chunk = cfg.proto.mtu.bytes();
-        let partition_hosts: Vec<(HostModel, Option<usize>)> = cfg
+        let partition_hosts: Vec<(HostModel, Option<usize>, bool)> = cfg
             .partition_backends
             .iter()
-            .map(|kind| (kind.host_model(chunk), kind.limits().aggregation_entries))
+            .map(|kind| {
+                (
+                    kind.host_model(chunk),
+                    kind.limits().aggregation_entries,
+                    kind.placement() == Placement::InSwitch,
+                )
+            })
             .collect();
         let pool = McastGroupPool::new(cfg.pool);
         let partition_stats = vec![PartitionStats::default(); cfg.partitions];
@@ -1481,6 +1491,42 @@ mod tests {
         // The in-switch backend's endpoints only post descriptors and
         // the aggregation-table bound holds on this small fabric.
         assert!(sharp.makespan_ns <= cpu.makespan_ns);
+    }
+
+    #[test]
+    fn agrs_reduces_where_its_partition_backend_computes() {
+        // Wire bytes an AG+RS job moves beyond the same Allgather alone,
+        // on a one-partition runtime with `backend`.
+        let (p, n) = (6u64, 64u64 << 10);
+        let rs_bytes = |backend: BackendKind| {
+            let moved = |kind: JobKind| {
+                let cfg = RuntimeConfig {
+                    fabric: FabricConfig::ideal(),
+                    pool: PoolConfig::with_capacity(4),
+                    partition_backends: vec![backend],
+                    ..RuntimeConfig::default()
+                };
+                let mut rt = Runtime::new(star(p as usize), cfg);
+                let t = rt.register_tenant("x");
+                rt.submit(t, kind, n as usize).unwrap();
+                let report = rt.run_open_loop();
+                assert_eq!(report.completed_jobs(), 1, "{backend:?} {kind:?}");
+                report.moved_bytes
+            };
+            moved(JobKind::AgRs) - moved(JobKind::Allgather)
+        };
+        // Reduced on the endpoints, every owner's downlink carries all
+        // P - 1 operand streams: P uplinks and P downlinks each move
+        // N(P-1), the identity `mcag-core`'s endpoint pair driver pins.
+        for backend in [
+            BackendKind::DpaBf3,
+            BackendKind::HostCpu,
+            BackendKind::FpgaSmartNic,
+        ] {
+            assert_eq!(rs_bytes(backend), 2 * p * n * (p - 1), "{backend:?}");
+        }
+        // Reduced in the switches, a downlink carries one shard.
+        assert_eq!(rs_bytes(BackendKind::SharpSwitch), p * n * (p - 1) + p * n);
     }
 
     #[test]

@@ -44,8 +44,12 @@
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
-//! run performs no per-packet heap allocation at all. Unicast routes are
-//! interned behind `Arc<[LinkId]>` in a per-pair cache.
+//! run performs no per-packet heap allocation at all.
+//!
+//! Deterministic unicast routes and multicast trees are not the fabric's
+//! to build: the [`Topology`] computes each once and every fabric over it
+//! shares the result, a route as an `Arc<[LinkId]>` a packet carries and
+//! a tree as an `Arc<McastTree>` the fabric holds per group.
 
 use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
@@ -352,7 +356,10 @@ pub struct Inner<M> {
     cfg: FabricConfig,
     q: EventQueue<Ev>,
     nics: Vec<NicState>,
-    trees: Vec<McastTree>,
+    /// Programmed groups' trees, indexed by group id and shared with the
+    /// topology's memo; an SM rebuild swaps a group's `Arc`, it never
+    /// mutates a tree another fabric may be using.
+    trees: Vec<Arc<McastTree>>,
     counters: Vec<LinkCounters>,
     link_busy: Vec<SimTime>,
     /// Per-link fault state (empty when the schedule is empty).
@@ -368,7 +375,6 @@ pub struct Inner<M> {
     /// schedule is spent), cached so the event loop never reaches into
     /// the schedule between transitions.
     next_fault: Option<SimTime>,
-    route_cache: HashMap<(u32, u32), Arc<[LinkId]>>,
     rng: StdRng,
     done: Vec<Option<SimTime>>,
     done_count: usize,
@@ -499,7 +505,6 @@ impl<M: Clone + 'static> Fabric<M> {
                 has_faults,
                 fault_cursor: 0,
                 next_fault,
-                route_cache: HashMap::new(),
                 rng,
                 done: vec![None; n],
                 done_count: 0,
@@ -544,7 +549,8 @@ impl<M: Clone + 'static> Fabric<M> {
         qpn
     }
 
-    /// Create a multicast group over `members`; builds the spanning tree.
+    /// Create a multicast group over `members` on its spanning tree,
+    /// which the topology builds the first time any fabric over it asks.
     ///
     /// Panics when [`FabricConfig::mcast_table_capacity`] is set and the
     /// switch group table is already full — the hard resource bound the
@@ -557,7 +563,11 @@ impl<M: Clone + 'static> Fabric<M> {
             );
         }
         let gid = McastGroupId(self.inner.trees.len() as u32);
-        let tree = McastTree::build(&self.inner.topo, gid, members);
+        let tree = self
+            .inner
+            .topo
+            .mcast_tree(gid, members, &[])
+            .expect("tree build failed on a healthy fabric");
         self.inner.trees.push(tree);
         gid
     }
@@ -796,15 +806,13 @@ impl<M: Clone + 'static> Fabric<M> {
             return 0;
         }
         let mut rebuilt = 0;
-        for gi in 0..self.inner.trees.len() {
-            let tree = &self.inner.trees[gi];
+        let Inner { topo, trees, .. } = &mut self.inner;
+        for tree in trees.iter_mut() {
             if !tree.nodes().any(|n| dead.contains(&n)) {
                 continue;
             }
-            let (group, members) = (tree.group(), tree.members().to_vec());
-            if let Some(fresh) = McastTree::build_avoiding(&self.inner.topo, group, &members, dead)
-            {
-                self.inner.trees[gi] = fresh;
+            if let Some(fresh) = topo.mcast_tree(tree.group(), tree.members(), dead) {
+                *tree = fresh;
                 rebuilt += 1;
             }
         }
@@ -1182,26 +1190,16 @@ impl<M: Clone + 'static> Inner<M> {
         self.enqueue_tx(src, qp, Wqe::Ready(r));
     }
 
+    /// The route of one message: the topology's shared deterministic
+    /// route, or with adaptive routing a fresh draw per message, which
+    /// must not be memoized.
     fn unicast_path(&mut self, src: Rank, dst: Rank) -> Arc<[LinkId]> {
         if self.cfg.adaptive_routing {
             // RNG draw site 1 of 2 (`FabricConfig::uses_rng`).
             let p = routing::route(&self.topo, src, dst, RouteMode::Adaptive, 0, &mut self.rng);
             return p.into();
         }
-        if let Some(p) = self.route_cache.get(&(src.0, dst.0)) {
-            return Arc::clone(p);
-        }
-        let p: Arc<[LinkId]> = routing::route(
-            &self.topo,
-            src,
-            dst,
-            RouteMode::Deterministic,
-            0,
-            &mut self.rng,
-        )
-        .into();
-        self.route_cache.insert((src.0, dst.0), Arc::clone(&p));
-        p
+        self.topo.route(src, dst)
     }
 
     fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
@@ -2341,6 +2339,118 @@ mod tests {
         let stats = fab.run();
         assert!(stats.all_done(), "rebuilt tree must deliver: {stats:?}");
         assert_eq!(fab.total_fault_drops(), 0, "no copy touched the corpse");
+    }
+
+    /// Rank 0 multicasts `chunks` chunks to everyone on UD QP 0, and
+    /// every rank sends each other rank one control message on RC QP 1;
+    /// a rank is done once everything addressed to it has arrived.
+    struct Mixed {
+        group: McastGroupId,
+        chunks: u32,
+        expect: u32,
+    }
+
+    impl RankApp<Msg> for Mixed {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            let me = ctx.rank();
+            if me == Rank(0) {
+                for psn in 0..self.chunks {
+                    ctx.post_mcast_chunk(QpNum(0), self.group, ImmData(psn), me, psn, 4096);
+                }
+            }
+            for d in (0..ctx.num_ranks() as u32).filter(|&d| d != me.0) {
+                ctx.post_msg(Rank(d), QpNum(1), me.0 as u64, 64);
+            }
+        }
+
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {
+            self.expect -= 1;
+            if self.expect == 0 {
+                ctx.mark_done();
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+    }
+
+    /// Run [`Mixed`] over `topo`, letting the SM re-route around any
+    /// switch found dead 50 ns in. Returns everything the run produced
+    /// but the host clock, and the trees the fabric ended with.
+    fn mixed_run(topo: Arc<Topology>, mut cfg: FabricConfig) -> (String, Vec<Arc<McastTree>>) {
+        cfg.trace = Some(TraceSpec::default());
+        let n = topo.num_hosts() as u32;
+        let members: Vec<Rank> = (0..n).map(Rank).collect();
+        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
+        let group = fab.create_group(&members);
+        for &r in &members {
+            let ud = fab.add_qp(r, Transport::Ud, 0);
+            fab.add_qp(r, Transport::Rc, 0);
+            fab.attach(r, ud, group);
+            let chunks = 8;
+            let expect = if r == Rank(0) { 0 } else { chunks } + n - 1;
+            fab.set_app(
+                r,
+                Box::new(Mixed {
+                    group,
+                    chunks,
+                    expect,
+                }),
+            );
+        }
+        fab.run_until(SimTime(50));
+        let dead = fab.dead_switches();
+        fab.rebuild_groups_avoiding(&dead);
+        let mut stats = fab.run();
+        stats.wall_ns = 0;
+        let t = fab.traffic();
+        let traffic = t
+            .clone()
+            .with_engine_stats(t.events(), t.peak_queue_depth(), 0);
+        let trace: Vec<TraceEvent> = fab.trace().unwrap().iter().copied().collect();
+        (
+            format!("{stats:?}\n{traffic:?}\n{trace:?}"),
+            fab.inner.trees.clone(),
+        )
+    }
+
+    #[test]
+    fn shared_topology_memo_is_transparent() {
+        use crate::linkstate::{LinkSchedule, LinkStateEvent};
+        let topo = || Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+        let healthy = FabricConfig::ideal();
+        // Every link of the spine group 0 is rooted at goes down at 0,
+        // so the SM sweep rebuilds the tree around it.
+        let t = topo();
+        let members: Vec<Rank> = (0..8).map(Rank).collect();
+        let victim = McastTree::build(&t, McastGroupId(0), &members).root();
+        let mut faulted = FabricConfig::ideal();
+        faulted.faults = LinkSchedule::new(
+            (0..t.num_links() as u32)
+                .map(LinkId)
+                .filter(|&l| t.link(l).src == victim || t.link(l).dst == victim)
+                .map(|l| LinkStateEvent::down(0, l))
+                .collect(),
+        );
+        let mut adaptive = FabricConfig::ideal();
+        adaptive.adaptive_routing = true;
+        for (name, cfg) in [
+            ("healthy", healthy),
+            ("faulted", faulted),
+            ("adaptive", adaptive),
+        ] {
+            let (fresh, _) = mixed_run(Arc::new(topo()), cfg.clone());
+            let shared = Arc::new(topo());
+            let (cold, cold_trees) = mixed_run(Arc::clone(&shared), cfg.clone());
+            let (warm, warm_trees) = mixed_run(shared, cfg);
+            assert_eq!(fresh, cold, "{name}");
+            assert_eq!(fresh, warm, "{name}: the warm memo changed the run");
+            // The warm fabric's trees, rebuilt ones included, are the
+            // cold fabric's, not copies.
+            assert_eq!(cold_trees.len(), 1);
+            assert!(Arc::ptr_eq(&cold_trees[0], &warm_trees[0]), "{name}");
+            let rebuilt = cold_trees[0].root() != victim;
+            assert_eq!(rebuilt, name == "faulted", "{name}");
+        }
     }
 
     #[test]

@@ -10,10 +10,23 @@
 //! that per-direction serialization and per-port counters fall out
 //! naturally (a switch "port" in Fig. 12 terms is one directed link's
 //! endpoint).
+//!
+//! A topology never changes once built, so whatever is a function of it
+//! alone is computed once: deterministic unicast routes and multicast
+//! spanning trees live in a memo that every clone of the topology (and
+//! every fabric over an `Arc` of it) reads through.
 
-use mcag_verbs::{LinkRate, Rank};
+use crate::mcast::McastTree;
+use crate::routing::{self, RouteMode};
+use mcag_verbs::{LinkRate, McastGroupId, Rank};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// Index of a node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -78,6 +91,13 @@ struct NodeInfo {
 }
 
 /// An immutable network topology.
+///
+/// Its deterministic unicast routes and its multicast trees are pure
+/// functions of it, so each is computed the first time a fabric asks and
+/// shared from then on by every clone and by every fabric built over it
+/// — a runtime that builds one fabric per batch on one `Arc<Topology>`
+/// routes each pair and builds each tree once, as a subnet manager
+/// programs a group once for every collective that reuses it.
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
@@ -86,6 +106,44 @@ pub struct Topology {
     host_of_rank: Vec<NodeId>,
     /// Highest switch level present, fixed when the builder finishes.
     top_level: u8,
+    /// Routes and trees derived so far, shared by every clone.
+    derived: Arc<Derived>,
+}
+
+/// The memo behind [`Topology`]: every value is a function of the
+/// immutable topology and its key alone, so a hit returns exactly what a
+/// fresh computation would. Values are built outside the locks, so a
+/// build that panics poisons neither; two threads racing on one key
+/// build equal values, and either is kept.
+#[derive(Default)]
+struct Derived {
+    /// Deterministic route per `(src, dst)` rank pair.
+    routes: Mutex<HashMap<(u32, u32), Path>>,
+    /// Multicast trees by the fingerprint of their key; a hit compares
+    /// the full key, so two keys sharing a fingerprint cost the later
+    /// one a rebuild, never a wrong tree.
+    trees: Mutex<HashMap<u64, TreeEntry>>,
+}
+
+/// A shared route: the directed links from source NIC to destination.
+type Path = Arc<[LinkId]>;
+
+/// One memoized [`McastTree::build_avoiding`] call: its key and result
+/// (`None` when no tree avoids the switches).
+struct TreeEntry {
+    group: McastGroupId,
+    members: Box<[Rank]>,
+    avoid: Box<[NodeId]>,
+    tree: Option<Arc<McastTree>>,
+}
+
+impl std::fmt::Debug for Derived {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Derived")
+            .field("routes", &self.routes.lock().unwrap().len())
+            .field("trees", &self.trees.lock().unwrap().len())
+            .finish()
+    }
 }
 
 impl Topology {
@@ -216,6 +274,48 @@ impl Topology {
     #[inline]
     pub fn top_level(&self) -> u8 {
         self.top_level
+    }
+
+    /// The deterministic route from `src`'s NIC to `dst`'s:
+    /// [`routing::route`] in [`RouteMode::Deterministic`] with salt 0,
+    /// computed once per pair.
+    pub(crate) fn route(&self, src: Rank, dst: Rank) -> Path {
+        let key = (src.0, dst.0);
+        if let Some(p) = self.derived.routes.lock().unwrap().get(&key) {
+            return Arc::clone(p);
+        }
+        // Deterministic mode never consults the generator.
+        let mut unused = StdRng::seed_from_u64(0);
+        let p: Path =
+            routing::route(self, src, dst, RouteMode::Deterministic, 0, &mut unused).into();
+        Arc::clone(self.derived.routes.lock().unwrap().entry(key).or_insert(p))
+    }
+
+    /// [`McastTree::build_avoiding`] for `members` of `group` around the
+    /// switches in `avoid`, computed once per distinct key.
+    pub(crate) fn mcast_tree(
+        &self,
+        group: McastGroupId,
+        members: &[Rank],
+        avoid: &[NodeId],
+    ) -> Option<Arc<McastTree>> {
+        let mut h = DefaultHasher::new();
+        (group, members, avoid).hash(&mut h);
+        let fp = h.finish();
+        if let Some(e) = self.derived.trees.lock().unwrap().get(&fp) {
+            if e.group == group && *e.members == *members && *e.avoid == *avoid {
+                return e.tree.clone();
+            }
+        }
+        let tree = McastTree::build_avoiding(self, group, members, avoid).map(Arc::new);
+        let entry = TreeEntry {
+            group,
+            members: members.into(),
+            avoid: avoid.into(),
+            tree: tree.clone(),
+        };
+        self.derived.trees.lock().unwrap().insert(fp, entry);
+        tree
     }
 
     // ----------------------------------------------------------------- //
@@ -483,6 +583,7 @@ impl Builder {
             links: self.links,
             host_of_rank: host_of_rank.into_iter().map(|(_, n)| n).collect(),
             top_level,
+            derived: Arc::default(),
         }
     }
 }
@@ -490,6 +591,39 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every memoized route is the deterministic route, and a clone
+        /// of the topology answers from the same memo.
+        #[test]
+        fn memoized_routes_are_the_deterministic_routes(
+            star in 2usize..12,
+            two_level in (2usize..40, 1usize..5, 1usize..4, 1usize..3),
+        ) {
+            let (hosts, leaves, spines, rails) = two_level;
+            let rate = LinkRate::CX3_56G;
+            for topo in [
+                Topology::single_switch(star, rate, 100),
+                Topology::fat_tree_two_level(hosts, leaves.min(hosts), spines, rails, rate, 100),
+            ] {
+                let clone = topo.clone();
+                let mut rng = StdRng::seed_from_u64(0);
+                let p = topo.num_hosts() as u32;
+                for (s, d) in (0..p).flat_map(|s| (0..p).map(move |d| (Rank(s), Rank(d)))) {
+                    if s == d {
+                        continue;
+                    }
+                    let memo = topo.route(s, d);
+                    let fresh = routing::route(&topo, s, d, RouteMode::Deterministic, 0, &mut rng);
+                    prop_assert_eq!(&*memo, &fresh[..]);
+                    prop_assert!(Arc::ptr_eq(&memo, &clone.route(s, d)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn back_to_back_shape() {

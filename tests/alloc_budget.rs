@@ -1,9 +1,10 @@
 //! Allocation budgets: the regression gate behind the arena-backed
 //! timer wheel, the sort-free trace harvest and the one-buffer Chrome
-//! exporter. A counting `#[global_allocator]` holds ten numbers to a
+//! exporter. A counting `#[global_allocator]` holds eleven numbers to a
 //! ceiling so that a per-slot container, a per-batch deep copy, a
-//! per-element `String`, a capacity that is never given back or a fat
-//! in-flight packet cannot return unnoticed:
+//! per-element `String`, a capacity that is never given back, a fat
+//! in-flight packet or a per-fabric route or tree cannot return
+//! unnoticed:
 //!
 //! 1. constant-depth schedule/pop churn on the wheel allocates nothing
 //!    once the arena has reached the queue's depth;
@@ -27,7 +28,10 @@
 //!    packet slab;
 //! 10. a faulted collective peaks at the same live heap whether its flap
 //!     schedule ends soon after the run or runs on long past it: the
-//!     fabric replays transitions from a cursor, it does not queue them.
+//!     fabric replays transitions from a cursor, it does not queue them;
+//! 11. a second fabric over a warm topology, with a multicast group and
+//!     one control message, allocates nothing for the group's tree or
+//!     the message's route: the topology built both for the first.
 //!
 //! The counters are per thread (the harness runs tests on parallel
 //! threads, and every path measured here is single-threaded), so the
@@ -41,11 +45,18 @@ use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::runtime::{
     JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
-use mcast_allgather::simnet::{EventQueue, FabricConfig, SimTime, Topology};
+use mcast_allgather::simnet::mcast::McastTree;
+use mcast_allgather::simnet::routing::{self, RouteMode};
+use mcast_allgather::simnet::{
+    Ctx, EventQueue, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology,
+};
 use mcast_allgather::trace::{export_chrome, ChromeOptions, TraceEvent, TraceSpec};
-use mcast_allgather::verbs::LinkRate;
+use mcast_allgather::verbs::{Cqe, LinkRate, McastGroupId, QpNum, Rank, Transport};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// What the current thread has asked of the allocator so far.
 #[derive(Clone, Copy)]
@@ -486,5 +497,81 @@ fn pending_fault_transitions_take_no_heap() {
     assert!(
         (short - long).abs() <= 256,
         "peak live heap {short} B with the flaps cut at 200 µs, {long} B at 8 ms"
+    );
+}
+
+/// Rank 0 sends rank 7 one control message; everyone else is done at
+/// once.
+struct OneControlMessage;
+
+impl RankApp<u64> for OneControlMessage {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        if ctx.rank() == Rank(0) {
+            ctx.post_msg(Rank(7), QpNum(0), 1, 64);
+        }
+        if ctx.rank() != Rank(7) {
+            ctx.mark_done();
+        }
+    }
+
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, u64>, _cqe: Cqe, _payload: Payload<u64>) {
+        ctx.mark_done();
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, u64>, _token: u64) {}
+}
+
+/// Allocations of building a fabric over `topo`, creating a group of
+/// every rank and delivering [`OneControlMessage`] across the spine.
+fn one_message_fabric_allocs(topo: &Arc<Topology>, members: &[Rank]) -> u64 {
+    let before = tally();
+    let mut fab: Fabric<u64> = Fabric::new(Arc::clone(topo), FabricConfig::ideal());
+    fab.create_group(members);
+    for &r in members {
+        fab.add_qp(r, Transport::Rc, 0);
+        fab.set_app(r, Box::new(OneControlMessage));
+    }
+    assert!(fab.run().all_done());
+    drop(fab);
+    tally().allocs - before.allocs
+}
+
+#[test]
+fn warm_topology_builds_no_tree_or_route() {
+    let topo = Arc::new(Topology::fat_tree_two_level(
+        8,
+        2,
+        2,
+        1,
+        LinkRate::CX3_56G,
+        100,
+    ));
+    let members: Vec<Rank> = (0..8).map(Rank).collect();
+    // What building the group's tree and routing rank 0 to rank 7 cost.
+    let before = tally();
+    drop(McastTree::build(&topo, McastGroupId(0), &members));
+    let tree = tally().allocs - before.allocs;
+    let before = tally();
+    let mut rng = StdRng::seed_from_u64(0);
+    drop(routing::route(
+        &topo,
+        Rank(0),
+        Rank(7),
+        RouteMode::Deterministic,
+        0,
+        &mut rng,
+    ));
+    let route = tally().allocs - before.allocs;
+
+    let cold = one_message_fabric_allocs(&topo, &members);
+    let warm = one_message_fabric_allocs(&topo, &members);
+    // Measured 43 allocations for the tree and 3 for the route (the
+    // path and a `down_toward` list per descending hop); 101 for the
+    // cold fabric, which also stores both in the topology's memo, and
+    // 50 for the warm one. While every fabric routed and built its trees
+    // itself, both made 98.
+    assert!(
+        cold >= warm + tree + route,
+        "warm fabric made {warm} allocations, cold {cold}; the tree costs {tree}, the route {route}"
     );
 }

@@ -31,6 +31,15 @@ fn fabric_is_send() {
 }
 
 #[test]
+fn topology_is_shared_across_threads() {
+    // Batches simulated on worker threads build their fabrics over one
+    // `Arc<Topology>`, reading its memo of routes and multicast trees
+    // concurrently: that takes `Send + Sync`.
+    assert_send::<Topology>();
+    assert_send::<std::sync::Arc<Topology>>();
+}
+
+#[test]
 fn protocol_apps_are_send() {
     // Every endpoint the drivers install: the protocol state machine,
     // the Reduce-Scatter, and the one composite mux with its slots.
