@@ -37,7 +37,7 @@ use mcag_core::{
 use mcag_dpa::{run_datapath, ArrivalModel, DpaSpec, Kernel, KernelKind};
 use mcag_exec::par_map;
 use mcag_models::{algbw_gbps, busbw_gbps, CollectiveOp};
-use mcag_offload::{BackendKind, DatapathTransport, Placement};
+use mcag_offload::{BackendKind, DatapathTransport};
 use mcag_simnet::{FabricConfig, Topology};
 use mcag_verbs::{LinkRate, Rank};
 
@@ -183,8 +183,7 @@ fn run_cell(cell: &BackendCell) -> CellDigest {
     let n = cell.send_len;
     let mtu = sim_mtu_for(n);
     let mut cfg = FabricConfig::ucc_default();
-    cfg.host = cell.backend.host_model(mtu.bytes());
-    cfg.inc_table_capacity = cell.backend.limits().aggregation_entries;
+    let rs_in_switch = cell.backend.compile(&mut cfg, mtu.bytes());
     let proto = ProtocolConfig {
         mtu,
         ..ProtocolConfig::default()
@@ -195,7 +194,7 @@ fn run_cell(cell: &BackendCell) -> CellDigest {
             // Fully parallel chains (every root multicasts its own
             // subgroup), the Appendix-B configuration of the pair.
             let proto = ProtocolConfig { chains: p, ..proto };
-            let out = if cell.backend.placement() == Placement::InSwitch {
+            let out = if rs_in_switch {
                 run_concurrent_ag_rs(topo, cfg, proto, n)
             } else {
                 run_concurrent_ag_rs_endpoint(topo, cfg, proto, n)
@@ -264,18 +263,13 @@ pub fn sweep_digests(smoke: bool, jobs: usize) -> Vec<CellDigest> {
 fn datapath_rows() -> Vec<Obj> {
     let mut rows = Vec::new();
     for backend in BackendKind::ALL {
-        let placement = match backend.placement() {
-            Placement::EndpointNic => "endpoint NIC",
-            Placement::HostCore => "host core",
-            Placement::InSwitch => "in-switch",
-        };
         for transport in [DatapathTransport::Uc, DatapathTransport::Ud] {
             let m = backend.datapath(transport, 1, 4096, DATAPATH_CHUNKS, ArrivalModel::Saturated);
             rows.push(
                 Obj::new()
                     .str("backend", backend.label())
                     .str("transport", &format!("{transport:?}"))
-                    .str("placement", placement)
+                    .str("placement", backend.placement().label())
                     .float("gib_per_s", m.gib_per_s, 3)
                     .float("ns_per_cqe", m.wall_ns / m.chunks as f64, 3)
                     .int(

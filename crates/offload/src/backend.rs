@@ -3,7 +3,7 @@
 
 use crate::pipeline::PipelineModel;
 use mcag_dpa::{run_datapath, ArrivalModel, DatapathMetrics, DpaSpec, Kernel, KernelKind};
-use mcag_simnet::HostModel;
+use mcag_simnet::{FabricConfig, HostModel};
 use serde::{Deserialize, Serialize};
 
 /// Where a backend's collective compute physically runs.
@@ -20,6 +20,17 @@ pub enum Placement {
     /// partial aggregates merge on the up-path, endpoints only post
     /// contributions and receive one result.
     InSwitch,
+}
+
+impl Placement {
+    /// Human-readable label for tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            Placement::EndpointNic => "endpoint NIC",
+            Placement::HostCore => "host core",
+            Placement::InSwitch => "in-switch",
+        }
+    }
 }
 
 /// Capacity limits of a backend — the scarce resources a scheduler
@@ -259,6 +270,19 @@ impl BackendKind {
             ..HostModel::ucc_host()
         }
     }
+
+    /// Compile this backend into `cfg` for `chunk_bytes` chunks: write
+    /// its endpoint cost model ([`BackendKind::host_model`]) and its
+    /// aggregation-table bound, and return whether a Reduce-Scatter
+    /// reduces in the switches (`false`: on the endpoints). The one
+    /// way a driver turns a backend into run settings, so no site can
+    /// take the cost model without the placement.
+    #[must_use]
+    pub fn compile(self, cfg: &mut FabricConfig, chunk_bytes: usize) -> bool {
+        cfg.host = self.host_model(chunk_bytes);
+        cfg.inc_table_capacity = self.limits().aggregation_entries;
+        self.placement() == Placement::InSwitch
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +300,17 @@ mod tests {
                 kind.limits().aggregation_entries.is_some(),
                 kind.placement() == Placement::InSwitch
             );
+            // Compiling writes the cost model and the table bound, and
+            // nothing else, and reports the placement.
+            let mut cfg = FabricConfig::ucc_default();
+            let in_switch = kind.compile(&mut cfg, 4096);
+            assert_eq!(in_switch, kind.placement() == Placement::InSwitch);
+            let expected = FabricConfig {
+                host: kind.host_model(4096),
+                inc_table_capacity: kind.limits().aggregation_entries,
+                ..FabricConfig::ucc_default()
+            };
+            assert_eq!(cfg, expected, "{kind:?}");
         }
     }
 

@@ -10,7 +10,8 @@
 //!
 //! * The queries — per-chunk receive-handler latency/occupancy
 //!   ([`BackendKind::datapath`], producing [`DatapathMetrics`]),
-//!   placement ([`Placement`]: endpoint NIC, host core, or in-switch),
+//!   placement ([`Placement`]: endpoint NIC, host core, or in-switch,
+//!   labelled by [`Placement::label`]),
 //!   one-time provisioning cost ([`BackendKind::setup_ns`]), and
 //!   context/table capacity limits ([`BackendLimits`]);
 //! * [`BackendKind::DpaBf3`] / [`BackendKind::HostCpu`] — the paper's
@@ -29,13 +30,16 @@
 //!   scarce resource is the bounded per-switch aggregation table
 //!   (`FabricConfig::inc_table_capacity`), charged like the MGID pool.
 //!
-//! Backends compile down to an endpoint [`HostModel`] (what the DES
-//! fabric charges per CQE, [`BackendKind::host_model`]) plus
-//! fabric-side knobs, so selecting one is a
-//! [`FabricConfig`](mcag_simnet::FabricConfig) edit — the
-//! `mcag-runtime` scheduler wires this through per-partition backend
-//! assignments and `mcag-bench`'s `backendfigs` sweeps backend ×
-//! collective × scale into `BENCH_backends.json`.
+//! [`BackendKind::compile`] is the one way a driver selects a backend:
+//! it writes the endpoint [`HostModel`] (what the DES fabric charges
+//! per CQE, [`BackendKind::host_model`]) and the aggregation-table
+//! bound into a [`FabricConfig`](mcag_simnet::FabricConfig), and
+//! returns where a Reduce-Scatter reduces (in the switches or on the
+//! endpoints), so no caller takes the cost model without the
+//! placement. The `mcag-runtime` scheduler compiles each partition's
+//! batch fabric with it, and `mcag-bench`'s `backendfigs` sweeps
+//! backend × collective × scale through it into
+//! `BENCH_backends.json`.
 //!
 //! [`HostModel`]: mcag_simnet::HostModel
 

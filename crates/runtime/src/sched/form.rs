@@ -42,12 +42,14 @@ pub(super) struct FormedBatch {
 }
 
 impl Runtime {
-    /// Every multicast-group key a job pins while running.
-    pub(super) fn group_keys(&self, job: &PendingJob) -> Vec<GroupKey> {
+    /// Every multicast-group key a job pins while running on
+    /// `partition`: its subgroup trees, plus the reduction tree for an
+    /// AG+RS job only where the partition reduces in the switches.
+    pub(super) fn group_keys(&self, job: &PendingJob, partition: u32) -> Vec<GroupKey> {
         let tenant = job.spec.tenant.0;
         let subs = self.group_demand(JobKind::Allgather, job.spec.send_len);
         let mut keys: Vec<GroupKey> = (0..subs).map(|index| GroupKey { tenant, index }).collect();
-        if matches!(job.spec.kind, JobKind::AgRs) {
+        if matches!(job.spec.kind, JobKind::AgRs) && self.partition_fabrics[partition as usize].1 {
             keys.push(GroupKey {
                 tenant,
                 index: RS_GROUP_INDEX,
@@ -79,7 +81,7 @@ impl Runtime {
         let mut per_job_groups: Vec<(u32, u32, u32)> = Vec::with_capacity(picked.len());
         for job in &picked {
             let (mut hits, mut builds, mut rebuilds) = (0u32, 0u32, 0u32);
-            for key in self.group_keys(job) {
+            for key in self.group_keys(job, partition) {
                 let (outcome, cost) = self.pool.acquire(key);
                 setup_ns += cost;
                 match outcome {
@@ -100,34 +102,10 @@ impl Runtime {
             picked.len()
         );
 
-        // Fabric config for the batch: per-batch seed, group table capped
-        // at the pool capacity so overcommit would trip the switch model.
-        let mut fabric = self.cfg.fabric.clone();
-        fabric.seed = self.cfg.fabric.seed.wrapping_add(index);
-        fabric.mcast_table_capacity = Some(self.pool.capacity());
-        // Batch-fabric tracing is governed by the runtime's spec: each
-        // batch records into its own sink on its local clock, and the
-        // merge phase shifts the events onto the virtual timeline.
-        fabric.trace = self.cfg.trace.clone();
-        // Partition hazard environment: every batch on a partition
-        // replays that partition's fault schedule (times relative to the
-        // batch's own launch), so a damaged SM domain stays damaged for
-        // every batch routed onto it.
-        if !self.cfg.partition_faults.is_empty() {
-            fabric.faults = self.cfg.partition_faults[partition as usize].clone();
-        }
-        // Heterogeneous offload: a partition with a configured backend
-        // runs its batches under that backend's compiled endpoint cost
-        // model and reduces AG+RS jobs where the backend computes; an
-        // in-switch backend additionally bounds the switches' live
-        // aggregation states like the MGID table. Without backends,
-        // Reduce-Scatters reduce in the switches.
-        let mut rs_in_switch = true;
-        if let Some(&(host, inc_cap, in_switch)) = self.partition_hosts.get(partition as usize) {
-            fabric.host = host;
-            fabric.inc_table_capacity = inc_cap;
-            rs_in_switch = in_switch;
-        }
+        // The partition's batch fabric with the batch's own seed.
+        let (fabric, rs_in_switch) = &self.partition_fabrics[partition as usize];
+        let mut fabric = fabric.clone();
+        fabric.seed = fabric.seed.wrapping_add(index);
         let comms = picked
             .iter()
             .enumerate()
@@ -148,7 +126,7 @@ impl Runtime {
                 ));
                 Comm {
                     plan,
-                    rs_in_switch: matches!(job.spec.kind, JobKind::AgRs).then_some(rs_in_switch),
+                    rs_in_switch: matches!(job.spec.kind, JobKind::AgRs).then_some(*rs_in_switch),
                 }
             })
             .collect();

@@ -4,13 +4,12 @@
 //!
 //! [`simulate_batch`] is a pure function of its `BatchSim`, and within
 //! one [`Runtime`] a `BatchSim` is a function of the [`BatchKey`] alone:
-//! `form_batch` varies the partition (fault schedule, host model,
-//! aggregation-table bound, Reduce-Scatter placement) and each slot's
-//! kind, Broadcast root and message length; every other field copies
-//! `Runtime` state that never changes after `new`. The FSDP pipeline the
-//! paper targets issues the same per-layer collectives every step, so an
-//! open-loop run below its saturation knee sees a few dozen shapes
-//! thousands of times. Three rules keep the replay exact and its memory
+//! `form_batch` varies the partition (the partition's batch fabric and
+//! Reduce-Scatter placement) and each slot's kind, Broadcast root and
+//! message length; every other field copies `Runtime` state that never
+//! changes after `new`. The FSDP pipeline the paper targets issues the
+//! same per-layer collectives every step, so an open-loop run below its
+//! saturation knee sees a few dozen shapes thousands of times. Three rules keep the replay exact and its memory
 //! bounded:
 //!
 //! 1. **Seed-free or bypass.** The one per-batch input outside the key

@@ -62,8 +62,8 @@ use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
 use form::FormedBatch;
 use mcag_core::{des, ProtocolConfig};
-use mcag_offload::{BackendKind, Placement};
-use mcag_simnet::{FabricConfig, HostModel, LinkSchedule, Topology};
+use mcag_offload::BackendKind;
+use mcag_simnet::{FabricConfig, LinkSchedule, Topology};
 use mcag_trace::{merge_runs, Marker, RuntimeTrace, TraceRun, TraceSpec};
 use memo::BatchMemo;
 pub use memo::MemoStats;
@@ -167,16 +167,17 @@ pub struct RuntimeConfig {
     /// baseline — see [`ReactivePolicy`].
     pub reactive: Option<ReactivePolicy>,
     /// Per-partition offload backends: when non-empty (length must
-    /// equal [`partitions`](RuntimeConfig::partitions)), every batch
-    /// placed on partition `p` runs with `partition_backends[p]`'s
-    /// compiled endpoint cost model (and, for in-switch backends, its
-    /// aggregation-table bound) instead of
-    /// [`fabric`](RuntimeConfig::fabric)`.host`, and reduces its AG+RS
-    /// jobs where the backend computes: in the switches for an in-switch
+    /// equal [`partitions`](RuntimeConfig::partitions)), partition `p`'s
+    /// batch fabric is compiled once with `partition_backends[p]`
+    /// ([`BackendKind::compile`]: its endpoint cost model instead of
+    /// [`fabric`](RuntimeConfig::fabric)`.host` and, for in-switch
+    /// backends, its aggregation-table bound), and its AG+RS jobs reduce
+    /// where the backend computes: in the switches for an in-switch
     /// backend, on the endpoints otherwise — heterogeneous SM domains,
-    /// e.g. one DPA partition and one host-CPU partition. Empty (the
-    /// default) leaves the fabric's host model untouched and reduces in
-    /// the switches.
+    /// e.g. one DPA partition and one host-CPU partition. Only a job
+    /// reducing in the switches pins (and pays SM build time for) its
+    /// tenant's reduction group. Empty (the default) leaves the
+    /// fabric's host model untouched and reduces in the switches.
     pub partition_backends: Vec<BackendKind>,
     /// Batch recovery cutoff, in multiples of the batch's summed
     /// per-job drain cutoffs: a batch still running past the cutoff is
@@ -260,12 +261,11 @@ pub struct Runtime {
     /// (lazy exponential decay under
     /// [`ReactivePolicy::health_halflife_ns`]).
     health_decayed_at: Vec<u64>,
-    /// Per-partition offload backends compiled at construction (empty
-    /// iff `cfg.partition_backends` is): the endpoint host model the
-    /// partition's batches run with, the in-switch aggregation-table
-    /// bound for SHARP-style backends, and where an AG+RS job's
-    /// Reduce-Scatter reduces (`true`: in the switches).
-    partition_hosts: Vec<(HostModel, Option<usize>, bool)>,
+    /// Per partition, built at construction: the fabric config every
+    /// batch on it clones (only the seed varies per batch), and where
+    /// its AG+RS jobs' Reduce-Scatters reduce (`true`: in the
+    /// switches).
+    partition_fabrics: Vec<(FabricConfig, bool)>,
     /// Recovery accounting, accumulated at commit.
     retry: RetryStats,
     /// Accumulating trace document (`Some` iff `cfg.trace` is), its
@@ -303,22 +303,31 @@ impl Runtime {
             cfg.partition_backends.len(),
             cfg.partitions
         );
-        // Compile each partition's backend once: calibrating a host
-        // model runs the backend's datapath engine, which must not
-        // happen per batch formation.
-        let chunk = cfg.proto.mtu.bytes();
-        let partition_hosts: Vec<(HostModel, Option<usize>, bool)> = cfg
-            .partition_backends
-            .iter()
-            .map(|kind| {
-                (
-                    kind.host_model(chunk),
-                    kind.limits().aggregation_entries,
-                    kind.placement() == Placement::InSwitch,
-                )
+        let pool = McastGroupPool::new(cfg.pool);
+        // Each partition's batch fabric, built once: the group table
+        // capped at the pool capacity (overcommit would trip the switch
+        // model), the runtime's trace spec (each batch records on its
+        // local clock; merge shifts the events onto the virtual
+        // timeline), the partition's fault schedule (replayed relative
+        // to every batch's launch, so a damaged SM domain stays damaged)
+        // and its backend, compiled once because calibrating a host
+        // model runs the backend's datapath engine. Without a backend,
+        // Reduce-Scatters reduce in the switches.
+        let partition_fabrics = (0..cfg.partitions)
+            .map(|p| {
+                let mut fabric = cfg.fabric.clone();
+                fabric.mcast_table_capacity = Some(pool.capacity());
+                fabric.trace = cfg.trace.clone();
+                if let Some(faults) = cfg.partition_faults.get(p) {
+                    fabric.faults = faults.clone();
+                }
+                let rs_in_switch = cfg
+                    .partition_backends
+                    .get(p)
+                    .is_none_or(|kind| kind.compile(&mut fabric, cfg.proto.mtu.bytes()));
+                (fabric, rs_in_switch)
             })
             .collect();
-        let pool = McastGroupPool::new(cfg.pool);
         let partition_stats = vec![PartitionStats::default(); cfg.partitions];
         let partition_busy = vec![false; cfg.partitions];
         // Static SM telemetry: the subnet manager knows its own fault
@@ -365,7 +374,7 @@ impl Runtime {
             retry_queue: VecDeque::new(),
             health_decayed_at: vec![0; partition_health.len()],
             partition_health,
-            partition_hosts,
+            partition_fabrics,
             retry: RetryStats::default(),
             trace,
             fabric_runs: Vec::new(),
@@ -402,9 +411,12 @@ impl Runtime {
         &self.pool
     }
 
-    /// Distinct multicast groups a job pins while running: one tree per
-    /// subgroup (clamped to the chunk count, as the plan does) plus the
-    /// reduction tree for AG+RS jobs.
+    /// Distinct multicast groups a job may pin while running: one tree
+    /// per subgroup (clamped to the chunk count, as the plan does) plus
+    /// the reduction tree for AG+RS jobs. Admission charges this upper
+    /// bound because the job's partition is not yet known; an AG+RS job
+    /// placed on a partition that reduces on the endpoints
+    /// ([`RuntimeConfig::partition_backends`]) pins one group fewer.
     pub fn group_demand(&self, kind: JobKind, send_len: usize) -> u32 {
         let chunks = (self.cfg.proto.mtu.chunks_for(send_len) as u32).max(1);
         let subs = self.cfg.proto.subgroups.clamp(1, chunks);
@@ -769,7 +781,7 @@ impl Runtime {
                 .formed
                 .picked
                 .iter()
-                .flat_map(|job| self.group_keys(job))
+                .flat_map(|job| self.group_keys(job, infl.formed.partition))
                 .collect();
             self.pool.unpin(&keys);
             self.partition_busy[infl.formed.partition as usize] = false;
@@ -1460,37 +1472,73 @@ mod tests {
 
     #[test]
     fn partition_backends_steer_the_endpoint_cost_model() {
-        // One partition, one job; only the backend differs. The BF3 DPA
-        // drains CQEs faster than the single-core host-CPU baseline, so
-        // the same collective finishes sooner — and the empty default
-        // keeps the stock UCC host model (distinct from both).
-        let run = |backends: Vec<BackendKind>| {
+        // One partition, one tenant, two AG+RS jobs; only the backend
+        // differs. The second job finds its groups resident, so its
+        // service time is the collective alone: the BF3 DPA drains CQEs
+        // faster than the single-core host-CPU baseline, and the
+        // in-switch backend's endpoints only post descriptors (the
+        // aggregation-table bound holds on this small fabric).
+        let warm_service_ns = |backend: BackendKind| {
             let cfg = RuntimeConfig {
                 pool: PoolConfig::with_capacity(4),
-                partition_backends: backends,
+                partition_backends: vec![backend],
                 ..RuntimeConfig::default()
             };
             let mut rt = Runtime::new(star(4), cfg);
             let t = rt.register_tenant("x");
-            rt.submit(t, JobKind::AgRs, 64 << 10).unwrap();
-            rt.run_open_loop()
+            for _ in 0..2 {
+                rt.submit(t, JobKind::AgRs, 64 << 10).unwrap();
+            }
+            let report = rt.run_open_loop();
+            assert_eq!(report.completed_jobs(), 2, "{backend:?}");
+            assert_eq!(report.jobs[1].group_hits, report.jobs[0].group_builds);
+            report.jobs[1].service_ns()
         };
-        let base = run(Vec::new());
-        let dpa = run(vec![BackendKind::DpaBf3]);
-        let cpu = run(vec![BackendKind::HostCpu]);
-        let sharp = run(vec![BackendKind::SharpSwitch]);
-        for r in [&base, &dpa, &cpu, &sharp] {
-            assert_eq!(r.completed_jobs(), 1);
-        }
+        let dpa = warm_service_ns(BackendKind::DpaBf3);
+        let cpu = warm_service_ns(BackendKind::HostCpu);
+        let sharp = warm_service_ns(BackendKind::SharpSwitch);
         assert!(
-            dpa.makespan_ns < cpu.makespan_ns,
-            "DPA endpoint model ({} ns) must beat the host-CPU baseline ({} ns)",
-            dpa.makespan_ns,
-            cpu.makespan_ns
+            dpa < cpu,
+            "DPA endpoint model ({dpa} ns) must beat the host-CPU baseline ({cpu} ns)"
         );
-        // The in-switch backend's endpoints only post descriptors and
-        // the aggregation-table bound holds on this small fabric.
-        assert!(sharp.makespan_ns <= cpu.makespan_ns);
+        assert!(sharp <= cpu, "in-switch {sharp} ns vs host CPU {cpu} ns");
+    }
+
+    #[test]
+    fn only_in_switch_partitions_pin_a_reduction_group() {
+        // A cold AG+RS job builds one tree per subgroup, plus the
+        // reduction tree only where its partition reduces in the
+        // switches; a second job of the same tenant finds every group
+        // resident, so the cold job's extra service time is exactly the
+        // builds at 200 us each.
+        let len = 64 << 10;
+        for backend in BackendKind::ALL {
+            let cfg = RuntimeConfig {
+                proto: ProtocolConfig::parallel(4, 1),
+                pool: PoolConfig::with_capacity(8),
+                partition_backends: vec![backend],
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(star(4), cfg);
+            let subs = rt.group_demand(JobKind::Allgather, len);
+            assert_eq!(subs, 4);
+            let t = rt.register_tenant("x");
+            for _ in 0..2 {
+                rt.submit(t, JobKind::AgRs, len).unwrap();
+            }
+            let report = rt.run_open_loop();
+            assert_eq!(report.completed_jobs(), 2, "{backend:?}");
+            let (cold, warm) = (&report.jobs[0], &report.jobs[1]);
+            let builds = subs + (backend == BackendKind::SharpSwitch) as u32;
+            assert_eq!(cold.group_builds, builds, "{backend:?}");
+            assert_eq!((warm.group_hits, warm.group_builds), (builds, 0));
+            assert_eq!(
+                cold.service_ns() - warm.service_ns(),
+                builds as u64 * 200_000,
+                "{backend:?}"
+            );
+            assert_eq!(report.pool.builds, builds as u64, "{backend:?}");
+        }
     }
 
     #[test]

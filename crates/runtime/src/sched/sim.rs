@@ -9,8 +9,9 @@
 //! memo ([`super::memo`]) replays a stored [`BatchOutcome`] instead of
 //! calling [`simulate_batch`] when a batch's shape recurs. Anything
 //! `simulate_batch` reads must therefore be either part of the memo's
-//! `BatchKey` (the partition and each slot's kind, root and length — what
-//! `form_batch` varies) or constant for the lifetime of one `Runtime`
+//! `BatchKey` (the partition — its batch fabric and Reduce-Scatter
+//! placement — and each slot's kind, root and length: what `form_batch`
+//! varies) or constant for the lifetime of one `Runtime`
 //! (every other `BatchSim` field). The one per-batch input outside the
 //! key, `fabric.seed`, is read only when `FabricConfig::uses_rng()`, and
 //! then the memo is bypassed. Debug builds re-simulate every replayed

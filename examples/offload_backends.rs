@@ -11,7 +11,7 @@ use mcast_allgather::core::{
     des, run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, CollectiveKind, ProtocolConfig,
 };
 use mcast_allgather::models::{algbw_gbps, busbw_gbps, CollectiveOp};
-use mcast_allgather::offload::{ArrivalModel, BackendKind, DatapathTransport, Placement};
+use mcast_allgather::offload::{ArrivalModel, BackendKind, DatapathTransport};
 use mcast_allgather::simnet::{FabricConfig, Topology};
 use mcast_allgather::verbs::LinkRate;
 
@@ -31,11 +31,7 @@ fn main() {
         println!(
             "  {:<14} {:<13} {:>9.1} {:>9.1} {:>10.1} {:>9}",
             kind.label(),
-            match kind.placement() {
-                Placement::EndpointNic => "endpoint NIC",
-                Placement::HostCore => "host core",
-                Placement::InSwitch => "in-switch",
-            },
+            kind.placement().label(),
             uc.gib_per_s,
             ud.gib_per_s,
             kind.setup_ns() as f64 / 1e3,
@@ -44,21 +40,21 @@ fn main() {
     }
 
     // Fabric level: compile each backend into the per-CQE endpoint
-    // cost the DES fabric charges, and run a 16-rank Allgather.
+    // cost the DES fabric charges (learning where it reduces a
+    // Reduce-Scatter), and run a 16-rank Allgather.
     let topo = || Topology::single_switch(16, LinkRate::CX3_56G, 100);
     let p: u32 = 16;
     let n: usize = 64 << 10;
     let fabric_for = |kind: BackendKind| {
         let mut cfg = FabricConfig::ucc_default();
-        cfg.host = kind.host_model(ProtocolConfig::default().mtu.bytes());
-        cfg.inc_table_capacity = kind.limits().aggregation_entries;
-        cfg
+        let rs_in_switch = kind.compile(&mut cfg, ProtocolConfig::default().mtu.bytes());
+        (cfg, rs_in_switch)
     };
     println!("\n64 KiB Allgather, 16 ranks on one 56G switch:");
     for kind in BackendKind::ALL {
         let out = des::run_collective(
             topo(),
-            fabric_for(kind),
+            fabric_for(kind).0,
             ProtocolConfig::default(),
             CollectiveKind::Allgather,
             n,
@@ -86,10 +82,11 @@ fn main() {
             chains: p,
             ..ProtocolConfig::default()
         };
-        let out = if kind.placement() == Placement::InSwitch {
-            run_concurrent_ag_rs(topo(), fabric_for(kind), proto, n)
+        let (fabric, rs_in_switch) = fabric_for(kind);
+        let out = if rs_in_switch {
+            run_concurrent_ag_rs(topo(), fabric, proto, n)
         } else {
-            run_concurrent_ag_rs_endpoint(topo(), fabric_for(kind), proto, n)
+            run_concurrent_ag_rs_endpoint(topo(), fabric, proto, n)
         };
         assert!(out.stats.all_done());
         let bytes = n as u64 * p as u64;
@@ -100,7 +97,7 @@ fn main() {
             ns as f64 / 1e3,
             busbw_gbps(CollectiveOp::AllReduce, p, bytes, ns),
             out.traffic.total_data_bytes() as f64 / (1 << 20) as f64,
-            if kind.placement() == Placement::InSwitch {
+            if rs_in_switch {
                 "reduced in-switch"
             } else {
                 "reduced at endpoints"
