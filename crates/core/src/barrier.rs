@@ -11,7 +11,8 @@
 //! `(r − 2^k) mod P`; after `⌈log2 P⌉` rounds everyone is synchronized.
 //! Rounds from "future" peers may arrive early and are banked — when the
 //! missing round finally lands, all consecutively-banked rounds are
-//! consumed at once, which is why actions come as a list.
+//! consumed at once, which is why a step returns a run of actions
+//! ([`BarrierActions`], an iterator that allocates nothing).
 
 use mcag_verbs::Rank;
 
@@ -22,8 +23,9 @@ pub struct BarrierState {
     p: u32,
     rounds: u8,
     current: u8,
-    /// Banked arrivals, indexed by round.
-    pending: Vec<bool>,
+    /// Banked arrivals: bit `k` is set once round `k`'s message is in
+    /// (`⌈log2 P⌉ ≤ 32` rounds).
+    pending: u64,
     done: bool,
 }
 
@@ -55,7 +57,7 @@ impl BarrierState {
             p,
             rounds,
             current: 0,
-            pending: vec![false; rounds as usize],
+            pending: 0,
             done: p == 1,
         }
     }
@@ -71,48 +73,72 @@ impl BarrierState {
     }
 
     /// Begin: the round-0 send (or immediate `Done` for one rank).
-    pub fn start(&mut self) -> Vec<BarrierAction> {
-        if self.done {
-            return vec![BarrierAction::Done];
-        }
-        vec![self.send_action()]
+    pub fn start(&mut self) -> BarrierActions {
+        self.actions(0, (!self.done) as u8)
     }
 
     /// A round-`round` barrier message arrived. Returns the sends to
     /// perform (possibly several, if this unblocked banked rounds), ending
-    /// with `Done` when the barrier clears. Early messages return an empty
-    /// list.
-    pub fn on_msg(&mut self, round: u8) -> Vec<BarrierAction> {
+    /// with `Done` when the barrier clears. Early messages return no
+    /// action.
+    pub fn on_msg(&mut self, round: u8) -> BarrierActions {
         assert!(!self.done, "barrier message after completion");
+        assert!(round < self.rounds, "round {round} out of range");
+        let bit = 1u64 << round;
         assert!(
-            (round as usize) < self.pending.len(),
-            "round {round} out of range"
-        );
-        assert!(
-            !self.pending[round as usize],
+            self.pending & bit == 0,
             "duplicate barrier message for round {round}"
         );
-        self.pending[round as usize] = true;
-        let mut actions = Vec::new();
-        while self.current < self.rounds && self.pending[self.current as usize] {
+        self.pending |= bit;
+        let from = self.current;
+        while self.current < self.rounds && self.pending & (1u64 << self.current) != 0 {
             self.current += 1;
-            if self.current == self.rounds {
-                self.done = true;
-                actions.push(BarrierAction::Done);
-            } else {
-                actions.push(self.send_action());
-            }
         }
-        actions
+        self.done = self.current == self.rounds;
+        // Each round cleared below the last opens the next one's send.
+        self.actions(from + 1, (self.current + 1).min(self.rounds))
     }
 
-    fn send_action(&self) -> BarrierAction {
-        let k = self.current;
-        let to = (self.rank + (1u32 << k)) % self.p;
-        BarrierAction::Send {
-            to: Rank(to),
-            round: k,
+    /// The sends of rounds `next..end`, then `Done` if the barrier is
+    /// clear.
+    fn actions(&self, next: u8, end: u8) -> BarrierActions {
+        BarrierActions {
+            rank: self.rank,
+            p: self.p,
+            next,
+            end,
+            done: self.done,
         }
+    }
+}
+
+/// The actions of one barrier step, in order: the sends of a run of
+/// consecutive rounds, then [`BarrierAction::Done`] if the step cleared
+/// the barrier.
+#[derive(Debug, Clone)]
+pub struct BarrierActions {
+    rank: u32,
+    p: u32,
+    next: u8,
+    end: u8,
+    done: bool,
+}
+
+impl Iterator for BarrierActions {
+    type Item = BarrierAction;
+
+    fn next(&mut self) -> Option<BarrierAction> {
+        if self.next < self.end {
+            // In round `k`, rank `r` signals `(r + 2^k) mod P`.
+            let k = self.next;
+            self.next += 1;
+            let to = (self.rank + (1u32 << k)) % self.p;
+            return Some(BarrierAction::Send {
+                to: Rank(to),
+                round: k,
+            });
+        }
+        std::mem::take(&mut self.done).then_some(BarrierAction::Done)
     }
 }
 
@@ -164,7 +190,7 @@ mod tests {
     #[test]
     fn single_rank_trivially_done() {
         let mut b = BarrierState::new(Rank(0), 1);
-        assert_eq!(b.start(), vec![BarrierAction::Done]);
+        assert_eq!(b.start().collect::<Vec<_>>(), vec![BarrierAction::Done]);
         assert!(b.is_done());
     }
 
@@ -173,21 +199,21 @@ mod tests {
         let mut a = BarrierState::new(Rank(0), 2);
         let mut b = BarrierState::new(Rank(1), 2);
         assert_eq!(
-            a.start(),
+            a.start().collect::<Vec<_>>(),
             vec![BarrierAction::Send {
                 to: Rank(1),
                 round: 0
             }]
         );
         assert_eq!(
-            b.start(),
+            b.start().collect::<Vec<_>>(),
             vec![BarrierAction::Send {
                 to: Rank(0),
                 round: 0
             }]
         );
-        assert_eq!(a.on_msg(0), vec![BarrierAction::Done]);
-        assert_eq!(b.on_msg(0), vec![BarrierAction::Done]);
+        assert_eq!(a.on_msg(0).collect::<Vec<_>>(), vec![BarrierAction::Done]);
+        assert_eq!(b.on_msg(0).collect::<Vec<_>>(), vec![BarrierAction::Done]);
     }
 
     #[test]
@@ -195,9 +221,9 @@ mod tests {
         // Rank 0 of 8: rounds 1 and 2 arrive before round 0.
         let mut b = BarrierState::new(Rank(0), 8);
         b.start();
-        assert!(b.on_msg(1).is_empty());
-        assert!(b.on_msg(2).is_empty());
-        let actions = b.on_msg(0);
+        assert_eq!(b.on_msg(1).count(), 0);
+        assert_eq!(b.on_msg(2).count(), 0);
+        let actions: Vec<_> = b.on_msg(0).collect();
         assert_eq!(
             actions,
             vec![
@@ -232,7 +258,51 @@ mod tests {
         b.on_msg(1);
     }
 
+    /// The barrier as a list-returning state machine, step for step.
+    fn reference_steps(rank: u32, p: u32, order: &[u8]) -> Vec<Vec<BarrierAction>> {
+        let rounds = BarrierState::new(Rank(rank), p).rounds();
+        let send = |k: u8| BarrierAction::Send {
+            to: Rank((rank + (1u32 << k)) % p),
+            round: k,
+        };
+        let mut pending = vec![false; rounds as usize];
+        let mut current = 0u8;
+        let mut steps = vec![vec![send(0)]];
+        for &round in order {
+            pending[round as usize] = true;
+            let mut actions = Vec::new();
+            while current < rounds && pending[current as usize] {
+                current += 1;
+                actions.push(if current == rounds {
+                    BarrierAction::Done
+                } else {
+                    send(current)
+                });
+            }
+            steps.push(actions);
+        }
+        steps
+    }
+
     proptest! {
+        /// Every step yields the actions the list-returning barrier
+        /// returned, whatever order the rounds arrive in.
+        #[test]
+        fn steps_match_the_list_reference(p in 2u32..300, rank in 0u32..300, seed: u64) {
+            use rand::{RngExt, SeedableRng};
+            let rank = rank % p;
+            let mut b = BarrierState::new(Rank(rank), p);
+            let mut order: Vec<u8> = (0..b.rounds()).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..i + 1));
+            }
+            let mut steps = vec![b.start().collect::<Vec<_>>()];
+            steps.extend(order.iter().map(|&round| b.on_msg(round).collect::<Vec<_>>()));
+            prop_assert_eq!(steps, reference_steps(rank, p, &order));
+            prop_assert!(b.is_done());
+        }
+
         #[test]
         fn completes_under_any_delivery_order(p in 2u32..96, seed: u64) {
             let done = simulate(p, seed);

@@ -108,10 +108,26 @@ impl ChunkBitmap {
     /// Iterate maximal runs of missing chunks as `start..end` ranges —
     /// these become the selective zero-copy fetches of the recovery phase.
     pub fn missing_runs(&self) -> MissingRuns<'_> {
+        self.missing_runs_in(0..self.len as u32)
+    }
+
+    /// [`Self::missing_runs`] clipped to `range`.
+    pub(crate) fn missing_runs_in(&self, range: std::ops::Range<u32>) -> MissingRuns<'_> {
+        assert!(
+            range.end as usize <= self.len,
+            "range {range:?} out of range (len {})",
+            self.len
+        );
         MissingRuns {
             bm: self,
-            cursor: 0,
+            cursor: range.start as usize,
+            end: range.end as usize,
         }
+    }
+
+    /// Is any chunk of `range` present?
+    pub(crate) fn any_present(&self, range: std::ops::Range<u32>) -> bool {
+        !range.is_empty() && self.missing_runs_in(range.clone()).next() != Some(range)
     }
 }
 
@@ -120,13 +136,14 @@ impl ChunkBitmap {
 pub struct MissingRuns<'a> {
     bm: &'a ChunkBitmap,
     cursor: usize,
+    end: usize,
 }
 
 impl Iterator for MissingRuns<'_> {
     type Item = std::ops::Range<u32>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let n = self.bm.len;
+        let n = self.end;
         let mut i = self.cursor;
         // Skip present chunks word-at-a-time to the next missing one.
         while i < n {
@@ -260,6 +277,32 @@ mod tests {
             for i in 0..len as u32 {
                 prop_assert_eq!(bm.get(i), reference.contains(&i));
             }
+        }
+
+        /// Runs clipped to a range are what a bit-by-bit scan of it
+        /// finds, and `any_present` agrees with that scan.
+        #[test]
+        fn clipped_runs_match_a_scan(
+            bits in prop::collection::vec(any::<bool>(), 1..300),
+            a in 0u32..300,
+            b in 0u32..300,
+        ) {
+            let mut bm = ChunkBitmap::new(bits.len());
+            for (i, _) in bits.iter().enumerate().filter(|(_, &p)| p) {
+                bm.set(i as u32);
+            }
+            let n = bits.len() as u32 + 1;
+            let range = (a % n).min(b % n)..(a % n).max(b % n);
+            let mut scan: Vec<std::ops::Range<u32>> = Vec::new();
+            for i in range.clone().filter(|&i| !bits[i as usize]) {
+                match scan.last_mut() {
+                    Some(run) if run.end == i => run.end += 1,
+                    _ => scan.push(i..i + 1),
+                }
+            }
+            prop_assert_eq!(bm.missing_runs_in(range.clone()).collect::<Vec<_>>(), scan);
+            let present = range.clone().any(|i| bits[i as usize]);
+            prop_assert_eq!(bm.any_present(range), present);
         }
 
         #[test]

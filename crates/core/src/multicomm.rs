@@ -30,7 +30,7 @@ use mcag_simnet::fabric::RunStats;
 use mcag_simnet::{
     Ctx, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology, TraceSink, TrafficReport,
 };
-use mcag_verbs::{CollectiveId, Cqe, QpNum, Rank, Transport};
+use mcag_verbs::{CollectiveId, Cqe, McastGroupId, Rank, Transport};
 use std::sync::Arc;
 
 /// One communicator to lay out and [`run`].
@@ -78,14 +78,17 @@ fn build(
     let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
     let p = fab.topology().num_hosts() as u32;
     let members: Vec<Rank> = (0..p).map(Rank).collect();
+    // Per communicator: its first subgroup group (the rest follow it) and
+    // its reduction group.
     let groups: Vec<_> = comms
         .iter()
         .map(|comm| {
-            let subgroups: Vec<_> = (0..comm.plan.num_subgroups())
-                .map(|_| fab.create_group(&members))
-                .collect();
+            let first = McastGroupId(fab.num_groups() as u32);
+            for _ in 0..comm.plan.num_subgroups() {
+                fab.create_group(&members);
+            }
             let reduce = (comm.rs_in_switch == Some(true)).then(|| fab.create_group(&members));
-            (subgroups, reduce)
+            (first, reduce)
         })
         .collect();
     let cutoffs: Vec<u64> = comms
@@ -94,19 +97,17 @@ fn build(
         .collect();
     for &r in &members {
         let mut slots = Vec::with_capacity(comms.len());
-        for (i, (comm, (subgroups, reduce))) in comms.iter().zip(&groups).enumerate() {
-            let ctrl = fab.add_qp(r, Transport::Rc, 0);
-            let mut subgroup_qps = Vec::with_capacity(subgroups.len());
-            for (j, &g) in subgroups.iter().enumerate() {
-                let qp = fab.add_qp(r, Transport::Ud, (i + j) % n_workers);
-                fab.attach(r, qp, g);
-                subgroup_qps.push(qp);
-            }
+        for (i, (comm, &(first_group, reduce))) in comms.iter().zip(&groups).enumerate() {
             let layout = QpLayout {
-                ctrl,
-                subgroup_qps,
-                groups: subgroups.clone(),
+                ctrl: fab.add_qp(r, Transport::Rc, 0),
+                first_group,
+                subgroups: comm.plan.num_subgroups(),
             };
+            for j in 0..layout.subgroups {
+                let qp = fab.add_qp(r, Transport::Ud, (i + j as usize) % n_workers);
+                assert_eq!(qp, layout.subgroup_qp(j), "QPs are numbered in order");
+                fab.attach(r, qp, layout.group(j));
+            }
             let plan = &comm.plan;
             // No attach for the Reduce-Scatter QP: in-switch contributions
             // enter the reduction tree by membership and results return
@@ -116,7 +117,7 @@ fn build(
                 let qp = fab.add_qp(r, Transport::Rc, 0);
                 let coll = CollectiveId(plan.coll_id().0 + 1);
                 let (mtu, imm, n) = (plan.mtu(), plan.imm_layout(), plan.send_len());
-                RsApp::new(p, r, n, mtu, imm, coll, qp, *reduce)
+                RsApp::new(p, r, n, mtu, imm, coll, qp, reduce)
             });
             slots.push(CommSlot {
                 ag: McastRankApp::new(Arc::clone(plan), r, layout, cutoffs[i]),
@@ -216,36 +217,31 @@ pub fn run_with(
 /// Allgather's). It marks the rank done once every slot has released.
 pub struct MultiCommApp {
     slots: Vec<CommSlot>,
-    /// `qp_owner[qp]` = slot owning that rank-local QP.
-    qp_owner: Vec<usize>,
     marked: bool,
 }
 
 impl MultiCommApp {
     /// Compose `slots`: slot `i` gets token base `i·TOKEN_STRIDE` and
-    /// owns the QPs its endpoints were built on.
+    /// owns the QPs its endpoints were built on, which [`build`] numbers
+    /// consecutively, slot by slot — so slot `i` owns every QP from its
+    /// control QP up to the next slot's.
     pub(crate) fn new(mut slots: Vec<CommSlot>) -> MultiCommApp {
         assert!(!slots.is_empty());
-        let mut qp_owner = Vec::new();
-        let mut own = |qp: QpNum, slot: usize| {
-            let qp = qp.0 as usize;
-            if qp_owner.len() <= qp {
-                qp_owner.resize(qp + 1, usize::MAX);
-            }
-            qp_owner[qp] = slot;
-        };
         for (i, slot) in slots.iter_mut().enumerate() {
             let base = i as u64 * TOKEN_STRIDE;
             slot.ag.set_token_base(base);
-            slot.ag.qps().for_each(|qp| own(qp, i));
             if let Some(rs) = &mut slot.rs {
                 rs.set_token_base(base);
-                own(rs.qp(), i);
             }
         }
+        assert!(
+            slots
+                .windows(2)
+                .all(|w| w[0].ag.ctrl_qp() < w[1].ag.ctrl_qp()),
+            "slots own ascending QP ranges"
+        );
         MultiCommApp {
             slots,
-            qp_owner,
             marked: false,
         }
     }
@@ -269,7 +265,8 @@ impl RankApp<ControlMsg> for MultiCommApp {
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        let slot = &mut self.slots[self.qp_owner[cqe.qp.0 as usize]];
+        let owner = self.slots.partition_point(|s| s.ag.ctrl_qp() <= cqe.qp) - 1;
+        let slot = &mut self.slots[owner];
         match &mut slot.rs {
             Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
             _ => slot.ag.on_cqe(ctx, cqe, payload),

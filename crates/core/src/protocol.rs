@@ -22,7 +22,7 @@
 //!    left neighbor; holding both local completeness and the right
 //!    neighbor's final packet releases the receive buffer.
 
-use crate::barrier::{BarrierAction, BarrierState};
+use crate::barrier::{BarrierAction, BarrierActions, BarrierState};
 use crate::bitmap::ChunkBitmap;
 use crate::msg::ControlMsg;
 use crate::plan::CollectivePlan;
@@ -104,15 +104,29 @@ impl RankTiming {
 
 /// One endpoint's QPs, the same on every rank (SPMD): the reliable
 /// control ring and one UD multicast QP per subgroup, laid out by
-/// [`crate::multicomm::run`].
-#[derive(Debug, Clone)]
+/// [`crate::multicomm::run`] as consecutive numbers — subgroup `j`'s QP
+/// follows the control QP by `j + 1` and joins the `j`-th of the
+/// communicator's consecutive groups.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct QpLayout {
     /// Reliable (RC) control QP.
     pub ctrl: QpNum,
-    /// One UD QP per multicast subgroup.
-    pub subgroup_qps: Vec<QpNum>,
-    /// One multicast group per subgroup.
-    pub groups: Vec<McastGroupId>,
+    /// Subgroup 0's multicast group.
+    pub first_group: McastGroupId,
+    /// Multicast subgroups (one UD QP and one group each).
+    pub subgroups: u32,
+}
+
+impl QpLayout {
+    /// Subgroup `j`'s UD QP.
+    pub fn subgroup_qp(&self, j: u32) -> QpNum {
+        QpNum(self.ctrl.0 + 1 + j)
+    }
+
+    /// Subgroup `j`'s multicast group.
+    pub fn group(&self, j: u32) -> McastGroupId {
+        McastGroupId(self.first_group.0 + j)
+    }
 }
 
 /// The protocol endpoint: implements [`RankApp`] over the DES fabric.
@@ -197,10 +211,9 @@ impl McastRankApp {
         self.token_base = base;
     }
 
-    /// Every rank-local QP this endpoint receives on: the control QP,
-    /// then the subgroup QPs.
-    pub(crate) fn qps(&self) -> impl Iterator<Item = QpNum> + '_ {
-        std::iter::once(self.qps.ctrl).chain(self.qps.subgroup_qps.iter().copied())
+    /// The control QP, the first of this endpoint's consecutive QPs.
+    pub(crate) fn ctrl_qp(&self) -> QpNum {
+        self.qps.ctrl
     }
 
     /// Has this rank released its receive buffer (collective finished)?
@@ -219,7 +232,7 @@ impl McastRankApp {
         self.me.ring_left(self.plan.num_ranks())
     }
 
-    fn run_barrier_actions(&mut self, ctx: &mut Ctx<'_, ControlMsg>, actions: Vec<BarrierAction>) {
+    fn run_barrier_actions(&mut self, ctx: &mut Ctx<'_, ControlMsg>, actions: BarrierActions) {
         for a in actions {
             match a {
                 BarrierAction::Send { to, round } => {
@@ -258,19 +271,20 @@ impl McastRankApp {
         // immediate field, spread across the subgroup QPs.
         for local in 0..self.plan.chunks_per_root() {
             let psn = self.plan.global_psn(idx, local);
-            let sub = self.plan.subgroup_of(local) as usize;
+            let sub = self.plan.subgroup_of(local);
             ctx.post_mcast_chunk(
-                self.qps.subgroup_qps[sub],
-                self.qps.groups[sub],
+                self.qps.subgroup_qp(sub),
+                self.qps.group(sub),
                 self.plan.imm_for(psn),
                 self.me,
                 psn,
                 self.plan.chunk_len(psn),
             );
         }
-        self.pending_drains = self.qps.subgroup_qps.len() as u32;
-        for (j, &qp) in self.qps.subgroup_qps.iter().enumerate() {
-            ctx.notify_tx_drained(qp, self.token_base + TX_DONE_BASE + j as u64);
+        self.pending_drains = self.qps.subgroups;
+        for j in 0..self.qps.subgroups {
+            let token = self.token_base + TX_DONE_BASE + j as u64;
+            ctx.notify_tx_drained(self.qps.subgroup_qp(j), token);
         }
     }
 
@@ -334,53 +348,47 @@ impl McastRankApp {
         }
     }
 
-    /// Serve any owed ranges that have since become available.
+    /// Serve any owed ranges that have since become available. This runs
+    /// on every chunk arrival while a debt is open, so a debt none of
+    /// whose chunks has landed is left as it is, without a rebuild.
     fn resolve_pending_serves(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        if self.pending_serve.is_empty() {
-            return;
-        }
-        let mut still_pending = Vec::new();
-        for (requester, ranges) in std::mem::take(&mut self.pending_serve) {
-            let mut have = Vec::new();
-            let mut owe = Vec::new();
-            for r in ranges {
-                split_by_bitmap(&self.bitmap, r, &mut have, &mut owe);
+        let (bitmap, ctrl) = (&self.bitmap, self.qps.ctrl);
+        self.pending_serve.retain_mut(|(requester, owed)| {
+            if !owed.iter().any(|r| bitmap.any_present(r.clone())) {
+                return true;
             }
-            if !have.is_empty() {
-                let m = ControlMsg::FetchAck { ranges: have };
-                let len = m.wire_payload();
-                ctx.post_msg(requester, self.qps.ctrl, m, len);
+            let (mut have, mut owe) = (Vec::new(), Vec::new());
+            for r in owed.drain(..) {
+                split_by_bitmap(bitmap, r, &mut have, &mut owe);
             }
-            if !owe.is_empty() {
-                still_pending.push((requester, owe));
-            }
-        }
-        self.pending_serve = still_pending;
+            let m = ControlMsg::FetchAck { ranges: have };
+            let len = m.wire_payload();
+            ctx.post_msg(*requester, ctrl, m, len);
+            *owed = owe;
+            !owed.is_empty()
+        });
     }
 
     /// RDMA-Read the still-missing parts of the ACKed ranges from the
     /// left neighbor's receive buffer (identical layout on every rank).
     fn issue_reads(&mut self, ctx: &mut Ctx<'_, ControlMsg>, ranges: Vec<Range<u32>>) {
         let left = self.left();
-        let mut still_missing = Vec::new();
-        for r in ranges {
-            let mut have = Vec::new();
-            split_by_bitmap(&self.bitmap, r, &mut have, &mut still_missing);
-        }
-        for r in still_missing {
-            // Also skip ranges already being fetched.
-            if self
-                .outstanding_reads
-                .values()
-                .any(|o| o.start < r.end && r.start < o.end)
-            {
-                continue;
+        for acked in ranges {
+            for r in self.bitmap.missing_runs_in(acked) {
+                // Also skip ranges already being fetched.
+                if self
+                    .outstanding_reads
+                    .values()
+                    .any(|o| o.start < r.end && r.start < o.end)
+                {
+                    continue;
+                }
+                let bytes: usize = r.clone().map(|p| self.plan.chunk_len(p)).sum();
+                let tag = self.next_tag;
+                self.next_tag += 1;
+                self.outstanding_reads.insert(tag, r);
+                ctx.post_rdma_read(self.qps.ctrl, left, bytes, tag);
             }
-            let bytes: usize = (r.start..r.end).map(|p| self.plan.chunk_len(p)).sum();
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            self.outstanding_reads.insert(tag, r);
-            ctx.post_rdma_read(self.qps.ctrl, left, bytes, tag);
         }
     }
 

@@ -97,6 +97,12 @@ pub enum FaultModel {
     /// A random `fraction` of ports (a port = both directions of a
     /// cable) flap: down for `down_ns` at the head of every `period_ns`
     /// cycle, from `start_ns` until `end_ns`.
+    ///
+    /// Its transitions are emitted in time order — cycle by cycle, each
+    /// instant's victim links in id order, a cycle's ups before the next
+    /// cycle's downs — so a flap-only plan compiles without a sort
+    /// ([`LinkSchedule::new`] takes sorted input as it is). Every model
+    /// keeps this contract; only a plan of several models is sorted.
     FlappingPort {
         /// Fraction of ports affected, in `[0, 1]`.
         fraction: f64,
@@ -171,7 +177,8 @@ impl FaultPlan {
     }
 
     /// Lower the plan onto `topo`: draw the affected links/switches from
-    /// the seeded RNG and emit the full transition timeline. Pure in
+    /// the seeded RNG and emit the full transition timeline, each model's
+    /// transitions in `(at_ns, link)` order. Pure in
     /// `(seed, models, topo)`.
     pub fn compile(&self, topo: &Topology) -> LinkSchedule {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -284,6 +291,32 @@ pub fn srlg_groups(topo: &Topology, kind: SrlgKind) -> Vec<Vec<LinkId>> {
     groups
 }
 
+/// Emit `victims` going down (`down(link)`, at one instant) and back up
+/// at `up_at`, in the schedule's `(at_ns, link)` order: victims in link-id
+/// order, every down before every up — or, when the two instants
+/// coincide, each victim's down-up pair in turn, which is where a stable
+/// sort leaves same-instant transitions of one link. `victims` must be in
+/// link-id order (a link two struck switches share is listed twice).
+fn emit_window(
+    out: &mut Vec<LinkStateEvent>,
+    victims: &[LinkId],
+    down: impl Fn(LinkId) -> LinkStateEvent,
+    up_at: u64,
+) {
+    out.reserve(2 * victims.len());
+    if victims.first().is_some_and(|&l| down(l).at_ns == up_at) {
+        for &l in victims {
+            out.push(down(l));
+            out.push(LinkStateEvent::up(up_at, l));
+        }
+    } else {
+        out.extend(victims.iter().map(|&l| down(l)));
+        out.extend(victims.iter().map(|&l| LinkStateEvent::up(up_at, l)));
+    }
+}
+
+/// Append `model`'s transitions to `out` in `(at_ns, link)` order, so a
+/// single-model plan reaches [`LinkSchedule::new`] already sorted.
 fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<LinkStateEvent>) {
     match *model {
         FaultModel::DegradedLink {
@@ -295,13 +328,14 @@ fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<Lin
         } => {
             let all: Vec<LinkId> = (0..topo.num_links() as u32).map(LinkId).collect();
             let n = fraction_count(all.len(), fraction);
-            for link in choose(rng, &all, n) {
-                out.push(LinkStateEvent::degraded(start_ns, link, bw_num, bw_den));
-                out.push(LinkStateEvent::up(
-                    start_ns.saturating_add(duration_ns),
-                    link,
-                ));
-            }
+            let mut victims = choose(rng, &all, n);
+            victims.sort_unstable();
+            emit_window(
+                out,
+                &victims,
+                |l| LinkStateEvent::degraded(start_ns, l, bw_num, bw_den),
+                start_ns.saturating_add(duration_ns),
+            );
         }
         FaultModel::FlappingPort {
             fraction,
@@ -317,16 +351,27 @@ fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<Lin
             );
             let cands = ports(topo);
             let n = fraction_count(cands.len(), fraction);
-            for port in choose(rng, &cands, n) {
-                let pair = [port, topo.reverse(port)];
-                let mut t = start_ns;
-                while t < end_ns {
-                    for &l in &pair {
-                        out.push(LinkStateEvent::down(t, l));
-                        out.push(LinkStateEvent::up(t.saturating_add(down_ns), l));
-                    }
-                    t = t.saturating_add(period_ns);
-                }
+            // Both directions of every victim cable, in link-id order; a
+            // cycle's ups fall before the next cycle's downs.
+            let mut victims: Vec<LinkId> = choose(rng, &cands, n)
+                .into_iter()
+                .flat_map(|port| [port, topo.reverse(port)])
+                .collect();
+            victims.sort_unstable();
+            let cycles = match end_ns.checked_sub(start_ns) {
+                Some(span) if span > 0 => (span - 1) / period_ns + 1,
+                _ => 0,
+            };
+            out.reserve(2 * victims.len() * cycles as usize);
+            let mut t = start_ns;
+            while t < end_ns {
+                emit_window(
+                    out,
+                    &victims,
+                    |l| LinkStateEvent::down(t, l),
+                    t.saturating_add(down_ns),
+                );
+                t = t.saturating_add(period_ns);
             }
         }
         FaultModel::SwitchFailure {
@@ -335,12 +380,17 @@ fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<Lin
             downtime_ns,
         } => {
             let cands = switches(topo);
-            for sw in choose(rng, &cands, count as usize) {
-                for l in links_of(topo, sw) {
-                    out.push(LinkStateEvent::down(start_ns, l));
-                    out.push(LinkStateEvent::up(start_ns.saturating_add(downtime_ns), l));
-                }
-            }
+            let mut victims: Vec<LinkId> = choose(rng, &cands, count as usize)
+                .into_iter()
+                .flat_map(|sw| links_of(topo, sw))
+                .collect();
+            victims.sort_unstable();
+            emit_window(
+                out,
+                &victims,
+                |l| LinkStateEvent::down(start_ns, l),
+                start_ns.saturating_add(downtime_ns),
+            );
         }
         FaultModel::CorrelatedFailure {
             kind,
@@ -350,12 +400,17 @@ fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<Lin
         } => {
             let groups = srlg_groups(topo, kind);
             let idx: Vec<usize> = (0..groups.len()).collect();
-            for g in choose(rng, &idx, events as usize) {
-                for &l in &groups[g] {
-                    out.push(LinkStateEvent::down(start_ns, l));
-                    out.push(LinkStateEvent::up(start_ns.saturating_add(downtime_ns), l));
-                }
-            }
+            let mut victims: Vec<LinkId> = choose(rng, &idx, events as usize)
+                .into_iter()
+                .flat_map(|g| groups[g].iter().copied())
+                .collect();
+            victims.sort_unstable();
+            emit_window(
+                out,
+                &victims,
+                |l| LinkStateEvent::down(start_ns, l),
+                start_ns.saturating_add(downtime_ns),
+            );
         }
     }
 }
@@ -585,6 +640,164 @@ mod tests {
                 end_ns: 100,
             })
             .compile(&tree());
+    }
+
+    /// The compiler as it was before it emitted in time order: victims in
+    /// draw order, each one's whole timeline in turn, then a stable sort.
+    fn reference_compile(plan: &FaultPlan, topo: &Topology) -> Vec<LinkStateEvent> {
+        let mut rng = StdRng::seed_from_u64(plan.seed);
+        let mut out = Vec::new();
+        let window = |out: &mut Vec<LinkStateEvent>, down: LinkStateEvent, up_at: u64| {
+            out.push(down);
+            out.push(LinkStateEvent::up(up_at, down.link));
+        };
+        for m in &plan.models {
+            match *m {
+                FaultModel::DegradedLink {
+                    fraction,
+                    bw_num,
+                    bw_den,
+                    start_ns,
+                    duration_ns,
+                } => {
+                    let all: Vec<LinkId> = (0..topo.num_links() as u32).map(LinkId).collect();
+                    let n = fraction_count(all.len(), fraction);
+                    for link in choose(&mut rng, &all, n) {
+                        let down = LinkStateEvent::degraded(start_ns, link, bw_num, bw_den);
+                        window(&mut out, down, start_ns.saturating_add(duration_ns));
+                    }
+                }
+                FaultModel::FlappingPort {
+                    fraction,
+                    period_ns,
+                    down_ns,
+                    start_ns,
+                    end_ns,
+                } => {
+                    let cands = ports(topo);
+                    let n = fraction_count(cands.len(), fraction);
+                    for port in choose(&mut rng, &cands, n) {
+                        let mut t = start_ns;
+                        while t < end_ns {
+                            for l in [port, topo.reverse(port)] {
+                                let down = LinkStateEvent::down(t, l);
+                                window(&mut out, down, t.saturating_add(down_ns));
+                            }
+                            t = t.saturating_add(period_ns);
+                        }
+                    }
+                }
+                FaultModel::SwitchFailure {
+                    switches: count,
+                    start_ns,
+                    downtime_ns,
+                } => {
+                    for sw in choose(&mut rng, &switches(topo), count as usize) {
+                        for l in links_of(topo, sw) {
+                            let down = LinkStateEvent::down(start_ns, l);
+                            window(&mut out, down, start_ns.saturating_add(downtime_ns));
+                        }
+                    }
+                }
+                FaultModel::CorrelatedFailure {
+                    kind,
+                    events,
+                    start_ns,
+                    downtime_ns,
+                } => {
+                    let groups = srlg_groups(topo, kind);
+                    let idx: Vec<usize> = (0..groups.len()).collect();
+                    for g in choose(&mut rng, &idx, events as usize) {
+                        for &l in &groups[g] {
+                            let down = LinkStateEvent::down(start_ns, l);
+                            window(&mut out, down, start_ns.saturating_add(downtime_ns));
+                        }
+                    }
+                }
+            }
+        }
+        out.sort_by_key(|e| (e.at_ns, e.link.0));
+        out
+    }
+
+    proptest! {
+        /// Emitting in time order changes no transition: over 64 seeds,
+        /// every model alone — among them a flap with no down time, one
+        /// whose ups saturate at `u64::MAX`, a degraded window of no
+        /// length and struck switches or chassis that share links — and
+        /// pairs of models compile to what the per-victim emission and a
+        /// stable sort compiled.
+        #[test]
+        fn compile_equals_per_victim_emission_and_a_stable_sort(
+            seed in 0u64..u64::MAX,
+            frac in 0.0f64..1.0,
+            down_ns in 0u64..3,
+            period_ns in 3u64..7,
+            start_ns in 0u64..4,
+            first in 0usize..8,
+            second in 0usize..9,
+        ) {
+            let models = [
+                FaultModel::DegradedLink {
+                    fraction: frac,
+                    bw_num: 1,
+                    bw_den: 4,
+                    start_ns,
+                    duration_ns: down_ns,
+                },
+                FaultModel::FlappingPort {
+                    fraction: frac,
+                    period_ns,
+                    down_ns,
+                    start_ns,
+                    end_ns: 30,
+                },
+                FaultModel::FlappingPort {
+                    fraction: 1.0,
+                    period_ns,
+                    down_ns: 0,
+                    start_ns,
+                    end_ns: 30,
+                },
+                // Ups that saturate at the end of time.
+                FaultModel::FlappingPort {
+                    fraction: frac,
+                    period_ns,
+                    down_ns,
+                    start_ns: u64::MAX - 10 + start_ns,
+                    end_ns: u64::MAX,
+                },
+                FaultModel::SwitchFailure {
+                    switches: 2,
+                    start_ns,
+                    downtime_ns: down_ns,
+                },
+                FaultModel::CorrelatedFailure {
+                    kind: SrlgKind::CableBundle,
+                    events: 2,
+                    start_ns,
+                    downtime_ns: down_ns,
+                },
+                FaultModel::CorrelatedFailure {
+                    kind: SrlgKind::SwitchChassis,
+                    events: 3,
+                    start_ns,
+                    downtime_ns: down_ns,
+                },
+                FaultModel::CorrelatedFailure {
+                    kind: SrlgKind::Rack,
+                    events: 1,
+                    start_ns,
+                    downtime_ns: 0,
+                },
+            ];
+            let mut plan = FaultPlan::new(seed).with(models[first]);
+            if let Some(&m) = models.get(second) {
+                plan = plan.with(m);
+            }
+            let topo = tree();
+            prop_assert_eq!(plan.compile(&topo).events(), &reference_compile(&plan, &topo)[..]);
+        }
     }
 
     proptest! {

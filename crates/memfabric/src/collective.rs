@@ -12,7 +12,7 @@ use crate::abitmap::AtomicBitmap;
 use crate::fabric::{CtrlPacket, MemFabric, MemFabricConfig, RankRx};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use mcag_core::barrier::{BarrierAction, BarrierState};
+use mcag_core::barrier::{BarrierAction, BarrierActions, BarrierState};
 use mcag_core::plan::CollectivePlan;
 use mcag_core::{ControlMsg, StagingRing};
 use mcag_verbs::{ImmData, Rank, Transport};
@@ -399,7 +399,7 @@ fn app_loop(
     }
 }
 
-fn run_barrier_actions(me: u32, shared: &Shared, st: &mut AppState, actions: Vec<BarrierAction>) {
+fn run_barrier_actions(me: u32, shared: &Shared, st: &mut AppState, actions: BarrierActions) {
     for a in actions {
         match a {
             BarrierAction::Send { to, round } => {

@@ -19,17 +19,20 @@
 //! ## Hot-path memory model
 //!
 //! A NIC send queue holds *work requests* (`Wqe`, ≤ 64 B), not
-//! packets: a post is a `VecDeque` push, and the packet is built when the
-//! arbiter injects it. A reliable message ([`MsgSegments`]) is one
+//! packets, and the packet is built when the arbiter injects it. Every
+//! queue of the fabric links its requests through one shared slab, so a
+//! post takes a slot another queue freed and no queue owns a buffer: a
+//! rank that has finished sending holds nothing, and a fabric's posts
+//! stop allocating once the slab has grown to the most requests ever
+//! queued at once. A reliable message ([`MsgSegments`]) is one
 //! request however many chunks it carries — it stays at the head of its
 //! queue and is segmented an MTU per arbitration turn, as an RC queue
 //! pair does in hardware. An in-network-reduction *sweep*
 //! ([`Ctx::post_inc_sweep`]) is one request for a rank's whole
 //! Reduce-Scatter contribution: it walks its owners in order, one message
 //! each, like a chained work-request list — a 512-rank in-switch
-//! Reduce-Scatter queues 512 requests, not 512 · 511. A queue whose drain
-//! notification fires gives its buffer back, so a rank that has finished
-//! sending holds none.
+//! Reduce-Scatter queues 512 requests, not 512 · 511. Drain
+//! notifications wait in one fabric-wide list, counted per QP.
 //!
 //! Packets live in a slab with an embedded LIFO free list from injection
 //! to their last delivery, so the slab is as large as the most packets
@@ -49,15 +52,18 @@
 //! Deterministic unicast routes and multicast trees are not the fabric's
 //! to build: the [`Topology`] computes each once and every fabric over it
 //! shares the result, a route as an `Arc<[LinkId]>` a packet carries and
-//! a tree as an `Arc<McastTree>` the fabric holds per group.
+//! a tree as an `Arc<McastTree>` the fabric holds per group. A reduced
+//! shard's way down from its reduction tree's root is salted by PSN, so
+//! it is no per-topology value: each switch picks the shard's next link
+//! as it forwards, and no route is built for it.
 
 use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
 use crate::counters::{LinkCounters, TrafficReport};
 use crate::event::EventQueue;
-use crate::health::{FabricHealth, LinkHealth};
+use crate::health::{self, FabricHealth, LinkHealth};
 use crate::mcast::McastTree;
-use crate::routing::{self, descend, RouteMode};
+use crate::routing::{self, RouteMode};
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink, TraceSpec};
@@ -65,7 +71,7 @@ use mcag_verbs::wire::{PacketKind, HEADER_BYTES};
 use mcag_verbs::{CompletionStatus, Cqe, CqeOpcode, ImmData, McastGroupId, QpNum, Rank, Transport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -81,6 +87,11 @@ const SWITCH_LATENCY_NS: u64 = 200;
 enum Route {
     /// A unicast route; `path[hop]` is the next link to take.
     Unicast { path: Arc<[LinkId]>, hop: u8 },
+    /// A reduced shard descending from its reduction tree's root to its
+    /// `owner`: every switch on the way picks the next link as it
+    /// forwards ([`routing::descend_link`], salted by the chunk's PSN),
+    /// so the route is never built.
+    Down { owner: Rank, hop: u8 },
     /// Down a multicast tree (unreliable datagrams).
     Mcast { group: McastGroupId },
     /// In-network-compute contribution climbing its reduction tree
@@ -149,54 +160,79 @@ struct SlabEntry {
     pkt: PacketInst,
 }
 
+/// "No slot": the end of a slab's free list or of a send queue.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a value, or a link in the free list.
+enum Slot<T> {
+    Full(T),
+    /// Vacant; the next vacant slot (or [`NIL`]).
+    Free(u32),
+}
+
 /// Slots with an embedded LIFO free list: a slab is as long as the most
-/// entries ever live at once, and a key stays valid until it is removed.
+/// entries ever live at once, a key stays valid until it is removed, and
+/// neither an insert nor a removal allocates once the slab has grown.
 struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
+    slots: Vec<Slot<T>>,
+    /// Most recently vacated slot, [`NIL`] when none is.
+    free: u32,
+    live: usize,
 }
 
 impl<T> Slab<T> {
     fn new() -> Slab<T> {
         Slab {
             slots: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
+            live: 0,
         }
     }
 
     fn insert(&mut self, v: T) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                debug_assert!(self.slots[i as usize].is_none());
-                self.slots[i as usize] = Some(v);
-                i
-            }
-            None => {
-                self.slots.push(Some(v));
-                (self.slots.len() - 1) as u32
-            }
+        self.live += 1;
+        if self.free == NIL {
+            self.slots.push(Slot::Full(v));
+            return (self.slots.len() - 1) as u32;
         }
+        let i = self.free;
+        match std::mem::replace(&mut self.slots[i as usize], Slot::Full(v)) {
+            Slot::Free(next) => self.free = next,
+            Slot::Full(_) => unreachable!("free list names a full slot"),
+        }
+        i
     }
 
     #[inline]
     fn get(&self, i: u32) -> &T {
-        self.slots[i as usize].as_ref().expect("stale slab key")
+        match &self.slots[i as usize] {
+            Slot::Full(v) => v,
+            Slot::Free(_) => panic!("stale slab key"),
+        }
     }
 
     #[inline]
     fn get_mut(&mut self, i: u32) -> &mut T {
-        self.slots[i as usize].as_mut().expect("stale slab key")
+        match &mut self.slots[i as usize] {
+            Slot::Full(v) => v,
+            Slot::Free(_) => panic!("stale slab key"),
+        }
     }
 
     fn remove(&mut self, i: u32) -> T {
-        let v = self.slots[i as usize].take().expect("stale slab key");
-        self.free.push(i);
-        v
+        match std::mem::replace(&mut self.slots[i as usize], Slot::Free(self.free)) {
+            Slot::Full(v) => {
+                self.free = i;
+                self.live -= 1;
+                v
+            }
+            Slot::Free(_) => panic!("stale slab key"),
+        }
     }
 
     /// Entries inserted and not yet removed.
     fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.live
     }
 }
 
@@ -238,6 +274,13 @@ enum Wqe {
         seg: MsgSegments,
         next: u32,
     },
+}
+
+/// A queued work request and the next one of its send queue.
+struct WqeNode {
+    wqe: Wqe,
+    /// Slab key of the next request, [`NIL`] at the tail.
+    next: u32,
 }
 
 /// Reject a malformed message request where it is posted, not when its
@@ -330,23 +373,24 @@ struct QpState {
     worker: usize,
     rq_avail: usize,
     rq_depth: usize,
+    /// The send queue, first and last request: a FIFO linked through
+    /// `Inner::wqes` ([`NIL`] when empty).
+    tx_head: u32,
+    tx_tail: u32,
+    /// Drain notifications waiting in `Inner::drains` for the send queue
+    /// to empty.
+    drains: u32,
 }
 
 struct NicState {
     uplink: LinkId,
-    /// One send queue per QP; the NIC arbiter serves them round-robin,
-    /// which is how concurrent collectives share injection bandwidth.
-    tx_queues: Vec<VecDeque<Wqe>>,
+    /// The QPs, each with its send queue; the NIC arbiter serves the
+    /// queues round-robin, which is how concurrent collectives share
+    /// injection bandwidth.
+    qps: Vec<QpState>,
     tx_rr: usize,
     tx_free_at: SimTime,
     kick_scheduled: bool,
-    /// Per-QP drain-notification tokens.
-    drain_tokens: Vec<Vec<u64>>,
-    workers: Vec<SimTime>,
-    qps: Vec<QpState>,
-    /// Receiving QP per multicast group, indexed by group id — consulted
-    /// once per multicast delivery, so it is a dense table, not a map.
-    group_attach: Vec<Option<usize>>,
     rnr_drops: u64,
 }
 
@@ -391,6 +435,20 @@ pub struct Inner<M> {
     /// Reusable egress-link buffer for switch forwarding (avoids a fresh
     /// `Vec` per packet hop on the multicast replication hot path).
     scratch_links: Vec<LinkId>,
+    /// Every send queue's work requests; a posting takes a slot, an
+    /// injection that finishes a request frees it, so no queue holds a
+    /// buffer of its own.
+    wqes: Slab<WqeNode>,
+    /// Drain notifications of send queues still sending, as
+    /// `(rank, qp, token)` in the order they were asked for.
+    drains: Vec<(Rank, u32, u64)>,
+    /// RX worker availability, `cfg.host.rx_workers` (at least one) per
+    /// rank, rank-major.
+    workers: Vec<SimTime>,
+    /// Receiving QP of each rank for each group, at `group · ranks +
+    /// rank` ([`NIL`] where the rank attached none) — consulted once per
+    /// multicast delivery, so it is a dense table, not a map.
+    group_attach: Vec<u32>,
     /// In-flight packets: `PktRef` handles index here.
     pkt_slab: Slab<SlabEntry>,
     /// The messages of in-flight control packets ([`Body::Msg`]), out of
@@ -455,18 +513,15 @@ impl<M: Clone + 'static> Fabric<M> {
                 assert_eq!(ups.len(), 1, "hosts have exactly one NIC port");
                 NicState {
                     uplink: ups[0],
-                    tx_queues: Vec::new(),
+                    qps: Vec::new(),
                     tx_rr: 0,
                     tx_free_at: SimTime::ZERO,
                     kick_scheduled: false,
-                    drain_tokens: Vec::new(),
-                    workers: vec![SimTime::ZERO; cfg.host.rx_workers.max(1)],
-                    qps: Vec::new(),
-                    group_attach: Vec::new(),
                     rnr_drops: 0,
                 }
             })
             .collect();
+        let workers = vec![SimTime::ZERO; n * cfg.host.rx_workers.max(1)];
         let counters = vec![LinkCounters::default(); topo.num_links()];
         let link_busy = vec![SimTime::ZERO; topo.num_links()];
         let rng = StdRng::seed_from_u64(cfg.seed);
@@ -479,11 +534,10 @@ impl<M: Clone + 'static> Fabric<M> {
         let trace = cfg.trace.clone().map(TraceSink::new);
         let has_faults = !cfg.faults.is_empty();
         let link_fault = if has_faults {
-            for ev in cfg.faults.events() {
+            if let Some(link) = cfg.faults.max_link() {
                 assert!(
-                    ev.link.idx() < topo.num_links(),
-                    "fault schedule references {:?} outside the topology",
-                    ev.link
+                    link.idx() < topo.num_links(),
+                    "fault schedule references {link:?} outside the topology"
                 );
             }
             q.reserve_pending(cfg.faults.len());
@@ -512,6 +566,10 @@ impl<M: Clone + 'static> Fabric<M> {
                 inc_live: HashMap::new(),
                 inc_table_peak: 0,
                 scratch_links: Vec::new(),
+                wqes: Slab::new(),
+                drains: Vec::new(),
+                workers,
+                group_attach: Vec::new(),
                 pkt_slab: Slab::new(),
                 ctrl_msgs: Slab::new(),
                 trace,
@@ -530,12 +588,12 @@ impl<M: Clone + 'static> Fabric<M> {
     /// Create a QP on `rank`, pinned to RX `worker`. Returns the rank-local
     /// QP number (SPMD setups produce identical numbering on every rank).
     pub fn add_qp(&mut self, rank: Rank, transport: Transport, worker: usize) -> QpNum {
-        let nic = &mut self.inner.nics[rank.idx()];
+        let workers = self.inner.cfg.host.rx_workers.max(1);
         assert!(
-            worker < nic.workers.len(),
-            "worker {worker} out of range ({} workers)",
-            nic.workers.len()
+            worker < workers,
+            "worker {worker} out of range ({workers} workers)"
         );
+        let nic = &mut self.inner.nics[rank.idx()];
         let qpn = QpNum(nic.qps.len() as u32);
         let depth = self.inner.cfg.host.rq_depth;
         nic.qps.push(QpState {
@@ -543,9 +601,10 @@ impl<M: Clone + 'static> Fabric<M> {
             worker,
             rq_avail: depth,
             rq_depth: depth,
+            tx_head: NIL,
+            tx_tail: NIL,
+            drains: 0,
         });
-        nic.tx_queues.push(VecDeque::new());
-        nic.drain_tokens.push(Vec::new());
         qpn
     }
 
@@ -569,6 +628,8 @@ impl<M: Clone + 'static> Fabric<M> {
             .mcast_tree(gid, members, &[])
             .expect("tree build failed on a healthy fabric");
         self.inner.trees.push(tree);
+        let attach = &mut self.inner.group_attach;
+        attach.resize(attach.len() + self.inner.nics.len(), NIL);
         gid
     }
 
@@ -590,19 +651,15 @@ impl<M: Clone + 'static> Fabric<M> {
     pub fn attach(&mut self, rank: Rank, qp: QpNum, group: McastGroupId) {
         let tree = &self.inner.trees[group.0 as usize];
         assert!(tree.is_member(rank), "{rank} is not a member of {group:?}");
-        let nic = &mut self.inner.nics[rank.idx()];
         assert!(
             matches!(
-                nic.qps[qp.0 as usize].transport,
+                self.inner.nics[rank.idx()].qps[qp.0 as usize].transport,
                 Transport::Ud | Transport::Uc
             ),
             "only UD/UC QPs can join multicast groups"
         );
-        let gi = group.0 as usize;
-        if nic.group_attach.len() <= gi {
-            nic.group_attach.resize(gi + 1, None);
-        }
-        nic.group_attach[gi] = Some(qp.0 as usize);
+        let at = group.0 as usize * self.inner.nics.len() + rank.idx();
+        self.inner.group_attach[at] = qp.0;
     }
 
     /// Install the protocol endpoint for `rank`.
@@ -783,7 +840,8 @@ impl<M: Clone + 'static> Fabric<M> {
         if !self.inner.has_faults {
             return Vec::new();
         }
-        self.health().dead_switches(&self.inner.topo)
+        let link_fault = &self.inner.link_fault;
+        health::dead_switches(&self.inner.topo, |l| link_fault[l.idx()].up)
     }
 
     /// Subnet-manager recovery: re-route every programmed multicast group
@@ -886,12 +944,13 @@ impl<M: Clone + 'static> Inner<M> {
 
     pub(crate) fn notify_tx_drained(&mut self, rank: Rank, qp: QpNum, token: u64) {
         let nic = &mut self.nics[rank.idx()];
-        let qi = qp.0 as usize;
-        if nic.tx_queues[qi].is_empty() {
+        let state = &mut nic.qps[qp.0 as usize];
+        if state.tx_head == NIL {
             let at = nic.tx_free_at.max(self.q.now());
             self.q.schedule_at(at, Ev::TxDrained { rank, token });
         } else {
-            nic.drain_tokens[qi].push(token);
+            state.drains += 1;
+            self.drains.push((rank, qp.0, token));
         }
     }
 
@@ -1204,7 +1263,13 @@ impl<M: Clone + 'static> Inner<M> {
 
     fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
         let nic = &mut self.nics[src.idx()];
-        nic.tx_queues[qp.0 as usize].push_back(wqe);
+        let state = &mut nic.qps[qp.0 as usize];
+        let node = self.wqes.insert(WqeNode { wqe, next: NIL });
+        match state.tx_tail {
+            NIL => state.tx_head = node,
+            tail => self.wqes.get_mut(tail).next = node,
+        }
+        state.tx_tail = node;
         if !nic.kick_scheduled {
             nic.kick_scheduled = true;
             let at = nic.tx_free_at.max(self.q.now());
@@ -1214,10 +1279,10 @@ impl<M: Clone + 'static> Inner<M> {
 
     /// Round-robin QP arbitration: pick the next non-empty send queue.
     fn tx_pick(nic: &mut NicState) -> Option<usize> {
-        let n = nic.tx_queues.len();
+        let n = nic.qps.len();
         for i in 0..n {
             let qi = (nic.tx_rr + i) % n;
-            if !nic.tx_queues[qi].is_empty() {
+            if nic.qps[qi].tx_head != NIL {
                 nic.tx_rr = (qi + 1) % n;
                 return Some(qi);
             }
@@ -1233,12 +1298,12 @@ impl<M: Clone + 'static> Inner<M> {
     /// reduction sweep moves on to its next owner instead, and leaves with
     /// the last segment of its last owner.
     fn tx_next_packet(&mut self, src: Rank, qi: usize) -> PktRef {
-        let queue = &mut self.nics[src.idx()].tx_queues[qi];
+        let head = self.nics[src.idx()].qps[qi].tx_head;
+        assert_ne!(head, NIL, "arbiter picked an empty queue");
         let mut pop = true;
-        let pkt = match queue.front_mut().expect("arbiter picked an empty queue") {
-            Wqe::Ready(pr) => {
-                let pr = *pr;
-                queue.pop_front();
+        let pkt = match &mut self.wqes.get_mut(head).wqe {
+            &mut Wqe::Ready(pr) => {
+                self.pop_tx(src, qi);
                 return pr;
             }
             &mut Wqe::Mcast {
@@ -1320,9 +1385,18 @@ impl<M: Clone + 'static> Inner<M> {
             }
         };
         if pop {
-            queue.pop_front();
+            self.pop_tx(src, qi);
         }
         self.alloc_pkt(pkt)
+    }
+
+    /// Remove the request at the head of `src`'s send queue `qi`.
+    fn pop_tx(&mut self, src: Rank, qi: usize) {
+        let state = &mut self.nics[src.idx()].qps[qi];
+        state.tx_head = self.wqes.remove(state.tx_head).next;
+        if state.tx_head == NIL {
+            state.tx_tail = NIL;
+        }
     }
 
     fn handle_tx_kick(&mut self, rank: Rank) {
@@ -1391,16 +1465,20 @@ impl<M: Clone + 'static> Inner<M> {
             self.release_pkt(pr);
         }
         let nic = &mut self.nics[rank.idx()];
-        if nic.tx_queues[qi].is_empty() && !nic.drain_tokens[qi].is_empty() {
-            // The app was told this QP is done sending: give the queue's
-            // buffer back instead of keeping its busiest instant's
-            // capacity for the rest of the run.
-            nic.tx_queues[qi].shrink_to_fit();
-            for token in std::mem::take(&mut nic.drain_tokens[qi]) {
-                self.q.schedule_at(free_at, Ev::TxDrained { rank, token });
-            }
+        let state = &mut nic.qps[qi];
+        if state.tx_head == NIL && state.drains > 0 {
+            // Tell the app this QP is done sending, in the order it asked.
+            state.drains = 0;
+            let (q, qi) = (&mut self.q, qi as u32);
+            self.drains.retain(|&(r, i, token)| {
+                let mine = (r, i) == (rank, qi);
+                if mine {
+                    q.schedule_at(free_at, Ev::TxDrained { rank, token });
+                }
+                !mine
+            });
         }
-        if nic.tx_queues.iter().any(|q| !q.is_empty()) {
+        if nic.qps.iter().any(|q| q.tx_head != NIL) {
             nic.kick_scheduled = true;
             self.q.schedule_at(free_at, Ev::TxKick { rank });
         }
@@ -1456,6 +1534,7 @@ impl<M: Clone + 'static> Inner<M> {
         // variant's data is `Copy`), then branch.
         enum Fwd {
             Unicast(LinkId),
+            Down(Rank, u8, u32),
             Mcast(McastGroupId),
             Inc(McastGroupId, Rank, u32),
         }
@@ -1468,6 +1547,8 @@ impl<M: Clone + 'static> Inner<M> {
                 );
                 Fwd::Unicast(path[*hop as usize])
             }
+            (Route::Down { owner, hop }, Body::Chunk { psn, .. }) => Fwd::Down(*owner, *hop, psn),
+            (Route::Down { .. }, _) => unreachable!("reduced shard without chunk payload"),
             (Route::Mcast { group }, _) => Fwd::Mcast(*group),
             (Route::IncUp { group, owner }, Body::Chunk { psn, .. }) => {
                 Fwd::Inc(*group, *owner, psn)
@@ -1480,6 +1561,10 @@ impl<M: Clone + 'static> Inner<M> {
             }
             // Unicast: exactly one egress — skip the replication machinery.
             Fwd::Unicast(out) => return self.transmit_hop(out, pr, now),
+            Fwd::Down(owner, hop, psn) => {
+                let out = routing::descend_link(&self.topo, node, owner, psn as u64, hop as u64);
+                return self.transmit_hop(out, pr, now);
+            }
             Fwd::Mcast(group) => group,
         };
         // Multicast: collect egress links into the reusable scratch
@@ -1572,11 +1657,10 @@ impl<M: Clone + 'static> Inner<M> {
                 // Root: retarget the packet in place (single owner — INC
                 // contributions are never replicated) and descend to the
                 // owner's QP, which `dst_qp` already names.
-                let path: Arc<[LinkId]> = descend(&self.topo, node, owner, psn as u64).into();
-                let first = path[0];
+                let first = routing::descend_link(&self.topo, node, owner, psn as u64, 0);
                 let pkt = self.pkt_mut(pr);
                 pkt.kind = PacketKind::UnicastData;
-                pkt.route = Route::Unicast { path, hop: 0 };
+                pkt.route = Route::Down { owner, hop: 0 };
                 self.transmit_hop(first, pr, now);
             }
         }
@@ -1587,7 +1671,7 @@ impl<M: Clone + 'static> Inner<M> {
         // One slab access: hop bookkeeping + header fields.
         let (wire, kind, payload_len, reliable) = {
             let p = self.pkt_mut(pr);
-            if let Route::Unicast { hop, .. } = &mut p.route {
+            if let Route::Unicast { hop, .. } | Route::Down { hop, .. } = &mut p.route {
                 *hop += 1;
             }
             (p.wire_bytes(), p.kind, p.payload_len, p.reliable())
@@ -1668,7 +1752,7 @@ impl<M: Clone + 'static> Inner<M> {
             let dest = match p.route {
                 Route::IncUp { .. } => unreachable!("reduction contribution delivered to a host"),
                 Route::Mcast { group } => Err(group),
-                Route::Unicast { .. } => Ok(p.dst_qp.0 as usize),
+                Route::Unicast { .. } | Route::Down { .. } => Ok(p.dst_qp.0 as usize),
             };
             // Forced-drop key (origin, psn, dst) for multicast data.
             let forced_key = match (p.kind, p.body) {
@@ -1682,12 +1766,11 @@ impl<M: Clone + 'static> Inner<M> {
         let qp_idx = match dest {
             Ok(qi) => qi,
             Err(group) => {
-                let attach = &self.nics[rank.idx()].group_attach;
-                match attach.get(group.0 as usize).copied().flatten() {
-                    Some(qi) => qi,
+                match self.group_attach[group.0 as usize * self.nics.len() + rank.idx()] {
                     // Hosts on the tree but not attached (e.g. sender's own
                     // copy in degenerate trees) silently discard.
-                    None => return self.release_pkt(pr),
+                    NIL => return self.release_pkt(pr),
+                    qi => qi as usize,
                 }
             }
         };
@@ -1734,12 +1817,15 @@ impl<M: Clone + 'static> Inner<M> {
     /// from the slab entry at dispatch time).
     fn schedule_cqe(&mut self, rank: Rank, qp_idx: usize, pr: PktRef, repost: bool) {
         let now = self.q.now();
-        let nic = &mut self.nics[rank.idx()];
-        let worker = nic.qps.get(qp_idx).map(|q| q.worker).unwrap_or(0);
+        let worker = self.nics[rank.idx()]
+            .qps
+            .get(qp_idx)
+            .map_or(0, |q| q.worker);
+        let busy = &mut self.workers[rank.idx() * self.cfg.host.rx_workers.max(1) + worker];
         let visible = now + self.cfg.host.rx_cqe_dma_ns;
-        let start = visible.max(nic.workers[worker]);
+        let start = visible.max(*busy);
         let done = start + self.cfg.host.rx_proc_ns_per_cqe;
-        nic.workers[worker] = done;
+        *busy = done;
         if self.trace.is_some() {
             // The extra slab read for `bytes` happens only when tracing.
             let bytes = self.pkt(pr).payload_len;
@@ -2492,6 +2578,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fault schedule references LinkId(24) outside the topology")]
+    fn schedule_naming_a_link_outside_the_topology_is_rejected() {
+        use crate::linkstate::LinkStateEvent;
+        // A 4-host star has 8 directed links; the check names the highest.
+        let events = vec![
+            LinkStateEvent::down(10, LinkId(24)),
+            LinkStateEvent::down(20, LinkId(9)),
+        ];
+        let topo = Topology::single_switch(4, LinkRate::CX3_56G, 100);
+        let _: Fabric<Msg> = Fabric::new(topo, faulted_cfg(QueueBackend::default(), events));
+    }
+
+    #[test]
     fn transition_fires_ahead_of_a_same_instant_arrival() {
         use crate::linkstate::LinkStateEvent;
         for b in BACKENDS {
@@ -2628,7 +2727,7 @@ mod tests {
         // messages wait out of line), so this holds for every `M`,
         // `mcag-core`'s 32-byte `ControlMsg` included; it was 144 bytes
         // with an in-line header, payload and arrival semantics.
-        let size = std::mem::size_of::<Option<SlabEntry>>();
+        let size = std::mem::size_of::<Slot<SlabEntry>>();
         assert!(size <= 80, "slab entry grew to {size} bytes");
     }
 
@@ -2943,8 +3042,9 @@ mod tests {
 
     #[test]
     fn inc_reduce_scatter_leaves_nothing_behind() {
-        // Afterwards the slab, the send queues (buffers included) and the
-        // aggregation state are empty.
+        // Afterwards the slab, the send queues (their work-request slab and
+        // drain notifications included) and the aggregation state are
+        // empty.
         let mut fab = rs_fabric(true);
         let stats = fab.run();
         assert!(stats.all_done(), "{stats:?}");
@@ -2956,12 +3056,17 @@ mod tests {
             "{}",
             fab.inner.pkt_slab.slots.len()
         );
-        for nic in &fab.inner.nics {
-            for q in &nic.tx_queues {
-                assert!(q.is_empty());
-                assert_eq!(q.capacity(), 0, "drained queue kept its buffer");
-            }
+        for qp in fab.inner.nics.iter().flat_map(|nic| &nic.qps) {
+            assert_eq!((qp.tx_head, qp.drains), (NIL, 0));
         }
+        // One sweep request per rank was ever queued.
+        assert_eq!(fab.inner.wqes.live(), 0, "work requests leaked");
+        assert!(
+            fab.inner.wqes.slots.len() <= 8,
+            "{}",
+            fab.inner.wqes.slots.len()
+        );
+        assert!(fab.inner.drains.is_empty());
         assert!(fab.inner.inc_arrivals.is_empty());
         assert!(fab.inner.inc_live.values().all(|&live| live == 0));
     }

@@ -81,24 +81,30 @@ impl FabricHealth {
     /// rebuild. A switch with one surviving link still forwards, so it
     /// does not qualify.
     pub fn dead_switches(&self, topo: &Topology) -> Vec<NodeId> {
-        (0..topo.num_nodes() as u32)
-            .map(NodeId)
-            .filter(|&n| matches!(topo.kind(n), NodeKind::Switch { .. }))
-            .filter(|&n| {
-                let mut any = false;
-                for id in 0..topo.num_links() as u32 {
-                    let lk = topo.link(LinkId(id));
-                    if lk.src == n || lk.dst == n {
-                        any = true;
-                        if self.links[id as usize].up {
-                            return false;
-                        }
+        dead_switches(topo, |l| self.links[l.idx()].up)
+    }
+}
+
+/// [`FabricHealth::dead_switches`] over any view of which links are up —
+/// the fabric's live fault state, say, read without a snapshot.
+pub(crate) fn dead_switches(topo: &Topology, up: impl Fn(LinkId) -> bool) -> Vec<NodeId> {
+    (0..topo.num_nodes() as u32)
+        .map(NodeId)
+        .filter(|&n| matches!(topo.kind(n), NodeKind::Switch { .. }))
+        .filter(|&n| {
+            let mut any = false;
+            for id in 0..topo.num_links() as u32 {
+                let lk = topo.link(LinkId(id));
+                if lk.src == n || lk.dst == n {
+                    any = true;
+                    if up(LinkId(id)) {
+                        return false;
                     }
                 }
-                any
-            })
-            .collect()
-    }
+            }
+            any
+        })
+        .collect()
 }
 
 #[cfg(test)]

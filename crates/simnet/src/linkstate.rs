@@ -113,6 +113,9 @@ struct Compiled {
     /// Precomputed so the fabric can park a stalled reliable packet with
     /// one lookup.
     next_up: Vec<u64>,
+    /// The highest link any event names, so that a fabric validates the
+    /// schedule against its topology with one comparison.
+    max_link: Option<LinkId>,
 }
 
 impl LinkSchedule {
@@ -126,6 +129,12 @@ impl LinkSchedule {
     /// same instant apply in their given order (the later one wins), so a
     /// composed plan is deterministic. Panics on a zero bandwidth
     /// multiplier or one above full rate.
+    ///
+    /// Input already in that order is taken as it is, with no sort and no
+    /// sort buffer: `mcag-faults` emits every single-model plan this way
+    /// (time-major, links in id order within an instant), so only plans
+    /// that compose several models pay for the sort, which then merges
+    /// their already-sorted runs.
     pub fn new(mut events: Vec<LinkStateEvent>) -> LinkSchedule {
         for e in &events {
             assert!(
@@ -141,11 +150,13 @@ impl LinkSchedule {
                 e.bw_den
             );
         }
-        events.sort_by_key(|e| (e.at_ns, e.link.0));
+        if !events.is_sorted_by_key(|e| (e.at_ns, e.link.0)) {
+            events.sort_by_key(|e| (e.at_ns, e.link.0));
+        }
         // Reverse scan: carry the latest known up-time per link backwards
         // so every event knows when its link next carries traffic.
-        let link_bound = events.iter().map(|e| e.link.idx() + 1).max().unwrap_or(0);
-        let mut latest_up = vec![u64::MAX; link_bound];
+        let max_link = events.iter().map(|e| e.link).max();
+        let mut latest_up = vec![u64::MAX; max_link.map_or(0, |l| l.idx() + 1)];
         let mut next_up = vec![u64::MAX; events.len()];
         for (e, next) in events.iter().zip(&mut next_up).rev() {
             if e.up {
@@ -154,8 +165,17 @@ impl LinkSchedule {
             *next = latest_up[e.link.idx()];
         }
         LinkSchedule {
-            compiled: Arc::new(Compiled { events, next_up }),
+            compiled: Arc::new(Compiled {
+                events,
+                next_up,
+                max_link,
+            }),
         }
+    }
+
+    /// The highest link any transition names (`None` when empty).
+    pub(crate) fn max_link(&self) -> Option<LinkId> {
+        self.compiled.max_link
     }
 
     /// The sorted transitions.
@@ -254,6 +274,45 @@ mod tests {
                     .find(|f| f.link == e.link && f.up)
                     .map_or(u64::MAX, |f| f.at_ns);
                 prop_assert_eq!(s.next_up_ns(i), naive, "event {}", i);
+            }
+        }
+    }
+
+    fn sort_reference(mut events: Vec<LinkStateEvent>) -> Vec<LinkStateEvent> {
+        events.sort_by_key(|e| (e.at_ns, e.link.0));
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whether its input arrives in any order, already sorted (the
+        /// path that skips the sort) or as two sorted runs (a plan of two
+        /// models), a schedule holds the reference stable sort of it —
+        /// same-instant transitions of one link in their given order —
+        /// and knows the highest link it names.
+        #[test]
+        fn new_equals_a_reference_stable_sort(
+            raw in prop::collection::vec((0u64..6, 0u32..4, 0u8..3), 0..40),
+            cut in 0usize..40,
+        ) {
+            let input: Vec<LinkStateEvent> = raw
+                .iter()
+                .map(|&(at, link, kind)| match kind {
+                    0 => LinkStateEvent::down(at, LinkId(link)),
+                    1 => LinkStateEvent::up(at, LinkId(link)),
+                    _ => LinkStateEvent::degraded(at, LinkId(link), 1, 3),
+                })
+                .collect();
+            let (head, tail) = input.split_at(cut.min(input.len()));
+            let mut runs = sort_reference(head.to_vec());
+            runs.extend(sort_reference(tail.to_vec()));
+            let sorted = sort_reference(input.clone());
+            for given in [input, sorted, runs] {
+                let expect = sort_reference(given.clone());
+                let s = LinkSchedule::new(given);
+                prop_assert_eq!(s.events(), &expect[..]);
+                prop_assert_eq!(s.max_link(), expect.iter().map(|e| e.link).max());
             }
         }
     }

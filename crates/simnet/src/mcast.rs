@@ -133,17 +133,15 @@ impl McastTree {
                 // candidates — the recovery tree must not touch it.
                 let mut at = root;
                 while !matches!(topo.kind(at), NodeKind::Host(r) if r == m) {
-                    let downs: Vec<LinkId> = topo
+                    let mut downs = topo
                         .down_toward(at, m)
-                        .into_iter()
-                        .filter(|&l| !avoided(topo.link(l).dst))
-                        .collect();
-                    if downs.is_empty() {
+                        .filter(|&l| !avoided(topo.link(l).dst));
+                    let n = downs.clone().count() as u64;
+                    if n == 0 {
                         return None; // member only reachable through `avoid`
                     }
-                    let pick =
-                        (mix64((group.0 as u64) << 32 | m.0 as u64) % downs.len() as u64) as usize;
-                    let l = downs[pick];
+                    let pick = mix64((group.0 as u64) << 32 | m.0 as u64) % n;
+                    let l = downs.nth(pick as usize).expect("pick within the rails");
                     if add_edge(topo, l, &mut adj, &mut tree_nodes) {
                         edges += 1;
                     }

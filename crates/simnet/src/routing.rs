@@ -79,18 +79,12 @@ pub fn route(
 
     // Descend along the unique down-path (choosing among parallel rails).
     while !matches!(topo.kind(at), NodeKind::Host(r) if r == dst) {
-        let downs = topo.down_toward(at, dst);
-        assert!(
-            !downs.is_empty(),
-            "dead-end descending at node {at:?} toward {dst}"
-        );
-        let pick = match mode {
+        let l = pick_down(topo, at, dst, |n| match mode {
             RouteMode::Deterministic => {
-                (mix64(flow.wrapping_add(0x1000 + hop)) % downs.len() as u64) as usize
+                (mix64(flow.wrapping_add(0x1000 + hop)) % n as u64) as usize
             }
-            RouteMode::Adaptive => rng.random_range(0..downs.len()),
-        };
-        let l = downs[pick];
+            RouteMode::Adaptive => rng.random_range(0..n),
+        });
         path.push(l);
         at = topo.link(l).dst;
         hop += 1;
@@ -99,24 +93,22 @@ pub fn route(
     path
 }
 
-/// Down-route from a switch to a host: the unique descent through the
-/// fat-tree, hashing `salt` over parallel rails. Used by in-network
-/// reduction to deliver a reduced shard from the tree root to its owner.
-pub fn descend(topo: &Topology, from: NodeId, dst: Rank, salt: u64) -> Vec<LinkId> {
-    let mut at = from;
-    let mut path = Vec::with_capacity(4);
-    let mut hop = 0u64;
-    while !matches!(topo.kind(at), NodeKind::Host(r) if r == dst) {
-        let downs = topo.down_toward(at, dst);
-        assert!(!downs.is_empty(), "no descent from {at:?} to {dst}");
-        let pick = (mix64(salt.wrapping_add(hop)) % downs.len() as u64) as usize;
-        let l = downs[pick];
-        path.push(l);
-        at = topo.link(l).dst;
-        hop += 1;
-        assert!(hop < 16, "descent loop toward {dst}");
-    }
-    path
+/// The link a descent from switch `at` toward `dst`'s host takes at its
+/// `hop`-th step: the unique way down, hashing `salt` over parallel
+/// rails. In-network reduction delivers a reduced shard from the tree
+/// root to its owner this way, one switch at a time, salted by PSN.
+pub(crate) fn descend_link(topo: &Topology, at: NodeId, dst: Rank, salt: u64, hop: u64) -> LinkId {
+    pick_down(topo, at, dst, |n| {
+        (mix64(salt.wrapping_add(hop)) % n as u64) as usize
+    })
+}
+
+/// The `pick(n)`-th of the `n` downlinks of `at` toward `dst`.
+fn pick_down(topo: &Topology, at: NodeId, dst: Rank, pick: impl FnOnce(usize) -> usize) -> LinkId {
+    let mut downs = topo.down_toward(at, dst);
+    let n = downs.clone().count();
+    assert!(n > 0, "dead-end descending at node {at:?} toward {dst}");
+    downs.nth(pick(n)).expect("pick within the downlinks")
 }
 
 /// Validate that `path` is a connected src→dst walk (used by tests).

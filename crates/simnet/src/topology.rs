@@ -233,13 +233,12 @@ impl Topology {
 
     /// The downlinks of `n` that lead toward `rank` (parallel links
     /// included). Empty if `rank` is not below `n`.
-    pub fn down_toward(&self, n: NodeId, rank: Rank) -> Vec<LinkId> {
+    pub fn down_toward(&self, n: NodeId, rank: Rank) -> impl Iterator<Item = LinkId> + Clone + '_ {
         self.nodes[n.idx()]
             .downlinks
             .iter()
             .copied()
-            .filter(|&l| self.subtree_contains_or_is(self.links[l.idx()].dst, rank))
-            .collect()
+            .filter(move |&l| self.subtree_contains_or_is(self.links[l.idx()].dst, rank))
     }
 
     fn subtree_contains_or_is(&self, n: NodeId, rank: Rank) -> bool {
@@ -710,7 +709,7 @@ mod tests {
     fn down_toward_finds_parallel_rails() {
         let t = Topology::ucc_testbed();
         let spine = t.switches_at_level(2)[0];
-        let rails = t.down_toward(spine, Rank(0));
+        let rails: Vec<LinkId> = t.down_toward(spine, Rank(0)).collect();
         assert_eq!(rails.len(), 3, "3 parallel rails per leaf-spine pair");
         for l in rails {
             let leaf = t.link(l).dst;
