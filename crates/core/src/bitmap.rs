@@ -12,18 +12,50 @@
 /// Fixed-capacity chunk bitmap with an incrementally-maintained count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkBitmap {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
     set_count: usize,
+}
+
+/// Words a bitmap keeps inline: up to 128 chunks — every rank of a
+/// small collective — cost no allocation.
+const INLINE_WORDS: usize = 2;
+
+/// A bitmap's words: inline when they fit, else on the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
 }
 
 impl ChunkBitmap {
     /// A bitmap tracking `len` chunks, all initially missing.
     pub fn new(len: usize) -> ChunkBitmap {
+        let n = len.div_ceil(64);
         ChunkBitmap {
-            words: vec![0u64; len.div_ceil(64)],
+            words: if n <= INLINE_WORDS {
+                Words::Inline([0; INLINE_WORDS])
+            } else {
+                Words::Heap(vec![0u64; n].into_boxed_slice())
+            },
             len,
             set_count: 0,
+        }
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
         }
     }
 
@@ -43,7 +75,7 @@ impl ChunkBitmap {
     /// fit in the DPA's 1.5 MB last-level cache.
     #[inline]
     pub fn state_bytes(&self) -> usize {
-        self.words.len() * 8
+        self.len.div_ceil(64) * 8
     }
 
     /// Mark chunk `psn` received. Returns `true` if the bit was newly set
@@ -58,8 +90,9 @@ impl ChunkBitmap {
         assert!(i < self.len, "PSN {psn} out of range (len {})", self.len);
         let (w, b) = (i / 64, i % 64);
         let mask = 1u64 << b;
-        if self.words[w] & mask == 0 {
-            self.words[w] |= mask;
+        let word = &mut self.words_mut()[w];
+        if *word & mask == 0 {
+            *word |= mask;
             self.set_count += 1;
             true
         } else {
@@ -84,7 +117,7 @@ impl ChunkBitmap {
     pub fn get(&self, psn: u32) -> bool {
         let i = psn as usize;
         assert!(i < self.len, "PSN {psn} out of range (len {})", self.len);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+        self.words()[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// Chunks received so far.
@@ -144,11 +177,12 @@ impl Iterator for MissingRuns<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let n = self.end;
+        let words = self.bm.words();
         let mut i = self.cursor;
         // Skip present chunks word-at-a-time to the next missing one.
         while i < n {
             let (w, b) = (i / 64, i % 64);
-            let inv = !self.bm.words[w] >> b; // ones where chunks are missing
+            let inv = !words[w] >> b; // ones where chunks are missing
             if inv == 0 {
                 i += 64 - b;
                 continue;
@@ -164,7 +198,7 @@ impl Iterator for MissingRuns<'_> {
         // Extend across the missing run.
         while i < n {
             let (w, b) = (i / 64, i % 64);
-            let word = self.bm.words[w] >> b; // ones where chunks are present
+            let word = words[w] >> b; // ones where chunks are present
             if word == 0 {
                 i += 64 - b;
                 continue;

@@ -267,12 +267,8 @@ fn run_pair(
     };
     let out = multicomm::run(topo, fabric_cfg, &proto, &[comm], bounds);
     ConcurrentOutcome {
-        ag_timings: out.slots.iter().map(|s| s[0].ag.timing()).collect(),
-        rs_times: out
-            .slots
-            .iter()
-            .map(|s| s[0].rs.as_ref()?.times())
-            .collect(),
+        ag_timings: out.slots.iter().map(|s| s.ag.timing()).collect(),
+        rs_times: out.slots.iter().map(|s| s.rs.as_ref()?.times()).collect(),
         stats: out.stats,
         traffic: out.traffic,
         live_packets: out.live_packets,

@@ -241,7 +241,7 @@ pub fn run_collective_bounded(
     let out = multicomm::run(topo, fabric_cfg, &proto, &[comm], bounds);
     CollectiveOutcome {
         plan,
-        timings: out.slots.iter().map(|slots| slots[0].ag.timing()).collect(),
+        timings: out.slots.iter().map(|slot| slot.ag.timing()).collect(),
         stats: out.stats,
         rnr_drops: out.traffic.total_rnr_drops(),
         fabric_drops: out.traffic.total_drops(),

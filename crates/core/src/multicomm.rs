@@ -78,26 +78,31 @@ fn build(
     let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
     let p = fab.topology().num_hosts() as u32;
     let members: Vec<Rank> = (0..p).map(Rank).collect();
-    // Per communicator: its first subgroup group (the rest follow it) and
-    // its reduction group.
-    let groups: Vec<_> = comms
-        .iter()
-        .map(|comm| {
-            let first = McastGroupId(fab.num_groups() as u32);
-            for _ in 0..comm.plan.num_subgroups() {
-                fab.create_group(&members);
-            }
-            let reduce = (comm.rs_in_switch == Some(true)).then(|| fab.create_group(&members));
-            (first, reduce)
-        })
-        .collect();
+    // A communicator's groups: its subgroups', then its reduction group.
+    let groups_of =
+        |comm: &Comm| comm.plan.num_subgroups() + (comm.rs_in_switch == Some(true)) as u32;
+    // A communicator's QPs on every rank: control, subgroups, then the
+    // Reduce-Scatter's.
+    let qps_of = |comm: &Comm| 1 + comm.plan.num_subgroups() + comm.rs_in_switch.is_some() as u32;
+    let groups: u32 = comms.iter().map(groups_of).sum();
+    let qps: u32 = comms.iter().map(qps_of).sum();
+    fab.reserve(groups as usize, (p * qps) as usize);
+    for _ in 0..groups {
+        fab.create_group(&members);
+    }
     let cutoffs: Vec<u64> = comms
         .iter()
         .map(|comm| crate::des::cutoff_ns(fab.topology(), &comm.plan, proto, headroom))
         .collect();
     for &r in &members {
-        let mut slots = Vec::with_capacity(comms.len());
-        for (i, (comm, &(first_group, reduce))) in comms.iter().zip(&groups).enumerate() {
+        let mut slots = SlotList::with_capacity(comms.len());
+        // Communicator `i`'s groups follow the groups of those before it.
+        let mut next_group = 0;
+        for (i, comm) in comms.iter().enumerate() {
+            let first_group = McastGroupId(next_group);
+            let reduce = (comm.rs_in_switch == Some(true))
+                .then_some(McastGroupId(next_group + comm.plan.num_subgroups()));
+            next_group += groups_of(comm);
             let layout = QpLayout {
                 ctrl: fab.add_qp(r, Transport::Rc, 0),
                 first_group,
@@ -129,12 +134,56 @@ fn build(
     (fab, cutoffs)
 }
 
+/// One rank's slots: the first inline, so that a rank hosting a single
+/// communicator — every rank of a one-job batch — allocates for none.
+struct SlotList {
+    first: Option<CommSlot>,
+    rest: Vec<CommSlot>,
+}
+
+impl SlotList {
+    /// Room for `n` slots.
+    fn with_capacity(n: usize) -> SlotList {
+        SlotList {
+            first: None,
+            rest: Vec::with_capacity(n.saturating_sub(1)),
+        }
+    }
+
+    fn push(&mut self, slot: CommSlot) {
+        match self.first {
+            None => self.first = Some(slot),
+            Some(_) => self.rest.push(slot),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first.is_some() as usize + self.rest.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &CommSlot> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut CommSlot> {
+        self.first.iter_mut().chain(&mut self.rest)
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut CommSlot {
+        match i {
+            0 => self.first.as_mut().expect("slot 0"),
+            _ => &mut self.rest[i - 1],
+        }
+    }
+}
+
 /// Everything one [`run`] leaves for its driver, harvested once after
 /// the fabric stopped.
 pub struct CommRun {
-    /// Every rank's slots, rank-major: entry `[r][i]` is communicator
-    /// `i`'s endpoint(s) on rank `r`.
-    pub slots: Vec<Vec<CommSlot>>,
+    /// Every rank's slots, rank-major: entry `r · C + i` is communicator
+    /// `i`'s endpoint(s) on rank `r`, for `C` communicators;
+    /// [`CommRun::rank_slots`] walks them rank by rank.
+    pub slots: Vec<CommSlot>,
     /// Fabric statistics; [`RunStats::all_done`] is false when the
     /// watchdog censored the run.
     pub stats: RunStats,
@@ -152,6 +201,13 @@ pub struct CommRun {
     /// The harvested flight recorder (`Some` iff the fabric config
     /// carried a `TraceSpec`).
     pub trace: Option<TraceSink>,
+}
+
+impl CommRun {
+    /// Each rank's slots in rank order, one per communicator.
+    pub fn rank_slots(&self) -> std::slice::ChunksExact<'_, CommSlot> {
+        self.slots.chunks_exact(self.cutoffs.len())
+    }
 }
 
 /// Lay `comms` out on a fresh fabric, run it until every rank is done or
@@ -195,9 +251,13 @@ pub fn run_with(
     let total_cutoff: u64 = cutoffs.iter().sum();
     let deadline = SimTime::from_ns(total_cutoff.saturating_mul(bounds.watchdog_cutoffs.max(1)));
     let stats = drive(&mut fab, total_cutoff, deadline);
-    let slots = (0..fab.topology().num_hosts() as u32)
-        .map(|r| fab.take_app_as::<MultiCommApp>(Rank(r)).slots)
-        .collect();
+    let p = fab.topology().num_hosts();
+    let mut slots = Vec::with_capacity(p * comms.len());
+    for r in 0..p as u32 {
+        let app = fab.take_app_as::<MultiCommApp>(Rank(r));
+        slots.extend(app.slots.first);
+        slots.extend(app.slots.rest);
+    }
     CommRun {
         slots,
         stats,
@@ -216,7 +276,7 @@ pub fn run_with(
 /// RS_TX_TOKEN` is the Reduce-Scatter's drain and every timer is the
 /// Allgather's). It marks the rank done once every slot has released.
 pub struct MultiCommApp {
-    slots: Vec<CommSlot>,
+    slots: SlotList,
     marked: bool,
 }
 
@@ -225,8 +285,8 @@ impl MultiCommApp {
     /// owns the QPs its endpoints were built on, which [`build`] numbers
     /// consecutively, slot by slot — so slot `i` owns every QP from its
     /// control QP up to the next slot's.
-    pub(crate) fn new(mut slots: Vec<CommSlot>) -> MultiCommApp {
-        assert!(!slots.is_empty());
+    fn new(mut slots: SlotList) -> MultiCommApp {
+        assert!(slots.len() > 0);
         for (i, slot) in slots.iter_mut().enumerate() {
             let base = i as u64 * TOKEN_STRIDE;
             slot.ag.set_token_base(base);
@@ -236,8 +296,9 @@ impl MultiCommApp {
         }
         assert!(
             slots
-                .windows(2)
-                .all(|w| w[0].ag.ctrl_qp() < w[1].ag.ctrl_qp()),
+                .iter()
+                .zip(slots.iter().skip(1))
+                .all(|(a, b)| a.ag.ctrl_qp() < b.ag.ctrl_qp()),
             "slots own ascending QP ranges"
         );
         MultiCommApp {
@@ -256,7 +317,7 @@ impl MultiCommApp {
 
 impl RankApp<ControlMsg> for MultiCommApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        for slot in &mut self.slots {
+        for slot in self.slots.iter_mut() {
             slot.ag.on_start(ctx);
             if let Some(rs) = &mut slot.rs {
                 rs.on_start(ctx);
@@ -265,8 +326,13 @@ impl RankApp<ControlMsg> for MultiCommApp {
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        let owner = self.slots.partition_point(|s| s.ag.ctrl_qp() <= cqe.qp) - 1;
-        let slot = &mut self.slots[owner];
+        let owner = self
+            .slots
+            .iter()
+            .take_while(|s| s.ag.ctrl_qp() <= cqe.qp)
+            .count()
+            - 1;
+        let slot = self.slots.get_mut(owner);
         match &mut slot.rs {
             Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
             _ => slot.ag.on_cqe(ctx, cqe, payload),
@@ -276,14 +342,15 @@ impl RankApp<ControlMsg> for MultiCommApp {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
         // The Reduce-Scatter arms no timers.
-        self.slots[(token / TOKEN_STRIDE) as usize]
+        self.slots
+            .get_mut((token / TOKEN_STRIDE) as usize)
             .ag
             .on_timer(ctx, token);
         self.maybe_mark(ctx);
     }
 
     fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        let slot = &mut self.slots[(token / TOKEN_STRIDE) as usize];
+        let slot = self.slots.get_mut((token / TOKEN_STRIDE) as usize);
         match &mut slot.rs {
             Some(rs) if token % TOKEN_STRIDE == RS_TX_TOKEN => rs.on_tx_drained(ctx, token),
             _ => slot.ag.on_tx_drained(ctx, token),
@@ -360,7 +427,7 @@ pub fn run_concurrent_allgathers(
     };
     let out = run(topo, fabric_cfg, &proto, &comms, bounds);
     let mut per_comm = vec![vec![RankTiming::default(); p as usize]; k];
-    for (r, slots) in out.slots.iter().enumerate() {
+    for (r, slots) in out.rank_slots().enumerate() {
         for (c, slot) in slots.iter().enumerate() {
             per_comm[c][r] = slot.ag.timing();
         }
@@ -481,7 +548,7 @@ mod tests {
         topo: Topology,
         fabric_cfg: FabricConfig,
         n: usize,
-    ) -> (RunStats, u64, Vec<Vec<CommSlot>>) {
+    ) -> (RunStats, u64, Vec<CommSlot>) {
         let proto = ProtocolConfig::default();
         let p = topo.num_hosts() as u32;
         let (kind, mtu, imm) = (CollectiveKind::Allgather, proto.mtu, proto.imm);
@@ -527,7 +594,7 @@ mod tests {
             let proto = ProtocolConfig::default();
             let (stats, bytes, ranks) = run_mixed_slots(topo.clone(), cfg.clone(), n);
             assert!(stats.all_done(), "{stats:?}");
-            for slot in ranks.iter().flatten() {
+            for slot in &ranks {
                 assert!(slot.ag.timing().t_done.is_some());
                 assert!(slot.rs.as_ref().is_none_or(|rs| rs.times().is_some()));
             }
@@ -538,6 +605,64 @@ mod tests {
             ];
             let alone: u64 = alone.iter().map(TrafficReport::total_data_bytes).sum();
             assert_eq!(bytes, alone, "the mux must add or lose no payload");
+        }
+    }
+
+    /// The in-switch FSDP pair on a 16-rank two-level fat tree: its
+    /// aggregation-table peak, and the panic a table one entry short of
+    /// it raises.
+    fn inc_table_demand(send_len: usize) -> (usize, String) {
+        let topo = Topology::fat_tree_two_level(16, 4, 2, 1, LinkRate::CX3_56G, 100);
+        let proto = ProtocolConfig::default();
+        let comm = || Comm {
+            plan: Arc::new(CollectivePlan::new(
+                CollectiveKind::Allgather,
+                16,
+                send_len,
+                proto.mtu,
+                proto.imm,
+                CollectiveId(1),
+                1,
+                1,
+            )),
+            rs_in_switch: Some(true),
+        };
+        let mut peak = 0;
+        let out = run_with(
+            topo.clone(),
+            FabricConfig::ucc_default(),
+            &proto,
+            &[comm()],
+            RunBounds::default(),
+            |fab, _, deadline| {
+                let stats = fab.run_until(deadline);
+                peak = fab.inc_table_peak();
+                stats
+            },
+        );
+        assert!(out.stats.all_done());
+        let mut short = FabricConfig::ucc_default();
+        short.inc_table_capacity = Some(peak - 1);
+        let panic = std::panic::catch_unwind(|| {
+            run(topo, short, &proto, &[comm()], RunBounds::default());
+        })
+        .expect_err("a table one entry short must overflow");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        (peak, msg)
+    }
+
+    #[test]
+    fn aggregation_table_demand_is_the_recorded_one() {
+        // Recorded while the switches kept their aggregation state in
+        // SipHash maps: the dense per-switch counters must reach the same
+        // peak and overflow at the same switch.
+        for (send_len, peak, node) in [(4 << 10, 2, 0), (32 << 10, 37, 21)] {
+            let (got_peak, msg) = inc_table_demand(send_len);
+            let want = format!(
+                "switch aggregation table exhausted ({} live reduction states at NodeId({node}))",
+                peak - 1
+            );
+            assert_eq!((got_peak, msg), (peak, want), "{send_len} B");
         }
     }
 }

@@ -28,7 +28,7 @@ use crate::msg::ControlMsg;
 use crate::plan::CollectivePlan;
 use mcag_simnet::{Ctx, Payload, RankApp, SimTime};
 use mcag_verbs::{Cqe, CqeOpcode, McastGroupId, QpNum, Rank};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -154,12 +154,18 @@ pub struct McastRankApp {
     token_base: u64,
     /// Subgroup send queues still draining (roots only).
     pending_drains: u32,
-    /// Reads in flight: tag → global-PSN range being fetched.
-    outstanding_reads: HashMap<u64, Range<u32>>,
-    next_tag: u64,
+    /// Reads by tag, from tag `first_tag` on: the global-PSN range a
+    /// read in flight is fetching, `None` once it landed. Tags are
+    /// sequence numbers, so this is a window over them, not a map; it
+    /// drops its completed front.
+    outstanding_reads: VecDeque<Option<Range<u32>>>,
+    first_tag: u64,
     /// Requests this rank could not fully serve yet: requester → ranges
     /// still owed (sent as a supplementary ACK once complete).
     pending_serve: Vec<(Rank, Vec<Range<u32>>)>,
+    /// Scratch for re-splitting an owed list, swapped with it so that a
+    /// debt settled in parts reuses its two buffers.
+    owe_scratch: Vec<Range<u32>>,
 }
 
 impl McastRankApp {
@@ -198,9 +204,10 @@ impl McastRankApp {
             released: false,
             token_base: 0,
             pending_drains: 0,
-            outstanding_reads: HashMap::new(),
-            next_tag: 1,
+            outstanding_reads: VecDeque::new(),
+            first_tag: 1,
             pending_serve: Vec::new(),
+            owe_scratch: Vec::new(),
         }
     }
 
@@ -352,19 +359,20 @@ impl McastRankApp {
     /// on every chunk arrival while a debt is open, so a debt none of
     /// whose chunks has landed is left as it is, without a rebuild.
     fn resolve_pending_serves(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        let (bitmap, ctrl) = (&self.bitmap, self.qps.ctrl);
+        let (bitmap, ctrl, owe) = (&self.bitmap, self.qps.ctrl, &mut self.owe_scratch);
         self.pending_serve.retain_mut(|(requester, owed)| {
             if !owed.iter().any(|r| bitmap.any_present(r.clone())) {
                 return true;
             }
-            let (mut have, mut owe) = (Vec::new(), Vec::new());
+            let mut have = Vec::new();
+            owe.clear();
             for r in owed.drain(..) {
-                split_by_bitmap(bitmap, r, &mut have, &mut owe);
+                split_by_bitmap(bitmap, r, &mut have, owe);
             }
             let m = ControlMsg::FetchAck { ranges: have };
             let len = m.wire_payload();
             ctx.post_msg(*requester, ctrl, m, len);
-            *owed = owe;
+            std::mem::swap(owed, owe);
             !owed.is_empty()
         });
     }
@@ -378,25 +386,30 @@ impl McastRankApp {
                 // Also skip ranges already being fetched.
                 if self
                     .outstanding_reads
-                    .values()
+                    .iter()
+                    .flatten()
                     .any(|o| o.start < r.end && r.start < o.end)
                 {
                     continue;
                 }
                 let bytes: usize = r.clone().map(|p| self.plan.chunk_len(p)).sum();
-                let tag = self.next_tag;
-                self.next_tag += 1;
-                self.outstanding_reads.insert(tag, r);
+                let tag = self.first_tag + self.outstanding_reads.len() as u64;
+                self.outstanding_reads.push_back(Some(r));
                 ctx.post_rdma_read(self.qps.ctrl, left, bytes, tag);
             }
         }
     }
 
     fn handle_read_done(&mut self, ctx: &mut Ctx<'_, ControlMsg>, tag: u64) {
-        let range = self
-            .outstanding_reads
-            .remove(&tag)
+        let range = tag
+            .checked_sub(self.first_tag)
+            .and_then(|i| self.outstanding_reads.get_mut(i as usize))
+            .and_then(Option::take)
             .expect("read completion with unknown tag");
+        while let Some(None) = self.outstanding_reads.front() {
+            self.outstanding_reads.pop_front();
+            self.first_tag += 1;
+        }
         let newly = self.bitmap.set_range(range);
         self.timing.fetched_chunks += newly as u64;
         self.check_complete(ctx);

@@ -317,16 +317,26 @@ impl JobQueue {
             return picked;
         }
         // Cursor-rotated ascending walk of the ready index: tenants at or
-        // after the cursor first, then wrap. Materialized up front because
-        // picking mutates the index.
+        // after the cursor first, then wrap. Picking only ever removes the
+        // tenant just visited, so each step looks up the next ready one
+        // after it and the walk sees the index as it was at the start.
         let start = self.cursor as u32;
-        let order: Vec<u32> = self
+        let mut at = self
             .ready
             .range(start..)
-            .chain(self.ready.range(..start))
-            .copied()
-            .collect();
-        for t in order {
+            .next()
+            .or_else(|| self.ready.range(..start).next())
+            .copied();
+        while let Some(t) = at {
+            at = if t >= start {
+                self.ready
+                    .range(t + 1..)
+                    .next()
+                    .or_else(|| self.ready.range(..start).next())
+            } else {
+                self.ready.range(t + 1..start).next()
+            }
+            .copied();
             if picked.len() >= max_jobs {
                 break;
             }

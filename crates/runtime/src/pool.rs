@@ -12,8 +12,9 @@
 //! simulated clock by the scheduler, so group-table pressure shows up in
 //! tenant latency exactly as it would on real hardware.
 
+use mcag_simnet::hash::FastMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
 /// Identity of one switch-level multicast group: a tenant's communicator
 /// owns `index 0..S` for its multicast subgroups plus (for AG+RS jobs)
@@ -113,7 +114,10 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct McastGroupPool {
     cfg: PoolConfig,
-    resident: HashMap<GroupKey, Slot>,
+    /// Programmed groups, under the fixed multiply-shift hash: the
+    /// eviction scan takes a minimum over unique ticks, so nothing
+    /// depends on the map's order.
+    resident: FastMap<GroupKey, Slot>,
     tick: u64,
     pinned: usize,
     stats: PoolStats,
@@ -125,7 +129,7 @@ impl McastGroupPool {
         assert!(cfg.capacity >= 1, "group table needs at least one slot");
         McastGroupPool {
             cfg,
-            resident: HashMap::new(),
+            resident: FastMap::default(),
             tick: 0,
             pinned: 0,
             stats: PoolStats::default(),
@@ -235,11 +239,11 @@ impl McastGroupPool {
     /// in-flight batches' groups stay pinned. Keys evict-raced
     /// away cannot exist here: pinned entries are never eviction victims,
     /// so every key a batch acquired is still resident when it unpins.
-    pub fn unpin(&mut self, keys: &[GroupKey]) {
+    pub fn unpin(&mut self, keys: impl IntoIterator<Item = impl Borrow<GroupKey>>) {
         for key in keys {
             let slot = self
                 .resident
-                .get_mut(key)
+                .get_mut(key.borrow())
                 .expect("unpin of a non-resident group (pinned entries cannot be evicted)");
             if slot.pinned {
                 slot.pinned = false;
@@ -266,7 +270,7 @@ mod tests {
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Built);
         assert_eq!(c, BUILD_NS);
-        pool.unpin(&[key(0, 0)]);
+        pool.unpin([key(0, 0)]);
         let (o, c) = pool.acquire(key(0, 0));
         assert_eq!(o, AcquireOutcome::Hit);
         assert_eq!(c, 0);
@@ -279,10 +283,10 @@ mod tests {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(2));
         pool.acquire(key(0, 0));
         pool.acquire(key(1, 0));
-        pool.unpin(&[key(0, 0), key(1, 0)]);
+        pool.unpin([key(0, 0), key(1, 0)]);
         // Touch tenant 0 so tenant 1 becomes LRU.
         pool.acquire(key(0, 0));
-        pool.unpin(&[key(0, 0)]);
+        pool.unpin([key(0, 0)]);
         let (o, _) = pool.acquire(key(2, 0));
         assert_eq!(o, AcquireOutcome::Rebuilt);
         assert!(pool.is_resident(key(0, 0)), "MRU entry survived");
@@ -294,7 +298,7 @@ mod tests {
     fn pinned_groups_never_evicted() {
         let mut pool = McastGroupPool::new(PoolConfig::with_capacity(2));
         pool.acquire(key(0, 0)); // pinned, oldest
-        pool.unpin(&[key(0, 0)]);
+        pool.unpin([key(0, 0)]);
         pool.acquire(key(1, 0)); // pinned
         pool.acquire(key(2, 0)); // must evict the unpinned key(0,0)
         assert!(pool.is_resident(key(1, 0)));
@@ -318,7 +322,7 @@ mod tests {
         assert_eq!(pool.pinned_groups(), 3);
         assert_eq!(pool.headroom(), 0);
         // Batch of tenant 0 finishes; tenant 1's group stays pinned.
-        pool.unpin(&[key(0, 0), key(0, 1)]);
+        pool.unpin([key(0, 0), key(0, 1)]);
         assert_eq!(pool.pinned_groups(), 1);
         assert_eq!(pool.headroom(), 2);
         // A new acquire may evict tenant 0's unpinned groups but never
@@ -329,7 +333,7 @@ mod tests {
         // Re-acquiring an already-pinned group must not double-count.
         pool.acquire(key(1, 0));
         assert_eq!(pool.pinned_groups(), 2);
-        pool.unpin(&[key(1, 0), key(2, 0)]);
+        pool.unpin([key(1, 0), key(2, 0)]);
         assert_eq!(pool.headroom(), 3);
     }
 

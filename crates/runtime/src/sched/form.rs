@@ -44,18 +44,23 @@ pub(super) struct FormedBatch {
 impl Runtime {
     /// Every multicast-group key a job pins while running on
     /// `partition`: its subgroup trees, plus the reduction tree for an
-    /// AG+RS job only where the partition reduces in the switches.
-    pub(super) fn group_keys(&self, job: &PendingJob, partition: u32) -> Vec<GroupKey> {
+    /// AG+RS job only where the partition reduces in the switches. The
+    /// iterator borrows nothing, so the pool can change while it runs.
+    pub(super) fn group_keys(
+        &self,
+        job: &PendingJob,
+        partition: u32,
+    ) -> impl Iterator<Item = GroupKey> {
         let tenant = job.spec.tenant.0;
         let subs = self.group_demand(JobKind::Allgather, job.spec.send_len);
-        let mut keys: Vec<GroupKey> = (0..subs).map(|index| GroupKey { tenant, index }).collect();
-        if matches!(job.spec.kind, JobKind::AgRs) && self.partition_fabrics[partition as usize].1 {
-            keys.push(GroupKey {
+        let rs =
+            matches!(job.spec.kind, JobKind::AgRs) && self.partition_fabrics[partition as usize].1;
+        (0..subs)
+            .map(move |index| GroupKey { tenant, index })
+            .chain(rs.then_some(GroupKey {
                 tenant,
                 index: RS_GROUP_INDEX,
-            });
-        }
-        keys
+            }))
     }
 
     /// Form the next batch and occupy `partition` with it, or `None` if

@@ -42,38 +42,51 @@ use super::sim::{simulate_batch, BatchOutcome};
 use super::Runtime;
 use crate::job::JobKind;
 use mcag_exec::par_map;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use mcag_simnet::hash::{FastMap, MulShift};
 use std::hash::{Hash, Hasher};
 
 /// Everything `form_batch` varies between two batches of one runtime.
 /// Slot order matters: slot `i` owns collective ids `2i + 1` / `2i + 2`
-/// and its QPs' worker affinity derives from `i`.
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// and its QPs' worker affinity derives from `i`. Built only to be
+/// stored: a lookup fingerprints and compares the formed batch itself.
+#[derive(Debug, PartialEq, Eq)]
 struct BatchKey {
     partition: u32,
     /// Per slot: the kind (with a Broadcast's root) and `send_len`.
     slots: Vec<(JobKind, usize)>,
 }
 
+/// A formed batch's slots as key entries.
+fn slots_of(fb: &FormedBatch) -> impl ExactSizeIterator<Item = (JobKind, usize)> + '_ {
+    fb.picked
+        .iter()
+        .map(|job| (job.spec.kind, job.spec.send_len))
+}
+
+/// The fingerprint of a batch shape under the fixed multiply-shift hash
+/// of `mcag_simnet::hash`, so fingerprints (and with them hit counts)
+/// are the same in every process.
+fn fingerprint(partition: u32, slots: impl ExactSizeIterator<Item = (JobKind, usize)>) -> u64 {
+    let mut h = MulShift::default();
+    partition.hash(&mut h);
+    slots.len().hash(&mut h);
+    for slot in slots {
+        slot.hash(&mut h);
+    }
+    h.finish()
+}
+
 impl BatchKey {
     fn of(fb: &FormedBatch) -> BatchKey {
         BatchKey {
             partition: fb.partition,
-            slots: fb
-                .picked
-                .iter()
-                .map(|job| (job.spec.kind, job.spec.send_len))
-                .collect(),
+            slots: slots_of(fb).collect(),
         }
     }
 
-    /// `DefaultHasher::new()` is keyed with constants, so fingerprints
-    /// (and with them hit counts) are the same in every process.
-    fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
+    /// Is `fb` of this shape?
+    fn matches(&self, fb: &FormedBatch) -> bool {
+        self.partition == fb.partition && self.slots.iter().copied().eq(slots_of(fb))
     }
 }
 
@@ -97,15 +110,20 @@ pub struct MemoStats {
 /// key and its outcome after two.
 #[derive(Default)]
 pub(super) struct BatchMemo {
-    shapes: HashMap<u64, Option<Box<(BatchKey, BatchOutcome)>>>,
+    shapes: FastMap<u64, Option<Box<(BatchKey, BatchOutcome)>>>,
     hits: u64,
     misses: u64,
+    /// One launch's lookups, kept between launches for its buffer.
+    looked_up: Vec<Option<BatchOutcome>>,
 }
 
 impl BatchMemo {
-    fn get(&mut self, key: &BatchKey) -> Option<BatchOutcome> {
-        let (stored, outcome) = &**self.shapes.get(&key.fingerprint())?.as_ref()?;
-        if stored != key {
+    /// The stored outcome of `fb`'s shape — a copy that shares its
+    /// per-slot results and trace with the stored one.
+    fn get(&mut self, fb: &FormedBatch) -> Option<BatchOutcome> {
+        let fp = fingerprint(fb.partition, slots_of(fb));
+        let (stored, outcome) = &**self.shapes.get(&fp)?.as_ref()?;
+        if !stored.matches(fb) {
             return None;
         }
         self.hits += 1;
@@ -113,67 +131,71 @@ impl BatchMemo {
     }
 
     /// Record a miss: the second sighting of a shape keeps `outcome`.
-    fn admit(&mut self, key: BatchKey, outcome: &BatchOutcome) {
+    fn admit(&mut self, fb: &FormedBatch, outcome: &BatchOutcome) {
         self.misses += 1;
         self.shapes
-            .entry(key.fingerprint())
+            .entry(fingerprint(fb.partition, slots_of(fb)))
             .and_modify(|entry| {
                 // An entry that is already `Some` was filled earlier in
                 // this launch, or by a colliding shape: it stays.
-                entry.get_or_insert_with(|| Box::new((key, outcome.clone())));
+                entry.get_or_insert_with(|| Box::new((BatchKey::of(fb), outcome.clone())));
             })
             .or_insert(None);
     }
 }
 
 impl Runtime {
-    /// Outcomes of `formed`, in order: replayed where the shape has
-    /// recurred, simulated on up to `jobs` workers otherwise. The only
-    /// way the runtime runs a batch.
-    pub(super) fn simulate(&mut self, jobs: usize, formed: &[FormedBatch]) -> Vec<BatchOutcome> {
+    /// Outcomes of `formed`, in order, appended to `out`: replayed where
+    /// the shape has recurred, simulated on up to `jobs` workers
+    /// otherwise. The only way the runtime runs a batch.
+    ///
+    /// Every batch is looked up before any is admitted, so a shape
+    /// formed twice in one launch misses twice, at any `jobs`.
+    pub(super) fn simulate(
+        &mut self,
+        jobs: usize,
+        formed: &[FormedBatch],
+        out: &mut Vec<BatchOutcome>,
+    ) {
         let run = |fb: &FormedBatch| simulate_batch(&fb.sim);
         if self.cfg.fabric.uses_rng() {
             self.memo.misses += formed.len() as u64;
-            return par_map(jobs, formed, run);
+            out.extend(par_map(jobs, formed, run));
+            return;
         }
-        let looked_up: Vec<(BatchKey, Option<BatchOutcome>)> = formed
-            .iter()
-            .map(|fb| {
-                let key = BatchKey::of(fb);
-                let hit = self.memo.get(&key);
-                (key, hit)
-            })
-            .collect();
+        let mut looked_up = std::mem::take(&mut self.memo.looked_up);
+        looked_up.extend(formed.iter().map(|fb| self.memo.get(fb)));
         // Misses run — and, in debug builds, hits run again to be
         // checked against what was stored.
         let to_run: Vec<&FormedBatch> = formed
             .iter()
             .zip(&looked_up)
-            .filter(|(_, (_, hit))| hit.is_none() || cfg!(debug_assertions))
+            .filter(|(_, hit)| hit.is_none() || cfg!(debug_assertions))
             .map(|(fb, _)| fb)
             .collect();
         let mut fresh = par_map(jobs, &to_run, |fb| run(fb)).into_iter();
         let mut next_fresh = || fresh.next().expect("one simulation per batch that asked");
-        looked_up
-            .into_iter()
-            .map(|(key, hit)| match hit {
+        for (fb, hit) in formed.iter().zip(looked_up.drain(..)) {
+            out.push(match hit {
                 Some(stored) => {
                     if cfg!(debug_assertions) {
                         assert!(
                             next_fresh() == stored,
-                            "replayed outcome differs from a fresh simulation of {key:?}: \
-                             simulate_batch read something outside BatchKey"
+                            "replayed outcome differs from a fresh simulation of {:?}: \
+                             simulate_batch read something outside BatchKey",
+                            BatchKey::of(fb)
                         );
                     }
                     stored
                 }
                 None => {
                     let outcome = next_fresh();
-                    self.memo.admit(key, &outcome);
+                    self.memo.admit(fb, &outcome);
                     outcome
                 }
-            })
-            .collect()
+            });
+        }
+        self.memo.looked_up = looked_up;
     }
 
     /// How often this runtime replayed a batch instead of simulating it.

@@ -55,7 +55,7 @@ impl Runtime {
         let dispatch_ns = batch_start + setup_ns;
         let done_ns = dispatch_ns + outcome.batch_ns + recovery_ns;
         for (i, job) in picked.iter().enumerate() {
-            let censored = outcome.slot_timed_out[i];
+            let censored = outcome.slots[i].timed_out;
             if censored {
                 self.retry.timed_out_slots += 1;
             }
@@ -109,7 +109,7 @@ impl Runtime {
                 partition,
                 submitted_ns: job.submitted_ns,
                 started_ns: batch_start,
-                finished_ns: dispatch_ns + outcome.slot_done_ns[i],
+                finished_ns: dispatch_ns + outcome.slots[i].done_ns,
                 delivered_bytes: delivered,
                 group_hits,
                 group_builds,

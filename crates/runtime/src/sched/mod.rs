@@ -276,6 +276,9 @@ pub struct Runtime {
     fabric_runs: Vec<(u64, TraceRun)>,
     /// Outcomes of recurring batch shapes ([`Runtime::simulate`]).
     memo: BatchMemo,
+    /// `launch_ready`'s formed batches and their outcomes, empty between
+    /// launches and kept for their buffers.
+    launch_buffers: (Vec<FormedBatch>, Vec<BatchOutcome>),
 }
 
 impl Runtime {
@@ -350,6 +353,7 @@ impl Runtime {
             }
         }
         let trace = cfg.trace.as_ref().map(|_| RuntimeTrace::default());
+        let partitions = cfg.partitions;
         Runtime {
             topo: Arc::new(topo),
             cfg,
@@ -379,6 +383,11 @@ impl Runtime {
             trace,
             fabric_runs: Vec::new(),
             memo: BatchMemo::default(),
+            // A launch forms at most one batch per partition.
+            launch_buffers: (
+                Vec::with_capacity(partitions),
+                Vec::with_capacity(partitions),
+            ),
         }
     }
 
@@ -710,18 +719,19 @@ impl Runtime {
     /// fair batch fits the pool's pinning headroom.
     fn launch_ready(&mut self, jobs: usize) {
         self.decay_partition_health();
-        let mut newly: Vec<FormedBatch> = Vec::new();
+        // One launch's batches and outcomes, in buffers kept between
+        // launches.
+        let (mut newly, mut outcomes) = std::mem::take(&mut self.launch_buffers);
         while let Some(partition) = self.free_partition() {
             match self.form_batch(partition) {
                 Some(fb) => newly.push(fb),
                 None => break,
             }
         }
-        if newly.is_empty() {
-            return;
+        if !newly.is_empty() {
+            self.simulate(jobs, &newly, &mut outcomes);
         }
-        let outcomes = self.simulate(jobs, &newly);
-        for (fb, outcome) in newly.into_iter().zip(outcomes) {
+        for (fb, outcome) in newly.drain(..).zip(outcomes.drain(..)) {
             // Mid-batch SM rebuilds extend the batch's occupancy (the
             // same detach + reprogram the pool bills for an eviction);
             // the pool charge itself lands at commit.
@@ -733,6 +743,7 @@ impl Runtime {
                 done_ns,
             });
         }
+        self.launch_buffers = (newly, outcomes);
     }
 
     /// The partition the next batch should occupy, or `None` when every
@@ -766,24 +777,16 @@ impl Runtime {
     /// batch-index order: release its group pins, idle its tenants, free
     /// its partition, and merge its records.
     fn commit_due(&mut self, t: u64) {
-        let mut due: Vec<InflightBatch> = Vec::new();
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].done_ns == t {
-                due.push(self.inflight.swap_remove(i));
-            } else {
-                i += 1;
+        // At most one batch per partition is in flight, so picking the
+        // lowest-index due batch each turn is cheap and needs no buffer.
+        while let Some(i) = (0..self.inflight.len())
+            .filter(|&i| self.inflight[i].done_ns == t)
+            .min_by_key(|&i| self.inflight[i].formed.index)
+        {
+            let infl = self.inflight.swap_remove(i);
+            for job in &infl.formed.picked {
+                self.pool.unpin(self.group_keys(job, infl.formed.partition));
             }
-        }
-        due.sort_by_key(|b| b.formed.index);
-        for infl in due {
-            let keys: Vec<_> = infl
-                .formed
-                .picked
-                .iter()
-                .flat_map(|job| self.group_keys(job, infl.formed.partition))
-                .collect();
-            self.pool.unpin(&keys);
             self.partition_busy[infl.formed.partition as usize] = false;
             // Tenant lanes are released per job inside the merge: a
             // completed (or given-up) job idles its lane, a job headed

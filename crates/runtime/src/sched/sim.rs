@@ -66,15 +66,10 @@ pub(super) struct BatchOutcome {
     /// Fabric time from launch to quiescence — or to the recovery
     /// cutoff, when the batch timed out.
     pub(super) batch_ns: u64,
-    /// Per-slot completion on the fabric clock: the last rank's AG
-    /// release or RS delivery, whichever is later. Censored slots carry
-    /// the cutoff instant.
-    pub(super) slot_done_ns: Vec<u64>,
+    /// Per-slot results, shared by every replay of the outcome.
+    pub(super) slots: Arc<[SlotOutcome]>,
     /// True when the batch hit its recovery cutoff with work pending.
     pub(super) timed_out: bool,
-    /// Per-slot censoring flags: slot `i` never finished (some rank's
-    /// collective was still open at the cutoff).
-    pub(super) slot_timed_out: Vec<bool>,
     /// Payload bytes moved across fabric links (switch-counter view).
     pub(super) moved_bytes: u64,
     /// Packet copies lost to down links during the batch (0 on a
@@ -88,6 +83,18 @@ pub(super) struct BatchOutcome {
     /// batch's local clock (`take_trace` shifts it onto the virtual
     /// timeline). Shared, so replaying the outcome copies no events.
     pub(super) trace: Option<TraceRun>,
+}
+
+/// One batch slot's result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct SlotOutcome {
+    /// Completion on the fabric clock: the last rank's AG release or RS
+    /// delivery, whichever is later. A censored slot carries the cutoff
+    /// instant.
+    pub(super) done_ns: u64,
+    /// The slot never finished: some rank's collective was still open
+    /// at the cutoff.
+    pub(super) timed_out: bool,
 }
 
 /// Run one formed batch on a fresh fabric to quiescence and harvest
@@ -155,35 +162,38 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
     // Harvest the owned per-app sinks: per slot, the last rank's AG
     // release and RS delivery. A slot where any rank never finished is
     // censored at the watchdog instant.
-    let mut slot_done_ns = vec![0u64; sim.comms.len()];
-    let mut slot_timed_out = vec![false; sim.comms.len()];
-    for rank_slots in &out.slots {
-        for (i, slot) in rank_slots.iter().enumerate() {
-            let ag_done = slot.ag.timing().t_done;
-            let done = match &slot.rs {
-                None => ag_done,
-                Some(rs) => ag_done.zip(rs.times()).map(|(ag, (_, rs))| ag.max(rs)),
+    let slots = (0..sim.comms.len())
+        .map(|i| {
+            let mut slot_out = SlotOutcome {
+                done_ns: 0,
+                timed_out: false,
             };
-            match done {
-                Some(t) => slot_done_ns[i] = slot_done_ns[i].max(t.as_ns()),
-                None => slot_timed_out[i] = true,
+            for rank_slots in out.rank_slots() {
+                let slot = &rank_slots[i];
+                let ag_done = slot.ag.timing().t_done;
+                let done = match &slot.rs {
+                    None => ag_done,
+                    Some(rs) => ag_done.zip(rs.times()).map(|(ag, (_, rs))| ag.max(rs)),
+                };
+                match done {
+                    Some(t) => slot_out.done_ns = slot_out.done_ns.max(t.as_ns()),
+                    None => slot_out.timed_out = true,
+                }
             }
-        }
-    }
-    for (done, &censored) in slot_done_ns.iter_mut().zip(&slot_timed_out) {
-        if censored {
-            *done = watchdog;
-        }
-    }
+            if slot_out.timed_out {
+                slot_out.done_ns = watchdog;
+            }
+            slot_out
+        })
+        .collect();
     BatchOutcome {
         batch_ns: if timed_out {
             watchdog
         } else {
             out.stats.end_time.as_ns()
         },
-        slot_done_ns,
+        slots,
         timed_out,
-        slot_timed_out,
         moved_bytes: out.traffic.total_data_bytes(),
         fault_drops,
         downtime_ns,

@@ -160,6 +160,11 @@ impl SlotBits {
 /// Arena index that terminates the free list.
 const NIL: u32 = u32::MAX;
 
+/// Nodes the arena takes on its first push: a power of two, so an arena
+/// that keeps growing doubles through the same capacities as one that
+/// started empty.
+const ARENA_MIN: usize = 32;
+
 /// One arena entry: a pending event on a slot list, or a free node.
 /// The list a node is on implies its chunk, so it keeps only the offset
 /// within it — 24 bytes per pending 16-byte event.
@@ -176,14 +181,14 @@ struct Node<E> {
 /// circular and addressed by its tail (`tail.next` is the head);
 /// `tails[slot]` means something only while the slot's bit is set.
 struct Level {
-    tails: Vec<u32>,
+    tails: Box<[u32]>,
     bits: SlotBits,
 }
 
 impl Level {
     fn new() -> Level {
         Level {
-            tails: vec![0; SLOTS],
+            tails: vec![0; SLOTS].into_boxed_slice(),
             bits: SlotBits::new(),
         }
     }
@@ -227,7 +232,7 @@ struct Wheel<E> {
     far: Level,
     /// Earliest timestamp in each occupied far slot, as its offset
     /// within the slot's chunk (`at & SLOT_MASK`), kept at push.
-    far_min: Vec<u16>,
+    far_min: Box<[u16]>,
     super_base: u64,
     cursor1: usize,
     /// Far-future events bucketed by super-chunk (`at >> 24`), sorted.
@@ -242,7 +247,7 @@ impl<E> Wheel<E> {
             near: Level::new(),
             base0: 0,
             far: Level::new(),
-            far_min: vec![0; SLOTS],
+            far_min: vec![0; SLOTS].into_boxed_slice(),
             super_base: 0,
             // base0's own chunk (far slot 0) routes to the near level.
             cursor1: 1,
@@ -265,6 +270,10 @@ impl<E> Wheel<E> {
             return idx;
         }
         assert!(self.nodes.len() < NIL as usize, "event arena is full");
+        if self.nodes.capacity() == 0 {
+            // Skip the first doublings, as the fabric's slabs do.
+            self.nodes.reserve_exact(ARENA_MIN);
+        }
         self.nodes.push(node);
         (self.nodes.len() - 1) as u32
     }

@@ -56,11 +56,22 @@
 //! shard's way down from its reduction tree's root is salted by PSN, so
 //! it is no per-topology value: each switch picks the shard's next link
 //! as it forwards, and no route is built for it.
+//!
+//! Building a fabric is a fixed handful of allocations, not one per rank
+//! or per group: every NIC's QPs live in one table, NIC by NIC, and a
+//! driver that knows its layout reserves the QP, tree and attachment
+//! tables once ([`Fabric::reserve`]); the slabs and the event arena skip
+//! their first doublings. In-network reduction keeps its live
+//! aggregation-table count per switch in a vector indexed by node id,
+//! and its per-`(group, psn, switch)` arrival counts in a map under the
+//! fixed multiply-shift hash of [`crate::hash`] — no SipHash runs on the
+//! simulated path.
 
 use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
 use crate::counters::{LinkCounters, TrafficReport};
 use crate::event::EventQueue;
+use crate::hash::FastMap;
 use crate::health::{self, FabricHealth, LinkHealth};
 use crate::mcast::McastTree;
 use crate::routing::{self, RouteMode};
@@ -71,7 +82,6 @@ use mcag_verbs::wire::{PacketKind, HEADER_BYTES};
 use mcag_verbs::{CompletionStatus, Cqe, CqeOpcode, ImmData, McastGroupId, QpNum, Rank, Transport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -163,6 +173,11 @@ struct SlabEntry {
 /// "No slot": the end of a slab's free list or of a send queue.
 const NIL: u32 = u32::MAX;
 
+/// Slots a slab takes on its first insert: a power of two, so a slab
+/// that keeps growing doubles through the same capacities as one that
+/// started empty.
+const SLAB_MIN: usize = 16;
+
 /// One slab slot: a value, or a link in the free list.
 enum Slot<T> {
     Full(T),
@@ -192,6 +207,11 @@ impl<T> Slab<T> {
     fn insert(&mut self, v: T) -> u32 {
         self.live += 1;
         if self.free == NIL {
+            if self.slots.capacity() == 0 {
+                // Skip the first doublings: a fabric that posts at all
+                // soon holds this many.
+                self.slots.reserve_exact(SLAB_MIN);
+            }
             self.slots.push(Slot::Full(v));
             return (self.slots.len() - 1) as u32;
         }
@@ -384,14 +404,31 @@ struct QpState {
 
 struct NicState {
     uplink: LinkId,
-    /// The QPs, each with its send queue; the NIC arbiter serves the
-    /// queues round-robin, which is how concurrent collectives share
+    /// The NIC's QPs, each with its send queue, are
+    /// `Inner::qps[qp_base..qp_base + qp_len]`; the NIC arbiter serves
+    /// the queues round-robin, which is how concurrent collectives share
     /// injection bandwidth.
-    qps: Vec<QpState>,
+    qp_base: u32,
+    qp_len: u32,
     tx_rr: usize,
     tx_free_at: SimTime,
     kick_scheduled: bool,
     rnr_drops: u64,
+}
+
+impl NicState {
+    /// This NIC's slice of `Inner::qps`.
+    #[inline]
+    fn qp_range(&self) -> Range<usize> {
+        self.qp_base as usize..(self.qp_base + self.qp_len) as usize
+    }
+
+    /// Where this NIC's QP `qi` sits in `Inner::qps`.
+    #[inline]
+    fn qp_index(&self, qi: usize) -> usize {
+        assert!(qi < self.qp_len as usize, "QP {qi} out of range");
+        self.qp_base as usize + qi
+    }
 }
 
 /// Fabric internals reachable from [`Ctx`] (everything except the apps).
@@ -400,6 +437,9 @@ pub struct Inner<M> {
     cfg: FabricConfig,
     q: EventQueue<Ev>,
     nics: Vec<NicState>,
+    /// Every NIC's QPs in one table, NIC by NIC (`NicState::qp_base`),
+    /// so adding a QP allocates nothing per rank.
+    qps: Vec<QpState>,
     /// Programmed groups' trees, indexed by group id and shared with the
     /// topology's memo; an SM rebuild swaps a group's `Arc`, it never
     /// mutates a tree another fabric may be using.
@@ -424,11 +464,12 @@ pub struct Inner<M> {
     done_count: usize,
     /// In-network reduction progress: contributions seen per
     /// `(group, psn, switch)`.
-    inc_arrivals: HashMap<(u32, u32, NodeId), u32>,
+    inc_arrivals: FastMap<(u32, u32, NodeId), u32>,
     /// Live aggregation-table entries per switch (`(group, psn)`
-    /// states currently held), maintained only while INC traffic
-    /// flows; bounded by [`FabricConfig::inc_table_capacity`].
-    inc_live: HashMap<NodeId, usize>,
+    /// states currently held), indexed by node id; empty until the
+    /// first contribution reaches a switch, and bounded by
+    /// [`FabricConfig::inc_table_capacity`].
+    inc_live: Vec<u32>,
     /// High-water mark of any single switch's live aggregation-table
     /// occupancy over the run (reported even when unbounded).
     inc_table_peak: usize,
@@ -513,7 +554,8 @@ impl<M: Clone + 'static> Fabric<M> {
                 assert_eq!(ups.len(), 1, "hosts have exactly one NIC port");
                 NicState {
                     uplink: ups[0],
-                    qps: Vec::new(),
+                    qp_base: 0,
+                    qp_len: 0,
                     tx_rr: 0,
                     tx_free_at: SimTime::ZERO,
                     kick_scheduled: false,
@@ -552,6 +594,7 @@ impl<M: Clone + 'static> Fabric<M> {
                 cfg,
                 q,
                 nics,
+                qps: Vec::new(),
                 trees: Vec::new(),
                 counters,
                 link_busy,
@@ -562,8 +605,8 @@ impl<M: Clone + 'static> Fabric<M> {
                 rng,
                 done: vec![None; n],
                 done_count: 0,
-                inc_arrivals: HashMap::new(),
-                inc_live: HashMap::new(),
+                inc_arrivals: FastMap::default(),
+                inc_live: Vec::new(),
                 inc_table_peak: 0,
                 scratch_links: Vec::new(),
                 wqes: Slab::new(),
@@ -593,10 +636,8 @@ impl<M: Clone + 'static> Fabric<M> {
             worker < workers,
             "worker {worker} out of range ({workers} workers)"
         );
-        let nic = &mut self.inner.nics[rank.idx()];
-        let qpn = QpNum(nic.qps.len() as u32);
         let depth = self.inner.cfg.host.rq_depth;
-        nic.qps.push(QpState {
+        let state = QpState {
             transport,
             worker,
             rq_avail: depth,
@@ -604,8 +645,37 @@ impl<M: Clone + 'static> Fabric<M> {
             tx_head: NIL,
             tx_tail: NIL,
             drains: 0,
-        });
+        };
+        let Inner { nics, qps, .. } = &mut self.inner;
+        let nic = &mut nics[rank.idx()];
+        let qpn = QpNum(nic.qp_len);
+        if nic.qp_len == 0 {
+            nic.qp_base = qps.len() as u32;
+        }
+        // Drivers add QPs rank by rank, so this is an append; a QP added
+        // to an earlier rank shifts the later ranks' tables up by one.
+        let at = nic.qp_base + nic.qp_len;
+        nic.qp_len += 1;
+        if at as usize != qps.len() {
+            for (r, other) in nics.iter_mut().enumerate() {
+                if r != rank.idx() && other.qp_len > 0 && other.qp_base >= at {
+                    other.qp_base += 1;
+                }
+            }
+        }
+        qps.insert(at as usize, state);
         qpn
+    }
+
+    /// Make room for `groups` more multicast groups and `qps` more QPs
+    /// over all ranks, so that a driver laying out a known set of
+    /// communicators programs its groups and QPs without regrowing a
+    /// table per group or per rank.
+    pub fn reserve(&mut self, groups: usize, qps: usize) {
+        let inner = &mut self.inner;
+        inner.trees.reserve(groups);
+        inner.group_attach.reserve(groups * inner.nics.len());
+        inner.qps.reserve(qps);
     }
 
     /// Create a multicast group over `members` on its spanning tree,
@@ -653,7 +723,7 @@ impl<M: Clone + 'static> Fabric<M> {
         assert!(tree.is_member(rank), "{rank} is not a member of {group:?}");
         assert!(
             matches!(
-                self.inner.nics[rank.idx()].qps[qp.0 as usize].transport,
+                self.inner.qp(rank, qp.0 as usize).transport,
                 Transport::Ud | Transport::Uc
             ),
             "only UD/UC QPs can join multicast groups"
@@ -889,7 +959,7 @@ impl<M: Clone + 'static> Fabric<M> {
             } => {
                 let (cqe, payload) = self.inner.take_cqe(pkt, qp_idx);
                 if repost {
-                    let qp = &mut self.inner.nics[rank.idx()].qps[qp_idx as usize];
+                    let qp = self.inner.qp_mut(rank, qp_idx as usize);
                     qp.rq_avail = (qp.rq_avail + 1).min(qp.rq_depth);
                 }
                 self.with_app(rank, |app, ctx| app.on_cqe(ctx, cqe, payload));
@@ -917,6 +987,19 @@ impl<M: Clone + 'static> Fabric<M> {
 }
 
 impl<M: Clone + 'static> Inner<M> {
+    /// `rank`'s QP `qi`.
+    #[inline]
+    fn qp(&self, rank: Rank, qi: usize) -> &QpState {
+        &self.qps[self.nics[rank.idx()].qp_index(qi)]
+    }
+
+    /// `rank`'s QP `qi`, mutably.
+    #[inline]
+    fn qp_mut(&mut self, rank: Rank, qi: usize) -> &mut QpState {
+        let i = self.nics[rank.idx()].qp_index(qi);
+        &mut self.qps[i]
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.q.now()
@@ -943,8 +1026,8 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn notify_tx_drained(&mut self, rank: Rank, qp: QpNum, token: u64) {
-        let nic = &mut self.nics[rank.idx()];
-        let state = &mut nic.qps[qp.0 as usize];
+        let nic = &self.nics[rank.idx()];
+        let state = &mut self.qps[nic.qp_index(qp.0 as usize)];
         if state.tx_head == NIL {
             let at = nic.tx_free_at.max(self.q.now());
             self.q.schedule_at(at, Ev::TxDrained { rank, token });
@@ -1263,7 +1346,7 @@ impl<M: Clone + 'static> Inner<M> {
 
     fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
         let nic = &mut self.nics[src.idx()];
-        let state = &mut nic.qps[qp.0 as usize];
+        let state = &mut self.qps[nic.qp_index(qp.0 as usize)];
         let node = self.wqes.insert(WqeNode { wqe, next: NIL });
         match state.tx_tail {
             NIL => state.tx_head = node,
@@ -1278,11 +1361,12 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     /// Round-robin QP arbitration: pick the next non-empty send queue.
-    fn tx_pick(nic: &mut NicState) -> Option<usize> {
-        let n = nic.qps.len();
+    fn tx_pick(nic: &mut NicState, qps: &[QpState]) -> Option<usize> {
+        let qps = &qps[nic.qp_range()];
+        let n = qps.len();
         for i in 0..n {
             let qi = (nic.tx_rr + i) % n;
-            if nic.qps[qi].tx_head != NIL {
+            if qps[qi].tx_head != NIL {
                 nic.tx_rr = (qi + 1) % n;
                 return Some(qi);
             }
@@ -1298,7 +1382,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// reduction sweep moves on to its next owner instead, and leaves with
     /// the last segment of its last owner.
     fn tx_next_packet(&mut self, src: Rank, qi: usize) -> PktRef {
-        let head = self.nics[src.idx()].qps[qi].tx_head;
+        let head = self.qp(src, qi).tx_head;
         assert_ne!(head, NIL, "arbiter picked an empty queue");
         let mut pop = true;
         let pkt = match &mut self.wqes.get_mut(head).wqe {
@@ -1392,7 +1476,7 @@ impl<M: Clone + 'static> Inner<M> {
 
     /// Remove the request at the head of `src`'s send queue `qi`.
     fn pop_tx(&mut self, src: Rank, qi: usize) {
-        let state = &mut self.nics[src.idx()].qps[qi];
+        let state = &mut self.qps[self.nics[src.idx()].qp_index(qi)];
         state.tx_head = self.wqes.remove(state.tx_head).next;
         if state.tx_head == NIL {
             state.tx_tail = NIL;
@@ -1421,7 +1505,7 @@ impl<M: Clone + 'static> Inner<M> {
         }
         let nic = &mut self.nics[rank.idx()];
         nic.kick_scheduled = false;
-        let Some(qi) = Self::tx_pick(nic) else {
+        let Some(qi) = Self::tx_pick(nic, &self.qps) else {
             return;
         };
         let uplink = nic.uplink;
@@ -1465,7 +1549,7 @@ impl<M: Clone + 'static> Inner<M> {
             self.release_pkt(pr);
         }
         let nic = &mut self.nics[rank.idx()];
-        let state = &mut nic.qps[qi];
+        let state = &mut self.qps[nic.qp_index(qi)];
         if state.tx_head == NIL && state.drains > 0 {
             // Tell the app this QP is done sending, in the order it asked.
             state.drains = 0;
@@ -1478,7 +1562,7 @@ impl<M: Clone + 'static> Inner<M> {
                 !mine
             });
         }
-        if nic.qps.iter().any(|q| q.tx_head != NIL) {
+        if self.qps[nic.qp_range()].iter().any(|q| q.tx_head != NIL) {
             nic.kick_scheduled = true;
             self.q.schedule_at(free_at, Ev::TxKick { rank });
         }
@@ -1628,15 +1712,19 @@ impl<M: Clone + 'static> Inner<M> {
             // A fresh `(group, psn)` state claims one aggregation-table
             // entry at this switch — the bounded SHARP SRAM, charged
             // like the MGID table on group creation.
-            let live = self.inc_live.entry(node).or_insert(0);
+            if self.inc_live.is_empty() {
+                self.inc_live = vec![0; self.topo.num_nodes()];
+            }
+            let live = &mut self.inc_live[node.idx()];
             *live += 1;
+            let live = *live as usize;
             if let Some(cap) = self.cfg.inc_table_capacity {
                 assert!(
-                    *live <= cap,
+                    live <= cap,
                     "switch aggregation table exhausted ({cap} live reduction states at {node:?})"
                 );
             }
-            self.inc_table_peak = self.inc_table_peak.max(*live);
+            self.inc_table_peak = self.inc_table_peak.max(live);
         }
         if cnt < expected {
             // Absorbed into the partial reduction.
@@ -1644,9 +1732,7 @@ impl<M: Clone + 'static> Inner<M> {
             return;
         }
         self.inc_arrivals.remove(&key);
-        if let Some(live) = self.inc_live.get_mut(&node) {
-            *live -= 1;
-        }
+        self.inc_live[node.idx()] -= 1;
         let tree = &self.trees[group.0 as usize];
         match tree.parent_link(node) {
             Some(up) => {
@@ -1795,7 +1881,7 @@ impl<M: Clone + 'static> Inner<M> {
         }
 
         if needs_slot {
-            let qp = &mut self.nics[rank.idx()].qps[qp_idx];
+            let qp = &mut self.qps[self.nics[rank.idx()].qp_index(qp_idx)];
             if qp.rq_avail == 0 {
                 self.nics[rank.idx()].rnr_drops += 1;
                 if let Some(t) = self.trace.as_mut() {
@@ -1817,8 +1903,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// from the slab entry at dispatch time).
     fn schedule_cqe(&mut self, rank: Rank, qp_idx: usize, pr: PktRef, repost: bool) {
         let now = self.q.now();
-        let worker = self.nics[rank.idx()]
-            .qps
+        let worker = self.qps[self.nics[rank.idx()].qp_range()]
             .get(qp_idx)
             .map_or(0, |q| q.worker);
         let busy = &mut self.workers[rank.idx() * self.cfg.host.rx_workers.max(1) + worker];
@@ -2026,6 +2111,45 @@ mod tests {
         fab.create_group(&members);
         fab.create_group(&members);
         fab.create_group(&members); // third group exceeds the table
+    }
+
+    #[test]
+    fn qps_added_out_of_rank_order_keep_their_numbers() {
+        // Rank by rank appends to the fabric-wide QP table; going back to
+        // an earlier rank inserts into it and shifts the later ranks'.
+        let topo = Topology::single_switch(3, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        let order = [
+            (2, Transport::Rc),
+            (0, Transport::Ud),
+            (2, Transport::Ud),
+            (0, Transport::Rc),
+        ];
+        let numbers: Vec<QpNum> = order
+            .iter()
+            .map(|&(r, t)| fab.add_qp(Rank(r), t, 0))
+            .collect();
+        assert_eq!(numbers, [QpNum(0), QpNum(0), QpNum(1), QpNum(1)]);
+        let transports: Vec<(u32, Transport)> = fab
+            .inner
+            .nics
+            .iter()
+            .enumerate()
+            .flat_map(|(r, nic)| {
+                fab.inner.qps[nic.qp_range()]
+                    .iter()
+                    .map(move |q| (r as u32, q.transport))
+            })
+            .collect();
+        assert_eq!(
+            transports,
+            [
+                (0, Transport::Ud),
+                (0, Transport::Rc),
+                (2, Transport::Rc),
+                (2, Transport::Ud)
+            ]
+        );
     }
 
     #[test]
@@ -3056,7 +3180,7 @@ mod tests {
             "{}",
             fab.inner.pkt_slab.slots.len()
         );
-        for qp in fab.inner.nics.iter().flat_map(|nic| &nic.qps) {
+        for qp in &fab.inner.qps {
             assert_eq!((qp.tx_head, qp.drains), (NIL, 0));
         }
         // One sweep request per rank was ever queued.
@@ -3068,7 +3192,7 @@ mod tests {
         );
         assert!(fab.inner.drains.is_empty());
         assert!(fab.inner.inc_arrivals.is_empty());
-        assert!(fab.inner.inc_live.values().all(|&live| live == 0));
+        assert!(fab.inner.inc_live.iter().all(|&live| live == 0));
     }
 
     #[test]

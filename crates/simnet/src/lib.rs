@@ -36,6 +36,7 @@ pub mod config;
 pub mod counters;
 pub mod event;
 pub mod fabric;
+pub mod hash;
 pub mod health;
 pub mod linkstate;
 pub mod mcast;

@@ -14,25 +14,27 @@
 use crate::routing::mix64;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_verbs::{McastGroupId, Rank};
-use std::collections::HashSet;
 
 /// A multicast group realized as a spanning tree over the fabric.
 ///
-/// The adjacency and parent tables are dense `Vec`s indexed by node id —
+/// The adjacency and parent tables are dense and indexed by node id —
 /// the fabric consults them once per packet hop on the replication hot
 /// path, where a hash lookup per hop would dominate the switch model.
-#[derive(Debug, Clone)]
+/// The adjacency is one flat array with per-node offsets, so building a
+/// tree makes the same handful of allocations whatever its size.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McastTree {
     group: McastGroupId,
     members: Vec<Rank>,
     /// `is_member[rank]`, dense over the fabric's ranks — every post
     /// checks membership, so it is a load, not a hash probe.
     is_member: Vec<bool>,
-    /// For every node, the directed links leaving it along tree edges
-    /// (both "up" and "down" directions are present, since a packet
-    /// entering mid-tree must also climb toward the root). Empty for
-    /// nodes off the tree.
-    adj: Vec<Vec<LinkId>>,
+    /// Node `n`'s directed links along tree edges are
+    /// `adj[adj_start[n]..adj_start[n + 1]]` (both "up" and "down"
+    /// directions are present, since a packet entering mid-tree must also
+    /// climb toward the root); the range is empty for nodes off the tree.
+    adj_start: Vec<u32>,
+    adj: Vec<LinkId>,
     /// Nodes that lie on the tree, in first-touch order.
     tree_nodes: Vec<NodeId>,
     /// Number of undirected tree edges.
@@ -43,6 +45,83 @@ pub struct McastTree {
     /// Directed link from each non-root tree node toward its parent
     /// (`None` at the root and off the tree).
     parent_link: Vec<Option<LinkId>>,
+}
+
+/// "No node" in [`TreeEdges::via`].
+const NIL: u32 = u32::MAX;
+
+/// The edges of a tree under construction, each kept as the down link
+/// that added it, with the dense per-node state that deduplicates them.
+struct TreeEdges {
+    links: Vec<LinkId>,
+    /// The node each node was entered from ([`NIL`] if none yet).
+    via: Vec<u32>,
+    /// Tree degree of each node so far, with one spare trailing entry:
+    /// it becomes the adjacency offsets.
+    deg: Vec<u32>,
+    tree_nodes: Vec<NodeId>,
+}
+
+impl TreeEdges {
+    fn new(nodes: usize) -> TreeEdges {
+        // A tree has fewer edges than nodes.
+        TreeEdges {
+            links: Vec::with_capacity(nodes),
+            via: vec![NIL; nodes],
+            deg: vec![0; nodes + 1],
+            tree_nodes: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Add the cable under the down link `l` unless a parallel rail
+    /// already joins its ends.
+    fn add(&mut self, topo: &Topology, l: LinkId) {
+        let (src, dst) = (topo.link(l).src, topo.link(l).dst);
+        // Every builder's down-paths from a root are unique up to
+        // parallel rails, so each node has one parent: a pair is an edge
+        // exactly when its lower end was entered from its upper one.
+        match self.via[dst.idx()] {
+            NIL => self.via[dst.idx()] = src.0,
+            parent if parent == src.0 => return,
+            parent => panic!("{dst:?} entered from {src:?} and from NodeId({parent})"),
+        }
+        for n in [src, dst] {
+            if self.deg[n.idx()] == 0 {
+                self.tree_nodes.push(n);
+            }
+            self.deg[n.idx()] += 1;
+        }
+        self.links.push(l);
+    }
+
+    /// The flat adjacency: per-node offsets and the links, each node's in
+    /// the order its edges were added.
+    fn into_adjacency(self, topo: &Topology) -> (Vec<u32>, Vec<LinkId>, Vec<NodeId>, usize) {
+        let TreeEdges {
+            links,
+            via: mut fill,
+            deg: mut start,
+            tree_nodes,
+            ..
+        } = self;
+        let mut total = 0;
+        for s in start.iter_mut() {
+            let d = *s;
+            *s = total;
+            total += d;
+        }
+        let nodes = fill.len();
+        fill.copy_from_slice(&start[..nodes]);
+        let mut adj = vec![LinkId(0); total as usize];
+        for &l in &links {
+            let (src, dst) = (topo.link(l).src, topo.link(l).dst);
+            adj[fill[src.idx()] as usize] = l;
+            fill[src.idx()] += 1;
+            adj[fill[dst.idx()] as usize] = topo.reverse(l);
+            fill[dst.idx()] += 1;
+        }
+        (start, adj, tree_nodes, links.len())
+    }
 }
 
 impl McastTree {
@@ -83,49 +162,29 @@ impl McastTree {
         }
         let avoided = |n: NodeId| avoid.contains(&n);
 
-        let mut adj: Vec<Vec<LinkId>> = vec![Vec::new(); topo.num_nodes()];
-        let mut tree_nodes: Vec<NodeId> = Vec::new();
-        let mut undirected: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut add_edge = |topo: &Topology,
-                            down_link: LinkId,
-                            adj: &mut Vec<Vec<LinkId>>,
-                            tree_nodes: &mut Vec<NodeId>| {
-            let l = topo.link(down_link);
-            let key = (l.src.min(l.dst), l.src.max(l.dst));
-            if undirected.insert(key) {
-                for n in [l.src, l.dst] {
-                    if adj[n.idx()].is_empty() {
-                        tree_nodes.push(n);
-                    }
-                }
-                adj[l.src.idx()].push(down_link);
-                adj[l.dst.idx()].push(topo.reverse(down_link));
-                true
-            } else {
-                false
-            }
-        };
-
-        let mut edges = 0usize;
+        let mut edges = TreeEdges::new(topo.num_nodes());
         let top = topo.top_level();
         let root;
         if top == 0 {
             // Back-to-back: the "tree" is the host-to-host cable.
             let h = topo.host_node(members[0]);
             root = h;
-            let l = topo.uplinks(h)[0];
-            add_edge(topo, l, &mut adj, &mut tree_nodes);
-            edges += 1;
+            edges.add(topo, topo.uplinks(h)[0]);
         } else {
-            let tops: Vec<NodeId> = topo
-                .switches_at_level(top)
-                .into_iter()
-                .filter(|&s| !avoided(s))
-                .collect();
-            if tops.is_empty() {
+            // Live top-level switches, in node order.
+            let tops = || {
+                (0..topo.num_nodes() as u32).map(NodeId).filter(|&n| {
+                    matches!(topo.kind(n), NodeKind::Switch { level } if level == top)
+                        && !avoided(n)
+                })
+            };
+            let n_tops = tops().count() as u64;
+            if n_tops == 0 {
                 return None;
             }
-            root = tops[(mix64(group.0 as u64) % tops.len() as u64) as usize];
+            root = tops()
+                .nth((mix64(group.0 as u64) % n_tops) as usize)
+                .expect("pick within the live tops");
             for &m in members {
                 // Unique down-path from root to member; among parallel
                 // rails pick by (group, member) hash so distinct subgroups
@@ -142,22 +201,23 @@ impl McastTree {
                     }
                     let pick = mix64((group.0 as u64) << 32 | m.0 as u64) % n;
                     let l = downs.nth(pick as usize).expect("pick within the rails");
-                    if add_edge(topo, l, &mut adj, &mut tree_nodes) {
-                        edges += 1;
-                    }
+                    edges.add(topo, l);
                     at = topo.link(l).dst;
                 }
             }
         }
+        let (adj_start, adj, tree_nodes, edges) = edges.into_adjacency(topo);
 
-        // Orient the tree: BFS from the root records each node's link
+        // Orient the tree: a walk from the root records each node's link
         // toward its parent (used by in-network reduction, which flows
         // *up* the same tree multicast floods down).
         let mut parent_link: Vec<Option<LinkId>> = vec![None; topo.num_nodes()];
-        let mut frontier = vec![(root, None::<LinkId>)];
+        let mut frontier = Vec::with_capacity(tree_nodes.len());
+        frontier.push((root, None::<LinkId>));
         while let Some((node, in_link)) = frontier.pop() {
             let back = in_link.map(|l| topo.reverse(l));
-            for &l in &adj[node.idx()] {
+            let (lo, hi) = (adj_start[node.idx()], adj_start[node.idx() + 1]);
+            for &l in &adj[lo as usize..hi as usize] {
                 if Some(l) == back {
                     continue;
                 }
@@ -171,12 +231,20 @@ impl McastTree {
             group,
             members: members.to_vec(),
             is_member,
+            adj_start,
             adj,
             tree_nodes,
             edges,
             root,
             parent_link,
         })
+    }
+
+    /// The directed tree links at `node` (empty off the tree).
+    #[inline]
+    fn adjacent(&self, node: NodeId) -> &[LinkId] {
+        let (lo, hi) = (self.adj_start[node.idx()], self.adj_start[node.idx() + 1]);
+        &self.adj[lo as usize..hi as usize]
     }
 
     /// Group id.
@@ -213,7 +281,7 @@ impl McastTree {
         in_link: Option<LinkId>,
     ) -> impl Iterator<Item = LinkId> + '_ {
         let back = in_link.map(|l| topo.reverse(l));
-        self.adj[node.idx()]
+        self.adjacent(node)
             .iter()
             .copied()
             .filter(move |&l| Some(l) != back)
@@ -243,7 +311,7 @@ impl McastTree {
     /// path, called per contribution per switch.
     pub fn child_links(&self, node: NodeId) -> impl Iterator<Item = LinkId> + '_ {
         let up = self.parent_link[node.idx()];
-        self.adj[node.idx()]
+        self.adjacent(node)
             .iter()
             .copied()
             .filter(move |&l| Some(l) != up)
@@ -253,8 +321,9 @@ impl McastTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::tests::avoid_sets;
     use mcag_verbs::LinkRate;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     fn all_ranks(n: u32) -> Vec<Rank> {
         (0..n).map(Rank).collect()
@@ -358,7 +427,6 @@ mod tests {
                 let mut e: Vec<usize> = t
                     .adj
                     .iter()
-                    .flatten()
                     .map(|l| l.idx().min(topo.reverse(*l).idx()))
                     .collect();
                 e.sort_unstable();
@@ -396,7 +464,7 @@ mod tests {
             let a = McastTree::build(&topo, McastGroupId(g), &members);
             let b = McastTree::build_avoiding(&topo, McastGroupId(g), &members, &[]).unwrap();
             assert_eq!(a.root(), b.root());
-            assert_eq!(a.adj, b.adj, "group {g}: avoid=[] must pick the same tree");
+            assert_eq!(a, b, "group {g}: avoid=[] must pick the same tree");
         }
     }
 
@@ -477,6 +545,137 @@ mod tests {
             let h = topo.host_node(Rank(r));
             assert_eq!(tree.child_links(h).count(), 0, "hosts are leaves");
             assert!(tree.parent_link(h).is_some());
+        }
+    }
+
+    /// The tree build as it was while every node kept its own adjacency
+    /// vector and edges were deduplicated in a `HashSet` of node pairs:
+    /// `(root, per-node adjacency, first-touch order, edges, parent
+    /// links)`, or `None` where no tree avoids `avoid`.
+    #[allow(clippy::type_complexity)]
+    fn reference_build(
+        topo: &Topology,
+        group: McastGroupId,
+        members: &[Rank],
+        avoid: &[NodeId],
+    ) -> Option<(
+        NodeId,
+        Vec<Vec<LinkId>>,
+        Vec<NodeId>,
+        usize,
+        Vec<Option<LinkId>>,
+    )> {
+        let avoided = |n: NodeId| avoid.contains(&n);
+        let mut adj: Vec<Vec<LinkId>> = vec![Vec::new(); topo.num_nodes()];
+        let mut tree_nodes = Vec::new();
+        let mut undirected = HashSet::new();
+        let mut add_edge = |l: LinkId, adj: &mut Vec<Vec<LinkId>>, tree_nodes: &mut Vec<NodeId>| {
+            let k = topo.link(l);
+            if !undirected.insert((k.src.min(k.dst), k.src.max(k.dst))) {
+                return false;
+            }
+            for n in [k.src, k.dst] {
+                if adj[n.idx()].is_empty() {
+                    tree_nodes.push(n);
+                }
+            }
+            adj[k.src.idx()].push(l);
+            adj[k.dst.idx()].push(topo.reverse(l));
+            true
+        };
+        let mut edges = 0;
+        let root;
+        if topo.top_level() == 0 {
+            root = topo.host_node(members[0]);
+            add_edge(topo.uplinks(root)[0], &mut adj, &mut tree_nodes);
+            edges += 1;
+        } else {
+            let tops: Vec<NodeId> = topo
+                .switches_at_level(topo.top_level())
+                .into_iter()
+                .filter(|&s| !avoided(s))
+                .collect();
+            if tops.is_empty() {
+                return None;
+            }
+            root = tops[(mix64(group.0 as u64) % tops.len() as u64) as usize];
+            for &m in members {
+                let mut at = root;
+                while !matches!(topo.kind(at), NodeKind::Host(r) if r == m) {
+                    let downs: Vec<LinkId> = topo
+                        .down_toward(at, m)
+                        .filter(|&l| !avoided(topo.link(l).dst))
+                        .collect();
+                    if downs.is_empty() {
+                        return None;
+                    }
+                    let l = downs[(mix64((group.0 as u64) << 32 | m.0 as u64) % downs.len() as u64)
+                        as usize];
+                    if add_edge(l, &mut adj, &mut tree_nodes) {
+                        edges += 1;
+                    }
+                    at = topo.link(l).dst;
+                }
+            }
+        }
+        let mut parent_link = vec![None; topo.num_nodes()];
+        let mut frontier = vec![(root, None::<LinkId>)];
+        while let Some((node, in_link)) = frontier.pop() {
+            let back = in_link.map(|l| topo.reverse(l));
+            for &l in &adj[node.idx()] {
+                if Some(l) != back {
+                    parent_link[topo.link(l).dst.idx()] = Some(topo.reverse(l));
+                    frontier.push((topo.link(l).dst, Some(l)));
+                }
+            }
+        }
+        Some((root, adj, tree_nodes, edges, parent_link))
+    }
+
+    #[test]
+    fn flat_adjacency_builds_the_reference_trees() {
+        let rate = LinkRate::CX3_56G;
+        for topo in [
+            Topology::back_to_back(rate, 100),
+            Topology::single_switch(6, rate, 100),
+            Topology::fat_tree_two_level(8, 2, 2, 1, rate, 100),
+            Topology::fat_tree_two_level(10, 3, 2, 2, rate, 100),
+            Topology::fat_tree_three_level(2, 2, 2, 2, 2, rate, 100),
+            Topology::ucc_testbed(),
+        ] {
+            let p = topo.num_hosts() as u32;
+            let memberships: [Vec<Rank>; 3] = [
+                all_ranks(p),
+                (0..p)
+                    .filter(|&r| r % 3 == 0 || r == p - 1)
+                    .map(Rank)
+                    .collect(),
+                (0..p).rev().step_by(2).map(Rank).collect(),
+            ];
+            let avoids = if topo.num_switches() > 6 {
+                vec![
+                    Vec::new(),
+                    vec![topo.switches_at_level(topo.top_level())[1]],
+                ]
+            } else {
+                avoid_sets(&topo)
+            };
+            for members in memberships.iter().filter(|m| m.len() >= 2) {
+                for avoid in &avoids {
+                    for g in 0..5 {
+                        let group = McastGroupId(g);
+                        let got = McastTree::build_avoiding(&topo, group, members, avoid);
+                        let want = reference_build(&topo, group, members, avoid);
+                        let got = got.map(|t| {
+                            let adj = (0..topo.num_nodes() as u32)
+                                .map(|n| t.adjacent(NodeId(n)).to_vec())
+                                .collect();
+                            (t.root, adj, t.tree_nodes, t.edges, t.parent_link)
+                        });
+                        assert_eq!(got, want, "{} group {g} avoiding {avoid:?}", topo.name());
+                    }
+                }
+            }
         }
     }
 }

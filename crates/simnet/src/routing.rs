@@ -43,9 +43,29 @@ pub fn route(
     salt: u64,
     rng: &mut impl Rng,
 ) -> Vec<LinkId> {
+    let mut path = Vec::with_capacity(6);
+    walk(topo, src, dst, mode, salt, rng, |l| path.push(l));
+    path
+}
+
+/// The longest route [`walk`] can take: it panics as a routing loop
+/// before a descent reaches this many hops.
+pub(crate) const MAX_HOPS: usize = 32;
+
+/// [`route`], handing each link to `push` in order instead of collecting
+/// them — the topology's memo copies a route straight into its shared
+/// `Arc` this way.
+pub(crate) fn walk(
+    topo: &Topology,
+    src: Rank,
+    dst: Rank,
+    mode: RouteMode,
+    salt: u64,
+    rng: &mut impl Rng,
+    mut push: impl FnMut(LinkId),
+) {
     assert_ne!(src, dst, "no self-routes");
     let flow = mix64((src.0 as u64) << 32 | dst.0 as u64).wrapping_add(mix64(salt));
-    let mut path = Vec::with_capacity(6);
     let mut at = topo.host_node(src);
 
     // Ascend until the destination is below us.
@@ -67,12 +87,12 @@ pub fn route(
             RouteMode::Adaptive => rng.random_range(0..ups.len()),
         };
         let l = ups[pick];
-        path.push(l);
+        push(l);
         at = topo.link(l).dst;
         hop += 1;
         // Direct host-to-host cable (back-to-back topology).
         if matches!(topo.kind(at), NodeKind::Host(r) if r == dst) {
-            return path;
+            return;
         }
         assert!(hop < 16, "routing loop ascending from {src} to {dst}");
     }
@@ -85,12 +105,14 @@ pub fn route(
             }
             RouteMode::Adaptive => rng.random_range(0..n),
         });
-        path.push(l);
+        push(l);
         at = topo.link(l).dst;
         hop += 1;
-        assert!(hop < 32, "routing loop descending toward {dst}");
+        assert!(
+            hop < MAX_HOPS as u64,
+            "routing loop descending toward {dst}"
+        );
     }
-    path
 }
 
 /// The link a descent from switch `at` toward `dst`'s host takes at its

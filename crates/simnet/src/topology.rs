@@ -16,15 +16,13 @@
 //! spanning trees live in a memo that every clone of the topology (and
 //! every fabric over an `Arc` of it) reads through.
 
+use crate::hash::{hash_one, FastMap};
 use crate::mcast::McastTree;
 use crate::routing::{self, RouteMode};
 use mcag_verbs::{LinkRate, McastGroupId, Rank};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -84,10 +82,12 @@ struct NodeInfo {
     /// Contiguous interval of ranks reachable strictly below this node.
     /// For hosts this is `[rank, rank+1)`.
     host_range: Range<u32>,
-    /// Directed links leaving this node toward a higher level.
-    uplinks: Vec<LinkId>,
-    /// Directed links leaving this node toward a lower level.
-    downlinks: Vec<LinkId>,
+    /// The directed links leaving this node are
+    /// `Topology::adj[adj_start..adj_end]`: first the ones toward a
+    /// higher level (`n_up` of them), then the ones toward a lower level.
+    adj_start: u32,
+    n_up: u32,
+    adj_end: u32,
 }
 
 /// An immutable network topology.
@@ -103,6 +103,8 @@ pub struct Topology {
     name: String,
     nodes: Vec<NodeInfo>,
     links: Vec<Link>,
+    /// Every node's outgoing links, node by node (see `NodeInfo`).
+    adj: Vec<LinkId>,
     host_of_rank: Vec<NodeId>,
     /// Highest switch level present, fixed when the builder finishes.
     top_level: u8,
@@ -115,26 +117,60 @@ pub struct Topology {
 /// fresh computation would. Values are built outside the locks, so a
 /// build that panics poisons neither; two threads racing on one key
 /// build equal values, and either is kept.
+///
+/// Both maps hash with the fixed multiply-shift hasher of
+/// [`crate::hash`], and both fill lazily: routes are kept only for the
+/// pairs some fabric sent a message between, never as an eager
+/// `P × P` table, which would outweigh everything else a 188-rank
+/// Allgather holds.
 #[derive(Default)]
 struct Derived {
-    /// Deterministic route per `(src, dst)` rank pair.
-    routes: Mutex<HashMap<(u32, u32), Path>>,
+    /// Deterministic route per rank pair, keyed `src << 32 | dst`.
+    routes: Mutex<FastMap<u64, Path>>,
     /// Multicast trees by the fingerprint of their key; a hit compares
     /// the full key, so two keys sharing a fingerprint cost the later
     /// one a rebuild, never a wrong tree.
-    trees: Mutex<HashMap<u64, TreeEntry>>,
+    trees: Mutex<FastMap<u64, TreeEntry>>,
 }
 
 /// A shared route: the directed links from source NIC to destination.
 type Path = Arc<[LinkId]>;
 
-/// One memoized [`McastTree::build_avoiding`] call: its key and result
-/// (`None` when no tree avoids the switches).
-struct TreeEntry {
-    group: McastGroupId,
-    members: Box<[Rank]>,
-    avoid: Box<[NodeId]>,
-    tree: Option<Arc<McastTree>>,
+/// One memoized [`McastTree::build_avoiding`] call: its key and result.
+/// A built tree carries its group and members, so only a failed build
+/// (no tree avoids the switches) stores them beside it.
+enum TreeEntry {
+    Built {
+        avoid: Box<[NodeId]>,
+        tree: Arc<McastTree>,
+    },
+    Failed {
+        group: McastGroupId,
+        members: Box<[Rank]>,
+        avoid: Box<[NodeId]>,
+    },
+}
+
+impl TreeEntry {
+    /// This entry's result, if it was computed for exactly this key.
+    fn answer(
+        &self,
+        group: McastGroupId,
+        members: &[Rank],
+        avoid: &[NodeId],
+    ) -> Option<Option<Arc<McastTree>>> {
+        match self {
+            TreeEntry::Built { avoid: a, tree } => {
+                (tree.group() == group && tree.members() == members && **a == *avoid)
+                    .then(|| Some(Arc::clone(tree)))
+            }
+            TreeEntry::Failed {
+                group: g,
+                members: m,
+                avoid: a,
+            } => (*g == group && **m == *members && **a == *avoid).then_some(None),
+        }
+    }
 }
 
 impl std::fmt::Debug for Derived {
@@ -210,13 +246,15 @@ impl Topology {
     /// Directed uplinks of a node.
     #[inline]
     pub fn uplinks(&self, n: NodeId) -> &[LinkId] {
-        &self.nodes[n.idx()].uplinks
+        let info = &self.nodes[n.idx()];
+        &self.adj[info.adj_start as usize..(info.adj_start + info.n_up) as usize]
     }
 
     /// Directed downlinks of a node.
     #[inline]
     pub fn downlinks(&self, n: NodeId) -> &[LinkId] {
-        &self.nodes[n.idx()].downlinks
+        let info = &self.nodes[n.idx()];
+        &self.adj[(info.adj_start + info.n_up) as usize..info.adj_end as usize]
     }
 
     /// The contiguous rank interval reachable below `n`.
@@ -234,8 +272,7 @@ impl Topology {
     /// The downlinks of `n` that lead toward `rank` (parallel links
     /// included). Empty if `rank` is not below `n`.
     pub fn down_toward(&self, n: NodeId, rank: Rank) -> impl Iterator<Item = LinkId> + Clone + '_ {
-        self.nodes[n.idx()]
-            .downlinks
+        self.downlinks(n)
             .iter()
             .copied()
             .filter(move |&l| self.subtree_contains_or_is(self.links[l.idx()].dst, rank))
@@ -279,14 +316,29 @@ impl Topology {
     /// [`routing::route`] in [`RouteMode::Deterministic`] with salt 0,
     /// computed once per pair.
     pub(crate) fn route(&self, src: Rank, dst: Rank) -> Path {
-        let key = (src.0, dst.0);
+        let key = (src.0 as u64) << 32 | dst.0 as u64;
         if let Some(p) = self.derived.routes.lock().unwrap().get(&key) {
             return Arc::clone(p);
         }
-        // Deterministic mode never consults the generator.
+        // Walk into a stack buffer, so the shared `Arc` is the route's
+        // one allocation. Deterministic mode never consults the
+        // generator.
         let mut unused = StdRng::seed_from_u64(0);
-        let p: Path =
-            routing::route(self, src, dst, RouteMode::Deterministic, 0, &mut unused).into();
+        let mut buf = [LinkId(0); routing::MAX_HOPS];
+        let mut len = 0;
+        routing::walk(
+            self,
+            src,
+            dst,
+            RouteMode::Deterministic,
+            0,
+            &mut unused,
+            |l| {
+                buf[len] = l;
+                len += 1;
+            },
+        );
+        let p: Path = Arc::from(&buf[..len]);
         Arc::clone(self.derived.routes.lock().unwrap().entry(key).or_insert(p))
     }
 
@@ -298,20 +350,23 @@ impl Topology {
         members: &[Rank],
         avoid: &[NodeId],
     ) -> Option<Arc<McastTree>> {
-        let mut h = DefaultHasher::new();
-        (group, members, avoid).hash(&mut h);
-        let fp = h.finish();
+        let fp = hash_one(&(group, members, avoid));
         if let Some(e) = self.derived.trees.lock().unwrap().get(&fp) {
-            if e.group == group && *e.members == *members && *e.avoid == *avoid {
-                return e.tree.clone();
+            if let Some(answer) = e.answer(group, members, avoid) {
+                return answer;
             }
         }
         let tree = McastTree::build_avoiding(self, group, members, avoid).map(Arc::new);
-        let entry = TreeEntry {
-            group,
-            members: members.into(),
-            avoid: avoid.into(),
-            tree: tree.clone(),
+        let entry = match &tree {
+            Some(tree) => TreeEntry::Built {
+                avoid: avoid.into(),
+                tree: Arc::clone(tree),
+            },
+            None => TreeEntry::Failed {
+                group,
+                members: members.into(),
+                avoid: avoid.into(),
+            },
         };
         self.derived.trees.lock().unwrap().insert(fp, entry);
         tree
@@ -480,6 +535,9 @@ struct Builder {
     name: String,
     nodes: Vec<NodeInfo>,
     links: Vec<Link>,
+    /// Per link: true if it is an uplink of its source node, false if a
+    /// downlink. `finish` lays every node's lists out from this.
+    up: Vec<bool>,
 }
 
 impl Builder {
@@ -488,74 +546,55 @@ impl Builder {
             name: name.into(),
             nodes: Vec::new(),
             links: Vec::new(),
+            up: Vec::new(),
         }
     }
 
-    fn add_host(&mut self, rank: Rank) -> NodeId {
+    fn add_node(&mut self, kind: NodeKind, host_range: Range<u32>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeInfo {
-            kind: NodeKind::Host(rank),
-            host_range: rank.0..rank.0 + 1,
-            uplinks: Vec::new(),
-            downlinks: Vec::new(),
+            kind,
+            host_range,
+            adj_start: 0,
+            n_up: 0,
+            adj_end: 0,
         });
         id
     }
 
+    fn add_host(&mut self, rank: Rank) -> NodeId {
+        self.add_node(NodeKind::Host(rank), rank.0..rank.0 + 1)
+    }
+
     fn add_switch(&mut self, level: u8, host_range: Range<u32>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeInfo {
-            kind: NodeKind::Switch { level },
-            host_range,
-            uplinks: Vec::new(),
-            downlinks: Vec::new(),
+        self.add_node(NodeKind::Switch { level }, host_range)
+    }
+
+    fn add_link(&mut self, src: NodeId, dst: NodeId, rate: LinkRate, prop_delay_ns: u64, up: bool) {
+        self.links.push(Link {
+            src,
+            dst,
+            rate,
+            prop_delay_ns,
         });
-        id
+        self.up.push(up);
     }
 
     /// Add a full-duplex cable between `lo` (lower level) and `hi`
     /// (higher level) as two directed links.
     fn connect(&mut self, lo: NodeId, hi: NodeId, rate: LinkRate, prop_delay_ns: u64) {
-        let up = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            src: lo,
-            dst: hi,
-            rate,
-            prop_delay_ns,
-        });
-        let down = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            src: hi,
-            dst: lo,
-            rate,
-            prop_delay_ns,
-        });
-        self.nodes[lo.idx()].uplinks.push(up);
-        self.nodes[hi.idx()].downlinks.push(down);
+        self.add_link(lo, hi, rate, prop_delay_ns, true);
+        self.add_link(hi, lo, rate, prop_delay_ns, false);
     }
 
     /// Wire two hosts directly (back-to-back): both directed links are
     /// registered as the *uplink* of their transmitting host.
     fn connect_peers(&mut self, a: NodeId, b: NodeId, rate: LinkRate, prop_delay_ns: u64) {
-        let ab = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            src: a,
-            dst: b,
-            rate,
-            prop_delay_ns,
-        });
-        let ba = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            src: b,
-            dst: a,
-            rate,
-            prop_delay_ns,
-        });
-        self.nodes[a.idx()].uplinks.push(ab);
-        self.nodes[b.idx()].uplinks.push(ba);
+        self.add_link(a, b, rate, prop_delay_ns, true);
+        self.add_link(b, a, rate, prop_delay_ns, true);
     }
 
-    fn finish(self, host_nodes: Vec<NodeId>) -> Topology {
+    fn finish(mut self, host_nodes: Vec<NodeId>) -> Topology {
         let mut host_of_rank: Vec<(Rank, NodeId)> = host_nodes
             .into_iter()
             .map(|n| match self.nodes[n.idx()].kind {
@@ -576,10 +615,37 @@ impl Builder {
             })
             .max()
             .unwrap_or(0);
+        // Lay the outgoing links out node by node — uplinks, then
+        // downlinks, each in the order they were wired.
+        for (l, &up) in self.links.iter().zip(&self.up) {
+            let info = &mut self.nodes[l.src.idx()];
+            info.adj_end += 1;
+            info.n_up += up as u32;
+        }
+        let mut next = 0;
+        for info in &mut self.nodes {
+            info.adj_start = next;
+            next += info.adj_end;
+            info.adj_end = next;
+        }
+        let mut adj = vec![LinkId(0); self.links.len()];
+        // Per node: the next free uplink and downlink position.
+        let mut cursor: Vec<(u32, u32)> = self
+            .nodes
+            .iter()
+            .map(|n| (n.adj_start, n.adj_start + n.n_up))
+            .collect();
+        for (i, (l, &up)) in self.links.iter().zip(&self.up).enumerate() {
+            let c = &mut cursor[l.src.idx()];
+            let at = if up { &mut c.0 } else { &mut c.1 };
+            adj[*at as usize] = LinkId(i as u32);
+            *at += 1;
+        }
         Topology {
             name: self.name,
             nodes: self.nodes,
             links: self.links,
+            adj,
             host_of_rank: host_of_rank.into_iter().map(|(_, n)| n).collect(),
             top_level,
             derived: Arc::default(),
@@ -588,15 +654,72 @@ impl Builder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// No switch, every switch alone and, on small fabrics, every pair
+    /// of switches.
+    pub(crate) fn avoid_sets(topo: &Topology) -> Vec<Vec<NodeId>> {
+        let switches: Vec<NodeId> = (1..=topo.top_level())
+            .flat_map(|lvl| topo.switches_at_level(lvl))
+            .collect();
+        let mut sets = vec![Vec::new()];
+        for (i, &a) in switches.iter().enumerate() {
+            sets.push(vec![a]);
+            if switches.len() <= 8 {
+                sets.extend(switches[i + 1..].iter().map(|&b| vec![a, b]));
+            }
+        }
+        sets
+    }
+
+    /// Every pair's memoized route is the deterministic route, every
+    /// memoized tree (over all ranks and over every other rank, around
+    /// each of `avoid_sets`) is what a fresh build makes, and a clone of
+    /// the topology answers from the same memo.
+    fn assert_memo_is_fresh(topo: &Topology) {
+        let clone = topo.clone();
+        let mut rng = StdRng::seed_from_u64(0);
+        let p = topo.num_hosts() as u32;
+        for (s, d) in (0..p).flat_map(|s| (0..p).map(move |d| (Rank(s), Rank(d)))) {
+            if s == d {
+                continue;
+            }
+            let memo = topo.route(s, d);
+            let fresh = routing::route(topo, s, d, RouteMode::Deterministic, 0, &mut rng);
+            assert_eq!(&*memo, &fresh[..], "{} route {s} -> {d}", topo.name());
+            assert!(Arc::ptr_eq(&memo, &clone.route(s, d)));
+        }
+        let all: Vec<Rank> = (0..p).map(Rank).collect();
+        let every_other: Vec<Rank> = (0..p).step_by(2).map(Rank).collect();
+        for members in [all, every_other].iter().filter(|m| m.len() >= 2) {
+            for avoid in avoid_sets(topo) {
+                for g in (0..3).map(McastGroupId) {
+                    let memo = topo.mcast_tree(g, members, &avoid);
+                    let fresh = McastTree::build_avoiding(topo, g, members, &avoid);
+                    assert_eq!(
+                        memo.as_deref(),
+                        fresh.as_ref(),
+                        "{} {g:?} avoiding {avoid:?}",
+                        topo.name()
+                    );
+                    match (memo, clone.mcast_tree(g, members, &avoid)) {
+                        (Some(a), Some(b)) => assert!(Arc::ptr_eq(&a, &b)),
+                        (None, None) => {}
+                        _ => panic!("a clone answered differently"),
+                    }
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Every memoized route is the deterministic route, and a clone
-        /// of the topology answers from the same memo.
+        /// The memo returns exactly what routing and tree building
+        /// compute — every route and every tree, around dead switches
+        /// too — on random stars and two-level fat trees.
         #[test]
         fn memoized_routes_are_the_deterministic_routes(
             star in 2usize..12,
@@ -604,24 +727,40 @@ mod tests {
         ) {
             let (hosts, leaves, spines, rails) = two_level;
             let rate = LinkRate::CX3_56G;
-            for topo in [
-                Topology::single_switch(star, rate, 100),
-                Topology::fat_tree_two_level(hosts, leaves.min(hosts), spines, rails, rate, 100),
-            ] {
-                let clone = topo.clone();
-                let mut rng = StdRng::seed_from_u64(0);
-                let p = topo.num_hosts() as u32;
-                for (s, d) in (0..p).flat_map(|s| (0..p).map(move |d| (Rank(s), Rank(d)))) {
-                    if s == d {
-                        continue;
-                    }
-                    let memo = topo.route(s, d);
-                    let fresh = routing::route(&topo, s, d, RouteMode::Deterministic, 0, &mut rng);
-                    prop_assert_eq!(&*memo, &fresh[..]);
-                    prop_assert!(Arc::ptr_eq(&memo, &clone.route(s, d)));
-                }
-            }
+            assert_memo_is_fresh(&Topology::single_switch(star, rate, 100));
+            assert_memo_is_fresh(&Topology::fat_tree_two_level(
+                hosts,
+                leaves.min(hosts),
+                spines,
+                rails,
+                rate,
+                100,
+            ));
         }
+    }
+
+    #[test]
+    fn memo_is_fresh_on_every_pair_of_the_benchmark_topologies() {
+        let rate = LinkRate::CX3_56G;
+        assert_memo_is_fresh(&Topology::single_switch(4, rate, 100));
+        assert_memo_is_fresh(&Topology::fat_tree_two_level(8, 2, 2, 1, rate, 100));
+        assert_memo_is_fresh(&Topology::ucc_testbed());
+    }
+
+    #[test]
+    fn flat_adjacency_keeps_wiring_order() {
+        let t = Topology::ucc_testbed();
+        for n in (0..t.num_nodes() as u32).map(NodeId) {
+            let (ups, downs) = (t.uplinks(n), t.downlinks(n));
+            assert!(ups.windows(2).all(|w| w[0] < w[1]) && downs.windows(2).all(|w| w[0] < w[1]));
+            assert!(ups.iter().chain(downs).all(|&l| t.link(l).src == n));
+            assert!(ups.iter().all(|&l| t.level(t.link(l).dst) > t.level(n)));
+            assert!(downs.iter().all(|&l| t.level(t.link(l).dst) < t.level(n)));
+        }
+        let wired: usize = (0..t.num_nodes() as u32)
+            .map(|n| t.uplinks(NodeId(n)).len() + t.downlinks(NodeId(n)).len())
+            .sum();
+        assert_eq!(wired, t.num_links());
     }
 
     #[test]

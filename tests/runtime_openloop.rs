@@ -5,12 +5,13 @@
 //! on closed-loop inputs.
 
 use mcast_allgather::core::ProtocolConfig;
+use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::runtime::{
     merge_arrivals, nccl_style_trace, AdmissionPolicy, Arrival, JobId, JobKind, JobQueue, JobSpec,
-    OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, RuntimeReport, TenantId, TraceSpec,
-    Workload,
+    MemoStats, OpMix, PoolConfig, RateProcess, ReactivePolicy, Runtime, RuntimeConfig,
+    RuntimeReport, TenantId, TraceSpec, Workload,
 };
-use mcast_allgather::simnet::Topology;
+use mcast_allgather::simnet::{LinkSchedule, Topology};
 use mcast_allgather::verbs::{LinkRate, Rank};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -303,4 +304,146 @@ proptest! {
         }
         prop_assert!(indexed.is_empty());
     }
+}
+
+/// Replay counters of the benchmark's two batch-heavy cell shapes: the
+/// `load_ladder` knee cell (16 tenants on a 4-host switch, 2 partitions,
+/// pool 32) at its three offered rates, and the `recovery` cells (6
+/// tenants on an 8-host fat tree under switch failures or flapping
+/// ports), one stream each.
+fn ladder_and_recovery_memo_stats() -> Vec<MemoStats> {
+    let mut stats = Vec::new();
+    let ladder_mix = OpMix {
+        allgather_weight: 2,
+        broadcast_weight: 1,
+        agrs_weight: 1,
+        min_send_len: 8 << 10,
+        max_send_len: 32 << 10,
+        ranks: 4,
+    };
+    for (seed, mean_ns) in [(1, 80_000), (2, 20_000), (3, 5_000)] {
+        let mut rt = Runtime::new(
+            Topology::single_switch(4, LinkRate::CX3_56G, 100),
+            RuntimeConfig {
+                pool: PoolConfig::with_capacity(32),
+                max_inflight: 8,
+                partitions: 2,
+                ..RuntimeConfig::default()
+            },
+        );
+        for i in 0..16 {
+            rt.register_tenant(&format!("t{i}"));
+        }
+        rt.load_arrivals(
+            &Workload {
+                tenants: 16,
+                horizon_ns: mean_ns * 600,
+                rate: RateProcess::Poisson {
+                    mean_interarrival_ns: mean_ns,
+                },
+                mix: ladder_mix,
+                seed,
+            }
+            .generate(),
+        );
+        rt.run_open_loop();
+        stats.push(rt.memo_stats());
+    }
+    let topo = || Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+    let shapes = [
+        (
+            2,
+            FaultModel::SwitchFailure {
+                switches: 2,
+                start_ns: 2_000,
+                downtime_ns: 5_000_000,
+            },
+            true,
+        ),
+        (
+            1,
+            FaultModel::SwitchFailure {
+                switches: 1,
+                start_ns: 2_000,
+                downtime_ns: 5_000_000,
+            },
+            true,
+        ),
+        (
+            1,
+            FaultModel::FlappingPort {
+                fraction: 0.3,
+                period_ns: 40_000,
+                down_ns: 30_000,
+                start_ns: 0,
+                end_ns: 8_000_000,
+            },
+            false,
+        ),
+    ];
+    for (seed, (partitions, model, reactive)) in shapes.into_iter().enumerate() {
+        let hazard = FaultPlan::new(seed as u64).with(model).compile(&topo());
+        let mut partition_faults = vec![hazard];
+        partition_faults.resize(partitions, LinkSchedule::empty());
+        let mut rt = Runtime::new(
+            topo(),
+            RuntimeConfig {
+                pool: PoolConfig::with_capacity(32),
+                max_inflight: 4,
+                partitions,
+                partition_faults,
+                reactive: reactive.then(ReactivePolicy::default),
+                watchdog_cutoffs: 8,
+                ..RuntimeConfig::default()
+            },
+        );
+        for i in 0..6 {
+            rt.register_tenant(&format!("t{i}"));
+        }
+        rt.load_arrivals(
+            &Workload {
+                tenants: 6,
+                horizon_ns: 600_000 * 24,
+                rate: RateProcess::Poisson {
+                    mean_interarrival_ns: 600_000,
+                },
+                mix: OpMix {
+                    allgather_weight: 2,
+                    broadcast_weight: 1,
+                    agrs_weight: 1,
+                    min_send_len: 4 << 10,
+                    max_send_len: 16 << 10,
+                    ranks: 8,
+                },
+                seed: 100 + seed as u64,
+            }
+            .generate(),
+        );
+        rt.run_open_loop();
+        stats.push(rt.memo_stats());
+    }
+    stats
+}
+
+#[test]
+fn memo_counts_are_the_recorded_ones() {
+    // Recorded while the memo fingerprinted shapes with SipHash: the
+    // multiply-shift fingerprint must find the same shapes, admit the
+    // same outcomes and replay the same batches.
+    let stats = ladder_and_recovery_memo_stats();
+    // (hits, misses, cached, seen) per cell: the ladder at x0.5, x2
+    // and x8, then the three recovery shapes.
+    let recorded = [
+        (455, 76, 33, 43),
+        (270, 133, 34, 99),
+        (1, 91, 2, 89),
+        (6, 18, 6, 12),
+        (6, 16, 4, 12),
+        (4, 17, 3, 14),
+    ];
+    let got: Vec<(u64, u64, usize, usize)> = stats
+        .iter()
+        .map(|s| (s.hits, s.misses, s.cached, s.seen))
+        .collect();
+    assert_eq!(got, recorded);
 }
