@@ -319,7 +319,7 @@ mod tests {
         let n = 1 << 20;
         let mut times = Vec::new();
         for sched in [
-            binomial_broadcast(p, Rank(0), n),
+            knomial_broadcast(p, Rank(0), n, 2),
             knomial_broadcast(p, Rank(0), n, 4),
             binary_tree_broadcast(p, Rank(0), n),
         ] {
@@ -335,31 +335,6 @@ mod tests {
             times[2],
             times[0]
         );
-    }
-
-    #[test]
-    fn linear_vs_ring_traffic_equal_but_linear_has_one_step() {
-        let p = 6u32;
-        let n = 32 << 10;
-        let ring = run_p2p(
-            star(p as usize),
-            FabricConfig::ideal(),
-            ring_allgather(p, n),
-            16 << 10,
-        );
-        let lin = run_p2p(
-            star(p as usize),
-            FabricConfig::ideal(),
-            linear_allgather(p, n),
-            16 << 10,
-        );
-        // Same total data movement (P2P Allgather moves N(P-1) per rank
-        // regardless of schedule).
-        assert_eq!(
-            ring.traffic.total_data_bytes(),
-            lin.traffic.total_data_bytes()
-        );
-        assert!(ring.stats.all_done() && lin.stats.all_done());
     }
 
     #[test]
@@ -387,21 +362,5 @@ mod tests {
             t_both as f64 > t_alone as f64 * 1.5,
             "contention missing: alone {t_alone}, both {t_both}"
         );
-    }
-
-    #[test]
-    fn recursive_doubling_faster_than_ring_for_small() {
-        let p = 16u32;
-        let n = 4 << 10;
-        let cfg = FabricConfig::ucc_default();
-        let ring = run_p2p(star(p as usize), cfg.clone(), ring_allgather(p, n), 4096);
-        let rd = run_p2p(
-            star(p as usize),
-            cfg,
-            recursive_doubling_allgather(p, n),
-            4096,
-        );
-        // log(P) rounds beat P-1 rounds at small sizes.
-        assert!(rd.flow_completion_ns(0) < ring.flow_completion_ns(0));
     }
 }

@@ -96,105 +96,6 @@ pub fn ring_allgather(p: u32, n: usize) -> Vec<Schedule> {
         .collect()
 }
 
-/// Linear Allgather: every rank sends its block directly to every other
-/// rank in one step — the `Ω(N·(P−1))` send-path extreme of Insight 1.
-pub fn linear_allgather(p: u32, n: usize) -> Vec<Schedule> {
-    assert!(p >= 2);
-    (0..p)
-        .map(|r| {
-            let sends = (0..p)
-                .filter(|&d| d != r)
-                .map(|d| SendOp {
-                    dst: Rank(d),
-                    bytes: n,
-                    blocks: vec![r],
-                })
-                .collect();
-            let recvs = (0..p)
-                .filter(|&s| s != r)
-                .map(|s| RecvOp {
-                    src: Rank(s),
-                    bytes: n,
-                    blocks: vec![s],
-                })
-                .collect();
-            Schedule {
-                steps: vec![Step { sends, recvs }],
-            }
-        })
-        .collect()
-}
-
-/// Recursive-doubling Allgather: `log2 P` exchange steps, doubling the
-/// payload each step. Requires a power-of-two rank count.
-pub fn recursive_doubling_allgather(p: u32, n: usize) -> Vec<Schedule> {
-    assert!(p >= 2 && p.is_power_of_two(), "p must be a power of two");
-    (0..p)
-        .map(|r| {
-            let mut steps = Vec::new();
-            let mut held: Vec<u32> = vec![r];
-            let mut dist = 1u32;
-            while dist < p {
-                let peer = r ^ dist;
-                // Blocks the peer holds at this point mirror ours.
-                let peer_held: Vec<u32> = held.iter().map(|b| b ^ dist).collect();
-                steps.push(Step {
-                    sends: vec![SendOp {
-                        dst: Rank(peer),
-                        bytes: n * held.len(),
-                        blocks: held.clone(),
-                    }],
-                    recvs: vec![RecvOp {
-                        src: Rank(peer),
-                        bytes: n * peer_held.len(),
-                        blocks: peer_held.clone(),
-                    }],
-                });
-                held.extend(peer_held);
-                dist <<= 1;
-            }
-            Schedule { steps }
-        })
-        .collect()
-}
-
-/// Bruck Allgather: `⌈log2 P⌉` steps for arbitrary `P`; step `k` sends
-/// `min(2^k, P − 2^k)` blocks to `(rank − 2^k) mod P`.
-pub fn bruck_allgather(p: u32, n: usize) -> Vec<Schedule> {
-    assert!(p >= 2);
-    (0..p)
-        .map(|r| {
-            let mut steps = Vec::new();
-            let mut have = 1u32; // blocks r, r+1, …, r+have−1 (mod p)
-            let mut k = 0u32;
-            while have < p {
-                let send_cnt = have.min(p - have);
-                let dst = Rank((r + p - (1 << k) % p) % p);
-                let src = Rank((r + (1 << k)) % p);
-                // We send our first `send_cnt` held blocks; we receive the
-                // blocks starting at r+have.
-                let send_blocks: Vec<u32> = (0..send_cnt).map(|i| (r + i) % p).collect();
-                let recv_blocks: Vec<u32> = (0..send_cnt).map(|i| (r + have + i) % p).collect();
-                steps.push(Step {
-                    sends: vec![SendOp {
-                        dst,
-                        bytes: n * send_cnt as usize,
-                        blocks: send_blocks,
-                    }],
-                    recvs: vec![RecvOp {
-                        src,
-                        bytes: n * send_cnt as usize,
-                        blocks: recv_blocks,
-                    }],
-                });
-                have += send_cnt;
-                k += 1;
-            }
-            Schedule { steps }
-        })
-        .collect()
-}
-
 /// Generic k-nomial tree broadcast. With `k = 2` this is the binomial
 /// tree. The root sends to `k − 1` children per round; subtree sizes
 /// shrink by `k` each round.
@@ -264,11 +165,6 @@ pub fn knomial_broadcast(p: u32, root: Rank, n: usize, k: u32) -> Vec<Schedule> 
             Schedule { steps }
         })
         .collect()
-}
-
-/// Binomial tree broadcast (`k = 2`).
-pub fn binomial_broadcast(p: u32, root: Rank, n: usize) -> Vec<Schedule> {
-    knomial_broadcast(p, root, n, 2)
 }
 
 /// Plain binary tree broadcast: node `v` (virtual) has children `2v+1`
@@ -635,46 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn linear_allgather_semantics() {
-        for p in [2u32, 4, 9] {
-            let s = linear_allgather(p, 500);
-            validate_allgather(&s, p).unwrap();
-            assert_eq!(s[0].steps.len(), 1);
-        }
-    }
-
-    #[test]
-    fn recursive_doubling_semantics() {
-        for p in [2u32, 4, 8, 16, 32] {
-            let s = recursive_doubling_allgather(p, 100);
-            validate_allgather(&s, p).unwrap();
-            assert_eq!(s[0].steps.len(), (p as f64).log2() as usize);
-            // Total volume matches ring.
-            assert_eq!(s[0].total_send_bytes(), 100 * (p as usize - 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn recursive_doubling_rejects_odd() {
-        recursive_doubling_allgather(6, 100);
-    }
-
-    #[test]
-    fn bruck_semantics_any_p() {
-        for p in [2u32, 3, 5, 6, 7, 12, 31] {
-            let s = bruck_allgather(p, 100);
-            validate_allgather(&s, p).unwrap();
-            assert_eq!(s[0].steps.len(), (p as f64).log2().ceil() as usize);
-            assert_eq!(s[0].total_send_bytes(), 100 * (p as usize - 1));
-        }
-    }
-
-    #[test]
     fn binomial_broadcast_semantics() {
         for p in [2u32, 3, 8, 13, 188] {
             for root in [0u32, 1, p - 1] {
-                let s = binomial_broadcast(p, Rank(root), 100);
+                let s = knomial_broadcast(p, Rank(root), 100, 2);
                 validate_broadcast(&s, p, Rank(root)).unwrap();
             }
         }
@@ -705,7 +565,7 @@ mod tests {
         let root_sends: usize = s[0].steps.iter().map(|st| st.sends.len()).sum();
         assert_eq!(root_sends, 6, "3 rounds x 2 children");
         // Binomial root on 188: ceil(log2 188) = 8 sends.
-        let s = binomial_broadcast(188, Rank(0), 100);
+        let s = knomial_broadcast(188, Rank(0), 100, 2);
         let root_sends: usize = s[0].steps.iter().map(|st| st.sends.len()).sum();
         assert_eq!(root_sends, 8);
     }
@@ -763,7 +623,7 @@ mod tests {
 
     #[test]
     fn broadcast_leaf_has_single_recv_step() {
-        let s = binomial_broadcast(8, Rank(0), 64);
+        let s = knomial_broadcast(8, Rank(0), 64, 2);
         // Rank 7 (virtual 7) is a leaf of the binomial tree.
         let leaf = &s[7];
         assert_eq!(leaf.steps.len(), 1);

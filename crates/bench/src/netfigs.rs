@@ -266,8 +266,9 @@ pub fn fig11(jobs: usize) -> FigData {
 }
 
 /// Fig. 12: switch port counters across the 18 switches, 64 KiB messages,
-/// 10 iterations. Each `(algorithm, iteration)` is an independent
-/// simulation, fanned out over `jobs` workers.
+/// summed over 10 iterations. The fabric draws no randomness, so every
+/// iteration of a series is the same run: each series is simulated once,
+/// fanned out over `jobs` workers, and its counters scaled by `iters`.
 pub fn fig12(jobs: usize) -> FigData {
     let mut f = FigData::new(
         "fig12",
@@ -281,13 +282,10 @@ pub fn fig12(jobs: usize) -> FigData {
     );
     let p = 188u32;
     let n = 64usize << 10;
-    let iters = 10usize;
+    let iters = 10u64;
     let root = Rank(0);
     let seg = seg_for(n);
 
-    // One job per (series, iteration): 4 series x `iters` independent
-    // simulations, each returning its switch-port byte count. Per-iter
-    // seeds match `des::run_iterations` (base seed + iteration).
     #[derive(Clone, Copy)]
     enum Series {
         McastBcast,
@@ -295,22 +293,17 @@ pub fn fig12(jobs: usize) -> FigData {
         P2pBcast,
         P2pAg,
     }
-    let mut sims = Vec::new();
-    for series in [
+    let sims = [
         Series::McastBcast,
         Series::McastAg,
         Series::P2pBcast,
         Series::P2pAg,
-    ] {
-        for i in 0..iters {
-            sims.push((series, i));
-        }
-    }
-    let bytes = par_map(jobs, &sims, |&(series, i)| {
-        let mut cfg = FabricConfig::ucc_default();
-        cfg.seed = cfg.seed.wrapping_add(i as u64);
+    ];
+    let bytes = par_map(jobs, &sims, |&series| {
+        let cfg = FabricConfig::ucc_default();
+        assert!(!cfg.uses_rng(), "iterations would differ by seed");
         let topo = Topology::ucc_testbed();
-        match series {
+        let one = match series {
             Series::McastBcast => des::run_collective(
                 topo,
                 cfg,
@@ -331,11 +324,10 @@ pub fn fig12(jobs: usize) -> FigData {
             Series::P2pAg => run_p2p(topo, cfg, ring_allgather(p, n), seg)
                 .traffic
                 .switch_port_rxtx_bytes(&Topology::ucc_testbed()),
-        }
+        };
+        one * iters
     });
-    let series_sum = |s: usize| -> u64 { bytes[s * iters..(s + 1) * iters].iter().sum() };
-    let (bc_mc, ag_mc, bc_p2p, ag_p2p) =
-        (series_sum(0), series_sum(1), series_sum(2), series_sum(3));
+    let (bc_mc, ag_mc, bc_p2p, ag_p2p) = (bytes[0], bytes[1], bytes[2], bytes[3]);
 
     f.row(vec![
         "Broadcast".into(),

@@ -170,14 +170,6 @@ impl Obj {
         self.scalar(key, format!("{v:.decimals$}"))
     }
 
-    /// [`Obj::float`], or `null` for `None`.
-    pub fn float_or_null(self, key: &'static str, v: Option<f64>, decimals: usize) -> Obj {
-        match v {
-            Some(v) => self.float(key, v, decimals),
-            None => self.null(key),
-        }
-    }
-
     /// A boolean field.
     pub fn bool(self, key: &'static str, v: bool) -> Obj {
         self.scalar(key, v.to_string())
@@ -283,12 +275,7 @@ mod tests {
             .ints("jobs_compared", &[1, 4])
             .gate("results_identical", true)
             .rows("passes", [row(1, 1.0), row(4, 2.0)])
-            .blocks(
-                "scenarios",
-                [Obj::new()
-                    .str("name", "a")
-                    .float_or_null("speedup", None, 3)],
-            )
+            .blocks("scenarios", [Obj::new().str("name", "a").null("speedup")])
             .obj("nested", Obj::new().int("bytes", 10).rows("empty", []));
         let json = doc.render();
         assert_eq!(

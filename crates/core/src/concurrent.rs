@@ -162,8 +162,7 @@ impl RankApp<ControlMsg> for RsApp {
         match self.reduce_group {
             // One sweep request for all of them.
             Some(g) => ctx.post_inc_sweep(self.qp, g, 0..self.p, self.qp, seg(0)),
-            // One message per shard: each resolves its route when posted,
-            // so adaptive routing draws from the RNG in post order.
+            // One message per shard.
             None => {
                 for shard in (0..self.p).filter(|&s| s != self.me.0) {
                     ctx.post_unicast_message(Rank(shard), self.qp, seg(shard));

@@ -252,26 +252,6 @@ pub fn run_collective_bounded(
     }
 }
 
-/// Run `iters` iterations (fresh fabric each time, as OSU does between
-/// iterations), returning all outcomes. Traffic accumulates naturally by
-/// summing the reports.
-pub fn run_iterations(
-    mk_topo: impl Fn() -> Topology,
-    fabric_cfg: FabricConfig,
-    proto: ProtocolConfig,
-    kind: CollectiveKind,
-    send_len: usize,
-    iters: usize,
-) -> Vec<CollectiveOutcome> {
-    (0..iters)
-        .map(|i| {
-            let mut cfg = fabric_cfg.clone();
-            cfg.seed = fabric_cfg.seed.wrapping_add(i as u64);
-            run_collective(mk_topo(), cfg, proto, kind, send_len)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,24 +368,6 @@ mod tests {
         assert!(out.stats.all_done(), "recovery failed: {:?}", out.stats);
         assert!(out.fabric_drops > 0, "seed produced no drops");
         assert!(out.total_fetched() > 0);
-    }
-
-    #[test]
-    fn iterations_are_independent() {
-        let outs = run_iterations(
-            || star(4),
-            FabricConfig::ucc_default(),
-            ProtocolConfig::default(),
-            CollectiveKind::Allgather,
-            16 << 10,
-            3,
-        );
-        assert_eq!(outs.len(), 3);
-        for o in &outs {
-            assert!(o.stats.all_done());
-        }
-        // Lossless, deterministic: identical completion times.
-        assert_eq!(outs[0].completion_ns(), outs[1].completion_ns());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod staging;
 pub use bitmap::ChunkBitmap;
 pub use concurrent::{run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, RsApp};
 pub use config::ProtocolConfig;
-pub use des::{cutoff_ns, run_collective, run_iterations, CollectiveOutcome};
+pub use des::{cutoff_ns, run_collective, CollectiveOutcome};
 pub use msg::ControlMsg;
 pub use multicomm::{run_concurrent_allgathers, CommSlot, MultiCommApp, MultiCommOutcome};
 pub use plan::{CollectiveKind, CollectivePlan};

@@ -50,11 +50,6 @@ impl StagingRing {
         }
     }
 
-    /// The 4 MiB / 200 Gbit/s configuration the paper found practical.
-    pub fn practical_200g() -> StagingRing {
-        StagingRing::new((4 << 20) / Mtu::IB_4K.bytes(), Mtu::IB_4K)
-    }
-
     /// Number of slots.
     pub fn depth(&self) -> usize {
         self.slots.len()
@@ -250,8 +245,6 @@ mod tests {
 
     #[test]
     fn paper_memory_budget() {
-        let ring = StagingRing::practical_200g();
-        assert_eq!(ring.memory_bytes(), 4 << 20);
         // Maximum configuration: RQ depth 8192 x 4 KiB = 32 MiB.
         let max = StagingRing::new(8192, Mtu::IB_4K);
         assert_eq!(max.memory_bytes(), 32 << 20);

@@ -22,12 +22,6 @@
 //! * [`FaultModel::SwitchFailure`] — whole switches go dark (every
 //!   attached link down, both directions) and recover after a fixed
 //!   outage.
-//! * [`FaultModel::CorrelatedFailure`] — one seeded *physical* event
-//!   strikes a shared-risk link group ([`SrlgKind`]): a cable bundle, a
-//!   switch chassis, or a rack. Every member link of the struck group
-//!   goes down together — the correlated-failure regime real clusters
-//!   see (a cut conduit, a failed PSU, a rack power event), replacing
-//!   the independent victim draws of the per-link models.
 //!
 //! ## Determinism contract
 //!
@@ -45,35 +39,6 @@ use mcag_simnet::topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// A shared-risk link group family: which physical structure fails as a
-/// unit when a correlated event strikes. Groups are derived from the
-/// topology by [`srlg_groups`]; [`FaultModel::CorrelatedFailure`] draws
-/// whole groups instead of independent links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SrlgKind {
-    /// All parallel cables between one adjacent switch pair (they run
-    /// through the same conduit, so a cut severs every rail at once).
-    /// One group per switch-switch adjacency, both directions included.
-    CableBundle,
-    /// Every link attached to one switch (a chassis-level failure:
-    /// PSU, fan tray, firmware wedge). One group per switch, any level.
-    SwitchChassis,
-    /// A rack power domain: every link of one leaf switch plus every
-    /// link of the hosts beneath it. One group per leaf-level switch.
-    Rack,
-}
-
-impl SrlgKind {
-    /// Short display label ("cable-bundle", "switch-chassis", "rack").
-    pub fn label(self) -> &'static str {
-        match self {
-            SrlgKind::CableBundle => "cable-bundle",
-            SrlgKind::SwitchChassis => "switch-chassis",
-            SrlgKind::Rack => "rack",
-        }
-    }
-}
 
 /// One composable failure process. See the crate docs for the physical
 /// interpretation of each variant.
@@ -121,20 +86,6 @@ pub enum FaultModel {
         /// Number of switches taken down.
         switches: u32,
         /// Outage start (simulated ns).
-        start_ns: u64,
-        /// Outage length (simulated ns).
-        downtime_ns: u64,
-    },
-    /// `events` correlated physical events, each striking one random
-    /// shared-risk link group of `kind`: every member link of a struck
-    /// group goes down at `start_ns` and recovers together at
-    /// `start_ns + downtime_ns`. Groups are drawn without replacement.
-    CorrelatedFailure {
-        /// Which physical structure fails as a unit.
-        kind: SrlgKind,
-        /// Number of distinct groups struck.
-        events: u32,
-        /// Event start (simulated ns).
         start_ns: u64,
         /// Outage length (simulated ns).
         downtime_ns: u64,
@@ -242,55 +193,6 @@ fn links_of(topo: &Topology, node: NodeId) -> Vec<LinkId> {
         .collect()
 }
 
-/// Derive the shared-risk link groups of `kind` from `topo`: every
-/// group is the set of directed links one physical event downs together.
-/// Groups are returned in a canonical order (ascending lowest member
-/// link id) with members sorted by link id, so the victim draw of
-/// [`FaultModel::CorrelatedFailure`] is a pure function of the RNG
-/// state — the same determinism contract the per-link models obey.
-pub fn srlg_groups(topo: &Topology, kind: SrlgKind) -> Vec<Vec<LinkId>> {
-    let mut groups: Vec<Vec<LinkId>> = match kind {
-        SrlgKind::CableBundle => {
-            // One bundle per adjacent switch pair: all parallel rails
-            // between the two chassis, both directions of each cable.
-            let mut bundles: std::collections::BTreeMap<(u32, u32), Vec<LinkId>> =
-                std::collections::BTreeMap::new();
-            for id in 0..topo.num_links() as u32 {
-                let l = LinkId(id);
-                let lk = topo.link(l);
-                if topo.level(lk.src) == 0 || topo.level(lk.dst) == 0 {
-                    continue; // host cables are rack-domain, not bundle
-                }
-                let key = (lk.src.0.min(lk.dst.0), lk.src.0.max(lk.dst.0));
-                bundles.entry(key).or_default().push(l);
-            }
-            bundles.into_values().collect()
-        }
-        SrlgKind::SwitchChassis => switches(topo)
-            .into_iter()
-            .map(|sw| links_of(topo, sw))
-            .collect(),
-        SrlgKind::Rack => topo
-            .switches_at_level(1)
-            .into_iter()
-            .map(|leaf| {
-                let mut members: std::collections::BTreeSet<LinkId> =
-                    links_of(topo, leaf).into_iter().collect();
-                for r in topo.host_range(leaf) {
-                    members.extend(links_of(topo, topo.host_node(mcag_verbs::Rank(r))));
-                }
-                members.into_iter().collect()
-            })
-            .collect(),
-    };
-    groups.retain(|g| !g.is_empty());
-    for g in &mut groups {
-        g.sort_unstable_by_key(|l| l.0);
-    }
-    groups.sort_unstable_by_key(|g| g[0].0);
-    groups
-}
-
 /// Emit `victims` going down (`down(link)`, at one instant) and back up
 /// at `up_at`, in the schedule's `(at_ns, link)` order: victims in link-id
 /// order, every down before every up — or, when the two instants
@@ -383,26 +285,6 @@ fn emit(model: &FaultModel, topo: &Topology, rng: &mut StdRng, out: &mut Vec<Lin
             let mut victims: Vec<LinkId> = choose(rng, &cands, count as usize)
                 .into_iter()
                 .flat_map(|sw| links_of(topo, sw))
-                .collect();
-            victims.sort_unstable();
-            emit_window(
-                out,
-                &victims,
-                |l| LinkStateEvent::down(start_ns, l),
-                start_ns.saturating_add(downtime_ns),
-            );
-        }
-        FaultModel::CorrelatedFailure {
-            kind,
-            events,
-            start_ns,
-            downtime_ns,
-        } => {
-            let groups = srlg_groups(topo, kind);
-            let idx: Vec<usize> = (0..groups.len()).collect();
-            let mut victims: Vec<LinkId> = choose(rng, &idx, events as usize)
-                .into_iter()
-                .flat_map(|g| groups[g].iter().copied())
                 .collect();
             victims.sort_unstable();
             emit_window(
@@ -543,92 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn cable_bundles_cover_every_switch_switch_adjacency() {
-        // 2 leaves × 2 spines × 1 rail = 4 adjacencies of 2 directed
-        // links each; host cables are excluded.
-        let topo = tree();
-        let groups = srlg_groups(&topo, SrlgKind::CableBundle);
-        assert_eq!(groups.len(), 4);
-        for g in &groups {
-            assert_eq!(g.len(), 2);
-            assert_eq!(topo.reverse(g[0]), g[1]);
-            let lk = topo.link(g[0]);
-            assert!(topo.level(lk.src) >= 1 && topo.level(lk.dst) >= 1);
-        }
-    }
-
-    #[test]
-    fn rack_groups_take_the_leaf_and_its_hosts() {
-        // Each leaf: 4 host cables + 2 spine cables = 12 directed links.
-        let topo = tree();
-        let groups = srlg_groups(&topo, SrlgKind::Rack);
-        assert_eq!(groups.len(), 2);
-        for g in &groups {
-            assert_eq!(g.len(), 12);
-        }
-        // The two racks partition all links of the topology (every link
-        // in this fat-tree touches a leaf domain).
-        let union: std::collections::BTreeSet<u32> = groups.iter().flatten().map(|l| l.0).collect();
-        assert!(union.len() <= topo.num_links());
-    }
-
-    #[test]
-    fn chassis_groups_match_switch_failure_semantics() {
-        let topo = tree();
-        let groups = srlg_groups(&topo, SrlgKind::SwitchChassis);
-        let switches = switches(&topo);
-        assert_eq!(groups.len(), switches.len());
-        for (g, &sw) in groups.iter().zip(&switches) {
-            assert_eq!(g, &links_of(&topo, sw));
-        }
-    }
-
-    proptest! {
-        /// SRLG compilation is deterministic and the downed set is
-        /// exactly the union of the struck groups' members.
-        #[test]
-        fn correlated_failure_downs_exactly_the_struck_groups(
-            seed in 0u64..500,
-            events in 1u32..4,
-            kind_idx in 0usize..3,
-        ) {
-            let kind = [SrlgKind::CableBundle, SrlgKind::SwitchChassis, SrlgKind::Rack][kind_idx];
-            let topo = tree();
-            let plan = FaultPlan::new(seed).with(FaultModel::CorrelatedFailure {
-                kind,
-                events,
-                start_ns: 10_000,
-                downtime_ns: 80_000,
-            });
-            let sched = plan.compile(&topo);
-            prop_assert_eq!(&sched, &plan.compile(&topo), "compile must be pure in the seed");
-
-            // Reconstruct the draw: the emit arm consumes the RNG the
-            // same way `choose` over group indices does.
-            let groups = srlg_groups(&topo, kind);
-            let idx: Vec<usize> = (0..groups.len()).collect();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let struck = choose(&mut rng, &idx, events as usize);
-            let expect: std::collections::BTreeSet<u32> = struck
-                .iter()
-                .flat_map(|&g| groups[g].iter().map(|l| l.0))
-                .collect();
-
-            let downed: std::collections::BTreeSet<u32> = sched
-                .events()
-                .iter()
-                .filter(|e| !e.up)
-                .map(|e| e.link.0)
-                .collect();
-            prop_assert_eq!(downed, expect, "downed set != union of struck groups");
-            // Every member recovers together.
-            for e in sched.events() {
-                prop_assert_eq!(e.at_ns, if e.up { 90_000 } else { 10_000 });
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "shorter than the period")]
     fn flap_duty_cycle_validated() {
         FaultPlan::new(0)
@@ -699,21 +495,6 @@ mod tests {
                         }
                     }
                 }
-                FaultModel::CorrelatedFailure {
-                    kind,
-                    events,
-                    start_ns,
-                    downtime_ns,
-                } => {
-                    let groups = srlg_groups(topo, kind);
-                    let idx: Vec<usize> = (0..groups.len()).collect();
-                    for g in choose(&mut rng, &idx, events as usize) {
-                        for &l in &groups[g] {
-                            let down = LinkStateEvent::down(start_ns, l);
-                            window(&mut out, down, start_ns.saturating_add(downtime_ns));
-                        }
-                    }
-                }
             }
         }
         out.sort_by_key(|e| (e.at_ns, e.link.0));
@@ -724,7 +505,7 @@ mod tests {
         /// Emitting in time order changes no transition: over 64 seeds,
         /// every model alone — among them a flap with no down time, one
         /// whose ups saturate at `u64::MAX`, a degraded window of no
-        /// length and struck switches or chassis that share links — and
+        /// length and struck switches that share links — and
         /// pairs of models compile to what the per-victim emission and a
         /// stable sort compiled.
         #[test]
@@ -734,8 +515,8 @@ mod tests {
             down_ns in 0u64..3,
             period_ns in 3u64..7,
             start_ns in 0u64..4,
-            first in 0usize..8,
-            second in 0usize..9,
+            first in 0usize..5,
+            second in 0usize..6,
         ) {
             let models = [
                 FaultModel::DegradedLink {
@@ -771,24 +552,6 @@ mod tests {
                     switches: 2,
                     start_ns,
                     downtime_ns: down_ns,
-                },
-                FaultModel::CorrelatedFailure {
-                    kind: SrlgKind::CableBundle,
-                    events: 2,
-                    start_ns,
-                    downtime_ns: down_ns,
-                },
-                FaultModel::CorrelatedFailure {
-                    kind: SrlgKind::SwitchChassis,
-                    events: 3,
-                    start_ns,
-                    downtime_ns: down_ns,
-                },
-                FaultModel::CorrelatedFailure {
-                    kind: SrlgKind::Rack,
-                    events: 1,
-                    start_ns,
-                    downtime_ns: 0,
                 },
             ];
             let mut plan = FaultPlan::new(seed).with(models[first]);

@@ -9,7 +9,7 @@
 //! once, which *is* the bandwidth-optimality property.
 
 use mcag_simnet::mcast::McastTree;
-use mcag_simnet::routing::{self, RouteMode};
+use mcag_simnet::routing;
 use mcag_simnet::Topology;
 use mcag_verbs::{McastGroupId, Rank};
 use serde::{Deserialize, Serialize};
@@ -25,19 +25,13 @@ pub struct TrafficModel {
     pub max_link_bytes: u64,
 }
 
-fn rng() -> rand::rngs::StdRng {
-    use rand::SeedableRng;
-    rand::rngs::StdRng::seed_from_u64(0)
-}
-
 /// Traffic of a P2P schedule: `(src, dst, bytes)` message list.
 pub fn p2p_traffic(topo: &Topology, msgs: impl Iterator<Item = (Rank, Rank, u64)>) -> TrafficModel {
     let mut per_link = vec![0u64; topo.num_links()];
     let mut host_send = 0u64;
-    let mut r = rng();
     for (src, dst, bytes) in msgs {
         host_send += bytes;
-        for l in routing::route(topo, src, dst, RouteMode::Deterministic, 0, &mut r) {
+        for l in routing::route(topo, src, dst) {
             per_link[l.idx()] += bytes;
         }
     }

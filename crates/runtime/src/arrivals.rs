@@ -238,24 +238,6 @@ impl Workload {
     }
 }
 
-/// Build a trace from explicit `(arrival_ns, tenant, kind, send_len)`
-/// rows — the replay path for captured or hand-built schedules. Rows are
-/// stably sorted by arrival time (equal-time rows keep input order), so
-/// replay is deterministic regardless of input ordering.
-pub fn trace_from_rows(rows: &[(u64, u32, JobKind, usize)]) -> Vec<Arrival> {
-    let mut out: Vec<Arrival> = rows
-        .iter()
-        .map(|&(arrival_ns, tenant, kind, send_len)| Arrival {
-            arrival_ns,
-            tenant: TenantId(tenant),
-            kind,
-            send_len,
-        })
-        .collect();
-    out.sort_by_key(|a| a.arrival_ns);
-    out
-}
-
 /// An NCCL-benchmark-style sweep trace: every tenant offers the full
 /// power-of-two size ladder across the weighted kind cycle, with
 /// arrivals spaced `gap_ns` apart round-robin across tenants — the
@@ -448,19 +430,6 @@ mod tests {
             }
             assert!(r.tenant.0 < 3);
         }
-    }
-
-    #[test]
-    fn trace_replay_sorts_rows() {
-        let rows = trace_from_rows(&[
-            (300, 1, JobKind::Allgather, 4096),
-            (100, 0, JobKind::AgRs, 8192),
-            (200, 2, JobKind::Broadcast { root: Rank(1) }, 1024),
-        ]);
-        assert_eq!(
-            rows.iter().map(|r| r.arrival_ns).collect::<Vec<_>>(),
-            vec![100, 200, 300]
-        );
     }
 
     #[test]

@@ -52,8 +52,7 @@ pub mod sched;
 pub mod stats;
 
 pub use arrivals::{
-    merge_arrivals, nccl_style_trace, trace_from_rows, Arrival, OpMix, RatePhase, RateProcess,
-    Workload,
+    merge_arrivals, nccl_style_trace, Arrival, OpMix, RatePhase, RateProcess, Workload,
 };
 pub use job::{AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, RejectReason, TenantId};
 pub use mcag_offload::BackendKind;

@@ -14,9 +14,10 @@
 //!
 //! 1. **Seed-free or bypass.** The one per-batch input outside the key
 //!    is `fabric.seed = base + index`. It matters only when
-//!    [`FabricConfig::uses_rng`] — adaptive routing or random corruption
-//!    — and a runtime configured that way simulates every batch. The
-//!    choice is read off the configuration; there is no switch.
+//!    [`FabricConfig::uses_rng`] — random corruption, the fabric's one
+//!    RNG draw — and a runtime configured that way simulates every
+//!    batch. The choice is read off the configuration; there is no
+//!    switch.
 //! 2. **Admit on the second sighting.** A shape's first miss stores its
 //!    64-bit fingerprint and nothing else; the second stores the key and
 //!    the outcome. A stream that never repeats (an overloaded engine

@@ -133,8 +133,8 @@ impl Default for ReactivePolicy {
 pub struct RuntimeConfig {
     /// Fabric model shared by every batch. Batch `i` runs with seed
     /// `fabric.seed + i`, so runs are deterministic end to end; the seed
-    /// changes a result only when [`FabricConfig::uses_rng`] (adaptive
-    /// routing or random corruption). Otherwise batches of one shape are
+    /// changes a result only when [`FabricConfig::uses_rng`] (random
+    /// corruption). Otherwise batches of one shape are
     /// interchangeable and the runtime replays a recurring shape's
     /// outcome instead of simulating it again ([`Runtime::memo_stats`]).
     pub fabric: FabricConfig,
@@ -488,11 +488,6 @@ impl Runtime {
         for &row in rows {
             self.submit_at(row.arrival_ns, row.tenant, row.kind, row.send_len);
         }
-    }
-
-    /// Open-loop arrivals not yet due.
-    pub fn scheduled_arrivals(&self) -> usize {
-        self.arrivals.len() - self.arrival_cursor
     }
 
     /// Admit one due arrival at the current virtual time.
@@ -961,9 +956,7 @@ mod tests {
         let t = rt.register_tenant("open");
         rt.submit_at(0, t, JobKind::Allgather, 16 << 10);
         rt.submit_at(5_000_000, t, JobKind::Allgather, 16 << 10);
-        assert_eq!(rt.scheduled_arrivals(), 2);
         let report = rt.run_open_loop();
-        assert_eq!(rt.scheduled_arrivals(), 0);
         assert_eq!(report.completed_jobs(), 2);
         assert_eq!(report.batches, 2);
         // The second arrival waited for its arrival time, not the queue.

@@ -302,14 +302,6 @@ impl RuntimeReport {
         mcag_models::nearest_rank(&lat, q)
     }
 
-    /// Offered arrival rate over the run, jobs per simulated second.
-    pub fn offered_rate_per_s(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            return 0.0;
-        }
-        self.offered_jobs as f64 * 1e9 / self.makespan_ns as f64
-    }
-
     /// Mean partition occupancy over the run, in `[0, 1]`: busy virtual
     /// time summed over partitions, over `makespan × partitions`.
     pub fn utilization(&self) -> f64 {
@@ -411,7 +403,6 @@ mod tests {
         assert_eq!(rep.sojourn_percentile_ns(1.0), 1000);
         assert_eq!(rep.sojourn_percentile_ns(0.0), 10, "rank clamps to 1");
         assert!((rep.utilization() - 0.5).abs() < 1e-12);
-        assert!((rep.offered_rate_per_s() - 120.0 * 1e6).abs() < 1.0);
     }
 
     #[test]

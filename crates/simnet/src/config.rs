@@ -94,11 +94,7 @@ pub struct FabricConfig {
     pub host: HostModel,
     /// Loss model.
     pub drops: DropModel,
-    /// If true, up-link selection is randomized per packet (adaptive
-    /// routing) — packets of one flow may arrive out of order, exercising
-    /// the staging-based OOO tolerance of the receive path.
-    pub adaptive_routing: bool,
-    /// RNG seed for drops and adaptive routing; it changes nothing
+    /// RNG seed for random drops; it changes nothing
     /// unless [`uses_rng`](FabricConfig::uses_rng).
     pub seed: u64,
     /// Switch multicast-group-table capacity: creating more groups than
@@ -137,7 +133,6 @@ impl FabricConfig {
         FabricConfig {
             host: HostModel::ucc_host(),
             drops: DropModel::none(),
-            adaptive_routing: false,
             seed: 0x5eed,
             mcast_table_capacity: None,
             inc_table_capacity: None,
@@ -157,16 +152,15 @@ impl FabricConfig {
 
     /// Whether a fabric built from this configuration ever draws from
     /// its RNG, i.e. whether [`seed`](FabricConfig::seed) can change a
-    /// result. `fabric.rs` has two draw sites: `unicast_path` picks a
-    /// random up/down-link per packet under
-    /// [`adaptive_routing`](FabricConfig::adaptive_routing), and the
-    /// per-traversal corruption check in the link accounting draws when
+    /// result. `fabric.rs` has one draw site: the per-traversal
+    /// corruption check in the link accounting, which draws when
     /// [`drops`](FabricConfig::drops)`.fabric_drop_prob > 0`. Forced
-    /// drops, fault schedules and deterministic routing never draw. A
-    /// new draw site must be listed here: `mcag-runtime` replays the
-    /// outcome of a recurring batch only while this is false.
+    /// drops, fault schedules and routing never draw. A new draw site
+    /// must be listed here (CI's "One RNG draw site" lint holds
+    /// `fabric.rs` to one): `mcag-runtime` replays the outcome of a
+    /// recurring batch only while this is false.
     pub fn uses_rng(&self) -> bool {
-        self.adaptive_routing || self.drops.fabric_drop_prob > 0.0
+        self.drops.fabric_drop_prob > 0.0
     }
 }
 
@@ -180,11 +174,10 @@ mod tests {
         assert_eq!(c.host.rx_workers, 1);
         assert_eq!(c.host.rq_depth, 8192);
         assert_eq!(c.drops.fabric_drop_prob, 0.0);
-        assert!(!c.adaptive_routing);
     }
 
     #[test]
-    fn only_adaptive_routing_and_random_drops_use_the_rng() {
+    fn only_random_drops_use_the_rng() {
         let mut c = FabricConfig::ucc_default();
         assert!(!c.uses_rng());
         c.drops.forced.insert((0, 0, 1));
@@ -193,9 +186,6 @@ mod tests {
             !c.uses_rng(),
             "forced drops and the seed itself draw nothing"
         );
-        c.adaptive_routing = true;
-        assert!(c.uses_rng());
-        c.adaptive_routing = false;
         c.drops = DropModel::uniform(1e-3);
         assert!(c.uses_rng());
     }

@@ -124,15 +124,6 @@ impl TrafficReport {
         t
     }
 
-    /// Bytes transmitted summed across every *switch* egress port (links
-    /// whose source is a switch), including switch-to-host delivery
-    /// ports.
-    pub fn switch_port_tx_bytes(&self, topo: &Topology) -> u64 {
-        self.sum_where(topo, |topo, l| {
-            matches!(topo.kind(topo.link(l).src), NodeKind::Switch { .. })
-        })
-    }
-
     /// The Fig. 12 metric: "performance counters across all switch
     /// ports". Every switch port counts both directions, so a link's
     /// bytes contribute once per switch endpoint — host↔leaf links count
@@ -270,7 +261,6 @@ mod tests {
         per_link[3].ctrl_bytes = 7; // sw -> h1 (switch port tx)
         let r = TrafficReport::new(per_link);
         assert_eq!(r.host_injection_bytes(&topo), 100);
-        assert_eq!(r.switch_port_tx_bytes(&topo), 47);
         assert_eq!(r.host_delivery_bytes(&topo), 47);
         assert_eq!(r.inter_switch_bytes(&topo), 0);
         assert_eq!(r.total_data_bytes(), 140);

@@ -49,7 +49,7 @@
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
 //! run performs no per-packet heap allocation at all.
 //!
-//! Deterministic unicast routes and multicast trees are not the fabric's
+//! Unicast routes and multicast trees are not the fabric's
 //! to build: the [`Topology`] computes each once and every fabric over it
 //! shares the result, a route as an `Arc<[LinkId]>` a packet carries and
 //! a tree as an `Arc<McastTree>` the fabric holds per group. A reduced
@@ -74,7 +74,7 @@ use crate::event::EventQueue;
 use crate::hash::FastMap;
 use crate::health::{self, FabricHealth, LinkHealth};
 use crate::mcast::McastTree;
-use crate::routing::{self, RouteMode};
+use crate::routing;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink, TraceSpec};
@@ -1285,7 +1285,7 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn post_msg(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, msg: M, len: usize) {
-        let path = self.unicast_path(src, dst);
+        let path = self.topo.route(src, dst);
         let body = Body::Msg(self.ctrl_msgs.insert(msg));
         let r = self.alloc_pkt(PacketInst {
             route: Route::Unicast { path, hop: 0 },
@@ -1298,12 +1298,10 @@ impl<M: Clone + 'static> Inner<M> {
         self.enqueue_tx(src, dst_qp, Wqe::Ready(r));
     }
 
-    /// Post one reliable unicast message of `src`'s data. The route is
-    /// resolved here, once per message, so adaptive routing draws from
-    /// the RNG in post order.
+    /// Post one reliable unicast message of `src`'s data.
     pub(crate) fn post_unicast(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, seg: MsgSegments) {
         check_segments(&seg);
-        let path = self.unicast_path(src, dst);
+        let path = self.topo.route(src, dst);
         self.enqueue_tx(
             src,
             dst_qp,
@@ -1317,7 +1315,7 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn post_rdma_read(&mut self, src: Rank, qp: QpNum, dst: Rank, len: usize, tag: u64) {
-        let path = self.unicast_path(src, dst);
+        let path = self.topo.route(src, dst);
         let r = self.alloc_pkt(PacketInst {
             route: Route::Unicast { path, hop: 0 },
             body: Body::ReadReq {
@@ -1330,18 +1328,6 @@ impl<M: Clone + 'static> Inner<M> {
             kind: PacketKind::Control,
         });
         self.enqueue_tx(src, qp, Wqe::Ready(r));
-    }
-
-    /// The route of one message: the topology's shared deterministic
-    /// route, or with adaptive routing a fresh draw per message, which
-    /// must not be memoized.
-    fn unicast_path(&mut self, src: Rank, dst: Rank) -> Arc<[LinkId]> {
-        if self.cfg.adaptive_routing {
-            // RNG draw site 1 of 2 (`FabricConfig::uses_rng`).
-            let p = routing::route(&self.topo, src, dst, RouteMode::Adaptive, 0, &mut self.rng);
-            return p.into();
-        }
-        self.topo.route(src, dst)
     }
 
     fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
@@ -1588,7 +1574,7 @@ impl<M: Clone + 'static> Inner<M> {
         }
         if !reliable && self.cfg.drops.fabric_drop_prob > 0.0 {
             let p = self.cfg.drops.fabric_drop_prob;
-            // RNG draw site 2 of 2 (`FabricConfig::uses_rng`).
+            // The one RNG draw site (`FabricConfig::uses_rng`).
             if self.rng.random_bool(p) {
                 self.counters[link.idx()].drops += 1;
                 if let Some(t) = self.trace.as_mut() {
@@ -1815,7 +1801,7 @@ impl<M: Clone + 'static> Inner<M> {
                 // Target NIC hardware answers; no CPU involvement (RC
                 // one-sided semantics).
                 self.release_pkt(pr);
-                let path = self.unicast_path(rank, requester);
+                let path = self.topo.route(rank, requester);
                 let r = self.alloc_pkt(PacketInst {
                     route: Route::Unicast { path, hop: 0 },
                     body: Body::ReadResp { tag },
@@ -2641,13 +2627,7 @@ mod tests {
                 .map(|l| LinkStateEvent::down(0, l))
                 .collect(),
         );
-        let mut adaptive = FabricConfig::ideal();
-        adaptive.adaptive_routing = true;
-        for (name, cfg) in [
-            ("healthy", healthy),
-            ("faulted", faulted),
-            ("adaptive", adaptive),
-        ] {
+        for (name, cfg) in [("healthy", healthy), ("faulted", faulted)] {
             let (fresh, _) = mixed_run(Arc::new(topo()), cfg.clone());
             let shared = Arc::new(topo());
             let (cold, cold_trees) = mixed_run(Arc::clone(&shared), cfg.clone());

@@ -87,11 +87,6 @@ impl LinkStateEvent {
             bw_den,
         }
     }
-
-    /// True when this event leaves the link below full rate.
-    pub fn is_degraded(&self) -> bool {
-        self.up && self.bw_num != self.bw_den
-    }
 }
 
 /// A validated, time-sorted schedule of link-state transitions, replayed
@@ -223,7 +218,6 @@ mod tests {
         assert_eq!(s.next_up_ns(2), 500);
         // A degraded link still carries traffic: it is "up" now.
         assert_eq!(s.next_up_ns(3), 900);
-        assert!(s.events()[3].is_degraded());
     }
 
     #[test]

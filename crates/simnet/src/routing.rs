@@ -1,50 +1,33 @@
-//! Unicast routing: deterministic up/down (the InfiniBand subnet-manager
-//! style) and adaptive per-packet up-link selection.
+//! Unicast routing: deterministic up/down, the InfiniBand subnet-manager
+//! style.
 //!
 //! A route ascends from the source host until the current switch's
 //! subtree contains the destination rank, then descends along the unique
-//! down-path. Deterministic mode picks among equal-cost up-links (and
-//! parallel rails) with a flow hash — the D-mod-k discipline — while
-//! adaptive mode randomizes the choice per packet, which is how
-//! next-generation fabrics reorder datagrams (Section III-B discusses why
-//! the receive path must tolerate this).
+//! down-path. Equal-cost up-links (and parallel rails) are picked with a
+//! flow hash of the `(src, dst)` pair — the D-mod-k discipline — so every
+//! pair has exactly one path and [`Topology`] can memoize it.
 
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_verbs::Rank;
-use rand::{Rng, RngExt};
 
 /// Splitmix64 — tiny, deterministic hash for route selection.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
-/// How up-links / parallel rails are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteMode {
-    /// Flow-hashed (src, dst) deterministic selection: one path per pair.
-    Deterministic,
-    /// Uniform-random selection per packet (adaptive routing).
-    Adaptive,
-}
+/// The constant term of every flow hash. Every route choice depends on
+/// it, and `tests/simnet_invariants.rs` pins those choices.
+const FLOW_SALT: u64 = mix64(0);
 
-/// Compute a route (sequence of directed links) from `src`'s host NIC to
-/// `dst`'s host NIC. `salt` varies the deterministic hash (e.g. to spread
-/// multiple QPs of one pair over rails); `rng` is consulted only in
-/// adaptive mode.
-pub fn route(
-    topo: &Topology,
-    src: Rank,
-    dst: Rank,
-    mode: RouteMode,
-    salt: u64,
-    rng: &mut impl Rng,
-) -> Vec<LinkId> {
+/// Compute the route (sequence of directed links) from `src`'s host NIC
+/// to `dst`'s host NIC.
+pub fn route(topo: &Topology, src: Rank, dst: Rank) -> Vec<LinkId> {
     let mut path = Vec::with_capacity(6);
-    walk(topo, src, dst, mode, salt, rng, |l| path.push(l));
+    walk(topo, src, dst, |l| path.push(l));
     path
 }
 
@@ -55,17 +38,9 @@ pub(crate) const MAX_HOPS: usize = 32;
 /// [`route`], handing each link to `push` in order instead of collecting
 /// them — the topology's memo copies a route straight into its shared
 /// `Arc` this way.
-pub(crate) fn walk(
-    topo: &Topology,
-    src: Rank,
-    dst: Rank,
-    mode: RouteMode,
-    salt: u64,
-    rng: &mut impl Rng,
-    mut push: impl FnMut(LinkId),
-) {
+pub(crate) fn walk(topo: &Topology, src: Rank, dst: Rank, mut push: impl FnMut(LinkId)) {
     assert_ne!(src, dst, "no self-routes");
-    let flow = mix64((src.0 as u64) << 32 | dst.0 as u64).wrapping_add(mix64(salt));
+    let flow = mix64((src.0 as u64) << 32 | dst.0 as u64).wrapping_add(FLOW_SALT);
     let mut at = topo.host_node(src);
 
     // Ascend until the destination is below us.
@@ -82,11 +57,7 @@ pub(crate) fn walk(
             !ups.is_empty(),
             "dead-end ascending at node {at:?} (src {src}, dst {dst})"
         );
-        let pick = match mode {
-            RouteMode::Deterministic => (mix64(flow.wrapping_add(hop)) % ups.len() as u64) as usize,
-            RouteMode::Adaptive => rng.random_range(0..ups.len()),
-        };
-        let l = ups[pick];
+        let l = ups[(mix64(flow.wrapping_add(hop)) % ups.len() as u64) as usize];
         push(l);
         at = topo.link(l).dst;
         hop += 1;
@@ -99,11 +70,8 @@ pub(crate) fn walk(
 
     // Descend along the unique down-path (choosing among parallel rails).
     while !matches!(topo.kind(at), NodeKind::Host(r) if r == dst) {
-        let l = pick_down(topo, at, dst, |n| match mode {
-            RouteMode::Deterministic => {
-                (mix64(flow.wrapping_add(0x1000 + hop)) % n as u64) as usize
-            }
-            RouteMode::Adaptive => rng.random_range(0..n),
+        let l = pick_down(topo, at, dst, |n| {
+            (mix64(flow.wrapping_add(0x1000 + hop)) % n as u64) as usize
         });
         push(l);
         at = topo.link(l).dst;
@@ -149,24 +117,11 @@ pub fn path_is_valid(topo: &Topology, src: Rank, dst: Rank, path: &[LinkId]) -> 
 mod tests {
     use super::*;
     use mcag_verbs::LinkRate;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
-    }
 
     #[test]
     fn back_to_back_single_hop() {
         let t = Topology::back_to_back(LinkRate::CX7_200G, 50);
-        let p = route(
-            &t,
-            Rank(0),
-            Rank(1),
-            RouteMode::Deterministic,
-            0,
-            &mut rng(),
-        );
+        let p = route(&t, Rank(0), Rank(1));
         assert_eq!(p.len(), 1);
         assert!(path_is_valid(&t, Rank(0), Rank(1), &p));
     }
@@ -174,14 +129,7 @@ mod tests {
     #[test]
     fn star_two_hops() {
         let t = Topology::single_switch(5, LinkRate::CX3_56G, 50);
-        let p = route(
-            &t,
-            Rank(1),
-            Rank(4),
-            RouteMode::Deterministic,
-            0,
-            &mut rng(),
-        );
+        let p = route(&t, Rank(1), Rank(4));
         assert_eq!(p.len(), 2);
         assert!(path_is_valid(&t, Rank(1), Rank(4), &p));
     }
@@ -190,14 +138,7 @@ mod tests {
     fn same_leaf_stays_local() {
         let t = Topology::ucc_testbed();
         // Ranks 0 and 1 share leaf 0: path must be host->leaf->host.
-        let p = route(
-            &t,
-            Rank(0),
-            Rank(1),
-            RouteMode::Deterministic,
-            0,
-            &mut rng(),
-        );
+        let p = route(&t, Rank(0), Rank(1));
         assert_eq!(p.len(), 2);
         assert!(path_is_valid(&t, Rank(0), Rank(1), &p));
     }
@@ -205,14 +146,7 @@ mod tests {
     #[test]
     fn cross_leaf_goes_through_spine() {
         let t = Topology::ucc_testbed();
-        let p = route(
-            &t,
-            Rank(0),
-            Rank(187),
-            RouteMode::Deterministic,
-            0,
-            &mut rng(),
-        );
+        let p = route(&t, Rank(0), Rank(187));
         assert_eq!(p.len(), 4, "host-leaf-spine-leaf-host");
         assert!(path_is_valid(&t, Rank(0), Rank(187), &p));
     }
@@ -220,13 +154,12 @@ mod tests {
     #[test]
     fn three_level_paths_valid_everywhere() {
         let t = Topology::fat_tree_three_level(2, 2, 2, 2, 2, LinkRate::CX3_56G, 50);
-        let mut r = rng();
         for s in 0..t.num_hosts() as u32 {
             for d in 0..t.num_hosts() as u32 {
                 if s == d {
                     continue;
                 }
-                let p = route(&t, Rank(s), Rank(d), RouteMode::Deterministic, 0, &mut r);
+                let p = route(&t, Rank(s), Rank(d));
                 assert!(path_is_valid(&t, Rank(s), Rank(d), &p), "{s}->{d}");
                 assert!(p.len() <= 6);
             }
@@ -236,35 +169,6 @@ mod tests {
     #[test]
     fn deterministic_routes_are_stable() {
         let t = Topology::ucc_testbed();
-        let a = route(
-            &t,
-            Rank(3),
-            Rank(99),
-            RouteMode::Deterministic,
-            1,
-            &mut rng(),
-        );
-        let b = route(
-            &t,
-            Rank(3),
-            Rank(99),
-            RouteMode::Deterministic,
-            1,
-            &mut rng(),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn adaptive_routes_explore_multiple_spines() {
-        let t = Topology::ucc_testbed();
-        let mut r = rng();
-        let mut first_hops = std::collections::HashSet::new();
-        for _ in 0..64 {
-            let p = route(&t, Rank(0), Rank(100), RouteMode::Adaptive, 0, &mut r);
-            assert!(path_is_valid(&t, Rank(0), Rank(100), &p));
-            first_hops.insert(p[1]); // leaf -> spine choice
-        }
-        assert!(first_hops.len() > 1, "adaptive routing never diversified");
+        assert_eq!(route(&t, Rank(3), Rank(99)), route(&t, Rank(3), Rank(99)));
     }
 }

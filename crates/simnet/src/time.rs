@@ -24,18 +24,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Construct from microseconds.
-    #[inline]
-    pub const fn from_us(us: u64) -> SimTime {
-        SimTime(us * 1_000)
-    }
-
-    /// Construct from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> SimTime {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Nanoseconds since epoch.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -99,10 +87,9 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        let t = SimTime::from_us(1);
+        let t = SimTime(1_000);
         assert_eq!((t + 500).as_ns(), 1500);
         assert_eq!(t + 500 - t, 500);
-        assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(SimTime(100).since(SimTime(40)), 60);
         assert_eq!(SimTime(40).since(SimTime(100)), 0);
     }

@@ -18,10 +18,8 @@
 
 use crate::hash::{hash_one, FastMap};
 use crate::mcast::McastTree;
-use crate::routing::{self, RouteMode};
+use crate::routing;
 use mcag_verbs::{LinkRate, McastGroupId, Rank};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -313,31 +311,20 @@ impl Topology {
     }
 
     /// The deterministic route from `src`'s NIC to `dst`'s:
-    /// [`routing::route`] in [`RouteMode::Deterministic`] with salt 0,
-    /// computed once per pair.
+    /// [`routing::route`], computed once per pair.
     pub(crate) fn route(&self, src: Rank, dst: Rank) -> Path {
         let key = (src.0 as u64) << 32 | dst.0 as u64;
         if let Some(p) = self.derived.routes.lock().unwrap().get(&key) {
             return Arc::clone(p);
         }
         // Walk into a stack buffer, so the shared `Arc` is the route's
-        // one allocation. Deterministic mode never consults the
-        // generator.
-        let mut unused = StdRng::seed_from_u64(0);
+        // one allocation.
         let mut buf = [LinkId(0); routing::MAX_HOPS];
         let mut len = 0;
-        routing::walk(
-            self,
-            src,
-            dst,
-            RouteMode::Deterministic,
-            0,
-            &mut unused,
-            |l| {
-                buf[len] = l;
-                len += 1;
-            },
-        );
+        routing::walk(self, src, dst, |l| {
+            buf[len] = l;
+            len += 1;
+        });
         let p: Path = Arc::from(&buf[..len]);
         Arc::clone(self.derived.routes.lock().unwrap().entry(key).or_insert(p))
     }
@@ -680,14 +667,13 @@ pub(crate) mod tests {
     /// the topology answers from the same memo.
     fn assert_memo_is_fresh(topo: &Topology) {
         let clone = topo.clone();
-        let mut rng = StdRng::seed_from_u64(0);
         let p = topo.num_hosts() as u32;
         for (s, d) in (0..p).flat_map(|s| (0..p).map(move |d| (Rank(s), Rank(d)))) {
             if s == d {
                 continue;
             }
             let memo = topo.route(s, d);
-            let fresh = routing::route(topo, s, d, RouteMode::Deterministic, 0, &mut rng);
+            let fresh = routing::route(topo, s, d);
             assert_eq!(&*memo, &fresh[..], "{} route {s} -> {d}", topo.name());
             assert!(Arc::ptr_eq(&memo, &clone.route(s, d)));
         }

@@ -94,22 +94,6 @@ fn broadcast_at_scale_with_subgroups() {
 }
 
 #[test]
-fn adaptive_routing_out_of_order_delivery_tolerated() {
-    let mut cfg = FabricConfig::ucc_default();
-    cfg.adaptive_routing = true;
-    cfg.seed = 1234;
-    let out = des::run_collective(
-        Topology::ucc_testbed(),
-        cfg,
-        proto(8 << 10),
-        CollectiveKind::Allgather,
-        128 << 10,
-    );
-    assert!(out.stats.all_done(), "OOO delivery broke the protocol");
-    assert_eq!(out.total_fetched(), 0, "no drops, so no recovery needed");
-}
-
-#[test]
 fn fabric_drops_at_scale_recovered_by_fetch_ring() {
     let mut cfg = FabricConfig::ucc_default();
     cfg.drops = DropModel::uniform(0.002);

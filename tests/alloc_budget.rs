@@ -56,14 +56,12 @@ use mcast_allgather::runtime::{
     JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
 use mcast_allgather::simnet::mcast::McastTree;
-use mcast_allgather::simnet::routing::{self, RouteMode};
+use mcast_allgather::simnet::routing;
 use mcast_allgather::simnet::{
     Ctx, EventQueue, Fabric, FabricConfig, LinkStateEvent, Payload, RankApp, SimTime, Topology,
 };
 use mcast_allgather::trace::{export_chrome, ChromeOptions, TraceEvent, TraceSpec};
 use mcast_allgather::verbs::{Cqe, LinkRate, McastGroupId, QpNum, Rank, Transport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -573,15 +571,7 @@ fn warm_topology_builds_no_tree_or_route() {
     drop(McastTree::build(&topo, McastGroupId(0), &members));
     let tree = tally().allocs - before.allocs;
     let before = tally();
-    let mut rng = StdRng::seed_from_u64(0);
-    drop(routing::route(
-        &topo,
-        Rank(0),
-        Rank(7),
-        RouteMode::Deterministic,
-        0,
-        &mut rng,
-    ));
+    drop(routing::route(&topo, Rank(0), Rank(7)));
     let route = tally().allocs - before.allocs;
 
     let cold = one_message_fabric_allocs(&topo, &members);

@@ -173,7 +173,7 @@ fn fig11_shape() {
 }
 
 #[test]
-#[ignore = "10-iteration counter sweep (~4 s in release); run with --ignored"]
+#[ignore = "four 188-node runs (~0.5 s in release); run with --ignored"]
 fn fig12_shape() {
     let f = generate("fig12");
     check(&f);

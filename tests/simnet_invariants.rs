@@ -3,12 +3,10 @@
 //! randomized topologies, not just the fixed testbeds.
 
 use mcast_allgather::simnet::mcast::McastTree;
-use mcast_allgather::simnet::routing::{self, RouteMode};
+use mcast_allgather::simnet::routing;
 use mcast_allgather::simnet::{NodeKind, Topology};
 use mcast_allgather::verbs::{LinkRate, McastGroupId, Rank};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Random two-level fat-tree generator for property tests.
 fn arb_two_level() -> impl Strategy<Value = Topology> {
@@ -27,19 +25,16 @@ fn arb_two_level() -> impl Strategy<Value = Topology> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every pair routes successfully with a valid walk, both modes.
+    /// Every pair routes successfully with a valid walk.
     #[test]
-    fn all_pairs_route(topo in arb_two_level(), seed: u64) {
+    fn all_pairs_route(topo in arb_two_level()) {
         let p = topo.num_hosts() as u32;
-        let mut rng = StdRng::seed_from_u64(seed);
         for s in 0..p {
             for d in 0..p {
                 if s == d { continue; }
-                for mode in [RouteMode::Deterministic, RouteMode::Adaptive] {
-                    let path = routing::route(&topo, Rank(s), Rank(d), mode, 0, &mut rng);
-                    prop_assert!(routing::path_is_valid(&topo, Rank(s), Rank(d), &path));
-                    prop_assert!(path.len() <= 4, "two-level paths are at most 4 hops");
-                }
+                let path = routing::route(&topo, Rank(s), Rank(d));
+                prop_assert!(routing::path_is_valid(&topo, Rank(s), Rank(d), &path));
+                prop_assert!(path.len() <= 4, "two-level paths are at most 4 hops");
             }
         }
     }
@@ -102,17 +97,16 @@ proptest! {
         }
     }
 
-    /// Deterministic routes are stable under the same salt and differ by
-    /// destination host (no accidental aliasing).
+    /// Routes are stable and differ by destination host (no accidental
+    /// aliasing).
     #[test]
-    fn deterministic_routing_is_pure(topo in arb_two_level(), salt: u64) {
+    fn deterministic_routing_is_pure(topo in arb_two_level()) {
         let p = topo.num_hosts() as u32;
         prop_assume!(p >= 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = routing::route(&topo, Rank(0), Rank(1), RouteMode::Deterministic, salt, &mut rng);
-        let b = routing::route(&topo, Rank(0), Rank(1), RouteMode::Deterministic, salt, &mut rng);
+        let a = routing::route(&topo, Rank(0), Rank(1));
+        let b = routing::route(&topo, Rank(0), Rank(1));
         prop_assert_eq!(&a, &b);
-        let c = routing::route(&topo, Rank(0), Rank(2), RouteMode::Deterministic, salt, &mut rng);
+        let c = routing::route(&topo, Rank(0), Rank(2));
         prop_assert_ne!(a.last(), c.last(), "different hosts, different last hop");
     }
 }
@@ -128,5 +122,55 @@ fn three_level_trees_span_pods() {
         assert_eq!(tree.nodes().count(), tree.num_edges() + 1);
         // Root is a core switch; every member can ascend to it.
         assert_eq!(topo.level(tree.root()), 3);
+    }
+}
+
+/// 64-bit FNV-1a over every ordered pair's deterministic route on
+/// `topo`: the pair, the hop count and each link id, little-endian.
+fn route_digest(topo: &Topology) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let p = topo.num_hosts() as u32;
+    for s in 0..p {
+        for d in (0..p).filter(|&d| d != s) {
+            let path = routing::route(topo, Rank(s), Rank(d));
+            eat(s);
+            eat(d);
+            eat(path.len() as u32);
+            path.iter().for_each(|l| eat(l.0));
+        }
+    }
+    h
+}
+
+/// Pins the route every ordered pair takes, not just that routing is
+/// pure: any change to a route choice fails here. The digests were
+/// recorded from the deterministic mode with salt 0, which the simulator
+/// has always routed with.
+#[test]
+fn route_choices_are_the_recorded_ones() {
+    let cases = [
+        (
+            "ucc_testbed",
+            Topology::ucc_testbed(),
+            0xc3ea_3ded_18b6_6c62u64,
+        ),
+        (
+            "fat_tree_512",
+            Topology::fat_tree_512(LinkRate::NDR_400G),
+            0x9480_55a2_0aa6_74e5,
+        ),
+        (
+            "two_level_4_rails",
+            Topology::fat_tree_two_level(96, 8, 4, 4, LinkRate::NDR_400G, 100),
+            0x8f45_5c96_f7c2_ab2b,
+        ),
+    ];
+    for (name, topo, want) in cases {
+        assert_eq!(route_digest(&topo), want, "{name}");
     }
 }
