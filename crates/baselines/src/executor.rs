@@ -263,20 +263,22 @@ pub fn run_p2p_concurrent(
     for fl in &flows {
         assert_eq!(fl.len(), p, "one schedule per rank");
     }
-    let mut fab: Fabric<()> = Fabric::new(topo, cfg);
+    let mut fab: Fabric<(), ScheduleApp> = Fabric::new(topo, cfg);
     let n_flows = flows.len();
     for r in 0..p {
         let rank = Rank(r as u32);
         let qp = fab.add_qp(rank, Transport::Rc, 0);
         let rank_flows: Vec<Schedule> = flows.iter().map(|fl| fl[r].clone()).collect();
-        fab.set_app(rank, Box::new(ScheduleApp::new(rank_flows, p, seg, qp)));
+        fab.set_app(rank, ScheduleApp::new(rank_flows, p, seg, qp));
     }
     let stats = fab.run();
     let traffic = fab.traffic();
     // Harvest each rank's owned per-flow records, then transpose to the
     // `[flow][rank]` layout the outcome exposes.
-    let per_rank: Vec<Vec<Option<(SimTime, SimTime)>>> = (0..p)
-        .map(|r| fab.take_app_as::<ScheduleApp>(Rank(r as u32)).flow_times())
+    let per_rank: Vec<Vec<Option<(SimTime, SimTime)>>> = fab
+        .into_apps()
+        .iter()
+        .map(ScheduleApp::flow_times)
         .collect();
     let flow_times: Vec<Vec<Option<(SimTime, SimTime)>>> = (0..n_flows)
         .map(|f| per_rank.iter().map(|rank_rows| rank_rows[f]).collect())

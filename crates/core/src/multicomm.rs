@@ -73,9 +73,9 @@ fn build(
     proto: &ProtocolConfig,
     comms: &[Comm],
     headroom: u64,
-) -> (Fabric<ControlMsg>, Vec<u64>) {
+) -> (Fabric<ControlMsg, MultiCommApp>, Vec<u64>) {
     let n_workers = fabric_cfg.host.rx_workers.max(1);
-    let mut fab: Fabric<ControlMsg> = Fabric::new(topo, fabric_cfg);
+    let mut fab: Fabric<ControlMsg, MultiCommApp> = Fabric::new(topo, fabric_cfg);
     let p = fab.topology().num_hosts() as u32;
     let members: Vec<Rank> = (0..p).map(Rank).collect();
     // A communicator's groups: its subgroups', then its reduction group.
@@ -129,7 +129,7 @@ fn build(
                 rs,
             });
         }
-        fab.set_app(r, Box::new(MultiCommApp::new(slots)));
+        fab.set_app(r, MultiCommApp::new(slots));
     }
     (fab, cutoffs)
 }
@@ -245,27 +245,29 @@ pub fn run_with(
     proto: &ProtocolConfig,
     comms: &[Comm],
     bounds: RunBounds,
-    drive: impl FnOnce(&mut Fabric<ControlMsg>, u64, SimTime) -> RunStats,
+    drive: impl FnOnce(&mut Fabric<ControlMsg, MultiCommApp>, u64, SimTime) -> RunStats,
 ) -> CommRun {
     let (mut fab, cutoffs) = build(topo, fabric_cfg, proto, comms, bounds.cutoff_headroom);
     let total_cutoff: u64 = cutoffs.iter().sum();
     let deadline = SimTime::from_ns(total_cutoff.saturating_mul(bounds.watchdog_cutoffs.max(1)));
     let stats = drive(&mut fab, total_cutoff, deadline);
-    let p = fab.topology().num_hosts();
-    let mut slots = Vec::with_capacity(p * comms.len());
-    for r in 0..p as u32 {
-        let app = fab.take_app_as::<MultiCommApp>(Rank(r));
+    let traffic = fab.traffic();
+    let live_packets = fab.live_packets();
+    let trace = fab.take_trace();
+    let apps = fab.into_apps();
+    let mut slots = Vec::with_capacity(apps.len() * comms.len());
+    for app in apps {
         slots.extend(app.slots.first);
         slots.extend(app.slots.rest);
     }
     CommRun {
         slots,
         stats,
-        traffic: fab.traffic(),
+        traffic,
         cutoffs,
         deadline,
-        live_packets: fab.live_packets(),
-        trace: fab.take_trace(),
+        live_packets,
+        trace,
     }
 }
 

@@ -229,8 +229,8 @@ impl McastRankApp {
     }
 
     /// This rank's phase timestamps and datapath statistics so far
-    /// (complete once the rank released). Drivers harvest this after the
-    /// run via [`mcag_simnet::Fabric::take_app_as`].
+    /// (complete once the rank released). Drivers read it after the run
+    /// from the apps [`mcag_simnet::Fabric::into_apps`] returns.
     pub fn timing(&self) -> RankTiming {
         self.timing
     }

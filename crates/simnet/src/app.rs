@@ -68,14 +68,14 @@ impl MsgSegments {
 
 /// A per-rank protocol endpoint driven by the fabric.
 ///
-/// The `Any + Send` supertraits are load-bearing: `Any` lets drivers
-/// harvest their concrete app (and the results it owns) back out of the
-/// fabric via [`crate::Fabric::take_app_as`] after a run, and `Send`
+/// A [`crate::Fabric`] holds its apps by value, one per rank, as its
+/// app type parameter; drivers read the results an app owns out of
+/// [`crate::Fabric::into_apps`] after the run. The `Send` supertrait
 /// guarantees — at compile time — that a fully wired simulation (fabric
 /// plus apps) can move to a worker thread of the fork-join sweep
 /// executor. An app holding an `Rc`/`RefCell` result sink fails to
 /// *build*, rather than silently re-serializing every sweep.
-pub trait RankApp<M>: std::any::Any + Send {
+pub trait RankApp<M>: Send {
     /// Called once at simulation start.
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>);
 
@@ -89,6 +89,26 @@ pub trait RankApp<M>: std::any::Any + Send {
     /// [`Ctx::notify_tx_drained`]) — the DES equivalent of the send worker
     /// observing its batched send completions.
     fn on_tx_drained(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
+}
+
+/// A boxed app is an app: the default app type of [`crate::Fabric`], for
+/// fabrics whose ranks run different app types.
+impl<M: 'static> RankApp<M> for Box<dyn RankApp<M>> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        (**self).on_start(ctx);
+    }
+
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, M>, cqe: Cqe, payload: Payload<M>) {
+        (**self).on_cqe(ctx, cqe, payload);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: u64) {
+        (**self).on_timer(ctx, token);
+    }
+
+    fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, M>, token: u64) {
+        (**self).on_tx_drained(ctx, token);
+    }
 }
 
 /// Handle through which an app interacts with the fabric.

@@ -533,18 +533,22 @@ impl RunStats {
 }
 
 /// The discrete-event fabric simulator. See the module docs for the model.
-pub struct Fabric<M> {
+///
+/// `A` is the app every rank runs, held by value; the boxed default lets
+/// ranks of one fabric run different app types.
+pub struct Fabric<M, A: RankApp<M> = Box<dyn RankApp<M>>> {
     inner: Inner<M>,
-    apps: Vec<Option<Box<dyn RankApp<M>>>>,
+    /// Rank `r`'s app at index `r`.
+    apps: Vec<A>,
     started: bool,
 }
 
-impl<M: Clone + 'static> Fabric<M> {
+impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// Create a fabric over `topo` with the given configuration. Apps and
     /// QPs must be registered before [`Fabric::run`]. `topo` is an owned
     /// [`Topology`] or an `Arc` of one — callers that build many fabrics
     /// over one topology (the runtime, one per batch) share it.
-    pub fn new(topo: impl Into<Arc<Topology>>, cfg: FabricConfig) -> Fabric<M> {
+    pub fn new(topo: impl Into<Arc<Topology>>, cfg: FabricConfig) -> Fabric<M, A> {
         let topo: Arc<Topology> = topo.into();
         let n = topo.num_hosts();
         let nics = (0..n)
@@ -618,7 +622,7 @@ impl<M: Clone + 'static> Fabric<M> {
                 trace,
                 run_wall_ns: 0,
             },
-            apps: (0..n).map(|_| None).collect(),
+            apps: Vec::with_capacity(n),
             started: false,
         }
     }
@@ -732,28 +736,20 @@ impl<M: Clone + 'static> Fabric<M> {
         self.inner.group_attach[at] = qp.0;
     }
 
-    /// Install the protocol endpoint for `rank`.
-    pub fn set_app(&mut self, rank: Rank, app: Box<dyn RankApp<M>>) {
-        self.apps[rank.idx()] = Some(app);
+    /// Install the protocol endpoint for `rank`. Apps are installed in
+    /// rank order, one per rank, before the run.
+    pub fn set_app(&mut self, rank: Rank, app: A) {
+        assert_eq!(rank.idx(), self.apps.len(), "app out of rank order");
+        self.apps.push(app);
     }
 
-    /// Remove and return `rank`'s endpoint — the harvest half of the
-    /// owned-sink protocol: apps accumulate their results privately
-    /// during the run and the driver takes them back afterwards (no
-    /// shared `Rc<RefCell<…>>` sinks, so the whole simulation stays
-    /// `Send`). Panics if no app is installed (or it was already taken).
-    pub fn take_app(&mut self, rank: Rank) -> Box<dyn RankApp<M>> {
-        self.apps[rank.idx()]
-            .take()
-            .unwrap_or_else(|| panic!("no app installed for {rank}"))
-    }
-
-    /// [`Fabric::take_app`], downcast to the concrete app type the
-    /// driver installed. Panics if the installed app is not an `A`.
-    pub fn take_app_as<A: RankApp<M>>(&mut self, rank: Rank) -> A {
-        let app: Box<dyn std::any::Any> = self.take_app(rank);
-        *app.downcast::<A>()
-            .unwrap_or_else(|_| panic!("app at {rank} is not a {}", std::any::type_name::<A>()))
+    /// Consume the fabric and return every rank's app, in rank order —
+    /// the harvest half of the owned-sink protocol: apps accumulate their
+    /// results privately during the run and the driver takes them back
+    /// afterwards (no shared `Rc<RefCell<…>>` sinks, so the whole
+    /// simulation stays `Send`). Read the fabric's own statistics first.
+    pub fn into_apps(self) -> Vec<A> {
+        self.apps
     }
 
     /// The live flight recorder (`None` when `cfg.trace` was `None`).
@@ -762,7 +758,7 @@ impl<M: Clone + 'static> Fabric<M> {
     }
 
     /// Remove and return the flight recorder — the trace analogue of the
-    /// [`Fabric::take_app`] harvest step; drivers take the sink after the
+    /// [`Fabric::into_apps`] harvest step; drivers take the sink after the
     /// run and hand its events to `mcag-trace` for merging/export.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
         self.inner.trace.take()
@@ -790,6 +786,7 @@ impl<M: Clone + 'static> Fabric<M> {
         let n = self.inner.num_ranks();
         if !self.started {
             self.started = true;
+            assert_eq!(self.apps.len(), n, "every rank needs an app");
             for r in 0..n {
                 self.with_app(Rank(r as u32), |app, ctx| app.on_start(ctx));
             }
@@ -973,16 +970,9 @@ impl<M: Clone + 'static> Fabric<M> {
         }
     }
 
-    fn with_app(&mut self, rank: Rank, f: impl FnOnce(&mut dyn RankApp<M>, &mut Ctx<'_, M>)) {
-        let mut app = self.apps[rank.idx()]
-            .take()
-            .unwrap_or_else(|| panic!("no app installed for {rank}"));
-        let mut ctx = Ctx {
-            inner: &mut self.inner,
-            rank,
-        };
-        f(app.as_mut(), &mut ctx);
-        self.apps[rank.idx()] = Some(app);
+    fn with_app(&mut self, rank: Rank, f: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
+        let inner = &mut self.inner;
+        f(&mut self.apps[rank.idx()], &mut Ctx { inner, rank });
     }
 }
 
@@ -1967,9 +1957,13 @@ mod tests {
         }
     }
 
-    fn bcast_fabric(n_ranks: usize, chunks: u32, cfg: FabricConfig) -> (Fabric<Msg>, McastGroupId) {
+    fn bcast_fabric(
+        n_ranks: usize,
+        chunks: u32,
+        cfg: FabricConfig,
+    ) -> (Fabric<Msg, BcastApp>, McastGroupId) {
         let topo = Topology::single_switch(n_ranks, LinkRate::CX3_56G, 100);
-        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
+        let mut fab: Fabric<Msg, BcastApp> = Fabric::new(topo, cfg);
         let members: Vec<Rank> = (0..n_ranks as u32).map(Rank).collect();
         let group = fab.create_group(&members);
         for &r in &members {
@@ -1977,13 +1971,13 @@ mod tests {
             fab.attach(r, qp, group);
             fab.set_app(
                 r,
-                Box::new(BcastApp {
+                BcastApp {
                     qp,
                     group,
                     n: chunks,
                     len: 4096,
                     got: 0,
-                }),
+                },
             );
         }
         (fab, group)
@@ -2146,27 +2140,39 @@ mod tests {
         // searchable.
         fn assert_send<T: Send>() {}
         assert_send::<Fabric<Msg>>();
+        assert_send::<Fabric<Msg, BcastApp>>();
         assert_send::<Box<dyn RankApp<Msg>>>();
     }
 
     #[test]
-    fn take_app_roundtrips_concrete_type() {
+    fn into_apps_returns_every_rank_in_order() {
         let (mut fab, _) = bcast_fabric(4, 4, FabricConfig::ideal());
         let stats = fab.run();
         assert!(stats.all_done());
-        for r in 0..4 {
-            let app: BcastApp = fab.take_app_as(Rank(r));
+        let apps = fab.into_apps();
+        assert_eq!(apps.len(), 4);
+        for (r, app) in apps.iter().enumerate() {
             // Leaves counted every chunk; the root's counter stays 0.
             assert_eq!(app.got, if r == 0 { 0 } else { 4 });
         }
     }
 
     #[test]
-    #[should_panic(expected = "is not a")]
-    fn take_app_as_panics_on_type_mismatch() {
-        let (mut fab, _) = bcast_fabric(2, 1, FabricConfig::ideal());
+    #[should_panic(expected = "app out of rank order")]
+    fn set_app_out_of_rank_order_is_rejected() {
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        fab.set_app(Rank(1), Box::new(TimerApp { fired_at: None }));
+    }
+
+    #[test]
+    #[should_panic(expected = "every rank needs an app")]
+    fn run_without_every_app_is_rejected() {
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        fab.add_qp(Rank(0), Transport::Rc, 0);
+        fab.set_app(Rank(0), Box::new(TimerApp { fired_at: None }));
         fab.run();
-        let _: TimerApp = fab.take_app_as(Rank(0));
     }
 
     #[test]
@@ -2909,7 +2915,7 @@ mod tests {
         let topo = Topology::fat_tree_two_level(4, 2, 2, 1, LinkRate::CX3_56G, 100);
         let mut cfg = FabricConfig::ucc_default();
         cfg.trace = Some(mcag_trace::TraceSpec::default());
-        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
+        let mut fab: Fabric<Msg, ArbApp> = Fabric::new(topo, cfg);
         let members: Vec<Rank> = (0..4).map(Rank).collect();
         let group = fab.create_group(&members);
         for &r in &members {
@@ -2919,10 +2925,10 @@ mod tests {
             fab.attach(r, ARB_UD, group);
             fab.set_app(
                 r,
-                Box::new(ArbApp {
+                ArbApp {
                     group,
                     drained: Vec::new(),
-                }),
+                },
             );
         }
         let stats = fab.run();
@@ -2968,7 +2974,7 @@ mod tests {
                 (3154, 3, 3064), // rank 3's NIC answers the read
             ]
         );
-        let drained = fab.take_app_as::<ArbApp>(Rank(0)).drained;
+        let drained = fab.into_apps().swap_remove(0).drained;
         assert_eq!(
             drained,
             [
@@ -3018,21 +3024,52 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
     }
 
+    /// Rank 0's sender or rank 1's receiver, so that one fabric runs both
+    /// by value.
+    enum SendOrRecv {
+        Send(OneMessage),
+        Recv(RecvLog),
+    }
+
+    impl SendOrRecv {
+        fn app(&mut self) -> &mut dyn RankApp<Msg> {
+            match self {
+                SendOrRecv::Send(app) => app,
+                SendOrRecv::Recv(app) => app,
+            }
+        }
+    }
+
+    impl RankApp<Msg> for SendOrRecv {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.app().on_start(ctx);
+        }
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, payload: Payload<Msg>) {
+            self.app().on_cqe(ctx, cqe, payload);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+            self.app().on_timer(ctx, token);
+        }
+    }
+
     /// What rank 1 receives when rank 0 posts `seg` as one message: the
     /// route is FIFO, so arrival order is injection order. On the star a
     /// two-rank reduction has rank 0 as its only contributor.
     fn deliver_message(seg: MsgSegments, inc: bool) -> Vec<(u32, u32, usize)> {
         let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
-        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        let mut fab: Fabric<Msg, SendOrRecv> = Fabric::new(topo, FabricConfig::ideal());
         let group = inc.then(|| fab.create_group(&[Rank(0), Rank(1)]));
         for r in [Rank(0), Rank(1)] {
             fab.add_qp(r, Transport::Rc, 0);
         }
-        fab.set_app(Rank(0), Box::new(OneMessage { seg, group }));
-        fab.set_app(Rank(1), Box::new(RecvLog::default()));
+        fab.set_app(Rank(0), SendOrRecv::Send(OneMessage { seg, group }));
+        fab.set_app(Rank(1), SendOrRecv::Recv(RecvLog::default()));
         fab.run();
         assert_eq!(fab.live_packets(), 0);
-        fab.take_app_as::<RecvLog>(Rank(1)).got
+        match fab.into_apps().pop() {
+            Some(SendOrRecv::Recv(log)) => log.got,
+            _ => unreachable!("rank 1 runs the receiver"),
+        }
     }
 
     proptest::proptest! {

@@ -266,18 +266,20 @@ const BATCH_KIB: f64 = 84.0;
 #[test]
 fn open_loop_runtime_stays_inside_its_per_batch_budget() {
     let (allocs, kib) = per_batch_cost(open_loop_runtime(1_000, None));
-    // Measured 40 allocations and 52 KiB a simulated batch. It was 70
-    // and 53 KiB while every rank kept its QPs, its slots and its
-    // bitmap in vectors of their own and every launch collected its
-    // batches, lookups and outcomes in fresh vectors; 156 and 59 KiB while
+    // Measured 36 allocations and 52 KiB a simulated batch. It was 40
+    // while the fabric boxed every rank's app; 70 and 53 KiB while every
+    // rank kept its QPs, its slots and its bitmap in vectors of their
+    // own and every launch collected its batches, lookups and outcomes
+    // in fresh vectors; 156 and 59 KiB while
     // barrier steps, QP tables, send queues and drain notifications
     // allocated per message or per QP; 218 and 63 KiB while every
     // fabric routed and built its trees itself; 393 and 263 KiB with
     // per-slot wheel containers and per-batch topology copies. The
-    // allocation ceiling is 1.15 x the 40. 614 of this run's 759
-    // batches are replays: a debug build simulates those too and reads
-    // the figures above, a release build 13 and 12 KiB.
-    assert!(allocs <= 46.0, "{allocs:.0} allocations per batch");
+    // allocation ceiling is 1.15 x the 36, rounded up: the margin it
+    // kept over the 40. 614 of this run's 759 batches are replays: a
+    // debug build simulates those too and reads the figures above, a
+    // release build 12 and 12 KiB.
+    assert!(allocs <= 42.0, "{allocs:.0} allocations per batch");
     assert!(kib <= BATCH_KIB, "{kib:.0} KiB allocated per batch");
 }
 
@@ -654,16 +656,17 @@ fn flapping_runtime_stays_inside_its_per_batch_budget() {
         batches += report.batches;
     }
     let per_batch = allocs as f64 / batches as f64;
-    // Measured 85 allocations a batch over these 264 batches (81 in a
-    // release build, which replays some from the memo); 139 (134) while
+    // Measured 77 allocations a batch over these 264 batches (74 in a
+    // release build, which replays some from the memo); 85 (81) while
+    // the fabric boxed every rank's app; 139 (134) while
     // every rank kept its QPs, slots and bitmap in vectors of their own,
     // trees and topologies a vector per node, owed fetch ranges a fresh
     // vector per re-split and every launch and commit fresh vectors;
     // 323 (310) while every barrier step returned a vector, every QP
     // grew three, every send queue and drain notification had its own
     // buffer and every reduced chunk built a route down to its owner.
-    // The ceiling is 1.22 x the 85.
-    assert!(per_batch <= 104.0, "{per_batch:.0} allocations per batch");
+    // The ceiling is 1.22 x the 77, the margin it kept over the 85.
+    assert!(per_batch <= 94.0, "{per_batch:.0} allocations per batch");
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! anywhere in the stack fails to *compile* this suite rather than
 //! silently re-serializing every sweep and runtime wave.
 
+use mcast_allgather::baselines::executor::ScheduleApp;
 use mcast_allgather::baselines::{ring_allgather, run_p2p};
 use mcast_allgather::core::{
     des, CollectiveKind, CollectiveOutcome, CommSlot, ControlMsg, McastRankApp, MultiCommApp,
@@ -28,6 +29,10 @@ fn fabric_is_send() {
     assert_send::<Fabric<ControlMsg>>();
     assert_send::<Fabric<()>>();
     assert_send::<Box<dyn RankApp<ControlMsg>>>();
+    // The fabrics that actually run, each holding its drivers' app by
+    // value: every collective driver's, and the P2P baselines'.
+    assert_send::<Fabric<ControlMsg, MultiCommApp>>();
+    assert_send::<Fabric<(), ScheduleApp>>();
 }
 
 #[test]
