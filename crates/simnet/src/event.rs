@@ -41,6 +41,28 @@
 //!   (O(log n) per operation). Kept as the determinism oracle for the
 //!   equivalence property tests and as the perf baseline recorded in
 //!   `BENCH_simcore.json`.
+//!
+//! ## Runs
+//!
+//! A multicast packet's copies reach their next nodes at one instant,
+//! and their completions are often due at one instant too. The fabric
+//! lets such entries share one queue entry, a *run*, whose members it
+//! dispatches one after another (`fabric.rs`). An entry may *ride* only
+//! the entry scheduled last, only while that entry is still pending and
+//! due at the same instant (`EventQueue::ride_last`). Nothing was
+//! scheduled between the two, so no entry sorts between them in
+//! `(time, seq)` order, and every later entry sorts after both: a run's
+//! members pop exactly where their separate entries would have, and slot
+//! FIFO order stays `(time, seq)` order.
+//!
+//! A rider is counted like a reserved entry: joining takes a sequence
+//! number and raises `len` and `peak_len`; dispatching it
+//! (`EventQueue::consume_rider`) counts it processed. So `processed`,
+//! `len` and `peak_len` read at every step exactly what they would with
+//! every member queued on its own. The wheel remembers the node of its
+//! last push while that node is pending; the heap engine offers no
+//! entry to ride, so it never forms a run and stays the oracle the
+//! wheel's runs are checked against.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -237,6 +259,10 @@ struct Wheel<E> {
     cursor1: usize,
     /// Far-future events bucketed by super-chunk (`at >> 24`), sorted.
     overflow: BTreeMap<u64, Vec<(u64, E)>>,
+    /// The node the last push linked, while it is pending (a popped
+    /// node's event is `None`); [`NIL`] after a push into the overflow
+    /// map or a refill from it, whose nodes no push scheduled last.
+    last: u32,
 }
 
 impl<E> Wheel<E> {
@@ -252,6 +278,7 @@ impl<E> Wheel<E> {
             // base0's own chunk (far slot 0) routes to the near level.
             cursor1: 1,
             overflow: BTreeMap::new(),
+            last: NIL,
         }
     }
 
@@ -281,22 +308,25 @@ impl<E> Wheel<E> {
     #[inline]
     fn push(&mut self, at: u64, event: E) {
         let chunk = at >> SLOT_BITS;
-        if chunk == self.base0 >> SLOT_BITS {
+        self.last = if chunk == self.base0 >> SLOT_BITS {
             let idx = self.alloc(at, event);
             let slot = (at & SLOT_MASK) as usize;
             self.near.link_back(&mut self.nodes, slot, idx);
+            idx
         } else if at >> (2 * SLOT_BITS) == self.super_base {
-            self.push_far(at, event);
+            self.push_far(at, event)
         } else {
             self.overflow
                 .entry(at >> (2 * SLOT_BITS))
                 .or_default()
                 .push((at, event));
-        }
+            NIL
+        };
     }
 
-    /// Push into the far level (`at` lies in the current super-chunk).
-    fn push_far(&mut self, at: u64, event: E) {
+    /// Push into the far level (`at` lies in the current super-chunk);
+    /// returns the node.
+    fn push_far(&mut self, at: u64, event: E) -> u32 {
         let slot = (at >> SLOT_BITS & SLOT_MASK) as usize;
         let off = (at & SLOT_MASK) as u16;
         if !self.far.bits.get(slot) || off < self.far_min[slot] {
@@ -304,6 +334,14 @@ impl<E> Wheel<E> {
         }
         let idx = self.alloc(at, event);
         self.far.link_back(&mut self.nodes, slot, idx);
+        idx
+    }
+
+    /// The event of the node the last push linked, if it is still
+    /// pending.
+    #[inline]
+    fn last_pending(&mut self) -> Option<&mut E> {
+        self.nodes.get_mut(self.last as usize)?.event.as_mut()
     }
 
     /// Earliest timestamp in occupied far slot `cslot`.
@@ -372,6 +410,7 @@ impl<E> Wheel<E> {
             self.super_base = sup;
             self.base0 = sup << (2 * SLOT_BITS);
             self.cursor1 = 0;
+            self.last = NIL;
             for (at, event) in evs {
                 self.push_far(at, event);
             }
@@ -407,17 +446,23 @@ enum Engine<E> {
 /// (its fault schedule), reserved up front with `reserve_pending` and
 /// consumed one at a time with `consume_reserved`. They count in `len`,
 /// `peak_len`, `processed` and `now` exactly as if they had been pushed,
-/// without occupying the engine.
+/// without occupying the engine. *Riders* (see the module docs on runs)
+/// are counted the same way: `ride_last` merges one into the last
+/// scheduled entry and `consume_rider` counts it dispatched.
 pub struct EventQueue<E> {
     engine: Engine<E>,
     next_seq: u64,
     now: SimTime,
     processed: u64,
-    /// Pending entries: the engine's plus the reserved ones.
+    /// Pending entries: the engine's, the reserved ones and the riders.
     len: usize,
     /// Reserved entries not yet consumed.
     reserved: usize,
+    /// Riders not yet consumed.
+    riders: usize,
     peak: usize,
+    /// Due time of the last scheduled entry.
+    last_at: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -438,7 +483,9 @@ impl<E> EventQueue<E> {
             processed: 0,
             len: 0,
             reserved: 0,
+            riders: 0,
             peak: 0,
+            last_at: 0,
         }
     }
 
@@ -501,16 +548,62 @@ impl<E> EventQueue<E> {
             }),
         }
         self.next_seq += 1;
+        self.last_at = at.as_ns();
         self.len += 1;
         if self.len > self.peak {
             self.peak = self.len;
         }
     }
 
+    /// Let an entry due at `at` ride the last scheduled entry: if that
+    /// entry is still pending and due at `at`, and `join` merges the new
+    /// entry into it (returning true), the rider is counted as if it had
+    /// been scheduled — it takes a sequence number and raises `len` and
+    /// `peak_len` — and the caller dispatches it, after the entry's
+    /// earlier members, with [`EventQueue::consume_rider`]. Returns
+    /// whether it rode. The heap engine never offers an entry.
+    #[inline]
+    pub(crate) fn ride_last(&mut self, at: SimTime, join: impl FnOnce(&mut E) -> bool) -> bool {
+        if at.as_ns() != self.last_at {
+            return false;
+        }
+        let Engine::Wheel(w) = &mut self.engine else {
+            return false;
+        };
+        if !w.last_pending().is_some_and(join) {
+            return false;
+        }
+        self.next_seq += 1;
+        self.riders += 1;
+        self.len += 1;
+        if self.len > self.peak {
+            self.peak = self.len;
+        }
+        true
+    }
+
+    /// Count one rider of the entry popped last as dispatched, as a pop
+    /// of it would: processed and no longer pending, at the current
+    /// instant (the entry's).
+    ///
+    /// # Panics
+    /// If no rider is pending.
+    #[inline]
+    pub(crate) fn consume_rider(&mut self) {
+        assert!(self.riders > 0, "no rider to consume");
+        self.riders -= 1;
+        self.len -= 1;
+        self.processed += 1;
+    }
+
     /// Count `n` entries of a caller-kept side stream as pending, as if
     /// they had been scheduled now: they take `n` sequence numbers and
     /// raise `len` and `peak_len`, but the engine never holds them.
     pub(crate) fn reserve_pending(&mut self, n: usize) {
+        if let Engine::Wheel(w) = &mut self.engine {
+            // They take sequence numbers after the last scheduled entry.
+            w.last = NIL;
+        }
         self.next_seq += n as u64;
         self.len += n;
         self.reserved += n;
@@ -608,6 +701,7 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
 
@@ -823,7 +917,11 @@ mod tests {
         }
         assert_eq!(listed + free, w.nodes.len(), "leaked arena node");
         let parked: usize = w.overflow.values().map(Vec::len).sum();
-        assert_eq!(listed + parked + q.reserved, q.len(), "pending count");
+        assert_eq!(
+            listed + parked + q.reserved + q.riders,
+            q.len(),
+            "pending count"
+        );
         assert!(w.nodes.len() <= q.peak_len(), "arena outgrew the peak");
         (listed, free)
     }
@@ -865,24 +963,144 @@ mod tests {
         }
     }
 
+    /// A test entry: a key a rider must match, and the ids of the
+    /// members it stands for (more than one once riders joined it).
+    type Keyed = (u8, Vec<u64>);
+
+    /// Schedule member `id` at `at`, riding the last scheduled entry when
+    /// the queue offers it and its key matches, as the fabric does.
+    /// Returns whether it rode.
+    fn schedule_keyed(q: &mut EventQueue<Keyed>, at: SimTime, key: u8, id: u64) -> bool {
+        let rode = q.ride_last(at, |last| {
+            last.0 == key && {
+                last.1.push(id);
+                true
+            }
+        });
+        if !rode {
+            q.schedule_at(at, (key, vec![id]));
+        }
+        rode
+    }
+
+    /// Pop the next member due by `deadline`, as the fabric's event loop
+    /// does: the rest of the run popped last (kept in `run`) comes first,
+    /// then the queue's next entry.
+    fn pop_member(
+        q: &mut EventQueue<Keyed>,
+        run: &mut VecDeque<u64>,
+        deadline: SimTime,
+    ) -> Option<(SimTime, u64)> {
+        if !run.is_empty() && deadline >= q.now() {
+            q.consume_rider();
+            return run.pop_front().map(|id| (q.now(), id));
+        }
+        let (at, (_, ids)) = q.pop_if_before(deadline)?;
+        run.extend(&ids[1..]);
+        Some((at, ids[0]))
+    }
+
+    /// The earliest pending member's time: the run under way is due now.
+    fn peek_member(q: &EventQueue<Keyed>, run: &VecDeque<u64>) -> Option<SimTime> {
+        if run.is_empty() {
+            q.peek_time()
+        } else {
+            Some(q.now())
+        }
+    }
+
+    #[test]
+    fn riders_count_and_pop_as_separate_entries() {
+        let mut w = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut h = EventQueue::with_backend(QueueBackend::Heap);
+        let (mut wr, mut hr) = (VecDeque::new(), VecDeque::new());
+        // (time, key): ids 1, 2 ride 0 and id 4 rides 3; id 5 is due at
+        // another instant and ids 6, 7 follow an entry they do not tie
+        // with, so neither rides.
+        let pushes = [
+            (10, 1),
+            (10, 1),
+            (10, 1),
+            (10, 2),
+            (10, 2),
+            (12, 2),
+            (10, 1),
+            (12, 2),
+        ];
+        let mut rode = Vec::new();
+        for (id, &(t, key)) in pushes.iter().enumerate() {
+            if schedule_keyed(&mut w, SimTime(t), key, id as u64) {
+                rode.push(id);
+            }
+            assert!(!schedule_keyed(&mut h, SimTime(t), key, id as u64));
+            assert_eq!((w.len(), w.peak_len()), (h.len(), h.peak_len()));
+        }
+        assert_eq!(rode, [1, 2, 4]);
+        let (listed, _) = check_arena(&w);
+        assert_eq!((listed, w.len()), (5, 8));
+        // Same members, instants, counters and depths, pop by pop.
+        let mut order = Vec::new();
+        loop {
+            let (a, b) = (
+                pop_member(&mut w, &mut wr, SimTime(u64::MAX)),
+                pop_member(&mut h, &mut hr, SimTime(u64::MAX)),
+            );
+            assert_eq!(a, b);
+            let Some((_, id)) = a else { break };
+            order.push(id);
+            assert_eq!(
+                (w.now(), w.len(), w.processed()),
+                (h.now(), h.len(), h.processed())
+            );
+            check_arena(&w);
+        }
+        assert_eq!(order, [0, 1, 2, 3, 4, 6, 5, 7]);
+        assert_eq!((w.peak_len(), w.processed()), (8, 8));
+        // An entry rides only a pending one: not the entry just popped,
+        // not one parked in the overflow map, not across a reservation.
+        w.schedule_at(SimTime(20), (1, vec![8]));
+        assert_eq!(w.pop().map(|(t, _)| t), Some(SimTime(20)));
+        assert!(!schedule_keyed(&mut w, SimTime(20), 1, 9));
+        assert!(!schedule_keyed(&mut w, SimTime(1 << 40), 1, 10));
+        assert!(!schedule_keyed(&mut w, SimTime(1 << 40), 1, 11));
+        assert!(!schedule_keyed(&mut w, SimTime(30), 1, 12));
+        w.reserve_pending(1);
+        assert!(!schedule_keyed(&mut w, SimTime(30), 1, 13));
+        assert!(schedule_keyed(&mut w, SimTime(30), 1, 14));
+    }
+
+    #[test]
+    #[should_panic(expected = "no rider")]
+    fn consuming_without_a_rider_panics() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.consume_rider();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The wheel and the reference heap pop, refuse and peek
-        /// identically under random schedule / pop / deadline-pop /
-        /// reserve / consume interleavings spanning every wheel level and
-        /// its boundaries, agree on every counter, and the wheel's arena
-        /// invariants hold after every operation.
+        /// identically under random schedule / ride / pop / deadline-pop
+        /// / reserve / consume interleavings spanning every wheel level
+        /// and its boundaries, agree on every counter, and the wheel's
+        /// arena invariants hold after every operation. Entries ride only
+        /// on the wheel (the heap pushes every one), and its runs unpack
+        /// into exactly the heap's separate pops.
         #[test]
         fn wheel_matches_heap_model(
-            ops in prop::collection::vec((0u8..16, 0u64..u64::MAX / 4), 1..250),
+            ops in prop::collection::vec((0u8..18, 0u64..u64::MAX / 4), 1..250),
         ) {
             let mut w = EventQueue::with_backend(QueueBackend::Wheel);
             let mut h = EventQueue::with_backend(QueueBackend::Heap);
-            let (mut id, mut reserved) = (0u64, 0usize);
+            let (mut wr, mut hr) = (VecDeque::new(), VecDeque::new());
+            let (mut id, mut reserved, mut last_at) = (0u64, 0usize, 0u64);
+            let never = SimTime(u64::MAX);
             for (op, val) in ops {
                 match op {
-                    0 | 1 => prop_assert_eq!(w.pop(), h.pop()),
+                    0 | 1 => prop_assert_eq!(
+                        pop_member(&mut w, &mut wr, never),
+                        pop_member(&mut h, &mut hr, never)
+                    ),
                     14 => {
                         let n = (val % 4) as usize;
                         w.reserve_pending(n);
@@ -891,11 +1109,11 @@ mod tests {
                     }
                     15 if reserved > 0 => {
                         // A side-stream entry due no later than the
-                        // earliest queued event (ties included), as the
+                        // earliest pending member (ties included), as the
                         // fabric's fault cursor consumes them.
                         let now = w.now().as_ns();
                         let mut at = SimTime(now + val % (1 << (2 * SLOT_BITS + 1)));
-                        if let Some(t) = w.peek_time() {
+                        if let Some(t) = peek_member(&w, &wr) {
                             at = at.min(t);
                         }
                         w.consume_reserved(at);
@@ -903,6 +1121,16 @@ mod tests {
                         reserved -= 1;
                     }
                     15 => {}
+                    16 | 17 => {
+                        // Another member at the last scheduled entry's
+                        // instant, under one of two keys: it rides when
+                        // that entry is pending and its key matches.
+                        let at = SimTime(last_at.max(w.now().as_ns()));
+                        schedule_keyed(&mut w, at, (val % 2) as u8, id);
+                        schedule_keyed(&mut h, at, (val % 2) as u8, id);
+                        last_at = at.as_ns();
+                        id += 1;
+                    }
                     2 | 3 => {
                         // A deadline that usually falls short of the
                         // earliest pending event: the pop is refused and
@@ -910,7 +1138,10 @@ mod tests {
                         // the refused pop already looked at.
                         let span = [1 << 6, 1 << SLOT_BITS, 1 << (2 * SLOT_BITS + 1)];
                         let deadline = SimTime(w.now().as_ns() + val % span[(val % 3) as usize]);
-                        prop_assert_eq!(w.pop_if_before(deadline), h.pop_if_before(deadline));
+                        prop_assert_eq!(
+                            pop_member(&mut w, &mut wr, deadline),
+                            pop_member(&mut h, &mut hr, deadline)
+                        );
                     }
                     _ => {
                         // Exact ties, near slots, far slots, the overflow
@@ -929,8 +1160,10 @@ mod tests {
                             12 => edge(SLOT_BITS) - 1 + val % 3,
                             _ => edge(2 * SLOT_BITS) - 1 + val % 3,
                         };
-                        w.schedule_in(delay, id);
-                        h.schedule_in(delay, id);
+                        let at = SimTime(now + delay);
+                        w.schedule_at(at, (0, vec![id]));
+                        h.schedule_at(at, (0, vec![id]));
+                        last_at = at.as_ns();
                         id += 1;
                     }
                 }
@@ -938,11 +1171,11 @@ mod tests {
                 prop_assert_eq!(w.len(), h.len());
                 prop_assert_eq!(w.peak_len(), h.peak_len());
                 prop_assert_eq!(w.processed(), h.processed());
-                prop_assert_eq!(w.peek_time(), h.peek_time());
+                prop_assert_eq!(peek_member(&w, &wr), peek_member(&h, &hr));
                 check_arena(&w);
             }
             loop {
-                let (a, b) = (w.pop(), h.pop());
+                let (a, b) = (pop_member(&mut w, &mut wr, never), pop_member(&mut h, &mut hr, never));
                 prop_assert_eq!(a, b);
                 if a.is_none() {
                     break;

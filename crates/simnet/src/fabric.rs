@@ -47,7 +47,11 @@
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
-//! run performs no per-packet heap allocation at all.
+//! simulation performs no per-packet heap allocation at all. The copies'
+//! arrivals at their next nodes, due at one instant, share one
+//! event-queue entry, as do their same-instant completions: a *run* (see
+//! the event module's docs), whose members beyond two wait in one
+//! recycled word arena.
 //!
 //! Unicast routes and multicast trees are not the fabric's
 //! to build: the [`Topology`] computes each once and every fabric over it
@@ -91,6 +95,13 @@ const MAX_EVENTS: u64 = 2_000_000_000;
 
 /// Per-hop switch forwarding latency (beyond serialization).
 const SWITCH_LATENCY_NS: u64 = 200;
+
+/// `processed & QUEUE_SAMPLE_MASK == 0` marks a queue-depth sample: a
+/// mask, not a division, on the traced event loop.
+const QUEUE_SAMPLE_MASK: u64 = {
+    assert!(TraceSpec::QUEUE_SAMPLE_EVERY.is_power_of_two());
+    TraceSpec::QUEUE_SAMPLE_EVERY - 1
+};
 
 /// Where a packet goes next.
 #[derive(Debug, Clone)]
@@ -359,6 +370,237 @@ enum Ev {
         rank: Rank,
         token: u64,
     },
+    /// A run of `pkt`'s `LinkArrive`s: its members are the links.
+    ArriveRun {
+        pkt: PktRef,
+        members: Members,
+    },
+    /// A run of `pkt`'s `CqeDone`s on QP `qp_idx` of each member rank.
+    CqeRun {
+        pkt: PktRef,
+        qp_idx: u16,
+        repost: bool,
+        members: Members,
+    },
+}
+
+/// The members of a run entry, in dispatch order: links of an
+/// [`Ev::ArriveRun`], ranks of an [`Ev::CqeRun`]. A run opens with two
+/// members, held here; a third moves them all into a [`RunStore`]
+/// segment, which `first` locates while `second` is [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Members {
+    first: u32,
+    second: u32,
+}
+
+/// Words in the smallest run segment: a length word and seven members.
+const SEG_MIN: u32 = 8;
+
+/// Size classes of run segments: class `c` is `SEG_MIN << c` words.
+const SEG_CLASSES: usize = 28;
+
+/// The member lists of runs that outgrew [`Members`], in one arena of
+/// words. A list is a segment of `SEG_MIN << c` words: its length, then
+/// its members. A full segment moves to one twice its size, and a
+/// vacated one goes on its class's free list, linked through its first
+/// word. So the arena allocates only as it grows, and stops growing once
+/// it has held as many segments of each class as were ever live at once.
+struct RunStore {
+    words: Vec<u32>,
+    /// First free segment of each class, or [`NIL`].
+    free: [u32; SEG_CLASSES],
+}
+
+impl RunStore {
+    /// Merge `ev` into the pending entry `last` when both are `pkt`'s
+    /// `LinkArrive`s, or its `CqeDone`s on one QP (either possibly a run
+    /// already), rewriting `last` into a run; false leaves it untouched.
+    fn join(&mut self, last: &mut Ev, ev: Ev) -> bool {
+        *last = match (*last, ev) {
+            (Ev::LinkArrive { link: a, pkt }, Ev::LinkArrive { link: b, pkt: p }) if pkt == p => {
+                Ev::ArriveRun {
+                    pkt,
+                    members: Members {
+                        first: a.0,
+                        second: b.0,
+                    },
+                }
+            }
+            (Ev::ArriveRun { pkt, members }, Ev::LinkArrive { link, pkt: p }) if pkt == p => {
+                Ev::ArriveRun {
+                    pkt,
+                    members: self.push(members, link.0),
+                }
+            }
+            (
+                Ev::CqeDone {
+                    rank: a,
+                    qp_idx,
+                    repost,
+                    pkt,
+                },
+                Ev::CqeDone {
+                    rank: b,
+                    qp_idx: q,
+                    repost: r,
+                    pkt: p,
+                },
+            ) if (pkt, qp_idx, repost) == (p, q, r) => match u16::try_from(qp_idx) {
+                Ok(qp_idx) => Ev::CqeRun {
+                    pkt,
+                    qp_idx,
+                    repost,
+                    members: Members {
+                        first: a.0,
+                        second: b.0,
+                    },
+                },
+                Err(_) => return false,
+            },
+            (
+                Ev::CqeRun {
+                    pkt,
+                    qp_idx,
+                    repost,
+                    members,
+                },
+                Ev::CqeDone {
+                    rank,
+                    qp_idx: q,
+                    repost: r,
+                    pkt: p,
+                },
+            ) if (pkt, u32::from(qp_idx), repost) == (p, q, r) => Ev::CqeRun {
+                pkt,
+                qp_idx,
+                repost,
+                members: self.push(members, rank.0),
+            },
+            _ => return false,
+        };
+        true
+    }
+
+    /// `members` with `m` appended: the third moves them all into a
+    /// segment.
+    fn push(&mut self, members: Members, m: u32) -> Members {
+        if members.second != NIL {
+            let at = self.alloc(0);
+            self.words[at..at + 4].copy_from_slice(&[3, members.first, members.second, m]);
+            return Members {
+                first: at as u32,
+                second: NIL,
+            };
+        }
+        let mut at = members.first as usize;
+        let len = self.words[at];
+        if (len + 1).is_power_of_two() && len + 1 >= SEG_MIN {
+            // Full: move to a segment of the next class.
+            let class = seg_class(len);
+            let to = self.alloc(class + 1);
+            self.words.copy_within(at..at + len as usize + 1, to);
+            self.release(at, class);
+            at = to;
+        }
+        self.words[at] = len + 1;
+        self.words[at + 1 + len as usize] = m;
+        Members {
+            first: at as u32,
+            second: NIL,
+        }
+    }
+
+    /// A vacant segment of class `class`: a free one, or new words.
+    fn alloc(&mut self, class: usize) -> usize {
+        let head = self.free[class];
+        if head != NIL {
+            self.free[class] = self.words[head as usize];
+            return head as usize;
+        }
+        let at = self.words.len();
+        assert!(at < NIL as usize, "run arena is full");
+        if self.words.capacity() == 0 {
+            // Skip the first doublings, as the slabs do.
+            self.words.reserve_exact(8 * SEG_MIN as usize);
+        }
+        self.words.resize(at + ((SEG_MIN as usize) << class), 0);
+        at
+    }
+
+    fn release(&mut self, at: usize, class: usize) {
+        self.words[at] = self.free[class];
+        self.free[class] = at as u32;
+    }
+
+    fn len(&self, members: Members) -> u32 {
+        match members.second {
+            NIL => self.words[members.first as usize],
+            _ => 2,
+        }
+    }
+
+    /// Member `k` of run entry `run`, as the event it stands for.
+    #[inline]
+    fn member(&self, run: Ev, k: u32) -> Ev {
+        let m = |members: Members| match (members.second, k) {
+            (NIL, _) => self.words[(members.first + 1 + k) as usize],
+            (_, 0) => members.first,
+            _ => members.second,
+        };
+        match run {
+            Ev::ArriveRun { pkt, members } => Ev::LinkArrive {
+                link: LinkId(m(members)),
+                pkt,
+            },
+            Ev::CqeRun {
+                pkt,
+                qp_idx,
+                repost,
+                members,
+            } => Ev::CqeDone {
+                rank: Rank(m(members)),
+                qp_idx: qp_idx.into(),
+                repost,
+                pkt,
+            },
+            _ => unreachable!("not a run entry"),
+        }
+    }
+
+    /// Free a dispatched run's segment, if it has one.
+    fn close(&mut self, run: Ev) {
+        if let Ev::ArriveRun { members, .. } | Ev::CqeRun { members, .. } = run {
+            if members.second == NIL {
+                let at = members.first as usize;
+                self.release(at, seg_class(self.words[at]));
+            }
+        }
+    }
+}
+
+impl Default for RunStore {
+    fn default() -> RunStore {
+        RunStore {
+            words: Vec::new(),
+            free: [NIL; SEG_CLASSES],
+        }
+    }
+}
+
+/// The class of the segment that holds `len` members.
+fn seg_class(len: u32) -> usize {
+    let words = (len + 1).next_power_of_two().max(SEG_MIN);
+    (words.trailing_zeros() - SEG_MIN.trailing_zeros()) as usize
+}
+
+/// The run entry being dispatched member by member: `next` is the index
+/// of its next member, `left` how many are still to come.
+#[derive(Clone, Copy)]
+struct RunCursor {
+    run: Ev,
+    next: u32,
+    left: u32,
 }
 
 /// Runtime state of one directed link under the fault schedule. Only
@@ -495,6 +737,11 @@ pub struct Inner<M> {
     /// The messages of in-flight control packets ([`Body::Msg`]), out of
     /// line so that a slab entry does not grow with `M`.
     ctrl_msgs: Slab<M>,
+    /// Member lists of the runs that outgrew their entry.
+    runs: RunStore,
+    /// The popped run whose members are being dispatched (`None` between
+    /// runs); its members are due now, ahead of every queued entry.
+    run: Option<RunCursor>,
     /// Flight recorder, allocated iff `cfg.trace` is `Some` — every
     /// record site is gated on this `Option`, so a disabled recorder
     /// costs one branch (the same pattern as `has_faults`).
@@ -619,6 +866,8 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 group_attach: Vec::new(),
                 pkt_slab: Slab::new(),
                 ctrl_msgs: Slab::new(),
+                runs: RunStore::default(),
+                run: None,
                 trace,
                 run_wall_ns: 0,
             },
@@ -707,12 +956,6 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         gid
     }
 
-    /// Multicast groups currently programmed into the fabric — the
-    /// simulated switch group-table occupancy.
-    pub fn num_groups(&self) -> usize {
-        self.inner.trees.len()
-    }
-
     /// High-water mark of any single switch's live in-network-reduction
     /// aggregation-table occupancy over the run so far (0 when no INC
     /// traffic flowed). The demand side of
@@ -776,13 +1019,8 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// [`RunStats::all_done`] and continue with a later deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> RunStats {
         let wall_start = std::time::Instant::now();
-        // Queue-depth sampling period; 0 (tracing off) reduces the
-        // per-event tracing cost to one compare.
-        let sample_every = if self.inner.trace.is_some() {
-            TraceSpec::QUEUE_SAMPLE_EVERY
-        } else {
-            0
-        };
+        // Queue-depth sampling: with tracing off, one test per event.
+        let traced = self.inner.trace.is_some();
         let n = self.inner.num_ranks();
         if !self.started {
             self.started = true;
@@ -799,8 +1037,17 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             if self.inner.q.processed() >= MAX_EVENTS {
                 panic!("event cap {MAX_EVENTS} exceeded — livelocked protocol?");
             }
-            match bound.and_then(|b| self.inner.q.pop_if_before(b)) {
-                Some((_, ev)) => self.dispatch(ev),
+            // The rest of a popped run comes first: its members are due
+            // now, and every queued entry sorts after them.
+            let ev = if self.inner.run.is_some() && bound.is_some_and(|b| b >= self.inner.q.now()) {
+                Some(self.inner.next_member())
+            } else {
+                bound
+                    .and_then(|b| self.inner.q.pop_if_before(b))
+                    .map(|(_, ev)| self.inner.first_member(ev))
+            };
+            match ev {
+                Some(ev) => self.dispatch(ev),
                 None if self.inner.next_fault.is_some_and(|t| t <= deadline) => {
                     self.inner.apply_next_fault();
                     bound = self.inner.pop_bound(deadline);
@@ -808,7 +1055,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 // Quiescent or past the deadline; caller inspects stats.
                 None => break,
             }
-            if sample_every != 0 && self.inner.q.processed().is_multiple_of(sample_every) {
+            if traced && self.inner.q.processed() & QUEUE_SAMPLE_MASK == 0 {
                 let (at_ns, depth) = (self.inner.q.now().as_ns(), self.inner.q.len() as u32);
                 if let Some(t) = self.inner.trace.as_mut() {
                     t.record(TraceEvent::QueueDepth { at_ns, depth });
@@ -827,9 +1074,11 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
 
     /// Timestamp of the earliest pending event, scheduled link-state
     /// transitions included (`None` when quiescent) — the peek-based
-    /// progress probe for cutoff checks.
+    /// progress probe for cutoff checks. The rest of a run the last rank
+    /// finished in the middle of is due at the current instant.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        [self.inner.q.peek_time(), self.inner.next_fault]
+        let run = self.inner.run.map(|_| self.inner.q.now());
+        [run, self.inner.q.peek_time(), self.inner.next_fault]
             .into_iter()
             .flatten()
             .min()
@@ -852,11 +1101,6 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// Total RNR drops across all NICs.
     pub fn total_rnr_drops(&self) -> u64 {
         self.inner.nics.iter().map(|n| n.rnr_drops).sum()
-    }
-
-    /// Total fabric drops across all links.
-    pub fn total_fabric_drops(&self) -> u64 {
-        self.inner.counters.iter().map(|c| c.drops).sum()
     }
 
     /// Total packet copies lost to down links (fault injection).
@@ -967,6 +1211,9 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             Ev::TxDrained { rank, token } => {
                 self.with_app(rank, |app, ctx| app.on_tx_drained(ctx, token));
             }
+            Ev::ArriveRun { .. } | Ev::CqeRun { .. } => {
+                unreachable!("a run is dispatched member by member")
+            }
         }
     }
 
@@ -1025,6 +1272,54 @@ impl<M: Clone + 'static> Inner<M> {
             state.drains += 1;
             self.drains.push((rank, qp.0, token));
         }
+    }
+
+    // ------------------------------- runs ------------------------------- //
+
+    /// Schedule `pkt`'s `LinkArrive` or `CqeDone` at `at`, riding the
+    /// last scheduled entry when that is the same packet's same-kind
+    /// event (or run of them) due at `at` — a multicast copy's fan-out
+    /// and its completions — so that they share one queue entry. A lone
+    /// event is pushed as it is; only a second member opens a run.
+    #[inline]
+    fn schedule_member(&mut self, at: SimTime, ev: Ev) {
+        let Inner { q, runs, .. } = self;
+        if !q.ride_last(at, |last| runs.join(last, ev)) {
+            q.schedule_at(at, ev);
+        }
+    }
+
+    /// The event to dispatch for the entry just popped: the entry itself,
+    /// or a run's first member, with the cursor on the rest.
+    #[inline]
+    fn first_member(&mut self, ev: Ev) -> Ev {
+        match ev {
+            Ev::ArriveRun { members, .. } | Ev::CqeRun { members, .. } => {
+                self.run = Some(RunCursor {
+                    run: ev,
+                    next: 1,
+                    left: self.runs.len(members) - 1,
+                });
+                self.runs.member(ev, 0)
+            }
+            _ => ev,
+        }
+    }
+
+    /// The next member of the run under the cursor, counted as the
+    /// queue's pop of a separate entry would be.
+    fn next_member(&mut self) -> Ev {
+        let c = self.run.as_mut().expect("no run under the cursor");
+        let (run, k) = (c.run, c.next);
+        c.next += 1;
+        c.left -= 1;
+        let ev = self.runs.member(run, k);
+        if c.left == 0 {
+            self.run = None;
+            self.runs.close(run);
+        }
+        self.q.consume_rider();
+        ev
     }
 
     // --------------------------- fault state --------------------------- //
@@ -1774,7 +2069,7 @@ impl<M: Clone + 'static> Inner<M> {
             });
         }
         if self.count_and_maybe_drop(out, wire, kind, payload_len, reliable) {
-            self.q.schedule_at(
+            self.schedule_member(
                 start + ser + link.prop_delay_ns,
                 Ev::LinkArrive { link: out, pkt: pr },
             );
@@ -1899,7 +2194,7 @@ impl<M: Clone + 'static> Inner<M> {
                 });
             }
         }
-        self.q.schedule_at(
+        self.schedule_member(
             done,
             Ev::CqeDone {
                 rank,
@@ -1921,13 +2216,15 @@ mod tests {
     type Msg = u64;
 
     /// Sends `n` multicast chunks from rank 0; leaves count receptions and
-    /// mark done when they saw all of them. Rank 0 marks done on TX drain.
+    /// mark done when they saw `n` of them. Rank 0 marks done on TX drain.
     struct BcastApp {
         qp: QpNum,
         group: McastGroupId,
         n: u32,
         len: usize,
         got: u32,
+        /// When the last reception completed.
+        got_at: Option<SimTime>,
     }
 
     impl RankApp<Msg> for BcastApp {
@@ -1945,6 +2242,7 @@ mod tests {
         fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
             assert!(cqe.is_recv_success());
             self.got += 1;
+            self.got_at = Some(ctx.now());
             if self.got == self.n {
                 ctx.mark_done();
             }
@@ -1963,8 +2261,17 @@ mod tests {
         cfg: FabricConfig,
     ) -> (Fabric<Msg, BcastApp>, McastGroupId) {
         let topo = Topology::single_switch(n_ranks, LinkRate::CX3_56G, 100);
+        bcast_on(topo, |_| chunks, cfg)
+    }
+
+    /// [`BcastApp`] on every host of `topo`, rank `r` with `n = n(r)`.
+    fn bcast_on(
+        topo: Topology,
+        n: impl Fn(Rank) -> u32,
+        cfg: FabricConfig,
+    ) -> (Fabric<Msg, BcastApp>, McastGroupId) {
+        let members: Vec<Rank> = (0..topo.num_hosts() as u32).map(Rank).collect();
         let mut fab: Fabric<Msg, BcastApp> = Fabric::new(topo, cfg);
-        let members: Vec<Rank> = (0..n_ranks as u32).map(Rank).collect();
         let group = fab.create_group(&members);
         for &r in &members {
             let qp = fab.add_qp(r, Transport::Ud, 0);
@@ -1974,9 +2281,10 @@ mod tests {
                 BcastApp {
                     qp,
                     group,
-                    n: chunks,
+                    n: n(r),
                     len: 4096,
                     got: 0,
+                    got_at: None,
                 },
             );
         }
@@ -1989,7 +2297,7 @@ mod tests {
         let stats = fab.run();
         assert!(stats.all_done(), "stats: {stats:?}");
         assert_eq!(fab.total_rnr_drops(), 0);
-        assert_eq!(fab.total_fabric_drops(), 0);
+        assert_eq!(fab.traffic().total_drops(), 0);
         assert!(stats.peak_queue_depth > 0);
     }
 
@@ -2034,7 +2342,7 @@ mod tests {
             1,
             "only root done"
         );
-        assert!(fab.total_fabric_drops() > 0);
+        assert!(fab.traffic().total_drops() > 0);
         // Dropped replicas must not leak slab entries.
         assert_eq!(fab.live_packets(), 0);
     }
@@ -2065,19 +2373,6 @@ mod tests {
         let stats = fab.run();
         assert!(!stats.all_done());
         assert!(fab.total_rnr_drops() > 0, "expected RNR drops");
-    }
-
-    #[test]
-    fn group_table_occupancy_tracked() {
-        let topo = Topology::single_switch(4, LinkRate::CX3_56G, 100);
-        let mut cfg = FabricConfig::ideal();
-        cfg.mcast_table_capacity = Some(3);
-        let mut fab: Fabric<Msg> = Fabric::new(topo, cfg);
-        let members: Vec<Rank> = (0..4).map(Rank).collect();
-        assert_eq!(fab.num_groups(), 0);
-        fab.create_group(&members);
-        fab.create_group(&members);
-        assert_eq!(fab.num_groups(), 2);
     }
 
     #[test]
@@ -2226,6 +2521,103 @@ mod tests {
         assert_eq!(stats.events, whole.events);
     }
 
+    /// An 8-host two-level fat tree, four hosts per leaf: a leaf's copies
+    /// of a datagram to its hosts (and the spine) leave at one instant and
+    /// arrive at one, as do those hosts' completions.
+    fn two_level_eight() -> Topology {
+        Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100)
+    }
+
+    #[test]
+    fn runs_match_the_heap_engine_in_slices() {
+        // Wheel runs against the heap's separate entries, each fabric
+        // driven in 1 µs `run_until` slices: identical completions, event
+        // counts, queue depths, per-link counters and trace — queue-depth
+        // samples included.
+        let drive = |backend| {
+            let mut cfg = FabricConfig::ucc_default();
+            cfg.event_queue = backend;
+            cfg.trace = Some(TraceSpec::default());
+            let (mut fab, _) = bcast_on(two_level_eight(), |_| 256, cfg);
+            let mut deadline = 1_000u64;
+            let stats = loop {
+                let s = fab.run_until(SimTime(deadline));
+                if s.all_done() {
+                    break s;
+                }
+                deadline += 1_000;
+            };
+            let trace: Vec<TraceEvent> = fab.trace().unwrap().iter().copied().collect();
+            let spilled = fab.inner.runs.words.len();
+            (stats, fab.traffic(), trace, spilled)
+        };
+        let (sw, tw, trw, spilled) = drive(QueueBackend::Wheel);
+        let (sh, th, trh, none) = drive(QueueBackend::Heap);
+        assert!(sw.all_done());
+        assert!(spilled > 0 && none == 0, "runs formed: {spilled} / {none}");
+        assert_eq!(sw.per_rank_done, sh.per_rank_done);
+        assert_eq!(
+            (sw.end_time, sw.events, sw.peak_queue_depth),
+            (sh.end_time, sh.events, sh.peak_queue_depth)
+        );
+        assert_eq!(tw.per_link(), th.per_link());
+        let samples = trw
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::QueueDepth { .. }))
+            .count();
+        assert!(samples > 1, "{samples} queue-depth samples");
+        assert_eq!(trw, trh);
+    }
+
+    #[test]
+    fn a_run_cut_by_the_last_finish_resumes_in_order() {
+        // Rank 7 waits for nothing, so the last rank to finish is one of
+        // its leaf-mates, and the final completion run still holds rank
+        // 7's member when the run stops.
+        let cut = |backend| {
+            let mut cfg = FabricConfig::ucc_default();
+            cfg.event_queue = backend;
+            let n = |r: Rank| u32::from(r != Rank(7));
+            let (mut fab, _) = bcast_on(two_level_eight(), n, cfg);
+            let stats = fab.run();
+            assert!(stats.all_done());
+            (fab, stats)
+        };
+        let (mut w, sw) = cut(QueueBackend::Wheel);
+        let (mut h, sh) = cut(QueueBackend::Heap);
+        assert!(w.inner.run.is_some(), "the run was not cut");
+        assert!(h.inner.run.is_none());
+        assert_eq!(sw.per_rank_done, sh.per_rank_done);
+        assert_eq!(
+            (sw.end_time, sw.events, sw.peak_queue_depth),
+            (sh.end_time, sh.events, sh.peak_queue_depth)
+        );
+        for fab in [&w, &h] {
+            // The rest of the run is due at the instant it stopped.
+            assert_eq!(fab.next_event_time(), Some(sw.end_time));
+            assert_eq!(fab.inner.q.len(), h.inner.q.len());
+            assert_eq!(fab.live_packets(), h.live_packets());
+            assert_eq!(fab.apps[7].got, 0);
+        }
+        // With every rank done a later call dispatches nothing; un-finish
+        // rank 6 so that one resumes. Rank 7's member comes first, at the
+        // cut instant, and the rest drains as on the heap.
+        for fab in [&mut w, &mut h] {
+            fab.inner.done[6] = None;
+            fab.inner.done_count -= 1;
+        }
+        let (rw, rh) = (w.run(), h.run());
+        assert!(w.inner.run.is_none());
+        assert_eq!((rw.events, rw.end_time), (rh.events, rh.end_time));
+        assert!(rw.events > sw.events);
+        assert_eq!(w.traffic().per_link(), h.traffic().per_link());
+        assert_eq!(w.live_packets(), 0);
+        for fab in [&w, &h] {
+            let seven = &fab.apps[7];
+            assert_eq!((seven.got, seven.got_at), (1, Some(sw.end_time)));
+        }
+    }
+
     #[test]
     fn slab_recycles_instead_of_growing() {
         // Steady-state broadcast: the slab high-water mark must be far
@@ -2355,11 +2747,8 @@ mod tests {
         let (mut fab, _) = bcast_fabric(4, 64, cfg);
         fab.run();
         let report = fab.traffic();
-        assert!(fab.total_fabric_drops() > 0);
+        assert!(report.total_drops() > 0);
         assert!(fab.total_rnr_drops() > 0);
-        let per_link_sum: u64 = report.per_link().iter().map(|c| c.drops).sum();
-        assert_eq!(per_link_sum, fab.total_fabric_drops());
-        assert_eq!(report.total_drops(), fab.total_fabric_drops());
         assert_eq!(report.rnr_per_rank().len(), 4);
         assert_eq!(report.total_rnr_drops(), fab.total_rnr_drops());
         // Forced drops are charged to the two victims' delivery links.
@@ -2525,6 +2914,7 @@ mod tests {
                     n: 16,
                     len: 4096,
                     got: 0,
+                    got_at: None,
                 }),
             );
         }
@@ -2828,6 +3218,77 @@ mod tests {
         // segmentation).
         let size = std::mem::size_of::<Wqe>();
         assert!(size <= 64, "Wqe grew to {size} bytes");
+    }
+
+    #[test]
+    fn run_store_keeps_member_order_and_recycles_segments() {
+        let mut store = RunStore::default();
+        let pkt = PktRef(9);
+        let open = |store: &mut RunStore, n: u32| {
+            let mut run = Ev::LinkArrive {
+                link: LinkId(0),
+                pkt,
+            };
+            for m in 1..n {
+                assert!(store.join(
+                    &mut run,
+                    Ev::LinkArrive {
+                        link: LinkId(m),
+                        pkt
+                    }
+                ));
+            }
+            run
+        };
+        let members = |store: &RunStore, run: Ev| -> Vec<u32> {
+            let Ev::ArriveRun { members, .. } = run else {
+                unreachable!()
+            };
+            (0..store.len(members))
+                .map(|k| match store.member(run, k) {
+                    Ev::LinkArrive { link, pkt: p } if p == pkt => link.0,
+                    ev => panic!("member {k} is {ev:?}"),
+                })
+                .collect()
+        };
+        // Lengths on both sides of every segment-class edge, several live
+        // at once.
+        let sizes = [2, 3, 7, 8, 15, 16, 17, 100];
+        let runs: Vec<Ev> = sizes.iter().map(|&n| open(&mut store, n)).collect();
+        for (&n, &run) in sizes.iter().zip(&runs) {
+            assert_eq!(members(&store, run), (0..n).collect::<Vec<_>>());
+        }
+        let words = store.words.len();
+        runs.into_iter().for_each(|run| store.close(run));
+        // The same runs again fit in the segments the first ones vacated.
+        let runs: Vec<Ev> = sizes.iter().map(|&n| open(&mut store, n)).collect();
+        assert_eq!(store.words.len(), words);
+        assert_eq!(members(&store, runs[7]), (0..100).collect::<Vec<_>>());
+        // Another packet's arrival, or a completion, does not join.
+        let mut run = runs[1];
+        assert!(!store.join(
+            &mut run,
+            Ev::LinkArrive {
+                link: LinkId(5),
+                pkt: PktRef(8)
+            }
+        ));
+        let cqe = Ev::CqeDone {
+            rank: Rank(1),
+            qp_idx: 0,
+            repost: true,
+            pkt,
+        };
+        assert!(!store.join(&mut run, cqe));
+        assert_eq!(members(&store, run), [0, 1, 2]);
+    }
+
+    #[test]
+    fn event_stays_small() {
+        // A wheel node is 24 bytes for a 16-byte event; a run entry must
+        // not grow it.
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 16, "Ev grew to {size} bytes");
     }
 
     #[test]
