@@ -24,16 +24,26 @@
 //! A traced run exports hundreds of thousands of elements, so the
 //! renderer allocates exactly once. `render` is one forward pass over
 //! the trace that hands literal fragments, integers, timestamps and
-//! names to an `Out`; no element is ever materialised on its own.
-//! [`export_chrome`] drives it twice: first into a `Len`, which only
-//! adds up what each piece *would* occupy (a literal's length, a
-//! number's digit count, a name's escaped length), then into a byte
-//! buffer reserved to that sum, which becomes the returned `String`
-//! without a copy. Because both walks are the same code the capacity is
-//! not an estimate but the document's exact length — a worst-case bound
-//! per element kind would over-reserve by half (a `u64` timestamp may
-//! take 21 bytes, a real one takes 10) — so the buffer never
-//! reallocates and peak memory is the document itself.
+//! names to an `Out`. [`export_chrome`] drives it twice: first into a
+//! `Len`, which only adds up what each piece *would* occupy (a literal's
+//! length, a number's digit count, a name's escaped length), then into a
+//! `Doc`, whose buffer is reserved to that sum and becomes the returned
+//! `String` without a copy. Because both walks are the same code the
+//! capacity is not an estimate but the document's exact length — a
+//! worst-case bound per element kind would over-reserve by half (a `u64`
+//! timestamp may take 21 bytes, a real one takes 10) — so the buffer
+//! never reallocates and peak memory is the document itself.
+//!
+//! ## One record per element
+//!
+//! The writing pass stages each element in a fixed record on the stack
+//! and appends the finished record to the buffer with one copy. Inside
+//! the record a literal fragment is a copy of constant length, which
+//! compiles to a few moves where a copy into the buffer is a `memcpy`
+//! call per fragment; an integer's length comes from a leading-zeros
+//! estimate and one compare, and its digits are written back to front,
+//! two at a time, from a table of digit pairs. A name or reason too
+//! long for the record spills it and goes to the buffer directly.
 
 use crate::event::TraceEvent;
 use crate::span::RuntimeTrace;
@@ -49,7 +59,7 @@ pub struct ChromeOptions {
 }
 
 /// Where the renderer's pieces go: a byte count ([`Len`], the sizing
-/// pass) or the document buffer (`Vec<u8>`).
+/// pass) or the document ([`Doc`], the writing pass).
 trait Out {
     /// A fragment that is already valid JSON text.
     fn lit(&mut self, s: &str);
@@ -106,8 +116,24 @@ fn escape_of(b: u8) -> Option<&'static str> {
 /// document buffer.
 struct Len(usize);
 
+/// `10^i` for every `i` a `u64` can reach.
+const POW10: [u64; 20] = {
+    let mut t = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        t[i] = t[i - 1] * 10;
+        i += 1;
+    }
+    t
+};
+
+/// The number of decimal digits of `v`. `bits · 1233 / 4096` rounds
+/// `bits · log10 2` down, so it is the digit count or one short of it,
+/// and one compare with a power of ten settles which.
 fn decimal_digits(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+    let v = v | 1;
+    let guess = (((u64::BITS - v.leading_zeros()) * 1233) >> 12) as usize;
+    guess + usize::from(v >= POW10[guess])
 }
 
 impl Out for Len {
@@ -124,41 +150,123 @@ impl Out for Len {
     }
 }
 
-/// Write `v` in decimal into `tmp`, ending just before `end`; returns
-/// where the digits start.
-fn decimal_before(tmp: &mut [u8], end: usize, mut v: u64) -> usize {
-    let mut at = end;
-    loop {
-        at -= 1;
-        tmp[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            return at;
-        }
+/// `"00"`, `"01"`, …, `"99"`: two digits per table read.
+const PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Fill `out` with `v` in decimal, back to front two digits at a time;
+/// `out` is exactly `decimal_digits(v)` long.
+fn decimal_into(out: &mut [u8], mut v: u64) {
+    let mut at = out.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        out[..2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        out[0] = b'0' + v as u8;
     }
 }
 
-/// The document buffer. Every piece appended is a whole `&str` or
-/// ASCII digits, so the bytes are UTF-8 — checked once, at the end,
-/// when [`export_chrome`] turns the buffer into the `String`.
-impl Out for Vec<u8> {
+/// Bytes of one element staged on the stack. An element that outgrows
+/// it (a long name or reject reason) is flushed part-way, and a piece
+/// longer than the record goes to the buffer directly.
+const RECORD: usize = 256;
+
+/// The writing pass: each element is staged in the first `len` bytes of
+/// `rec` and appended to `doc` when the next element opens.
+struct Doc {
+    doc: Vec<u8>,
+    rec: [u8; RECORD],
+    len: usize,
+}
+
+impl Doc {
+    fn with_capacity(capacity: usize) -> Doc {
+        Doc {
+            doc: Vec::with_capacity(capacity),
+            rec: [0; RECORD],
+            len: 0,
+        }
+    }
+
+    /// Append the staged record to the document.
+    fn flush(&mut self) {
+        self.doc.extend_from_slice(&self.rec[..self.len]);
+        self.len = 0;
+    }
+
+    /// Make room for `n` more bytes in the record and return where they
+    /// end; `n` is at most [`RECORD`].
+    #[inline(always)]
+    fn room(&mut self, n: usize) -> usize {
+        if self.len + n > RECORD {
+            self.flush();
+        }
+        self.len + n
+    }
+
+    /// The finished document. Every piece appended is a whole `&str` or
+    /// ASCII digits, so its bytes are UTF-8.
+    fn finish(mut self) -> Vec<u8> {
+        self.flush();
+        self.doc
+    }
+}
+
+// Each call is inlined into `render`, where a literal's length is a
+// constant: without that the copies are calls again (≈ 30 % slower).
+impl Out for Doc {
+    #[inline(always)]
     fn lit(&mut self, s: &str) {
-        self.extend_from_slice(s.as_bytes());
+        let s = s.as_bytes();
+        if s.len() > RECORD {
+            self.flush();
+            self.doc.extend_from_slice(s);
+            return;
+        }
+        let end = self.room(s.len());
+        self.rec[self.len..end].copy_from_slice(s);
+        self.len = end;
     }
 
+    #[inline(always)]
     fn num(&mut self, v: u64) {
-        let mut tmp = [0u8; 20];
-        let at = decimal_before(&mut tmp, 20, v);
-        self.extend_from_slice(&tmp[at..]);
+        let end = self.room(decimal_digits(v));
+        decimal_into(&mut self.rec[self.len..end], v);
+        self.len = end;
     }
 
+    #[inline(always)]
     fn us(&mut self, ns: u64) {
-        // Up to 17 integer digits, the point, three fraction digits.
-        let mut tmp = [b'0'; 21];
-        decimal_before(&mut tmp, 21, ns % 1000);
-        tmp[17] = b'.';
-        let at = decimal_before(&mut tmp, 17, ns / 1000);
-        self.extend_from_slice(&tmp[at..]);
+        // The integer digits, the point, three fraction digits.
+        let end = self.room(decimal_digits(ns / 1000) + 4);
+        decimal_into(&mut self.rec[self.len..end - 4], ns / 1000);
+        let frac = (ns % 1000) as usize;
+        self.rec[end - 4] = b'.';
+        self.rec[end - 3] = b'0' + (frac / 100) as u8;
+        let pair = frac % 100 * 2;
+        self.rec[end - 2..end].copy_from_slice(&PAIRS[pair..pair + 2]);
+        self.len = end;
+    }
+
+    #[inline(always)]
+    fn open(&mut self, head: &str) {
+        self.flush();
+        self.lit(",\n");
+        self.lit(head);
     }
 }
 
@@ -176,8 +284,9 @@ const HEADER: &str = r#"{"displayTimeUnit":"ns","traceEvents":[
 pub fn export_chrome(trace: &RuntimeTrace, opts: &ChromeOptions) -> String {
     let mut len = Len(0);
     render(&mut len, trace, opts);
-    let mut doc = Vec::with_capacity(len.0);
+    let mut doc = Doc::with_capacity(len.0);
     render(&mut doc, trace, opts);
+    let doc = doc.finish();
     debug_assert_eq!(doc.len(), len.0, "sizing and writing passes disagree");
     String::from_utf8(doc).expect("the renderer appends only `&str`s and ASCII digits")
 }
@@ -825,11 +934,25 @@ mod tests {
             (1_000_000_007, "1000000.007"),
             (u64::MAX, "18446744073709551.615"),
         ] {
-            let (mut doc, mut len) = (Vec::new(), Len(0));
+            let (mut doc, mut len) = (Doc::with_capacity(0), Len(0));
             doc.us(ns);
             len.us(ns);
-            assert_eq!(doc, text.as_bytes());
+            assert_eq!(doc.finish(), text.as_bytes());
             assert_eq!(len.0, text.len());
+        }
+    }
+
+    #[test]
+    fn integers_are_sized_and_written_at_every_digit_count_edge() {
+        let powers = (0..20).map(|p| 10u64.pow(p));
+        let bits = (0..64).map(|b| 1u64 << b);
+        let edges = powers.chain(bits).flat_map(|v| [v - 1, v, v + 1]);
+        for v in edges.chain([u64::MAX - 1, u64::MAX]) {
+            let text = v.to_string();
+            assert_eq!(decimal_digits(v), text.len(), "{v}");
+            let mut doc = Doc::with_capacity(0);
+            doc.num(v);
+            assert_eq!(doc.finish(), text.as_bytes());
         }
     }
 
@@ -863,11 +986,35 @@ mod tests {
         })
     }
 
+    /// A track-name piece longer than the writer's stack record, with
+    /// nothing to escape: it goes to the document in one piece.
+    const LONG_NAME: &str = concat!(
+        "spine0.port17->leaf3.port2 (a track name that outgrows the record) ",
+        "spine0.port18->leaf3.port3 (a track name that outgrows the record) ",
+        "spine1.port17->leaf4.port2 (a track name that outgrows the record) ",
+        "spine1.port18->leaf4.port3 (a track name that outgrows the record) ",
+    );
+
+    /// A reject reason longer than the writer's stack record, escaped
+    /// every few dozen bytes, so the element fills its record mid-way.
+    const LONG_REASON: &str = concat!(
+        "admission refused: the \"tenant\" queue is full \\ backlog\n",
+        "admission refused: the \"tenant\" queue is full \\ backlog\t",
+        "admission refused: the \"tenant\" queue is full \\ backlog\r",
+        "admission refused: the \"tenant\" queue is full \\ backlog\u{1}",
+        "admission refused: the \"tenant\" queue is full \\ backlog é→",
+        "admission refused: the \"tenant\" queue is full \\ backlog\u{1f}",
+    );
+
+    const _: () = assert!(LONG_NAME.len() > RECORD && LONG_REASON.len() > RECORD);
+
     /// Track names built from everything `esc` treats specially plus
-    /// plain, multi-byte and DEL characters; may be empty.
+    /// plain, multi-byte and DEL characters and one piece longer than
+    /// the stack record; may be empty.
     fn name() -> impl Strategy<Value = String> {
-        const PIECES: [&str; 12] = [
+        const PIECES: [&str; 13] = [
             "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "h0.up", "é→", " ", "t",
+            LONG_NAME,
         ];
         prop::collection::vec(0usize..PIECES.len(), 0..6)
             .prop_map(|picks| picks.into_iter().map(|p| PIECES[p]).collect())
@@ -914,16 +1061,18 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         /// The one-pass writer reproduces the `format!` renderer byte
         /// for byte, sizes its buffer exactly, and emits valid JSON —
-        /// over every element kind, the formatting edges and names
-        /// that need escaping.
+        /// over every element kind, the formatting edges, names that
+        /// need escaping and elements that outgrow the stack record.
         #[test]
         fn writer_matches_the_oracle(
             fabric in prop::collection::vec(fabric_event(), 0..24),
             batches in prop::collection::vec((ts(), ts(), ts(), id(), id()), 0..4),
             jobs in prop::collection::vec((ts(), ts(), ts(), id(), id(), id()), 0..4),
-            markers in prop::collection::vec((ts(), id(), 0usize..4), 0..6),
+            markers in prop::collection::vec((ts(), id(), 0usize..5), 0..6),
             rebuilds in prop::collection::vec((ts(), ts(), id(), id()), 0..3),
             link_names in prop::collection::vec(name(), 0..4),
             tenant_names in prop::collection::vec(name(), 0..4),
@@ -958,7 +1107,13 @@ mod tests {
             trace.markers.extend(markers.into_iter().map(|(at_ns, tenant, reason)| Marker {
                 at_ns,
                 tenant,
-                reason: ["throttled", "queue-full", "job-retry", "odd \"reason\"\\\n\u{2}"][reason],
+                reason: [
+                    "throttled",
+                    "queue-full",
+                    "job-retry",
+                    "odd \"reason\"\\\n\u{2}",
+                    LONG_REASON,
+                ][reason],
             }));
             trace.rebuilds.extend(rebuilds.into_iter().map(
                 |(at_ns, batch, partition, groups)| RebuildSpan {

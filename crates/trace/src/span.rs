@@ -118,7 +118,7 @@ impl TraceRun {
     /// Sort `events`, given in record order, into a run; `dropped`
     /// counts what the recorder lost to ring overflow.
     fn new(mut events: Vec<TraceEvent>, dropped: u64) -> TraceRun {
-        events.sort_by_key(TraceEvent::at_ns);
+        sort_by_time(&mut events);
         TraceRun {
             events: events.into(),
             dropped,
@@ -129,6 +129,46 @@ impl TraceRun {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+}
+
+/// Element moves per event [`sort_by_time`]'s insertion sort may spend
+/// before it hands the events to `sort_by_key`. A `load_traced` batch
+/// needs about 5 and at most 15.
+const MOVES_PER_EVENT: usize = 32;
+
+/// Stable-sort `events` by timestamp: the order of
+/// `sort_by_key(TraceEvent::at_ns)`, found cheaper for what a batch's
+/// recorder hands over. A batch records a few hundred events in nearly
+/// time order — a transmission is recorded when it starts, a delivery
+/// when it ends — so most events are already in place and the rest
+/// belong a short way back. An insertion sort moves only those, and
+/// stops each behind the events it ties, which keeps the order the
+/// stable one. Once its moves pass [`MOVES_PER_EVENT`] per event the
+/// input is not of that shape, and `sort_by_key` sorts it instead: the
+/// insertions so far kept every tie in record order, so its result is
+/// the same. Returns whether it fell back.
+fn sort_by_time(events: &mut [TraceEvent]) -> bool {
+    let budget = MOVES_PER_EVENT * events.len();
+    let mut moves = 0;
+    for i in 1..events.len() {
+        let event = events[i];
+        let key = event.at_ns();
+        if events[i - 1].at_ns() <= key {
+            continue;
+        }
+        let mut to = i;
+        while to > 0 && events[to - 1].at_ns() > key {
+            events[to] = events[to - 1];
+            to -= 1;
+        }
+        events[to] = event;
+        moves += i - to;
+        if moves > budget {
+            events.sort_by_key(TraceEvent::at_ns);
+            return true;
+        }
+    }
+    false
 }
 
 impl From<TraceSink> for TraceRun {
@@ -307,6 +347,68 @@ mod tests {
             expected.sort_by_key(TraceEvent::at_ns);
             prop_assert_eq!(merged(&spec), expected);
         }
+    }
+
+    /// Record-order events with these timestamps, numbered so a
+    /// comparison sees where each one came from.
+    fn recorded(times: impl IntoIterator<Item = u64>) -> Vec<TraceEvent> {
+        times
+            .into_iter()
+            .zip(0..)
+            .map(|(at_ns, depth)| TraceEvent::QueueDepth { at_ns, depth })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The harvest sort is `sort_by_key(at_ns)` on every shape of
+        /// record order: random (long random runs fall back, short ones
+        /// need not), reversed, already sorted, all ties, and the nearly
+        /// sorted shape a batch records, where events land a short way
+        /// back. Sorted and all-tie input never moves an event, so it
+        /// never falls back.
+        #[test]
+        fn harvest_sort_is_the_stable_sort_by_timestamp(
+            shape in 0u8..5,
+            raw in prop::collection::vec(0u64..64, 0..600),
+        ) {
+            let mut times = raw.clone();
+            match shape {
+                0 => {}
+                1 => times.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => times.sort_unstable(),
+                3 => times.fill(7),
+                _ => {
+                    for (i, t) in times.iter_mut().enumerate() {
+                        *t = i as u64 + *t % 8;
+                    }
+                }
+            }
+            let mut events = recorded(times);
+            let mut expected = events.clone();
+            expected.sort_by_key(TraceEvent::at_ns);
+            let fell_back = sort_by_time(&mut events);
+            prop_assert_eq!(events, expected);
+            if shape == 2 || shape == 3 {
+                prop_assert!(!fell_back, "in-order input fell back");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reversed_full_ring_falls_back_to_the_merge_sort() {
+        let capacity = crate::TraceSpec::default().capacity;
+        assert_eq!(capacity, 65_536);
+        let mut events = recorded((0..capacity as u64).rev());
+        let mut expected = events.clone();
+        expected.sort_by_key(TraceEvent::at_ns);
+        assert!(sort_by_time(&mut events), "insertion sort kept going");
+        assert_eq!(events, expected);
+        // The same ring in time order sorts without a single move.
+        let mut in_order = expected.clone();
+        assert!(!sort_by_time(&mut in_order));
+        assert_eq!(in_order, expected);
     }
 
     #[test]

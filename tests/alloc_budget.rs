@@ -286,15 +286,16 @@ fn open_loop_runtime_stays_inside_its_per_batch_budget() {
 #[test]
 fn flight_recorder_adds_at_most_16_kib_a_batch() {
     // A batch records about 200 events (6 KiB). A simulated batch pays
-    // for the ring that holds them, the sort's scratch and the shared
-    // run they are sorted into; a replayed batch shares the stored run,
-    // and the merged trace is built once, by `take_trace`, outside this
-    // budget. A debug build simulates every batch (replays included, to
-    // check them) and reads 82 KiB against 52 untraced; a release build
-    // reads 23 against 12. It read 99 and 44 while every commit appended
-    // its events to a vector that grew by doubling and every replay
-    // copied the stored ring, so the ceiling is now 12 KiB over the
-    // untraced one, not 16.
+    // for the ring that holds them and the shared run they are sorted
+    // into (the insertion sort needs no scratch); a replayed batch
+    // shares the stored run, and the merged trace is built once, by
+    // `take_trace`, outside this budget. A debug build simulates every
+    // batch (replays included, to check them) and reads 76 KiB against
+    // 52 untraced; a release build reads 21 against 12. It read 82 and
+    // 23 while every batch's sort allocated `sort_by_key`'s scratch, and
+    // 99 and 44 while every commit appended its events to a vector that
+    // grew by doubling and every replay copied the stored ring, so the
+    // ceiling is now 12 KiB over the untraced one, not 16.
     let (_, kib) = per_batch_cost(open_loop_runtime(1_000, Some(TraceSpec::default())));
     assert!(kib <= BATCH_KIB + 12.0, "{kib:.0} KiB allocated per batch");
 }
