@@ -30,7 +30,7 @@ use mcag_simnet::fabric::RunStats;
 use mcag_simnet::{
     Ctx, Fabric, FabricConfig, Payload, RankApp, SimTime, Topology, TraceSink, TrafficReport,
 };
-use mcag_verbs::{CollectiveId, Cqe, McastGroupId, Rank, Transport};
+use mcag_verbs::{CollectiveId, Cqe, McastGroupId, QpNum, Rank, Transport};
 use std::sync::Arc;
 
 /// One communicator to lay out and [`run`].
@@ -94,6 +94,18 @@ fn build(
         .iter()
         .map(|comm| crate::des::cutoff_ns(fab.topology(), &comm.plan, proto, headroom))
         .collect();
+    // The slot owning each QP number: the layout is the same on every
+    // rank, so every rank's mux shares this one table.
+    let (mut slot, mut end) = (0, 0);
+    let owners: Arc<[u16]> = (0..qps)
+        .map(|qp| {
+            while qp >= end {
+                end += qps_of(&comms[slot]);
+                slot += 1;
+            }
+            u16::try_from(slot - 1).expect("a rank hosts at most 65,536 communicators")
+        })
+        .collect();
     for &r in &members {
         let mut slots = SlotList::with_capacity(comms.len());
         // Communicator `i`'s groups follow the groups of those before it.
@@ -129,7 +141,7 @@ fn build(
                 rs,
             });
         }
-        fab.set_app(r, MultiCommApp::new(slots));
+        fab.set_app(r, MultiCommApp::new(slots, Arc::clone(&owners)));
     }
     (fab, cutoffs)
 }
@@ -155,10 +167,6 @@ impl SlotList {
             None => self.first = Some(slot),
             Some(_) => self.rest.push(slot),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.first.is_some() as usize + self.rest.len()
     }
 
     fn iter(&self) -> impl Iterator<Item = &CommSlot> {
@@ -277,18 +285,48 @@ pub fn run_with(
 /// (i+1)·TOKEN_STRIDE)`; within a pair slot, `token % TOKEN_STRIDE ==
 /// RS_TX_TOKEN` is the Reduce-Scatter's drain and every timer is the
 /// Allgather's). It marks the rank done once every slot has released.
+///
+/// Both are constant work per callback, however many slots a rank
+/// hosts: the owner of a QP is one lookup in a table every rank of the
+/// fabric shares, and the mux counts its open slots down as the slot a
+/// callback ran releases — a slot's callbacks never release another.
 pub struct MultiCommApp {
     slots: SlotList,
+    /// The slot owning each QP, by QP number.
+    owners: Arc<[u16]>,
+    open: OpenSlots,
+}
+
+/// A rank's open slots, counted once every slot has started and counted
+/// down as a callback releases the slot it ran on; it says when to mark
+/// the rank done.
+#[derive(Default)]
+struct OpenSlots {
+    open: u32,
     marked: bool,
+}
+
+impl OpenSlots {
+    /// After a callback on a slot that was open (or not) before it: count
+    /// the slot closed if the callback released it. True exactly once, at
+    /// the first callback that leaves none open.
+    fn settle(&mut self, was_open: bool, released: bool) -> bool {
+        self.open -= (was_open && released) as u32;
+        let mark = self.open == 0 && !self.marked;
+        self.marked |= mark;
+        mark
+    }
 }
 
 impl MultiCommApp {
     /// Compose `slots`: slot `i` gets token base `i·TOKEN_STRIDE` and
     /// owns the QPs its endpoints were built on, which [`build`] numbers
-    /// consecutively, slot by slot — so slot `i` owns every QP from its
-    /// control QP up to the next slot's.
-    fn new(mut slots: SlotList) -> MultiCommApp {
-        assert!(slots.len() > 0);
+    /// consecutively, slot by slot, and lists in `owners`.
+    fn new(mut slots: SlotList, owners: Arc<[u16]>) -> MultiCommApp {
+        assert!(
+            slots.first.is_some(),
+            "a rank hosts at least one communicator"
+        );
         for (i, slot) in slots.iter_mut().enumerate() {
             let base = i as u64 * TOKEN_STRIDE;
             slot.ag.set_token_base(base);
@@ -297,21 +335,38 @@ impl MultiCommApp {
             }
         }
         assert!(
-            slots
-                .iter()
-                .zip(slots.iter().skip(1))
-                .all(|(a, b)| a.ag.ctrl_qp() < b.ag.ctrl_qp()),
-            "slots own ascending QP ranges"
+            slots.iter().enumerate().all(|(i, s)| {
+                let qps = [Some(s.ag.ctrl_qp()), s.rs.as_ref().map(RsApp::qp)];
+                qps.into_iter()
+                    .flatten()
+                    .all(|q| owners[q.0 as usize] as usize == i)
+            }),
+            "the QP table names each slot's QPs"
         );
         MultiCommApp {
             slots,
-            marked: false,
+            owners,
+            open: OpenSlots::default(),
         }
     }
 
-    fn maybe_mark(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        if !self.marked && self.slots.iter().all(CommSlot::released) {
-            self.marked = true;
+    /// The slot a CQE on `qp` belongs to.
+    fn owner(&self, qp: QpNum) -> usize {
+        self.owners[qp.0 as usize].into()
+    }
+
+    /// Run callback `f` on slot `i`, then mark the rank done once no
+    /// slot is open.
+    fn on_slot(
+        &mut self,
+        i: usize,
+        ctx: &mut Ctx<'_, ControlMsg>,
+        f: impl FnOnce(&mut CommSlot, &mut Ctx<'_, ControlMsg>),
+    ) {
+        let slot = self.slots.get_mut(i);
+        let was_open = !slot.released();
+        f(slot, ctx);
+        if self.open.settle(was_open, slot.released()) {
             ctx.mark_done();
         }
     }
@@ -325,39 +380,32 @@ impl RankApp<ControlMsg> for MultiCommApp {
                 rs.on_start(ctx);
             }
         }
+        self.open.open = self.slots.iter().filter(|s| !s.released()).count() as u32;
     }
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
-        let owner = self
-            .slots
-            .iter()
-            .take_while(|s| s.ag.ctrl_qp() <= cqe.qp)
-            .count()
-            - 1;
-        let slot = self.slots.get_mut(owner);
-        match &mut slot.rs {
+        self.on_slot(self.owner(cqe.qp), ctx, |slot, ctx| match &mut slot.rs {
             Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
             _ => slot.ag.on_cqe(ctx, cqe, payload),
-        }
-        self.maybe_mark(ctx);
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
         // The Reduce-Scatter arms no timers.
-        self.slots
-            .get_mut((token / TOKEN_STRIDE) as usize)
-            .ag
-            .on_timer(ctx, token);
-        self.maybe_mark(ctx);
+        self.on_slot((token / TOKEN_STRIDE) as usize, ctx, |slot, ctx| {
+            slot.ag.on_timer(ctx, token)
+        });
     }
 
     fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
-        let slot = self.slots.get_mut((token / TOKEN_STRIDE) as usize);
-        match &mut slot.rs {
-            Some(rs) if token % TOKEN_STRIDE == RS_TX_TOKEN => rs.on_tx_drained(ctx, token),
-            _ => slot.ag.on_tx_drained(ctx, token),
-        }
-        self.maybe_mark(ctx);
+        self.on_slot(
+            (token / TOKEN_STRIDE) as usize,
+            ctx,
+            |slot, ctx| match &mut slot.rs {
+                Some(rs) if token % TOKEN_STRIDE == RS_TX_TOKEN => rs.on_tx_drained(ctx, token),
+                _ => slot.ag.on_tx_drained(ctx, token),
+            },
+        );
     }
 }
 
@@ -608,6 +656,139 @@ mod tests {
             let alone: u64 = alone.iter().map(TrafficReport::total_data_bytes).sum();
             assert_eq!(bytes, alone, "the mux must add or lose no payload");
         }
+    }
+
+    /// Communicators of `send_len` bytes, `subgroups` subgroups and
+    /// Reduce-Scatter placement each, numbered 1, 3, 5, … on `p` ranks.
+    fn comms(p: u32, shapes: &[(usize, u32, Option<bool>)]) -> Vec<Comm> {
+        let proto = ProtocolConfig::default();
+        (0..)
+            .step_by(2)
+            .zip(shapes)
+            .map(|(c, &(send_len, subgroups, rs_in_switch))| Comm {
+                plan: Arc::new(CollectivePlan::new(
+                    CollectiveKind::Allgather,
+                    p,
+                    send_len,
+                    proto.mtu,
+                    proto.imm,
+                    CollectiveId(c + 1),
+                    subgroups,
+                    1,
+                )),
+                rs_in_switch,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cqe_on_each_slots_first_and_last_qp_reaches_that_slot() {
+        // Slots of 2 to 6 QPs: one to four subgroups, with no
+        // Reduce-Scatter or one in either placement.
+        let shapes = [
+            (16 << 10, 1, None),
+            (16 << 10, 4, Some(true)),
+            (16 << 10, 2, Some(false)),
+            (16 << 10, 1, Some(true)),
+            (16 << 10, 3, None),
+        ];
+        let comms = comms(8, &shapes);
+        let topo = Topology::fat_tree_two_level(8, 2, 2, 1, LinkRate::CX3_56G, 100);
+        let proto = ProtocolConfig::default();
+        let (fab, _) = build(topo, FabricConfig::ucc_default(), &proto, &comms, 4);
+        for app in fab.into_apps() {
+            assert_eq!(app.owners.len(), 2 + 6 + 4 + 3 + 4);
+            for (i, (slot, &(_, subgroups, _))) in app.slots.iter().zip(&shapes).enumerate() {
+                let first = slot.ag.ctrl_qp();
+                let last = slot
+                    .rs
+                    .as_ref()
+                    .map_or(QpNum(first.0 + subgroups), RsApp::qp);
+                assert_eq!((app.owner(first), app.owner(last)), (i, i), "slot {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_is_marked_done_once_at_its_last_release() {
+        // Later slots move less, so every rank releases them in reverse
+        // slot order: the mux must count all three closed before it marks
+        // the rank, and mark it when the last (slot 0) releases.
+        let shapes = [
+            (64 << 10, 1, None),
+            (16 << 10, 1, Some(false)),
+            (2 << 10, 1, None),
+        ];
+        let comms = comms(4, &shapes);
+        let proto = ProtocolConfig::default();
+        let (mut fab, _) = build(star(4), FabricConfig::ucc_default(), &proto, &comms, 4);
+        let stats = fab.run();
+        assert!(stats.all_done(), "{stats:?}");
+        for (app, done) in fab.into_apps().into_iter().zip(stats.per_rank_done) {
+            let releases: Vec<SimTime> = app
+                .slots
+                .iter()
+                .map(|slot| {
+                    let rs = slot.rs.as_ref().map(|rs| rs.times().expect("released").1);
+                    rs.into_iter()
+                        .chain(slot.ag.timing().t_done)
+                        .max()
+                        .expect("released")
+                })
+                .collect();
+            assert!(
+                releases[2] < releases[1] && releases[1] < releases[0],
+                "{releases:?}"
+            );
+            assert_eq!(done, Some(releases[0]));
+            assert_eq!((app.open.open, app.open.marked), (0, true));
+        }
+    }
+
+    /// The callbacks of `calls`, as (slot, whether it releases the
+    /// slot), after which `OpenSlots` says to mark the rank done; the
+    /// slots of `at_start`, out of `slots`, released during `on_start`.
+    fn marks(slots: usize, at_start: &[usize], calls: &[(usize, bool)]) -> Vec<usize> {
+        let mut released = vec![false; slots];
+        for &s in at_start {
+            released[s] = true;
+        }
+        let mut open = OpenSlots {
+            open: (slots - at_start.len()) as u32,
+            marked: false,
+        };
+        let mut marks = Vec::new();
+        for (k, &(s, releases)) in calls.iter().enumerate() {
+            let was_open = !released[s];
+            released[s] |= releases;
+            if open.settle(was_open, released[s]) {
+                marks.push(k);
+            }
+        }
+        marks
+    }
+
+    #[test]
+    fn open_slots_mark_once_at_the_last_release() {
+        // Slots released out of order, with callbacks on slots already
+        // released before and after the last release (the sixth call).
+        let calls = [
+            (2, false),
+            (2, true),
+            (1, false),
+            (2, false),
+            (0, false),
+            (0, true),
+            (2, false),
+            (0, false),
+        ];
+        assert_eq!(marks(3, &[1], &calls), [5]);
+        assert_eq!(
+            marks(2, &[], &[(0, true), (0, false), (1, true), (1, false)]),
+            [2]
+        );
+        // Every slot released at start: the first callback marks.
+        assert_eq!(marks(2, &[0, 1], &[(1, false), (0, false)]), [0]);
     }
 
     /// The in-switch FSDP pair on a 16-rank two-level fat tree: its

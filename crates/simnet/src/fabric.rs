@@ -47,11 +47,24 @@
 //! replication at a switch is a reference-count bump per extra branch —
 //! no payload/route clone and no allocation per hop — and the event
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
-//! simulation performs no per-packet heap allocation at all. The copies'
-//! arrivals at their next nodes, due at one instant, share one
-//! event-queue entry, as do their same-instant completions: a *run* (see
-//! the event module's docs), whose members beyond two wait in one
-//! recycled word arena.
+//! simulation performs no per-packet heap allocation at all.
+//!
+//! ## Runs and per-packet work
+//!
+//! A packet's work is done once per packet, not once per copy, per queue
+//! or per rank slot. The copies' arrivals at their next nodes, due at
+//! one instant, share one event-queue entry, as do their same-instant
+//! completions: a *run* (see the event module's docs), whose members
+//! beyond two wait in one recycled word arena. An arrive run is
+//! delivered in one pass: the packet's multicast header is read from
+//! the slab once, and every copy replicates or delivers from it. A
+//! completion run keeps a cursor and hands its members to the apps one
+//! per event-loop turn, since the last rank may finish halfway through
+//! it. A copy's serialization time comes from a memo of one entry per
+//! `(rate, wire size)`, so the 128-bit division runs once per packet
+//! size, not per link crossed. Each NIC keeps the set of its non-empty
+//! send queues as a bitmask, and the arbiter finds the next queue in
+//! round-robin order with a bit scan instead of visiting every queue.
 //!
 //! Unicast routes and multicast trees are not the fabric's
 //! to build: the [`Topology`] computes each once and every fabric over it
@@ -83,7 +96,9 @@ use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink, TraceSpec};
 use mcag_verbs::wire::{PacketKind, HEADER_BYTES};
-use mcag_verbs::{CompletionStatus, Cqe, CqeOpcode, ImmData, McastGroupId, QpNum, Rank, Transport};
+use mcag_verbs::{
+    CompletionStatus, Cqe, CqeOpcode, ImmData, LinkRate, McastGroupId, QpNum, Rank, Transport,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::ops::Range;
@@ -102,6 +117,35 @@ const QUEUE_SAMPLE_MASK: u64 = {
     assert!(TraceSpec::QUEUE_SAMPLE_EVERY.is_power_of_two());
     TraceSpec::QUEUE_SAMPLE_EVERY - 1
 };
+
+/// Entries of the serialization memo (a power of two).
+const SER_MEMO: usize = 16;
+
+/// Serialization times already computed, one per `(rate, wire size)`
+/// entry, direct-mapped: a packet's copies cross links of one rate with
+/// one size, so only the first pays the 128-bit division of
+/// [`LinkRate::serialization_ns`]. A fabric sends a handful of sizes —
+/// full MTU chunks, a collective's last chunk, control messages — so the
+/// entries are rarely displaced.
+struct SerMemo([(LinkRate, usize, u64); SER_MEMO]);
+
+impl SerMemo {
+    fn new() -> SerMemo {
+        // No packet is `usize::MAX` bytes long, so no entry matches yet.
+        SerMemo([(LinkRate::from_gbit(0), usize::MAX, 0); SER_MEMO])
+    }
+
+    /// Time to serialize `wire` bytes at `rate`.
+    #[inline]
+    fn ns(&mut self, rate: LinkRate, wire: usize) -> u64 {
+        let key = (wire as u64 ^ rate.bits_per_sec()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let e = &mut self.0[(key >> (64 - SER_MEMO.trailing_zeros())) as usize];
+        if (e.0, e.1) != (rate, wire) {
+            *e = (rate, wire, rate.serialization_ns(wire));
+        }
+        e.2
+    }
+}
 
 /// Where a packet goes next.
 #[derive(Debug, Clone)]
@@ -160,15 +204,41 @@ struct PacketInst {
 }
 
 impl PacketInst {
-    fn wire_bytes(&self) -> usize {
-        self.payload_len as usize + HEADER_BYTES
-    }
-
     /// Reliable transport: everything except multicast datagrams (RC
     /// messages, control traffic, RDMA reads and SHARP contributions).
     fn reliable(&self) -> bool {
         !matches!(self.route, Route::Mcast { .. })
     }
+
+    /// The header fields a hop reads.
+    fn hop(&self) -> Hop {
+        Hop {
+            wire: self.payload_len as usize + HEADER_BYTES,
+            kind: self.kind,
+            payload_len: self.payload_len,
+            reliable: self.reliable(),
+        }
+    }
+}
+
+/// What a link transmission reads of a packet: its wire size and the
+/// fields its counters and drop model need.
+#[derive(Clone, Copy)]
+struct Hop {
+    wire: usize,
+    kind: PacketKind,
+    payload_len: u32,
+    reliable: bool,
+}
+
+/// What the arrival of a multicast copy reads of its packet, copied out
+/// of the slab once for every copy of an arrive run.
+#[derive(Clone, Copy)]
+struct McastHdr {
+    group: McastGroupId,
+    origin: Rank,
+    psn: u32,
+    hop: Hop,
 }
 
 /// Slab handle of an in-flight packet. Replicating a multicast packet at
@@ -540,41 +610,41 @@ impl RunStore {
         }
     }
 
-    /// Member `k` of run entry `run`, as the event it stands for.
+    /// Member `k` of `members`: a link or a rank.
     #[inline]
-    fn member(&self, run: Ev, k: u32) -> Ev {
-        let m = |members: Members| match (members.second, k) {
+    fn get(&self, members: Members, k: u32) -> u32 {
+        match (members.second, k) {
             (NIL, _) => self.words[(members.first + 1 + k) as usize],
             (_, 0) => members.first,
             _ => members.second,
+        }
+    }
+
+    /// Member `k` of the CQE run `run`, as the event it stands for.
+    #[inline]
+    fn cqe(&self, run: Ev, k: u32) -> Ev {
+        let Ev::CqeRun {
+            pkt,
+            qp_idx,
+            repost,
+            members,
+        } = run
+        else {
+            unreachable!("not a CQE run")
         };
-        match run {
-            Ev::ArriveRun { pkt, members } => Ev::LinkArrive {
-                link: LinkId(m(members)),
-                pkt,
-            },
-            Ev::CqeRun {
-                pkt,
-                qp_idx,
-                repost,
-                members,
-            } => Ev::CqeDone {
-                rank: Rank(m(members)),
-                qp_idx: qp_idx.into(),
-                repost,
-                pkt,
-            },
-            _ => unreachable!("not a run entry"),
+        Ev::CqeDone {
+            rank: Rank(self.get(members, k)),
+            qp_idx: qp_idx.into(),
+            repost,
+            pkt,
         }
     }
 
     /// Free a dispatched run's segment, if it has one.
-    fn close(&mut self, run: Ev) {
-        if let Ev::ArriveRun { members, .. } | Ev::CqeRun { members, .. } = run {
-            if members.second == NIL {
-                let at = members.first as usize;
-                self.release(at, seg_class(self.words[at]));
-            }
+    fn close(&mut self, members: Members) {
+        if members.second == NIL {
+            let at = members.first as usize;
+            self.release(at, seg_class(self.words[at]));
         }
     }
 }
@@ -594,13 +664,22 @@ fn seg_class(len: u32) -> usize {
     (words.trailing_zeros() - SEG_MIN.trailing_zeros()) as usize
 }
 
-/// The run entry being dispatched member by member: `next` is the index
-/// of its next member, `left` how many are still to come.
+/// The CQE run being dispatched member by member, one app callback each:
+/// `next` is the index of its next member, `left` how many are still to
+/// come.
 #[derive(Clone, Copy)]
 struct RunCursor {
     run: Ev,
     next: u32,
     left: u32,
+}
+
+/// One directed link's counters beside the instant it finishes its
+/// current transmission: every transmission reads and writes both.
+#[derive(Clone, Copy, Default)]
+struct LinkState {
+    counters: LinkCounters,
+    busy: SimTime,
 }
 
 /// Runtime state of one directed link under the fault schedule. Only
@@ -632,9 +711,11 @@ impl LinkFaultState {
 
 struct QpState {
     transport: Transport,
-    worker: usize,
-    rq_avail: usize,
-    rq_depth: usize,
+    worker: u32,
+    /// Receive slots free and posted. A depth past `u32::MAX` is held
+    /// as `u32::MAX`: within [`MAX_EVENTS`] it never runs out either.
+    rq_avail: u32,
+    rq_depth: u32,
     /// The send queue, first and last request: a FIFO linked through
     /// `Inner::wqes` ([`NIL`] when empty).
     tx_head: u32,
@@ -652,13 +733,111 @@ struct NicState {
     /// injection bandwidth.
     qp_base: u32,
     qp_len: u32,
-    tx_rr: usize,
+    tx_rr: u32,
+    /// The ready set: bit `b` is set while a send queue among QPs
+    /// `b << ready_shift .. (b + 1) << ready_shift` holds a request. Up
+    /// to 64 QPs a bit is one queue; a NIC with more shares each bit
+    /// among the fewest (a power of two) that fit the 64 bits.
+    ready: u64,
+    ready_shift: u8,
     tx_free_at: SimTime,
     kick_scheduled: bool,
-    rnr_drops: u64,
+    /// Fits in 32 bits: each drop ends an event, and a run dispatches
+    /// fewer than `MAX_EVENTS`.
+    rnr_drops: u32,
 }
 
 impl NicState {
+    fn new(uplink: LinkId) -> NicState {
+        NicState {
+            uplink,
+            qp_base: 0,
+            qp_len: 0,
+            tx_rr: 0,
+            ready: 0,
+            ready_shift: 0,
+            tx_free_at: SimTime::ZERO,
+            kick_scheduled: false,
+            rnr_drops: 0,
+        }
+    }
+
+    /// Take in a QP just added at the end of `qps`, this NIC's slice.
+    /// Past each power of two times 64 QPs the ready set's blocks double,
+    /// and the queues regroup under the new width.
+    fn add_qp(&mut self, qps: &[QpState]) {
+        self.qp_len += 1;
+        debug_assert_eq!(qps.len(), self.qp_len as usize);
+        let shift = (self.qp_len.div_ceil(u64::BITS).next_power_of_two()).trailing_zeros() as u8;
+        if shift != self.ready_shift {
+            self.ready_shift = shift;
+            self.ready = 0;
+            for (qi, q) in qps.iter().enumerate() {
+                if q.tx_head != NIL {
+                    self.set_ready(qi);
+                }
+            }
+        }
+    }
+
+    /// The ready-set bit of QP `qi`.
+    #[inline]
+    fn ready_bit(&self, qi: usize) -> u64 {
+        1 << (qi >> self.ready_shift)
+    }
+
+    /// Note that QP `qi`'s send queue has just become non-empty.
+    #[inline]
+    fn set_ready(&mut self, qi: usize) {
+        self.ready |= self.ready_bit(qi);
+    }
+
+    /// Note that QP `qi`'s send queue has just emptied; `qps` is this
+    /// NIC's slice. The bit stays while a queue it shares holds requests.
+    #[inline]
+    fn clear_ready(&mut self, qi: usize, qps: &[QpState]) {
+        let first = qi >> self.ready_shift << self.ready_shift;
+        let block = first..(first + (1 << self.ready_shift)).min(qps.len());
+        if qps[block].iter().all(|q| q.tx_head == NIL) {
+            self.ready &= !self.ready_bit(qi);
+        }
+    }
+
+    /// Round-robin arbitration: the first non-empty send queue at or
+    /// after `tx_rr`, wrapping round, found from the ready set instead of
+    /// a scan of every queue; `qps` is this NIC's slice.
+    fn tx_pick(&mut self, qps: &[QpState]) -> Option<usize> {
+        if self.ready == 0 {
+            return None;
+        }
+        let (shift, start) = (self.ready_shift, self.tx_rr as usize);
+        let b = start >> shift;
+        // The first non-empty queue of `from..` up to the end of its block.
+        let busy = |from: usize| {
+            let end = ((from >> shift) + 1) << shift;
+            (from..end.min(qps.len())).find(|&qi| qps[qi].tx_head != NIL)
+        };
+        // The queues from `tx_rr` to the end of its block, then the
+        // first block set after it; failing both, wrap to the first
+        // block set, which may be the start of `tx_rr`'s own.
+        let own = match self.ready >> b & 1 {
+            1 => busy(start),
+            _ => None,
+        };
+        let qi = own.unwrap_or_else(|| {
+            let later = self.ready & (u64::MAX << b << 1);
+            let next = if later != 0 { later } else { self.ready };
+            busy((next.trailing_zeros() as usize) << shift)
+                .expect("a ready bit names a non-empty queue")
+        });
+        self.tx_rr = if qi + 1 == qps.len() {
+            0
+        } else {
+            qi as u32 + 1
+        };
+        Some(qi)
+    }
+
     /// This NIC's slice of `Inner::qps`.
     #[inline]
     fn qp_range(&self) -> Range<usize> {
@@ -686,8 +865,8 @@ pub struct Inner<M> {
     /// topology's memo; an SM rebuild swaps a group's `Arc`, it never
     /// mutates a tree another fabric may be using.
     trees: Vec<Arc<McastTree>>,
-    counters: Vec<LinkCounters>,
-    link_busy: Vec<SimTime>,
+    /// Per-link counters and serialization horizon.
+    links: Vec<LinkState>,
     /// Per-link fault state (empty when the schedule is empty).
     link_fault: Vec<LinkFaultState>,
     /// Fast gate for every fault-path consult: true iff
@@ -715,6 +894,8 @@ pub struct Inner<M> {
     /// High-water mark of any single switch's live aggregation-table
     /// occupancy over the run (reported even when unbounded).
     inc_table_peak: usize,
+    /// Serialization time per `(rate, wire size)`, computed once.
+    ser: SerMemo,
     /// Reusable egress-link buffer for switch forwarding (avoids a fresh
     /// `Vec` per packet hop on the multicast replication hot path).
     scratch_links: Vec<LinkId>,
@@ -739,8 +920,9 @@ pub struct Inner<M> {
     ctrl_msgs: Slab<M>,
     /// Member lists of the runs that outgrew their entry.
     runs: RunStore,
-    /// The popped run whose members are being dispatched (`None` between
-    /// runs); its members are due now, ahead of every queued entry.
+    /// The popped CQE run whose members are being dispatched (`None`
+    /// between runs); its members are due now, ahead of every queued
+    /// entry.
     run: Option<RunCursor>,
     /// Flight recorder, allocated iff `cfg.trace` is `Some` — every
     /// record site is gated on this `Option`, so a disabled recorder
@@ -803,20 +985,11 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 let host = topo.host_node(Rank(r as u32));
                 let ups = topo.uplinks(host);
                 assert_eq!(ups.len(), 1, "hosts have exactly one NIC port");
-                NicState {
-                    uplink: ups[0],
-                    qp_base: 0,
-                    qp_len: 0,
-                    tx_rr: 0,
-                    tx_free_at: SimTime::ZERO,
-                    kick_scheduled: false,
-                    rnr_drops: 0,
-                }
+                NicState::new(ups[0])
             })
             .collect();
         let workers = vec![SimTime::ZERO; n * cfg.host.rx_workers.max(1)];
-        let counters = vec![LinkCounters::default(); topo.num_links()];
-        let link_busy = vec![SimTime::ZERO; topo.num_links()];
+        let links = vec![LinkState::default(); topo.num_links()];
         let rng = StdRng::seed_from_u64(cfg.seed);
         let mut q = EventQueue::with_backend(cfg.event_queue);
         // Replay the fault schedule from a cursor beside the queue. Its
@@ -847,8 +1020,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 nics,
                 qps: Vec::new(),
                 trees: Vec::new(),
-                counters,
-                link_busy,
+                links,
                 link_fault,
                 has_faults,
                 fault_cursor: 0,
@@ -859,6 +1031,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 inc_arrivals: FastMap::default(),
                 inc_live: Vec::new(),
                 inc_table_peak: 0,
+                ser: SerMemo::new(),
                 scratch_links: Vec::new(),
                 wqes: Slab::new(),
                 drains: Vec::new(),
@@ -889,10 +1062,10 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             worker < workers,
             "worker {worker} out of range ({workers} workers)"
         );
-        let depth = self.inner.cfg.host.rq_depth;
+        let depth = u32::try_from(self.inner.cfg.host.rq_depth).unwrap_or(u32::MAX);
         let state = QpState {
             transport,
-            worker,
+            worker: worker as u32,
             rq_avail: depth,
             rq_depth: depth,
             tx_head: NIL,
@@ -908,7 +1081,6 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         // Drivers add QPs rank by rank, so this is an append; a QP added
         // to an earlier rank shifts the later ranks' tables up by one.
         let at = nic.qp_base + nic.qp_len;
-        nic.qp_len += 1;
         if at as usize != qps.len() {
             for (r, other) in nics.iter_mut().enumerate() {
                 if r != rank.idx() && other.qp_len > 0 && other.qp_base >= at {
@@ -917,6 +1089,9 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             }
         }
         qps.insert(at as usize, state);
+        let nic = &mut nics[rank.idx()];
+        let base = nic.qp_base as usize;
+        nic.add_qp(&qps[base..=at as usize]);
         qpn
     }
 
@@ -1019,8 +1194,6 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// [`RunStats::all_done`] and continue with a later deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> RunStats {
         let wall_start = std::time::Instant::now();
-        // Queue-depth sampling: with tracing off, one test per event.
-        let traced = self.inner.trace.is_some();
         let n = self.inner.num_ranks();
         if !self.started {
             self.started = true;
@@ -1034,11 +1207,9 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         // applied.
         let mut bound = self.inner.pop_bound(deadline);
         while self.inner.done_count < n {
-            if self.inner.q.processed() >= MAX_EVENTS {
-                panic!("event cap {MAX_EVENTS} exceeded — livelocked protocol?");
-            }
-            // The rest of a popped run comes first: its members are due
-            // now, and every queued entry sorts after them.
+            self.inner.check_event_cap();
+            // The rest of a popped CQE run comes first: its members are
+            // due now, and every queued entry sorts after them.
             let ev = if self.inner.run.is_some() && bound.is_some_and(|b| b >= self.inner.q.now()) {
                 Some(self.inner.next_member())
             } else {
@@ -1055,12 +1226,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 // Quiescent or past the deadline; caller inspects stats.
                 None => break,
             }
-            if traced && self.inner.q.processed() & QUEUE_SAMPLE_MASK == 0 {
-                let (at_ns, depth) = (self.inner.q.now().as_ns(), self.inner.q.len() as u32);
-                if let Some(t) = self.inner.trace.as_mut() {
-                    t.record(TraceEvent::QueueDepth { at_ns, depth });
-                }
-            }
+            self.inner.sample_queue();
         }
         self.inner.run_wall_ns += wall_start.elapsed().as_nanos() as u64;
         RunStats {
@@ -1074,8 +1240,8 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
 
     /// Timestamp of the earliest pending event, scheduled link-state
     /// transitions included (`None` when quiescent) — the peek-based
-    /// progress probe for cutoff checks. The rest of a run the last rank
-    /// finished in the middle of is due at the current instant.
+    /// progress probe for cutoff checks. The rest of a CQE run the last
+    /// rank finished in the middle of is due at the current instant.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let run = self.inner.run.map(|_| self.inner.q.now());
         [run, self.inner.q.peek_time(), self.inner.next_fault]
@@ -1090,7 +1256,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// processed, peak queue depth, wall clock).
     pub fn traffic(&self) -> TrafficReport {
         TrafficReport::new(self.inner.counters_snapshot())
-            .with_rnr(self.inner.nics.iter().map(|n| n.rnr_drops).collect())
+            .with_rnr(self.inner.nics.iter().map(|n| n.rnr_drops.into()).collect())
             .with_engine_stats(
                 self.inner.q.processed(),
                 self.inner.q.peak_len(),
@@ -1100,12 +1266,16 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
 
     /// Total RNR drops across all NICs.
     pub fn total_rnr_drops(&self) -> u64 {
-        self.inner.nics.iter().map(|n| n.rnr_drops).sum()
+        self.inner.nics.iter().map(|n| u64::from(n.rnr_drops)).sum()
     }
 
     /// Total packet copies lost to down links (fault injection).
     pub fn total_fault_drops(&self) -> u64 {
-        self.inner.counters.iter().map(|c| c.fault_drops).sum()
+        self.inner
+            .links
+            .iter()
+            .map(|l| l.counters.fault_drops)
+            .sum()
     }
 
     /// Packet-slab entries still held — packets built and not yet
@@ -1192,6 +1362,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         match ev {
             Ev::TxKick { rank } => self.inner.handle_tx_kick(rank),
             Ev::LinkArrive { link, pkt } => self.inner.handle_link_arrive(link, pkt),
+            Ev::ArriveRun { pkt, members } => self.inner.arrive_run(pkt, members),
             Ev::CqeDone {
                 rank,
                 qp_idx,
@@ -1211,9 +1382,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             Ev::TxDrained { rank, token } => {
                 self.with_app(rank, |app, ctx| app.on_tx_drained(ctx, token));
             }
-            Ev::ArriveRun { .. } | Ev::CqeRun { .. } => {
-                unreachable!("a run is dispatched member by member")
-            }
+            Ev::CqeRun { .. } => unreachable!("a CQE run is dispatched member by member"),
         }
     }
 
@@ -1248,7 +1417,7 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn rnr_drops(&self, rank: Rank) -> u64 {
-        self.nics[rank.idx()].rnr_drops
+        self.nics[rank.idx()].rnr_drops.into()
     }
 
     pub(crate) fn set_timer(&mut self, rank: Rank, delay_ns: u64, token: u64) {
@@ -1289,37 +1458,83 @@ impl<M: Clone + 'static> Inner<M> {
         }
     }
 
-    /// The event to dispatch for the entry just popped: the entry itself,
-    /// or a run's first member, with the cursor on the rest.
+    /// The event to dispatch for the entry just popped: the entry itself
+    /// (an arrive run whole), or a CQE run's first member, with the
+    /// cursor on the rest.
     #[inline]
     fn first_member(&mut self, ev: Ev) -> Ev {
         match ev {
-            Ev::ArriveRun { members, .. } | Ev::CqeRun { members, .. } => {
+            Ev::CqeRun { members, .. } => {
                 self.run = Some(RunCursor {
                     run: ev,
                     next: 1,
                     left: self.runs.len(members) - 1,
                 });
-                self.runs.member(ev, 0)
+                self.runs.cqe(ev, 0)
             }
             _ => ev,
         }
     }
 
-    /// The next member of the run under the cursor, counted as the
+    /// The next member of the CQE run under the cursor, counted as the
     /// queue's pop of a separate entry would be.
     fn next_member(&mut self) -> Ev {
         let c = self.run.as_mut().expect("no run under the cursor");
         let (run, k) = (c.run, c.next);
         c.next += 1;
         c.left -= 1;
-        let ev = self.runs.member(run, k);
+        let ev = self.runs.cqe(run, k);
         if c.left == 0 {
             self.run = None;
-            self.runs.close(run);
+            if let Ev::CqeRun { members, .. } = run {
+                self.runs.close(members);
+            }
         }
         self.q.consume_rider();
         ev
+    }
+
+    /// Deliver the arrive run `pkt`'s copies make at one instant, member
+    /// after member, in one pass: the packet's multicast header is read
+    /// once for all of them. Each member after the first is counted as
+    /// the queue's pop of a separate entry would be, checked against the
+    /// event cap and sampled for queue depth, exactly as the event loop
+    /// does between entries (it samples after the last). No app runs
+    /// inside a run, so no rank can finish halfway through one.
+    fn arrive_run(&mut self, pkt: PktRef, members: Members) {
+        let hdr = self
+            .mcast_hdr(pkt)
+            .expect("only a multicast packet's copies arrive together");
+        for k in 0..self.runs.len(members) {
+            if k > 0 {
+                self.sample_queue();
+                self.check_event_cap();
+                self.q.consume_rider();
+            }
+            let link = LinkId(self.runs.get(members, k));
+            self.mcast_arrive(link, pkt, hdr);
+        }
+        self.runs.close(members);
+    }
+
+    /// Panic once a run has dispatched [`MAX_EVENTS`] events.
+    #[inline]
+    fn check_event_cap(&self) {
+        if self.q.processed() >= MAX_EVENTS {
+            panic!("event cap {MAX_EVENTS} exceeded — livelocked protocol?");
+        }
+    }
+
+    /// Record the queue depth every `QUEUE_SAMPLE_EVERY` events when
+    /// tracing: with tracing off, one test per event.
+    #[inline]
+    fn sample_queue(&mut self) {
+        if self.q.processed() & QUEUE_SAMPLE_MASK == 0 {
+            let (at_ns, depth) = (self.q.now().as_ns(), self.q.len() as u32);
+            if let Some(t) = self.trace.as_mut() {
+                t.record(TraceEvent::QueueDepth { at_ns, depth });
+            }
+        }
     }
 
     // --------------------------- fault state --------------------------- //
@@ -1353,7 +1568,7 @@ impl<M: Clone + 'static> Inner<M> {
         let now = self.q.now();
         let li = ev.link.idx();
         let st = self.link_fault[li];
-        let c = &mut self.counters[li];
+        let c = &mut self.links[li].counters;
         if !st.up {
             c.downtime_ns += now.as_ns().saturating_sub(st.since.as_ns());
         } else if st.bw_num != st.bw_den {
@@ -1379,7 +1594,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// at the current instant — the `traffic()` view stays correct even
     /// when a run ends (or is sampled) mid-outage.
     fn counters_snapshot(&self) -> Vec<LinkCounters> {
-        let mut c = self.counters.clone();
+        let mut c: Vec<LinkCounters> = self.links.iter().map(|l| l.counters).collect();
         if self.has_faults {
             let now = self.q.now().as_ns();
             for (li, st) in self.link_fault.iter().enumerate() {
@@ -1620,7 +1835,10 @@ impl<M: Clone + 'static> Inner<M> {
         let state = &mut self.qps[nic.qp_index(qp.0 as usize)];
         let node = self.wqes.insert(WqeNode { wqe, next: NIL });
         match state.tx_tail {
-            NIL => state.tx_head = node,
+            NIL => {
+                state.tx_head = node;
+                nic.set_ready(qp.0 as usize);
+            }
             tail => self.wqes.get_mut(tail).next = node,
         }
         state.tx_tail = node;
@@ -1629,20 +1847,6 @@ impl<M: Clone + 'static> Inner<M> {
             let at = nic.tx_free_at.max(self.q.now());
             self.q.schedule_at(at, Ev::TxKick { rank: src });
         }
-    }
-
-    /// Round-robin QP arbitration: pick the next non-empty send queue.
-    fn tx_pick(nic: &mut NicState, qps: &[QpState]) -> Option<usize> {
-        let qps = &qps[nic.qp_range()];
-        let n = qps.len();
-        for i in 0..n {
-            let qi = (nic.tx_rr + i) % n;
-            if qps[qi].tx_head != NIL {
-                nic.tx_rr = (qi + 1) % n;
-                return Some(qi);
-            }
-        }
-        None
     }
 
     /// Take the next packet off send queue `qi` of `src` and put it on
@@ -1747,10 +1951,12 @@ impl<M: Clone + 'static> Inner<M> {
 
     /// Remove the request at the head of `src`'s send queue `qi`.
     fn pop_tx(&mut self, src: Rank, qi: usize) {
-        let state = &mut self.qps[self.nics[src.idx()].qp_index(qi)];
+        let nic = &mut self.nics[src.idx()];
+        let state = &mut self.qps[nic.qp_index(qi)];
         state.tx_head = self.wqes.remove(state.tx_head).next;
         if state.tx_head == NIL {
             state.tx_tail = NIL;
+            nic.clear_ready(qi, &self.qps[nic.qp_range()]);
         }
     }
 
@@ -1776,7 +1982,7 @@ impl<M: Clone + 'static> Inner<M> {
         }
         let nic = &mut self.nics[rank.idx()];
         nic.kick_scheduled = false;
-        let Some(qi) = Self::tx_pick(nic, &self.qps) else {
+        let Some(qi) = nic.tx_pick(&self.qps[nic.qp_range()]) else {
             return;
         };
         let uplink = nic.uplink;
@@ -1784,18 +1990,20 @@ impl<M: Clone + 'static> Inner<M> {
         let link = *self.topo.link(uplink);
         // One slab access: first-hop bookkeeping + the header fields the
         // wire model and counters need.
-        let (wire, kind, payload_len, reliable) = {
+        let h = {
             let p = self.pkt_mut(pr);
             if let Route::Unicast { path, hop } = &mut p.route {
                 debug_assert_eq!(path[0], uplink, "route does not start at the NIC port");
                 *hop = 1;
             }
-            (p.wire_bytes(), p.kind, p.payload_len, p.reliable())
+            p.hop()
         };
-        let ser = self.effective_ser_ns(uplink, link.rate.serialization_ns(wire));
-        let start = now.max(self.link_busy[uplink.idx()]);
+        let wire = h.wire;
+        let ser = self.ser.ns(link.rate, wire);
+        let ser = self.effective_ser_ns(uplink, ser);
+        let start = now.max(self.links[uplink.idx()].busy);
         let tx_gap = ser.max(self.cfg.host.tx_post_overhead_ns);
-        self.link_busy[uplink.idx()] = start + ser;
+        self.links[uplink.idx()].busy = start + ser;
         if let Some(t) = self.trace.as_mut() {
             t.record(TraceEvent::Inject {
                 start_ns: start.as_ns(),
@@ -1808,7 +2016,7 @@ impl<M: Clone + 'static> Inner<M> {
         let free_at = start + tx_gap;
         let nic = &mut self.nics[rank.idx()];
         nic.tx_free_at = free_at;
-        if self.count_and_maybe_drop(uplink, wire, kind, payload_len, reliable) {
+        if self.count_and_maybe_drop(uplink, h) {
             self.q.schedule_at(
                 start + ser + link.prop_delay_ns,
                 Ev::LinkArrive {
@@ -1833,7 +2041,7 @@ impl<M: Clone + 'static> Inner<M> {
                 !mine
             });
         }
-        if self.qps[nic.qp_range()].iter().any(|q| q.tx_head != NIL) {
+        if nic.ready != 0 {
             nic.kick_scheduled = true;
             self.q.schedule_at(free_at, Ev::TxKick { rank });
         }
@@ -1842,26 +2050,19 @@ impl<M: Clone + 'static> Inner<M> {
     /// Record traffic on `link`; returns false if the packet copy was
     /// corrupted there (fabric drop). The caller owns the handle and must
     /// release it when the copy is dropped.
-    fn count_and_maybe_drop(
-        &mut self,
-        link: LinkId,
-        wire: usize,
-        kind: PacketKind,
-        payload_len: u32,
-        reliable: bool,
-    ) -> bool {
-        let c = &mut self.counters[link.idx()];
+    fn count_and_maybe_drop(&mut self, link: LinkId, h: Hop) -> bool {
+        let c = &mut self.links[link.idx()].counters;
         c.packets += 1;
-        c.wire_bytes += wire as u64;
-        match kind {
-            PacketKind::Control => c.ctrl_bytes += payload_len as u64,
-            _ => c.data_bytes += payload_len as u64,
+        c.wire_bytes += h.wire as u64;
+        match h.kind {
+            PacketKind::Control => c.ctrl_bytes += h.payload_len as u64,
+            _ => c.data_bytes += h.payload_len as u64,
         }
-        if !reliable && self.cfg.drops.fabric_drop_prob > 0.0 {
+        if !h.reliable && self.cfg.drops.fabric_drop_prob > 0.0 {
             let p = self.cfg.drops.fabric_drop_prob;
             // The one RNG draw site (`FabricConfig::uses_rng`).
             if self.rng.random_bool(p) {
-                self.counters[link.idx()].drops += 1;
+                self.links[link.idx()].counters.drops += 1;
                 if let Some(t) = self.trace.as_mut() {
                     t.record(TraceEvent::Drop {
                         at_ns: self.q.now().as_ns(),
@@ -1876,21 +2077,87 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     fn handle_link_arrive(&mut self, in_link: LinkId, pkt: PktRef) {
+        if let Some(hdr) = self.mcast_hdr(pkt) {
+            return self.mcast_arrive(in_link, pkt, hdr);
+        }
         let node = self.topo.link(in_link).dst;
         match self.topo.kind(node) {
-            NodeKind::Switch { .. } => self.forward_at_switch(node, in_link, pkt),
+            NodeKind::Switch { .. } => self.forward_at_switch(node, pkt),
             NodeKind::Host(rank) => self.deliver_at_host(rank, in_link, pkt),
         }
     }
 
-    fn forward_at_switch(&mut self, node: NodeId, in_link: LinkId, pr: PktRef) {
+    /// The multicast header of `pr` (`None` for any other route).
+    #[inline]
+    fn mcast_hdr(&self, pr: PktRef) -> Option<McastHdr> {
+        let p = self.pkt(pr);
+        match (&p.route, p.body) {
+            (&Route::Mcast { group }, Body::Chunk { origin, psn, .. }) => Some(McastHdr {
+                group,
+                origin,
+                psn,
+                hop: p.hop(),
+            }),
+            (Route::Mcast { .. }, _) => unreachable!("multicast packet without chunk payload"),
+            _ => None,
+        }
+    }
+
+    /// A multicast copy reaches the far end of `in_link`: a switch
+    /// replicates it down the group's tree, a host delivers it to the QP
+    /// it attached to the group.
+    fn mcast_arrive(&mut self, in_link: LinkId, pr: PktRef, h: McastHdr) {
+        let node = self.topo.link(in_link).dst;
+        let rank = match self.topo.kind(node) {
+            NodeKind::Switch { .. } => return self.replicate(node, in_link, pr, h),
+            NodeKind::Host(rank) => rank,
+        };
+        match self.group_attach[h.group.0 as usize * self.nics.len() + rank.idx()] {
+            // Hosts on the tree but not attached (e.g. sender's own copy
+            // in degenerate trees) silently discard.
+            NIL => self.release_pkt(pr),
+            qi => self.deliver(
+                rank,
+                in_link,
+                pr,
+                qi as usize,
+                Some((h.origin.0, h.psn, rank.0)),
+            ),
+        }
+    }
+
+    /// Multicast at a switch: collect egress links into the reusable
+    /// scratch buffer — switch forwarding runs once per packet hop, so a
+    /// fresh Vec here would be a per-packet allocation on the replication
+    /// hot path.
+    fn replicate(&mut self, node: NodeId, in_link: LinkId, pr: PktRef, h: McastHdr) {
+        let now = self.q.now();
+        let mut outs = std::mem::take(&mut self.scratch_links);
+        outs.clear();
+        outs.extend(self.trees[h.group.0 as usize].out_links(&self.topo, node, Some(in_link)));
+        // Replicate: every extra branch is a refcount bump on the slab
+        // entry and a handle copy — the last branch rides the original.
+        match outs.split_last() {
+            Some((&last, rest)) => {
+                for &out in rest {
+                    self.retain_pkt(pr);
+                    self.transmit(out, pr, now, h.hop);
+                }
+                self.transmit(last, pr, now, h.hop);
+            }
+            None => self.release_pkt(pr), // no egress (degenerate tree)
+        }
+        self.scratch_links = outs;
+    }
+
+    /// Forward a unicast, descending or reduction packet at a switch.
+    fn forward_at_switch(&mut self, node: NodeId, pr: PktRef) {
         let now = self.q.now();
         // One slab lookup: copy the small route summary out (every
         // variant's data is `Copy`), then branch.
         enum Fwd {
             Unicast(LinkId),
             Down(Rank, u8, u32),
-            Mcast(McastGroupId),
             Inc(McastGroupId, Rank, u32),
         }
         let p = self.pkt(pr);
@@ -1904,44 +2171,21 @@ impl<M: Clone + 'static> Inner<M> {
             }
             (Route::Down { owner, hop }, Body::Chunk { psn, .. }) => Fwd::Down(*owner, *hop, psn),
             (Route::Down { .. }, _) => unreachable!("reduced shard without chunk payload"),
-            (Route::Mcast { group }, _) => Fwd::Mcast(*group),
+            (Route::Mcast { .. }, _) => unreachable!("multicast copies are replicated"),
             (Route::IncUp { group, owner }, Body::Chunk { psn, .. }) => {
                 Fwd::Inc(*group, *owner, psn)
             }
             (Route::IncUp { .. }, _) => unreachable!("INC packet without chunk payload"),
         };
-        let group = match fwd {
-            Fwd::Inc(group, owner, psn) => {
-                return self.reduce_at_switch(node, pr, group, owner, psn)
-            }
-            // Unicast: exactly one egress — skip the replication machinery.
-            Fwd::Unicast(out) => return self.transmit_hop(out, pr, now),
+        match fwd {
+            Fwd::Inc(group, owner, psn) => self.reduce_at_switch(node, pr, group, owner, psn),
+            // Unicast: exactly one egress — no replication.
+            Fwd::Unicast(out) => self.transmit_hop(out, pr, now),
             Fwd::Down(owner, hop, psn) => {
                 let out = routing::descend_link(&self.topo, node, owner, psn as u64, hop as u64);
-                return self.transmit_hop(out, pr, now);
+                self.transmit_hop(out, pr, now);
             }
-            Fwd::Mcast(group) => group,
-        };
-        // Multicast: collect egress links into the reusable scratch
-        // buffer — switch forwarding runs once per packet hop, so a fresh
-        // Vec here would be a per-packet allocation on the replication
-        // hot path.
-        let mut outs = std::mem::take(&mut self.scratch_links);
-        outs.clear();
-        outs.extend(self.trees[group.0 as usize].out_links(&self.topo, node, Some(in_link)));
-        // Replicate: every extra branch is a refcount bump on the slab
-        // entry and a handle copy — the last branch rides the original.
-        match outs.split_last() {
-            Some((&last, rest)) => {
-                for &out in rest {
-                    self.retain_pkt(pr);
-                    self.transmit_hop(out, pr, now);
-                }
-                self.transmit_hop(last, pr, now);
-            }
-            None => self.release_pkt(pr), // no egress (degenerate tree)
         }
-        self.scratch_links = outs;
     }
 
     /// SHARP-style switch behaviour: absorb contributions for
@@ -2023,16 +2267,24 @@ impl<M: Clone + 'static> Inner<M> {
         }
     }
 
+    /// Send a routed packet on over `out`, one hop further along its
+    /// route.
     fn transmit_hop(&mut self, out: LinkId, pr: PktRef, now: SimTime) {
-        let link = *self.topo.link(out);
         // One slab access: hop bookkeeping + header fields.
-        let (wire, kind, payload_len, reliable) = {
+        let h = {
             let p = self.pkt_mut(pr);
             if let Route::Unicast { hop, .. } | Route::Down { hop, .. } = &mut p.route {
                 *hop += 1;
             }
-            (p.wire_bytes(), p.kind, p.payload_len, p.reliable())
+            p.hop()
         };
+        self.transmit(out, pr, now, h);
+    }
+
+    /// Transmit the copy `pr` with header fields `h` over `out`.
+    fn transmit(&mut self, out: LinkId, pr: PktRef, now: SimTime, h: Hop) {
+        let link = *self.topo.link(out);
+        let wire = h.wire;
         // Down egress: unreliable copies are lost; reliable copies wait
         // for the link's next recovery (link-level retransmission wins
         // eventually) unless it never comes back.
@@ -2040,10 +2292,10 @@ impl<M: Clone + 'static> Inner<M> {
         if self.has_faults {
             let st = self.link_fault[out.idx()];
             if !st.up {
-                if reliable && st.next_up_ns != u64::MAX {
+                if h.reliable && st.next_up_ns != u64::MAX {
                     not_before = SimTime(st.next_up_ns);
                 } else {
-                    self.counters[out.idx()].fault_drops += 1;
+                    self.links[out.idx()].counters.fault_drops += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.record(TraceEvent::Drop {
                             at_ns: now.as_ns(),
@@ -2055,11 +2307,12 @@ impl<M: Clone + 'static> Inner<M> {
                 }
             }
         }
-        let ser = self.effective_ser_ns(out, link.rate.serialization_ns(wire));
+        let ser = self.ser.ns(link.rate, wire);
+        let ser = self.effective_ser_ns(out, ser);
         let start = (now + SWITCH_LATENCY_NS)
-            .max(self.link_busy[out.idx()])
+            .max(self.links[out.idx()].busy)
             .max(not_before);
-        self.link_busy[out.idx()] = start + ser;
+        self.links[out.idx()].busy = start + ser;
         if let Some(t) = self.trace.as_mut() {
             t.record(TraceEvent::Egress {
                 start_ns: start.as_ns(),
@@ -2068,7 +2321,7 @@ impl<M: Clone + 'static> Inner<M> {
                 bytes: wire as u32,
             });
         }
-        if self.count_and_maybe_drop(out, wire, kind, payload_len, reliable) {
+        if self.count_and_maybe_drop(out, h) {
             self.schedule_member(
                 start + ser + link.prop_delay_ns,
                 Ev::LinkArrive { link: out, pkt: pr },
@@ -2098,51 +2351,42 @@ impl<M: Clone + 'static> Inner<M> {
                 self.enqueue_tx(rank, req_qp, Wqe::Ready(r));
             }
             Body::ReadResp { .. } => self.schedule_cqe(rank, req_qp.0 as usize, pr, false),
-            Body::Chunk { .. } | Body::Msg(_) => self.deliver_two_sided(rank, in_link, pr),
+            Body::Chunk { .. } | Body::Msg(_) => {
+                debug_assert!(
+                    matches!(
+                        self.pkt(pr).route,
+                        Route::Unicast { .. } | Route::Down { .. }
+                    ),
+                    "only routed unicast reaches a host here"
+                );
+                self.deliver(rank, in_link, pr, req_qp.0 as usize, None);
+            }
         }
     }
 
-    fn deliver_two_sided(&mut self, rank: Rank, _in_link: LinkId, pr: PktRef) {
-        // One slab read for everything delivery needs.
-        let (dest, forced_key, needs_slot) = {
-            let p = self.pkt(pr);
-            let dest = match p.route {
-                Route::IncUp { .. } => unreachable!("reduction contribution delivered to a host"),
-                Route::Mcast { group } => Err(group),
-                Route::Unicast { .. } | Route::Down { .. } => Ok(p.dst_qp.0 as usize),
-            };
-            // Forced-drop key (origin, psn, dst) for multicast data.
-            let forced_key = match (p.kind, p.body) {
-                (PacketKind::McastData, Body::Chunk { origin, psn, .. }) => {
-                    Some((origin.0, psn, rank.0))
-                }
-                _ => None,
-            };
-            (dest, forced_key, !p.reliable())
-        };
-        let qp_idx = match dest {
-            Ok(qi) => qi,
-            Err(group) => {
-                match self.group_attach[group.0 as usize * self.nics.len() + rank.idx()] {
-                    // Hosts on the tree but not attached (e.g. sender's own
-                    // copy in degenerate trees) silently discard.
-                    NIL => return self.release_pkt(pr),
-                    qi => qi as usize,
-                }
-            }
-        };
-
+    /// Deliver `pr` two-sided into QP `qp_idx` of `rank`: a multicast
+    /// copy, which `forced_key` `(origin, psn, rank)` names to the forced
+    /// drop model, consumes a pre-posted receive or is RNR-dropped; a
+    /// reliable packet's completion is queued as it is.
+    fn deliver(
+        &mut self,
+        rank: Rank,
+        in_link: LinkId,
+        pr: PktRef,
+        qp_idx: usize,
+        forced_key: Option<(u32, u32, u32)>,
+    ) {
         // Forced drop injection; the emptiness guard keeps the hash
         // lookup off the common (no-injection) delivery path.
         if !self.cfg.drops.forced.is_empty() {
             if let Some(key) = forced_key {
                 if self.cfg.drops.forced.contains(&key) {
                     // Account as a drop on the final delivery link.
-                    self.counters[_in_link.idx()].drops += 1;
+                    self.links[in_link.idx()].counters.drops += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.record(TraceEvent::Drop {
                             at_ns: self.q.now().as_ns(),
-                            link: _in_link.idx() as u32,
+                            link: in_link.idx() as u32,
                             cause: DropCause::Forced,
                         });
                     }
@@ -2151,6 +2395,7 @@ impl<M: Clone + 'static> Inner<M> {
             }
         }
 
+        let needs_slot = forced_key.is_some();
         if needs_slot {
             let qp = &mut self.qps[self.nics[rank.idx()].qp_index(qp_idx)];
             if qp.rq_avail == 0 {
@@ -2158,7 +2403,7 @@ impl<M: Clone + 'static> Inner<M> {
                 if let Some(t) = self.trace.as_mut() {
                     t.record(TraceEvent::Drop {
                         at_ns: self.q.now().as_ns(),
-                        link: _in_link.idx() as u32,
+                        link: in_link.idx() as u32,
                         cause: DropCause::Rnr,
                     });
                 }
@@ -2176,7 +2421,7 @@ impl<M: Clone + 'static> Inner<M> {
         let now = self.q.now();
         let worker = self.qps[self.nics[rank.idx()].qp_range()]
             .get(qp_idx)
-            .map_or(0, |q| q.worker);
+            .map_or(0, |q| q.worker as usize);
         let busy = &mut self.workers[rank.idx() * self.cfg.host.rx_workers.max(1) + worker];
         let visible = now + self.cfg.host.rx_cqe_dma_ns;
         let start = visible.max(*busy);
@@ -2533,12 +2778,15 @@ mod tests {
         // Wheel runs against the heap's separate entries, each fabric
         // driven in 1 µs `run_until` slices: identical completions, event
         // counts, queue depths, per-link counters and trace — queue-depth
-        // samples included.
-        let drive = |backend| {
+        // samples included. On the 48-host star a chunk's copies reach
+        // the hosts in one arrive run of 47, delivered in one pass, and a
+        // chunk takes 97 events, so the samples, 1,024 events apart,
+        // fall at every phase of it: about half of them inside a run.
+        let drive = |topo: Topology, backend| {
             let mut cfg = FabricConfig::ucc_default();
             cfg.event_queue = backend;
             cfg.trace = Some(TraceSpec::default());
-            let (mut fab, _) = bcast_on(two_level_eight(), |_| 256, cfg);
+            let (mut fab, _) = bcast_on(topo, |_| 256, cfg);
             let mut deadline = 1_000u64;
             let stats = loop {
                 let s = fab.run_until(SimTime(deadline));
@@ -2551,22 +2799,31 @@ mod tests {
             let spilled = fab.inner.runs.words.len();
             (stats, fab.traffic(), trace, spilled)
         };
-        let (sw, tw, trw, spilled) = drive(QueueBackend::Wheel);
-        let (sh, th, trh, none) = drive(QueueBackend::Heap);
-        assert!(sw.all_done());
-        assert!(spilled > 0 && none == 0, "runs formed: {spilled} / {none}");
-        assert_eq!(sw.per_rank_done, sh.per_rank_done);
-        assert_eq!(
-            (sw.end_time, sw.events, sw.peak_queue_depth),
-            (sh.end_time, sh.events, sh.peak_queue_depth)
-        );
-        assert_eq!(tw.per_link(), th.per_link());
-        let samples = trw
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::QueueDepth { .. }))
-            .count();
-        assert!(samples > 1, "{samples} queue-depth samples");
-        assert_eq!(trw, trh);
+        let star = || Topology::single_switch(48, LinkRate::CX3_56G, 100);
+        for (topo, min_samples) in [(two_level_eight(), 2), (star(), 20)] {
+            let (sw, tw, trw, spilled) = drive(topo.clone(), QueueBackend::Wheel);
+            let (sh, th, trh, none) = drive(topo, QueueBackend::Heap);
+            assert!(sw.all_done());
+            assert!(spilled > 0 && none == 0, "runs formed: {spilled} / {none}");
+            assert_eq!(sw.per_rank_done, sh.per_rank_done);
+            assert_eq!(
+                (sw.end_time, sw.events, sw.peak_queue_depth),
+                (sh.end_time, sh.events, sh.peak_queue_depth)
+            );
+            assert_eq!(tw.per_link(), th.per_link());
+            let depths = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
+                let depth = |e: &&TraceEvent| matches!(e, TraceEvent::QueueDepth { .. });
+                trace.iter().filter(depth).copied().collect()
+            };
+            let samples = depths(&trw);
+            assert!(
+                samples.len() >= min_samples,
+                "{} queue-depth samples",
+                samples.len()
+            );
+            assert_eq!(samples, depths(&trh));
+            assert_eq!(trw, trh);
+        }
     }
 
     #[test]
@@ -3220,6 +3477,90 @@ mod tests {
         assert!(size <= 64, "Wqe grew to {size} bytes");
     }
 
+    /// The arbiter the ready set replaced: a modulo scan of every queue
+    /// from `rr`, `queued[qi]` requests on QP `qi`.
+    fn scan_pick(rr: &mut usize, queued: &[u32]) -> Option<usize> {
+        let n = queued.len();
+        let qi = (0..n).map(|i| (*rr + i) % n).find(|&qi| queued[qi] > 0)?;
+        *rr = (qi + 1) % n;
+        Some(qi)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random posts, picks and QP additions on one NIC of 1 to 150
+        /// QPs, so that about half the cases share ready bits among QPs
+        /// (more than 64) and some cross a width change with requests
+        /// queued: every pick is the modulo scan's, and the set is empty
+        /// exactly when every queue is.
+        #[test]
+        fn ready_set_picks_as_the_modulo_scan(
+            n in 1usize..150,
+            ops in proptest::collection::vec((0u8..4, 0usize..1000), 0..600),
+        ) {
+            let empty = || QpState {
+                transport: Transport::Rc,
+                worker: 0,
+                rq_avail: 0,
+                rq_depth: 0,
+                tx_head: NIL,
+                tx_tail: NIL,
+                drains: 0,
+            };
+            let mut nic = NicState::new(LinkId(0));
+            let mut qps = Vec::new();
+            let mut queued = Vec::new();
+            let mut rr = 0;
+            let add = |nic: &mut NicState, qps: &mut Vec<QpState>, queued: &mut Vec<u32>| {
+                qps.push(empty());
+                queued.push(0);
+                nic.add_qp(qps);
+            };
+            for _ in 0..n {
+                add(&mut nic, &mut qps, &mut queued);
+            }
+            for (op, at) in ops {
+                match op {
+                    // Post on a queue (twice as often as the rest).
+                    0 | 1 => {
+                        let qi = at % qps.len();
+                        if queued[qi] == 0 {
+                            qps[qi].tx_head = 0;
+                            nic.set_ready(qi);
+                        }
+                        queued[qi] += 1;
+                    }
+                    // Inject one request from the queue the arbiter picks.
+                    2 => {
+                        let want = scan_pick(&mut rr, &queued);
+                        proptest::prop_assert_eq!(nic.tx_pick(&qps), want);
+                        if let Some(qi) = want {
+                            proptest::prop_assert_eq!(nic.tx_rr as usize, rr);
+                            queued[qi] -= 1;
+                            if queued[qi] == 0 {
+                                qps[qi].tx_head = NIL;
+                                nic.clear_ready(qi, &qps);
+                            }
+                        }
+                    }
+                    _ => add(&mut nic, &mut qps, &mut queued),
+                }
+                proptest::prop_assert_eq!(nic.ready == 0, queued.iter().all(|&q| q == 0));
+            }
+            // Drain what is left, in the scan's order.
+            while let Some(qi) = scan_pick(&mut rr, &queued) {
+                proptest::prop_assert_eq!(nic.tx_pick(&qps), Some(qi));
+                queued[qi] -= 1;
+                if queued[qi] == 0 {
+                    qps[qi].tx_head = NIL;
+                    nic.clear_ready(qi, &qps);
+                }
+            }
+            proptest::prop_assert_eq!(nic.tx_pick(&qps), None);
+        }
+    }
+
     #[test]
     fn run_store_keeps_member_order_and_recycles_segments() {
         let mut store = RunStore::default();
@@ -3240,15 +3581,14 @@ mod tests {
             }
             run
         };
+        let of = |run: Ev| match run {
+            Ev::ArriveRun { members, pkt: p } if p == pkt => members,
+            ev => panic!("{ev:?} is not a run of {pkt:?}"),
+        };
         let members = |store: &RunStore, run: Ev| -> Vec<u32> {
-            let Ev::ArriveRun { members, .. } = run else {
-                unreachable!()
-            };
+            let members = of(run);
             (0..store.len(members))
-                .map(|k| match store.member(run, k) {
-                    Ev::LinkArrive { link, pkt: p } if p == pkt => link.0,
-                    ev => panic!("member {k} is {ev:?}"),
-                })
+                .map(|k| store.get(members, k))
                 .collect()
         };
         // Lengths on both sides of every segment-class edge, several live
@@ -3259,7 +3599,7 @@ mod tests {
             assert_eq!(members(&store, run), (0..n).collect::<Vec<_>>());
         }
         let words = store.words.len();
-        runs.into_iter().for_each(|run| store.close(run));
+        runs.into_iter().for_each(|run| store.close(of(run)));
         // The same runs again fit in the segments the first ones vacated.
         let runs: Vec<Ev> = sizes.iter().map(|&n| open(&mut store, n)).collect();
         assert_eq!(store.words.len(), words);
@@ -3281,6 +3621,22 @@ mod tests {
         };
         assert!(!store.join(&mut run, cqe));
         assert_eq!(members(&store, run), [0, 1, 2]);
+    }
+
+    #[test]
+    fn qp_state_stays_small() {
+        // The arbiter and every delivery read it; a batch fabric holds
+        // one per QP of every rank.
+        let size = std::mem::size_of::<QpState>();
+        assert!(size <= 28, "QpState grew to {size} bytes");
+    }
+
+    #[test]
+    fn nic_state_stays_small() {
+        // Every batch fabric allocates one per rank: the ready set took
+        // the bytes a narrower round-robin cursor and RNR counter gave up.
+        let size = std::mem::size_of::<NicState>();
+        assert!(size <= 40, "NicState grew to {size} bytes");
     }
 
     #[test]

@@ -107,10 +107,12 @@ pub struct Marker {
 /// One batch fabric's harvested flight recorder, stable-sorted by
 /// timestamp on the batch's own clock (events that tie keep their
 /// record order). The events are shared: a batch replayed from the
-/// runtime's outcome memo hands out the stored run, not a copy.
+/// runtime's outcome memo hands out the stored run, not a copy. They
+/// are the recorder's own ring, sorted in place and trimmed to its
+/// length where it lies: building a run copies no event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRun {
-    events: Arc<[TraceEvent]>,
+    events: Arc<Box<[TraceEvent]>>,
     dropped: u64,
 }
 
@@ -119,8 +121,10 @@ impl TraceRun {
     /// counts what the recorder lost to ring overflow.
     fn new(mut events: Vec<TraceEvent>, dropped: u64) -> TraceRun {
         sort_by_time(&mut events);
+        // A memoized run lives as long as the runtime, so it keeps no
+        // spare capacity; shrinking a block leaves it where it is.
         TraceRun {
-            events: events.into(),
+            events: Arc::new(events.into_boxed_slice()),
             dropped,
         }
     }
@@ -445,6 +449,18 @@ mod tests {
         let times: Vec<u64> = tr.fabric.iter().map(TraceEvent::at_ns).collect();
         assert_eq!(times, [505, 1010, 1030]);
         assert_eq!(tr.horizon_ns(), 1030);
+    }
+
+    #[test]
+    fn a_run_keeps_the_recorders_buffer() {
+        // The events are sorted where the recorder left them and shared
+        // from there: no second copy of a batch's events.
+        let events = recorded([30, 10, 20]);
+        let at = events.as_ptr();
+        let run = TraceRun::new(events, 0);
+        assert_eq!(run.events.as_ptr(), at);
+        let times: Vec<u64> = run.events.iter().map(TraceEvent::at_ns).collect();
+        assert_eq!(times, [10, 20, 30]);
     }
 
     fn job(id: u64, submitted: u64, finished: u64) -> JobSpan {

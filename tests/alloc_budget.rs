@@ -286,13 +286,14 @@ fn open_loop_runtime_stays_inside_its_per_batch_budget() {
 #[test]
 fn flight_recorder_adds_at_most_16_kib_a_batch() {
     // A batch records about 200 events (6 KiB). A simulated batch pays
-    // for the ring that holds them and the shared run they are sorted
-    // into (the insertion sort needs no scratch); a replayed batch
-    // shares the stored run, and the merged trace is built once, by
-    // `take_trace`, outside this budget. A debug build simulates every
-    // batch (replays included, to check them) and reads 76 KiB against
-    // 52 untraced; a release build reads 21 against 12. It read 82 and
-    // 23 while every batch's sort allocated `sort_by_key`'s scratch, and
+    // for the ring that holds them, sorted in place into the shared run
+    // (the insertion sort needs no scratch); a replayed batch shares the
+    // stored run, and the merged trace is built once, by `take_trace`,
+    // outside this budget. A debug build simulates every batch (replays
+    // included, to check them) and reads 69 KiB against 52 untraced; a
+    // release build reads 18 against 12. It read 76 and 21 while every
+    // batch's sorted events were copied into the shared run, 82 and 23
+    // while every batch's sort allocated `sort_by_key`'s scratch, and
     // 99 and 44 while every commit appended its events to a vector that
     // grew by doubling and every replay copied the stored ring, so the
     // ceiling is now 12 KiB over the untraced one, not 16.
@@ -580,8 +581,10 @@ fn warm_topology_builds_no_tree_or_route() {
     let cold = one_message_fabric_allocs(&topo, &members);
     let warm = one_message_fabric_allocs(&topo, &members);
     // Measured 9 allocations for the tree and 1 for the route (its
-    // path); 33 for the cold fabric, which also stores both in the
-    // topology's memo, and 20 for the warm one. They were 27, 1, 59 and
+    // path); 32 for the cold fabric, which also stores both in the
+    // topology's memo, and 19 for the warm one. They were 33 and 20
+    // while a fabric kept its link counters and link busy times in two
+    // tables; 27, 1, 59 and
     // 26 while a tree kept a vector per node and deduplicated its edges
     // in a `HashSet`, the memo stored a built tree's key beside it, a
     // route was collected into a vector before its shared copy and every
