@@ -69,7 +69,7 @@ pub use bitmap::ChunkBitmap;
 pub use concurrent::{run_concurrent_ag_rs, run_concurrent_ag_rs_endpoint, RsApp};
 pub use config::ProtocolConfig;
 pub use des::{cutoff_ns, run_collective, CollectiveOutcome};
-pub use msg::ControlMsg;
+pub use msg::{ControlMsg, RangeList};
 pub use multicomm::{run_concurrent_allgathers, CommSlot, MultiCommApp, MultiCommOutcome};
 pub use plan::{CollectiveKind, CollectivePlan};
 pub use protocol::{McastRankApp, RankTiming};

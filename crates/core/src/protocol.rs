@@ -24,7 +24,7 @@
 
 use crate::barrier::{BarrierAction, BarrierActions, BarrierState};
 use crate::bitmap::ChunkBitmap;
-use crate::msg::ControlMsg;
+use crate::msg::{ControlMsg, RangeList};
 use crate::plan::CollectivePlan;
 use mcag_simnet::{Ctx, Payload, RankApp, SimTime};
 use mcag_verbs::{Cqe, CqeOpcode, McastGroupId, QpNum, Rank};
@@ -162,10 +162,10 @@ pub struct McastRankApp {
     first_tag: u64,
     /// Requests this rank could not fully serve yet: requester → ranges
     /// still owed (sent as a supplementary ACK once complete).
-    pending_serve: Vec<(Rank, Vec<Range<u32>>)>,
+    pending_serve: Vec<(Rank, RangeList)>,
     /// Scratch for re-splitting an owed list, swapped with it so that a
     /// debt settled in parts reuses its two buffers.
-    owe_scratch: Vec<Range<u32>>,
+    owe_scratch: RangeList,
 }
 
 impl McastRankApp {
@@ -207,7 +207,7 @@ impl McastRankApp {
             outstanding_reads: VecDeque::new(),
             first_tag: 1,
             pending_serve: Vec::new(),
-            owe_scratch: Vec::new(),
+            owe_scratch: RangeList::new(),
         }
     }
 
@@ -300,6 +300,12 @@ impl McastRankApp {
         let (coll, psn) = self.plan.imm_layout().unpack(imm);
         assert_eq!(coll, self.plan.coll_id(), "crossed collective traffic");
         if self.bitmap.set(psn) {
+            // The common case is the bitmap set alone (Section III-D(c)):
+            // with no debt open and chunks still missing, there is
+            // nothing to settle and nothing to finalize.
+            if self.pending_serve.is_empty() && !self.bitmap.is_complete() {
+                return;
+            }
             self.check_complete(ctx);
         } else {
             self.timing.duplicate_chunks += 1;
@@ -334,16 +340,11 @@ impl McastRankApp {
     /// scheme of Section III-C. Waiting for *completeness* instead would
     /// deadlock when every rank misses a chunk its left neighbor also
     /// misses.
-    fn serve_fetch(
-        &mut self,
-        ctx: &mut Ctx<'_, ControlMsg>,
-        requester: Rank,
-        ranges: Vec<Range<u32>>,
-    ) {
-        let mut have = Vec::new();
-        let mut owe = Vec::new();
-        for r in ranges {
-            split_by_bitmap(&self.bitmap, r, &mut have, &mut owe);
+    fn serve_fetch(&mut self, ctx: &mut Ctx<'_, ControlMsg>, requester: Rank, ranges: RangeList) {
+        let mut have = RangeList::new();
+        let mut owe = RangeList::new();
+        for r in ranges.iter() {
+            split_by_bitmap(&self.bitmap, r.clone(), &mut have, &mut owe);
         }
         if !have.is_empty() {
             let m = ControlMsg::FetchAck { ranges: have };
@@ -364,10 +365,10 @@ impl McastRankApp {
             if !owed.iter().any(|r| bitmap.any_present(r.clone())) {
                 return true;
             }
-            let mut have = Vec::new();
+            let mut have = RangeList::new();
             owe.clear();
-            for r in owed.drain(..) {
-                split_by_bitmap(bitmap, r, &mut have, owe);
+            for r in owed.iter() {
+                split_by_bitmap(bitmap, r.clone(), &mut have, owe);
             }
             let m = ControlMsg::FetchAck { ranges: have };
             let len = m.wire_payload();
@@ -379,10 +380,10 @@ impl McastRankApp {
 
     /// RDMA-Read the still-missing parts of the ACKed ranges from the
     /// left neighbor's receive buffer (identical layout on every rank).
-    fn issue_reads(&mut self, ctx: &mut Ctx<'_, ControlMsg>, ranges: Vec<Range<u32>>) {
+    fn issue_reads(&mut self, ctx: &mut Ctx<'_, ControlMsg>, ranges: RangeList) {
         let left = self.left();
-        for acked in ranges {
-            for r in self.bitmap.missing_runs_in(acked) {
+        for acked in ranges.iter() {
+            for r in self.bitmap.missing_runs_in(acked.clone()) {
                 // Also skip ranges already being fetched.
                 if self
                     .outstanding_reads
@@ -452,7 +453,7 @@ impl McastRankApp {
     }
 
     fn start_recovery(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
-        let runs: Vec<Range<u32>> = self.bitmap.missing_runs().collect();
+        let runs: RangeList = self.bitmap.missing_runs().collect();
         debug_assert!(!runs.is_empty());
         self.timing.recovery_rounds += 1;
         let m = ControlMsg::FetchReq { ranges: runs };
@@ -516,8 +517,8 @@ impl RankApp<ControlMsg> for McastRankApp {
 fn split_by_bitmap(
     bitmap: &ChunkBitmap,
     range: Range<u32>,
-    have: &mut Vec<Range<u32>>,
-    miss: &mut Vec<Range<u32>>,
+    have: &mut RangeList,
+    miss: &mut RangeList,
 ) {
     let mut i = range.start;
     while i < range.end {
@@ -544,20 +545,146 @@ mod tests {
         for i in [2, 3, 7] {
             bm.set(i);
         }
-        let (mut have, mut miss) = (Vec::new(), Vec::new());
+        let (mut have, mut miss) = (RangeList::new(), RangeList::new());
         split_by_bitmap(&bm, 0..10, &mut have, &mut miss);
-        assert_eq!(have, vec![2..4, 7..8]);
-        assert_eq!(miss, vec![0..2, 4..7, 8..10]);
+        assert_eq!(&*have, &[2..4, 7..8]);
+        assert_eq!(&*miss, &[0..2, 4..7, 8..10]);
     }
 
     #[test]
     fn split_by_bitmap_subrange() {
         let mut bm = ChunkBitmap::new(10);
         bm.set(5);
-        let (mut have, mut miss) = (Vec::new(), Vec::new());
+        let (mut have, mut miss) = (RangeList::new(), RangeList::new());
         split_by_bitmap(&bm, 4..7, &mut have, &mut miss);
-        assert_eq!(have, vec![5..6]);
-        assert_eq!(miss, vec![4..5, 6..7]);
+        assert_eq!((have.len(), have[0].clone()), (1, 5..6));
+        assert_eq!(&*miss, &[4..5, 6..7]);
+    }
+
+    /// Rank 1 of a two-rank Broadcast it roots, scripted: it joins the
+    /// barrier and asks rank 0 for chunk 2 before rank 0 has it; once
+    /// that request has left, it multicasts chunk 2 alone (when
+    /// `send_chunk`). It records the ranges rank 0 ACKs.
+    struct Script {
+        plan: Arc<CollectivePlan>,
+        qps: QpLayout,
+        send_chunk: bool,
+        acks: Vec<RangeList>,
+    }
+
+    enum Node {
+        Leaf(Box<McastRankApp>),
+        Root(Script),
+    }
+
+    impl RankApp<ControlMsg> for Node {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ControlMsg>) {
+            match self {
+                Node::Leaf(app) => app.on_start(ctx),
+                Node::Root(s) => {
+                    let ctrl = s.qps.ctrl;
+                    ctx.post_msg(Rank(0), ctrl, ControlMsg::Barrier { round: 0 }, 16);
+                    let req = ControlMsg::FetchReq {
+                        ranges: std::iter::once(2..3).collect(),
+                    };
+                    let len = req.wire_payload();
+                    ctx.post_msg(Rank(0), ctrl, req, len);
+                    ctx.notify_tx_drained(ctrl, 0);
+                }
+            }
+        }
+
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, p: Payload<ControlMsg>) {
+            match (self, p) {
+                (Node::Leaf(app), p) => app.on_cqe(ctx, cqe, p),
+                (Node::Root(s), Payload::Msg(ControlMsg::FetchAck { ranges })) => {
+                    s.acks.push(ranges)
+                }
+                (Node::Root(_), _) => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ControlMsg>, token: u64) {
+            if let Node::Leaf(app) = self {
+                app.on_timer(ctx, token);
+            }
+        }
+
+        fn on_tx_drained(&mut self, ctx: &mut Ctx<'_, ControlMsg>, _token: u64) {
+            let Node::Root(s) = self else {
+                unreachable!("the leaf roots nothing")
+            };
+            if s.send_chunk {
+                let (qp, group) = (s.qps.subgroup_qp(0), s.qps.group(0));
+                let len = s.plan.chunk_len(2);
+                ctx.post_mcast_chunk(qp, group, s.plan.imm_for(2), Rank(1), 2, len);
+            }
+        }
+    }
+
+    /// Run the scripted pair; returns the leaf and the root's ACKs.
+    fn debt_pair(send_chunk: bool) -> (Box<McastRankApp>, Vec<RangeList>) {
+        use mcag_simnet::{Fabric, FabricConfig, Topology};
+        use mcag_verbs::{CollectiveId, ImmLayout, LinkRate, Mtu, Transport};
+        let plan = Arc::new(CollectivePlan::new(
+            crate::plan::CollectiveKind::Broadcast { root: Rank(1) },
+            2,
+            4 * 4096,
+            Mtu::IB_4K,
+            ImmLayout::DEFAULT,
+            CollectiveId(1),
+            1,
+            1,
+        ));
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<ControlMsg, Node> = Fabric::new(topo, FabricConfig::ucc_default());
+        let group = fab.create_group(&[Rank(0), Rank(1)]);
+        for r in [Rank(0), Rank(1)] {
+            let qps = QpLayout {
+                ctrl: fab.add_qp(r, Transport::Rc, 0),
+                first_group: group,
+                subgroups: 1,
+            };
+            let ud = fab.add_qp(r, Transport::Ud, 0);
+            fab.attach(r, ud, group);
+            let plan = Arc::clone(&plan);
+            fab.set_app(
+                r,
+                match r {
+                    // A cutoff far beyond the run: no recovery of its own.
+                    Rank(0) => Node::Leaf(Box::new(McastRankApp::new(plan, r, qps, 1 << 40))),
+                    _ => Node::Root(Script {
+                        plan,
+                        qps,
+                        send_chunk,
+                        acks: Vec::new(),
+                    }),
+                },
+            );
+        }
+        fab.run_until(SimTime(1_000_000));
+        let mut apps = fab.into_apps().into_iter();
+        match (apps.next(), apps.next()) {
+            (Some(Node::Leaf(leaf)), Some(Node::Root(root))) => (leaf, root.acks),
+            _ => unreachable!("rank 0 is the leaf, rank 1 the root"),
+        }
+    }
+
+    #[test]
+    fn an_open_debt_is_settled_on_the_next_fresh_chunk() {
+        // Without the chunk the request stays owed: rank 0 had nothing
+        // to serve when it arrived.
+        let (leaf, acks) = debt_pair(false);
+        assert!(acks.is_empty());
+        assert_eq!(leaf.pending_serve.len(), 1);
+        assert!(!leaf.bitmap.get(2));
+        // The chunk lands with the debt open and the bitmap incomplete:
+        // its handler settles the debt there and then.
+        let (leaf, acks) = debt_pair(true);
+        assert!(leaf.bitmap.get(2) && !leaf.bitmap.is_complete());
+        assert!(leaf.pending_serve.is_empty());
+        assert_eq!(acks.len(), 1);
+        assert_eq!((acks[0].len(), acks[0][0].clone()), (1, 2..3));
     }
 
     #[test]

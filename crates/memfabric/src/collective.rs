@@ -14,7 +14,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use mcag_core::barrier::{BarrierAction, BarrierActions, BarrierState};
 use mcag_core::plan::CollectivePlan;
-use mcag_core::{ControlMsg, StagingRing};
+use mcag_core::{ControlMsg, RangeList, StagingRing};
 use mcag_verbs::{ImmData, Rank, Transport};
 
 use std::ops::Range;
@@ -290,7 +290,7 @@ struct AppState {
     recovered: bool,
     stats: RankStats,
     /// Ranges owed to recovering peers, served incrementally.
-    pending_serve: Vec<(u32, Vec<Range<u32>>)>,
+    pending_serve: Vec<(u32, RangeList)>,
 }
 
 fn app_loop(
@@ -375,9 +375,13 @@ fn app_loop(
                 st.stats.recovery_rounds += 1;
                 let runs = bitmap.missing_runs();
                 if !runs.is_empty() {
-                    shared
-                        .fabric
-                        .ctrl_send(me, left, ControlMsg::FetchReq { ranges: runs });
+                    shared.fabric.ctrl_send(
+                        me,
+                        left,
+                        ControlMsg::FetchReq {
+                            ranges: runs.into(),
+                        },
+                    );
                 }
             }
         }
@@ -438,7 +442,7 @@ fn handle_ctrl(me: u32, shared: &Shared, st: &mut AppState, pkt: CtrlPacket) {
         ControlMsg::FetchAck { ranges } => {
             let left = Rank(me).ring_left(plan.num_ranks()).0;
             let window = shared.fabric.window(me);
-            for r in ranges {
+            for r in ranges.iter() {
                 for psn in r.clone() {
                     if bitmap.get(psn) {
                         continue;
@@ -472,7 +476,7 @@ fn serve_pending(me: u32, shared: &Shared, st: &mut AppState) {
     for (requester, ranges) in std::mem::take(&mut st.pending_serve) {
         let mut have: Vec<Range<u32>> = Vec::new();
         let mut owe: Vec<Range<u32>> = Vec::new();
-        for r in ranges {
+        for r in ranges.iter() {
             let mut i = r.start;
             while i < r.end {
                 let present = bitmap.get(i);
@@ -488,12 +492,16 @@ fn serve_pending(me: u32, shared: &Shared, st: &mut AppState) {
             }
         }
         if !have.is_empty() {
-            shared
-                .fabric
-                .ctrl_send(me, requester, ControlMsg::FetchAck { ranges: have });
+            shared.fabric.ctrl_send(
+                me,
+                requester,
+                ControlMsg::FetchAck {
+                    ranges: have.into(),
+                },
+            );
         }
         if !owe.is_empty() {
-            still.push((requester, owe));
+            still.push((requester, owe.into()));
         }
     }
     st.pending_serve = still;

@@ -47,10 +47,10 @@
 //! A multicast packet's copies reach their next nodes at one instant,
 //! and their completions are often due at one instant too. The fabric
 //! lets such entries share one queue entry, a *run*, whose members it
-//! dispatches one after another (`fabric.rs`): an arrive run in one
-//! pass, since no app runs while copies arrive, and a completion run
-//! member by member from a cursor, since each completion calls an app
-//! and the last rank may finish halfway through. An entry may *ride* only
+//! dispatches one after another in one pass (`fabric.rs`). Each
+//! completion calls an app, and the last rank may finish halfway through
+//! a completion run: the pass stops there and keeps the rest under a
+//! cursor for the next `run_until`. An entry may *ride* only
 //! the entry scheduled last, only while that entry is still pending and
 //! due at the same instant (`EventQueue::ride_last`). Nothing was
 //! scheduled between the two, so no entry sorts between them in
@@ -62,9 +62,9 @@
 //! number and raises `len` and `peak_len`; dispatching it
 //! (`EventQueue::consume_rider`) counts it processed. So `processed`,
 //! `len` and `peak_len` read at every step exactly what they would with
-//! every member queued on its own — inside a one-pass arrive run too,
-//! where the fabric checks the event cap and samples the queue depth
-//! between members as its event loop does between entries. The wheel remembers the node of its
+//! every member queued on its own — inside a one-pass run too, where
+//! the fabric checks the event cap and samples the queue depth between
+//! members as its event loop does between entries. The wheel remembers the node of its
 //! last push while that node is pending; the heap engine offers no
 //! entry to ride, so it never forms a run and stays the oracle the
 //! wheel's runs are checked against.

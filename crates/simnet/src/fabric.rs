@@ -44,8 +44,9 @@
 //! RDMA read's tag ride in the entry; a control message's `M` waits out
 //! of line in a side slab under a key the entry holds, so the entry does
 //! not grow with the app's message type. Multicast
-//! replication at a switch is a reference-count bump per extra branch —
-//! no payload/route clone and no allocation per hop — and the event
+//! replication at a switch adds its extra branches' references to the
+//! entry in one write — no payload/route clone and no allocation per
+//! hop — and the event
 //! payload `Ev` is a small `Copy`-able struct, so the steady state of a
 //! simulation performs no per-packet heap allocation at all.
 //!
@@ -55,14 +56,17 @@
 //! or per rank slot. The copies' arrivals at their next nodes, due at
 //! one instant, share one event-queue entry, as do their same-instant
 //! completions: a *run* (see the event module's docs), whose members
-//! beyond two wait in one recycled word arena. An arrive run is
-//! delivered in one pass: the packet's multicast header is read from
+//! beyond two wait in one recycled word arena. Each run is dispatched
+//! in one pass. An arrive run's packet multicast header is read from
 //! the slab once, and every copy replicates or delivers from it. A
-//! completion run keeps a cursor and hands its members to the apps one
-//! per event-loop turn, since the last rank may finish halfway through
-//! it. A copy's serialization time comes from a memo of one entry per
-//! `(rate, wire size)`, so the 128-bit division runs once per packet
-//! size, not per link crossed. Each NIC keeps the set of its non-empty
+//! completion run's CQE and payload are built from the slab once, and
+//! each member then costs its reference, its receive repost and its app
+//! callback; since the last rank may finish halfway through the run, the
+//! pass stops there and leaves the rest under a cursor that a later
+//! `run_until` resumes. A copy's serialization time comes from a memo of
+//! one entry per `(rate, wire size)` that checks the entry it read last
+//! before it hashes, so the 128-bit division runs once per packet size,
+//! not per link crossed. Each NIC keeps the set of its non-empty
 //! send queues as a bitmask, and the arbiter finds the next queue in
 //! round-robin order with a bit scan instead of visiting every queue.
 //!
@@ -126,23 +130,36 @@ const SER_MEMO: usize = 16;
 /// one size, so only the first pays the 128-bit division of
 /// [`LinkRate::serialization_ns`]. A fabric sends a handful of sizes —
 /// full MTU chunks, a collective's last chunk, control messages — so the
-/// entries are rarely displaced.
-struct SerMemo([(LinkRate, usize, u64); SER_MEMO]);
+/// entries are rarely displaced. The entry read last is checked before
+/// any hashing: a switch's copies of one packet ask for it one after
+/// another.
+struct SerMemo {
+    last: (LinkRate, usize, u64),
+    table: [(LinkRate, usize, u64); SER_MEMO],
+}
 
 impl SerMemo {
     fn new() -> SerMemo {
         // No packet is `usize::MAX` bytes long, so no entry matches yet.
-        SerMemo([(LinkRate::from_gbit(0), usize::MAX, 0); SER_MEMO])
+        let none = (LinkRate::from_gbit(0), usize::MAX, 0);
+        SerMemo {
+            last: none,
+            table: [none; SER_MEMO],
+        }
     }
 
     /// Time to serialize `wire` bytes at `rate`.
     #[inline]
     fn ns(&mut self, rate: LinkRate, wire: usize) -> u64 {
+        if (self.last.0, self.last.1) == (rate, wire) {
+            return self.last.2;
+        }
         let key = (wire as u64 ^ rate.bits_per_sec()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let e = &mut self.0[(key >> (64 - SER_MEMO.trailing_zeros())) as usize];
+        let e = &mut self.table[(key >> (64 - SER_MEMO.trailing_zeros())) as usize];
         if (e.0, e.1) != (rate, wire) {
             *e = (rate, wire, rate.serialization_ns(wire));
         }
+        self.last = *e;
         e.2
     }
 }
@@ -188,7 +205,7 @@ enum Body {
 
 /// An in-flight packet in the fabric's compact form: the app-facing
 /// [`Cqe`] and [`Payload`] are rebuilt from it at delivery
-/// ([`Inner::take_cqe`]). The sending QP is never read and the
+/// ([`Inner::completion`]). The sending QP is never read and the
 /// destination is the route plus `dst_qp`, so neither is stored.
 struct PacketInst {
     route: Route,
@@ -232,7 +249,9 @@ struct Hop {
 }
 
 /// What the arrival of a multicast copy reads of its packet, copied out
-/// of the slab once for every copy of an arrive run.
+/// of the slab once for every copy of an arrive run and lent to each by
+/// reference: passed by value, it was stored field by field for every
+/// copy and read back wide at once, a store-forwarding stall per copy.
 #[derive(Clone, Copy)]
 struct McastHdr {
     group: McastGroupId,
@@ -620,26 +639,6 @@ impl RunStore {
         }
     }
 
-    /// Member `k` of the CQE run `run`, as the event it stands for.
-    #[inline]
-    fn cqe(&self, run: Ev, k: u32) -> Ev {
-        let Ev::CqeRun {
-            pkt,
-            qp_idx,
-            repost,
-            members,
-        } = run
-        else {
-            unreachable!("not a CQE run")
-        };
-        Ev::CqeDone {
-            rank: Rank(self.get(members, k)),
-            qp_idx: qp_idx.into(),
-            repost,
-            pkt,
-        }
-    }
-
     /// Free a dispatched run's segment, if it has one.
     fn close(&mut self, members: Members) {
         if members.second == NIL {
@@ -664,14 +663,12 @@ fn seg_class(len: u32) -> usize {
     (words.trailing_zeros() - SEG_MIN.trailing_zeros()) as usize
 }
 
-/// The CQE run being dispatched member by member, one app callback each:
-/// `next` is the index of its next member, `left` how many are still to
-/// come.
+/// A CQE run the last rank finished in the middle of: `next` is the
+/// index of its first member not yet dispatched.
 #[derive(Clone, Copy)]
 struct RunCursor {
     run: Ev,
     next: u32,
-    left: u32,
 }
 
 /// One directed link's counters beside the instant it finishes its
@@ -920,9 +917,9 @@ pub struct Inner<M> {
     ctrl_msgs: Slab<M>,
     /// Member lists of the runs that outgrew their entry.
     runs: RunStore,
-    /// The popped CQE run whose members are being dispatched (`None`
-    /// between runs); its members are due now, ahead of every queued
-    /// entry.
+    /// The rest of the CQE run the last rank finished in the middle of
+    /// (`None` otherwise); its members are due now, ahead of every queued
+    /// entry, and a later `run_until` resumes them.
     run: Option<RunCursor>,
     /// Flight recorder, allocated iff `cfg.trace` is `Some` — every
     /// record site is gated on this `Option`, so a disabled recorder
@@ -1199,7 +1196,8 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             self.started = true;
             assert_eq!(self.apps.len(), n, "every rank needs an app");
             for r in 0..n {
-                self.with_app(Rank(r as u32), |app, ctx| app.on_start(ctx));
+                let (app, mut ctx) = self.app(Rank(r as u32));
+                app.on_start(&mut ctx);
             }
         }
         // Queued events pop up to `bound`, which stops short of the next
@@ -1208,23 +1206,22 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         let mut bound = self.inner.pop_bound(deadline);
         while self.inner.done_count < n {
             self.inner.check_event_cap();
-            // The rest of a popped CQE run comes first: its members are
-            // due now, and every queued entry sorts after them.
-            let ev = if self.inner.run.is_some() && bound.is_some_and(|b| b >= self.inner.q.now()) {
-                Some(self.inner.next_member())
+            // The rest of a CQE run cut by the last finish comes first:
+            // its members are due now, and every queued entry sorts after
+            // them.
+            let resume = bound.is_some_and(|b| b >= self.inner.q.now());
+            if let Some(cursor) = self.inner.run.take_if(|_| resume) {
+                self.cqe_run(cursor);
             } else {
-                bound
-                    .and_then(|b| self.inner.q.pop_if_before(b))
-                    .map(|(_, ev)| self.inner.first_member(ev))
-            };
-            match ev {
-                Some(ev) => self.dispatch(ev),
-                None if self.inner.next_fault.is_some_and(|t| t <= deadline) => {
-                    self.inner.apply_next_fault();
-                    bound = self.inner.pop_bound(deadline);
+                match bound.and_then(|b| self.inner.q.pop_if_before(b)) {
+                    Some((_, ev)) => self.dispatch(ev),
+                    None if self.inner.next_fault.is_some_and(|t| t <= deadline) => {
+                        self.inner.apply_next_fault();
+                        bound = self.inner.pop_bound(deadline);
+                    }
+                    // Quiescent or past the deadline; caller inspects stats.
+                    None => break,
                 }
-                // Quiescent or past the deadline; caller inspects stats.
-                None => break,
             }
             self.inner.sample_queue();
         }
@@ -1369,26 +1366,73 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 repost,
                 pkt,
             } => {
-                let (cqe, payload) = self.inner.take_cqe(pkt, qp_idx);
-                if repost {
-                    let qp = self.inner.qp_mut(rank, qp_idx as usize);
-                    qp.rq_avail = (qp.rq_avail + 1).min(qp.rq_depth);
-                }
-                self.with_app(rank, |app, ctx| app.on_cqe(ctx, cqe, payload));
+                let (cqe, payload) = self.inner.completion(pkt, qp_idx);
+                self.inner.consume_cqe(rank, qp_idx, pkt, repost);
+                let (app, mut ctx) = self.app(rank);
+                app.on_cqe(&mut ctx, cqe, payload);
             }
             Ev::Timer { rank, token } => {
-                self.with_app(rank, |app, ctx| app.on_timer(ctx, token));
+                let (app, mut ctx) = self.app(rank);
+                app.on_timer(&mut ctx, token);
             }
             Ev::TxDrained { rank, token } => {
-                self.with_app(rank, |app, ctx| app.on_tx_drained(ctx, token));
+                let (app, mut ctx) = self.app(rank);
+                app.on_tx_drained(&mut ctx, token);
             }
-            Ev::CqeRun { .. } => unreachable!("a CQE run is dispatched member by member"),
+            Ev::CqeRun { .. } => self.cqe_run(RunCursor { run: ev, next: 0 }),
         }
     }
 
-    fn with_app(&mut self, rank: Rank, f: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
+    /// Dispatch the CQE run under `cursor` from its member `cursor.next`
+    /// on, in one pass: the CQE and payload are built from the slab once,
+    /// and each member costs only its reference, its receive repost and
+    /// its app callback. Every member but the popped first is counted as
+    /// the queue's pop of a separate entry would be, and between two
+    /// members the pass samples the queue depth and checks the event cap,
+    /// exactly as the event loop does between entries. When the last rank
+    /// finishes before the last member, the rest stays under the cursor
+    /// for a later `run_until`.
+    fn cqe_run(&mut self, cursor: RunCursor) {
+        let Ev::CqeRun {
+            pkt,
+            qp_idx,
+            repost,
+            members,
+        } = cursor.run
+        else {
+            unreachable!("not a CQE run")
+        };
+        let (cqe, payload) = self.inner.completion(pkt, qp_idx.into());
+        let (n, len) = (self.apps.len(), self.inner.runs.len(members));
+        for k in cursor.next..len {
+            if k > cursor.next {
+                if self.inner.done_count == n {
+                    self.inner.run = Some(RunCursor { next: k, ..cursor });
+                    return;
+                }
+                self.inner.sample_queue();
+                self.inner.check_event_cap();
+            }
+            if k > 0 {
+                self.inner.q.consume_rider();
+            }
+            let rank = Rank(self.inner.runs.get(members, k));
+            if k + 1 == len {
+                self.inner.runs.close(members);
+            }
+            self.inner.consume_cqe(rank, qp_idx.into(), pkt, repost);
+            let (app, mut ctx) = self.app(rank);
+            app.on_cqe(&mut ctx, cqe, payload.clone());
+        }
+    }
+
+    /// `rank`'s app and the context its callbacks run in, for a direct
+    /// call: through a closure, a completion run's CQE was stored field
+    /// by field for every member and read back wide at once, a
+    /// store-forwarding stall per member.
+    fn app(&mut self, rank: Rank) -> (&mut A, Ctx<'_, M>) {
         let inner = &mut self.inner;
-        f(&mut self.apps[rank.idx()], &mut Ctx { inner, rank });
+        (&mut self.apps[rank.idx()], Ctx { inner, rank })
     }
 }
 
@@ -1458,42 +1502,6 @@ impl<M: Clone + 'static> Inner<M> {
         }
     }
 
-    /// The event to dispatch for the entry just popped: the entry itself
-    /// (an arrive run whole), or a CQE run's first member, with the
-    /// cursor on the rest.
-    #[inline]
-    fn first_member(&mut self, ev: Ev) -> Ev {
-        match ev {
-            Ev::CqeRun { members, .. } => {
-                self.run = Some(RunCursor {
-                    run: ev,
-                    next: 1,
-                    left: self.runs.len(members) - 1,
-                });
-                self.runs.cqe(ev, 0)
-            }
-            _ => ev,
-        }
-    }
-
-    /// The next member of the CQE run under the cursor, counted as the
-    /// queue's pop of a separate entry would be.
-    fn next_member(&mut self) -> Ev {
-        let c = self.run.as_mut().expect("no run under the cursor");
-        let (run, k) = (c.run, c.next);
-        c.next += 1;
-        c.left -= 1;
-        let ev = self.runs.cqe(run, k);
-        if c.left == 0 {
-            self.run = None;
-            if let Ev::CqeRun { members, .. } = run {
-                self.runs.close(members);
-            }
-        }
-        self.q.consume_rider();
-        ev
-    }
-
     /// Deliver the arrive run `pkt`'s copies make at one instant, member
     /// after member, in one pass: the packet's multicast header is read
     /// once for all of them. Each member after the first is counted as
@@ -1512,7 +1520,7 @@ impl<M: Clone + 'static> Inner<M> {
                 self.q.consume_rider();
             }
             let link = LinkId(self.runs.get(members, k));
-            self.mcast_arrive(link, pkt, hdr);
+            self.mcast_arrive(link, pkt, &hdr);
         }
         self.runs.close(members);
     }
@@ -1640,12 +1648,6 @@ impl<M: Clone + 'static> Inner<M> {
         &mut self.pkt_slab.get_mut(r.0).pkt
     }
 
-    /// Add one reference (a multicast replica about to be transmitted).
-    #[inline]
-    fn retain_pkt(&mut self, r: PktRef) {
-        self.pkt_slab.get_mut(r.0).refs += 1;
-    }
-
     /// Drop one reference; at zero the slab slot is recycled and a
     /// control packet's message dropped with it.
     fn release_pkt(&mut self, r: PktRef) {
@@ -1657,20 +1659,13 @@ impl<M: Clone + 'static> Inner<M> {
         }
     }
 
-    /// Build the CQE and payload a delivered packet surfaces and consume
-    /// the handle — one slab access for the whole completion.
-    fn take_cqe(&mut self, r: PktRef, qp_idx: u32) -> (Cqe, Payload<M>) {
-        let e = self.pkt_slab.get_mut(r.0);
-        let (body, src, byte_len) = (e.pkt.body, e.pkt.src, e.pkt.payload_len as usize);
-        if e.refs > 1 {
-            debug_assert!(
-                !matches!(body, Body::Msg(_)),
-                "control messages are unicast"
-            );
-            e.refs -= 1;
-        } else {
-            self.pkt_slab.remove(r.0);
-        }
+    /// Build the CQE and payload a delivered packet surfaces on QP
+    /// `qp_idx` — one slab read, shared by every member of a completion
+    /// run. A control message moves out of its side slab into the
+    /// payload (control packets are unicast, so one completion reads it).
+    fn completion(&mut self, r: PktRef, qp_idx: u32) -> (Cqe, Payload<M>) {
+        let p = self.pkt(r);
+        let (body, src, byte_len) = (p.body, p.src, p.payload_len as usize);
         let (opcode, imm, wr_id, payload) = match body {
             Body::Chunk { origin, psn, imm } => (
                 CqeOpcode::Recv,
@@ -1697,6 +1692,27 @@ impl<M: Clone + 'static> Inner<M> {
             src: Some(src),
         };
         (cqe, payload)
+    }
+
+    /// Retire one completion of `r` on `rank`'s QP `qp_idx`: drop its
+    /// reference (the last recycles the slot; a control message has
+    /// already moved into its payload) and repost the receive it used.
+    #[inline]
+    fn consume_cqe(&mut self, rank: Rank, qp_idx: u32, r: PktRef, repost: bool) {
+        let e = self.pkt_slab.get_mut(r.0);
+        if e.refs > 1 {
+            debug_assert!(
+                !matches!(e.pkt.body, Body::Msg(_)),
+                "control messages are unicast"
+            );
+            e.refs -= 1;
+        } else {
+            self.pkt_slab.remove(r.0);
+        }
+        if repost {
+            let qp = self.qp_mut(rank, qp_idx as usize);
+            qp.rq_avail = (qp.rq_avail + 1).min(qp.rq_depth);
+        }
     }
 
     // ----------------------------- posting ----------------------------- //
@@ -2078,7 +2094,7 @@ impl<M: Clone + 'static> Inner<M> {
 
     fn handle_link_arrive(&mut self, in_link: LinkId, pkt: PktRef) {
         if let Some(hdr) = self.mcast_hdr(pkt) {
-            return self.mcast_arrive(in_link, pkt, hdr);
+            return self.mcast_arrive(in_link, pkt, &hdr);
         }
         let node = self.topo.link(in_link).dst;
         match self.topo.kind(node) {
@@ -2106,7 +2122,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// A multicast copy reaches the far end of `in_link`: a switch
     /// replicates it down the group's tree, a host delivers it to the QP
     /// it attached to the group.
-    fn mcast_arrive(&mut self, in_link: LinkId, pr: PktRef, h: McastHdr) {
+    fn mcast_arrive(&mut self, in_link: LinkId, pr: PktRef, h: &McastHdr) {
         let node = self.topo.link(in_link).dst;
         let rank = match self.topo.kind(node) {
             NodeKind::Switch { .. } => return self.replicate(node, in_link, pr, h),
@@ -2130,22 +2146,22 @@ impl<M: Clone + 'static> Inner<M> {
     /// scratch buffer — switch forwarding runs once per packet hop, so a
     /// fresh Vec here would be a per-packet allocation on the replication
     /// hot path.
-    fn replicate(&mut self, node: NodeId, in_link: LinkId, pr: PktRef, h: McastHdr) {
+    fn replicate(&mut self, node: NodeId, in_link: LinkId, pr: PktRef, h: &McastHdr) {
         let now = self.q.now();
         let mut outs = std::mem::take(&mut self.scratch_links);
         outs.clear();
         outs.extend(self.trees[h.group.0 as usize].out_links(&self.topo, node, Some(in_link)));
-        // Replicate: every extra branch is a refcount bump on the slab
-        // entry and a handle copy — the last branch rides the original.
-        match outs.split_last() {
-            Some((&last, rest)) => {
-                for &out in rest {
-                    self.retain_pkt(pr);
+        // Replicate: the extra branches' references are added to the
+        // slab entry in one write, and each branch is a handle copy — the
+        // last one rides the original reference.
+        match outs.len() {
+            0 => self.release_pkt(pr), // no egress (degenerate tree)
+            k => {
+                self.pkt_slab.get_mut(pr.0).refs += k as u32 - 1;
+                for &out in &outs {
                     self.transmit(out, pr, now, h.hop);
                 }
-                self.transmit(last, pr, now, h.hop);
             }
-            None => self.release_pkt(pr), // no egress (degenerate tree)
         }
         self.scratch_links = outs;
     }
@@ -2470,6 +2486,11 @@ mod tests {
         got: u32,
         /// When the last reception completed.
         got_at: Option<SimTime>,
+        /// The queue's processed count at each reception: the event it
+        /// is, counted as the engine counts it.
+        popped: Vec<u64>,
+        /// Set a no-op timer at each reception: one more event a chunk.
+        tick: bool,
     }
 
     impl RankApp<Msg> for BcastApp {
@@ -2488,6 +2509,10 @@ mod tests {
             assert!(cqe.is_recv_success());
             self.got += 1;
             self.got_at = Some(ctx.now());
+            self.popped.push(ctx.inner.q.processed());
+            if self.tick {
+                ctx.set_timer(1, 0);
+            }
             if self.got == self.n {
                 ctx.mark_done();
             }
@@ -2530,6 +2555,8 @@ mod tests {
                     len: 4096,
                     got: 0,
                     got_at: None,
+                    popped: Vec::new(),
+                    tick: false,
                 },
             );
         }
@@ -2824,6 +2851,89 @@ mod tests {
             assert_eq!(samples, depths(&trh));
             assert_eq!(trw, trh);
         }
+    }
+
+    #[test]
+    fn long_completion_runs_match_the_heap_engine_at_every_member() {
+        // On the 48-host star each chunk's 47 completions are due at one
+        // instant and dispatch as one completion run, rank `r` at position
+        // `r - 1`. Rank 1 sets a timer at each reception, so a chunk takes
+        // 97 events; 97 is odd, so over 2,048 chunks the queue-depth
+        // samples, 1,024 events apart, fall after every position of a run. Rank 47 waits for nothing: the last run
+        // is cut when rank 46 finishes, and a later `run_until` slice
+        // resumes it. Each fabric is driven in 1 µs slices and compared
+        // with the heap's separate entries reception by reception and
+        // sample by sample.
+        const CHUNKS: u32 = 2048;
+        const RECEIVERS: usize = 47;
+        let drive = |backend| {
+            let mut cfg = FabricConfig::ucc_default();
+            cfg.event_queue = backend;
+            cfg.trace = Some(TraceSpec::default());
+            let topo = Topology::single_switch(RECEIVERS + 1, LinkRate::CX3_56G, 100);
+            let n = |r: Rank| if r.idx() == RECEIVERS { 0 } else { CHUNKS };
+            let (mut fab, _) = bcast_on(topo, n, cfg);
+            fab.apps[1].tick = true;
+            let mut deadline = 1_000u64;
+            let stats = loop {
+                let s = fab.run_until(SimTime(deadline));
+                if s.all_done() {
+                    break s;
+                }
+                deadline += 1_000;
+            };
+            (fab, stats, deadline)
+        };
+        let (mut w, sw, dw) = drive(QueueBackend::Wheel);
+        let (mut h, sh, dh) = drive(QueueBackend::Heap);
+        assert!(w.inner.run.is_some(), "the last run was not cut");
+        assert!(!w.inner.runs.words.is_empty() && h.inner.runs.words.is_empty());
+        assert_eq!(
+            (sw.end_time, sw.events, sw.peak_queue_depth, dw),
+            (sh.end_time, sh.events, sh.peak_queue_depth, dh)
+        );
+        assert_eq!(sw.per_rank_done, sh.per_rank_done);
+        // Every chunk's receptions are consecutive events in rank order,
+        // and rank 47's last one is still to come.
+        let popped = |fab: &Fabric<Msg, BcastApp>, r: usize| fab.apps[r].popped.clone();
+        for r in 1..=RECEIVERS {
+            let (first, mine) = (popped(&w, 1), popped(&w, r));
+            let expect = if r == RECEIVERS { CHUNKS - 1 } else { CHUNKS };
+            assert_eq!(mine.len(), expect as usize);
+            for (i, &e) in mine.iter().enumerate() {
+                assert_eq!(e, first[i] + r as u64 - 1, "rank {r}, chunk {i}");
+            }
+            assert_eq!(mine, popped(&h, r), "rank {r}");
+        }
+        // A sample falls after every position of a run: the event count
+        // at a reception is a multiple of 1,024 at each position.
+        let sampled: Vec<usize> = (1..=RECEIVERS)
+            .filter(|&r| popped(&w, r).iter().any(|&e| e & QUEUE_SAMPLE_MASK == 0))
+            .collect();
+        assert_eq!(sampled, (1..=RECEIVERS).collect::<Vec<_>>());
+        let trace = |fab: &Fabric<Msg, BcastApp>| -> Vec<TraceEvent> {
+            fab.trace().unwrap().iter().copied().collect()
+        };
+        assert_eq!(trace(&w), trace(&h));
+        // Un-finish rank 46; the next slice resumes the cut run at the
+        // instant it stopped, with rank 47's member.
+        for fab in [&mut w, &mut h] {
+            fab.inner.done[RECEIVERS - 1] = None;
+            fab.inner.done_count -= 1;
+        }
+        let (rw, rh) = (
+            w.run_until(SimTime(dw + 1_000)),
+            h.run_until(SimTime(dh + 1_000)),
+        );
+        assert!(w.inner.run.is_none());
+        assert_eq!((rw.events, rw.end_time), (rh.events, rh.end_time));
+        let (last_w, last_h) = (&w.apps[RECEIVERS], &h.apps[RECEIVERS]);
+        assert_eq!(last_w.got, CHUNKS);
+        assert_eq!(last_w.got_at, Some(sw.end_time));
+        assert_eq!(last_w.popped, last_h.popped);
+        assert_eq!(trace(&w), trace(&h));
+        assert_eq!(w.traffic().per_link(), h.traffic().per_link());
+        assert_eq!((w.live_packets(), h.live_packets()), (0, 0));
     }
 
     #[test]
@@ -3172,6 +3282,8 @@ mod tests {
                     len: 4096,
                     got: 0,
                     got_at: None,
+                    popped: Vec::new(),
+                    tick: false,
                 }),
             );
         }
