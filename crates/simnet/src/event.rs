@@ -47,7 +47,9 @@
 //! A multicast packet's copies reach their next nodes at one instant,
 //! and their completions are often due at one instant too. The fabric
 //! lets such entries share one queue entry, a *run*, whose members it
-//! dispatches one after another in one pass (`fabric.rs`). Each
+//! dispatches one after another in one pass (`fabric.rs`; the member
+//! lists are `fabric/runs.rs`'s). An entry that nothing joins stays a
+//! lone event and is dispatched as one. Each
 //! completion calls an app, and the last rank may finish halfway through
 //! a completion run: the pass stops there and keeps the rest under a
 //! cursor for the next `run_until`. An entry may *ride* only

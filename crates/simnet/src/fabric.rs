@@ -2,6 +2,23 @@
 //! forwarding with multicast replication, drop injection, and the event
 //! loop driving per-rank protocol apps.
 //!
+//! ## Modules
+//!
+//! The datapath's parts are child modules, each with the invariant its
+//! tests pin stated in its docs:
+//!
+//! * `nic` — each NIC's QPs and the ready set its round-robin arbiter
+//!   picks the next send queue from;
+//! * `switch` — multicast replication, unicast and descending
+//!   forwarding, in-network reduction with its aggregation tables, and
+//!   switch egress;
+//! * `runs` — the member lists of same-instant arrivals and completions.
+//!
+//! This file keeps the event loop and its dispatch, the packet and
+//! work-request slabs, the send queues, the serialization memo, host
+//! delivery with its completion builder, the fault state and the drop
+//! draw.
+//!
 //! ## Timing model
 //!
 //! * Every directed link serializes packets at its line rate and adds a
@@ -66,9 +83,9 @@
 //! `run_until` resumes. A copy's serialization time comes from a memo of
 //! one entry per `(rate, wire size)` that checks the entry it read last
 //! before it hashes, so the 128-bit division runs once per packet size,
-//! not per link crossed. Each NIC keeps the set of its non-empty
-//! send queues as a bitmask, and the arbiter finds the next queue in
-//! round-robin order with a bit scan instead of visiting every queue.
+//! not per link crossed. Each NIC's arbiter finds its next send queue
+//! with a bit scan of the set of its non-empty queues instead of
+//! visiting every queue.
 //!
 //! Unicast routes and multicast trees are not the fabric's
 //! to build: the [`Topology`] computes each once and every fabric over it
@@ -82,20 +99,23 @@
 //! or per group: every NIC's QPs live in one table, NIC by NIC, and a
 //! driver that knows its layout reserves the QP, tree and attachment
 //! tables once ([`Fabric::reserve`]); the slabs and the event arena skip
-//! their first doublings. In-network reduction keeps its live
-//! aggregation-table count per switch in a vector indexed by node id,
-//! and its per-`(group, psn, switch)` arrival counts in a map under the
-//! fixed multiply-shift hash of [`crate::hash`] — no SipHash runs on the
-//! simulated path.
+//! their first doublings. The switches' aggregation tables count a
+//! reduction's arrivals in a map under the fixed multiply-shift hash of
+//! [`crate::hash`] — no SipHash runs on the simulated path.
 
+mod nic;
+mod runs;
+mod switch;
+
+use self::nic::{NicState, QpState};
+use self::runs::{Members, RunCursor, RunStore};
+use self::switch::AggTable;
 use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
 use crate::counters::{LinkCounters, TrafficReport};
 use crate::event::EventQueue;
-use crate::hash::FastMap;
 use crate::health::{self, FabricHealth, LinkHealth};
 use crate::mcast::McastTree;
-use crate::routing;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink, TraceSpec};
@@ -111,9 +131,6 @@ use std::sync::Arc;
 /// Safety valve: a run that dispatches this many events panics as a
 /// livelocked protocol.
 const MAX_EVENTS: u64 = 2_000_000_000;
-
-/// Per-hop switch forwarding latency (beyond serialization).
-const SWITCH_LATENCY_NS: u64 = 200;
 
 /// `processed & QUEUE_SAMPLE_MASK == 0` marks a queue-depth sample: a
 /// mask, not a division, on the traced event loop.
@@ -171,8 +188,8 @@ enum Route {
     Unicast { path: Arc<[LinkId]>, hop: u8 },
     /// A reduced shard descending from its reduction tree's root to its
     /// `owner`: every switch on the way picks the next link as it
-    /// forwards ([`routing::descend_link`], salted by the chunk's PSN),
-    /// so the route is never built.
+    /// forwards ([`crate::routing::descend_link`], salted by the
+    /// chunk's PSN), so the route is never built.
     Down { owner: Rank, hop: u8 },
     /// Down a multicast tree (unreliable datagrams).
     Mcast { group: McastGroupId },
@@ -447,7 +464,7 @@ enum Ev {
     },
     CqeDone {
         rank: Rank,
-        qp_idx: u32,
+        qp_idx: u16,
         repost: bool,
         pkt: PktRef,
     },
@@ -471,204 +488,6 @@ enum Ev {
         repost: bool,
         members: Members,
     },
-}
-
-/// The members of a run entry, in dispatch order: links of an
-/// [`Ev::ArriveRun`], ranks of an [`Ev::CqeRun`]. A run opens with two
-/// members, held here; a third moves them all into a [`RunStore`]
-/// segment, which `first` locates while `second` is [`NIL`].
-#[derive(Debug, Clone, Copy)]
-struct Members {
-    first: u32,
-    second: u32,
-}
-
-/// Words in the smallest run segment: a length word and seven members.
-const SEG_MIN: u32 = 8;
-
-/// Size classes of run segments: class `c` is `SEG_MIN << c` words.
-const SEG_CLASSES: usize = 28;
-
-/// The member lists of runs that outgrew [`Members`], in one arena of
-/// words. A list is a segment of `SEG_MIN << c` words: its length, then
-/// its members. A full segment moves to one twice its size, and a
-/// vacated one goes on its class's free list, linked through its first
-/// word. So the arena allocates only as it grows, and stops growing once
-/// it has held as many segments of each class as were ever live at once.
-struct RunStore {
-    words: Vec<u32>,
-    /// First free segment of each class, or [`NIL`].
-    free: [u32; SEG_CLASSES],
-}
-
-impl RunStore {
-    /// Merge `ev` into the pending entry `last` when both are `pkt`'s
-    /// `LinkArrive`s, or its `CqeDone`s on one QP (either possibly a run
-    /// already), rewriting `last` into a run; false leaves it untouched.
-    fn join(&mut self, last: &mut Ev, ev: Ev) -> bool {
-        *last = match (*last, ev) {
-            (Ev::LinkArrive { link: a, pkt }, Ev::LinkArrive { link: b, pkt: p }) if pkt == p => {
-                Ev::ArriveRun {
-                    pkt,
-                    members: Members {
-                        first: a.0,
-                        second: b.0,
-                    },
-                }
-            }
-            (Ev::ArriveRun { pkt, members }, Ev::LinkArrive { link, pkt: p }) if pkt == p => {
-                Ev::ArriveRun {
-                    pkt,
-                    members: self.push(members, link.0),
-                }
-            }
-            (
-                Ev::CqeDone {
-                    rank: a,
-                    qp_idx,
-                    repost,
-                    pkt,
-                },
-                Ev::CqeDone {
-                    rank: b,
-                    qp_idx: q,
-                    repost: r,
-                    pkt: p,
-                },
-            ) if (pkt, qp_idx, repost) == (p, q, r) => match u16::try_from(qp_idx) {
-                Ok(qp_idx) => Ev::CqeRun {
-                    pkt,
-                    qp_idx,
-                    repost,
-                    members: Members {
-                        first: a.0,
-                        second: b.0,
-                    },
-                },
-                Err(_) => return false,
-            },
-            (
-                Ev::CqeRun {
-                    pkt,
-                    qp_idx,
-                    repost,
-                    members,
-                },
-                Ev::CqeDone {
-                    rank,
-                    qp_idx: q,
-                    repost: r,
-                    pkt: p,
-                },
-            ) if (pkt, u32::from(qp_idx), repost) == (p, q, r) => Ev::CqeRun {
-                pkt,
-                qp_idx,
-                repost,
-                members: self.push(members, rank.0),
-            },
-            _ => return false,
-        };
-        true
-    }
-
-    /// `members` with `m` appended: the third moves them all into a
-    /// segment.
-    fn push(&mut self, members: Members, m: u32) -> Members {
-        if members.second != NIL {
-            let at = self.alloc(0);
-            self.words[at..at + 4].copy_from_slice(&[3, members.first, members.second, m]);
-            return Members {
-                first: at as u32,
-                second: NIL,
-            };
-        }
-        let mut at = members.first as usize;
-        let len = self.words[at];
-        if (len + 1).is_power_of_two() && len + 1 >= SEG_MIN {
-            // Full: move to a segment of the next class.
-            let class = seg_class(len);
-            let to = self.alloc(class + 1);
-            self.words.copy_within(at..at + len as usize + 1, to);
-            self.release(at, class);
-            at = to;
-        }
-        self.words[at] = len + 1;
-        self.words[at + 1 + len as usize] = m;
-        Members {
-            first: at as u32,
-            second: NIL,
-        }
-    }
-
-    /// A vacant segment of class `class`: a free one, or new words.
-    fn alloc(&mut self, class: usize) -> usize {
-        let head = self.free[class];
-        if head != NIL {
-            self.free[class] = self.words[head as usize];
-            return head as usize;
-        }
-        let at = self.words.len();
-        assert!(at < NIL as usize, "run arena is full");
-        if self.words.capacity() == 0 {
-            // Skip the first doublings, as the slabs do.
-            self.words.reserve_exact(8 * SEG_MIN as usize);
-        }
-        self.words.resize(at + ((SEG_MIN as usize) << class), 0);
-        at
-    }
-
-    fn release(&mut self, at: usize, class: usize) {
-        self.words[at] = self.free[class];
-        self.free[class] = at as u32;
-    }
-
-    fn len(&self, members: Members) -> u32 {
-        match members.second {
-            NIL => self.words[members.first as usize],
-            _ => 2,
-        }
-    }
-
-    /// Member `k` of `members`: a link or a rank.
-    #[inline]
-    fn get(&self, members: Members, k: u32) -> u32 {
-        match (members.second, k) {
-            (NIL, _) => self.words[(members.first + 1 + k) as usize],
-            (_, 0) => members.first,
-            _ => members.second,
-        }
-    }
-
-    /// Free a dispatched run's segment, if it has one.
-    fn close(&mut self, members: Members) {
-        if members.second == NIL {
-            let at = members.first as usize;
-            self.release(at, seg_class(self.words[at]));
-        }
-    }
-}
-
-impl Default for RunStore {
-    fn default() -> RunStore {
-        RunStore {
-            words: Vec::new(),
-            free: [NIL; SEG_CLASSES],
-        }
-    }
-}
-
-/// The class of the segment that holds `len` members.
-fn seg_class(len: u32) -> usize {
-    let words = (len + 1).next_power_of_two().max(SEG_MIN);
-    (words.trailing_zeros() - SEG_MIN.trailing_zeros()) as usize
-}
-
-/// A CQE run the last rank finished in the middle of: `next` is the
-/// index of its first member not yet dispatched.
-#[derive(Clone, Copy)]
-struct RunCursor {
-    run: Ev,
-    next: u32,
 }
 
 /// One directed link's counters beside the instant it finishes its
@@ -706,149 +525,6 @@ impl LinkFaultState {
     }
 }
 
-struct QpState {
-    transport: Transport,
-    worker: u32,
-    /// Receive slots free and posted. A depth past `u32::MAX` is held
-    /// as `u32::MAX`: within [`MAX_EVENTS`] it never runs out either.
-    rq_avail: u32,
-    rq_depth: u32,
-    /// The send queue, first and last request: a FIFO linked through
-    /// `Inner::wqes` ([`NIL`] when empty).
-    tx_head: u32,
-    tx_tail: u32,
-    /// Drain notifications waiting in `Inner::drains` for the send queue
-    /// to empty.
-    drains: u32,
-}
-
-struct NicState {
-    uplink: LinkId,
-    /// The NIC's QPs, each with its send queue, are
-    /// `Inner::qps[qp_base..qp_base + qp_len]`; the NIC arbiter serves
-    /// the queues round-robin, which is how concurrent collectives share
-    /// injection bandwidth.
-    qp_base: u32,
-    qp_len: u32,
-    tx_rr: u32,
-    /// The ready set: bit `b` is set while a send queue among QPs
-    /// `b << ready_shift .. (b + 1) << ready_shift` holds a request. Up
-    /// to 64 QPs a bit is one queue; a NIC with more shares each bit
-    /// among the fewest (a power of two) that fit the 64 bits.
-    ready: u64,
-    ready_shift: u8,
-    tx_free_at: SimTime,
-    kick_scheduled: bool,
-    /// Fits in 32 bits: each drop ends an event, and a run dispatches
-    /// fewer than `MAX_EVENTS`.
-    rnr_drops: u32,
-}
-
-impl NicState {
-    fn new(uplink: LinkId) -> NicState {
-        NicState {
-            uplink,
-            qp_base: 0,
-            qp_len: 0,
-            tx_rr: 0,
-            ready: 0,
-            ready_shift: 0,
-            tx_free_at: SimTime::ZERO,
-            kick_scheduled: false,
-            rnr_drops: 0,
-        }
-    }
-
-    /// Take in a QP just added at the end of `qps`, this NIC's slice.
-    /// Past each power of two times 64 QPs the ready set's blocks double,
-    /// and the queues regroup under the new width.
-    fn add_qp(&mut self, qps: &[QpState]) {
-        self.qp_len += 1;
-        debug_assert_eq!(qps.len(), self.qp_len as usize);
-        let shift = (self.qp_len.div_ceil(u64::BITS).next_power_of_two()).trailing_zeros() as u8;
-        if shift != self.ready_shift {
-            self.ready_shift = shift;
-            self.ready = 0;
-            for (qi, q) in qps.iter().enumerate() {
-                if q.tx_head != NIL {
-                    self.set_ready(qi);
-                }
-            }
-        }
-    }
-
-    /// The ready-set bit of QP `qi`.
-    #[inline]
-    fn ready_bit(&self, qi: usize) -> u64 {
-        1 << (qi >> self.ready_shift)
-    }
-
-    /// Note that QP `qi`'s send queue has just become non-empty.
-    #[inline]
-    fn set_ready(&mut self, qi: usize) {
-        self.ready |= self.ready_bit(qi);
-    }
-
-    /// Note that QP `qi`'s send queue has just emptied; `qps` is this
-    /// NIC's slice. The bit stays while a queue it shares holds requests.
-    #[inline]
-    fn clear_ready(&mut self, qi: usize, qps: &[QpState]) {
-        let first = qi >> self.ready_shift << self.ready_shift;
-        let block = first..(first + (1 << self.ready_shift)).min(qps.len());
-        if qps[block].iter().all(|q| q.tx_head == NIL) {
-            self.ready &= !self.ready_bit(qi);
-        }
-    }
-
-    /// Round-robin arbitration: the first non-empty send queue at or
-    /// after `tx_rr`, wrapping round, found from the ready set instead of
-    /// a scan of every queue; `qps` is this NIC's slice.
-    fn tx_pick(&mut self, qps: &[QpState]) -> Option<usize> {
-        if self.ready == 0 {
-            return None;
-        }
-        let (shift, start) = (self.ready_shift, self.tx_rr as usize);
-        let b = start >> shift;
-        // The first non-empty queue of `from..` up to the end of its block.
-        let busy = |from: usize| {
-            let end = ((from >> shift) + 1) << shift;
-            (from..end.min(qps.len())).find(|&qi| qps[qi].tx_head != NIL)
-        };
-        // The queues from `tx_rr` to the end of its block, then the
-        // first block set after it; failing both, wrap to the first
-        // block set, which may be the start of `tx_rr`'s own.
-        let own = match self.ready >> b & 1 {
-            1 => busy(start),
-            _ => None,
-        };
-        let qi = own.unwrap_or_else(|| {
-            let later = self.ready & (u64::MAX << b << 1);
-            let next = if later != 0 { later } else { self.ready };
-            busy((next.trailing_zeros() as usize) << shift)
-                .expect("a ready bit names a non-empty queue")
-        });
-        self.tx_rr = if qi + 1 == qps.len() {
-            0
-        } else {
-            qi as u32 + 1
-        };
-        Some(qi)
-    }
-
-    /// This NIC's slice of `Inner::qps`.
-    #[inline]
-    fn qp_range(&self) -> Range<usize> {
-        self.qp_base as usize..(self.qp_base + self.qp_len) as usize
-    }
-
-    /// Where this NIC's QP `qi` sits in `Inner::qps`.
-    #[inline]
-    fn qp_index(&self, qi: usize) -> usize {
-        assert!(qi < self.qp_len as usize, "QP {qi} out of range");
-        self.qp_base as usize + qi
-    }
-}
-
 /// Fabric internals reachable from [`Ctx`] (everything except the apps).
 pub struct Inner<M> {
     topo: Arc<Topology>,
@@ -880,17 +556,9 @@ pub struct Inner<M> {
     rng: StdRng,
     done: Vec<Option<SimTime>>,
     done_count: usize,
-    /// In-network reduction progress: contributions seen per
-    /// `(group, psn, switch)`.
-    inc_arrivals: FastMap<(u32, u32, NodeId), u32>,
-    /// Live aggregation-table entries per switch (`(group, psn)`
-    /// states currently held), indexed by node id; empty until the
-    /// first contribution reaches a switch, and bounded by
+    /// In-network reduction progress, bounded per switch by
     /// [`FabricConfig::inc_table_capacity`].
-    inc_live: Vec<u32>,
-    /// High-water mark of any single switch's live aggregation-table
-    /// occupancy over the run (reported even when unbounded).
-    inc_table_peak: usize,
+    agg: AggTable,
     /// Serialization time per `(rate, wire size)`, computed once.
     ser: SerMemo,
     /// Reusable egress-link buffer for switch forwarding (avoids a fresh
@@ -1025,9 +693,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 rng,
                 done: vec![None; n],
                 done_count: 0,
-                inc_arrivals: FastMap::default(),
-                inc_live: Vec::new(),
-                inc_table_peak: 0,
+                agg: AggTable::default(),
                 ser: SerMemo::new(),
                 scratch_links: Vec::new(),
                 wqes: Slab::new(),
@@ -1053,6 +719,9 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
 
     /// Create a QP on `rank`, pinned to RX `worker`. Returns the rank-local
     /// QP number (SPMD setups produce identical numbering on every rank).
+    ///
+    /// A NIC holds at most 65,536 QPs, numbered 0 to 65,535: a completion
+    /// event names its QP in 16 bits. Adding one more panics.
     pub fn add_qp(&mut self, rank: Rank, transport: Transport, worker: usize) -> QpNum {
         let workers = self.inner.cfg.host.rx_workers.max(1);
         assert!(
@@ -1072,6 +741,10 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         let Inner { nics, qps, .. } = &mut self.inner;
         let nic = &mut nics[rank.idx()];
         let qpn = QpNum(nic.qp_len);
+        assert!(
+            qpn.0 <= u16::MAX.into(),
+            "{rank} already has 65,536 QPs, the most a NIC holds"
+        );
         if nic.qp_len == 0 {
             nic.qp_base = qps.len() as u32;
         }
@@ -1133,7 +806,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     /// traffic flowed). The demand side of
     /// [`FabricConfig::inc_table_capacity`].
     pub fn inc_table_peak(&self) -> usize {
-        self.inner.inc_table_peak
+        self.inner.agg.peak()
     }
 
     /// Attach `rank`'s `qp` to `group` (receives that group's datagrams).
@@ -1402,7 +1075,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
         else {
             unreachable!("not a CQE run")
         };
-        let (cqe, payload) = self.inner.completion(pkt, qp_idx.into());
+        let (cqe, payload) = self.inner.completion(pkt, qp_idx);
         let (n, len) = (self.apps.len(), self.inner.runs.len(members));
         for k in cursor.next..len {
             if k > cursor.next {
@@ -1420,7 +1093,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             if k + 1 == len {
                 self.inner.runs.close(members);
             }
-            self.inner.consume_cqe(rank, qp_idx.into(), pkt, repost);
+            self.inner.consume_cqe(rank, qp_idx, pkt, repost);
             let (app, mut ctx) = self.app(rank);
             app.on_cqe(&mut ctx, cqe, payload.clone());
         }
@@ -1493,7 +1166,10 @@ impl<M: Clone + 'static> Inner<M> {
     /// last scheduled entry when that is the same packet's same-kind
     /// event (or run of them) due at `at` — a multicast copy's fan-out
     /// and its completions — so that they share one queue entry. A lone
-    /// event is pushed as it is; only a second member opens a run.
+    /// event is pushed as it is; only a second member opens a run. Lone
+    /// events keep their own shape and dispatch: as runs of one they made
+    /// the benchmark's `load_ladder`, where most events are lone, 2–3 %
+    /// slower (2-core host).
     #[inline]
     fn schedule_member(&mut self, at: SimTime, ev: Ev) {
         let Inner { q, runs, .. } = self;
@@ -1663,7 +1339,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// `qp_idx` — one slab read, shared by every member of a completion
     /// run. A control message moves out of its side slab into the
     /// payload (control packets are unicast, so one completion reads it).
-    fn completion(&mut self, r: PktRef, qp_idx: u32) -> (Cqe, Payload<M>) {
+    fn completion(&mut self, r: PktRef, qp_idx: u16) -> (Cqe, Payload<M>) {
         let p = self.pkt(r);
         let (body, src, byte_len) = (p.body, p.src, p.payload_len as usize);
         let (opcode, imm, wr_id, payload) = match body {
@@ -1685,7 +1361,7 @@ impl<M: Clone + 'static> Inner<M> {
         let cqe = Cqe {
             opcode,
             status: CompletionStatus::Success,
-            qp: QpNum(qp_idx),
+            qp: QpNum(qp_idx.into()),
             imm,
             byte_len,
             wr_id,
@@ -1698,7 +1374,7 @@ impl<M: Clone + 'static> Inner<M> {
     /// reference (the last recycles the slot; a control message has
     /// already moved into its payload) and repost the receive it used.
     #[inline]
-    fn consume_cqe(&mut self, rank: Rank, qp_idx: u32, r: PktRef, repost: bool) {
+    fn consume_cqe(&mut self, rank: Rank, qp_idx: u16, r: PktRef, repost: bool) {
         let e = self.pkt_slab.get_mut(r.0);
         if e.refs > 1 {
             debug_assert!(
@@ -1710,7 +1386,7 @@ impl<M: Clone + 'static> Inner<M> {
             self.pkt_slab.remove(r.0);
         }
         if repost {
-            let qp = self.qp_mut(rank, qp_idx as usize);
+            let qp = self.qp_mut(rank, qp_idx.into());
             qp.rq_avail = (qp.rq_avail + 1).min(qp.rq_depth);
         }
     }
@@ -1801,17 +1477,8 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn post_msg(&mut self, src: Rank, dst: Rank, dst_qp: QpNum, msg: M, len: usize) {
-        let path = self.topo.route(src, dst);
         let body = Body::Msg(self.ctrl_msgs.insert(msg));
-        let r = self.alloc_pkt(PacketInst {
-            route: Route::Unicast { path, hop: 0 },
-            body,
-            src,
-            dst_qp,
-            payload_len: len_field(len),
-            kind: PacketKind::Control,
-        });
-        self.enqueue_tx(src, dst_qp, Wqe::Ready(r));
+        self.post_ready(src, dst, dst_qp, body, len_field(len), PacketKind::Control);
     }
 
     /// Post one reliable unicast message of `src`'s data.
@@ -1831,17 +1498,32 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn post_rdma_read(&mut self, src: Rank, qp: QpNum, dst: Rank, len: usize, tag: u64) {
+        let body = Body::ReadReq {
+            resp_len: len_field(len),
+            tag,
+        };
+        self.post_ready(src, dst, qp, body, 0, PacketKind::Control);
+    }
+
+    /// Build a packet of `body` routed from `src` to `dst`'s QP `qp` now,
+    /// and queue it ready on `src`'s QP `qp`.
+    fn post_ready(
+        &mut self,
+        src: Rank,
+        dst: Rank,
+        qp: QpNum,
+        body: Body,
+        len: u32,
+        kind: PacketKind,
+    ) {
         let path = self.topo.route(src, dst);
         let r = self.alloc_pkt(PacketInst {
             route: Route::Unicast { path, hop: 0 },
-            body: Body::ReadReq {
-                resp_len: len_field(len),
-                tag,
-            },
+            body,
             src,
             dst_qp: qp,
-            payload_len: 0,
-            kind: PacketKind::Control,
+            payload_len: len,
+            kind,
         });
         self.enqueue_tx(src, qp, Wqe::Ready(r));
     }
@@ -1876,6 +1558,24 @@ impl<M: Clone + 'static> Inner<M> {
         let head = self.qp(src, qi).tx_head;
         assert_ne!(head, NIL, "arbiter picked an empty queue");
         let mut pop = true;
+        // Segment `next` of message `seg` of `src`'s data.
+        let chunk = |route, dst_qp, seg: &MsgSegments, next, kind| {
+            let (psn, imm, len) = seg.segment(next);
+            let body = Body::Chunk {
+                origin: src,
+                psn,
+                imm,
+            };
+            let payload_len = len as u32;
+            PacketInst {
+                route,
+                body,
+                src,
+                dst_qp,
+                payload_len,
+                kind,
+            }
+        };
         let pkt = match &mut self.wqes.get_mut(head).wqe {
             &mut Wqe::Ready(pr) => {
                 self.pop_tx(src, qi);
@@ -1901,24 +1601,12 @@ impl<M: Clone + 'static> Inner<M> {
                 seg,
                 next,
             } => {
-                let (psn, imm, len) = seg.segment(*next);
+                let path = Arc::clone(path);
+                let route = Route::Unicast { path, hop: 0 };
+                let pkt = chunk(route, *dst_qp, seg, *next, PacketKind::UnicastData);
                 *next += 1;
                 pop = *next == seg.chunks;
-                PacketInst {
-                    route: Route::Unicast {
-                        path: Arc::clone(path),
-                        hop: 0,
-                    },
-                    body: Body::Chunk {
-                        origin: src,
-                        psn,
-                        imm,
-                    },
-                    src,
-                    dst_qp: *dst_qp,
-                    payload_len: len as u32,
-                    kind: PacketKind::UnicastData,
-                }
+                pkt
             }
             Wqe::Inc {
                 group,
@@ -1928,22 +1616,11 @@ impl<M: Clone + 'static> Inner<M> {
                 seg,
                 next,
             } => {
-                let (psn, imm, len) = seg.segment(*next);
-                let pkt = PacketInst {
-                    route: Route::IncUp {
-                        group: *group,
-                        owner: *owner,
-                    },
-                    body: Body::Chunk {
-                        origin: src,
-                        psn,
-                        imm,
-                    },
-                    src,
-                    dst_qp: *owner_qp,
-                    payload_len: len as u32,
-                    kind: PacketKind::McastData,
+                let route = Route::IncUp {
+                    group: *group,
+                    owner: *owner,
                 };
+                let pkt = chunk(route, *owner_qp, seg, *next, PacketKind::McastData);
                 *next += 1;
                 pop = false;
                 if *next == seg.chunks {
@@ -2063,6 +1740,17 @@ impl<M: Clone + 'static> Inner<M> {
         }
     }
 
+    /// Trace a packet copy lost on `link` (when tracing).
+    fn trace_drop(&mut self, link: LinkId, cause: DropCause) {
+        if let Some(t) = self.trace.as_mut() {
+            t.record(TraceEvent::Drop {
+                at_ns: self.q.now().as_ns(),
+                link: link.idx() as u32,
+                cause,
+            });
+        }
+    }
+
     /// Record traffic on `link`; returns false if the packet copy was
     /// corrupted there (fabric drop). The caller owns the handle and must
     /// release it when the copy is dropped.
@@ -2079,13 +1767,7 @@ impl<M: Clone + 'static> Inner<M> {
             // The one RNG draw site (`FabricConfig::uses_rng`).
             if self.rng.random_bool(p) {
                 self.links[link.idx()].counters.drops += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent::Drop {
-                        at_ns: self.q.now().as_ns(),
-                        link: link.idx() as u32,
-                        cause: DropCause::Corruption,
-                    });
-                }
+                self.trace_drop(link, DropCause::Corruption);
                 return false;
             }
         }
@@ -2099,7 +1781,7 @@ impl<M: Clone + 'static> Inner<M> {
         let node = self.topo.link(in_link).dst;
         match self.topo.kind(node) {
             NodeKind::Switch { .. } => self.forward_at_switch(node, pkt),
-            NodeKind::Host(rank) => self.deliver_at_host(rank, in_link, pkt),
+            NodeKind::Host(rank) => self.deliver_at_host(rank, pkt),
         }
     }
 
@@ -2132,302 +1814,62 @@ impl<M: Clone + 'static> Inner<M> {
             // Hosts on the tree but not attached (e.g. sender's own copy
             // in degenerate trees) silently discard.
             NIL => self.release_pkt(pr),
-            qi => self.deliver(
-                rank,
-                in_link,
-                pr,
-                qi as usize,
-                Some((h.origin.0, h.psn, rank.0)),
-            ),
+            qi => self.deliver(rank, in_link, pr, qi as usize, (h.origin.0, h.psn, rank.0)),
         }
     }
 
-    /// Multicast at a switch: collect egress links into the reusable
-    /// scratch buffer — switch forwarding runs once per packet hop, so a
-    /// fresh Vec here would be a per-packet allocation on the replication
-    /// hot path.
-    fn replicate(&mut self, node: NodeId, in_link: LinkId, pr: PktRef, h: &McastHdr) {
-        let now = self.q.now();
-        let mut outs = std::mem::take(&mut self.scratch_links);
-        outs.clear();
-        outs.extend(self.trees[h.group.0 as usize].out_links(&self.topo, node, Some(in_link)));
-        // Replicate: the extra branches' references are added to the
-        // slab entry in one write, and each branch is a handle copy — the
-        // last one rides the original reference.
-        match outs.len() {
-            0 => self.release_pkt(pr), // no egress (degenerate tree)
-            k => {
-                self.pkt_slab.get_mut(pr.0).refs += k as u32 - 1;
-                for &out in &outs {
-                    self.transmit(out, pr, now, h.hop);
-                }
-            }
-        }
-        self.scratch_links = outs;
-    }
-
-    /// Forward a unicast, descending or reduction packet at a switch.
-    fn forward_at_switch(&mut self, node: NodeId, pr: PktRef) {
-        let now = self.q.now();
-        // One slab lookup: copy the small route summary out (every
-        // variant's data is `Copy`), then branch.
-        enum Fwd {
-            Unicast(LinkId),
-            Down(Rank, u8, u32),
-            Inc(McastGroupId, Rank, u32),
-        }
+    /// A routed packet — unicast or a reduced shard — reaches `rank`: the
+    /// target NIC answers a read request in hardware, with no CPU
+    /// involvement (RC one-sided semantics); anything else completes on
+    /// the QP it names, as it is.
+    fn deliver_at_host(&mut self, rank: Rank, pr: PktRef) {
         let p = self.pkt(pr);
-        let fwd = match (&p.route, p.body) {
-            (Route::Unicast { path, hop }, _) => {
-                debug_assert!(
-                    (*hop as usize) < path.len(),
-                    "unicast route exhausted at a switch"
-                );
-                Fwd::Unicast(path[*hop as usize])
-            }
-            (Route::Down { owner, hop }, Body::Chunk { psn, .. }) => Fwd::Down(*owner, *hop, psn),
-            (Route::Down { .. }, _) => unreachable!("reduced shard without chunk payload"),
-            (Route::Mcast { .. }, _) => unreachable!("multicast copies are replicated"),
-            (Route::IncUp { group, owner }, Body::Chunk { psn, .. }) => {
-                Fwd::Inc(*group, *owner, psn)
-            }
-            (Route::IncUp { .. }, _) => unreachable!("INC packet without chunk payload"),
-        };
-        match fwd {
-            Fwd::Inc(group, owner, psn) => self.reduce_at_switch(node, pr, group, owner, psn),
-            // Unicast: exactly one egress — no replication.
-            Fwd::Unicast(out) => self.transmit_hop(out, pr, now),
-            Fwd::Down(owner, hop, psn) => {
-                let out = routing::descend_link(&self.topo, node, owner, psn as u64, hop as u64);
-                self.transmit_hop(out, pr, now);
-            }
-        }
-    }
-
-    /// SHARP-style switch behaviour: absorb contributions for
-    /// `(group, psn)` until every child branch with contributors has
-    /// reported, then forward one merged packet toward the root — or,
-    /// at the root, route the reduced shard down to its owner.
-    fn reduce_at_switch(
-        &mut self,
-        node: NodeId,
-        pr: PktRef,
-        group: McastGroupId,
-        owner: Rank,
-        psn: u32,
-    ) {
-        let now = self.q.now();
-        let tree = &self.trees[group.0 as usize];
-        // Expected = child branches containing at least one contributor
-        // (every rank except the shard owner contributes).
-        let mut expected = 0u32;
-        for cl in tree.child_links(node) {
-            let child = self.topo.link(cl).dst;
-            let contributors = match self.topo.kind(child) {
-                NodeKind::Host(r) => (r != owner) as u32,
-                NodeKind::Switch { .. } => {
-                    let range = self.topo.host_range(child);
-                    range.len() as u32 - range.contains(&owner.0) as u32
-                }
-            };
-            expected += (contributors > 0) as u32;
-        }
-        debug_assert!(expected > 0, "reduction node with no contributors");
-        let key = (group.0, psn, node);
-        let cnt = {
-            let c = self.inc_arrivals.entry(key).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if cnt == 1 {
-            // A fresh `(group, psn)` state claims one aggregation-table
-            // entry at this switch — the bounded SHARP SRAM, charged
-            // like the MGID table on group creation.
-            if self.inc_live.is_empty() {
-                self.inc_live = vec![0; self.topo.num_nodes()];
-            }
-            let live = &mut self.inc_live[node.idx()];
-            *live += 1;
-            let live = *live as usize;
-            if let Some(cap) = self.cfg.inc_table_capacity {
-                assert!(
-                    live <= cap,
-                    "switch aggregation table exhausted ({cap} live reduction states at {node:?})"
-                );
-            }
-            self.inc_table_peak = self.inc_table_peak.max(live);
-        }
-        if cnt < expected {
-            // Absorbed into the partial reduction.
-            self.release_pkt(pr);
-            return;
-        }
-        self.inc_arrivals.remove(&key);
-        self.inc_live[node.idx()] -= 1;
-        let tree = &self.trees[group.0 as usize];
-        match tree.parent_link(node) {
-            Some(up) => {
-                // One merged packet continues toward the root.
-                self.transmit_hop(up, pr, now);
-            }
-            None => {
-                // Root: retarget the packet in place (single owner — INC
-                // contributions are never replicated) and descend to the
-                // owner's QP, which `dst_qp` already names.
-                let first = routing::descend_link(&self.topo, node, owner, psn as u64, 0);
-                let pkt = self.pkt_mut(pr);
-                pkt.kind = PacketKind::UnicastData;
-                pkt.route = Route::Down { owner, hop: 0 };
-                self.transmit_hop(first, pr, now);
-            }
-        }
-    }
-
-    /// Send a routed packet on over `out`, one hop further along its
-    /// route.
-    fn transmit_hop(&mut self, out: LinkId, pr: PktRef, now: SimTime) {
-        // One slab access: hop bookkeeping + header fields.
-        let h = {
-            let p = self.pkt_mut(pr);
-            if let Route::Unicast { hop, .. } | Route::Down { hop, .. } = &mut p.route {
-                *hop += 1;
-            }
-            p.hop()
-        };
-        self.transmit(out, pr, now, h);
-    }
-
-    /// Transmit the copy `pr` with header fields `h` over `out`.
-    fn transmit(&mut self, out: LinkId, pr: PktRef, now: SimTime, h: Hop) {
-        let link = *self.topo.link(out);
-        let wire = h.wire;
-        // Down egress: unreliable copies are lost; reliable copies wait
-        // for the link's next recovery (link-level retransmission wins
-        // eventually) unless it never comes back.
-        let mut not_before = SimTime::ZERO;
-        if self.has_faults {
-            let st = self.link_fault[out.idx()];
-            if !st.up {
-                if h.reliable && st.next_up_ns != u64::MAX {
-                    not_before = SimTime(st.next_up_ns);
-                } else {
-                    self.links[out.idx()].counters.fault_drops += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent::Drop {
-                            at_ns: now.as_ns(),
-                            link: out.idx() as u32,
-                            cause: DropCause::FaultDown,
-                        });
-                    }
-                    return self.release_pkt(pr);
-                }
-            }
-        }
-        let ser = self.ser.ns(link.rate, wire);
-        let ser = self.effective_ser_ns(out, ser);
-        let start = (now + SWITCH_LATENCY_NS)
-            .max(self.links[out.idx()].busy)
-            .max(not_before);
-        self.links[out.idx()].busy = start + ser;
-        if let Some(t) = self.trace.as_mut() {
-            t.record(TraceEvent::Egress {
-                start_ns: start.as_ns(),
-                ser_ns: ser,
-                link: out.idx() as u32,
-                bytes: wire as u32,
-            });
-        }
-        if self.count_and_maybe_drop(out, h) {
-            self.schedule_member(
-                start + ser + link.prop_delay_ns,
-                Ev::LinkArrive { link: out, pkt: pr },
-            );
-        } else {
-            self.release_pkt(pr);
-        }
-    }
-
-    fn deliver_at_host(&mut self, rank: Rank, in_link: LinkId, pr: PktRef) {
-        let p = self.pkt(pr);
-        let (requester, req_qp, body) = (p.src, p.dst_qp, p.body);
-        match body {
+        let (requester, req_qp) = (p.src, p.dst_qp);
+        match p.body {
             Body::ReadReq { resp_len, tag } => {
-                // Target NIC hardware answers; no CPU involvement (RC
-                // one-sided semantics).
                 self.release_pkt(pr);
-                let path = self.topo.route(rank, requester);
-                let r = self.alloc_pkt(PacketInst {
-                    route: Route::Unicast { path, hop: 0 },
-                    body: Body::ReadResp { tag },
-                    src: rank,
-                    dst_qp: req_qp,
-                    payload_len: resp_len,
-                    kind: PacketKind::UnicastData,
-                });
-                self.enqueue_tx(rank, req_qp, Wqe::Ready(r));
-            }
-            Body::ReadResp { .. } => self.schedule_cqe(rank, req_qp.0 as usize, pr, false),
-            Body::Chunk { .. } | Body::Msg(_) => {
-                debug_assert!(
-                    matches!(
-                        self.pkt(pr).route,
-                        Route::Unicast { .. } | Route::Down { .. }
-                    ),
-                    "only routed unicast reaches a host here"
+                let body = Body::ReadResp { tag };
+                self.post_ready(
+                    rank,
+                    requester,
+                    req_qp,
+                    body,
+                    resp_len,
+                    PacketKind::UnicastData,
                 );
-                self.deliver(rank, in_link, pr, req_qp.0 as usize, None);
             }
+            _ => self.schedule_cqe(rank, req_qp.0 as usize, pr, false),
         }
     }
 
-    /// Deliver `pr` two-sided into QP `qp_idx` of `rank`: a multicast
-    /// copy, which `forced_key` `(origin, psn, rank)` names to the forced
-    /// drop model, consumes a pre-posted receive or is RNR-dropped; a
-    /// reliable packet's completion is queued as it is.
+    /// Deliver the multicast copy `pr` two-sided into QP `qp_idx` of
+    /// `rank`: unless the forced drop model names it by `key`
+    /// `(origin, psn, rank)`, it consumes a pre-posted receive or is
+    /// RNR-dropped.
     fn deliver(
         &mut self,
         rank: Rank,
         in_link: LinkId,
         pr: PktRef,
         qp_idx: usize,
-        forced_key: Option<(u32, u32, u32)>,
+        key: (u32, u32, u32),
     ) {
         // Forced drop injection; the emptiness guard keeps the hash
         // lookup off the common (no-injection) delivery path.
-        if !self.cfg.drops.forced.is_empty() {
-            if let Some(key) = forced_key {
-                if self.cfg.drops.forced.contains(&key) {
-                    // Account as a drop on the final delivery link.
-                    self.links[in_link.idx()].counters.drops += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent::Drop {
-                            at_ns: self.q.now().as_ns(),
-                            link: in_link.idx() as u32,
-                            cause: DropCause::Forced,
-                        });
-                    }
-                    return self.release_pkt(pr);
-                }
-            }
+        if !self.cfg.drops.forced.is_empty() && self.cfg.drops.forced.contains(&key) {
+            // Account as a drop on the final delivery link.
+            self.links[in_link.idx()].counters.drops += 1;
+            self.trace_drop(in_link, DropCause::Forced);
+            return self.release_pkt(pr);
         }
-
-        let needs_slot = forced_key.is_some();
-        if needs_slot {
-            let qp = &mut self.qps[self.nics[rank.idx()].qp_index(qp_idx)];
-            if qp.rq_avail == 0 {
-                self.nics[rank.idx()].rnr_drops += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent::Drop {
-                        at_ns: self.q.now().as_ns(),
-                        link: in_link.idx() as u32,
-                        cause: DropCause::Rnr,
-                    });
-                }
-                return self.release_pkt(pr);
-            }
-            qp.rq_avail -= 1;
+        let qp = &mut self.qps[self.nics[rank.idx()].qp_index(qp_idx)];
+        if qp.rq_avail == 0 {
+            self.nics[rank.idx()].rnr_drops += 1;
+            self.trace_drop(in_link, DropCause::Rnr);
+            return self.release_pkt(pr);
         }
-        self.schedule_cqe(rank, qp_idx, pr, needs_slot);
+        qp.rq_avail -= 1;
+        self.schedule_cqe(rank, qp_idx, pr, true);
     }
 
     /// Queue the packet's completion through its QP's RX worker; the
@@ -2459,7 +1901,7 @@ impl<M: Clone + 'static> Inner<M> {
             done,
             Ev::CqeDone {
                 rank,
-                qp_idx: qp_idx as u32,
+                qp_idx: u16::try_from(qp_idx).expect("a NIC has at most 65,536 QPs"),
                 repost,
                 pkt: pr,
             },
@@ -3066,6 +2508,62 @@ mod tests {
         let d0 = stats.per_rank_done[0].unwrap();
         let d1 = stats.per_rank_done[1].unwrap();
         assert!(d0 > d1);
+        // Unicast packets travel alone, so they form no run and leave
+        // the run arena empty.
+        assert!(fab.inner.runs.words.is_empty());
+    }
+
+    /// A control message that may not be copied.
+    struct NoClone;
+
+    impl Clone for NoClone {
+        fn clone(&self) -> NoClone {
+            panic!("a control message was cloned")
+        }
+    }
+
+    /// Rank 0 sends rank 1 one [`NoClone`] message.
+    struct SendOnce;
+
+    impl RankApp<NoClone> for SendOnce {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, NoClone>) {
+            if ctx.rank() == Rank(0) {
+                ctx.post_msg(Rank(1), QpNum(0), NoClone, 64);
+                ctx.mark_done();
+            }
+        }
+
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, NoClone>, _cqe: Cqe, payload: Payload<NoClone>) {
+            assert!(matches!(payload, Payload::Msg(NoClone)));
+            ctx.mark_done();
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, NoClone>, _token: u64) {}
+    }
+
+    #[test]
+    fn a_lone_completion_moves_its_control_message() {
+        // A lone completion takes its payload by move: a clone would
+        // allocate a message's spilled parts a second time.
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<NoClone, SendOnce> = Fabric::new(topo, FabricConfig::ideal());
+        for r in [Rank(0), Rank(1)] {
+            fab.add_qp(r, Transport::Rc, 0);
+            fab.set_app(r, SendOnce);
+        }
+        assert!(fab.run().all_done());
+        assert_eq!(fab.live_packets(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already has 65,536 QPs")]
+    fn a_nic_holds_at_most_65536_qps() {
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg> = Fabric::new(topo, FabricConfig::ideal());
+        for n in 0..=u32::from(u16::MAX) {
+            assert_eq!(fab.add_qp(Rank(1), Transport::Ud, 0), QpNum(n));
+        }
+        fab.add_qp(Rank(1), Transport::Ud, 0);
     }
 
     /// App that arms a timer and records the fire time.
@@ -3476,7 +2974,7 @@ mod tests {
                 .find_map(|e| match *e {
                     TraceEvent::Egress {
                         start_ns, link: 7, ..
-                    } => Some(start_ns - SWITCH_LATENCY_NS),
+                    } => Some(start_ns - switch::SWITCH_LATENCY_NS),
                     _ => None,
                 })
                 .expect("no copy toward rank 3");
@@ -3587,168 +3085,6 @@ mod tests {
         // segmentation).
         let size = std::mem::size_of::<Wqe>();
         assert!(size <= 64, "Wqe grew to {size} bytes");
-    }
-
-    /// The arbiter the ready set replaced: a modulo scan of every queue
-    /// from `rr`, `queued[qi]` requests on QP `qi`.
-    fn scan_pick(rr: &mut usize, queued: &[u32]) -> Option<usize> {
-        let n = queued.len();
-        let qi = (0..n).map(|i| (*rr + i) % n).find(|&qi| queued[qi] > 0)?;
-        *rr = (qi + 1) % n;
-        Some(qi)
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        /// Random posts, picks and QP additions on one NIC of 1 to 150
-        /// QPs, so that about half the cases share ready bits among QPs
-        /// (more than 64) and some cross a width change with requests
-        /// queued: every pick is the modulo scan's, and the set is empty
-        /// exactly when every queue is.
-        #[test]
-        fn ready_set_picks_as_the_modulo_scan(
-            n in 1usize..150,
-            ops in proptest::collection::vec((0u8..4, 0usize..1000), 0..600),
-        ) {
-            let empty = || QpState {
-                transport: Transport::Rc,
-                worker: 0,
-                rq_avail: 0,
-                rq_depth: 0,
-                tx_head: NIL,
-                tx_tail: NIL,
-                drains: 0,
-            };
-            let mut nic = NicState::new(LinkId(0));
-            let mut qps = Vec::new();
-            let mut queued = Vec::new();
-            let mut rr = 0;
-            let add = |nic: &mut NicState, qps: &mut Vec<QpState>, queued: &mut Vec<u32>| {
-                qps.push(empty());
-                queued.push(0);
-                nic.add_qp(qps);
-            };
-            for _ in 0..n {
-                add(&mut nic, &mut qps, &mut queued);
-            }
-            for (op, at) in ops {
-                match op {
-                    // Post on a queue (twice as often as the rest).
-                    0 | 1 => {
-                        let qi = at % qps.len();
-                        if queued[qi] == 0 {
-                            qps[qi].tx_head = 0;
-                            nic.set_ready(qi);
-                        }
-                        queued[qi] += 1;
-                    }
-                    // Inject one request from the queue the arbiter picks.
-                    2 => {
-                        let want = scan_pick(&mut rr, &queued);
-                        proptest::prop_assert_eq!(nic.tx_pick(&qps), want);
-                        if let Some(qi) = want {
-                            proptest::prop_assert_eq!(nic.tx_rr as usize, rr);
-                            queued[qi] -= 1;
-                            if queued[qi] == 0 {
-                                qps[qi].tx_head = NIL;
-                                nic.clear_ready(qi, &qps);
-                            }
-                        }
-                    }
-                    _ => add(&mut nic, &mut qps, &mut queued),
-                }
-                proptest::prop_assert_eq!(nic.ready == 0, queued.iter().all(|&q| q == 0));
-            }
-            // Drain what is left, in the scan's order.
-            while let Some(qi) = scan_pick(&mut rr, &queued) {
-                proptest::prop_assert_eq!(nic.tx_pick(&qps), Some(qi));
-                queued[qi] -= 1;
-                if queued[qi] == 0 {
-                    qps[qi].tx_head = NIL;
-                    nic.clear_ready(qi, &qps);
-                }
-            }
-            proptest::prop_assert_eq!(nic.tx_pick(&qps), None);
-        }
-    }
-
-    #[test]
-    fn run_store_keeps_member_order_and_recycles_segments() {
-        let mut store = RunStore::default();
-        let pkt = PktRef(9);
-        let open = |store: &mut RunStore, n: u32| {
-            let mut run = Ev::LinkArrive {
-                link: LinkId(0),
-                pkt,
-            };
-            for m in 1..n {
-                assert!(store.join(
-                    &mut run,
-                    Ev::LinkArrive {
-                        link: LinkId(m),
-                        pkt
-                    }
-                ));
-            }
-            run
-        };
-        let of = |run: Ev| match run {
-            Ev::ArriveRun { members, pkt: p } if p == pkt => members,
-            ev => panic!("{ev:?} is not a run of {pkt:?}"),
-        };
-        let members = |store: &RunStore, run: Ev| -> Vec<u32> {
-            let members = of(run);
-            (0..store.len(members))
-                .map(|k| store.get(members, k))
-                .collect()
-        };
-        // Lengths on both sides of every segment-class edge, several live
-        // at once.
-        let sizes = [2, 3, 7, 8, 15, 16, 17, 100];
-        let runs: Vec<Ev> = sizes.iter().map(|&n| open(&mut store, n)).collect();
-        for (&n, &run) in sizes.iter().zip(&runs) {
-            assert_eq!(members(&store, run), (0..n).collect::<Vec<_>>());
-        }
-        let words = store.words.len();
-        runs.into_iter().for_each(|run| store.close(of(run)));
-        // The same runs again fit in the segments the first ones vacated.
-        let runs: Vec<Ev> = sizes.iter().map(|&n| open(&mut store, n)).collect();
-        assert_eq!(store.words.len(), words);
-        assert_eq!(members(&store, runs[7]), (0..100).collect::<Vec<_>>());
-        // Another packet's arrival, or a completion, does not join.
-        let mut run = runs[1];
-        assert!(!store.join(
-            &mut run,
-            Ev::LinkArrive {
-                link: LinkId(5),
-                pkt: PktRef(8)
-            }
-        ));
-        let cqe = Ev::CqeDone {
-            rank: Rank(1),
-            qp_idx: 0,
-            repost: true,
-            pkt,
-        };
-        assert!(!store.join(&mut run, cqe));
-        assert_eq!(members(&store, run), [0, 1, 2]);
-    }
-
-    #[test]
-    fn qp_state_stays_small() {
-        // The arbiter and every delivery read it; a batch fabric holds
-        // one per QP of every rank.
-        let size = std::mem::size_of::<QpState>();
-        assert!(size <= 28, "QpState grew to {size} bytes");
-    }
-
-    #[test]
-    fn nic_state_stays_small() {
-        // Every batch fabric allocates one per rank: the ready set took
-        // the bytes a narrower round-robin cursor and RNR counter gave up.
-        let size = std::mem::size_of::<NicState>();
-        assert!(size <= 40, "NicState grew to {size} bytes");
     }
 
     #[test]
@@ -4137,8 +3473,7 @@ mod tests {
             fab.inner.wqes.slots.len()
         );
         assert!(fab.inner.drains.is_empty());
-        assert!(fab.inner.inc_arrivals.is_empty());
-        assert!(fab.inner.inc_live.iter().all(|&live| live == 0));
+        assert!(fab.inner.agg.is_empty());
     }
 
     #[test]
