@@ -98,17 +98,6 @@ pub enum RejectReason {
     ///
     /// [`QueueFull`]: RejectReason::QueueFull
     Throttled,
-    /// Graceful degradation under sustained faults: the reactive
-    /// scheduler's retry backlog exceeded
-    /// [`ReactivePolicy::degrade_retry_backlog`], so new arrivals are
-    /// shed to let recovery traffic drain. Distinct from [`Throttled`]
-    /// (healthy-path sojourn feedback) so a fault study can attribute
-    /// refusals to the fault response rather than ordinary overload.
-    ///
-    /// [`ReactivePolicy::degrade_retry_backlog`]:
-    ///     crate::ReactivePolicy::degrade_retry_backlog
-    /// [`Throttled`]: RejectReason::Throttled
-    Degraded,
 }
 
 impl RejectReason {
@@ -123,7 +112,6 @@ impl RejectReason {
             RejectReason::InvalidRoot => "invalid-root",
             RejectReason::GroupDemand => "group-demand",
             RejectReason::Throttled => "throttled",
-            RejectReason::Degraded => "degraded",
         }
     }
 }
@@ -139,7 +127,6 @@ impl fmt::Display for RejectReason {
             RejectReason::InvalidRoot => "broadcast root out of range",
             RejectReason::GroupDemand => "job needs more groups than the pool holds",
             RejectReason::Throttled => "admission throttled: recent sojourn over threshold",
-            RejectReason::Degraded => "degraded: retry backlog over the fault-response bound",
         };
         f.write_str(s)
     }

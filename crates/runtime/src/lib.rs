@@ -55,7 +55,6 @@ pub use arrivals::{
     merge_arrivals, nccl_style_trace, Arrival, OpMix, RatePhase, RateProcess, Workload,
 };
 pub use job::{AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, RejectReason, TenantId};
-pub use mcag_offload::BackendKind;
 pub use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace, TraceSpec};
 pub use pool::{AcquireOutcome, GroupKey, McastGroupPool, PoolConfig, PoolStats};
 pub use sched::{MemoStats, ReactivePolicy, Runtime, RuntimeConfig};

@@ -42,19 +42,13 @@ pub(super) struct FormedBatch {
 }
 
 impl Runtime {
-    /// Every multicast-group key a job pins while running on
-    /// `partition`: its subgroup trees, plus the reduction tree for an
-    /// AG+RS job only where the partition reduces in the switches. The
+    /// Every multicast-group key a job pins while running: its subgroup
+    /// trees, plus the in-switch reduction tree for an AG+RS job. The
     /// iterator borrows nothing, so the pool can change while it runs.
-    pub(super) fn group_keys(
-        &self,
-        job: &PendingJob,
-        partition: u32,
-    ) -> impl Iterator<Item = GroupKey> {
+    pub(super) fn group_keys(&self, job: &PendingJob) -> impl Iterator<Item = GroupKey> {
         let tenant = job.spec.tenant.0;
         let subs = self.group_demand(JobKind::Allgather, job.spec.send_len);
-        let rs =
-            matches!(job.spec.kind, JobKind::AgRs) && self.partition_fabrics[partition as usize].1;
+        let rs = matches!(job.spec.kind, JobKind::AgRs);
         (0..subs)
             .map(move |index| GroupKey { tenant, index })
             .chain(rs.then_some(GroupKey {
@@ -86,7 +80,7 @@ impl Runtime {
         let mut per_job_groups: Vec<(u32, u32, u32)> = Vec::with_capacity(picked.len());
         for job in &picked {
             let (mut hits, mut builds, mut rebuilds) = (0u32, 0u32, 0u32);
-            for key in self.group_keys(job, partition) {
+            for key in self.group_keys(job) {
                 let (outcome, cost) = self.pool.acquire(key);
                 setup_ns += cost;
                 match outcome {
@@ -108,8 +102,7 @@ impl Runtime {
         );
 
         // The partition's batch fabric with the batch's own seed.
-        let (fabric, rs_in_switch) = &self.partition_fabrics[partition as usize];
-        let mut fabric = fabric.clone();
+        let mut fabric = self.partition_fabrics[partition as usize].clone();
         fabric.seed = fabric.seed.wrapping_add(index);
         let comms = picked
             .iter()
@@ -131,7 +124,7 @@ impl Runtime {
                 ));
                 Comm {
                     plan,
-                    rs_in_switch: matches!(job.spec.kind, JobKind::AgRs).then_some(*rs_in_switch),
+                    rs_in_switch: matches!(job.spec.kind, JobKind::AgRs).then_some(true),
                 }
             })
             .collect();
@@ -141,7 +134,7 @@ impl Runtime {
             proto,
             comms,
             watchdog_cutoffs: self.cfg.watchdog_cutoffs,
-            sm_check_cutoffs: self.cfg.reactive.map(|r| r.sm_check_cutoffs),
+            sm_sweep: self.cfg.reactive.is_some(),
         };
         Some(FormedBatch {
             index,

@@ -4,9 +4,8 @@
 //!
 //! [`simulate_batch`] is a pure function of its `BatchSim`, and within
 //! one [`Runtime`] a `BatchSim` is a function of the [`BatchKey`] alone:
-//! `form_batch` varies the partition (the partition's batch fabric and
-//! Reduce-Scatter placement) and each slot's kind, Broadcast root and
-//! message length; every other field copies `Runtime` state that never
+//! `form_batch` varies the partition (the partition's batch fabric) and
+//! each slot's kind, Broadcast root and message length; every other field copies `Runtime` state that never
 //! changes after `new`. The FSDP pipeline the paper targets issues the
 //! same per-layer collectives every step, so an open-loop run below its
 //! saturation knee sees a few dozen shapes thousands of times. Three rules keep the replay exact and its memory

@@ -22,7 +22,7 @@
 
 use super::form::FormedBatch;
 use super::sim::{delivered_bytes, BatchOutcome};
-use super::Runtime;
+use super::{ReactivePolicy, Runtime};
 use crate::job::PendingJob;
 use crate::stats::JobRecord;
 use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan};
@@ -41,7 +41,7 @@ impl Runtime {
             sim,
         } = formed;
         self.moved_bytes += outcome.moved_bytes;
-        let reactive = self.cfg.reactive;
+        let reactive = self.cfg.reactive.is_some();
 
         // Bill the batch's mid-run SM recovery (tree re-routes around
         // dead switches) exactly once, at commit: same detach +
@@ -65,13 +65,11 @@ impl Runtime {
             // exponential backoff — no record yet, and the lane stays
             // busy so nothing the tenant submitted later can overtake
             // the retry (communicator order).
-            if let Some(policy) = reactive.filter(|p| censored && job.attempt + 1 < p.max_attempts)
-            {
+            if reactive && censored && job.attempt + 1 < ReactivePolicy::MAX_ATTEMPTS {
                 let attempt = job.attempt + 1;
-                let backoff = policy
-                    .backoff_base_ns
+                let backoff = ReactivePolicy::BACKOFF_BASE_NS
                     .saturating_mul(1 << (attempt - 1).min(20))
-                    .min(policy.backoff_cap_ns);
+                    .min(ReactivePolicy::BACKOFF_CAP_NS);
                 let ready_ns = done_ns + backoff;
                 self.retry.retried_jobs += 1;
                 self.retry.backoff_ns_sum += backoff;
@@ -91,7 +89,7 @@ impl Runtime {
             // Completed — or censored for good (oblivious runs, or the
             // retry budget ran out): the lane idles and a record lands.
             self.queue.mark_idle(job.spec.tenant);
-            if censored && reactive.is_some() {
+            if censored && reactive {
                 self.retry.gave_up_jobs += 1;
             }
             let delivered = if censored {
@@ -185,15 +183,10 @@ impl Runtime {
 
         // Fold the batch's observed damage into the partition's health
         // score (commit order ⇒ deterministic): a timeout dominates,
-        // drops and downtime grade partial damage. Routed through the
-        // bump so fresh damage restarts the score's decay half-life
-        // (a clean batch leaves the decay clock running).
-        let damage = outcome.fault_drops * 1_000
+        // drops and downtime grade partial damage.
+        self.partition_health[partition as usize] += outcome.fault_drops * 1_000
             + outcome.downtime_ns / 1_000
             + (outcome.timed_out as u64) * 1_000_000;
-        if damage > 0 {
-            self.bump_partition_health(partition as usize, damage);
-        }
 
         let ps = &mut self.partition_stats[partition as usize];
         ps.batches += 1;

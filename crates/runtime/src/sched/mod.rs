@@ -62,7 +62,6 @@ use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
 use form::FormedBatch;
 use mcag_core::{des, ProtocolConfig};
-use mcag_offload::BackendKind;
 use mcag_simnet::{FabricConfig, LinkSchedule, Topology};
 use mcag_trace::{merge_runs, Marker, RuntimeTrace, TraceRun, TraceSpec};
 use memo::BatchMemo;
@@ -77,55 +76,29 @@ use mcag_simnet::Fabric;
 /// How the scheduler reacts to fabric faults. `None` on
 /// [`RuntimeConfig::reactive`] is the **oblivious** baseline: batches
 /// are placed on the lowest free partition regardless of damage, and a
-/// timed-out job is recorded censored. `Some` turns on the full
-/// reaction: health-aware partition steering, mid-batch SM tree
-/// rebuilds, timed-out jobs re-formed into later batches under capped
-/// exponential backoff, and graceful admission degradation when the
-/// retry backlog grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactivePolicy {
+/// timed-out job is recorded censored. `Some` turns on the one
+/// reaction: health-aware partition steering that quarantines any
+/// partition with known damage while a healthier one is serving
+/// ([`Runtime::partition_health_score`]), mid-batch SM tree rebuilds,
+/// and timed-out jobs re-formed into later batches under capped
+/// exponential backoff. Its parameters are the associated constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReactivePolicy;
+
+impl ReactivePolicy {
     /// Batch dispatches a job may consume before it is recorded
-    /// censored (1 disables retries; the default allows 3 retries).
-    pub max_attempts: u32,
+    /// censored: three retries.
+    pub const MAX_ATTEMPTS: u32 = 4;
     /// Backoff before the first retry becomes eligible (ns); attempt
-    /// `k` waits `backoff_base_ns << (k-1)`, capped below.
-    pub backoff_base_ns: u64,
+    /// `k` waits `BACKOFF_BASE_NS << (k-1)`, capped below.
+    pub const BACKOFF_BASE_NS: u64 = 200_000;
     /// Ceiling on the per-retry backoff (ns).
-    pub backoff_cap_ns: u64,
-    /// Graceful degradation: while at least this many jobs sit in the
-    /// retry backlog, new arrivals are refused with
-    /// [`RejectReason::Degraded`]. `None` never degrades.
-    pub degrade_retry_backlog: Option<usize>,
-    /// Quarantine threshold on the partition-health score (0 = any
-    /// known damage quarantines a partition while a healthier one is
-    /// serving; see [`Runtime::partition_health_score`]).
-    pub quarantine_score: u64,
+    pub const BACKOFF_CAP_NS: u64 = 1_600_000;
     /// Period of the mid-batch subnet-manager sweep, in multiples of
     /// the batch's summed per-job cutoffs: each sweep diagnoses
     /// fully-dead switches and re-routes multicast trees around them
     /// (rebuild time billed at commit via the group pool).
-    pub sm_check_cutoffs: u64,
-    /// Half-life of the partition damage score on the virtual clock:
-    /// every `health_halflife_ns` without fresh damage halves a
-    /// partition's score (lazily, before placement decisions), so a
-    /// quarantined partition whose outage ended is eventually
-    /// un-quarantined and re-probed instead of idling forever. `None`
-    /// (the default) never decays — the PR-8 behaviour.
-    pub health_halflife_ns: Option<u64>,
-}
-
-impl Default for ReactivePolicy {
-    fn default() -> ReactivePolicy {
-        ReactivePolicy {
-            max_attempts: 4,
-            backoff_base_ns: 200_000,
-            backoff_cap_ns: 1_600_000,
-            degrade_retry_backlog: None,
-            quarantine_score: 0,
-            sm_check_cutoffs: 4,
-            health_halflife_ns: None,
-        }
-    }
+    pub const SM_CHECK_CUTOFFS: u64 = 4;
 }
 
 /// Everything the runtime needs to know up front.
@@ -137,6 +110,12 @@ pub struct RuntimeConfig {
     /// corruption). Otherwise batches of one shape are
     /// interchangeable and the runtime replays a recurring shape's
     /// outcome instead of simulating it again ([`Runtime::memo_stats`]).
+    ///
+    /// The runtime overwrites three sub-fields in every batch fabric:
+    /// `trace` (with [`trace`](RuntimeConfig::trace)),
+    /// `mcast_table_capacity` (with the pool capacity) and, when
+    /// [`partition_faults`](RuntimeConfig::partition_faults) is
+    /// non-empty, `faults` (with the partition's schedule).
     pub fabric: FabricConfig,
     /// Protocol knobs applied to every job.
     pub proto: ProtocolConfig,
@@ -151,8 +130,8 @@ pub struct RuntimeConfig {
     pub partitions: usize,
     /// Flight-recorder spec: `Some` records batch/job spans and
     /// admission markers in the runtime, and threads the same spec into
-    /// every batch fabric (overriding `fabric.trace`), whose packet
-    /// events are merged onto the virtual clock in commit order. Harvest
+    /// every batch fabric, whose packet events are merged onto the
+    /// virtual clock in commit order. Harvest
     /// with [`Runtime::take_trace`]. `None` (the default) records
     /// nothing and adds one branch per would-be record.
     pub trace: Option<TraceSpec>,
@@ -161,24 +140,11 @@ pub struct RuntimeConfig {
     /// partition `p` replays `partition_faults[p]` on its fabric, with
     /// event times relative to the batch's launch — the partition's
     /// standing hazard environment. Empty (the default) leaves
-    /// [`fabric`](RuntimeConfig::fabric)`.faults` untouched.
+    /// [`fabric`](RuntimeConfig::fabric)`.faults` as configured.
     pub partition_faults: Vec<LinkSchedule>,
     /// Fault-reaction policy; `None` (the default) is the oblivious
     /// baseline — see [`ReactivePolicy`].
     pub reactive: Option<ReactivePolicy>,
-    /// Per-partition offload backends: when non-empty (length must
-    /// equal [`partitions`](RuntimeConfig::partitions)), partition `p`'s
-    /// batch fabric is compiled once with `partition_backends[p]`
-    /// ([`BackendKind::compile`]: its endpoint cost model instead of
-    /// [`fabric`](RuntimeConfig::fabric)`.host` and, for in-switch
-    /// backends, its aggregation-table bound), and its AG+RS jobs reduce
-    /// where the backend computes: in the switches for an in-switch
-    /// backend, on the endpoints otherwise — heterogeneous SM domains,
-    /// e.g. one DPA partition and one host-CPU partition. Only a job
-    /// reducing in the switches pins (and pays SM build time for) its
-    /// tenant's reduction group. Empty (the default) leaves the
-    /// fabric's host model untouched and reduces in the switches.
-    pub partition_backends: Vec<BackendKind>,
     /// Batch recovery cutoff, in multiples of the batch's summed
     /// per-job drain cutoffs: a batch still running past the cutoff is
     /// censored (timed out), never panicked. The default is the DES
@@ -199,7 +165,6 @@ impl Default for RuntimeConfig {
             trace: None,
             partition_faults: Vec::new(),
             reactive: None,
-            partition_backends: Vec::new(),
             watchdog_cutoffs: des::WATCHDOG_CUTOFFS,
         }
     }
@@ -257,15 +222,9 @@ pub struct Runtime {
     /// `cfg.partition_faults` plus dynamic observations folded in at
     /// commit. The reactive scheduler steers batches toward the minimum.
     partition_health: Vec<u64>,
-    /// Virtual instant each partition's score was last decayed to
-    /// (lazy exponential decay under
-    /// [`ReactivePolicy::health_halflife_ns`]).
-    health_decayed_at: Vec<u64>,
     /// Per partition, built at construction: the fabric config every
-    /// batch on it clones (only the seed varies per batch), and where
-    /// its AG+RS jobs' Reduce-Scatters reduce (`true`: in the
-    /// switches).
-    partition_fabrics: Vec<(FabricConfig, bool)>,
+    /// batch on it clones (only the seed varies per batch).
+    partition_fabrics: Vec<FabricConfig>,
     /// Recovery accounting, accumulated at commit.
     retry: RetryStats,
     /// Accumulating trace document (`Some` iff `cfg.trace` is), its
@@ -300,22 +259,13 @@ impl Runtime {
             cfg.partition_faults.len(),
             cfg.partitions
         );
-        assert!(
-            cfg.partition_backends.is_empty() || cfg.partition_backends.len() == cfg.partitions,
-            "partition_backends must name every partition ({} backends for {} partitions)",
-            cfg.partition_backends.len(),
-            cfg.partitions
-        );
         let pool = McastGroupPool::new(cfg.pool);
         // Each partition's batch fabric, built once: the group table
         // capped at the pool capacity (overcommit would trip the switch
         // model), the runtime's trace spec (each batch records on its
         // local clock; merge shifts the events onto the virtual
         // timeline), the partition's fault schedule (replayed relative
-        // to every batch's launch, so a damaged SM domain stays damaged)
-        // and its backend, compiled once because calibrating a host
-        // model runs the backend's datapath engine. Without a backend,
-        // Reduce-Scatters reduce in the switches.
+        // to every batch's launch, so a damaged SM domain stays damaged).
         let partition_fabrics = (0..cfg.partitions)
             .map(|p| {
                 let mut fabric = cfg.fabric.clone();
@@ -324,11 +274,7 @@ impl Runtime {
                 if let Some(faults) = cfg.partition_faults.get(p) {
                     fabric.faults = faults.clone();
                 }
-                let rs_in_switch = cfg
-                    .partition_backends
-                    .get(p)
-                    .is_none_or(|kind| kind.compile(&mut fabric, cfg.proto.mtu.bytes()));
-                (fabric, rs_in_switch)
+                fabric
             })
             .collect();
         let partition_stats = vec![PartitionStats::default(); cfg.partitions];
@@ -376,7 +322,6 @@ impl Runtime {
             offered: 0,
             rejects: RejectCounts::default(),
             retry_queue: VecDeque::new(),
-            health_decayed_at: vec![0; partition_health.len()],
             partition_health,
             partition_fabrics,
             retry: RetryStats::default(),
@@ -395,9 +340,8 @@ impl Runtime {
     /// its fault schedule plus dynamic observations (drops, downtime,
     /// timeouts) folded in as its batches commit. The reactive scheduler
     /// steers new batches toward the minimum-score free partition and
-    /// quarantines partitions scoring above
-    /// [`ReactivePolicy::quarantine_score`] while a healthier one is
-    /// serving.
+    /// quarantines partitions with a positive score while a healthier
+    /// one is serving.
     pub fn partition_health_score(&self, partition: usize) -> u64 {
         self.partition_health[partition]
     }
@@ -422,10 +366,7 @@ impl Runtime {
 
     /// Distinct multicast groups a job may pin while running: one tree
     /// per subgroup (clamped to the chunk count, as the plan does) plus
-    /// the reduction tree for AG+RS jobs. Admission charges this upper
-    /// bound because the job's partition is not yet known; an AG+RS job
-    /// placed on a partition that reduces on the endpoints
-    /// ([`RuntimeConfig::partition_backends`]) pins one group fewer.
+    /// the in-switch reduction tree for AG+RS jobs.
     pub fn group_demand(&self, kind: JobKind, send_len: usize) -> u32 {
         let chunks = (self.cfg.proto.mtu.chunks_for(send_len) as u32).max(1);
         let subs = self.cfg.proto.subgroups.clamp(1, chunks);
@@ -560,19 +501,6 @@ impl Runtime {
                 return Err(RejectReason::Throttled);
             }
         }
-        // Graceful degradation under sustained faults: while the retry
-        // backlog is over the reactive policy's bound, shed new work so
-        // recovery traffic drains first.
-        if let Some(bound) = self
-            .cfg
-            .reactive
-            .as_ref()
-            .and_then(|r| r.degrade_retry_backlog)
-        {
-            if self.retry_queue.len() >= bound {
-                return Err(RejectReason::Degraded);
-            }
-        }
         if self.queue.len() >= self.cfg.admission.max_queued_total {
             return Err(RejectReason::QueueFull);
         }
@@ -676,44 +604,9 @@ impl Runtime {
         }
     }
 
-    /// Lazy exponential decay of the partition damage scores under
-    /// [`ReactivePolicy::health_halflife_ns`]: each whole half-life
-    /// elapsed since a partition's score last moved halves it (integer
-    /// shift, so the score reaches exactly zero). Called before every
-    /// placement decision; fresh damage folded in at commit restarts
-    /// the clock via [`Runtime::bump_partition_health`].
-    fn decay_partition_health(&mut self) {
-        let halflife = match self
-            .cfg
-            .reactive
-            .as_ref()
-            .and_then(|r| r.health_halflife_ns)
-        {
-            Some(h) => h.max(1),
-            None => return,
-        };
-        for p in 0..self.partition_health.len() {
-            let elapsed = self.now_ns.saturating_sub(self.health_decayed_at[p]);
-            let steps = elapsed / halflife;
-            if steps == 0 {
-                continue;
-            }
-            self.partition_health[p] >>= steps.min(63);
-            self.health_decayed_at[p] += steps * halflife;
-        }
-    }
-
-    /// Fold fresh damage into a partition's score and restart its decay
-    /// half-life clock at the current virtual instant.
-    fn bump_partition_health(&mut self, partition: usize, damage: u64) {
-        self.partition_health[partition] += damage;
-        self.health_decayed_at[partition] = self.now_ns;
-    }
-
     /// Form and launch batches while a partition is free and the next
     /// fair batch fits the pool's pinning headroom.
     fn launch_ready(&mut self, jobs: usize) {
-        self.decay_partition_health();
         // One launch's batches and outcomes, in buffers kept between
         // launches.
         let (mut newly, mut outcomes) = std::mem::take(&mut self.launch_buffers);
@@ -747,8 +640,8 @@ impl Runtime {
     /// Oblivious (the default): the lowest-index partition not occupied
     /// by an in-flight or just-formed batch. Reactive: the *lowest
     /// damage score* free partition (ties to the lowest index), and a
-    /// free partition scoring above the quarantine threshold is left
-    /// idle while any other batch is serving — feeding a known-damaged
+    /// free partition with any known damage is left idle while any
+    /// other batch is serving — feeding a known-damaged
     /// SM domain costs a watchdog timeout, so queueing is cheaper. With
     /// nothing at all in flight the best partition is used regardless of
     /// score: the engine must make progress even on an all-damaged
@@ -756,13 +649,11 @@ impl Runtime {
     fn free_partition(&self) -> Option<u32> {
         let mut free =
             (0..self.cfg.partitions as u32).filter(|&p| !self.partition_busy[p as usize]);
-        let reactive = match &self.cfg.reactive {
-            Some(r) => r,
-            None => return free.next(),
-        };
+        if self.cfg.reactive.is_none() {
+            return free.next();
+        }
         let best = free.min_by_key(|&p| (self.partition_health[p as usize], p))?;
-        let score = self.partition_health[best as usize];
-        if score > reactive.quarantine_score && self.partition_busy.contains(&true) {
+        if self.partition_health[best as usize] > 0 && self.partition_busy.contains(&true) {
             return None;
         }
         Some(best)
@@ -780,7 +671,7 @@ impl Runtime {
         {
             let infl = self.inflight.swap_remove(i);
             for job in &infl.formed.picked {
-                self.pool.unpin(self.group_keys(job, infl.formed.partition));
+                self.pool.unpin(self.group_keys(job));
             }
             self.partition_busy[infl.formed.partition as usize] = false;
             // Tenant lanes are released per job inside the merge: a
@@ -1077,7 +968,7 @@ mod tests {
             pool: PoolConfig::with_capacity(4),
             max_inflight: 2,
             partition_faults: vec![dead_fabric(&topo)],
-            reactive: Some(ReactivePolicy::default()),
+            reactive: Some(ReactivePolicy),
             watchdog_cutoffs: 4,
             ..RuntimeConfig::default()
         };
@@ -1179,7 +1070,7 @@ mod tests {
             max_inflight: 1,
             partitions: 2,
             partition_faults: vec![dead_fabric(&topo), LinkSchedule::empty()],
-            reactive: Some(ReactivePolicy::default()),
+            reactive: Some(ReactivePolicy),
             watchdog_cutoffs: 4,
             ..RuntimeConfig::default()
         };
@@ -1202,24 +1093,30 @@ mod tests {
 
     #[test]
     fn reactive_retry_recovers_on_healthy_partition() {
-        // Quarantine disabled: the scheduler still steers toward the
-        // healthy partition but will feed the damaged one when it is the
-        // only free domain. The sacrificed job times out, parks through
-        // its backoff, and the retry completes on the healthy partition.
+        // Partition 0 serializes at 1/1000 of line rate from t = 0: a
+        // degradation without a down transition, so its static score is
+        // 0 and it takes the first batch while partition 1 takes the
+        // second. The first batch times out, the job parks through its
+        // backoff, and the retry is steered to the now-cheaper partition
+        // 1, where it completes.
+        use mcag_simnet::{LinkId, LinkStateEvent};
         let topo = star(4);
+        let crawl = LinkSchedule::new(
+            (0..topo.num_links() as u32)
+                .map(|l| LinkStateEvent::degraded(0, LinkId(l), 1, 1_000))
+                .collect(),
+        );
         let cfg = RuntimeConfig {
             pool: PoolConfig::with_capacity(8),
             max_inflight: 1,
             partitions: 2,
-            partition_faults: vec![dead_fabric(&topo), LinkSchedule::empty()],
-            reactive: Some(ReactivePolicy {
-                quarantine_score: u64::MAX,
-                ..ReactivePolicy::default()
-            }),
+            partition_faults: vec![crawl, LinkSchedule::empty()],
+            reactive: Some(ReactivePolicy),
             watchdog_cutoffs: 4,
             ..RuntimeConfig::default()
         };
         let mut rt = Runtime::new(topo, cfg);
+        assert_eq!(rt.partition_health_score(0), 0, "no down transition");
         let a = rt.register_tenant("a");
         let b = rt.register_tenant("b");
         rt.submit_at(0, a, JobKind::Allgather, 16 << 10);
@@ -1230,51 +1127,15 @@ mod tests {
         assert_eq!(report.retry.timed_out_batches, 1);
         assert_eq!(report.retry.retried_jobs, 1);
         assert_eq!(report.retry.gave_up_jobs, 0);
-        assert!(report.retry.backoff_ns_sum > 0);
+        assert_eq!(report.retry.backoff_ns_sum, ReactivePolicy::BACKOFF_BASE_NS);
         let retried = report
             .jobs
             .iter()
-            .find(|j| j.attempts == 2)
-            .expect("one job was retried");
+            .find(|j| j.tenant == a)
+            .expect("tenant a's job has a record");
+        assert_eq!(retried.attempts, 2);
         assert_eq!(retried.partition, 1, "retry steered to the healthy domain");
         assert_eq!(report.partitions[0].timeouts, 1);
-    }
-
-    #[test]
-    fn degraded_admission_sheds_under_retry_backlog() {
-        // Single damaged partition, huge backoff: the first job parks in
-        // the retry backlog, a later arrival is refused as Degraded
-        // (distinct from Throttled), and the exhausted retry is recorded
-        // censored.
-        let topo = star(4);
-        let cfg = RuntimeConfig {
-            pool: PoolConfig::with_capacity(4),
-            partition_faults: vec![dead_fabric(&topo)],
-            reactive: Some(ReactivePolicy {
-                max_attempts: 2,
-                backoff_base_ns: 1_000_000_000_000,
-                backoff_cap_ns: 1_000_000_000_000,
-                degrade_retry_backlog: Some(1),
-                ..ReactivePolicy::default()
-            }),
-            watchdog_cutoffs: 4,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(topo, cfg);
-        let a = rt.register_tenant("a");
-        let b = rt.register_tenant("b");
-        rt.submit_at(0, a, JobKind::Allgather, 16 << 10);
-        // Lands after the first batch is censored (well under the 1 ms
-        // backoff), while the retry backlog holds one job.
-        rt.submit_at(100_000_000_000, b, JobKind::Allgather, 16 << 10);
-        let report = rt.run_open_loop();
-        assert_eq!(report.rejects.degraded, 1, "arrival shed while degraded");
-        assert_eq!(report.tenants[b.idx()].rejected, 1);
-        assert_eq!(report.retry.retried_jobs, 1);
-        assert_eq!(report.retry.gave_up_jobs, 1, "retry budget exhausted");
-        assert_eq!(report.completed_jobs(), 0);
-        assert_eq!(report.timed_out_jobs(), 1);
-        assert_eq!(report.jobs[0].attempts, 2);
     }
 
     #[test]
@@ -1284,8 +1145,8 @@ mod tests {
         // re-routes the tree over the surviving spine. The recovery is
         // observable in the pool counters (billed rebuild) and in
         // `RetryStats::sm_rebuilds`. A mid-batch rebuild cannot resurrect
-        // multicast data already dropped — the sweep period is at least
-        // one summed cutoff (~200 µs) while the datagrams fly in ~1 µs —
+        // multicast data already dropped — the sweep period is
+        // `SM_CHECK_CUTOFFS` summed cutoffs while the datagrams fly in ~1 µs —
         // so each attempt rebuilds once and is still censored; end-to-end
         // recovery on a dead spine comes from steering retries onto
         // healthy partitions, which this single-partition setup denies.
@@ -1307,10 +1168,7 @@ mod tests {
         let cfg = RuntimeConfig {
             pool: PoolConfig::with_capacity(4),
             partition_faults: vec![faults],
-            reactive: Some(ReactivePolicy {
-                sm_check_cutoffs: 1,
-                ..ReactivePolicy::default()
-            }),
+            reactive: Some(ReactivePolicy),
             watchdog_cutoffs: 16,
             ..RuntimeConfig::default()
         };
@@ -1329,7 +1187,7 @@ mod tests {
         );
         if let [rec] = &report.jobs[..] {
             assert!(rec.timed_out, "dead spine censors every attempt");
-            assert_eq!(rec.attempts, ReactivePolicy::default().max_attempts);
+            assert_eq!(rec.attempts, ReactivePolicy::MAX_ATTEMPTS);
             // The record carries its *final* batch's rebuild count; the
             // report totals rebuilds across all attempts.
             assert_eq!(rec.sm_rebuilds, 1);
@@ -1364,224 +1222,8 @@ mod tests {
             rt.run_open_loop()
         };
         let oblivious = run(None);
-        let reactive = run(Some(ReactivePolicy::default()));
+        let reactive = run(Some(ReactivePolicy));
         assert_eq!(oblivious, reactive);
-    }
-
-    /// One brief outage: every link down at t = 0, restored at 1 µs.
-    /// Static SM telemetry charges the partition for it, but batches
-    /// placed there still complete (retransmits cover the blip).
-    fn blip_fabric(topo: &Topology) -> LinkSchedule {
-        use mcag_simnet::{LinkId, LinkStateEvent};
-        LinkSchedule::new(
-            (0..topo.num_links() as u32)
-                .flat_map(|l| {
-                    [
-                        LinkStateEvent::down(0, LinkId(l)),
-                        LinkStateEvent::up(1_000, LinkId(l)),
-                    ]
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn health_decay_unquarantines_a_recovered_partition() {
-        // Partition 0 carries a brief historical outage (score > 0),
-        // partition 1 is clean. Two tenants arrive together late enough
-        // for many half-lives to elapse. Without decay, partition 0
-        // stays quarantined forever: the second batch of every wave
-        // queues behind partition 1 instead of running concurrently.
-        // With a half-life, the stale score reaches zero and partition 0
-        // is re-probed.
-        let topo = star(4);
-        let run = |halflife: Option<u64>| {
-            let cfg = RuntimeConfig {
-                pool: PoolConfig::with_capacity(8),
-                max_inflight: 2,
-                partitions: 2,
-                partition_faults: vec![blip_fabric(&topo), LinkSchedule::empty()],
-                reactive: Some(ReactivePolicy {
-                    health_halflife_ns: halflife,
-                    ..ReactivePolicy::default()
-                }),
-                ..RuntimeConfig::default()
-            };
-            let mut rt = Runtime::new(topo.clone(), cfg);
-            assert!(
-                rt.partition_health_score(0) > 0,
-                "SM telemetry seeds damage"
-            );
-            let a = rt.register_tenant("a");
-            let b = rt.register_tenant("b");
-            for i in 0..3u64 {
-                rt.submit_at(40_000_000 + i * 4_000_000, a, JobKind::Allgather, 16 << 10);
-                rt.submit_at(40_000_000 + i * 4_000_000, b, JobKind::Allgather, 16 << 10);
-            }
-            rt.run_open_loop()
-        };
-        let frozen = run(None);
-        assert_eq!(frozen.completed_jobs(), 6);
-        assert_eq!(
-            frozen.partitions[0].batches, 0,
-            "without decay the stale score quarantines partition 0 forever"
-        );
-        let decayed = run(Some(1_000_000));
-        assert_eq!(decayed.completed_jobs(), 6);
-        assert!(
-            decayed.partitions[0].batches > 0,
-            "after ~40 half-lives the score is zero and partition 0 serves again"
-        );
-    }
-
-    #[test]
-    fn health_decay_halves_scores_on_the_virtual_clock() {
-        // Direct check of the lazy integer decay: a blip partition
-        // starts with a known score; after a run whose arrivals sit a
-        // couple of half-lives out, the pre-placement decay has shifted
-        // the score down (and a zero-score clean partition stays zero).
-        let topo = star(4);
-        let cfg = RuntimeConfig {
-            pool: PoolConfig::with_capacity(4),
-            partitions: 2,
-            partition_faults: vec![blip_fabric(&topo), LinkSchedule::empty()],
-            reactive: Some(ReactivePolicy {
-                health_halflife_ns: Some(10_000_000),
-                ..ReactivePolicy::default()
-            }),
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(topo, cfg);
-        let seeded = rt.partition_health_score(0);
-        assert!(seeded > 0);
-        let t = rt.register_tenant("late");
-        // One arrival two half-lives out: placement decays both scores
-        // before steering, and the clean partition 1 takes the batch, so
-        // partition 0's score is exactly the seed shifted twice.
-        rt.submit_at(20_000_000, t, JobKind::Allgather, 16 << 10);
-        let report = rt.run_open_loop();
-        assert_eq!(report.completed_jobs(), 1);
-        assert!(report.jobs.iter().all(|j| j.partition == 1));
-        assert_eq!(rt.partition_health_score(0), seeded >> 2);
-        assert_eq!(rt.partition_health_score(1), 0);
-    }
-
-    #[test]
-    fn partition_backends_steer_the_endpoint_cost_model() {
-        // One partition, one tenant, two AG+RS jobs; only the backend
-        // differs. The second job finds its groups resident, so its
-        // service time is the collective alone: the BF3 DPA drains CQEs
-        // faster than the single-core host-CPU baseline, and the
-        // in-switch backend's endpoints only post descriptors (the
-        // aggregation-table bound holds on this small fabric).
-        let warm_service_ns = |backend: BackendKind| {
-            let cfg = RuntimeConfig {
-                pool: PoolConfig::with_capacity(4),
-                partition_backends: vec![backend],
-                ..RuntimeConfig::default()
-            };
-            let mut rt = Runtime::new(star(4), cfg);
-            let t = rt.register_tenant("x");
-            for _ in 0..2 {
-                rt.submit(t, JobKind::AgRs, 64 << 10).unwrap();
-            }
-            let report = rt.run_open_loop();
-            assert_eq!(report.completed_jobs(), 2, "{backend:?}");
-            assert_eq!(report.jobs[1].group_hits, report.jobs[0].group_builds);
-            report.jobs[1].service_ns()
-        };
-        let dpa = warm_service_ns(BackendKind::DpaBf3);
-        let cpu = warm_service_ns(BackendKind::HostCpu);
-        let sharp = warm_service_ns(BackendKind::SharpSwitch);
-        assert!(
-            dpa < cpu,
-            "DPA endpoint model ({dpa} ns) must beat the host-CPU baseline ({cpu} ns)"
-        );
-        assert!(sharp <= cpu, "in-switch {sharp} ns vs host CPU {cpu} ns");
-    }
-
-    #[test]
-    fn only_in_switch_partitions_pin_a_reduction_group() {
-        // A cold AG+RS job builds one tree per subgroup, plus the
-        // reduction tree only where its partition reduces in the
-        // switches; a second job of the same tenant finds every group
-        // resident, so the cold job's extra service time is exactly the
-        // builds at 200 us each.
-        let len = 64 << 10;
-        for backend in BackendKind::ALL {
-            let cfg = RuntimeConfig {
-                proto: ProtocolConfig::parallel(4, 1),
-                pool: PoolConfig::with_capacity(8),
-                partition_backends: vec![backend],
-                ..RuntimeConfig::default()
-            };
-            let mut rt = Runtime::new(star(4), cfg);
-            let subs = rt.group_demand(JobKind::Allgather, len);
-            assert_eq!(subs, 4);
-            let t = rt.register_tenant("x");
-            for _ in 0..2 {
-                rt.submit(t, JobKind::AgRs, len).unwrap();
-            }
-            let report = rt.run_open_loop();
-            assert_eq!(report.completed_jobs(), 2, "{backend:?}");
-            let (cold, warm) = (&report.jobs[0], &report.jobs[1]);
-            let builds = subs + (backend == BackendKind::SharpSwitch) as u32;
-            assert_eq!(cold.group_builds, builds, "{backend:?}");
-            assert_eq!((warm.group_hits, warm.group_builds), (builds, 0));
-            assert_eq!(
-                cold.service_ns() - warm.service_ns(),
-                builds as u64 * 200_000,
-                "{backend:?}"
-            );
-            assert_eq!(report.pool.builds, builds as u64, "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn agrs_reduces_where_its_partition_backend_computes() {
-        // Wire bytes an AG+RS job moves beyond the same Allgather alone,
-        // on a one-partition runtime with `backend`.
-        let (p, n) = (6u64, 64u64 << 10);
-        let rs_bytes = |backend: BackendKind| {
-            let moved = |kind: JobKind| {
-                let cfg = RuntimeConfig {
-                    fabric: FabricConfig::ideal(),
-                    pool: PoolConfig::with_capacity(4),
-                    partition_backends: vec![backend],
-                    ..RuntimeConfig::default()
-                };
-                let mut rt = Runtime::new(star(p as usize), cfg);
-                let t = rt.register_tenant("x");
-                rt.submit(t, kind, n as usize).unwrap();
-                let report = rt.run_open_loop();
-                assert_eq!(report.completed_jobs(), 1, "{backend:?} {kind:?}");
-                report.moved_bytes
-            };
-            moved(JobKind::AgRs) - moved(JobKind::Allgather)
-        };
-        // Reduced on the endpoints, every owner's downlink carries all
-        // P - 1 operand streams: P uplinks and P downlinks each move
-        // N(P-1), the identity `mcag-core`'s endpoint pair driver pins.
-        for backend in [
-            BackendKind::DpaBf3,
-            BackendKind::HostCpu,
-            BackendKind::FpgaSmartNic,
-        ] {
-            assert_eq!(rs_bytes(backend), 2 * p * n * (p - 1), "{backend:?}");
-        }
-        // Reduced in the switches, a downlink carries one shard.
-        assert_eq!(rs_bytes(BackendKind::SharpSwitch), p * n * (p - 1) + p * n);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition_backends must name every partition")]
-    fn mismatched_partition_backends_panic() {
-        let cfg = RuntimeConfig {
-            partitions: 2,
-            partition_backends: vec![BackendKind::DpaBf3],
-            ..RuntimeConfig::default()
-        };
-        Runtime::new(star(4), cfg);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! memo ([`super::memo`]) replays a stored [`BatchOutcome`] instead of
 //! calling [`simulate_batch`] when a batch's shape recurs. Anything
 //! `simulate_batch` reads must therefore be either part of the memo's
-//! `BatchKey` (the partition — its batch fabric and Reduce-Scatter
-//! placement — and each slot's kind, root and length: what `form_batch`
-//! varies) or constant for the lifetime of one `Runtime`
+//! `BatchKey` (the partition — its batch fabric — and each slot's kind,
+//! root and length: what `form_batch` varies) or constant for the lifetime of one `Runtime`
 //! (every other `BatchSim` field). The one per-batch input outside the
 //! key, `fabric.seed`, is read only when `FabricConfig::uses_rng()`, and
 //! then the memo is bypassed. Debug builds re-simulate every replayed
@@ -22,6 +21,7 @@
 //! clock — into a shared [`TraceRun`]. A replay of the outcome shares
 //! that run; `Runtime::take_trace` merges the committed runs.
 
+use super::ReactivePolicy;
 use crate::job::JobKind;
 use mcag_core::des::RunBounds;
 use mcag_core::multicomm::{self, Comm};
@@ -50,13 +50,13 @@ pub(super) struct BatchSim {
     ///     super::RuntimeConfig::watchdog_cutoffs
     pub(super) watchdog_cutoffs: u64,
     /// Reactive SM recovery: diagnose dead switches mid-run and re-route
-    /// multicast trees around them, every this many summed cutoffs
-    /// ([`ReactivePolicy::sm_check_cutoffs`]). `None` on an oblivious
-    /// runtime, which never sweeps.
+    /// multicast trees around them, every
+    /// [`ReactivePolicy::SM_CHECK_CUTOFFS`] summed cutoffs. `false` on
+    /// an oblivious runtime, which never sweeps.
     ///
-    /// [`ReactivePolicy::sm_check_cutoffs`]:
-    ///     super::ReactivePolicy::sm_check_cutoffs
-    pub(super) sm_check_cutoffs: Option<u64>,
+    /// [`ReactivePolicy::SM_CHECK_CUTOFFS`]:
+    ///     super::ReactivePolicy::SM_CHECK_CUTOFFS
+    pub(super) sm_sweep: bool,
 }
 
 /// What one simulated batch produced (simulated-time results only; the
@@ -124,28 +124,28 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
         &sim.proto,
         &sim.comms,
         bounds,
-        |fab, total_cutoff, watchdog| match sim.sm_check_cutoffs {
+        |fab, total_cutoff, watchdog| {
+            if !sim.sm_sweep || sim.fabric.faults.is_empty() {
+                return fab.run_until(watchdog);
+            }
             // Reactive SM sweep: run in slices; at each checkpoint
             // diagnose fully-dead switches from the health snapshot and
             // re-route any multicast tree that crosses one. Checkpoint
             // times are pure functions of the batch's cutoffs, so
             // recovery is as deterministic as the failure.
-            Some(check_cutoffs) if !sim.fabric.faults.is_empty() => {
-                let step = total_cutoff.saturating_mul(check_cutoffs.max(1));
-                let mut deadline = step.min(watchdog.as_ns());
-                loop {
-                    let stats = fab.run_until(SimTime::from_ns(deadline));
-                    if stats.all_done() || deadline >= watchdog.as_ns() {
-                        break stats;
-                    }
-                    let dead = fab.dead_switches();
-                    if !dead.is_empty() {
-                        sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
-                    }
-                    deadline = deadline.saturating_add(step).min(watchdog.as_ns());
+            let step = total_cutoff.saturating_mul(ReactivePolicy::SM_CHECK_CUTOFFS);
+            let mut deadline = step.min(watchdog.as_ns());
+            loop {
+                let stats = fab.run_until(SimTime::from_ns(deadline));
+                if stats.all_done() || deadline >= watchdog.as_ns() {
+                    break stats;
                 }
+                let dead = fab.dead_switches();
+                if !dead.is_empty() {
+                    sm_rebuilds += fab.rebuild_groups_avoiding(&dead);
+                }
+                deadline = deadline.saturating_add(step).min(watchdog.as_ns());
             }
-            _ => fab.run_until(watchdog),
         },
     );
     let watchdog = out.deadline.as_ns();

@@ -144,9 +144,6 @@ pub struct RejectCounts {
     pub queue_full: u64,
     /// Per-tenant quota refusals.
     pub tenant_quota: u64,
-    /// Fault-degraded refusals: the reactive scheduler's retry backlog
-    /// exceeded its bound, so new work was shed to protect recovery.
-    pub degraded: u64,
 }
 
 impl RejectCounts {
@@ -161,7 +158,6 @@ impl RejectCounts {
             RejectReason::Throttled => self.throttled += 1,
             RejectReason::QueueFull => self.queue_full += 1,
             RejectReason::TenantQuota => self.tenant_quota += 1,
-            RejectReason::Degraded => self.degraded += 1,
         }
     }
 
@@ -175,7 +171,6 @@ impl RejectCounts {
             + self.throttled
             + self.queue_full
             + self.tenant_quota
-            + self.degraded
     }
 }
 

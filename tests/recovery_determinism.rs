@@ -9,16 +9,17 @@
 //! * the retry pipeline is observable end to end: a dead fabric censors
 //!   every attempt, the retry counters reconcile, and the record carries
 //!   the attempt count;
-//! * the golden scenario's trace, censored batches included, is pinned
-//!   byte for byte: its `Debug` rendering and its Chrome export.
+//! * the oblivious golden scenario's trace under a switch failure,
+//!   censored batches overlapping later ones included, is pinned byte
+//!   for byte: its `Debug` rendering and its Chrome export.
 
 mod common;
 
 use mcag_bench::recoveryfigs::{run_one, RecoveryFault, RecoveryRun};
 use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::runtime::{
-    JobKind, OpMix, PoolConfig, RateProcess, ReactivePolicy, Runtime, RuntimeConfig, RuntimeReport,
-    RuntimeTrace, TraceSpec, Workload,
+    BatchSpan, JobKind, JobRecord, OpMix, PoolConfig, RateProcess, ReactivePolicy, Runtime,
+    RuntimeConfig, RuntimeReport, RuntimeTrace, TraceSpec, Workload,
 };
 use mcast_allgather::simnet::{LinkSchedule, Topology};
 use mcast_allgather::trace::{export_chrome, ChromeOptions};
@@ -37,15 +38,13 @@ const FLAPPING: FaultModel = FaultModel::FlappingPort {
     end_ns: 8_000_000,
 };
 
-/// The golden scenario: two partitions, `hazard` on partition 0, six
-/// tenants offering a Poisson mix, reactive (`Some`) or oblivious
-/// scheduling.
-fn golden_run(
+/// The golden runtime: two partitions, `hazard` on partition 0, six
+/// tenants, reactive (`Some`) or oblivious scheduling; nothing submitted.
+fn golden_runtime(
     hazard: FaultModel,
     reactive: Option<ReactivePolicy>,
-    jobs: usize,
     spec: Option<TraceSpec>,
-) -> (RuntimeReport, Option<RuntimeTrace>) {
+) -> Runtime {
     let topo = golden_topo();
     let hazard = FaultPlan::new(0xC0FE).with(hazard).compile(&topo);
     let mut rt = Runtime::new(
@@ -64,6 +63,18 @@ fn golden_run(
     for i in 0..6 {
         rt.register_tenant(&format!("t{i}"));
     }
+    rt
+}
+
+/// The golden scenario: the golden runtime with its six tenants offering
+/// a Poisson mix.
+fn golden_run(
+    hazard: FaultModel,
+    reactive: Option<ReactivePolicy>,
+    jobs: usize,
+    spec: Option<TraceSpec>,
+) -> (RuntimeReport, Option<RuntimeTrace>) {
+    let mut rt = golden_runtime(hazard, reactive, spec);
     let workload = Workload {
         tenants: 6,
         horizon_ns: 600_000 * 12,
@@ -90,13 +101,13 @@ fn golden_run(
 fn reactive_faulted_run_identical_across_worker_counts() {
     let (r1, t1) = golden_run(
         FLAPPING,
-        Some(ReactivePolicy::default()),
+        Some(ReactivePolicy),
         1,
         Some(TraceSpec::default()),
     );
     let (r4, t4) = golden_run(
         FLAPPING,
-        Some(ReactivePolicy::default()),
+        Some(ReactivePolicy),
         4,
         Some(TraceSpec::default()),
     );
@@ -114,37 +125,67 @@ fn reactive_faulted_run_identical_across_worker_counts() {
     );
 }
 
-/// FNV-1a of `format!("{trace:?}")` for the reactive golden scenario
-/// under a switch failure, recorded before the trace harvest merged
-/// per-batch sorted runs instead of sorting the whole trace.
-const CENSORED_TRACE_DIGEST: u64 = 11_739_865_677_123_726_179;
+/// FNV-1a of `format!("{trace:?}")` for the oblivious golden scenario
+/// under a switch failure.
+const CENSORED_TRACE_DIGEST: u64 = 590_875_770_147_001_217;
 /// FNV-1a of that trace's Chrome export under default options.
-const CENSORED_EXPORT_DIGEST: u64 = 5_389_381_624_312_786_016;
+const CENSORED_EXPORT_DIGEST: u64 = 165_627_641_603_987_388;
+
+/// The hazard of the censored-trace test: two switches down from 2 µs
+/// for 5 ms of every batch on partition 0.
+const SWITCH_FAILURE: FaultModel = FaultModel::SwitchFailure {
+    switches: 2,
+    start_ns: 2_000,
+    downtime_ns: 5_000_000,
+};
+
+/// The last instant `job` records a fabric event at, on its own batch
+/// fabric's clock: the job alone on a fresh golden runtime. A batch's
+/// fabric run is a function of its partition and its slots alone, so a
+/// one-job batch records the same events wherever it runs.
+fn last_local_event_ns(job: &JobRecord) -> u64 {
+    let mut rt = golden_runtime(SWITCH_FAILURE, None, Some(TraceSpec::default()));
+    rt.submit(job.tenant, job.kind, job.send_len).unwrap();
+    let report = rt.run_open_loop();
+    assert_eq!(report.jobs[0].partition, job.partition);
+    let trace = rt.take_trace().expect("tracing was on");
+    let batch = &trace.batches[0];
+    trace
+        .fabric
+        .last()
+        .expect("the batch recorded events")
+        .at_ns()
+        - batch.start_ns
+        - batch.setup_ns
+}
 
 #[test]
 fn censored_traced_run_keeps_its_bytes() {
-    // A censored batch records events past its own cutoff, so its
-    // fabric events overlap later batches': here batch 0 is cut at
-    // 3.0 ms on partition 0 and records until 6.3 ms, while batch 6
-    // starts there at 4.2 ms. The trace harvest must not assume runs on
-    // one partition are disjoint. Quarantine is off and the damage score
-    // decays fast, so the damaged partition keeps taking batches.
-    let switch_failure = FaultModel::SwitchFailure {
-        switches: 2,
-        start_ns: 2_000,
-        downtime_ns: 5_000_000,
-    };
-    let policy = ReactivePolicy {
-        quarantine_score: u64::MAX,
-        health_halflife_ns: Some(20_000),
-        ..ReactivePolicy::default()
-    };
-    let (report, trace) = golden_run(switch_failure, Some(policy), 1, Some(TraceSpec::default()));
+    let (report, trace) = golden_run(SWITCH_FAILURE, None, 1, Some(TraceSpec::default()));
     assert!(
         report.retry.timed_out_batches > 0,
         "the scenario must censor a batch"
     );
     let trace = trace.expect("tracing was on");
+    // A censored batch records events past its own cutoff (packets
+    // queued behind a down link start when it comes back up), so its
+    // fabric events run past the start of a later batch on its
+    // partition. The trace harvest must not assume runs on one
+    // partition are disjoint.
+    let reaches_a_later_batch = |cut: &BatchSpan| {
+        let job = report.jobs.iter().find(|j| j.batch == cut.batch).unwrap();
+        if cut.jobs != 1 || !job.timed_out {
+            return false;
+        }
+        let last_ns = cut.start_ns + cut.setup_ns + last_local_event_ns(job);
+        trace.batches.iter().any(|b| {
+            b.partition == cut.partition && b.start_ns >= cut.end_ns && b.start_ns < last_ns
+        })
+    };
+    assert!(
+        trace.batches.iter().any(reaches_a_later_batch),
+        "no censored batch's events reach into a later batch on its partition"
+    );
     let export = export_chrome(&trace, &ChromeOptions::default());
     assert_eq!(
         (common::fnv64(&format!("{trace:?}")), common::fnv64(&export)),
@@ -207,13 +248,12 @@ fn retry_counters_reconcile_on_a_dead_fabric() {
             })
             .collect(),
     );
-    let policy = ReactivePolicy::default();
     let mut rt = Runtime::new(
         topo,
         RuntimeConfig {
             pool: PoolConfig::with_capacity(8),
             partition_faults: vec![all_down],
-            reactive: Some(policy),
+            reactive: Some(ReactivePolicy),
             watchdog_cutoffs: 4,
             ..RuntimeConfig::default()
         },
@@ -226,7 +266,7 @@ fn retry_counters_reconcile_on_a_dead_fabric() {
     assert_eq!(report.retry.gave_up_jobs, 1);
     assert_eq!(
         report.retry.retried_jobs,
-        (policy.max_attempts - 1) as u64,
+        (ReactivePolicy::MAX_ATTEMPTS - 1) as u64,
         "every attempt but the last is a retry"
     );
     assert!(
@@ -235,7 +275,7 @@ fn retry_counters_reconcile_on_a_dead_fabric() {
     );
     let rec = &report.jobs[0];
     assert!(rec.timed_out);
-    assert_eq!(rec.attempts, policy.max_attempts);
+    assert_eq!(rec.attempts, ReactivePolicy::MAX_ATTEMPTS);
     // Censored sojourn is surfaced in the tenant aggregates too.
     assert_eq!(report.tenants[0].timed_out, 1);
     assert!(report.tenants[0].censored_ns_sum >= rec.latency_ns());
