@@ -185,7 +185,7 @@ impl RankApp<()> for ScheduleApp {
         self.progress(ctx);
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ()>, cqe: Cqe, _payload: Payload<()>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ()>, cqe: &Cqe, _payload: &Payload<()>) {
         assert_eq!(cqe.opcode, CqeOpcode::Recv);
         let (flow, _) = FLOW_TAG.unpack(cqe.imm.expect("baseline chunk without flow tag"));
         let src = cqe.src.expect("chunk without source");

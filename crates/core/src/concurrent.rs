@@ -172,7 +172,7 @@ impl RankApp<ControlMsg> for RsApp {
         ctx.notify_tx_drained(self.qp, self.token_base + RS_TX_TOKEN);
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, _payload: Payload<ControlMsg>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe, _payload: &Payload<ControlMsg>) {
         assert_eq!(cqe.opcode, CqeOpcode::Recv);
         let (coll, psn) = self.imm.unpack(cqe.imm.expect("shard chunk without imm"));
         assert_eq!(coll, self.coll, "crossed collective traffic");

@@ -383,7 +383,7 @@ impl RankApp<ControlMsg> for MultiCommApp {
         self.open.open = self.slots.iter().filter(|s| !s.released()).count() as u32;
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe, payload: &Payload<ControlMsg>) {
         self.on_slot(self.owner(cqe.qp), ctx, |slot, ctx| match &mut slot.rs {
             Some(rs) if cqe.qp == rs.qp() => rs.on_cqe(ctx, cqe, payload),
             _ => slot.ag.on_cqe(ctx, cqe, payload),

@@ -295,7 +295,7 @@ impl McastRankApp {
         }
     }
 
-    fn handle_chunk(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe) {
+    fn handle_chunk(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe) {
         let imm = cqe.imm.expect("multicast datagram without immediate");
         let (coll, psn) = self.plan.imm_layout().unpack(imm);
         assert_eq!(coll, self.plan.coll_id(), "crossed collective traffic");
@@ -312,8 +312,8 @@ impl McastRankApp {
         }
     }
 
-    fn handle_ctrl(&mut self, ctx: &mut Ctx<'_, ControlMsg>, src: Rank, msg: ControlMsg) {
-        match msg {
+    fn handle_ctrl(&mut self, ctx: &mut Ctx<'_, ControlMsg>, src: Rank, msg: &ControlMsg) {
+        match *msg {
             ControlMsg::Barrier { round } => {
                 let actions = self.barrier.on_msg(round);
                 self.run_barrier_actions(ctx, actions);
@@ -328,8 +328,8 @@ impl McastRankApp {
                 self.final_received = true;
                 self.maybe_release(ctx);
             }
-            ControlMsg::FetchReq { ranges } => self.serve_fetch(ctx, src, ranges),
-            ControlMsg::FetchAck { ranges } => self.issue_reads(ctx, ranges),
+            ControlMsg::FetchReq { ref ranges } => self.serve_fetch(ctx, src, ranges),
+            ControlMsg::FetchAck { ref ranges } => self.issue_reads(ctx, ranges),
         }
     }
 
@@ -340,7 +340,7 @@ impl McastRankApp {
     /// scheme of Section III-C. Waiting for *completeness* instead would
     /// deadlock when every rank misses a chunk its left neighbor also
     /// misses.
-    fn serve_fetch(&mut self, ctx: &mut Ctx<'_, ControlMsg>, requester: Rank, ranges: RangeList) {
+    fn serve_fetch(&mut self, ctx: &mut Ctx<'_, ControlMsg>, requester: Rank, ranges: &RangeList) {
         let mut have = RangeList::new();
         let mut owe = RangeList::new();
         for r in ranges.iter() {
@@ -380,7 +380,7 @@ impl McastRankApp {
 
     /// RDMA-Read the still-missing parts of the ACKed ranges from the
     /// left neighbor's receive buffer (identical layout on every rank).
-    fn issue_reads(&mut self, ctx: &mut Ctx<'_, ControlMsg>, ranges: RangeList) {
+    fn issue_reads(&mut self, ctx: &mut Ctx<'_, ControlMsg>, ranges: &RangeList) {
         let left = self.left();
         for acked in ranges.iter() {
             for r in self.bitmap.missing_runs_in(acked.clone()) {
@@ -469,7 +469,7 @@ impl RankApp<ControlMsg> for McastRankApp {
         self.run_barrier_actions(ctx, actions);
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, payload: Payload<ControlMsg>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe, payload: &Payload<ControlMsg>) {
         match (cqe.opcode, payload) {
             (CqeOpcode::Recv, Payload::Msg(m)) => {
                 let src = cqe.src.expect("control message without source");
@@ -594,11 +594,11 @@ mod tests {
             }
         }
 
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: Cqe, p: Payload<ControlMsg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe, p: &Payload<ControlMsg>) {
             match (self, p) {
                 (Node::Leaf(app), p) => app.on_cqe(ctx, cqe, p),
                 (Node::Root(s), Payload::Msg(ControlMsg::FetchAck { ranges })) => {
-                    s.acks.push(ranges)
+                    s.acks.push(ranges.clone())
                 }
                 (Node::Root(_), _) => {}
             }

@@ -80,7 +80,12 @@ pub trait RankApp<M>: Send {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>);
 
     /// A completion surfaced from one of this rank's RX workers.
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, M>, cqe: Cqe, payload: Payload<M>);
+    ///
+    /// The fabric lends the CQE and its payload for the callback only: a
+    /// multicast chunk's completion is built once and lent to every rank
+    /// of its run, and a control message is dropped when the callback
+    /// returns. An app keeps what it needs by copying it out.
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, M>, cqe: &Cqe, payload: &Payload<M>);
 
     /// A timer set via [`Ctx::set_timer`] fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: u64);
@@ -98,7 +103,7 @@ impl<M: 'static> RankApp<M> for Box<dyn RankApp<M>> {
         (**self).on_start(ctx);
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, M>, cqe: Cqe, payload: Payload<M>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, M>, cqe: &Cqe, payload: &Payload<M>) {
         (**self).on_cqe(ctx, cqe, payload);
     }
 
@@ -117,7 +122,7 @@ pub struct Ctx<'a, M> {
     pub(crate) rank: Rank,
 }
 
-impl<M: Clone + 'static> Ctx<'_, M> {
+impl<M: 'static> Ctx<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.inner.now()

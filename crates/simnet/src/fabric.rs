@@ -76,14 +76,17 @@
 //! beyond two wait in one recycled word arena. Each run is dispatched
 //! in one pass. An arrive run's packet multicast header is read from
 //! the slab once, and every copy replicates or delivers from it. A
-//! completion run's CQE and payload are built from the slab once, and
-//! each member then costs its reference, its receive repost and its app
-//! callback; since the last rank may finish halfway through the run, the
-//! pass stops there and leaves the rest under a cursor that a later
-//! `run_until` resumes. A copy's serialization time comes from a memo of
-//! one entry per `(rate, wire size)` that checks the entry it read last
-//! before it hashes, so the 128-bit division runs once per packet size,
-//! not per link crossed. Each NIC's arbiter finds its next send queue
+//! completion run's CQE and payload are built from the slab once and
+//! lent to every member's app callback, so each member then costs its
+//! reference, its receive repost and the callback; since the last rank
+//! may finish halfway through the run, the pass stops there and leaves
+//! the rest under a cursor that a later `run_until` resumes. A host copy
+//! costs one read of its group's attachment table, which names the
+//! receiving QP's place in the QP table, and one read of that QP; it
+//! reads nothing of its NIC. A copy's serialization time comes from a
+//! memo of one entry per `(rate, wire size)` that checks the entry it
+//! read last before it hashes, so the 128-bit division runs once per
+//! packet size, not per link crossed. Each NIC's arbiter finds its next send queue
 //! with a bit scan of the set of its non-empty queues instead of
 //! visiting every queue.
 //!
@@ -575,8 +578,10 @@ pub struct Inner<M> {
     /// rank, rank-major.
     workers: Vec<SimTime>,
     /// Receiving QP of each rank for each group, at `group · ranks +
-    /// rank` ([`NIL`] where the rank attached none) — consulted once per
-    /// multicast delivery, so it is a dense table, not a map.
+    /// rank`, as its index into `qps` ([`NIL`] where the rank attached
+    /// none) — read once per multicast host copy, which then reads the QP
+    /// and nothing of its NIC, so it is a dense table, not a map. A QP
+    /// inserted into `qps` ahead of an attached one moves its entry on.
     group_attach: Vec<u32>,
     /// In-flight packets: `PktRef` handles index here.
     pkt_slab: Slab<SlabEntry>,
@@ -637,7 +642,7 @@ pub struct Fabric<M, A: RankApp<M> = Box<dyn RankApp<M>>> {
     started: bool,
 }
 
-impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
+impl<M: 'static, A: RankApp<M>> Fabric<M, A> {
     /// Create a fabric over `topo` with the given configuration. Apps and
     /// QPs must be registered before [`Fabric::run`]. `topo` is an owned
     /// [`Topology`] or an `Arc` of one — callers that build many fabrics
@@ -729,8 +734,19 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             "worker {worker} out of range ({workers} workers)"
         );
         let depth = u32::try_from(self.inner.cfg.host.rq_depth).unwrap_or(u32::MAX);
+        let Inner {
+            nics,
+            qps,
+            group_attach,
+            ..
+        } = &mut self.inner;
+        let nic = &mut nics[rank.idx()];
+        let qpn = QpNum(nic.qp_len);
+        let local = u16::try_from(qpn.0)
+            .unwrap_or_else(|_| panic!("{rank} already has 65,536 QPs, the most a NIC holds"));
         let state = QpState {
             transport,
+            local,
             worker: worker as u32,
             rq_avail: depth,
             rq_depth: depth,
@@ -738,23 +754,22 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             tx_tail: NIL,
             drains: 0,
         };
-        let Inner { nics, qps, .. } = &mut self.inner;
-        let nic = &mut nics[rank.idx()];
-        let qpn = QpNum(nic.qp_len);
-        assert!(
-            qpn.0 <= u16::MAX.into(),
-            "{rank} already has 65,536 QPs, the most a NIC holds"
-        );
         if nic.qp_len == 0 {
             nic.qp_base = qps.len() as u32;
         }
         // Drivers add QPs rank by rank, so this is an append; a QP added
-        // to an earlier rank shifts the later ranks' tables up by one.
+        // to an earlier rank shifts the later ranks' tables, and the
+        // attachments of their QPs, up by one.
         let at = nic.qp_base + nic.qp_len;
         if at as usize != qps.len() {
             for (r, other) in nics.iter_mut().enumerate() {
                 if r != rank.idx() && other.qp_len > 0 && other.qp_base >= at {
                     other.qp_base += 1;
+                }
+            }
+            for g in group_attach.iter_mut() {
+                if *g != NIL && *g >= at {
+                    *g += 1;
                 }
             }
         }
@@ -821,7 +836,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             "only UD/UC QPs can join multicast groups"
         );
         let at = group.0 as usize * self.inner.nics.len() + rank.idx();
-        self.inner.group_attach[at] = qp.0;
+        self.inner.group_attach[at] = self.inner.qp_index(rank, qp.0 as usize) as u32;
     }
 
     /// Install the protocol endpoint for `rank`. Apps are installed in
@@ -1042,7 +1057,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
                 let (cqe, payload) = self.inner.completion(pkt, qp_idx);
                 self.inner.consume_cqe(rank, qp_idx, pkt, repost);
                 let (app, mut ctx) = self.app(rank);
-                app.on_cqe(&mut ctx, cqe, payload);
+                app.on_cqe(&mut ctx, &cqe, &payload);
             }
             Ev::Timer { rank, token } => {
                 let (app, mut ctx) = self.app(rank);
@@ -1057,14 +1072,14 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     }
 
     /// Dispatch the CQE run under `cursor` from its member `cursor.next`
-    /// on, in one pass: the CQE and payload are built from the slab once,
-    /// and each member costs only its reference, its receive repost and
-    /// its app callback. Every member but the popped first is counted as
-    /// the queue's pop of a separate entry would be, and between two
-    /// members the pass samples the queue depth and checks the event cap,
-    /// exactly as the event loop does between entries. When the last rank
-    /// finishes before the last member, the rest stays under the cursor
-    /// for a later `run_until`.
+    /// on, in one pass: the CQE and payload are built from the slab once
+    /// and lent to every member, which costs only its reference, its
+    /// receive repost and its app callback. Every member but the popped
+    /// first is counted as the queue's pop of a separate entry would be,
+    /// and between two members the pass samples the queue depth and
+    /// checks the event cap, exactly as the event loop does between
+    /// entries. When the last rank finishes before the last member, the
+    /// rest stays under the cursor for a later `run_until`.
     fn cqe_run(&mut self, cursor: RunCursor) {
         let Ev::CqeRun {
             pkt,
@@ -1095,7 +1110,7 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
             }
             self.inner.consume_cqe(rank, qp_idx, pkt, repost);
             let (app, mut ctx) = self.app(rank);
-            app.on_cqe(&mut ctx, cqe, payload.clone());
+            app.on_cqe(&mut ctx, &cqe, &payload);
         }
     }
 
@@ -1109,18 +1124,33 @@ impl<M: Clone + 'static, A: RankApp<M>> Fabric<M, A> {
     }
 }
 
-impl<M: Clone + 'static> Inner<M> {
+impl<M: 'static> Inner<M> {
+    /// Where `rank`'s QP `qi` sits in `qps`. Panics, naming both, when
+    /// `rank` has no such QP.
+    #[inline]
+    fn qp_index(&self, rank: Rank, qi: usize) -> usize {
+        let nic = &self.nics[rank.idx()];
+        assert!(qi < nic.qp_len as usize, "{rank} has no QP {qi}");
+        nic.qp_base as usize + qi
+    }
+
     /// `rank`'s QP `qi`.
     #[inline]
     fn qp(&self, rank: Rank, qi: usize) -> &QpState {
-        &self.qps[self.nics[rank.idx()].qp_index(qi)]
+        &self.qps[self.qp_index(rank, qi)]
     }
 
     /// `rank`'s QP `qi`, mutably.
     #[inline]
     fn qp_mut(&mut self, rank: Rank, qi: usize) -> &mut QpState {
-        let i = self.nics[rank.idx()].qp_index(qi);
+        let i = self.qp_index(rank, qi);
         &mut self.qps[i]
+    }
+
+    /// The slot in `workers` of `rank`'s RX worker `worker`.
+    #[inline]
+    fn worker_slot(&self, rank: Rank, worker: u32) -> usize {
+        rank.idx() * self.cfg.host.rx_workers.max(1) + worker as usize
     }
 
     /// Current simulated time.
@@ -1149,8 +1179,8 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     pub(crate) fn notify_tx_drained(&mut self, rank: Rank, qp: QpNum, token: u64) {
-        let nic = &self.nics[rank.idx()];
-        let state = &mut self.qps[nic.qp_index(qp.0 as usize)];
+        let i = self.qp_index(rank, qp.0 as usize);
+        let (nic, state) = (&self.nics[rank.idx()], &mut self.qps[i]);
         if state.tx_head == NIL {
             let at = nic.tx_free_at.max(self.q.now());
             self.q.schedule_at(at, Ev::TxDrained { rank, token });
@@ -1529,8 +1559,8 @@ impl<M: Clone + 'static> Inner<M> {
     }
 
     fn enqueue_tx(&mut self, src: Rank, qp: QpNum, wqe: Wqe) {
-        let nic = &mut self.nics[src.idx()];
-        let state = &mut self.qps[nic.qp_index(qp.0 as usize)];
+        let i = self.qp_index(src, qp.0 as usize);
+        let (nic, state) = (&mut self.nics[src.idx()], &mut self.qps[i]);
         let node = self.wqes.insert(WqeNode { wqe, next: NIL });
         match state.tx_tail {
             NIL => {
@@ -1644,8 +1674,8 @@ impl<M: Clone + 'static> Inner<M> {
 
     /// Remove the request at the head of `src`'s send queue `qi`.
     fn pop_tx(&mut self, src: Rank, qi: usize) {
-        let nic = &mut self.nics[src.idx()];
-        let state = &mut self.qps[nic.qp_index(qi)];
+        let i = self.qp_index(src, qi);
+        let (nic, state) = (&mut self.nics[src.idx()], &mut self.qps[i]);
         state.tx_head = self.wqes.remove(state.tx_head).next;
         if state.tx_head == NIL {
             state.tx_tail = NIL;
@@ -1720,8 +1750,8 @@ impl<M: Clone + 'static> Inner<M> {
         } else {
             self.release_pkt(pr);
         }
-        let nic = &mut self.nics[rank.idx()];
-        let state = &mut self.qps[nic.qp_index(qi)];
+        let i = self.qp_index(rank, qi);
+        let (nic, state) = (&mut self.nics[rank.idx()], &mut self.qps[i]);
         if state.tx_head == NIL && state.drains > 0 {
             // Tell the app this QP is done sending, in the order it asked.
             state.drains = 0;
@@ -1814,14 +1844,14 @@ impl<M: Clone + 'static> Inner<M> {
             // Hosts on the tree but not attached (e.g. sender's own copy
             // in degenerate trees) silently discard.
             NIL => self.release_pkt(pr),
-            qi => self.deliver(rank, in_link, pr, qi as usize, (h.origin.0, h.psn, rank.0)),
+            g => self.deliver(rank, in_link, pr, g as usize, (h.origin.0, h.psn, rank.0)),
         }
     }
 
     /// A routed packet — unicast or a reduced shard — reaches `rank`: the
     /// target NIC answers a read request in hardware, with no CPU
     /// involvement (RC one-sided semantics); anything else completes on
-    /// the QP it names, as it is.
+    /// the QP it names, as it is, and a QP `rank` lacks panics.
     fn deliver_at_host(&mut self, rank: Rank, pr: PktRef) {
         let p = self.pkt(pr);
         let (requester, req_qp) = (p.src, p.dst_qp);
@@ -1838,22 +1868,20 @@ impl<M: Clone + 'static> Inner<M> {
                     PacketKind::UnicastData,
                 );
             }
-            _ => self.schedule_cqe(rank, req_qp.0 as usize, pr, false),
+            _ => {
+                let qp = &self.qps[self.qp_index(rank, req_qp.0 as usize)];
+                let slot = self.worker_slot(rank, qp.worker);
+                self.schedule_cqe(rank, qp.local, slot, pr, false);
+            }
         }
     }
 
-    /// Deliver the multicast copy `pr` two-sided into QP `qp_idx` of
-    /// `rank`: unless the forced drop model names it by `key`
-    /// `(origin, psn, rank)`, it consumes a pre-posted receive or is
-    /// RNR-dropped.
-    fn deliver(
-        &mut self,
-        rank: Rank,
-        in_link: LinkId,
-        pr: PktRef,
-        qp_idx: usize,
-        key: (u32, u32, u32),
-    ) {
+    /// Deliver the multicast copy `pr` two-sided into `rank`'s QP `qps[g]`:
+    /// unless the forced drop model names it by `key` `(origin, psn,
+    /// rank)`, it consumes a pre-posted receive or is RNR-dropped. The QP
+    /// holds all the delivery reads of it: its receive slots, its RX
+    /// worker and its rank-local number.
+    fn deliver(&mut self, rank: Rank, in_link: LinkId, pr: PktRef, g: usize, key: (u32, u32, u32)) {
         // Forced drop injection; the emptiness guard keeps the hash
         // lookup off the common (no-injection) delivery path.
         if !self.cfg.drops.forced.is_empty() && self.cfg.drops.forced.contains(&key) {
@@ -1862,25 +1890,25 @@ impl<M: Clone + 'static> Inner<M> {
             self.trace_drop(in_link, DropCause::Forced);
             return self.release_pkt(pr);
         }
-        let qp = &mut self.qps[self.nics[rank.idx()].qp_index(qp_idx)];
+        let qp = &mut self.qps[g];
         if qp.rq_avail == 0 {
             self.nics[rank.idx()].rnr_drops += 1;
             self.trace_drop(in_link, DropCause::Rnr);
             return self.release_pkt(pr);
         }
         qp.rq_avail -= 1;
-        self.schedule_cqe(rank, qp_idx, pr, true);
+        let (local, worker) = (qp.local, qp.worker);
+        let slot = self.worker_slot(rank, worker);
+        self.schedule_cqe(rank, local, slot, pr, true);
     }
 
-    /// Queue the packet's completion through its QP's RX worker; the
-    /// handle transfers to the `CqeDone` event (CQE contents are derived
-    /// from the slab entry at dispatch time).
-    fn schedule_cqe(&mut self, rank: Rank, qp_idx: usize, pr: PktRef, repost: bool) {
+    /// Queue the packet's completion on `rank`'s QP `qp_idx` through the
+    /// RX worker at `slot` of `workers`; the handle transfers to the
+    /// `CqeDone` event (CQE contents are derived from the slab entry at
+    /// dispatch time).
+    fn schedule_cqe(&mut self, rank: Rank, qp_idx: u16, slot: usize, pr: PktRef, repost: bool) {
         let now = self.q.now();
-        let worker = self.qps[self.nics[rank.idx()].qp_range()]
-            .get(qp_idx)
-            .map_or(0, |q| q.worker as usize);
-        let busy = &mut self.workers[rank.idx() * self.cfg.host.rx_workers.max(1) + worker];
+        let busy = &mut self.workers[slot];
         let visible = now + self.cfg.host.rx_cqe_dma_ns;
         let start = visible.max(*busy);
         let done = start + self.cfg.host.rx_proc_ns_per_cqe;
@@ -1892,7 +1920,7 @@ impl<M: Clone + 'static> Inner<M> {
                 t.record(TraceEvent::Deliver {
                     at_ns: done.as_ns(),
                     rank: rank.0,
-                    qp: qp_idx as u32,
+                    qp: qp_idx.into(),
                     bytes,
                 });
             }
@@ -1901,7 +1929,7 @@ impl<M: Clone + 'static> Inner<M> {
             done,
             Ev::CqeDone {
                 rank,
-                qp_idx: u16::try_from(qp_idx).expect("a NIC has at most 65,536 QPs"),
+                qp_idx,
                 repost,
                 pkt: pr,
             },
@@ -1947,7 +1975,7 @@ mod tests {
             }
         }
 
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, _payload: &Payload<Msg>) {
             assert!(cqe.is_recv_success());
             self.got += 1;
             self.got_at = Some(ctx.now());
@@ -2139,6 +2167,126 @@ mod tests {
                 (2, Transport::Ud)
             ]
         );
+    }
+
+    /// Rank 0 multicasts chunks `0..n` on QP 0 to group `a` and chunks
+    /// `n..2n` on QP 1 to group `b`; rank 1 records each completion.
+    struct TwoGroups {
+        groups: [McastGroupId; 2],
+        n: u32,
+        got: Vec<(u32, QpNum, SimTime)>,
+    }
+
+    impl RankApp<Msg> for TwoGroups {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            if ctx.rank() == Rank(0) {
+                for psn in 0..2 * self.n {
+                    let k = psn / self.n;
+                    let (qp, group) = (QpNum(k), self.groups[k as usize]);
+                    ctx.post_mcast_chunk(qp, group, ImmData(psn), Rank(0), psn, 4096);
+                }
+                ctx.mark_done();
+            }
+        }
+
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, payload: &Payload<Msg>) {
+            let &Payload::Chunk { psn, .. } = payload else {
+                panic!("expected a data chunk");
+            };
+            self.got.push((psn, cqe.qp, ctx.now()));
+            if self.got.len() == 2 * self.n as usize {
+                ctx.mark_done();
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+    }
+
+    #[test]
+    fn attachments_follow_qps_shifted_by_an_earlier_rank() {
+        // Rank 1's QPs are wired and attached, and then a QP added to
+        // rank 0 shifts rank 1's slice of the QP table: group `a`'s copies
+        // must still complete on rank 1's QP 1 through its worker 1, and
+        // group `b`'s on its QP 0 through worker 0. Each copy holds its
+        // worker for 10 µs, far longer than a chunk takes on the wire, so
+        // the two groups' completions overlap only on two workers.
+        const N: u32 = 8;
+        const PROC_NS: u64 = 10_000;
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut cfg = FabricConfig::ideal();
+        cfg.host.rx_workers = 2;
+        cfg.host.rx_proc_ns_per_cqe = PROC_NS;
+        let mut fab: Fabric<Msg, TwoGroups> = Fabric::new(topo, cfg);
+        let members = [Rank(0), Rank(1)];
+        let groups = [fab.create_group(&members), fab.create_group(&members)];
+        fab.add_qp(Rank(0), Transport::Ud, 0);
+        let q0 = fab.add_qp(Rank(1), Transport::Ud, 0);
+        let q1 = fab.add_qp(Rank(1), Transport::Ud, 1);
+        fab.attach(Rank(1), q1, groups[0]);
+        fab.attach(Rank(1), q0, groups[1]);
+        assert_eq!(fab.add_qp(Rank(0), Transport::Ud, 1), QpNum(1));
+        for r in members {
+            let got = Vec::new();
+            fab.set_app(r, TwoGroups { groups, n: N, got });
+        }
+        let stats = fab.run();
+        assert!(stats.all_done(), "stats: {stats:?}");
+        let end = stats.max_done().unwrap().as_ns();
+        let got = &fab.into_apps()[1].got;
+        assert_eq!(got.len(), 2 * N as usize);
+        for &(psn, qp, _) in got {
+            assert_eq!(qp, if psn < N { q1 } else { q0 }, "chunk {psn}");
+        }
+        // Both workers served their group's copies side by side: each
+        // group's k-th completion lands in the same worker period, and
+        // the run ends after N periods, not the 2N of one shared worker.
+        for k in 0..N {
+            let at = |group: u32| {
+                got.iter()
+                    .filter(|&&(psn, ..)| psn / N == group)
+                    .nth(k as usize)
+                    .unwrap()
+                    .2
+                    .as_ns()
+            };
+            assert!(at(0).abs_diff(at(1)) < PROC_NS, "completion {k}");
+        }
+        assert!(end < (N as u64 + 1) * PROC_NS, "ended at {end} ns");
+    }
+
+    #[test]
+    #[should_panic(expected = "r1 has no QP 5")]
+    fn a_message_to_a_qp_its_destination_lacks_panics() {
+        // A routed packet completes only on a QP its destination has; it
+        // must not fall back to some other QP's RX worker. Rank 0 sends
+        // on its QP 5 to rank 1's, which has one QP.
+        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
+        let mut fab: Fabric<Msg, OneShot> = Fabric::new(topo, FabricConfig::ideal());
+        for _ in 0..6 {
+            fab.add_qp(Rank(0), Transport::Rc, 0);
+        }
+        fab.add_qp(Rank(1), Transport::Rc, 0);
+        for r in [Rank(0), Rank(1)] {
+            fab.set_app(r, OneShot(QpNum(5)));
+        }
+        fab.run();
+    }
+
+    /// Rank 0 sends rank 1 one control message on rank 1's QP `.0`.
+    struct OneShot(QpNum);
+
+    impl RankApp<Msg> for OneShot {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            if ctx.rank() == Rank(0) {
+                ctx.post_msg(Rank(1), self.0, 1, 64);
+            }
+        }
+
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _payload: &Payload<Msg>) {
+            ctx.mark_done();
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
     }
 
     #[test]
@@ -2456,7 +2604,7 @@ mod tests {
             }
         }
 
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, payload: Payload<Msg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, payload: &Payload<Msg>) {
             match cqe.opcode {
                 CqeOpcode::Recv => {
                     let Payload::Msg(v) = payload else {
@@ -2513,14 +2661,8 @@ mod tests {
         assert!(fab.inner.runs.words.is_empty());
     }
 
-    /// A control message that may not be copied.
+    /// A control message type with no `Clone` impl at all.
     struct NoClone;
-
-    impl Clone for NoClone {
-        fn clone(&self) -> NoClone {
-            panic!("a control message was cloned")
-        }
-    }
 
     /// Rank 0 sends rank 1 one [`NoClone`] message.
     struct SendOnce;
@@ -2533,7 +2675,7 @@ mod tests {
             }
         }
 
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, NoClone>, _cqe: Cqe, payload: Payload<NoClone>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, NoClone>, _cqe: &Cqe, payload: &Payload<NoClone>) {
             assert!(matches!(payload, Payload::Msg(NoClone)));
             ctx.mark_done();
         }
@@ -2542,9 +2684,11 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_completion_moves_its_control_message() {
-        // A lone completion takes its payload by move: a clone would
-        // allocate a message's spilled parts a second time.
+    fn control_messages_need_no_clone_impl() {
+        // The fabric lends every completion's payload and never copies a
+        // message, so a fabric builds and runs over a message type that
+        // cannot be cloned: a clone would allocate a message's spilled
+        // parts a second time.
         let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
         let mut fab: Fabric<NoClone, SendOnce> = Fabric::new(topo, FabricConfig::ideal());
         for r in [Rank(0), Rank(1)] {
@@ -2579,7 +2723,7 @@ mod tests {
                 ctx.mark_done();
             }
         }
-        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _p: Payload<Msg>) {}
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _p: &Payload<Msg>) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
             assert_eq!(token, 7);
             self.fired_at = Some(ctx.now());
@@ -2822,7 +2966,7 @@ mod tests {
             }
         }
 
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _payload: &Payload<Msg>) {
             self.expect -= 1;
             if self.expect == 0 {
                 ctx.mark_done();
@@ -3154,7 +3298,7 @@ mod tests {
             ctx.notify_tx_drained(ARB_INC, 102);
         }
 
-        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {}
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _payload: &Payload<Msg>) {}
 
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
 
@@ -3261,8 +3405,8 @@ mod tests {
 
     impl RankApp<Msg> for RecvLog {
         fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
-        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, cqe: Cqe, payload: Payload<Msg>) {
-            let Payload::Chunk { psn, .. } = payload else {
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, payload: &Payload<Msg>) {
+            let &Payload::Chunk { psn, .. } = payload else {
                 panic!("expected a data chunk");
             };
             self.got
@@ -3285,7 +3429,7 @@ mod tests {
                 None => ctx.post_unicast_message(Rank(1), QpNum(0), self.seg),
             }
         }
-        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: Cqe, _payload: Payload<Msg>) {}
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _payload: &Payload<Msg>) {}
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
     }
 
@@ -3309,7 +3453,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
             self.app().on_start(ctx);
         }
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, payload: Payload<Msg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, payload: &Payload<Msg>) {
             self.app().on_cqe(ctx, cqe, payload);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
@@ -3411,7 +3555,7 @@ mod tests {
             }
             ctx.notify_tx_drained(QpNum(0), 5);
         }
-        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: Cqe, _payload: Payload<Msg>) {
+        fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, _payload: &Payload<Msg>) {
             assert!(cqe.is_recv_success());
             self.got += 1;
             self.maybe_done(ctx);

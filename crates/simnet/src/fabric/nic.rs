@@ -23,6 +23,11 @@ use std::ops::Range;
 /// A queue pair: its RX worker, its receive slots and its send queue.
 pub(super) struct QpState {
     pub(super) transport: Transport,
+    /// Its rank-local number, which a completion names: a multicast
+    /// delivery reaches the QP by its place in `Inner::qps` and reads the
+    /// number here, not from its NIC.
+    pub(super) local: u16,
+    /// Its RX worker, `0..rx_workers` of its rank.
     pub(super) worker: u32,
     /// Receive slots free and posted. A depth past `u32::MAX` is held
     /// as `u32::MAX`: within `MAX_EVENTS` events it never runs out either.
@@ -156,13 +161,6 @@ impl NicState {
     pub(super) fn qp_range(&self) -> Range<usize> {
         self.qp_base as usize..(self.qp_base + self.qp_len) as usize
     }
-
-    /// Where this NIC's QP `qi` sits in `Inner::qps`.
-    #[inline]
-    pub(super) fn qp_index(&self, qi: usize) -> usize {
-        assert!(qi < self.qp_len as usize, "QP {qi} out of range");
-        self.qp_base as usize + qi
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +207,7 @@ mod tests {
         ) {
             let empty = || QpState {
                 transport: Transport::Rc,
+                local: 0,
                 worker: 0,
                 rq_avail: 0,
                 rq_depth: 0,

@@ -98,7 +98,7 @@ impl AggTable {
     }
 }
 
-impl<M: Clone + 'static> Inner<M> {
+impl<M: 'static> Inner<M> {
     /// Multicast at a switch: collect egress links into the reusable
     /// scratch buffer — switch forwarding runs once per packet hop, so a
     /// fresh Vec here would be a per-packet allocation on the replication

@@ -537,7 +537,7 @@ impl RankApp<u64> for OneControlMessage {
         }
     }
 
-    fn on_cqe(&mut self, ctx: &mut Ctx<'_, u64>, _cqe: Cqe, _payload: Payload<u64>) {
+    fn on_cqe(&mut self, ctx: &mut Ctx<'_, u64>, _cqe: &Cqe, _payload: &Payload<u64>) {
         ctx.mark_done();
     }
 
