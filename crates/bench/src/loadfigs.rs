@@ -31,8 +31,7 @@
 use crate::data::FigData;
 use crate::study::{self, Obj};
 use mcag_runtime::{
-    AdmissionPolicy, OpMix, PoolConfig, RatePhase, RateProcess, Runtime, RuntimeConfig,
-    RuntimeReport, Workload,
+    OpMix, PoolConfig, RatePhase, RateProcess, Runtime, RuntimeConfig, RuntimeReport, Workload,
 };
 use mcag_simnet::Topology;
 use mcag_verbs::LinkRate;
@@ -136,10 +135,7 @@ fn digest(report: &RuntimeReport) -> LoadDigest {
 fn run_cell(cell: &LoadCell) -> LoadDigest {
     let cfg = RuntimeConfig {
         pool: PoolConfig::with_capacity(cell.capacity),
-        admission: AdmissionPolicy {
-            throttle_sojourn_ns: cell.throttle_sojourn_ns,
-            ..AdmissionPolicy::default()
-        },
+        throttle_sojourn_ns: cell.throttle_sojourn_ns,
         max_inflight: 8,
         partitions: cell.partitions,
         ..RuntimeConfig::default()

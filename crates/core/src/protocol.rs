@@ -471,10 +471,7 @@ impl RankApp<ControlMsg> for McastRankApp {
 
     fn on_cqe(&mut self, ctx: &mut Ctx<'_, ControlMsg>, cqe: &Cqe, payload: &Payload<ControlMsg>) {
         match (cqe.opcode, payload) {
-            (CqeOpcode::Recv, Payload::Msg(m)) => {
-                let src = cqe.src.expect("control message without source");
-                self.handle_ctrl(ctx, src, m);
-            }
+            (CqeOpcode::Recv, Payload::Msg(m)) => self.handle_ctrl(ctx, cqe.src, m),
             (CqeOpcode::Recv, Payload::Chunk { .. }) => self.handle_chunk(ctx, cqe),
             (CqeOpcode::RdmaReadDone, _) => self.handle_read_done(ctx, cqe.wr_id),
             (op, p) => panic!("{} got unexpected completion {op:?}/{p:?}", self.me),

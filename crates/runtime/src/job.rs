@@ -77,11 +77,11 @@ pub struct JobSpec {
 pub enum RejectReason {
     /// The tenant id was never registered.
     UnknownTenant,
-    /// The runtime-wide pending queue is at capacity.
+    /// The runtime-wide pending queue holds [`MAX_QUEUED_TOTAL`] jobs.
     QueueFull,
-    /// This tenant already has its quota of pending jobs.
+    /// This tenant already has [`MAX_QUEUED_PER_TENANT`] pending jobs.
     TenantQuota,
-    /// `send_len` exceeds the admission policy's maximum.
+    /// `send_len` exceeds [`MAX_SEND_LEN`].
     TooLarge,
     /// `send_len` is zero.
     Empty,
@@ -91,12 +91,13 @@ pub enum RejectReason {
     /// could never be scheduled.
     GroupDemand,
     /// Load shedding: the runtime's recent-sojourn estimate exceeded
-    /// [`AdmissionPolicy::throttle_sojourn_ns`], so new arrivals are
+    /// [`RuntimeConfig::throttle_sojourn_ns`], so new arrivals are
     /// refused until the backlog drains. Distinct from [`QueueFull`]
     /// (hard queue capacity) so a throttling study can attribute
     /// refusals to the throttle rather than the queue bound.
     ///
     /// [`QueueFull`]: RejectReason::QueueFull
+    /// [`RuntimeConfig::throttle_sojourn_ns`]: crate::RuntimeConfig::throttle_sojourn_ns
     Throttled,
 }
 
@@ -132,35 +133,18 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Admission-control thresholds applied at submit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmissionPolicy {
-    /// Max pending jobs across all tenants.
-    pub max_queued_total: usize,
-    /// Max pending jobs per tenant (back-pressure on noisy neighbours).
-    pub max_queued_per_tenant: usize,
-    /// Max `send_len` in bytes.
-    pub max_send_len: usize,
-    /// Load-shedding threshold: while the runtime's exponentially
-    /// weighted moving average of completed-job sojourn time (queue +
-    /// service, ns) exceeds this, new submissions are refused with
-    /// [`RejectReason::Throttled`]. `None` disables throttling (the
-    /// default) — under open-loop overload the queue then grows to the
-    /// hard [`max_queued_total`](AdmissionPolicy::max_queued_total)
-    /// bound and sojourn times grow with it.
-    pub throttle_sojourn_ns: Option<u64>,
-}
+/// Most pending jobs the runtime queues across all tenants; a submission
+/// past it is refused with [`RejectReason::QueueFull`].
+pub const MAX_QUEUED_TOTAL: usize = 1024;
 
-impl Default for AdmissionPolicy {
-    fn default() -> AdmissionPolicy {
-        AdmissionPolicy {
-            max_queued_total: 1024,
-            max_queued_per_tenant: 64,
-            max_send_len: 64 << 20,
-            throttle_sojourn_ns: None,
-        }
-    }
-}
+/// Most pending jobs one tenant may queue (back-pressure on noisy
+/// neighbours); a submission past it is refused with
+/// [`RejectReason::TenantQuota`].
+pub const MAX_QUEUED_PER_TENANT: usize = 64;
+
+/// Largest admitted `send_len` in bytes; a longer message is refused
+/// with [`RejectReason::TooLarge`].
+pub const MAX_SEND_LEN: usize = 64 << 20;
 
 /// An admitted job waiting to be scheduled.
 #[derive(Debug, Clone, Copy)]

@@ -54,7 +54,7 @@ pub mod stats;
 pub use arrivals::{
     merge_arrivals, nccl_style_trace, Arrival, OpMix, RatePhase, RateProcess, Workload,
 };
-pub use job::{AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, RejectReason, TenantId};
+pub use job::{JobId, JobKind, JobQueue, JobSpec, RejectReason, TenantId};
 pub use mcag_trace::{BatchSpan, JobSpan, Marker, RebuildSpan, RuntimeTrace, TraceSpec};
 pub use pool::{AcquireOutcome, GroupKey, McastGroupPool, PoolConfig, PoolStats};
 pub use sched::{MemoStats, ReactivePolicy, Runtime, RuntimeConfig};

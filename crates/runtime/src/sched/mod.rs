@@ -56,7 +56,8 @@ mod sim;
 
 use crate::arrivals::Arrival;
 use crate::job::{
-    AdmissionPolicy, JobId, JobKind, JobQueue, JobSpec, PendingJob, RejectReason, TenantId,
+    JobId, JobKind, JobQueue, JobSpec, PendingJob, RejectReason, TenantId, MAX_QUEUED_PER_TENANT,
+    MAX_QUEUED_TOTAL, MAX_SEND_LEN,
 };
 use crate::pool::{McastGroupPool, PoolConfig};
 use crate::stats::{PartitionStats, RejectCounts, RetryStats, RuntimeReport, TenantStats};
@@ -121,8 +122,15 @@ pub struct RuntimeConfig {
     pub proto: ProtocolConfig,
     /// Multicast-group pool (the switch table).
     pub pool: PoolConfig,
-    /// Submit-time admission thresholds.
-    pub admission: AdmissionPolicy,
+    /// Load-shedding threshold: while the runtime's exponentially
+    /// weighted moving average of completed-job sojourn time (queue +
+    /// service, ns) exceeds this, new submissions are refused with
+    /// [`RejectReason::Throttled`]. `None` disables throttling (the
+    /// default) — under open-loop overload the queue then grows to the
+    /// hard [`MAX_QUEUED_TOTAL`] bound and sojourn times grow with it.
+    /// The other admission checks are fixed: see [`crate::job`]'s
+    /// `MAX_*` constants.
+    pub throttle_sojourn_ns: Option<u64>,
     /// Max jobs dispatched into one batch.
     pub max_inflight: usize,
     /// Independent fabric partitions (SM domains) the engine may run
@@ -159,7 +167,7 @@ impl Default for RuntimeConfig {
             fabric: FabricConfig::ucc_default(),
             proto: ProtocolConfig::default(),
             pool: PoolConfig::default(),
-            admission: AdmissionPolicy::default(),
+            throttle_sojourn_ns: None,
             max_inflight: 8,
             partitions: 1,
             trace: None,
@@ -359,11 +367,6 @@ impl Runtime {
         self.now_ns
     }
 
-    /// Group-pool handle (counters, residency).
-    pub fn pool(&self) -> &McastGroupPool {
-        &self.pool
-    }
-
     /// Distinct multicast groups a job may pin while running: one tree
     /// per subgroup (clamped to the chunk count, as the plan does) plus
     /// the in-switch reduction tree for AG+RS jobs.
@@ -483,7 +486,7 @@ impl Runtime {
         if send_len == 0 {
             return Err(RejectReason::Empty);
         }
-        if send_len > self.cfg.admission.max_send_len {
+        if send_len > MAX_SEND_LEN {
             return Err(RejectReason::TooLarge);
         }
         if let JobKind::Broadcast { root } = kind {
@@ -496,15 +499,15 @@ impl Runtime {
         }
         // Load shedding: while recent sojourn (EWMA over commits) is
         // over the threshold, refuse new work so queued jobs drain.
-        if let Some(limit) = self.cfg.admission.throttle_sojourn_ns {
+        if let Some(limit) = self.cfg.throttle_sojourn_ns {
             if self.sojourn_ewma_ns > limit {
                 return Err(RejectReason::Throttled);
             }
         }
-        if self.queue.len() >= self.cfg.admission.max_queued_total {
+        if self.queue.len() >= MAX_QUEUED_TOTAL {
             return Err(RejectReason::QueueFull);
         }
-        if self.queue.queued_for(tenant) >= self.cfg.admission.max_queued_per_tenant {
+        if self.queue.queued_for(tenant) >= MAX_QUEUED_PER_TENANT {
             return Err(RejectReason::TenantQuota);
         }
         Ok(())
@@ -1244,10 +1247,7 @@ mod tests {
         // every arrival after the first commit is refused as Throttled.
         let cfg = RuntimeConfig {
             pool: PoolConfig::with_capacity(4),
-            admission: AdmissionPolicy {
-                throttle_sojourn_ns: Some(1),
-                ..AdmissionPolicy::default()
-            },
+            throttle_sojourn_ns: Some(1),
             max_inflight: 1,
             ..RuntimeConfig::default()
         };

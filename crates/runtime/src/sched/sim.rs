@@ -129,10 +129,10 @@ pub(super) fn simulate_batch(sim: &BatchSim) -> BatchOutcome {
                 return fab.run_until(watchdog);
             }
             // Reactive SM sweep: run in slices; at each checkpoint
-            // diagnose fully-dead switches from the health snapshot and
-            // re-route any multicast tree that crosses one. Checkpoint
-            // times are pure functions of the batch's cutoffs, so
-            // recovery is as deterministic as the failure.
+            // diagnose fully-dead switches from the fabric's live link
+            // state and re-route any multicast tree that crosses one.
+            // Checkpoint times are pure functions of the batch's cutoffs,
+            // so recovery is as deterministic as the failure.
             let step = total_cutoff.saturating_mul(ReactivePolicy::SM_CHECK_CUTOFFS);
             let mut deadline = step.min(watchdog.as_ns());
             loop {

@@ -44,13 +44,13 @@ impl LinkCounters {
 
 /// A snapshot of every link counter plus aggregation helpers, annotated
 /// with the simulation-engine throughput stats of the run that produced
-/// it (events processed, peak event-queue depth, wall-clock time).
+/// it (events processed, peak event-queue depth, wall-clock time). Only
+/// [`Fabric::traffic`](crate::Fabric::traffic) builds one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrafficReport {
     per_link: Vec<LinkCounters>,
-    /// Receiver-not-ready drops per rank (RNR happens at the NIC, not on
-    /// a link, so it gets its own axis). Empty when the producing fabric
-    /// predates the breakdown or the report was built from raw counters.
+    /// Receiver-not-ready drops per rank, one entry per rank (RNR
+    /// happens at the NIC, not on a link, so it gets its own axis).
     rnr_per_rank: Vec<u64>,
     events: u64,
     peak_queue_depth: usize,
@@ -58,36 +58,24 @@ pub struct TrafficReport {
 }
 
 impl TrafficReport {
-    /// Wrap raw per-link counters (indexed by [`LinkId`]). Engine stats
-    /// start at zero; see [`TrafficReport::with_engine_stats`].
-    pub fn new(per_link: Vec<LinkCounters>) -> TrafficReport {
-        TrafficReport {
-            per_link,
-            rnr_per_rank: Vec::new(),
-            events: 0,
-            peak_queue_depth: 0,
-            wall_ns: 0,
-        }
-    }
-
-    /// Attach the per-rank receiver-not-ready drop breakdown.
-    pub fn with_rnr(mut self, rnr_per_rank: Vec<u64>) -> TrafficReport {
-        self.rnr_per_rank = rnr_per_rank;
-        self
-    }
-
-    /// Attach simulation-engine stats: events processed, the peak pending
-    /// count of the event queue, and wall-clock ns spent simulating.
-    pub fn with_engine_stats(
-        mut self,
+    /// Wrap per-link counters (indexed by [`LinkId`]), per-rank RNR
+    /// drops (indexed by rank) and the engine stats: events processed,
+    /// the peak pending count of the event queue, and wall-clock ns
+    /// spent simulating.
+    pub(crate) fn new(
+        per_link: Vec<LinkCounters>,
+        rnr_per_rank: Vec<u64>,
         events: u64,
         peak_queue_depth: usize,
         wall_ns: u64,
     ) -> TrafficReport {
-        self.events = events;
-        self.peak_queue_depth = peak_queue_depth;
-        self.wall_ns = wall_ns;
-        self
+        TrafficReport {
+            per_link,
+            rnr_per_rank,
+            events,
+            peak_queue_depth,
+            wall_ns,
+        }
     }
 
     /// Events the simulation engine processed to produce this report.
@@ -192,8 +180,8 @@ impl TrafficReport {
         self.per_link.iter().map(|c| c.degraded_ns).sum()
     }
 
-    /// Receiver-not-ready drops per rank (empty if the producer did not
-    /// attach the breakdown; see [`TrafficReport::with_rnr`]).
+    /// Receiver-not-ready drops per rank, indexed by rank: one entry
+    /// per rank of the fabric, zero where a rank dropped nothing.
     pub fn rnr_per_rank(&self) -> &[u64] {
         &self.rnr_per_rank
     }
@@ -221,29 +209,6 @@ impl TrafficReport {
             .map(|(_, c)| c.data_bytes + c.ctrl_bytes)
             .sum()
     }
-
-    /// Element-wise sum of two reports (e.g. accumulating iterations).
-    /// Engine stats accumulate too: events and wall time add, the peak
-    /// queue depth takes the max.
-    pub fn absorb(&mut self, other: &TrafficReport) {
-        assert_eq!(self.per_link.len(), other.per_link.len());
-        for (a, b) in self.per_link.iter_mut().zip(&other.per_link) {
-            a.absorb(b);
-        }
-        // RNR breakdowns add elementwise; a report without one adopts the
-        // other side's (so iteration accumulators need no special setup).
-        if self.rnr_per_rank.is_empty() {
-            self.rnr_per_rank = other.rnr_per_rank.clone();
-        } else if !other.rnr_per_rank.is_empty() {
-            assert_eq!(self.rnr_per_rank.len(), other.rnr_per_rank.len());
-            for (a, b) in self.rnr_per_rank.iter_mut().zip(&other.rnr_per_rank) {
-                *a += b;
-            }
-        }
-        self.events += other.events;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        self.wall_ns += other.wall_ns;
-    }
 }
 
 #[cfg(test)]
@@ -259,26 +224,12 @@ mod tests {
         per_link[0].data_bytes = 100; // h0 -> sw (host injection)
         per_link[1].data_bytes = 40; // sw -> h0 (switch port tx)
         per_link[3].ctrl_bytes = 7; // sw -> h1 (switch port tx)
-        let r = TrafficReport::new(per_link);
+        let r = TrafficReport::new(per_link, vec![0; 3], 0, 0, 0);
         assert_eq!(r.host_injection_bytes(&topo), 100);
         assert_eq!(r.host_delivery_bytes(&topo), 47);
         assert_eq!(r.inter_switch_bytes(&topo), 0);
         assert_eq!(r.total_data_bytes(), 140);
         assert_eq!(r.max_link_data_bytes(), 100);
-    }
-
-    #[test]
-    fn absorb_sums_iterations() {
-        let topo = Topology::single_switch(2, LinkRate::CX3_56G, 100);
-        let mut a = TrafficReport::new(vec![LinkCounters::default(); topo.num_links()]);
-        let mut one = vec![LinkCounters::default(); topo.num_links()];
-        one[0].data_bytes = 5;
-        one[0].packets = 1;
-        let b = TrafficReport::new(one);
-        a.absorb(&b);
-        a.absorb(&b);
-        assert_eq!(a.link(LinkId(0)).data_bytes, 10);
-        assert_eq!(a.total().packets, 2);
     }
 
     #[test]
@@ -288,17 +239,18 @@ mod tests {
         one[0].fault_drops = 3;
         one[0].downtime_ns = 1_000;
         one[1].degraded_ns = 500;
-        let mut a = TrafficReport::new(one).with_rnr(vec![2, 0]);
-        assert_eq!(a.total_fault_drops(), 3);
+        one[2].fault_drops = 2;
+        let a = TrafficReport::new(one, vec![2, 0], 0, 0, 0);
+        assert_eq!(a.total_fault_drops(), 5);
         assert_eq!(a.total_downtime_ns(), 1_000);
         assert_eq!(a.total_degraded_ns(), 500);
         assert_eq!(a.total_rnr_drops(), 2);
-        // An accumulator without an RNR breakdown adopts the other side's.
-        let mut acc = TrafficReport::new(vec![LinkCounters::default(); topo.num_links()]);
-        acc.absorb(&a);
-        a.absorb(&acc);
-        assert_eq!(a.total_fault_drops(), 6);
-        assert_eq!(a.total_rnr_drops(), 4);
-        assert_eq!(a.rnr_per_rank(), &[4, 0]);
+        assert_eq!(a.rnr_per_rank(), &[2, 0]);
+        // `total` absorbs every link's counters into one set.
+        let t = a.total();
+        assert_eq!(
+            (t.fault_drops, t.downtime_ns, t.degraded_ns),
+            (5, 1_000, 500)
+        );
     }
 }

@@ -117,15 +117,12 @@ use crate::app::{Ctx, MsgSegments, Payload, RankApp};
 use crate::config::FabricConfig;
 use crate::counters::{LinkCounters, TrafficReport};
 use crate::event::EventQueue;
-use crate::health::{self, FabricHealth, LinkHealth};
 use crate::mcast::McastTree;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use mcag_trace::{DropCause, TraceEvent, TraceSink, TraceSpec};
 use mcag_verbs::wire::{PacketKind, HEADER_BYTES};
-use mcag_verbs::{
-    CompletionStatus, Cqe, CqeOpcode, ImmData, LinkRate, McastGroupId, QpNum, Rank, Transport,
-};
+use mcag_verbs::{Cqe, CqeOpcode, ImmData, LinkRate, McastGroupId, QpNum, Rank, Transport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::ops::Range;
@@ -624,11 +621,6 @@ impl RunStats {
     pub fn all_done(&self) -> bool {
         self.per_rank_done.iter().all(|t| t.is_some())
     }
-
-    /// Latest completion time across ranks that finished.
-    pub fn max_done(&self) -> Option<SimTime> {
-        self.per_rank_done.iter().flatten().copied().max()
-    }
 }
 
 /// The discrete-event fabric simulator. See the module docs for the model.
@@ -855,11 +847,6 @@ impl<M: 'static, A: RankApp<M>> Fabric<M, A> {
         self.apps
     }
 
-    /// The live flight recorder (`None` when `cfg.trace` was `None`).
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.inner.trace.as_ref()
-    }
-
     /// Remove and return the flight recorder — the trace analogue of the
     /// [`Fabric::into_apps`] harvest step; drivers take the sink after the
     /// run and hand its events to `mcag-trace` for merging/export.
@@ -940,27 +927,13 @@ impl<M: 'static, A: RankApp<M>> Fabric<M, A> {
     /// breakdown and the engine stats of the run so far (events
     /// processed, peak queue depth, wall clock).
     pub fn traffic(&self) -> TrafficReport {
-        TrafficReport::new(self.inner.counters_snapshot())
-            .with_rnr(self.inner.nics.iter().map(|n| n.rnr_drops.into()).collect())
-            .with_engine_stats(
-                self.inner.q.processed(),
-                self.inner.q.peak_len(),
-                self.inner.run_wall_ns,
-            )
-    }
-
-    /// Total RNR drops across all NICs.
-    pub fn total_rnr_drops(&self) -> u64 {
-        self.inner.nics.iter().map(|n| u64::from(n.rnr_drops)).sum()
-    }
-
-    /// Total packet copies lost to down links (fault injection).
-    pub fn total_fault_drops(&self) -> u64 {
-        self.inner
-            .links
-            .iter()
-            .map(|l| l.counters.fault_drops)
-            .sum()
+        TrafficReport::new(
+            self.inner.counters_snapshot(),
+            self.inner.nics.iter().map(|n| n.rnr_drops.into()).collect(),
+            self.inner.q.processed(),
+            self.inner.q.peak_len(),
+            self.inner.run_wall_ns,
+        )
     }
 
     /// Packet-slab entries still held — packets built and not yet
@@ -971,43 +944,32 @@ impl<M: 'static, A: RankApp<M>> Fabric<M, A> {
         self.inner.pkt_slab.live() + self.inner.ctrl_msgs.live()
     }
 
-    /// Mid-run health snapshot: per-link up/down/degraded status plus
-    /// cumulative fault drops and downtime (open outages closed at the
-    /// current instant). Cheap — one pass over the counters, no event
-    /// scheduled, nothing reset. With no fault schedule configured every
-    /// link reports healthy.
-    pub fn health(&self) -> FabricHealth {
-        let counters = self.inner.counters_snapshot();
-        let rows = counters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let (up, degraded) = if self.inner.has_faults {
-                    let st = &self.inner.link_fault[i];
-                    (st.up, st.up && st.bw_num != st.bw_den)
-                } else {
-                    (true, false)
-                };
-                LinkHealth {
-                    up,
-                    degraded,
-                    fault_drops: c.fault_drops,
-                    downtime_ns: c.downtime_ns,
-                }
-            })
-            .collect();
-        FabricHealth::new(rows)
-    }
-
     /// Switches whose every attached link is currently down — the SM's
-    /// rebuild trigger. Empty (without scanning) when no fault schedule
-    /// is configured.
+    /// rebuild trigger, read from the live link state. A switch with one
+    /// surviving link still forwards, so it does not qualify. Empty
+    /// (without scanning) when no fault schedule is configured.
     pub fn dead_switches(&self) -> Vec<NodeId> {
         if !self.inner.has_faults {
             return Vec::new();
         }
-        let link_fault = &self.inner.link_fault;
-        health::dead_switches(&self.inner.topo, |l| link_fault[l.idx()].up)
+        let topo = &self.inner.topo;
+        (0..topo.num_nodes() as u32)
+            .map(NodeId)
+            .filter(|&n| matches!(topo.kind(n), NodeKind::Switch { .. }))
+            .filter(|&n| {
+                let mut any = false;
+                for (id, st) in self.inner.link_fault.iter().enumerate() {
+                    let lk = topo.link(LinkId(id as u32));
+                    if lk.src == n || lk.dst == n {
+                        any = true;
+                        if st.up {
+                            return false;
+                        }
+                    }
+                }
+                any
+            })
+            .collect()
     }
 
     /// Subnet-manager recovery: re-route every programmed multicast group
@@ -1390,12 +1352,11 @@ impl<M: 'static> Inner<M> {
         };
         let cqe = Cqe {
             opcode,
-            status: CompletionStatus::Success,
             qp: QpNum(qp_idx.into()),
             imm,
             byte_len,
             wr_id,
-            src: Some(src),
+            src,
         };
         (cqe, payload)
     }
@@ -1976,7 +1937,7 @@ mod tests {
         }
 
         fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, _payload: &Payload<Msg>) {
-            assert!(cqe.is_recv_success());
+            assert_eq!(cqe.opcode, CqeOpcode::Recv);
             self.got += 1;
             self.got_at = Some(ctx.now());
             self.popped.push(ctx.inner.q.processed());
@@ -2038,7 +1999,7 @@ mod tests {
         let (mut fab, _) = bcast_fabric(8, 16, FabricConfig::ideal());
         let stats = fab.run();
         assert!(stats.all_done(), "stats: {stats:?}");
-        assert_eq!(fab.total_rnr_drops(), 0);
+        assert_eq!(fab.traffic().total_rnr_drops(), 0);
         assert_eq!(fab.traffic().total_drops(), 0);
         assert!(stats.peak_queue_depth > 0);
     }
@@ -2065,7 +2026,7 @@ mod tests {
         let stats = fab.run();
         // 64 chunks of (4096+64)B at 7 B/ns ≈ 38 us end-to-end minimum,
         // two hops. Loose sanity bounds.
-        let t = stats.max_done().unwrap().as_ns();
+        let t = stats.end_time.as_ns();
         let wire = LinkRate::CX3_56G.serialization_ns(4096 + 64) * 64;
         assert!(t >= wire, "t={t} < wire={wire}");
         assert!(t < wire * 3, "t={t} suspiciously slow vs {wire}");
@@ -2114,7 +2075,7 @@ mod tests {
         let (mut fab, _) = bcast_fabric(3, 64, cfg);
         let stats = fab.run();
         assert!(!stats.all_done());
-        assert!(fab.total_rnr_drops() > 0, "expected RNR drops");
+        assert!(fab.traffic().total_rnr_drops() > 0, "expected RNR drops");
     }
 
     #[test]
@@ -2231,7 +2192,7 @@ mod tests {
         }
         let stats = fab.run();
         assert!(stats.all_done(), "stats: {stats:?}");
-        let end = stats.max_done().unwrap().as_ns();
+        let end = stats.end_time.as_ns();
         let got = &fab.into_apps()[1].got;
         assert_eq!(got.len(), 2 * N as usize);
         for &(psn, qp, _) in got {
@@ -2412,7 +2373,7 @@ mod tests {
                 }
                 deadline += 1_000;
             };
-            let trace: Vec<TraceEvent> = fab.trace().unwrap().iter().copied().collect();
+            let trace: Vec<TraceEvent> = fab.take_trace().unwrap().iter().copied().collect();
             let spilled = fab.inner.runs.words.len();
             (stats, fab.traffic(), trace, spilled)
         };
@@ -2502,7 +2463,7 @@ mod tests {
             .collect();
         assert_eq!(sampled, (1..=RECEIVERS).collect::<Vec<_>>());
         let trace = |fab: &Fabric<Msg, BcastApp>| -> Vec<TraceEvent> {
-            fab.trace().unwrap().iter().copied().collect()
+            fab.inner.trace.as_ref().unwrap().iter().copied().collect()
         };
         assert_eq!(trace(&w), trace(&h));
         // Un-finish rank 46; the next slice resumes the cut run at the
@@ -2628,7 +2589,6 @@ mod tests {
                     self.read_done = true;
                     ctx.mark_done();
                 }
-                _ => panic!("unexpected opcode"),
             }
         }
 
@@ -2747,7 +2707,7 @@ mod tests {
     fn per_link_and_per_rank_breakdowns_sum_to_totals() {
         // Forced drops land on identifiable delivery links and RQ
         // exhaustion produces RNR drops; the TrafficReport breakdowns
-        // must sum back to the fabric-level aggregates.
+        // must sum back to its totals.
         let mut cfg = FabricConfig::ideal();
         cfg.drops.forced.insert((0, 1, 1));
         cfg.drops.forced.insert((0, 2, 3));
@@ -2757,9 +2717,14 @@ mod tests {
         fab.run();
         let report = fab.traffic();
         assert!(report.total_drops() > 0);
-        assert!(fab.total_rnr_drops() > 0);
+        assert!(report.total_rnr_drops() > 0);
         assert_eq!(report.rnr_per_rank().len(), 4);
-        assert_eq!(report.total_rnr_drops(), fab.total_rnr_drops());
+        assert_eq!(
+            report.rnr_per_rank().iter().sum::<u64>(),
+            report.total_rnr_drops()
+        );
+        let per_link: u64 = report.per_link().iter().map(|c| c.drops).sum();
+        assert_eq!(per_link, report.total_drops());
         // Forced drops are charged to the two victims' delivery links.
         assert!(report.link(LinkId(3)).drops >= 1);
         assert!(report.link(LinkId(7)).drops >= 1);
@@ -2769,14 +2734,14 @@ mod tests {
     fn degraded_uplink_stretches_completion() {
         use crate::linkstate::{LinkSchedule, LinkStateEvent};
         let (mut healthy, _) = bcast_fabric(4, 32, FabricConfig::ideal());
-        let base = healthy.run().max_done().unwrap().as_ns();
+        let base = healthy.run().end_time.as_ns();
         // Root uplink at quarter rate for the whole run.
         let mut cfg = FabricConfig::ideal();
         cfg.faults = LinkSchedule::new(vec![LinkStateEvent::degraded(0, LinkId(0), 1, 4)]);
         let (mut fab, _) = bcast_fabric(4, 32, cfg);
         let stats = fab.run();
         assert!(stats.all_done());
-        let slow = stats.max_done().unwrap().as_ns();
+        let slow = stats.end_time.as_ns();
         assert!(
             slow > base * 3 && slow < base * 5,
             "quarter-rate uplink: {slow} vs healthy {base}"
@@ -2787,7 +2752,7 @@ mod tests {
             report.total_degraded_ns(),
             report.link(LinkId(0)).degraded_ns
         );
-        assert_eq!(fab.total_fault_drops(), 0);
+        assert_eq!(report.total_fault_drops(), 0);
     }
 
     #[test]
@@ -2810,7 +2775,7 @@ mod tests {
         assert_eq!(unfinished, vec![3]);
         let report = fab.traffic();
         assert_eq!(report.link(LinkId(7)).fault_drops, 8);
-        assert_eq!(report.total_fault_drops(), fab.total_fault_drops());
+        assert_eq!(report.total_fault_drops(), 8);
         // The open-ended outage accrues downtime up to the end of the run.
         assert!(report.link(LinkId(7)).downtime_ns > 0);
         assert_eq!(fab.live_packets(), 0, "dropped copies must not leak");
@@ -2829,12 +2794,12 @@ mod tests {
         let stats = fab.run();
         assert!(stats.all_done(), "injection must resume after the window");
         assert!(
-            stats.max_done().unwrap().as_ns() > window,
+            stats.end_time.as_ns() > window,
             "completion cannot precede the port recovery"
         );
         let report = fab.traffic();
         assert_eq!(report.link(LinkId(0)).downtime_ns, window);
-        assert_eq!(fab.total_fault_drops(), 0, "stalled, not dropped");
+        assert_eq!(fab.traffic().total_fault_drops(), 0, "stalled, not dropped");
     }
 
     #[test]
@@ -2864,8 +2829,8 @@ mod tests {
         }
         let stats = fab.run();
         assert!(stats.all_done());
-        assert!(stats.max_done().unwrap().as_ns() > window);
-        assert_eq!(fab.total_fault_drops(), 0);
+        assert!(stats.end_time.as_ns() > window);
+        assert_eq!(fab.traffic().total_fault_drops(), 0);
     }
 
     #[test]
@@ -2889,7 +2854,7 @@ mod tests {
             );
         }
         assert!(!fab.run().all_done());
-        assert_eq!(fab.total_fault_drops(), 1);
+        assert_eq!(fab.traffic().total_fault_drops(), 1);
         assert_eq!(fab.live_packets(), 0, "the dropped message leaked");
     }
 
@@ -2936,12 +2901,17 @@ mod tests {
         let dead = fab.dead_switches();
         assert_eq!(dead, vec![victim], "chassis with every link down");
         // 2 leaves × 1 rail × 2 directions touch the spine.
-        assert_eq!(fab.health().down_links(), 4);
+        let down = fab.inner.link_fault.iter().filter(|l| !l.up).count();
+        assert_eq!(down, 4);
         assert_eq!(fab.rebuild_groups_avoiding(&dead), 1);
         assert_eq!(fab.rebuild_groups_avoiding(&dead), 0, "already re-routed");
         let stats = fab.run();
         assert!(stats.all_done(), "rebuilt tree must deliver: {stats:?}");
-        assert_eq!(fab.total_fault_drops(), 0, "no copy touched the corpse");
+        assert_eq!(
+            fab.traffic().total_fault_drops(),
+            0,
+            "no copy touched the corpse"
+        );
     }
 
     /// Rank 0 multicasts `chunks` chunks to everyone on UD QP 0, and
@@ -3006,10 +2976,14 @@ mod tests {
         let mut stats = fab.run();
         stats.wall_ns = 0;
         let t = fab.traffic();
-        let traffic = t
-            .clone()
-            .with_engine_stats(t.events(), t.peak_queue_depth(), 0);
-        let trace: Vec<TraceEvent> = fab.trace().unwrap().iter().copied().collect();
+        let traffic = TrafficReport::new(
+            t.per_link().to_vec(),
+            t.rnr_per_rank().to_vec(),
+            t.events(),
+            t.peak_queue_depth(),
+            0,
+        );
+        let trace: Vec<TraceEvent> = fab.take_trace().unwrap().iter().copied().collect();
         (
             format!("{stats:?}\n{traffic:?}\n{trace:?}"),
             fab.inner.trees.clone(),
@@ -3050,14 +3024,70 @@ mod tests {
         }
     }
 
+    /// An app that never sends and never finishes.
+    struct Idle;
+
+    impl RankApp<Msg> for Idle {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+        fn on_cqe(&mut self, _ctx: &mut Ctx<'_, Msg>, _cqe: &Cqe, _p: &Payload<Msg>) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _token: u64) {}
+    }
+
     #[test]
-    fn health_snapshot_is_all_up_without_faults() {
-        let (fab, _) = bcast_fabric(4, 0, FabricConfig::ideal());
-        let h = fab.health();
-        assert_eq!(h.down_links(), 0);
-        assert_eq!(h.total_fault_drops(), 0);
-        assert!(h.links().iter().all(|l| l.up && !l.degraded));
+    fn dead_switch_requires_every_link_down() {
+        use crate::linkstate::{LinkSchedule, LinkStateEvent};
+        let topo = Topology::fat_tree_two_level(4, 2, 2, 1, LinkRate::CX3_56G, 100);
+        let spine = topo.switches_at_level(2)[0];
+        let touching: Vec<LinkId> = (0..topo.num_links() as u32)
+            .map(LinkId)
+            .filter(|&l| {
+                let lk = topo.link(l);
+                lk.src == spine || lk.dst == spine
+            })
+            .collect();
+        // All but one of the spine's links go down at t = 10, the last
+        // one at t = 20.
+        let mut events: Vec<LinkStateEvent> = touching[1..]
+            .iter()
+            .map(|&l| LinkStateEvent::down(10, l))
+            .collect();
+        events.push(LinkStateEvent::down(20, touching[0]));
+        let idle = |cfg: FabricConfig| {
+            let mut fab: Fabric<Msg, Idle> = Fabric::new(topo.clone(), cfg);
+            for r in 0..topo.num_hosts() as u32 {
+                fab.set_app(Rank(r), Idle);
+            }
+            fab
+        };
+        let mut cfg = FabricConfig::ideal();
+        cfg.faults = LinkSchedule::new(events);
+        let mut fab = idle(cfg);
+        // One surviving link still forwards: the spine is alive.
+        fab.run_until(SimTime(15));
+        assert_eq!(
+            fab.inner.link_fault.iter().filter(|l| !l.up).count(),
+            touching.len() - 1
+        );
         assert!(fab.dead_switches().is_empty());
+        // Its last link down: dead.
+        fab.run_until(SimTime(25));
+        assert_eq!(fab.dead_switches(), vec![spine]);
+        // Without a fault schedule nothing is ever dead.
+        let mut healthy = idle(FabricConfig::ideal());
+        healthy.run_until(SimTime(25));
+        assert!(healthy.dead_switches().is_empty());
+    }
+
+    #[test]
+    fn rnr_breakdown_has_one_entry_per_rank() {
+        // Fresh, and after a run that drops nothing at the NICs: the
+        // breakdown still names every rank.
+        let (mut fab, _) = bcast_fabric(4, 8, FabricConfig::ideal());
+        assert_eq!(fab.traffic().rnr_per_rank(), &[0; 4]);
+        assert!(fab.run().all_done());
+        let clean = fab.traffic();
+        assert_eq!(clean.rnr_per_rank(), &[0; 4]);
+        assert_eq!(clean.total_fault_drops(), 0);
     }
 
     #[test]
@@ -3112,7 +3142,7 @@ mod tests {
             let (mut healthy, _) = bcast_fabric(4, 1, cfg);
             assert!(healthy.run().all_done());
             let reach = healthy
-                .trace()
+                .take_trace()
                 .unwrap()
                 .iter()
                 .find_map(|e| match *e {
@@ -3126,12 +3156,12 @@ mod tests {
             let down = vec![LinkStateEvent::down(reach, LinkId(7))];
             let (mut tie, _) = bcast_fabric(4, 1, faulted_cfg(b, down));
             assert!(!tie.run().all_done(), "{b:?}");
-            assert_eq!(tie.total_fault_drops(), 1, "{b:?}");
+            assert_eq!(tie.traffic().total_fault_drops(), 1, "{b:?}");
             // One nanosecond later the copy is already through.
             let down = vec![LinkStateEvent::down(reach + 1, LinkId(7))];
             let (mut late, _) = bcast_fabric(4, 1, faulted_cfg(b, down));
             assert!(late.run().all_done(), "{b:?}");
-            assert_eq!(late.total_fault_drops(), 0, "{b:?}");
+            assert_eq!(late.traffic().total_fault_drops(), 0, "{b:?}");
         }
     }
 
@@ -3170,16 +3200,16 @@ mod tests {
             let (mut whole, _) = bcast_fabric(4, 2, faulted_cfg(backend, events.clone()));
             let (mut fab, _) = bcast_fabric(4, 2, faulted_cfg(backend, events));
             fab.run_until(SimTime(99_999));
-            assert!(fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert!(fab.inner.link_fault[5].up, "{backend:?}");
             assert_eq!(fab.next_event_time(), Some(SimTime(100_000)));
             // A transition exactly at the deadline is applied.
             let stats = fab.run_until(SimTime(100_000));
-            assert!(!fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert!(!fab.inner.link_fault[5].up, "{backend:?}");
             assert_eq!(stats.end_time, SimTime(100_000));
             assert_eq!(fab.next_event_time(), Some(SimTime(200_000)));
             // Resuming applies the rest, as one uninterrupted run does.
             let (a, b) = (fab.run(), whole.run());
-            assert!(fab.health().link(LinkId(5)).up, "{backend:?}");
+            assert!(fab.inner.link_fault[5].up, "{backend:?}");
             assert_eq!(fab.next_event_time(), None);
             assert_eq!(fab.traffic().link(LinkId(5)).downtime_ns, 100_000);
             assert_eq!(a.end_time, SimTime(200_000));
@@ -3347,7 +3377,7 @@ mod tests {
         );
         assert_eq!(stats.events, 97);
         let injects: Vec<(u64, u32, u32)> = fab
-            .trace()
+            .take_trace()
             .unwrap()
             .iter()
             .filter_map(|e| match *e {
@@ -3556,7 +3586,7 @@ mod tests {
             ctx.notify_tx_drained(QpNum(0), 5);
         }
         fn on_cqe(&mut self, ctx: &mut Ctx<'_, Msg>, cqe: &Cqe, _payload: &Payload<Msg>) {
-            assert!(cqe.is_recv_success());
+            assert_eq!(cqe.opcode, CqeOpcode::Recv);
             self.got += 1;
             self.maybe_done(ctx);
         }
@@ -3633,7 +3663,10 @@ mod tests {
             (b.events, b.per_rank_done, b.peak_queue_depth)
         );
         assert_eq!(sweep.traffic().per_link(), messages.traffic().per_link());
-        let events = |f: &Fabric<Msg>| f.trace().unwrap().iter().copied().collect::<Vec<_>>();
+        let events = |f: &Fabric<Msg>| {
+            let trace = f.inner.trace.as_ref().unwrap();
+            trace.iter().copied().collect::<Vec<_>>()
+        };
         assert_eq!(events(&sweep), events(&messages));
     }
 

@@ -37,7 +37,6 @@ pub mod counters;
 pub mod event;
 pub mod fabric;
 pub mod hash;
-pub mod health;
 pub mod linkstate;
 pub mod mcast;
 pub mod routing;
@@ -47,9 +46,8 @@ pub mod topology;
 pub use app::{Ctx, MsgSegments, Payload, RankApp};
 pub use config::{DropModel, FabricConfig, HostModel};
 pub use counters::{LinkCounters, TrafficReport};
-pub use event::{EventQueue, QueueBackend};
+pub use event::QueueBackend;
 pub use fabric::Fabric;
-pub use health::{FabricHealth, LinkHealth};
 pub use linkstate::{LinkSchedule, LinkStateEvent};
 pub use mcag_trace::{TraceEvent, TraceSink, TraceSpec};
 pub use mcast::McastTree;

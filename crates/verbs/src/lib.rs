@@ -31,4 +31,4 @@ pub use mtu::Mtu;
 pub use transport::Transport;
 pub use types::{CollectiveId, LinkRate, McastGroupId, QpNum, Rank};
 pub use wire::PacketKind;
-pub use wqe::{CompletionStatus, Cqe, CqeOpcode};
+pub use wqe::{Cqe, CqeOpcode};

@@ -55,10 +55,11 @@ use mcast_allgather::faults::{FaultModel, FaultPlan};
 use mcast_allgather::runtime::{
     JobKind, OpMix, PoolConfig, RateProcess, Runtime, RuntimeConfig, Workload as ArrivalSpec,
 };
+use mcast_allgather::simnet::event::EventQueue;
 use mcast_allgather::simnet::mcast::McastTree;
 use mcast_allgather::simnet::routing;
 use mcast_allgather::simnet::{
-    Ctx, EventQueue, Fabric, FabricConfig, LinkStateEvent, Payload, RankApp, SimTime, Topology,
+    Ctx, Fabric, FabricConfig, LinkStateEvent, Payload, RankApp, SimTime, Topology,
 };
 use mcast_allgather::trace::{export_chrome, ChromeOptions, TraceEvent, TraceSpec};
 use mcast_allgather::verbs::{Cqe, LinkRate, McastGroupId, QpNum, Rank, Transport};

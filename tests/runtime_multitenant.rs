@@ -3,9 +3,9 @@
 //! rejection paths, and the LRU inclusion property (hit rate monotone in
 //! pool capacity).
 
+use mcast_allgather::runtime::job::{MAX_QUEUED_PER_TENANT, MAX_QUEUED_TOTAL, MAX_SEND_LEN};
 use mcast_allgather::runtime::{
-    AdmissionPolicy, JobKind, PoolConfig, RejectReason, Runtime, RuntimeConfig, RuntimeReport,
-    TenantId,
+    JobKind, PoolConfig, RejectReason, Runtime, RuntimeConfig, RuntimeReport, TenantId,
 };
 use mcast_allgather::simnet::Topology;
 use mcast_allgather::verbs::{LinkRate, Rank};
@@ -116,18 +116,15 @@ fn admission_rejects_and_counts() {
         star(4),
         RuntimeConfig {
             pool: PoolConfig::with_capacity(4),
-            admission: AdmissionPolicy {
-                max_queued_total: 4,
-                max_queued_per_tenant: 2,
-                max_send_len: 1 << 20,
-                throttle_sojourn_ns: None,
-            },
             max_inflight: 2,
             ..RuntimeConfig::default()
         },
     );
     let a = rt.register_tenant("greedy");
-    let b = rt.register_tenant("other");
+    // Enough other tenants to fill the queue at one quota each.
+    let others: Vec<TenantId> = (1..MAX_QUEUED_TOTAL / MAX_QUEUED_PER_TENANT)
+        .map(|i| rt.register_tenant(&format!("t{i}")))
+        .collect();
 
     // Unknown tenant.
     assert_eq!(
@@ -140,7 +137,7 @@ fn admission_rejects_and_counts() {
         Err(RejectReason::Empty)
     );
     assert_eq!(
-        rt.submit(a, JobKind::Allgather, 2 << 20),
+        rt.submit(a, JobKind::Allgather, MAX_SEND_LEN + 1),
         Err(RejectReason::TooLarge)
     );
     // Broadcast root out of range.
@@ -148,26 +145,38 @@ fn admission_rejects_and_counts() {
         rt.submit(a, JobKind::Broadcast { root: Rank(7) }, 4096),
         Err(RejectReason::InvalidRoot)
     );
-    // Per-tenant quota: third pending job refused.
-    rt.submit(a, JobKind::Allgather, 4096).unwrap();
-    rt.submit(a, JobKind::Allgather, 4096).unwrap();
+    // Per-tenant quota: the pending job past the quota is refused.
+    for _ in 0..MAX_QUEUED_PER_TENANT {
+        rt.submit(a, JobKind::Allgather, 4096).unwrap();
+    }
     assert_eq!(
         rt.submit(a, JobKind::Allgather, 4096),
         Err(RejectReason::TenantQuota)
     );
-    // Global queue depth: 2 + 2 pending fills the queue of 4.
-    rt.submit(b, JobKind::Allgather, 4096).unwrap();
-    rt.submit(b, JobKind::Allgather, 4096).unwrap();
+    // Global queue depth: every tenant at its quota fills the queue.
+    for &t in &others {
+        for _ in 0..MAX_QUEUED_PER_TENANT {
+            rt.submit(t, JobKind::Allgather, 4096).unwrap();
+        }
+    }
+    let b = others[0];
     assert_eq!(
         rt.submit(b, JobKind::Allgather, 4096),
         Err(RejectReason::QueueFull)
     );
 
     let report = rt.run_open_loop();
-    assert_eq!(report.completed_jobs(), 4, "admitted jobs still complete");
+    assert_eq!(
+        report.completed_jobs(),
+        MAX_QUEUED_TOTAL,
+        "admitted jobs still complete"
+    );
     assert_eq!(report.tenants[a.idx()].rejected, 4);
     assert_eq!(report.tenants[b.idx()].rejected, 1);
-    assert_eq!(report.tenants[a.idx()].completed, 2);
+    assert_eq!(
+        report.tenants[a.idx()].completed,
+        MAX_QUEUED_PER_TENANT as u64
+    );
 }
 
 #[test]

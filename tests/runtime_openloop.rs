@@ -6,10 +6,11 @@
 
 use mcast_allgather::core::ProtocolConfig;
 use mcast_allgather::faults::{FaultModel, FaultPlan};
+use mcast_allgather::runtime::job::MAX_QUEUED_PER_TENANT;
 use mcast_allgather::runtime::{
-    merge_arrivals, nccl_style_trace, AdmissionPolicy, Arrival, JobId, JobKind, JobQueue, JobSpec,
-    MemoStats, OpMix, PoolConfig, RateProcess, ReactivePolicy, Runtime, RuntimeConfig,
-    RuntimeReport, TenantId, TraceSpec, Workload,
+    merge_arrivals, nccl_style_trace, Arrival, JobId, JobKind, JobQueue, JobSpec, MemoStats, OpMix,
+    PoolConfig, RateProcess, ReactivePolicy, Runtime, RuntimeConfig, RuntimeReport, TenantId,
+    TraceSpec, Workload,
 };
 use mcast_allgather::simnet::{LinkSchedule, Topology};
 use mcast_allgather::verbs::{LinkRate, Rank};
@@ -107,10 +108,7 @@ fn throttled_rejections_are_attributed_distinctly() {
     let mut rt = Runtime::new(
         Topology::single_switch(4, LinkRate::CX3_56G, 100),
         RuntimeConfig {
-            admission: AdmissionPolicy {
-                throttle_sojourn_ns: Some(1),
-                ..AdmissionPolicy::default()
-            },
+            throttle_sojourn_ns: Some(1),
             ..RuntimeConfig::default()
         },
     );
@@ -147,10 +145,6 @@ fn submit_now_equals_submit_at_zero() {
             Topology::single_switch(4, LinkRate::CX3_56G, 100),
             RuntimeConfig {
                 pool: PoolConfig::with_capacity(6),
-                admission: AdmissionPolicy {
-                    max_queued_per_tenant: 3,
-                    ..AdmissionPolicy::default()
-                },
                 max_inflight: 2,
                 partitions,
                 trace: Some(TraceSpec::default()),
@@ -162,8 +156,9 @@ fn submit_now_equals_submit_at_zero() {
             .collect();
         let mut stream = vec![(tenants[0], JobKind::Allgather, 0)];
         for (i, &t) in tenants.iter().enumerate() {
-            // Tenant 0 submits four against a quota of three.
-            for j in 0..if i == 0 { 4 } else { 2 } {
+            // Tenant 0 submits one past its quota.
+            let jobs = if i == 0 { MAX_QUEUED_PER_TENANT + 1 } else { 2 };
+            for j in 0..jobs {
                 let kind = match (i + j) % 3 {
                     0 => JobKind::Allgather,
                     1 => JobKind::Broadcast {
@@ -188,7 +183,7 @@ fn submit_now_equals_submit_at_zero() {
         let (report, trace) = run(partitions, false);
         assert_eq!(report.rejects.empty, 1);
         assert_eq!(report.rejects.tenant_quota, 1);
-        assert_eq!(report.completed_jobs(), 9);
+        assert_eq!(report.completed_jobs(), MAX_QUEUED_PER_TENANT + 6);
         assert!(!trace.fabric.is_empty());
         let (scheduled_report, scheduled_trace) = run(partitions, true);
         assert_eq!(report, scheduled_report, "partitions={partitions}");
